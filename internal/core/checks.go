@@ -1,6 +1,7 @@
 package core
 
 import (
+	"oha/internal/bitset"
 	"oha/internal/bloom"
 	"oha/internal/interp"
 	"oha/internal/invariants"
@@ -145,21 +146,56 @@ func checkedBlockMask(prog *ir.Program, db *invariants.DB) []bool {
 	return mask
 }
 
+// sliceTables are the OptSlice checker's read-only tables. They depend
+// only on (program, invariant database), so an OptSlice builds them
+// once and every run shares them.
+type sliceTables struct {
+	mainFn  int
+	nfuncs  int
+	luc     []bool        // block ID -> assumed unreachable
+	callees []*bitset.Set // instr ID -> allowed callee fn IDs (nil: none)
+	// checkCtx enables the call-context check; ctxHashes/ctxBloom hold
+	// the observed contexts' hashes and their Bloom prefilter.
+	checkCtx  bool
+	ctxHashes map[uint64]bool
+	ctxBloom  *bloom.Filter
+}
+
+func newSliceTables(prog *ir.Program, db *invariants.DB, checkContexts bool) *sliceTables {
+	t := &sliceTables{
+		mainFn:   prog.Main().ID,
+		nfuncs:   len(prog.Funcs),
+		luc:      make([]bool, len(prog.Blocks)),
+		callees:  make([]*bitset.Set, len(prog.Instrs)),
+		checkCtx: checkContexts,
+	}
+	for _, b := range prog.Blocks {
+		t.luc[b.ID] = db.LikelyUnreachable(b.ID)
+	}
+	for site, set := range db.Callees {
+		if site >= 0 && site < len(t.callees) {
+			t.callees[site] = set
+		}
+	}
+	if checkContexts {
+		t.ctxHashes = db.Contexts.HashSet()
+		t.ctxBloom = db.Contexts.Bloom(0.01)
+	}
+	return t
+}
+
 // sliceChecker verifies the OptSlice invariants: likely-unreachable
-// code, likely callee sets, and likely unused call contexts.
+// code, likely callee sets, and likely unused call contexts. It holds
+// one run's state over shared tables.
 type sliceChecker struct {
-	interp.NopTracer
+	*sliceTables
 	abort *interp.Abort
 	// first mirrors abort's first-wins reason in structured form.
 	first Violation
-	prog  *ir.Program
-
-	luc        []bool
-	calleeSets map[int]map[int]bool // indirect site -> allowed callee fn IDs
-	checkCtx   bool
-	ctxHashes  map[uint64]bool
-	ctxBloom   *bloom.Filter // nil: hash-set lookups only (ablation)
-	stacks     map[vc.TID]*checkStack
+	// bloom is the run's context prefilter: the tables' filter, or nil
+	// for hash-set lookups only (the NoBloom ablation).
+	bloom  *bloom.Filter
+	stacks []*checkStack // by TID
 
 	Events uint64
 }
@@ -168,7 +204,7 @@ type sliceChecker struct {
 // with incremental hashes for the Bloom fast path.
 type checkStack struct {
 	frames []checkFrame
-	active map[int]int
+	active []int32 // fn ID -> activations on the stack
 	path   []int
 	hashes []uint64 // hash prefix per extended frame
 }
@@ -178,29 +214,14 @@ type checkFrame struct {
 	extended bool
 }
 
-func newSliceChecker(prog *ir.Program, db *invariants.DB, checkContexts bool, abort *interp.Abort) *sliceChecker {
-	c := &sliceChecker{
-		abort:      abort,
-		prog:       prog,
-		luc:        make([]bool, len(prog.Blocks)),
-		calleeSets: map[int]map[int]bool{},
-		checkCtx:   checkContexts,
-		stacks:     map[vc.TID]*checkStack{},
-	}
-	for _, b := range prog.Blocks {
-		c.luc[b.ID] = db.LikelyUnreachable(b.ID)
-	}
-	for site, set := range db.Callees {
-		m := map[int]bool{}
-		set.ForEach(func(f int) bool {
-			m[f] = true
-			return true
-		})
-		c.calleeSets[site] = m
-	}
-	if checkContexts {
-		c.ctxHashes = db.Contexts.HashSet()
-		c.ctxBloom = db.Contexts.Bloom(0.01)
+// newChecker starts one run's checker over t. noBloom switches the
+// call-context check to exact set inclusion only — the configuration
+// the paper found "too inefficient for some programs" (§5.2.3); kept
+// for the ablation benchmarks.
+func (t *sliceTables) newChecker(abort *interp.Abort, noBloom bool) *sliceChecker {
+	c := &sliceChecker{sliceTables: t, abort: abort, bloom: t.ctxBloom}
+	if noBloom {
+		c.bloom = nil
 	}
 	return c
 }
@@ -213,23 +234,44 @@ func (c *sliceChecker) violate(v Violation) {
 	c.abort.Set(v.String())
 }
 
-// disableBloom switches the call-context check to exact set inclusion
-// only — the configuration the paper found "too inefficient for some
-// programs" (§5.2.3); kept for the ablation benchmarks.
-func (c *sliceChecker) disableBloom() {
-	c.ctxBloom = nil
+// newStack returns an empty context stack rooted at fnID.
+func (c *sliceChecker) newStack(fnID int, h uint64) *checkStack {
+	s := &checkStack{active: make([]int32, c.nfuncs)}
+	s.frames = append(s.frames, checkFrame{fnID: fnID, extended: true})
+	s.active[fnID] = 1
+	s.hashes = append(s.hashes, h)
+	return s
+}
+
+// setStack installs s as thread t's context stack.
+func (c *sliceChecker) setStack(t vc.TID, s *checkStack) {
+	for int(t) >= len(c.stacks) {
+		c.stacks = append(c.stacks, nil)
+	}
+	c.stacks[t] = s
 }
 
 func (c *sliceChecker) stack(t vc.TID) *checkStack {
-	s := c.stacks[t]
-	if s == nil {
-		s = &checkStack{active: map[int]int{}}
-		s.frames = append(s.frames, checkFrame{fnID: c.prog.Main().ID, extended: true})
-		s.active[c.prog.Main().ID] = 1
-		s.hashes = append(s.hashes, invariants.EmptyContextHash)
-		c.stacks[t] = s
+	if int(t) < len(c.stacks) && c.stacks[t] != nil {
+		return c.stacks[t]
 	}
+	s := c.newStack(c.mainFn, invariants.EmptyContextHash)
+	c.setStack(t, s)
 	return s
+}
+
+// knownContext reports whether h is an observed context hash: Bloom
+// prefilter, then the hash-set membership test.
+func (c *sliceChecker) knownContext(h uint64) bool {
+	return (c.bloom == nil || c.bloom.MayContain(h)) && c.ctxHashes[h]
+}
+
+// checkCallee fires the likely-callee-set check at an indirect site.
+func (c *sliceChecker) checkCallee(in *ir.Instr, callee *ir.Function) {
+	c.Events++
+	if set := c.callees[in.ID]; set == nil || !set.Has(callee.ID) {
+		c.violate(Violation{Kind: ViolationCalleeSet, Site: in.ID, Callee: callee.ID, Detail: callee.Name})
+	}
 }
 
 // BlockEnter fires the likely-unreachable-code check.
@@ -241,13 +283,9 @@ func (c *sliceChecker) BlockEnter(_ vc.TID, b *ir.Block) {
 }
 
 // Call fires the likely-callee-set and call-context checks.
-func (c *sliceChecker) Call(t vc.TID, in *ir.Instr, callee *ir.Function, _, _ interp.FrameID) {
+func (c *sliceChecker) Call(t vc.TID, in *ir.Instr, callee *ir.Function) {
 	if in.IsIndirect() {
-		c.Events++
-		set := c.calleeSets[in.ID]
-		if set == nil || !set[callee.ID] {
-			c.violate(Violation{Kind: ViolationCalleeSet, Site: in.ID, Callee: callee.ID, Detail: callee.Name})
-		}
+		c.checkCallee(in, callee)
 	}
 	if !c.checkCtx {
 		return
@@ -260,8 +298,7 @@ func (c *sliceChecker) Call(t vc.TID, in *ir.Instr, callee *ir.Function, _, _ in
 		h := invariants.HashExtend(s.hashes[len(s.hashes)-1], in.ID)
 		s.hashes = append(s.hashes, h)
 		c.Events++
-		// Bloom prefilter, then the hash-set membership test.
-		if (c.ctxBloom != nil && !c.ctxBloom.MayContain(h)) || !c.ctxHashes[h] {
+		if !c.knownContext(h) {
 			c.violate(Violation{
 				Kind: ViolationCallContext, Site: in.ID, Callee: -1,
 				Path: append([]int(nil), s.path...),
@@ -273,36 +310,29 @@ func (c *sliceChecker) Call(t vc.TID, in *ir.Instr, callee *ir.Function, _, _ in
 }
 
 // Spawn begins a new thread-root context.
-func (c *sliceChecker) Spawn(t vc.TID, in *ir.Instr, child vc.TID, _ interp.FrameID, callee *ir.Function) {
+func (c *sliceChecker) Spawn(t vc.TID, in *ir.Instr, child vc.TID, callee *ir.Function) {
 	if in.IsIndirect() {
-		c.Events++
-		set := c.calleeSets[in.ID]
-		if set == nil || !set[callee.ID] {
-			c.violate(Violation{Kind: ViolationCalleeSet, Site: in.ID, Callee: callee.ID, Detail: callee.Name})
-		}
+		c.checkCallee(in, callee)
 	}
 	if !c.checkCtx {
 		return
 	}
-	parent := c.stack(t)
-	s := &checkStack{active: map[int]int{}}
-	s.path = append(append([]int(nil), parent.path...), in.ID)
-	s.frames = append(s.frames, checkFrame{fnID: callee.ID, extended: true})
-	s.active[callee.ID] = 1
-	h := invariants.HashContext(s.path)
-	s.hashes = append(s.hashes, h)
+	path := append(append([]int(nil), c.stack(t).path...), in.ID)
+	h := invariants.HashContext(path)
+	s := c.newStack(callee.ID, h)
+	s.path = path
 	c.Events++
-	if (c.ctxBloom != nil && !c.ctxBloom.MayContain(h)) || !c.ctxHashes[h] {
+	if !c.knownContext(h) {
 		c.violate(Violation{
 			Kind: ViolationCallContext, Site: in.ID, Callee: -1,
 			Path: append([]int(nil), s.path...),
 		})
 	}
-	c.stacks[child] = s
+	c.setStack(child, s)
 }
 
 // Ret unwinds the context stack.
-func (c *sliceChecker) Ret(t vc.TID, _ *ir.Instr, _, _ interp.FrameID, _ *ir.Var) {
+func (c *sliceChecker) Ret(t vc.TID) {
 	if !c.checkCtx {
 		return
 	}

@@ -257,7 +257,9 @@ func raceReport(det *fasttrack.Detector, res *interp.Result) *RaceReport {
 // RunPlain executes without any analysis — the "framework overhead"
 // baseline of Figure 5.
 func RunPlain(prog *ir.Program, e Execution, opts RunOptions) (*interp.Result, error) {
-	cfg := interp.Config{Prog: prog, Inputs: e.Inputs, Choose: e.chooser()}
+	// Empty masks, not nil ones: a nil mask flags every site, and a
+	// flagged memory op cannot fuse even with no tracer installed.
+	cfg := interp.Config{Prog: prog, Inputs: e.Inputs, Choose: e.chooser(), MemMask: noEvents, SyncMask: noEvents, BlockMask: noEvents}
 	opts.apply(&cfg)
 	return interp.Run(cfg)
 }

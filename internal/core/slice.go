@@ -16,6 +16,7 @@ import (
 	"oha/internal/ir"
 	"oha/internal/pointsto"
 	"oha/internal/staticslice"
+	"oha/internal/vc"
 )
 
 // SliceReport is the result of one dynamic-slicing run.
@@ -180,6 +181,12 @@ func execMaskFor(prog *ir.Program, s *staticslice.Slice) []bool {
 	return mask
 }
 
+// noEvents is the empty non-nil mask: no site of its kind fires an
+// event (a nil mask would mean "every site"). The slicers consume only
+// Exec, call/ret/spawn and checked-block events, so their images carry
+// no Load/Store/Lock/Unlock flags and unflagged memory ops fuse.
+var noEvents = []bool{}
+
 // HybridSlicer is the traditional hybrid baseline (hybrid Giri): the
 // dynamic slicer tracing only the sound static slice.
 type HybridSlicer struct {
@@ -223,7 +230,7 @@ func NewHybridSlicerStatic(prog *ir.Program, criterion *ir.Instr, budget int, ca
 		blockMask: make([]bool, len(prog.Blocks)),
 	}
 	// The sound image assumes no invariants: no IC seeds (nil db).
-	h.code = compiledCode(prog, interp.Masks{Exec: h.execMask, Block: h.blockMask}, compileOpts(nil, cfg), cache)
+	h.code = compiledCode(prog, interp.Masks{Mem: noEvents, Sync: noEvents, Exec: h.execMask, Block: h.blockMask}, compileOpts(nil, cfg), cache)
 	return h, nil
 }
 
@@ -238,6 +245,8 @@ func (h *HybridSlicer) Run(e Execution, opts RunOptions) (*SliceReport, error) {
 		Inputs:    e.Inputs,
 		Choose:    e.chooser(),
 		Tracer:    tr,
+		MemMask:   noEvents,
+		SyncMask:  noEvents,
 		ExecMask:  h.execMask,
 		BlockMask: h.blockMask,
 		Code:      h.code,
@@ -306,7 +315,7 @@ type OptSlice struct {
 	execMask  []bool
 	blockMask []bool
 	code      *interp.Code
-	checkCtx  bool
+	tables    *sliceTables
 	// NoBloom disables the Bloom-filter fast path of the call-context
 	// check (exact set inclusion only) — ablation of the paper's
 	// §5.2.3 optimization.
@@ -351,14 +360,14 @@ func NewOptSliceStatic(prog *ir.Program, db *invariants.DB, criterion *ir.Instr,
 		// The unused-call-contexts invariant is only assumed (and so
 		// only needs checking) when the analysis was context-sensitive
 		// under the observed-context restriction.
-		checkCtx: ss.AT == CS,
+		tables: newSliceTables(prog, db, ss.AT == CS),
 	}
 	// The speculative image is IC-seeded from the likely callee sets:
 	// OptSlice assumes (and checks) exactly those sets, so a cached
 	// target is a callee the tracer's checker accepts, and an
 	// out-of-set target both misses the cache and raises the
 	// callee-set violation that drives refinement.
-	o.code = compiledCode(prog, interp.Masks{Exec: o.execMask, Block: o.blockMask}, compileOpts(db, cfg), cache)
+	o.code = compiledCode(prog, interp.Masks{Mem: noEvents, Sync: noEvents, Exec: o.execMask, Block: o.blockMask}, compileOpts(db, cfg), cache)
 	return o, nil
 }
 
@@ -375,15 +384,14 @@ func (o *OptSlice) Run(e Execution, opts RunOptions) (*SliceReport, error) {
 	if o.MaxTraceNodes > 0 {
 		tr.MaxNodes = o.MaxTraceNodes
 	}
-	checker := newSliceChecker(o.Prog, o.DB, o.checkCtx, abort)
-	if o.NoBloom {
-		checker.disableBloom()
-	}
+	checker := o.tables.newChecker(abort, o.NoBloom)
 	cfg := interp.Config{
 		Prog:      o.Prog,
 		Inputs:    e.Inputs,
 		Choose:    e.chooser(),
-		Tracer:    interp.MultiTracer{tr, checker},
+		Tracer:    &optSliceTracer{tr: tr, checker: checker},
+		MemMask:   noEvents,
+		SyncMask:  noEvents,
 		ExecMask:  o.execMask,
 		BlockMask: o.blockMask,
 		Code:      o.code,
@@ -425,4 +433,38 @@ func (o *OptSlice) Run(e Execution, opts RunOptions) (*SliceReport, error) {
 	}
 	opts.observeSlice(o, e, rep)
 	return rep, nil
+}
+
+// optSliceTracer is the speculative run's combined tracer: the dynamic
+// slicer plus the invariant checker, fused into one dispatch (see
+// optTracer). Exec goes only to the slicer; the checker consumes the
+// call/ret/spawn and checked-block events. No other event is delivered:
+// the image flags no memory or sync site.
+type optSliceTracer struct {
+	interp.NopTracer
+	tr      *dynslice.Tracer
+	checker *sliceChecker
+}
+
+func (o *optSliceTracer) Exec(t vc.TID, in *ir.Instr, f interp.FrameID, a interp.Addr) {
+	o.tr.Exec(t, in, f, a)
+}
+
+func (o *optSliceTracer) Call(t vc.TID, in *ir.Instr, fn *ir.Function, caller, callee interp.FrameID) {
+	o.tr.Call(t, in, fn, caller, callee)
+	o.checker.Call(t, in, fn)
+}
+
+func (o *optSliceTracer) Spawn(t vc.TID, in *ir.Instr, c vc.TID, f interp.FrameID, fn *ir.Function) {
+	o.tr.Spawn(t, in, c, f, fn)
+	o.checker.Spawn(t, in, c, fn)
+}
+
+func (o *optSliceTracer) Ret(t vc.TID, in *ir.Instr, callee, caller interp.FrameID, dst *ir.Var) {
+	o.tr.Ret(t, in, callee, caller, dst)
+	o.checker.Ret(t)
+}
+
+func (o *optSliceTracer) BlockEnter(t vc.TID, b *ir.Block) {
+	o.checker.BlockEnter(t, b)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"oha/internal/interp"
 	"oha/internal/ir"
 	"oha/internal/lang"
 )
@@ -325,5 +326,68 @@ func TestSliceOfUnexecutedCriterion(t *testing.T) {
 	}
 	if rep.Slice != nil {
 		t.Error("slice of never-executed criterion should be nil")
+	}
+}
+
+// The slicers consume Exec, call/ret/spawn and checked-block events
+// only, so their runs must deliver no Load/Store/Lock/Unlock event, and
+// each report must be the same under both engines.
+func TestSlicerRunsDeliverNoMemoryOrSyncEvents(t *testing.T) {
+	cases := []struct {
+		name    string
+		src     string
+		profile []int64
+		runs    [][]int64
+	}{
+		{"locked", lockedCounter, []int64{5}, [][]int64{{7}}},
+		{"dispatch", interpSrc, commonInputs(), [][]int64{commonInputs(), rareInputs()}},
+	}
+	for _, c := range cases {
+		prog := lang.MustCompile(c.src)
+		criterion := lastPrintOf(t, prog)
+		pr := mustProfile(t, prog, func(run int) Execution {
+			return Execution{Inputs: c.profile, Seed: uint64(run + 1)}
+		}, 10)
+		opt, err := NewOptSlice(prog, pr.DB, criterion, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range c.runs {
+			e := Execution{Inputs: in, Seed: 3}
+			full, err := RunFullGiri(prog, criterion, e, RunOptions{}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full.Stats.Loads == 0 || full.Stats.Stores == 0 {
+				t.Fatalf("%s: program performs no instrumented memory ops", c.name)
+			}
+			slicers := map[string]func(RunOptions) (*SliceReport, error){
+				"opt":    func(o RunOptions) (*SliceReport, error) { return opt.Run(e, o) },
+				"hybrid": func(o RunOptions) (*SliceReport, error) { return opt.Sound.Run(e, o) },
+			}
+			for name, run := range slicers {
+				compiled, err := run(RunOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tree, err := run(RunOptions{Engine: interp.EngineTree})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rep := range []*SliceReport{compiled, tree} {
+					if st := rep.Stats; st.Loads+st.Stores+st.Locks+st.Unlocks != 0 {
+						t.Errorf("%s/%s: memory/sync events delivered: %+v", c.name, name, st)
+					}
+				}
+				if !compiled.Slice.Equal(tree.Slice) || compiled.Slice.DynNodes != tree.Slice.DynNodes ||
+					compiled.TraceNodes != tree.TraceNodes || compiled.Stats != tree.Stats ||
+					compiled.RolledBack != tree.RolledBack {
+					t.Errorf("%s/%s: engines disagree:\ncompiled %+v\ntree     %+v", c.name, name, compiled, tree)
+				}
+				if !compiled.Slice.Equal(full.Slice) {
+					t.Errorf("%s/%s: slice differs from full Giri", c.name, name)
+				}
+			}
+		}
 	}
 }

@@ -18,6 +18,12 @@
 // Full tracing of non-trivial executions exhausts memory quickly
 // (MaxNodes models the paper's observation that pure Giri "exhausts
 // system resources even on modest executions").
+//
+// The shadow state is flat so that recording a node costs no map
+// operation and no heap allocation in steady state: dependence edges
+// live in one arena, register definitions in per-activation rows
+// indexed by ir.Var.ID, and memory definitions in per-object rows
+// mirroring the interpreter's heap.
 package dynslice
 
 import (
@@ -33,10 +39,11 @@ import (
 // when the trace exceeds MaxNodes.
 var ErrTraceExhausted = errors.New("dynslice: trace node limit exceeded")
 
-// node is one dynamic instruction instance.
+// node is one dynamic instruction instance. Its dependence edges are
+// deps[dep : next node's dep] of the tracer's arena.
 type node struct {
 	instr int32
-	deps  []int32
+	dep   int32
 }
 
 // Tracer records the dynamic dependence trace. Install as the
@@ -47,8 +54,23 @@ type Tracer struct {
 	prog *ir.Program
 
 	nodes []node
-	// lastReg maps (frame, var) to the defining node.
-	lastReg map[regKey]int32
+	// deps is the dependence-edge arena shared by all nodes.
+	deps []int32
+
+	// rows holds one register row per live activation, indexed by
+	// ir.Var.ID (node id + 1, 0 meaning "no traced definition"); rows of
+	// returned activations go on freeRows for reuse. stacks mirrors each
+	// thread's call stack (by TID) from the Call/Spawn/Ret events, which
+	// the interpreter delivers whenever a tracer is installed, so the
+	// executing frame's row is found by comparing against the top
+	// entries — no lookup. retiring is the activation whose Ret was just
+	// delivered: its ret's Exec, in the same interpreter step, still
+	// reads it (frame IDs start at 1, so a zero frame marks none).
+	rows     [][]int32
+	freeRows []int32
+	stacks   [][]activation
+	retiring activation
+
 	// lastMem tracks each address's last traced store node, laid out as
 	// per-object slices mirroring the interpreter's heap
 	// (lastMem[obj][off] = node id + 1, 0 meaning "no traced store").
@@ -61,12 +83,13 @@ type Tracer struct {
 	// both O(1) with no map work.
 	lastInstance []int32
 
-	// pendingCall/pendingSpawn/pendingRet stash cross-activation
-	// binding info delivered by the Call/Spawn/Ret events until the
-	// matching Exec event arrives.
-	pendingCall  *callBinding
-	pendingRet   *retBinding
-	pendingSpawn *callBinding
+	// pendingCall/pendingRet stash cross-activation binding info
+	// delivered by the Call or Spawn and the Ret events until the
+	// matching Exec event arrives, in the same interpreter step (a nil
+	// site / zero callee frame marks an empty slot). They are held by
+	// value: no allocation per call.
+	pendingCall callBinding
+	pendingRet  retBinding
 
 	// MaxNodes bounds the trace (0: 4M nodes). On overflow the tracer
 	// raises Abort (if set) and stops recording.
@@ -75,21 +98,21 @@ type Tracer struct {
 	full     bool
 }
 
-type regKey struct {
+// activation is one live frame and the slot of its register row.
+type activation struct {
 	frame interp.FrameID
-	v     int32
+	slot  int32
 }
 
 type callBinding struct {
-	site        *ir.Instr
-	callee      *ir.Function
-	caller      interp.FrameID
-	calleeFrame interp.FrameID
+	site   *ir.Instr
+	callee *ir.Function
+	slot   int32 // the callee activation's row
 }
 
 type retBinding struct {
 	callee interp.FrameID
-	caller interp.FrameID
+	caller int32 // the caller activation's row
 	dst    *ir.Var
 }
 
@@ -98,7 +121,6 @@ type retBinding struct {
 func New(prog *ir.Program, abort *interp.Abort) *Tracer {
 	return &Tracer{
 		prog:         prog,
-		lastReg:      map[regKey]int32{},
 		lastInstance: make([]int32, len(prog.Instrs)),
 		Abort:        abort,
 		MaxNodes:     4 << 20,
@@ -123,19 +145,101 @@ func (tr *Tracer) NodeCount() int { return len(tr.nodes) }
 // Overflowed reports whether the trace hit MaxNodes.
 func (tr *Tracer) Overflowed() bool { return tr.full }
 
-// Call stashes the frame binding for the imminent Exec of the call.
-func (tr *Tracer) Call(_ vc.TID, in *ir.Instr, callee *ir.Function, caller, calleeFrame interp.FrameID) {
-	tr.pendingCall = &callBinding{site: in, callee: callee, caller: caller, calleeFrame: calleeFrame}
+// Call pushes the callee's activation and stashes the parameter
+// binding for the imminent Exec of the call.
+func (tr *Tracer) Call(t vc.TID, in *ir.Instr, callee *ir.Function, caller, calleeFrame interp.FrameID) {
+	if int(t) >= len(tr.stacks) || len(tr.stacks[t]) == 0 {
+		// main's root activation is announced by no event.
+		tr.push(t, caller, in.Block.Fn)
+	}
+	tr.pendingCall = callBinding{site: in, callee: callee, slot: tr.push(t, calleeFrame, callee)}
 }
 
-// Spawn stashes the frame binding for the imminent Exec of the spawn.
-func (tr *Tracer) Spawn(_ vc.TID, in *ir.Instr, _ vc.TID, childFrame interp.FrameID, callee *ir.Function) {
-	tr.pendingSpawn = &callBinding{site: in, callee: callee, calleeFrame: childFrame}
+// Spawn starts the child thread's stack with its root activation and
+// stashes the parameter binding for the imminent Exec of the spawn.
+func (tr *Tracer) Spawn(_ vc.TID, in *ir.Instr, child vc.TID, childFrame interp.FrameID, callee *ir.Function) {
+	tr.pendingCall = callBinding{site: in, callee: callee, slot: tr.push(child, childFrame, callee)}
 }
 
-// Ret stashes the return binding for the imminent Exec of the ret.
-func (tr *Tracer) Ret(_ vc.TID, _ *ir.Instr, callee, caller interp.FrameID, dst *ir.Var) {
-	tr.pendingRet = &retBinding{callee: callee, caller: caller, dst: dst}
+// Ret pops the callee's activation and stashes the return binding for
+// the imminent Exec of the ret. The ret and its Exec are one
+// interpreter step, so an activation still retiring here belonged to an
+// untraced ret: its row is recycled now.
+func (tr *Tracer) Ret(t vc.TID, _ *ir.Instr, callee, _ interp.FrameID, dst *ir.Var) {
+	tr.retire()
+	var st []activation
+	if int(t) < len(tr.stacks) {
+		st = tr.stacks[t]
+	}
+	n := len(st)
+	if n == 0 || st[n-1].frame != callee {
+		// An activation no event announced that executed nothing traced
+		// (main's root): no row, no binding.
+		tr.pendingRet = retBinding{}
+		return
+	}
+	tr.retiring = st[n-1]
+	tr.stacks[t] = st[:n-1]
+	tr.pendingRet = retBinding{callee: callee, caller: -1, dst: dst}
+	if n > 1 {
+		tr.pendingRet.caller = st[n-2].slot
+	}
+}
+
+// push starts a cleared register row for a new activation of fn on
+// thread t's stack and returns its slot.
+func (tr *Tracer) push(t vc.TID, frame interp.FrameID, fn *ir.Function) int32 {
+	var s int32
+	if k := len(tr.freeRows); k > 0 {
+		s = tr.freeRows[k-1]
+		tr.freeRows = tr.freeRows[:k-1]
+	} else {
+		s = int32(len(tr.rows))
+		tr.rows = append(tr.rows, nil)
+	}
+	n := len(fn.Vars)
+	if r := tr.rows[s]; cap(r) >= n {
+		r = r[:n]
+		clear(r)
+		tr.rows[s] = r
+	} else {
+		tr.rows[s] = make([]int32, n)
+	}
+	for int(t) >= len(tr.stacks) {
+		tr.stacks = append(tr.stacks, nil)
+	}
+	tr.stacks[t] = append(tr.stacks[t], activation{frame: frame, slot: s})
+	return s
+}
+
+// retire recycles the retiring activation's row, if any.
+func (tr *Tracer) retire() {
+	if tr.retiring.frame != 0 {
+		tr.freeRows = append(tr.freeRows, tr.retiring.slot)
+		tr.retiring = activation{}
+	}
+}
+
+// frameRow returns the row slot of frame, executing on thread t. The
+// frame is the top of t's stack, except for the Exec of a ret (the
+// retiring activation) and of a call (the caller, just below the
+// callee the Call event pushed). A frame found nowhere is a root
+// activation no event announced.
+func (tr *Tracer) frameRow(t vc.TID, frame interp.FrameID, fn *ir.Function) int32 {
+	if int(t) < len(tr.stacks) {
+		st := tr.stacks[t]
+		n := len(st)
+		if n > 0 && st[n-1].frame == frame {
+			return st[n-1].slot
+		}
+		if tr.retiring.frame == frame {
+			return tr.retiring.slot
+		}
+		if n > 1 && st[n-2].frame == frame {
+			return st[n-2].slot
+		}
+	}
+	return tr.push(t, frame, fn)
 }
 
 // memLast returns the last traced store node for addr, if any.
@@ -172,19 +276,18 @@ func (tr *Tracer) memDefine(a interp.Addr, id int32) {
 }
 
 // operandDep appends the defining node of a register operand, if
-// traced.
-func (tr *Tracer) operandDep(frame interp.FrameID, op ir.Operand, deps []int32) []int32 {
+// traced, to the dependence arena.
+func (tr *Tracer) operandDep(regs []int32, op ir.Operand) {
 	if op.Kind != ir.OperVar {
-		return deps
+		return
 	}
-	if n, ok := tr.lastReg[regKey{frame: frame, v: int32(op.Var.ID)}]; ok {
-		deps = append(deps, n)
+	if n := regs[op.Var.ID]; n != 0 {
+		tr.deps = append(tr.deps, n-1)
 	}
-	return deps
 }
 
 // Exec records one dynamic instance.
-func (tr *Tracer) Exec(_ vc.TID, in *ir.Instr, frame interp.FrameID, addr interp.Addr) {
+func (tr *Tracer) Exec(t vc.TID, in *ir.Instr, frame interp.FrameID, addr interp.Addr) {
 	switch in.Op {
 	case ir.OpJmp, ir.OpBr, ir.OpLock, ir.OpUnlock, ir.OpJoin:
 		// Control flow and synchronization define no data, and
@@ -202,62 +305,50 @@ func (tr *Tracer) Exec(_ vc.TID, in *ir.Instr, frame interp.FrameID, addr interp
 		return
 	}
 
-	var deps []int32
-	deps = tr.operandDep(frame, in.A, deps)
-	deps = tr.operandDep(frame, in.B, deps)
-	for _, a := range in.Args {
-		deps = tr.operandDep(frame, a, deps)
-	}
-	switch in.Op {
-	case ir.OpLoad:
-		if n, ok := tr.memLast(addr); ok {
-			deps = append(deps, n)
-		}
-	case ir.OpRet:
-		// Operand dep already added; binding handled below.
-	}
-
+	regs := tr.rows[tr.frameRow(t, frame, in.Block.Fn)]
 	id := int32(len(tr.nodes))
-	tr.nodes = append(tr.nodes, node{instr: int32(in.ID), deps: deps})
+	tr.nodes = append(tr.nodes, node{instr: int32(in.ID), dep: int32(len(tr.deps))})
+	tr.operandDep(regs, in.A)
+	tr.operandDep(regs, in.B)
+	for _, a := range in.Args {
+		tr.operandDep(regs, a)
+	}
+	if in.Op == ir.OpLoad {
+		if n, ok := tr.memLast(addr); ok {
+			tr.deps = append(tr.deps, n)
+		}
+	}
 	tr.lastInstance[in.ID] = id + 1
 
 	// Effects: define registers/memory and cross-activation bindings.
 	switch in.Op {
 	case ir.OpStore:
 		tr.memDefine(addr, id)
-	case ir.OpCall:
-		if pc := tr.pendingCall; pc != nil && pc.site == in {
+	case ir.OpCall, ir.OpSpawn:
+		// The call's result is defined by the ret node later; the call
+		// node itself stands in until the ret arrives (calls into
+		// untraced code keep this binding).
+		if in.Dst != nil {
+			regs[in.Dst.ID] = id + 1
+		}
+		if pc := tr.pendingCall; pc.site == in {
+			r := tr.rows[pc.slot]
 			for _, p := range pc.callee.Params {
-				tr.lastReg[regKey{frame: pc.calleeFrame, v: int32(p.ID)}] = id
+				r[p.ID] = id + 1
 			}
-			tr.pendingCall = nil
-		}
-		if in.Dst != nil {
-			// The call's result is defined by the ret node later; the
-			// call node itself stands in until the ret arrives (calls
-			// into untraced code keep this binding).
-			tr.lastReg[regKey{frame: frame, v: int32(in.Dst.ID)}] = id
-		}
-	case ir.OpSpawn:
-		if ps := tr.pendingSpawn; ps != nil && ps.site == in {
-			for _, p := range ps.callee.Params {
-				tr.lastReg[regKey{frame: ps.calleeFrame, v: int32(p.ID)}] = id
-			}
-			tr.pendingSpawn = nil
-		}
-		if in.Dst != nil {
-			tr.lastReg[regKey{frame: frame, v: int32(in.Dst.ID)}] = id
+			tr.pendingCall = callBinding{}
 		}
 	case ir.OpRet:
-		if pr := tr.pendingRet; pr != nil && pr.callee == frame {
-			if pr.dst != nil {
-				tr.lastReg[regKey{frame: pr.caller, v: int32(pr.dst.ID)}] = id
+		if pr := tr.pendingRet; pr.callee == frame {
+			if pr.dst != nil && pr.caller >= 0 {
+				tr.rows[pr.caller][pr.dst.ID] = id + 1
 			}
-			tr.pendingRet = nil
+			tr.pendingRet = retBinding{}
+			tr.retire()
 		}
 	default:
 		if in.Dst != nil {
-			tr.lastReg[regKey{frame: frame, v: int32(in.Dst.ID)}] = id
+			regs[in.Dst.ID] = id + 1
 		}
 	}
 }
@@ -298,9 +389,12 @@ func (tr *Tracer) sliceFrom(starts []int32, criterion *ir.Instr) *Slice {
 		n := work[len(work)-1]
 		work = work[:len(work)-1]
 		s.DynNodes++
-		nd := &tr.nodes[n]
-		s.Instrs.Add(int(nd.instr))
-		for _, d := range nd.deps {
+		s.Instrs.Add(int(tr.nodes[n].instr))
+		end := int32(len(tr.deps))
+		if int(n)+1 < len(tr.nodes) {
+			end = tr.nodes[n+1].dep
+		}
+		for _, d := range tr.deps[tr.nodes[n].dep:end] {
 			if seen.Add(int(d)) {
 				work = append(work, d)
 			}

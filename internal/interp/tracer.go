@@ -43,7 +43,10 @@ type Tracer interface {
 	Ret(t vc.TID, in *ir.Instr, callee, caller FrameID, dst *ir.Var)
 	// Exec is delivered after each masked instruction executes; addr
 	// is the accessed address for load/store and 0 otherwise. It is
-	// the firehose event used by full dynamic slicing.
+	// the firehose event used by full dynamic slicing. The Exec of a
+	// call, spawn or ret follows that step's Call, Spawn or Ret event;
+	// its frame is the caller's for a call or spawn and the returning
+	// activation's for a ret.
 	Exec(t vc.TID, in *ir.Instr, frame FrameID, addr Addr)
 	// NilDeref is delivered when a load/store flagged by NullMask
 	// observes address 0: the access was recovered (load yields 0,
@@ -88,83 +91,3 @@ func (NopTracer) Exec(vc.TID, *ir.Instr, FrameID, Addr) {}
 
 // NilDeref implements Tracer.
 func (NopTracer) NilDeref(vc.TID, *ir.Instr) {}
-
-// MultiTracer fans every event out to a list of tracers in order.
-type MultiTracer []Tracer
-
-// Load implements Tracer.
-func (m MultiTracer) Load(t vc.TID, in *ir.Instr, a Addr, v int64) {
-	for _, tr := range m {
-		tr.Load(t, in, a, v)
-	}
-}
-
-// Store implements Tracer.
-func (m MultiTracer) Store(t vc.TID, in *ir.Instr, a Addr, v int64) {
-	for _, tr := range m {
-		tr.Store(t, in, a, v)
-	}
-}
-
-// Lock implements Tracer.
-func (m MultiTracer) Lock(t vc.TID, in *ir.Instr, a Addr) {
-	for _, tr := range m {
-		tr.Lock(t, in, a)
-	}
-}
-
-// Unlock implements Tracer.
-func (m MultiTracer) Unlock(t vc.TID, in *ir.Instr, a Addr) {
-	for _, tr := range m {
-		tr.Unlock(t, in, a)
-	}
-}
-
-// Spawn implements Tracer.
-func (m MultiTracer) Spawn(t vc.TID, in *ir.Instr, c vc.TID, cf FrameID, callee *ir.Function) {
-	for _, tr := range m {
-		tr.Spawn(t, in, c, cf, callee)
-	}
-}
-
-// Join implements Tracer.
-func (m MultiTracer) Join(t vc.TID, in *ir.Instr, c vc.TID) {
-	for _, tr := range m {
-		tr.Join(t, in, c)
-	}
-}
-
-// BlockEnter implements Tracer.
-func (m MultiTracer) BlockEnter(t vc.TID, b *ir.Block) {
-	for _, tr := range m {
-		tr.BlockEnter(t, b)
-	}
-}
-
-// Call implements Tracer.
-func (m MultiTracer) Call(t vc.TID, in *ir.Instr, f *ir.Function, cr, ce FrameID) {
-	for _, tr := range m {
-		tr.Call(t, in, f, cr, ce)
-	}
-}
-
-// Ret implements Tracer.
-func (m MultiTracer) Ret(t vc.TID, in *ir.Instr, ce, cr FrameID, dst *ir.Var) {
-	for _, tr := range m {
-		tr.Ret(t, in, ce, cr, dst)
-	}
-}
-
-// Exec implements Tracer.
-func (m MultiTracer) Exec(t vc.TID, in *ir.Instr, f FrameID, a Addr) {
-	for _, tr := range m {
-		tr.Exec(t, in, f, a)
-	}
-}
-
-// NilDeref implements Tracer.
-func (m MultiTracer) NilDeref(t vc.TID, in *ir.Instr) {
-	for _, tr := range m {
-		tr.NilDeref(t, in)
-	}
-}
