@@ -75,7 +75,7 @@ func setupFor(b *testing.B, w *workloads.Workload) *benchSetup {
 			if s.err != nil {
 				return
 			}
-			s.hy, s.err = core.NewHybridSlicer(w.Prog(), criterion, benchBudget)
+			s.hy, s.err = core.NewHybridSlicer(w.Prog(), criterion, benchBudget, core.StaticConfig{Workers: 1})
 		}
 	})
 	if s.err != nil {
@@ -217,7 +217,7 @@ func BenchmarkTable1Static(b *testing.B) {
 		w := w
 		b.Run(w.Name+"/sound", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.NewHybridFT(w.Prog()); err != nil {
+				if _, err := core.NewHybridFT(w.Prog(), core.StaticConfig{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -311,7 +311,7 @@ func BenchmarkTable2Static(b *testing.B) {
 		criterion := lastPrintOf(w)
 		b.Run(w.Name+"/sound", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.NewHybridSlicer(w.Prog(), criterion, benchBudget); err != nil {
+				if _, err := core.NewHybridSlicer(w.Prog(), criterion, benchBudget, core.StaticConfig{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -447,7 +447,7 @@ func BenchmarkFig11Ablation(b *testing.B) {
 		}
 		b.Run(w.Name+"/base", func(b *testing.B) {
 			run(b, func() error {
-				_, err := core.NewHybridSlicer(w.Prog(), criterion, benchBudget)
+				_, err := core.NewHybridSlicer(w.Prog(), criterion, benchBudget, core.StaticConfig{Workers: 1})
 				return err
 			})
 		})

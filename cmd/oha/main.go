@@ -68,6 +68,7 @@ import (
 	"strings"
 
 	"oha"
+	"oha/internal/adapt"
 )
 
 func main() {
@@ -145,7 +146,6 @@ func main() {
 
 	prog, err := oha.Compile(string(src))
 	check(err)
-	cache := oha.NewArtifactCache(*cacheDir)
 	var eng oha.EngineKind
 	switch *engine {
 	case "compiled":
@@ -157,6 +157,7 @@ func main() {
 	}
 	ropts := oha.RunOptions{Engine: eng}
 	static := oha.StaticConfig{
+		Cache:       oha.NewArtifactCache(*cacheDir),
 		Workers:     *staticWorkers,
 		Incremental: *incremental,
 		NoIC:        parseToggle("ic", *icFlag),
@@ -168,7 +169,7 @@ func main() {
 	case "profile":
 		pr, err := oha.ProfileCached(prog, func(run int) oha.Execution {
 			return oha.Execution{Inputs: in, Seed: uint64(run + 1)}
-		}, *runs, cache)
+		}, *runs, static.Cache)
 		check(err)
 		w := os.Stdout
 		if *out != "" {
@@ -188,15 +189,12 @@ func main() {
 			rep, err = oha.RunFastTrack(prog, e, ropts)
 			check(err)
 		case *adaptive:
-			m := oha.NewSpeculationManager(prog, loadInv(*inv), oha.SpeculationOptions{Cache: cache, Static: static})
-			attempts, err := m.RunRace(e, ropts)
-			check(err)
-			rep = attempts[len(attempts)-1].Report
-			printAttempts(attemptReports(attempts))
+			var m *oha.SpeculationManager
+			rep, m = runAdaptive(prog, loadInv(*inv), oha.AdaptiveRace(), e, ropts, static)
 			defer printSpeculation(m)
 		default:
 			db := loadInv(*inv)
-			det, err := oha.NewRaceDetectorStatic(prog, db, cache, static)
+			det, err := oha.NewRaceDetectorStatic(prog, db, static)
 			check(err)
 			check(det.ValidateCustomSync([]oha.Execution{{Inputs: in, Seed: 1}}, ropts))
 			rep, err = det.Run(e, ropts)
@@ -221,14 +219,11 @@ func main() {
 			rep, err = oha.RunNullAlways(prog, e, ropts)
 			check(err)
 		case *adaptive:
-			m := oha.NewSpeculationManager(prog, loadInv(*inv), oha.SpeculationOptions{Cache: cache, Static: static})
-			attempts, err := m.RunNull(e, ropts)
-			check(err)
-			rep = attempts[len(attempts)-1].Report
-			printAttempts(nullAttemptReports(attempts))
+			var m *oha.SpeculationManager
+			rep, m = runAdaptive(prog, loadInv(*inv), oha.AdaptiveNull(), e, ropts, static)
 			defer printSpeculation(m)
 		default:
-			det, err := oha.NewNullCheckerStatic(prog, loadInv(*inv), cache, static)
+			det, err := oha.NewNullCheckerStatic(prog, loadInv(*inv), static)
 			check(err)
 			fmt.Printf("static: discharged %d/%d null checks (%.0f%%)\n",
 				det.ElidedChecks(), det.Pred.DerefSites, 100*det.DischargeRatio())
@@ -261,14 +256,11 @@ func main() {
 		e := oha.Execution{Inputs: in, Seed: *seed}
 		var rep *oha.SliceReport
 		if *adaptive {
-			m := oha.NewSpeculationManager(prog, db, oha.SpeculationOptions{Cache: cache, Static: static})
-			attempts, err := m.RunSlice(prints[idx], *budget, e, ropts)
-			check(err)
-			rep = attempts[len(attempts)-1].Report
-			printAttempts(sliceAttemptReports(attempts))
+			var m *oha.SpeculationManager
+			rep, m = runAdaptive(prog, db, oha.AdaptiveSlice(prints[idx], *budget), e, ropts, static)
 			defer printSpeculation(m)
 		} else {
-			sl, err := oha.NewSlicerStatic(prog, db, prints[idx], *budget, cache, static)
+			sl, err := oha.NewSlicerStatic(prog, db, prints[idx], *budget, static)
 			check(err)
 			rep, err = sl.Run(e, ropts)
 			check(err)
@@ -289,53 +281,28 @@ func main() {
 	}
 }
 
-// attempt is the engine-agnostic view of one refine-and-retry attempt.
-type attempt struct {
-	gen        int
-	rolledBack bool
-	violation  oha.Violation
-}
-
-func attemptReports(as []oha.RaceAttempt) []attempt {
-	out := make([]attempt, len(as))
+// runAdaptive runs the refine-and-retry loop for the client c selects,
+// narrating one line per generation attempted, and returns the final
+// report and the manager.
+func runAdaptive[D adapt.Detector[R], R oha.Report](prog *oha.Program, db *oha.InvariantDB, c adapt.Spec[D, R], e oha.Execution, ropts oha.RunOptions, static oha.StaticConfig) (R, *oha.SpeculationManager) {
+	m := oha.NewSpeculationManager(prog, db, oha.SpeculationOptions{Static: static})
+	as, err := oha.RunAdaptive(m, c, e, ropts)
+	check(err)
 	for i, a := range as {
-		out[i] = attempt{gen: a.Generation, rolledBack: a.Report.RolledBack, violation: a.Report.Violation}
-	}
-	return out
-}
-
-func sliceAttemptReports(as []oha.SliceAttempt) []attempt {
-	out := make([]attempt, len(as))
-	for i, a := range as {
-		out[i] = attempt{gen: a.Generation, rolledBack: a.Report.RolledBack, violation: a.Report.Violation}
-	}
-	return out
-}
-
-func nullAttemptReports(as []oha.NullAttempt) []attempt {
-	out := make([]attempt, len(as))
-	for i, a := range as {
-		out[i] = attempt{gen: a.Generation, rolledBack: a.Report.RolledBack, violation: a.Report.Violation}
-	}
-	return out
-}
-
-// printAttempts narrates the refine-and-retry loop, one line per
-// generation attempted.
-func printAttempts(as []attempt) {
-	for i, a := range as {
+		out := a.Report.Base()
 		switch {
-		case !a.rolledBack:
-			fmt.Printf("generation %d: speculation held\n", a.gen)
+		case !out.RolledBack:
+			fmt.Printf("generation %d: speculation held\n", a.Generation)
 		case i < len(as)-1:
-			fmt.Printf("generation %d: mis-speculation (%s); refining and re-analyzing\n", a.gen, a.violation)
+			fmt.Printf("generation %d: mis-speculation (%s); refining and re-analyzing\n", a.Generation, out.Violation)
 		default:
 			// Rolled back with no retry: the violation was not a
 			// refinable invariant (the report is still sound — the
 			// rollback re-ran the traditional hybrid analysis).
-			fmt.Printf("generation %d: mis-speculation (%s); rolled back to hybrid analysis\n", a.gen, a.violation)
+			fmt.Printf("generation %d: mis-speculation (%s); rolled back to hybrid analysis\n", a.Generation, out.Violation)
 		}
 	}
+	return as[len(as)-1].Report, m
 }
 
 // printSpeculation prints the adaptive summary after the report.

@@ -9,7 +9,7 @@
 // The package is three cooperating pieces:
 //
 //   - a violation ledger: structured core.Violation records from
-//     OptFT/OptSlice rollbacks, accumulated into per-invariant-fact
+//     OptFT/OptSlice/OptNull rollbacks, accumulated into per-invariant-fact
 //     violation counters and per-generation success statistics;
 //   - a refinement policy: past Policy.Threshold observations of one
 //     fact (default 1, per the paper), the fact is removed from a
@@ -33,6 +33,7 @@ package adapt
 
 import (
 	"context"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,24 +76,19 @@ func (p Policy) maxGenerations() int {
 // Options configures a Manager.
 type Options struct {
 	Policy Policy
-	// Cache memoizes static artifacts across generations (strongly
-	// recommended: it is what makes re-analysis incremental). nil
-	// recomputes everything per generation.
-	Cache *artifacts.Cache
 	// Metrics, when non-nil, records ledger and reconciler activity.
 	Metrics *Metrics
-	// Static configures the static re-analysis pipeline: parallel
-	// solver workers and whether Reconcile may resume incrementally
-	// from the previous generation's saturated solver state (requires
-	// Cache; the solver-state bundle lives there).
+	// Static configures the static re-analysis pipeline: the artifact
+	// cache that memoizes static artifacts across generations (strongly
+	// recommended: it is what makes re-analysis incremental; nil
+	// recomputes everything per generation), parallel solver workers,
+	// and whether Reconcile may resume incrementally from the previous
+	// generation's saturated solver state (requires the cache; the
+	// solver-state bundle lives there).
 	Static core.StaticConfig
 	// Inc, when non-nil, receives the static pipeline's per-phase
 	// latencies and the incremental constraint-reuse ratio.
 	Inc *inc.Metrics
-	// MaxTraceNodes / NoBloom are forwarded to every OptSlice the
-	// manager builds (0 / false: the dynslice defaults).
-	MaxTraceNodes int
-	NoBloom       bool
 }
 
 // GenerationRecord describes one deployed configuration.
@@ -160,18 +156,14 @@ type ClientStats struct {
 
 // Manager owns the adaptive state for one (program, base DB) pair. It
 // implements core.Adapter, so it can be installed as RunOptions.Adapt
-// on any OptFT/OptSlice run; the RunRace/RunSlice helpers add the
-// refine-and-retry loop on top. All methods are safe for concurrent
-// use.
+// on any optimistic run; Run adds the refine-and-retry loop on top.
+// All methods are safe for concurrent use.
 type Manager struct {
-	prog          *ir.Program
-	cache         *artifacts.Cache
-	policy        Policy
-	met           *Metrics
-	static        core.StaticConfig
-	incMet        *inc.Metrics
-	maxTraceNodes int
-	noBloom       bool
+	prog   *ir.Program
+	policy Policy
+	met    *Metrics
+	static core.StaticConfig
+	incMet *inc.Metrics
 
 	// cur is the published generation; reads are lock-free, so
 	// in-flight runs keep their snapshot while a swap lands.
@@ -198,51 +190,45 @@ type Manager struct {
 
 var _ core.Adapter = (*Manager)(nil)
 
-// generation is one immutable deployed configuration. The race
-// detector and per-criterion slicers are built lazily and memoized;
-// construction goes through the shared artifact cache, so a rebuild of
-// an already-solved configuration is cheap.
+// generation is one immutable deployed configuration. Its detectors
+// are built lazily and memoized by Spec key; construction goes through
+// the shared artifact cache, so a rebuild of an already-solved
+// configuration is cheap.
 type generation struct {
 	n  int
 	db *invariants.DB
-	m  *Manager
 
-	raceOnce sync.Once
-	raceDet  *core.OptFT
-	raceErr  error
-
-	nullOnce sync.Once
-	nullDet  *core.OptNull
-	nullErr  error
-
-	mu      sync.Mutex
-	slicers map[slicerKey]*core.OptSlice
+	mu        sync.Mutex
+	detectors map[string]*built
 }
 
-type slicerKey struct {
-	criterion int
-	budget    int
+// built is one memoized detector (or its construction error).
+type built struct {
+	once sync.Once
+	det  any
+	err  error
+}
+
+func newGeneration(n int, db *invariants.DB) *generation {
+	return &generation{n: n, db: db, detectors: map[string]*built{}}
 }
 
 // New returns a manager for prog with base invariant database db
 // (treated as immutable; generation 1). The expensive static solve is
-// deferred to the first Race/Slice call.
+// deferred to the first run.
 func New(prog *ir.Program, db *invariants.DB, o Options) *Manager {
 	m := &Manager{
-		prog:          prog,
-		cache:         o.Cache,
-		policy:        o.Policy,
-		met:           o.Metrics,
-		static:        o.Static,
-		incMet:        o.Inc,
-		maxTraceNodes: o.MaxTraceNodes,
-		noBloom:       o.NoBloom,
-		byKind:        map[core.ViolationKind]uint64{},
-		byClient:      map[string]ClientStats{},
-		factCounts:    map[string]int{},
-		latest:        db,
+		prog:       prog,
+		policy:     o.Policy,
+		met:        o.Metrics,
+		static:     o.Static,
+		incMet:     o.Inc,
+		byKind:     map[core.ViolationKind]uint64{},
+		byClient:   map[string]ClientStats{},
+		factCounts: map[string]int{},
+		latest:     db,
 	}
-	m.cur.Store(&generation{n: 1, db: db, m: m, slicers: map[slicerKey]*core.OptSlice{}})
+	m.cur.Store(newGeneration(1, db))
 	m.history = []GenerationRecord{{Generation: 1, DBDigest: artifacts.DBDigest(db)}}
 	return m
 }
@@ -256,67 +242,96 @@ func (m *Manager) Generation() int { return m.cur.Load().n }
 // DB returns the published generation's invariant database (immutable).
 func (m *Manager) DB() *invariants.DB { return m.cur.Load().db }
 
-// Race returns the published generation's race detector and its
+// Detector is one generation's optimistic analysis for a client:
+// core.OptFT, core.OptSlice or core.OptNull.
+type Detector[R core.Report] interface {
+	Run(e core.Execution, opts core.RunOptions) (R, error)
+	CodeDigest() string
+}
+
+// Spec names one client's detector within a generation: the client,
+// the memo key, the static phase each build is timed under ("": none),
+// and how to build it for a database.
+type Spec[D Detector[R], R core.Report] struct {
+	client core.Client
+	key    string
+	phase  string
+	build  func(prog *ir.Program, db *invariants.DB, cfg core.StaticConfig) (D, error)
+}
+
+// Client returns the analysis client s builds a detector for.
+func (s Spec[D, R]) Client() core.Client { return s.client }
+
+// Build constructs s's detector for (prog, db), recording the build
+// time under s's static phase in met (nil: not recorded).
+func (s Spec[D, R]) Build(prog *ir.Program, db *invariants.DB, cfg core.StaticConfig, met *inc.Metrics) (D, error) {
+	start := time.Now()
+	det, err := s.build(prog, db, cfg)
+	if err == nil && s.phase != "" {
+		met.ObservePhase(s.phase, s.client.Name(), time.Since(start).Seconds())
+	}
+	return det, err
+}
+
+func client(name string) core.Client {
+	c, _ := core.ClientByName(name)
+	return c
+}
+
+// Race selects the OptFT race detector.
+func Race() Spec[*core.OptFT, *core.RaceReport] {
+	return Spec[*core.OptFT, *core.RaceReport]{client: client("race"), key: "race", build: core.NewOptFTStatic}
+}
+
+// Null selects the OptNull null checker.
+func Null() Spec[*core.OptNull, *core.NullReport] {
+	return Spec[*core.OptNull, *core.NullReport]{client: client("nullcheck"), key: "nullcheck", phase: "nullproof", build: core.NewOptNull}
+}
+
+// Slice selects the OptSlice slicer for one criterion and static
+// budget.
+func Slice(criterion *ir.Instr, budget int) Spec[*core.OptSlice, *core.SliceReport] {
+	return Spec[*core.OptSlice, *core.SliceReport]{
+		client: client("slice"),
+		key:    "slice/" + strconv.Itoa(criterion.ID) + "/" + strconv.Itoa(budget),
+		phase:  "slice",
+		build: func(prog *ir.Program, db *invariants.DB, cfg core.StaticConfig) (*core.OptSlice, error) {
+			return core.NewOptSliceStatic(prog, db, criterion, budget, cfg)
+		},
+	}
+}
+
+// Current returns the published generation's detector for s and the
 // generation number, building (and memoizing) it on first use.
-func (m *Manager) Race() (*core.OptFT, int, error) {
+func Current[D Detector[R], R core.Report](m *Manager, s Spec[D, R]) (D, int, error) {
 	g := m.cur.Load()
-	det, err := g.race()
+	det, err := detector(m, g, s)
 	return det, g.n, err
 }
 
-// Slice returns the published generation's slicer for one criterion
-// and budget, building (and memoizing) it on first use.
-func (m *Manager) Slice(criterion *ir.Instr, budget int) (*core.OptSlice, int, error) {
-	g := m.cur.Load()
-	sl, err := g.slicer(criterion, budget)
-	return sl, g.n, err
-}
-
-// Null returns the published generation's null checker and its
-// generation number, building (and memoizing) it on first use.
-func (m *Manager) Null() (*core.OptNull, int, error) {
-	g := m.cur.Load()
-	det, err := g.null()
-	return det, g.n, err
-}
-
-func (g *generation) race() (*core.OptFT, error) {
-	g.raceOnce.Do(func() {
-		g.raceDet, g.raceErr = core.NewOptFTStatic(g.m.prog, g.db, g.m.cache, g.m.static)
-		if g.raceErr == nil {
-			g.m.setMaskDigest(g.n, g.raceDet.CodeDigest())
-		}
-	})
-	return g.raceDet, g.raceErr
-}
-
-func (g *generation) null() (*core.OptNull, error) {
-	g.nullOnce.Do(func() {
-		start := time.Now()
-		g.nullDet, g.nullErr = core.NewOptNullStatic(g.m.prog, g.db, g.m.cache, g.m.static)
-		if g.nullErr == nil {
-			g.m.incMet.ObservePhase("nullproof", "nullcheck", time.Since(start).Seconds())
-			g.m.setMaskDigest(g.n, g.nullDet.CodeDigest())
-		}
-	})
-	return g.nullDet, g.nullErr
-}
-
-func (g *generation) slicer(criterion *ir.Instr, budget int) (*core.OptSlice, error) {
+// detector returns g's memoized detector for s, building it once.
+func detector[D Detector[R], R core.Report](m *Manager, g *generation, s Spec[D, R]) (D, error) {
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	k := slicerKey{criterion: criterion.ID, budget: budget}
-	if sl, ok := g.slicers[k]; ok {
-		return sl, nil
+	b := g.detectors[s.key]
+	if b == nil {
+		b = &built{}
+		g.detectors[s.key] = b
 	}
-	sl, err := core.NewOptSliceStatic(g.m.prog, g.db, criterion, budget, g.m.cache, g.m.static)
-	if err != nil {
-		return nil, err
+	g.mu.Unlock()
+	b.once.Do(func() {
+		det, err := s.Build(m.prog, g.db, m.static, m.incMet)
+		if err != nil {
+			b.err = err
+			return
+		}
+		b.det = det
+		m.setMaskDigest(g.n, det.CodeDigest())
+	})
+	if b.err != nil {
+		var zero D
+		return zero, b.err
 	}
-	sl.MaxTraceNodes = g.m.maxTraceNodes
-	sl.NoBloom = g.m.noBloom
-	g.slicers[k] = sl
-	return sl, nil
+	return b.det.(D), nil
 }
 
 // setMaskDigest back-fills a generation's mask digest into the history
@@ -335,31 +350,15 @@ func (m *Manager) setMaskDigest(gen int, digest string) {
 	}
 }
 
-// ObserveRace implements core.Adapter: it feeds one race report into
-// the ledger and, past the policy threshold, derives the refined DB.
-// Reports from foreign programs are ignored; the expensive re-solve is
-// deferred to Reconcile.
-func (m *Manager) ObserveRace(o *core.OptFT, _ core.Execution, rep *core.RaceReport) {
-	if o == nil || rep == nil || o.Prog != m.prog {
+// Observe implements core.Adapter: it feeds one run's outcome into the
+// ledger and, past the policy threshold, derives the refined DB.
+// Outcomes from foreign programs are ignored; the expensive re-solve
+// is deferred to Reconcile.
+func (m *Manager) Observe(c core.Client, prog *ir.Program, out *core.Outcome) {
+	if c == nil || out == nil || prog != m.prog {
 		return
 	}
-	m.observe("race", rep.RolledBack, rep.Violation, rep.IC)
-}
-
-// ObserveSlice implements core.Adapter for slice reports.
-func (m *Manager) ObserveSlice(o *core.OptSlice, _ core.Execution, rep *core.SliceReport) {
-	if o == nil || rep == nil || o.Prog != m.prog {
-		return
-	}
-	m.observe("slice", rep.RolledBack, rep.Violation, rep.IC)
-}
-
-// ObserveNull implements core.Adapter for null-check reports.
-func (m *Manager) ObserveNull(o *core.OptNull, _ core.Execution, rep *core.NullReport) {
-	if o == nil || rep == nil || o.Prog != m.prog {
-		return
-	}
-	m.observe("nullcheck", rep.RolledBack, rep.Violation, rep.IC)
+	m.observe(c.Name(), out.RolledBack, out.Violation, out.IC)
 }
 
 func (m *Manager) observe(client string, rolledBack bool, v core.Violation, ic interp.ICStats) {
@@ -413,9 +412,9 @@ func (m *Manager) derive(base *invariants.DB, v core.Violation) *invariants.DB {
 	if !Refine(refined, v) {
 		return nil
 	}
-	if m.cache != nil {
+	if m.static.Cache != nil {
 		key := artifacts.Key(artifacts.KindRefined, m.prog, base, 0, factKey(v))
-		if got, err := m.cache.Memo(key, artifacts.DBCodec(), func() (any, error) {
+		if got, err := m.static.Cache.Memo(key, artifacts.DBCodec(), func() (any, error) {
 			return refined, nil
 		}); err == nil {
 			return got.(*invariants.DB)
@@ -471,12 +470,13 @@ func (m *Manager) Reconcile(ctx context.Context) (bool, error) {
 	// Prewarm the static artifacts through the incremental pipeline:
 	// Reanalyze resumes from the previous generation's saturated solver
 	// state (or solves in parallel from scratch) and publishes the
-	// results under the new DB's digest — so g.race() below finds every
-	// static kind already cached and only rebuilds masks + bytecode. A
-	// Reanalyze error is non-fatal: g.race() recomputes on its own.
+	// results under the new DB's digest — so the race build below finds
+	// every static kind already cached and only rebuilds masks +
+	// bytecode. A Reanalyze error is non-fatal: the build recomputes on
+	// its own.
 	var st inc.Stats
-	if m.cache != nil {
-		if _, s, err := inc.Reanalyze(m.prog, cur.db, db, m.cache, inc.Options{
+	if m.static.Cache != nil {
+		if _, s, err := inc.Reanalyze(m.prog, cur.db, db, m.static.Cache, inc.Options{
 			Workers:     m.static.Workers,
 			Incremental: m.static.Incremental,
 			Metrics:     m.incMet,
@@ -485,8 +485,8 @@ func (m *Manager) Reconcile(ctx context.Context) (bool, error) {
 		}
 	}
 	maskStart := time.Now()
-	g := &generation{n: n, db: db, m: m, slicers: map[slicerKey]*core.OptSlice{}}
-	det, err := g.race() // the eager part of the re-solve
+	g := newGeneration(n, db)
+	det, err := detector(m, g, Race()) // the eager part of the re-solve
 	if err != nil {
 		return fail(err)
 	}
@@ -549,30 +549,24 @@ func (m *Manager) Status() Status {
 	return st
 }
 
-// RaceAttempt is one generation's attempt within RunRace.
-type RaceAttempt struct {
-	Generation int              `json:"generation"`
-	Report     *core.RaceReport `json:"report"`
+// Attempt is one generation's attempt within Run.
+type Attempt[R core.Report] struct {
+	Generation int `json:"generation"`
+	Report     R   `json:"report"`
 }
 
-// SliceAttempt is one generation's attempt within RunSlice.
-type SliceAttempt struct {
-	Generation int               `json:"generation"`
-	Report     *core.SliceReport `json:"report"`
-}
-
-// RunRace runs the refine-and-retry loop for one execution: run under
-// the current generation; on a refinable rollback, reconcile and
+// Run is the refine-and-retry loop for one execution: run s's detector
+// under the current generation; on a refinable rollback, reconcile and
 // retry under the new one. The last attempt's report is authoritative
 // (rollback re-execution makes every attempt sound; retries only
 // recover speculation). The loop terminates because each refinement
 // strictly weakens a finite fact set, and Policy.MaxGenerations caps
 // it besides. opts.Adapt is overridden with m.
-func (m *Manager) RunRace(e core.Execution, opts core.RunOptions) ([]RaceAttempt, error) {
+func Run[D Detector[R], R core.Report](m *Manager, s Spec[D, R], e core.Execution, opts core.RunOptions) ([]Attempt[R], error) {
 	opts.Adapt = m
-	var attempts []RaceAttempt
+	var attempts []Attempt[R]
 	for {
-		det, gen, err := m.Race()
+		det, gen, err := Current(m, s)
 		if err != nil {
 			return attempts, err
 		}
@@ -580,72 +574,8 @@ func (m *Manager) RunRace(e core.Execution, opts core.RunOptions) ([]RaceAttempt
 		if err != nil {
 			return attempts, err
 		}
-		attempts = append(attempts, RaceAttempt{Generation: gen, Report: rep})
-		if !rep.RolledBack || !Refinable(rep.Violation.Kind) {
-			return attempts, nil
-		}
-		swapped, err := m.Reconcile(opts.Ctx)
-		if err != nil {
-			return attempts, err
-		}
-		if !swapped {
-			return attempts, nil
-		}
-	}
-}
-
-// NullAttempt is one generation's attempt within RunNull.
-type NullAttempt struct {
-	Generation int              `json:"generation"`
-	Report     *core.NullReport `json:"report"`
-}
-
-// RunNull is RunRace for the null checker: run under the current
-// generation; on a refinable rollback (a refuted non-null fact, an
-// unreachable-block or callee-set miss), reconcile and retry under the
-// refined configuration.
-func (m *Manager) RunNull(e core.Execution, opts core.RunOptions) ([]NullAttempt, error) {
-	opts.Adapt = m
-	var attempts []NullAttempt
-	for {
-		det, gen, err := m.Null()
-		if err != nil {
-			return attempts, err
-		}
-		rep, err := det.Run(e, opts)
-		if err != nil {
-			return attempts, err
-		}
-		attempts = append(attempts, NullAttempt{Generation: gen, Report: rep})
-		if !rep.RolledBack || !Refinable(rep.Violation.Kind) {
-			return attempts, nil
-		}
-		swapped, err := m.Reconcile(opts.Ctx)
-		if err != nil {
-			return attempts, err
-		}
-		if !swapped {
-			return attempts, nil
-		}
-	}
-}
-
-// RunSlice is RunRace for the slicer (one criterion and static
-// budget).
-func (m *Manager) RunSlice(criterion *ir.Instr, budget int, e core.Execution, opts core.RunOptions) ([]SliceAttempt, error) {
-	opts.Adapt = m
-	var attempts []SliceAttempt
-	for {
-		sl, gen, err := m.Slice(criterion, budget)
-		if err != nil {
-			return attempts, err
-		}
-		rep, err := sl.Run(e, opts)
-		if err != nil {
-			return attempts, err
-		}
-		attempts = append(attempts, SliceAttempt{Generation: gen, Report: rep})
-		if !rep.RolledBack || !Refinable(rep.Violation.Kind) {
+		attempts = append(attempts, Attempt[R]{Generation: gen, Report: rep})
+		if out := rep.Base(); !out.RolledBack || !Refinable(out.Violation.Kind) {
 			return attempts, nil
 		}
 		swapped, err := m.Reconcile(opts.Ctx)

@@ -83,14 +83,14 @@ func TestRefineAndRetryRace(t *testing.T) {
 	prog := lang.MustCompile(pathProg)
 	pr := profileDB(t, prog, []int64{5}, 20)
 	cache := artifacts.New("")
-	m := New(prog, pr.DB, Options{Cache: cache})
+	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: cache}})
 
 	e := core.Execution{Inputs: []int64{500}, Seed: 3}
 	ft, err := core.RunFastTrack(prog, e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	attempts, err := m.RunRace(e, core.RunOptions{})
+	attempts, err := Run(m, Race(), e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestRefineAndRetryRace(t *testing.T) {
 
 	// The paper's promise: the same execution never costs a second
 	// rollback.
-	again, err := m.RunRace(e, core.RunOptions{})
+	again, err := Run(m, Race(), e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +132,9 @@ func TestRefineAndRetryRace(t *testing.T) {
 func TestRefineAndRetrySingleton(t *testing.T) {
 	prog := lang.MustCompile(singletonProg)
 	pr := profileDB(t, prog, []int64{1}, 20)
-	m := New(prog, pr.DB, Options{Cache: artifacts.New("")})
+	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}})
 	e := core.Execution{Inputs: []int64{3}, Seed: 2}
-	attempts, err := m.RunRace(e, core.RunOptions{})
+	attempts, err := Run(m, Race(), e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,14 +156,14 @@ func TestRefineAndRetrySingleton(t *testing.T) {
 func TestRefineAndRetrySlice(t *testing.T) {
 	prog := lang.MustCompile(pathProg)
 	pr := profileDB(t, prog, []int64{5}, 20)
-	m := New(prog, pr.DB, Options{Cache: artifacts.New("")})
+	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}})
 	criterion := lastPrint(prog)
 	e := core.Execution{Inputs: []int64{500}, Seed: 3}
 	full, err := core.RunFullGiri(prog, criterion, e, core.RunOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	attempts, err := m.RunSlice(criterion, 512, e, core.RunOptions{})
+	attempts, err := Run(m, Slice(criterion, 512), e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +188,9 @@ func TestStatusLedgerAndMetrics(t *testing.T) {
 	pr := profileDB(t, prog, []int64{5}, 20)
 	reg := metrics.NewRegistry()
 	met := NewMetrics(reg)
-	m := New(prog, pr.DB, Options{Cache: artifacts.New(""), Metrics: met})
+	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}, Metrics: met})
 
-	if _, err := m.RunRace(core.Execution{Inputs: []int64{500}, Seed: 3}, core.RunOptions{}); err != nil {
+	if _, err := Run(m, Race(), core.Execution{Inputs: []int64{500}, Seed: 3}, core.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	st := m.Status()
@@ -243,9 +243,9 @@ func TestStatusLedgerAndMetrics(t *testing.T) {
 func TestStaleViolationIsIdempotent(t *testing.T) {
 	prog := lang.MustCompile(pathProg)
 	pr := profileDB(t, prog, []int64{5}, 20)
-	m := New(prog, pr.DB, Options{Cache: artifacts.New("")})
+	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}})
 	e := core.Execution{Inputs: []int64{500}, Seed: 3}
-	if _, err := m.RunRace(e, core.RunOptions{}); err != nil {
+	if _, err := Run(m, Race(), e, core.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if m.Generation() != 2 {
@@ -253,13 +253,10 @@ func TestStaleViolationIsIdempotent(t *testing.T) {
 	}
 	// Replay the stale report by hand: an old-generation detector
 	// finishing late.
-	det, _, err := m.Race()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale := &core.RaceReport{RolledBack: true, Violation: core.Violation{
+	race, _ := core.ClientByName("race")
+	stale := &core.Outcome{RolledBack: true, Violation: core.Violation{
 		Kind: core.ViolationUnreachableBlock, Site: m.Status().History[1].Causes[0].Site, Callee: -1}}
-	m.ObserveRace(det, e, stale)
+	m.Observe(race, prog, stale)
 	if m.Pending() {
 		t.Fatal("stale violation left a pending reconcile")
 	}
@@ -276,17 +273,17 @@ func TestStaleViolationIsIdempotent(t *testing.T) {
 func TestPolicyThreshold(t *testing.T) {
 	prog := lang.MustCompile(pathProg)
 	pr := profileDB(t, prog, []int64{5}, 20)
-	m := New(prog, pr.DB, Options{Cache: artifacts.New(""), Policy: Policy{Threshold: 2}})
+	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}, Policy: Policy{Threshold: 2}})
 	e := core.Execution{Inputs: []int64{500}, Seed: 3}
 
-	attempts, err := m.RunRace(e, core.RunOptions{})
+	attempts, err := Run(m, Race(), e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(attempts) != 1 || m.Generation() != 1 {
 		t.Fatalf("first violation refined below threshold (attempts=%d gen=%d)", len(attempts), m.Generation())
 	}
-	attempts, err = m.RunRace(e, core.RunOptions{})
+	attempts, err = Run(m, Race(), e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +335,7 @@ func TestAdaptationSoundnessProperty(t *testing.T) {
 			t.Fatalf("seed %d: profile: %v", seed, err)
 		}
 		cache := artifacts.New("")
-		m := New(prog, pr.DB, Options{Cache: cache})
+		m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: cache}})
 		criterion := lastPrint(prog)
 
 		for _, in := range inputs {
@@ -348,7 +345,7 @@ func TestAdaptationSoundnessProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: fasttrack: %v", seed, err)
 				}
-				attempts, err := m.RunRace(e, core.RunOptions{})
+				attempts, err := Run(m, Race(), e, core.RunOptions{})
 				if err != nil {
 					t.Fatalf("seed %d: adapt race: %v", seed, err)
 				}
@@ -378,7 +375,7 @@ func TestAdaptationSoundnessProperty(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d: giri: %v", seed, err)
 					}
-					sattempts, err := m.RunSlice(criterion, 512, e, core.RunOptions{})
+					sattempts, err := Run(m, Slice(criterion, 512), e, core.RunOptions{})
 					if err != nil {
 						t.Fatalf("seed %d: adapt slice: %v", seed, err)
 					}
@@ -415,19 +412,19 @@ func TestGenerationSequenceDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		m := New(prog, pr.DB, Options{Cache: artifacts.New("")})
+		m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}})
 		criterion := lastPrint(prog)
 		for _, in := range inputs {
 			for _, s := range []uint64{11, 12} {
 				e := core.Execution{Inputs: in, Seed: s}
-				if _, err := m.RunRace(e, core.RunOptions{}); err != nil {
+				if _, err := Run(m, Race(), e, core.RunOptions{}); err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
-				if _, err := m.RunNull(e, core.RunOptions{}); err != nil {
+				if _, err := Run(m, Null(), e, core.RunOptions{}); err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
 				if criterion != nil {
-					if _, err := m.RunSlice(criterion, 512, e, core.RunOptions{}); err != nil {
+					if _, err := Run(m, Slice(criterion, 512), e, core.RunOptions{}); err != nil {
 						t.Fatalf("trial %d: %v", trial, err)
 					}
 				}
@@ -457,7 +454,7 @@ func TestGenerationSequenceDeterministic(t *testing.T) {
 func TestConcurrentRunsDuringHotSwap(t *testing.T) {
 	prog := lang.MustCompile(pathProg)
 	pr := profileDB(t, prog, []int64{5}, 20)
-	m := New(prog, pr.DB, Options{Cache: artifacts.New("")})
+	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}})
 
 	execs := []core.Execution{
 		{Inputs: []int64{5}, Seed: 1},
@@ -482,7 +479,7 @@ func TestConcurrentRunsDuringHotSwap(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for rep := 0; rep < 5; rep++ {
 				i := (w + rep) % len(execs)
-				attempts, err := m.RunRace(execs[i], core.RunOptions{})
+				attempts, err := Run(m, Race(), execs[i], core.RunOptions{})
 				if err != nil {
 					errs <- err
 					return
@@ -506,7 +503,7 @@ func TestConcurrentRunsDuringHotSwap(t *testing.T) {
 	}
 	// Converged: one more pass over every execution runs clean.
 	for i, e := range execs {
-		attempts, err := m.RunRace(e, core.RunOptions{})
+		attempts, err := Run(m, Race(), e, core.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -525,12 +522,12 @@ func TestWarmCacheIncrementalReanalysis(t *testing.T) {
 	prog := lang.MustCompile(pathProg)
 	pr := profileDB(t, prog, []int64{5}, 20)
 	cache := artifacts.New("")
-	m := New(prog, pr.DB, Options{Cache: cache})
-	if _, _, err := m.Race(); err != nil {
+	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: cache}})
+	if _, _, err := Current(m, Race()); err != nil {
 		t.Fatal(err)
 	}
 	before := cache.Stats()
-	if _, err := m.RunRace(core.Execution{Inputs: []int64{500}, Seed: 3}, core.RunOptions{}); err != nil {
+	if _, err := Run(m, Race(), core.Execution{Inputs: []int64{500}, Seed: 3}, core.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	after := cache.Stats()
@@ -541,7 +538,7 @@ func TestWarmCacheIncrementalReanalysis(t *testing.T) {
 	// only by the predicated artifacts of the new DB digest (points-to,
 	// MHP, static race, compiled images, refined-DB derivation).
 	t.Logf("cache misses %d -> %d, hits %d -> %d", before.Misses, after.Misses, before.Hits, after.Hits)
-	soundAgain, err := core.NewHybridFTCached(prog, cache)
+	soundAgain, err := core.NewHybridFT(prog, core.StaticConfig{Cache: cache, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,7 +584,7 @@ func TestRefineAndRetryNull(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := artifacts.New("")
-	m := New(prog, pr.DB, Options{Cache: cache})
+	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: cache}})
 
 	e := core.Execution{Inputs: []int64{2000}, Seed: 3}
 	base, err := core.RunNullAlways(prog, e, core.RunOptions{})
@@ -598,7 +595,7 @@ func TestRefineAndRetryNull(t *testing.T) {
 		t.Fatalf("baseline nil sites = %v, want one", base.NilSites)
 	}
 
-	attempts, err := m.RunNull(e, core.RunOptions{})
+	attempts, err := Run(m, Null(), e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -634,7 +631,7 @@ func TestRefineAndRetryNull(t *testing.T) {
 
 	// The refined generation never pays a second rollback for the
 	// same execution.
-	again, err := m.RunNull(e, core.RunOptions{})
+	again, err := Run(m, Null(), e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,10 +90,9 @@ func TestFastPathParityAcrossRefinement(t *testing.T) {
 		run := func(noFast bool) (outcome, interp.ICStats) {
 			t.Helper()
 			m := New(prog, pr.DB, Options{
-				Cache:  artifacts.New(""),
-				Static: core.StaticConfig{Workers: 1, NoFastPath: noFast},
+				Static: core.StaticConfig{Cache: artifacts.New(""), Workers: 1, NoFastPath: noFast},
 			})
-			tries, err := m.RunRace(e, core.RunOptions{})
+			tries, err := Run(m, Race(), e, core.RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,10 +141,9 @@ func TestFastPathParityAcrossRefinement(t *testing.T) {
 		run := func(noFast bool) (outcome, interp.ICStats) {
 			t.Helper()
 			m := New(prog, pr.DB, Options{
-				Cache:  artifacts.New(""),
-				Static: core.StaticConfig{Workers: 1, NoFastPath: noFast},
+				Static: core.StaticConfig{Cache: artifacts.New(""), Workers: 1, NoFastPath: noFast},
 			})
-			tries, err := m.RunSlice(criterion, 4096, e, core.RunOptions{})
+			tries, err := Run(m, Slice(criterion, 4096), e, core.RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,10 +201,9 @@ func TestCalleeEscapeParityAcrossConfigs(t *testing.T) {
 	run := func(engine interp.EngineKind, noIC bool, workers int) (outcome, interp.ICStats) {
 		t.Helper()
 		m := New(prog, pr.DB, Options{
-			Cache:  artifacts.New(""),
-			Static: core.StaticConfig{Workers: workers, NoIC: noIC},
+			Static: core.StaticConfig{Cache: artifacts.New(""), Workers: workers, NoIC: noIC},
 		})
-		attempts, err := m.RunSlice(criterion, 4096, e, core.RunOptions{Engine: engine})
+		attempts, err := Run(m, Slice(criterion, 4096), e, core.RunOptions{Engine: engine})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,10 +25,7 @@ import (
 // mis-speculation.)
 type raceChecker struct {
 	interp.NopTracer
-	abort *interp.Abort
-	// first is the structured form of the first violation this checker
-	// raised (mirrors abort's first-wins reason).
-	first Violation
+	checkState
 
 	luc         []bool // block ID -> assumed unreachable
 	spawnOnce   []bool // instr ID -> assumed singleton spawn site
@@ -39,27 +36,13 @@ type raceChecker struct {
 	// same single runtime address for the whole group.
 	lockGroup map[int]int // lock site -> group id
 	groupAddr map[int]interp.Addr
-
-	// Events counts check events processed (for cost accounting).
-	Events uint64
-}
-
-// violate raises the abort flag with v. The structured record follows
-// the flag's first-wins rule, so it always describes the violation
-// whose reason the abort reports — even when another tracer sharing
-// the flag (the slicer's trace limit) raced it within one event chain.
-func (c *raceChecker) violate(v Violation) {
-	if !c.abort.IsSet() {
-		c.first = v
-	}
-	c.abort.Set(v.String())
 }
 
 // newRaceChecker builds the checker for a database. prog supplies site
 // tables.
 func newRaceChecker(prog *ir.Program, db *invariants.DB, abort *interp.Abort) *raceChecker {
 	c := &raceChecker{
-		abort:       abort,
+		checkState:  checkState{abort: abort},
 		luc:         make([]bool, len(prog.Blocks)),
 		spawnOnce:   make([]bool, len(prog.Instrs)),
 		spawnCounts: map[int]int{},
@@ -189,15 +172,11 @@ func newSliceTables(prog *ir.Program, db *invariants.DB, checkContexts bool) *sl
 // one run's state over shared tables.
 type sliceChecker struct {
 	*sliceTables
-	abort *interp.Abort
-	// first mirrors abort's first-wins reason in structured form.
-	first Violation
+	checkState
 	// bloom is the run's context prefilter: the tables' filter, or nil
 	// for hash-set lookups only (the NoBloom ablation).
 	bloom  *bloom.Filter
 	stacks []*checkStack // by TID
-
-	Events uint64
 }
 
 // checkStack mirrors the profiler's acyclic context-tracking stack,
@@ -219,19 +198,11 @@ type checkFrame struct {
 // the paper found "too inefficient for some programs" (§5.2.3); kept
 // for the ablation benchmarks.
 func (t *sliceTables) newChecker(abort *interp.Abort, noBloom bool) *sliceChecker {
-	c := &sliceChecker{sliceTables: t, abort: abort, bloom: t.ctxBloom}
+	c := &sliceChecker{sliceTables: t, checkState: checkState{abort: abort}, bloom: t.ctxBloom}
 	if noBloom {
 		c.bloom = nil
 	}
 	return c
-}
-
-// violate raises the abort flag with v (see raceChecker.violate).
-func (c *sliceChecker) violate(v Violation) {
-	if !c.abort.IsSet() {
-		c.first = v
-	}
-	c.abort.Set(v.String())
 }
 
 // newStack returns an empty context stack rooted at fnID.

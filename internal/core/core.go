@@ -11,10 +11,12 @@
 //     a violated invariant aborts the run, which is then rolled back
 //     and re-executed under the traditional (sound) hybrid analysis.
 //
-// Both of the paper's clients are provided: OptFT (race detection,
-// §4) and OptSlice (backward slicing, §5), together with their
-// traditional baselines (pure FastTrack, hybrid FastTrack, hybrid
-// Giri) for the evaluation harness.
+// Three clients are provided, each with its traditional baselines for
+// the evaluation harness: OptFT (race detection, §4; pure and hybrid
+// FastTrack), OptSlice (backward slicing, §5; full and hybrid Giri),
+// and OptNull (null/misuse checking; always-check and hybrid). All
+// three share one speculative run → check → roll back → observe path
+// (speculate).
 package core
 
 import (
@@ -57,45 +59,22 @@ type RunOptions struct {
 	Adapt Adapter
 }
 
-func (o RunOptions) apply(cfg *interp.Config) {
+// run executes cfg bounded by o.
+func (o RunOptions) run(cfg interp.Config) (*interp.Result, error) {
 	cfg.Quantum = o.Quantum
 	cfg.MaxSteps = o.MaxSteps
 	cfg.Ctx = o.Ctx
 	cfg.Engine = o.Engine
+	return interp.Run(cfg)
 }
 
 // Adapter observes analysis reports as they are produced. It is
 // implemented by adapt.Manager; core itself never refines — the
 // observer only records, keeping run latency flat.
 type Adapter interface {
-	// ObserveRace is called once per OptFT.Run with the final report.
-	ObserveRace(o *OptFT, e Execution, rep *RaceReport)
-	// ObserveSlice is called once per OptSlice.Run with the final
-	// report.
-	ObserveSlice(o *OptSlice, e Execution, rep *SliceReport)
-	// ObserveNull is called once per OptNull.Run with the final report.
-	ObserveNull(o *OptNull, e Execution, rep *NullReport)
-}
-
-// observeRace forwards a final race report to the adapter, if any.
-func (o RunOptions) observeRace(opt *OptFT, e Execution, rep *RaceReport) {
-	if o.Adapt != nil {
-		o.Adapt.ObserveRace(opt, e, rep)
-	}
-}
-
-// observeSlice forwards a final slice report to the adapter, if any.
-func (o RunOptions) observeSlice(opt *OptSlice, e Execution, rep *SliceReport) {
-	if o.Adapt != nil {
-		o.Adapt.ObserveSlice(opt, e, rep)
-	}
-}
-
-// observeNull forwards a final null report to the adapter, if any.
-func (o RunOptions) observeNull(opt *OptNull, e Execution, rep *NullReport) {
-	if o.Adapt != nil {
-		o.Adapt.ObserveNull(opt, e, rep)
-	}
+	// Observe is called once per optimistic Run with the client that
+	// ran, the analyzed program, and the final report's outcome.
+	Observe(c Client, prog *ir.Program, out *Outcome)
 }
 
 // chooser builds the deterministic chooser for an execution.

@@ -3,8 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"oha/internal/artifacts"
@@ -36,32 +36,12 @@ type NullReport struct {
 	// of the program's deref sites run with no dynamic check.
 	DischargedChecks int
 	DerefSites       int
-	// Stats are the interpreter event counts (including rollback work).
-	Stats interp.Stats
-	// CheckEvents counts invariant-check events (optimistic runs).
-	CheckEvents uint64
-	// RolledBack / Violation describe a mis-speculation, if any.
-	RolledBack bool
-	Violation  Violation
-	// Output is the analyzed program's output.
-	Output []int64
-	// IC reports the compiled engine's speculative-dispatch activity.
-	IC interp.ICStats
+	Outcome
 }
 
 // SameNullVerdicts reports whether two runs of one Execution observed
 // nil dereferences at exactly the same sites.
-func SameNullVerdicts(a, b *NullReport) bool {
-	if len(a.NilSites) != len(b.NilSites) {
-		return false
-	}
-	for i := range a.NilSites {
-		if a.NilSites[i] != b.NilSites[i] {
-			return false
-		}
-	}
-	return true
-}
+func SameNullVerdicts(a, b *NullReport) bool { return slices.Equal(a.NilSites, b.NilSites) }
 
 // nilLog accumulates the nil-deref verdict of one run.
 type nilLog struct {
@@ -106,23 +86,19 @@ func (o *nullObserver) NilDeref(_ vc.TID, in *ir.Instr) { o.log.record(in.ID) }
 // calls to them).
 type nullChecker struct {
 	interp.NopTracer
-	abort *interp.Abort
-	// first mirrors abort's first-wins reason in structured form.
-	first Violation
-	log   nilLog
+	checkState
+	log nilLog
 
 	luc        []bool
 	fact       []bool               // load site -> used non-null fact
 	calleeSets map[int]map[int]bool // nil: callee invariant disabled
-
-	Events uint64
 }
 
 func newNullChecker(prog *ir.Program, db *invariants.DB, used *bitset.Set, abort *interp.Abort) *nullChecker {
 	c := &nullChecker{
-		abort: abort,
-		luc:   make([]bool, len(prog.Blocks)),
-		fact:  make([]bool, len(prog.Instrs)),
+		checkState: checkState{abort: abort},
+		luc:        make([]bool, len(prog.Blocks)),
+		fact:       make([]bool, len(prog.Instrs)),
 	}
 	for _, b := range prog.Blocks {
 		c.luc[b.ID] = db.LikelyUnreachable(b.ID)
@@ -157,14 +133,6 @@ func (c *nullChecker) FastState() *interp.FastState {
 // FlushMem implements interp.FastTracer; the checker never requests
 // memory-event batching.
 func (c *nullChecker) FlushMem([]interp.MemEvent) {}
-
-// violate raises the abort flag with v (see raceChecker.violate).
-func (c *nullChecker) violate(v Violation) {
-	if !c.abort.IsSet() {
-		c.first = v
-	}
-	c.abort.Set(v.String())
-}
 
 // Load fires the non-null-fact check: the mem mask delivers load
 // events exactly at the used fact sites.
@@ -264,9 +232,9 @@ func (c nullProofCodec) Unmarshal(data []byte) (any, error) {
 // one (program, database) pair. The points-to stage is shared with the
 // race pipeline through its own memo key, so an inc.Reanalyze prewarm
 // after a refinement serves the null client too.
-func nullProofFor(prog *ir.Program, db *invariants.DB, cache *artifacts.Cache, cfg StaticConfig) (*nullcheck.Result, error) {
-	v, err := cache.Memo(artifacts.Key(artifacts.KindNullProof, prog, db, 0, "ci"), nullProofCodec{prog: prog}, func() (any, error) {
-		pt, err := pointsToCI(prog, db, cache, cfg)
+func nullProofFor(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*nullcheck.Result, error) {
+	v, err := cfg.Cache.Memo(artifacts.Key(artifacts.KindNullProof, prog, db, 0, "ci"), nullProofCodec{prog: prog}, func() (any, error) {
+		pt, err := pointsToCI(prog, db, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -320,9 +288,7 @@ func nullReport(log *nilLog, res *interp.Result, proof *nullcheck.Result) *NullR
 		CheckedDerefs:    res.Stats.NullChecks,
 		DischargedChecks: proof.Discharged.Len(),
 		DerefSites:       proof.DerefSites,
-		Stats:            res.Stats,
-		Output:           res.Output,
-		IC:               res.IC,
+		Outcome:          outcomeOf(res),
 	}
 }
 
@@ -331,7 +297,7 @@ func nullReport(log *nilLog, res *interp.Result, proof *nullcheck.Result) *NullR
 // ratio is measured against.
 func RunNullAlways(prog *ir.Program, e Execution, opts RunOptions) (*NullReport, error) {
 	obs := &nullObserver{}
-	cfg := interp.Config{
+	res, err := opts.run(interp.Config{
 		Prog:      prog,
 		Inputs:    e.Inputs,
 		Choose:    e.chooser(),
@@ -340,9 +306,7 @@ func RunNullAlways(prog *ir.Program, e Execution, opts RunOptions) (*NullReport,
 		SyncMask:  make([]bool, len(prog.Instrs)),
 		BlockMask: make([]bool, len(prog.Blocks)),
 		NullMask:  fullNullMask(prog),
-	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -377,20 +341,8 @@ type HybridNull struct {
 }
 
 // NewHybridNull runs the sound static non-nullness analysis.
-func NewHybridNull(prog *ir.Program) (*HybridNull, error) {
-	return NewHybridNullCached(prog, nil)
-}
-
-// NewHybridNullCached is NewHybridNull with static-artifact
-// memoization (nil cache: recompute).
-func NewHybridNullCached(prog *ir.Program, cache *artifacts.Cache) (*HybridNull, error) {
-	return NewHybridNullStatic(prog, cache, StaticConfig{Workers: 1})
-}
-
-// NewHybridNullStatic is NewHybridNullCached with an explicit static
-// pipeline configuration.
-func NewHybridNullStatic(prog *ir.Program, cache *artifacts.Cache, cfg StaticConfig) (*HybridNull, error) {
-	proof, err := nullProofFor(prog, nil, cache, cfg)
+func NewHybridNull(prog *ir.Program, cfg StaticConfig) (*HybridNull, error) {
+	proof, err := nullProofFor(prog, nil, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -403,14 +355,14 @@ func NewHybridNullStatic(prog *ir.Program, cache *artifacts.Cache, cfg StaticCon
 		blockMask: make([]bool, len(prog.Blocks)),
 	}
 	// The sound image assumes no invariants: no IC seeds (nil db).
-	h.code = compiledCode(prog, interp.Masks{Mem: h.memMask, Sync: h.syncMask, Block: h.blockMask, Null: h.nullMask}, compileOpts(nil, cfg), cache)
+	h.code = compiledCode(prog, interp.Masks{Mem: h.memMask, Sync: h.syncMask, Block: h.blockMask, Null: h.nullMask}, compileOpts(nil, cfg), cfg.Cache)
 	return h, nil
 }
 
 // Run performs one sound hybrid null-checking run of e.
 func (h *HybridNull) Run(e Execution, opts RunOptions) (*NullReport, error) {
 	obs := &nullObserver{}
-	cfg := interp.Config{
+	res, err := opts.run(interp.Config{
 		Prog:      h.Prog,
 		Inputs:    e.Inputs,
 		Choose:    e.chooser(),
@@ -420,9 +372,7 @@ func (h *HybridNull) Run(e Execution, opts RunOptions) (*NullReport, error) {
 		BlockMask: h.blockMask,
 		NullMask:  h.nullMask,
 		Code:      h.code,
-	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -448,28 +398,17 @@ type OptNull struct {
 }
 
 // NewOptNull runs both static analyses (predicated for speculation,
-// sound for rollback) and prepares masks.
-func NewOptNull(prog *ir.Program, db *invariants.DB) (*OptNull, error) {
-	return NewOptNullCached(prog, db, nil)
-}
-
-// NewOptNullCached is NewOptNull with static-artifact memoization (nil
-// cache: recompute). Masks are private to the returned instance; the
-// static proofs are shared cached values and must not be mutated.
-func NewOptNullCached(prog *ir.Program, db *invariants.DB, cache *artifacts.Cache) (*OptNull, error) {
-	return NewOptNullStatic(prog, db, cache, StaticConfig{Workers: 1})
-}
-
-// NewOptNullStatic is NewOptNullCached with an explicit static
-// pipeline configuration. With a warm cache — in particular one
+// sound for rollback) and prepares masks. Masks are private to the
+// returned instance; the static proofs are shared through cfg.Cache
+// and must not be mutated. With a warm cache — in particular one
 // prewarmed by inc.Reanalyze after an adaptive refinement — the
 // points-to stage is served, not solved.
-func NewOptNullStatic(prog *ir.Program, db *invariants.DB, cache *artifacts.Cache, cfg StaticConfig) (*OptNull, error) {
-	proof, err := nullProofFor(prog, db, cache, cfg)
+func NewOptNull(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*OptNull, error) {
+	proof, err := nullProofFor(prog, db, cfg)
 	if err != nil {
 		return nil, err
 	}
-	sound, err := NewHybridNullStatic(prog, cache, cfg)
+	sound, err := NewHybridNull(prog, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -486,7 +425,7 @@ func NewOptNullStatic(prog *ir.Program, db *invariants.DB, cache *artifacts.Cach
 	// The speculative image is IC-seeded from the likely callee sets
 	// (the null proof's points-to is predicated on them, and the
 	// checker verifies them at runtime).
-	o.code = compiledCode(prog, interp.Masks{Mem: o.memMask, Sync: o.syncMask, Block: o.blockMask, Null: o.nullMask}, compileOpts(db, cfg), cache)
+	o.code = compiledCode(prog, interp.Masks{Mem: o.memMask, Sync: o.syncMask, Block: o.blockMask, Null: o.nullMask}, compileOpts(db, cfg), cfg.Cache)
 	return o, nil
 }
 
@@ -520,29 +459,6 @@ func (o *OptNull) Run(e Execution, opts RunOptions) (*NullReport, error) {
 		Code:      o.code,
 		Abort:     abort,
 	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
-
-	if errors.Is(err, interp.ErrAborted) {
-		// Mis-speculation: roll back, re-execute under the sound hybrid
-		// configuration (§2.3).
-		rep, err2 := o.Sound.Run(e, opts)
-		if err2 != nil {
-			return nil, fmt.Errorf("core: rollback re-execution failed: %w", err2)
-		}
-		rep.RolledBack = true
-		rep.Violation = checker.first
-		rep.CheckEvents = checker.Events
-		rep.Stats.Add(res.Stats)
-		rep.IC.Add(res.IC)
-		opts.observeNull(o, e, rep)
-		return rep, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	rep := nullReport(&checker.log, res, o.Pred)
-	rep.CheckEvents = checker.Events
-	opts.observeNull(o, e, rep)
-	return rep, nil
+	report := func(res *interp.Result) *NullReport { return nullReport(&checker.log, res, o.Pred) }
+	return speculate(nullClient{}, cfg, &checker.checkState, e, opts, report, nil, o.Sound.Run)
 }

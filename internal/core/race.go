@@ -1,8 +1,7 @@
 package core
 
 import (
-	"errors"
-	"fmt"
+	"slices"
 
 	"oha/internal/artifacts"
 	"oha/internal/bitset"
@@ -27,38 +26,25 @@ type RaceReport struct {
 	RacyAddrs []interp.Addr
 	// Details carries one representative Race per key.
 	Details []fasttrack.Race
-	// Stats are the interpreter's event counts for the run (including
-	// the rollback re-execution, if any).
-	Stats interp.Stats
 	// FTChecks counts FastTrack read/write metadata operations.
 	FTChecks uint64
-	// CheckEvents counts invariant-check events (optimistic runs).
-	CheckEvents uint64
-	// RolledBack reports that the speculative run mis-speculated and
-	// the results come from the traditional hybrid re-execution.
-	RolledBack bool
-	// Violation is the structured mis-speculation reason when
-	// RolledBack (the first violation the speculative run raised).
-	Violation Violation
-	// Output is the analyzed program's output.
-	Output []int64
-	// IC reports the compiled engine's speculative-dispatch activity
-	// (inline-cache hits/misses/deopts, fused superinstructions). For a
-	// rolled-back run it includes the aborted speculative execution's
-	// counts. Zero under the tree-walking engine.
-	IC interp.ICStats
+	Outcome
 }
 
-// StaticConfig tunes how the static race pipeline is computed. The
-// zero value is the sequential from-scratch pipeline. Results are
-// digest-identical for every configuration, so Workers/Incremental are
-// deliberately NOT part of the static artifact cache keys: a result
-// solved with 8 workers serves a sequential consumer, and vice versa.
+// StaticConfig tunes how the static pipelines are computed. The zero
+// value is the parallel from-scratch pipeline with no memoization.
+// Results are digest-identical for every configuration, so
+// Workers/Incremental are deliberately NOT part of the static artifact
+// cache keys: a result solved with 8 workers serves a sequential
+// consumer, and vice versa.
 // The NoIC/NoFusion engine toggles, by contrast, change the compiled
 // image and ARE part of the compiled-image key (interp.Code's config
 // digest) — though never the analysis results, which stay bit-
 // identical under every setting.
 type StaticConfig struct {
+	// Cache memoizes static artifacts and compiled images by content
+	// address (nil: recompute).
+	Cache *artifacts.Cache
 	// Workers bounds the parallel points-to and race-pair solvers
 	// (0 = GOMAXPROCS, 1 = sequential).
 	Workers int
@@ -94,13 +80,13 @@ type raceStatic struct {
 // points-to, MHP, and static-race stages are memoized by content
 // address; the masks are rebuilt fresh on every call because callers
 // (ValidateCustomSync) mutate them per instance.
-func analyzeRaceStatic(prog *ir.Program, db *invariants.DB, cache *artifacts.Cache, cfg StaticConfig) (*raceStatic, error) {
-	v, err := cache.Memo(artifacts.Key(artifacts.KindStaticRace, prog, db, 0, "ci"), artifacts.RaceCodec(prog), func() (any, error) {
-		pt, err := pointsToCI(prog, db, cache, cfg)
+func analyzeRaceStatic(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*raceStatic, error) {
+	v, err := cfg.Cache.Memo(artifacts.Key(artifacts.KindStaticRace, prog, db, 0, "ci"), artifacts.RaceCodec(prog), func() (any, error) {
+		pt, err := pointsToCI(prog, db, cfg)
 		if err != nil {
 			return nil, err
 		}
-		m, err := mhpOf(prog, pt, db, cache)
+		m, err := mhpOf(prog, pt, db, cfg.Cache)
 		if err != nil {
 			return nil, err
 		}
@@ -117,8 +103,8 @@ func analyzeRaceStatic(prog *ir.Program, db *invariants.DB, cache *artifacts.Cac
 
 // pointsToCI returns the (memoized) context-insensitive points-to
 // result for the race pipeline.
-func pointsToCI(prog *ir.Program, db *invariants.DB, cache *artifacts.Cache, cfg StaticConfig) (*pointsto.Result, error) {
-	v, err := cache.Memo(artifacts.Key(artifacts.KindPointsTo, prog, db, 0, "ci"), artifacts.PointsToCodec(prog, db), func() (any, error) {
+func pointsToCI(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*pointsto.Result, error) {
+	v, err := cfg.Cache.Memo(artifacts.Key(artifacts.KindPointsTo, prog, db, 0, "ci"), artifacts.PointsToCodec(prog, db), func() (any, error) {
 		return pointsto.AnalyzeParallel(prog, ctxs.NewCI(prog), db, cfg.Workers)
 	})
 	if err != nil {
@@ -247,10 +233,8 @@ func raceReport(det *fasttrack.Detector, res *interp.Result) *RaceReport {
 		Races:     det.RaceKeys(),
 		RacyAddrs: det.RacyAddrs(),
 		Details:   det.Races(),
-		Stats:     res.Stats,
 		FTChecks:  det.Checks,
-		Output:    res.Output,
-		IC:        res.IC,
+		Outcome:   outcomeOf(res),
 	}
 }
 
@@ -259,24 +243,20 @@ func raceReport(det *fasttrack.Detector, res *interp.Result) *RaceReport {
 func RunPlain(prog *ir.Program, e Execution, opts RunOptions) (*interp.Result, error) {
 	// Empty masks, not nil ones: a nil mask flags every site, and a
 	// flagged memory op cannot fuse even with no tracer installed.
-	cfg := interp.Config{Prog: prog, Inputs: e.Inputs, Choose: e.chooser(), MemMask: noEvents, SyncMask: noEvents, BlockMask: noEvents}
-	opts.apply(&cfg)
-	return interp.Run(cfg)
+	return opts.run(interp.Config{Prog: prog, Inputs: e.Inputs, Choose: e.chooser(), MemMask: noEvents, SyncMask: noEvents, BlockMask: noEvents})
 }
 
 // RunFastTrack executes under full FastTrack instrumentation (the
 // unoptimized baseline).
 func RunFastTrack(prog *ir.Program, e Execution, opts RunOptions) (*RaceReport, error) {
 	det := fasttrack.New()
-	cfg := interp.Config{
+	res, err := opts.run(interp.Config{
 		Prog:      prog,
 		Inputs:    e.Inputs,
 		Choose:    e.chooser(),
 		Tracer:    det,
 		BlockMask: make([]bool, len(prog.Blocks)),
-	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -297,37 +277,25 @@ type HybridFT struct {
 	code      *interp.Code
 }
 
-// NewHybridFT runs the sound static analysis.
-func NewHybridFT(prog *ir.Program) (*HybridFT, error) {
-	return NewHybridFTCached(prog, nil)
-}
-
-// NewHybridFTCached is NewHybridFT with static-artifact memoization
-// (nil cache: recompute). The static pipeline runs sequentially; use
-// NewHybridFTStatic to configure parallelism.
-func NewHybridFTCached(prog *ir.Program, cache *artifacts.Cache) (*HybridFT, error) {
-	return NewHybridFTStatic(prog, cache, StaticConfig{Workers: 1})
-}
-
-// NewHybridFTStatic is NewHybridFTCached with an explicit static
-// pipeline configuration. The result is digest-identical for every
-// configuration; only the solve latency changes.
-func NewHybridFTStatic(prog *ir.Program, cache *artifacts.Cache, cfg StaticConfig) (*HybridFT, error) {
-	rs, err := analyzeRaceStatic(prog, nil, cache, cfg)
+// NewHybridFT runs the sound static analysis. The result is
+// digest-identical for every configuration; only the solve latency
+// changes.
+func NewHybridFT(prog *ir.Program, cfg StaticConfig) (*HybridFT, error) {
+	rs, err := analyzeRaceStatic(prog, nil, cfg)
 	if err != nil {
 		return nil, err
 	}
 	h := &HybridFT{Prog: prog, Static: rs.static, rs: rs}
 	h.blockMask = make([]bool, len(prog.Blocks))
 	// The sound image assumes no invariants: no IC seeds (nil db).
-	h.code = compiledCode(prog, interp.Masks{Mem: rs.mem, Sync: rs.sync, Block: h.blockMask}, compileOpts(nil, cfg), cache)
+	h.code = compiledCode(prog, interp.Masks{Mem: rs.mem, Sync: rs.sync, Block: h.blockMask}, compileOpts(nil, cfg), cfg.Cache)
 	return h, nil
 }
 
 // Run executes one analysis under the hybrid instrumentation.
 func (h *HybridFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
 	det := fasttrack.New()
-	cfg := interp.Config{
+	res, err := opts.run(interp.Config{
 		Prog:      h.Prog,
 		Inputs:    e.Inputs,
 		Choose:    e.chooser(),
@@ -336,9 +304,7 @@ func (h *HybridFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
 		SyncMask:  h.rs.sync,
 		BlockMask: h.blockMask,
 		Code:      h.code,
-	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -361,12 +327,11 @@ type OptFT struct {
 	syncMask  []bool
 	blockMask []bool
 
-	// cache memoizes compiled images; code is the speculative run's
-	// image, valCode / valBlockMask the ones for validation runs
+	// static (with its cache) compiles images; code is the speculative
+	// run's image, valCode / valBlockMask the ones for validation runs
 	// (runWithoutRollback, which installs the raw FastTrack sync mask
 	// and no checks). setElidable mutates the masks in place, so both
 	// images are re-derived there.
-	cache        *artifacts.Cache
 	static       StaticConfig
 	code         *interp.Code
 	valCode      *interp.Code
@@ -378,28 +343,26 @@ type OptFT struct {
 // contain a validated ElidableLocks set (see ValidateCustomSync);
 // with an empty set no lock instrumentation is elided.
 func NewOptFT(prog *ir.Program, db *invariants.DB) (*OptFT, error) {
-	return NewOptFTCached(prog, db, nil)
+	return NewOptFTStatic(prog, db, StaticConfig{Workers: 1})
 }
 
-// NewOptFTCached is NewOptFT with static-artifact memoization (nil
-// cache: recompute). Masks and derived state are always private to the
-// returned instance; only the immutable static results are shared. The
-// static pipeline runs sequentially; use NewOptFTStatic to configure
-// parallelism.
+// NewOptFTCached is NewOptFT with static-artifact memoization.
 func NewOptFTCached(prog *ir.Program, db *invariants.DB, cache *artifacts.Cache) (*OptFT, error) {
-	return NewOptFTStatic(prog, db, cache, StaticConfig{Workers: 1})
+	return NewOptFTStatic(prog, db, StaticConfig{Cache: cache, Workers: 1})
 }
 
-// NewOptFTStatic is NewOptFTCached with an explicit static pipeline
-// configuration (worker count for the parallel solvers). With a warm
-// cache — in particular one prewarmed by inc.Reanalyze after an
-// adaptive refinement — no static solving happens here at all.
-func NewOptFTStatic(prog *ir.Program, db *invariants.DB, cache *artifacts.Cache, cfg StaticConfig) (*OptFT, error) {
-	pred, err := analyzeRaceStatic(prog, db, cache, cfg)
+// NewOptFTStatic is NewOptFT with an explicit static pipeline
+// configuration. Masks and derived state are always private to the
+// returned instance; only the immutable static results are shared
+// through cfg.Cache. With a warm cache — in particular one prewarmed
+// by inc.Reanalyze after an adaptive refinement — no static solving
+// happens here at all.
+func NewOptFTStatic(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*OptFT, error) {
+	pred, err := analyzeRaceStatic(prog, db, cfg)
 	if err != nil {
 		return nil, err
 	}
-	sound, err := NewHybridFTStatic(prog, cache, cfg)
+	sound, err := NewHybridFT(prog, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -414,7 +377,6 @@ func NewOptFTStatic(prog *ir.Program, db *invariants.DB, cache *artifacts.Cache,
 		o.syncMask[pair.A] = true
 		o.syncMask[pair.B] = true
 	}
-	o.cache = cache
 	o.static = cfg
 	o.valBlockMask = make([]bool, len(prog.Blocks))
 	o.recompile()
@@ -429,8 +391,8 @@ func NewOptFTStatic(prog *ir.Program, db *invariants.DB, cache *artifacts.Cache,
 // is raised by the tracer, which both images already drive.
 func (o *OptFT) recompile() {
 	opts := compileOpts(o.DB, o.static)
-	o.code = compiledCode(o.Prog, interp.Masks{Mem: o.pred.mem, Sync: o.syncMask, Block: o.blockMask}, opts, o.cache)
-	o.valCode = compiledCode(o.Prog, interp.Masks{Mem: o.pred.mem, Sync: o.pred.sync, Block: o.valBlockMask}, opts, o.cache)
+	o.code = compiledCode(o.Prog, interp.Masks{Mem: o.pred.mem, Sync: o.syncMask, Block: o.blockMask}, opts, o.static.Cache)
+	o.valCode = compiledCode(o.Prog, interp.Masks{Mem: o.pred.mem, Sync: o.pred.sync, Block: o.valBlockMask}, opts, o.static.Cache)
 }
 
 // CodeDigest returns the content digest of the speculative run's
@@ -469,50 +431,17 @@ func (o *OptFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
 		Code:      o.code,
 		Abort:     abort,
 	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
-
-	rollback := false
-	var reason Violation
-	switch {
-	case errors.Is(err, interp.ErrAborted):
-		rollback = true
-		reason = checker.first
-		if reason.None() {
-			// The abort came from outside the checker (it owns the
-			// only tracer here, so this is defensive).
-			reason = Violation{Kind: ViolationTraceLimit, Site: -1, Callee: -1, Detail: abort.Reason()}
-		}
-	case err != nil:
-		return nil, err
-	case det.HasRaces() && !o.DB.ElidableLocks.IsEmpty():
+	report := func(res *interp.Result) *RaceReport { return raceReport(det, res) }
+	suspect := func() Violation {
 		// Race reports are potential mis-speculations when lock
 		// instrumentation was elided (custom synchronization may have
 		// been missed): re-check under the sound hybrid analysis.
-		rollback = true
-		reason = Violation{Kind: ViolationElidedLockRace, Site: -1, Callee: -1}
+		if det.HasRaces() && !o.DB.ElidableLocks.IsEmpty() {
+			return Violation{Kind: ViolationElidedLockRace, Site: -1, Callee: -1}
+		}
+		return Violation{}
 	}
-	if !rollback {
-		rep := raceReport(det, res)
-		rep.CheckEvents = checker.Events
-		opts.observeRace(o, e, rep)
-		return rep, nil
-	}
-
-	// Mis-speculation: roll back and re-execute the same recorded
-	// execution under the traditional hybrid analysis (§2.3).
-	rep, err2 := o.Sound.Run(e, opts)
-	if err2 != nil {
-		return nil, fmt.Errorf("core: rollback re-execution failed: %w", err2)
-	}
-	rep.RolledBack = true
-	rep.Violation = reason
-	rep.CheckEvents = checker.Events
-	// Account for the aborted speculative work too.
-	rep.Stats.Add(res.Stats)
-	rep.IC.Add(res.IC)
-	opts.observeRace(o, e, rep)
-	return rep, nil
+	return speculate(raceClient{}, cfg, &checker.checkState, e, opts, report, suspect, o.Sound.Run)
 }
 
 // ValidateCustomSync performs the iterative no-custom-synchronization
@@ -537,7 +466,7 @@ func (o *OptFT) ValidateCustomSync(execs []Execution, opts RunOptions) error {
 			if err != nil {
 				return err
 			}
-			if !sameRaceKeys(optRep.Races, soundRep.Races) {
+			if !slices.Equal(optRep.Races, soundRep.Races) {
 				bad = true
 				break
 			}
@@ -580,7 +509,7 @@ func (o *OptFT) setElidable(set *bitset.Set) {
 // (possibly false) race reports.
 func (o *OptFT) runWithoutRollback(e Execution, opts RunOptions) (*RaceReport, error) {
 	det := fasttrack.New()
-	cfg := interp.Config{
+	res, err := opts.run(interp.Config{
 		Prog:      o.Prog,
 		Inputs:    e.Inputs,
 		Choose:    e.chooser(),
@@ -589,25 +518,11 @@ func (o *OptFT) runWithoutRollback(e Execution, opts RunOptions) (*RaceReport, e
 		SyncMask:  o.pred.sync,
 		BlockMask: o.valBlockMask,
 		Code:      o.valCode,
-	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return raceReport(det, res), nil
-}
-
-func sameRaceKeys(a, b []fasttrack.Key) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // SameRaces reports whether two runs detected races on exactly the
@@ -615,38 +530,25 @@ func sameRaceKeys(a, b []fasttrack.Key) bool {
 // instrumentation configurations (the exact access-pair attribution
 // within one racy variable may differ with the metadata state; see
 // fasttrack.Key). Both reports must come from the same Execution.
-func SameRaces(a, b *RaceReport) bool {
-	if len(a.RacyAddrs) != len(b.RacyAddrs) {
-		return false
-	}
-	for i := range a.RacyAddrs {
-		if a.RacyAddrs[i] != b.RacyAddrs[i] {
-			return false
-		}
-	}
-	return true
-}
+func SameRaces(a, b *RaceReport) bool { return slices.Equal(a.RacyAddrs, b.RacyAddrs) }
 
 // RunDJIT executes under the DJIT+-style full-vector-clock detector —
 // the ablation baseline for FastTrack's epoch optimization.
 func RunDJIT(prog *ir.Program, e Execution, opts RunOptions) (*RaceReport, error) {
 	det := fasttrack.NewDJIT()
-	cfg := interp.Config{
+	res, err := opts.run(interp.Config{
 		Prog:      prog,
 		Inputs:    e.Inputs,
 		Choose:    e.chooser(),
 		Tracer:    det,
 		BlockMask: make([]bool, len(prog.Blocks)),
-	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return &RaceReport{
 		RacyAddrs: det.RacyAddrs(),
-		Stats:     res.Stats,
 		FTChecks:  det.Checks,
-		Output:    res.Output,
+		Outcome:   Outcome{Stats: res.Stats, Output: res.Output},
 	}, nil
 }

@@ -24,24 +24,9 @@ type SliceReport struct {
 	// Slice is the dynamic backward slice (nil if the criterion never
 	// executed).
 	Slice *dynslice.Slice
-	// Stats are the interpreter event counts (including rollback work).
-	Stats interp.Stats
 	// TraceNodes is the number of dynamic trace nodes recorded.
 	TraceNodes int
-	// CheckEvents counts invariant-check events (optimistic runs).
-	CheckEvents uint64
-	// RolledBack / Violation describe a mis-speculation, if any;
-	// Violation is the structured first violation of the speculative
-	// run.
-	RolledBack bool
-	Violation  Violation
-	// Output is the analyzed program's output.
-	Output []int64
-	// IC reports the compiled engine's speculative-dispatch activity
-	// (inline-cache hits/misses/deopts, fused superinstructions). For a
-	// rolled-back run it includes the aborted speculative execution's
-	// counts. Zero under the tree-walking engine.
-	IC interp.ICStats
+	Outcome
 }
 
 // SliceAnalysisType names which static discipline a slicer ended up
@@ -204,20 +189,8 @@ type HybridSlicer struct {
 
 // NewHybridSlicer runs the sound static slicer (CS if it fits budget,
 // else CI) for one criterion.
-func NewHybridSlicer(prog *ir.Program, criterion *ir.Instr, budget int) (*HybridSlicer, error) {
-	return NewHybridSlicerCached(prog, criterion, budget, nil)
-}
-
-// NewHybridSlicerCached is NewHybridSlicer with static-artifact
-// memoization (nil cache: recompute).
-func NewHybridSlicerCached(prog *ir.Program, criterion *ir.Instr, budget int, cache *artifacts.Cache) (*HybridSlicer, error) {
-	return NewHybridSlicerStatic(prog, criterion, budget, cache, StaticConfig{Workers: 1})
-}
-
-// NewHybridSlicerStatic is NewHybridSlicerCached with an explicit
-// static pipeline configuration (worker count, engine toggles).
-func NewHybridSlicerStatic(prog *ir.Program, criterion *ir.Instr, budget int, cache *artifacts.Cache, cfg StaticConfig) (*HybridSlicer, error) {
-	ss, err := staticSliceFor(prog, nil, criterion, budget, cache)
+func NewHybridSlicer(prog *ir.Program, criterion *ir.Instr, budget int, cfg StaticConfig) (*HybridSlicer, error) {
+	ss, err := staticSliceFor(prog, nil, criterion, budget, cfg.Cache)
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +203,7 @@ func NewHybridSlicerStatic(prog *ir.Program, criterion *ir.Instr, budget int, ca
 		blockMask: make([]bool, len(prog.Blocks)),
 	}
 	// The sound image assumes no invariants: no IC seeds (nil db).
-	h.code = compiledCode(prog, interp.Masks{Mem: noEvents, Sync: noEvents, Exec: h.execMask, Block: h.blockMask}, compileOpts(nil, cfg), cache)
+	h.code = compiledCode(prog, interp.Masks{Mem: noEvents, Sync: noEvents, Exec: h.execMask, Block: h.blockMask}, compileOpts(nil, cfg), cfg.Cache)
 	return h, nil
 }
 
@@ -240,7 +213,7 @@ func (h *HybridSlicer) Run(e Execution, opts RunOptions) (*SliceReport, error) {
 	if h.MaxTraceNodes > 0 {
 		tr.MaxNodes = h.MaxTraceNodes
 	}
-	cfg := interp.Config{
+	res, err := opts.run(interp.Config{
 		Prog:      h.Prog,
 		Inputs:    e.Inputs,
 		Choose:    e.chooser(),
@@ -250,19 +223,11 @@ func (h *HybridSlicer) Run(e Execution, opts RunOptions) (*SliceReport, error) {
 		ExecMask:  h.execMask,
 		BlockMask: h.blockMask,
 		Code:      h.code,
-	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &SliceReport{
-		Slice:      tr.Slice(h.Criterion),
-		Stats:      res.Stats,
-		TraceNodes: tr.NodeCount(),
-		Output:     res.Output,
-		IC:         res.IC,
-	}, nil
+	return sliceReport(tr, h.Criterion, res), nil
 }
 
 // RunFullGiri traces every instruction (pure dynamic slicing). It
@@ -276,7 +241,7 @@ func RunFullGiri(prog *ir.Program, criterion *ir.Instr, e Execution, opts RunOpt
 	if maxNodes > 0 {
 		tr.MaxNodes = maxNodes
 	}
-	cfg := interp.Config{
+	res, err := opts.run(interp.Config{
 		Prog:      prog,
 		Inputs:    e.Inputs,
 		Choose:    e.chooser(),
@@ -284,19 +249,11 @@ func RunFullGiri(prog *ir.Program, criterion *ir.Instr, e Execution, opts RunOpt
 		ExecAll:   true,
 		BlockMask: make([]bool, len(prog.Blocks)),
 		Abort:     abort,
-	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &SliceReport{
-		Slice:      tr.Slice(criterion),
-		Stats:      res.Stats,
-		TraceNodes: tr.NodeCount(),
-		Output:     res.Output,
-		IC:         res.IC,
-	}, nil
+	return sliceReport(tr, criterion, res), nil
 }
 
 // OptSlice is the optimistic hybrid slicer (§5): the dynamic slicer
@@ -309,8 +266,6 @@ type OptSlice struct {
 	Static    *staticslice.Slice
 	AT        SliceAnalysisType
 	Sound     *HybridSlicer
-	// MaxTraceNodes bounds the dynamic trace (0: dynslice default).
-	MaxTraceNodes int
 
 	execMask  []bool
 	blockMask []bool
@@ -326,25 +281,25 @@ type OptSlice struct {
 // with the likely-unused-call-contexts restriction when it fits the
 // budget) and prepares the sound fallback.
 func NewOptSlice(prog *ir.Program, db *invariants.DB, criterion *ir.Instr, budget int) (*OptSlice, error) {
-	return NewOptSliceCached(prog, db, criterion, budget, nil)
+	return NewOptSliceStatic(prog, db, criterion, budget, StaticConfig{Workers: 1})
 }
 
-// NewOptSliceCached is NewOptSlice with static-artifact memoization
-// (nil cache: recompute). Masks are private to the returned instance;
-// the static slices are shared cached values and must not be mutated.
+// NewOptSliceCached is NewOptSlice with static-artifact memoization.
 func NewOptSliceCached(prog *ir.Program, db *invariants.DB, criterion *ir.Instr, budget int, cache *artifacts.Cache) (*OptSlice, error) {
-	return NewOptSliceStatic(prog, db, criterion, budget, cache, StaticConfig{Workers: 1})
+	return NewOptSliceStatic(prog, db, criterion, budget, StaticConfig{Cache: cache, Workers: 1})
 }
 
-// NewOptSliceStatic is NewOptSliceCached with an explicit static
-// pipeline configuration (worker count for the parallel solvers,
-// inline-cache/fusion engine toggles).
-func NewOptSliceStatic(prog *ir.Program, db *invariants.DB, criterion *ir.Instr, budget int, cache *artifacts.Cache, cfg StaticConfig) (*OptSlice, error) {
-	ss, err := staticSliceFor(prog, db, criterion, budget, cache)
+// NewOptSliceStatic is NewOptSlice with an explicit static pipeline
+// configuration (artifact cache, worker count for the parallel
+// solvers, inline-cache/fusion engine toggles). Masks are private to
+// the returned instance; the static slices are shared cached values
+// and must not be mutated.
+func NewOptSliceStatic(prog *ir.Program, db *invariants.DB, criterion *ir.Instr, budget int, cfg StaticConfig) (*OptSlice, error) {
+	ss, err := staticSliceFor(prog, db, criterion, budget, cfg.Cache)
 	if err != nil {
 		return nil, err
 	}
-	sound, err := NewHybridSlicerStatic(prog, criterion, budget, cache, cfg)
+	sound, err := NewHybridSlicer(prog, criterion, budget, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +322,7 @@ func NewOptSliceStatic(prog *ir.Program, db *invariants.DB, criterion *ir.Instr,
 	// target is a callee the tracer's checker accepts, and an
 	// out-of-set target both misses the cache and raises the
 	// callee-set violation that drives refinement.
-	o.code = compiledCode(prog, interp.Masks{Mem: noEvents, Sync: noEvents, Exec: o.execMask, Block: o.blockMask}, compileOpts(db, cfg), cache)
+	o.code = compiledCode(prog, interp.Masks{Mem: noEvents, Sync: noEvents, Exec: o.execMask, Block: o.blockMask}, compileOpts(db, cfg), cfg.Cache)
 	return o, nil
 }
 
@@ -381,9 +336,6 @@ func (o *OptSlice) CodeDigest() string { return o.code.ConfigDigest() }
 func (o *OptSlice) Run(e Execution, opts RunOptions) (*SliceReport, error) {
 	abort := &interp.Abort{}
 	tr := dynslice.New(o.Prog, abort)
-	if o.MaxTraceNodes > 0 {
-		tr.MaxNodes = o.MaxTraceNodes
-	}
 	checker := o.tables.newChecker(abort, o.NoBloom)
 	cfg := interp.Config{
 		Prog:      o.Prog,
@@ -397,42 +349,13 @@ func (o *OptSlice) Run(e Execution, opts RunOptions) (*SliceReport, error) {
 		Code:      o.code,
 		Abort:     abort,
 	}
-	opts.apply(&cfg)
-	res, err := interp.Run(cfg)
+	report := func(res *interp.Result) *SliceReport { return sliceReport(tr, o.Criterion, res) }
+	return speculate(sliceClient{}, cfg, &checker.checkState, e, opts, report, nil, o.Sound.Run)
+}
 
-	if errors.Is(err, interp.ErrAborted) {
-		// Mis-speculation: roll back, re-execute under the sound
-		// hybrid slicer.
-		rep, err2 := o.Sound.Run(e, opts)
-		if err2 != nil {
-			return nil, fmt.Errorf("core: rollback re-execution failed: %w", err2)
-		}
-		rep.RolledBack = true
-		rep.Violation = checker.first
-		if rep.Violation.None() {
-			// The abort was raised by the slicer's trace-node limit,
-			// not an invariant check.
-			rep.Violation = Violation{Kind: ViolationTraceLimit, Site: -1, Callee: -1, Detail: abort.Reason()}
-		}
-		rep.CheckEvents = checker.Events
-		rep.Stats.Add(res.Stats)
-		rep.IC.Add(res.IC)
-		opts.observeSlice(o, e, rep)
-		return rep, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	rep := &SliceReport{
-		Slice:       tr.Slice(o.Criterion),
-		Stats:       res.Stats,
-		TraceNodes:  tr.NodeCount(),
-		CheckEvents: checker.Events,
-		Output:      res.Output,
-		IC:          res.IC,
-	}
-	opts.observeSlice(o, e, rep)
-	return rep, nil
+// sliceReport assembles one slicing run's report.
+func sliceReport(tr *dynslice.Tracer, criterion *ir.Instr, res *interp.Result) *SliceReport {
+	return &SliceReport{Slice: tr.Slice(criterion), TraceNodes: tr.NodeCount(), Outcome: outcomeOf(res)}
 }
 
 // optSliceTracer is the speculative run's combined tracer: the dynamic

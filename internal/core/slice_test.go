@@ -76,7 +76,7 @@ func TestOptSliceEquivalentAndCheaper(t *testing.T) {
 	// Table-2 configuration: the traditional hybrid slicer only scales
 	// to a context-insensitive analysis (budget 1 forces the CI
 	// fallback); the predicated analysis runs context-sensitively.
-	hy, err := NewHybridSlicer(prog, criterion, 1)
+	hy, err := NewHybridSlicer(prog, criterion, 1, StaticConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestContextRestrictionUnlocksCS(t *testing.T) {
 	budget := 24
 
 	// Sound analysis: CS fails at this budget, falls back to CI.
-	hy, err := NewHybridSlicer(prog, criterion, budget)
+	hy, err := NewHybridSlicer(prog, criterion, budget, StaticConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestFullGiriExhaustsOnLongRuns(t *testing.T) {
 		t.Fatal("full tracing did not exhaust the node budget")
 	}
 	// The hybrid slicer handles the same execution fine.
-	hy, err := NewHybridSlicer(prog, criterion, 4096)
+	hy, err := NewHybridSlicer(prog, criterion, 4096, StaticConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestSliceOfUnexecutedCriterion(t *testing.T) {
 			break
 		}
 	}
-	hy, err := NewHybridSlicer(prog, first, 4096)
+	hy, err := NewHybridSlicer(prog, first, 4096, StaticConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func adaptiveRow(env *env, w *workloads.Workload) (AdaptRow, error) {
 		return AdaptRow{}, err
 	}
 	prog := w.Prog()
-	m := adapt.New(prog, pr.DB, adapt.Options{Cache: opts.Cache})
+	m := adapt.New(prog, pr.DB, adapt.Options{Static: core.StaticConfig{Cache: opts.Cache}})
 	row := AdaptRow{Name: w.Name, TestRuns: opts.TestRuns}
 	for i := 0; i < opts.TestRuns; i++ {
 		e := testExec(w, i)
@@ -71,7 +71,7 @@ func adaptiveRow(env *env, w *workloads.Workload) (AdaptRow, error) {
 		if err != nil {
 			return AdaptRow{}, fmt.Errorf("%s: fasttrack: %w", w.Name, err)
 		}
-		attempts, err := m.RunRace(e, core.RunOptions{})
+		attempts, err := adapt.Run(m, adapt.Race(), e, core.RunOptions{})
 		if err != nil {
 			return AdaptRow{}, fmt.Errorf("%s: adaptive run %d: %w", w.Name, i, err)
 		}

@@ -57,7 +57,7 @@ func setupRace(w *workloads.Workload, e *env) (*raceSetup, error) {
 	}
 	s := &raceSetup{w: w, pr: pr, profileSec: profSec}
 	s.soundSec, err = e.timed(func() error {
-		_, err := core.NewHybridFTCached(w.Prog(), e.opts.Cache)
+		_, err := core.NewHybridFT(w.Prog(), core.StaticConfig{Cache: e.opts.Cache, Workers: 1})
 		return err
 	})
 	if err != nil {

@@ -57,7 +57,7 @@ func setupSlice(w *workloads.Workload, e *env) (*sliceSetup, error) {
 	s := &sliceSetup{w: w, pr: pr, profileSec: profSec}
 	s.soundSec, err = e.timed(func() error {
 		var err error
-		s.hy, err = core.NewHybridSlicerCached(prog, criterion, e.opts.Budget, e.opts.Cache)
+		s.hy, err = core.NewHybridSlicer(prog, criterion, e.opts.Budget, core.StaticConfig{Cache: e.opts.Cache, Workers: 1})
 		return err
 	})
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package server is the resident OHA analysis service: it keeps
 // compiled programs, invariant databases, and memoized static-analysis
-// artifacts warm across requests, and runs profile/race/slice jobs
+// artifacts warm across requests, and runs profile and analysis jobs
 // asynchronously on a bounded worker pool.
 //
 // The paper's pipeline is batch-shaped — profile, solve the predicated
@@ -27,7 +27,7 @@
 //	GET  /healthz                liveness (503 when draining)
 //	GET  /metrics                Prometheus text exposition
 //
-// Adaptive speculation: a race or slice job with "adapt": true routes
+// Adaptive speculation: an analysis job with "adapt": true routes
 // through a per-(program, invariant DB version) adapt.Manager — on a
 // mis-speculation the violated fact is refined away, the predicated
 // artifacts re-solve through the shared cache, and the job retries
@@ -120,15 +120,15 @@ type Server struct {
 	jobLatency    *metrics.Histogram
 
 	// Speculative-dispatch counters, summed over every analyzed
-	// execution a race or slice job runs (including retries and sound
+	// execution an analysis job runs (including retries and sound
 	// re-executions after a rollback).
 	icHits   *metrics.Counter
 	icMisses *metrics.Counter
 	icDeopts *metrics.Counter
 	icFused  *metrics.Counter
 
-	// Analysis fast-path counters, labeled by analysis client
-	// (race/null/slice): events settled inline in the engine's dispatch
+	// Analysis fast-path counters, labeled by analysis client name
+	// (race/nullcheck/slice): events settled inline in the engine's dispatch
 	// loop vs. delivered through the Tracer interface slow path.
 	fpHits *metrics.CounterVec
 	fpSlow *metrics.CounterVec
@@ -185,7 +185,7 @@ func New(cfg Config) (*Server, error) {
 		reg:      metrics.NewRegistry(),
 		mux:      http.NewServeMux(),
 		adapters: map[adaptKey]*adapt.Manager{},
-		static:   core.StaticConfig{Workers: cfg.StaticWorkers, Incremental: cfg.Incremental, NoFastPath: cfg.NoFastPath},
+		static:   core.StaticConfig{Cache: cache, Workers: cfg.StaticWorkers, Incremental: cfg.Incremental, NoFastPath: cfg.NoFastPath},
 	}
 	s.adaptMetrics = adapt.NewMetrics(s.reg)
 	s.incMetrics = inc.NewMetrics(s.reg)
@@ -453,7 +453,7 @@ type JobRequest struct {
 	TimeoutMS int64 `json:"timeout_ms"`
 
 	// InvariantsID/InvariantsVersion name the invariant DB predicating
-	// a race or slice job (version 0: latest). Resolved when the job
+	// a race, slice or nullcheck job (version 0: latest). Resolved when the job
 	// starts, so a job queued behind the profile job that produces the
 	// DB sees it.
 	InvariantsID      string `json:"invariants_id"`
@@ -471,11 +471,11 @@ type JobRequest struct {
 	// configuration (FastTrack / always-check; no invariants needed).
 	Baseline bool `json:"baseline"`
 
-	// Adapt routes a race or slice job through the adaptive speculation
-	// manager for (program, invariant DB version): a refinable
-	// mis-speculation refines the violated fact away, re-solves, and
-	// retries under the new generation. Refine jobs also use the
-	// manager. Ignored for baseline race jobs.
+	// Adapt routes a race, slice or nullcheck job through the adaptive
+	// speculation manager for (program, invariant DB version): a
+	// refinable mis-speculation refines the violated fact away,
+	// re-solves, and retries under the new generation. Refine jobs also
+	// use the manager. Ignored for baseline jobs.
 	Adapt bool `json:"adapt"`
 
 	// Slice jobs: index into the program's print statements (nil:
@@ -492,21 +492,28 @@ type ProfileJobResult struct {
 	Counts       invariants.Counts `json:"counts"`
 }
 
-// RaceJobResult is the result payload of a race job.
-type RaceJobResult struct {
-	Races      []string `json:"races"`
-	RolledBack bool     `json:"rolled_back"`
+// JobOutcome is the speculation summary every analysis job result
+// carries: whether the final run rolled back and why, and in adaptive
+// mode the generation it ran under and the number of attempts.
+type JobOutcome struct {
+	RolledBack bool `json:"rolled_back"`
 	// Violation is the display string; ViolationKind/ViolationSite the
 	// structured record (empty / absent without a rollback).
-	Violation       string             `json:"violation,omitempty"`
-	ViolationKind   core.ViolationKind `json:"violation_kind,omitempty"`
-	ViolationSite   int                `json:"violation_site,omitempty"`
-	Generation      int                `json:"generation,omitempty"`
-	Attempts        int                `json:"attempts,omitempty"`
-	InstrumentedOps uint64             `json:"instrumented_ops"`
-	FTChecks        uint64             `json:"ft_checks"`
-	CheckEvents     uint64             `json:"check_events"`
-	Output          []int64            `json:"output"`
+	Violation     string             `json:"violation,omitempty"`
+	ViolationKind core.ViolationKind `json:"violation_kind,omitempty"`
+	ViolationSite int                `json:"violation_site,omitempty"`
+	Generation    int                `json:"generation,omitempty"`
+	Attempts      int                `json:"attempts,omitempty"`
+}
+
+// RaceJobResult is the result payload of a race job.
+type RaceJobResult struct {
+	Races []string `json:"races"`
+	JobOutcome
+	InstrumentedOps uint64  `json:"instrumented_ops"`
+	FTChecks        uint64  `json:"ft_checks"`
+	CheckEvents     uint64  `json:"check_events"`
+	Output          []int64 `json:"output"`
 }
 
 // SliceJobResult is the result payload of a slice job.
@@ -518,31 +525,17 @@ type SliceJobResult struct {
 	DynNodes       int    `json:"dyn_nodes"`
 	TraceNodes     int    `json:"trace_nodes"`
 	// Lines are the source lines in the slice, ascending.
-	Lines      []int `json:"lines"`
-	RolledBack bool  `json:"rolled_back"`
-	// Violation is the display string; ViolationKind/ViolationSite the
-	// structured record (empty / absent without a rollback).
-	Violation     string             `json:"violation,omitempty"`
-	ViolationKind core.ViolationKind `json:"violation_kind,omitempty"`
-	ViolationSite int                `json:"violation_site,omitempty"`
-	Generation    int                `json:"generation,omitempty"`
-	Attempts      int                `json:"attempts,omitempty"`
+	Lines []int `json:"lines"`
+	JobOutcome
 }
 
 // NullJobResult is the result payload of a nullcheck job.
 type NullJobResult struct {
 	// NilSites are the deref sites (instruction IDs) observed accessing
 	// nil, the client's verdict; NilDerefs the total occurrence count.
-	NilSites   []int  `json:"nil_sites"`
-	NilDerefs  uint64 `json:"nil_derefs"`
-	RolledBack bool   `json:"rolled_back"`
-	// Violation is the display string; ViolationKind/ViolationSite the
-	// structured record (empty / absent without a rollback).
-	Violation     string             `json:"violation,omitempty"`
-	ViolationKind core.ViolationKind `json:"violation_kind,omitempty"`
-	ViolationSite int                `json:"violation_site,omitempty"`
-	Generation    int                `json:"generation,omitempty"`
-	Attempts      int                `json:"attempts,omitempty"`
+	NilSites  []int  `json:"nil_sites"`
+	NilDerefs uint64 `json:"nil_derefs"`
+	JobOutcome
 	// DischargedChecks / DerefSites describe the static phase;
 	// CheckedDerefs counts the residual checks actually executed.
 	DischargedChecks int     `json:"discharged_checks"`
@@ -580,24 +573,6 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	switch JobKind(req.Kind) {
 	case JobProfile:
 		fn = s.profileJob(sp, req)
-	case JobRace:
-		if !req.Baseline && req.InvariantsID == "" {
-			writeError(w, http.StatusBadRequest, "race job needs invariants_id (or baseline=true)")
-			return
-		}
-		fn = s.raceJob(sp, req)
-	case JobSlice:
-		if req.InvariantsID == "" {
-			writeError(w, http.StatusBadRequest, "slice job needs invariants_id")
-			return
-		}
-		fn = s.sliceJob(sp, req)
-	case JobNull:
-		if !req.Baseline && req.InvariantsID == "" {
-			writeError(w, http.StatusBadRequest, "nullcheck job needs invariants_id (or baseline=true)")
-			return
-		}
-		fn = s.nullJob(sp, req)
 	case JobRefine:
 		if req.InvariantsID == "" {
 			writeError(w, http.StatusBadRequest, "refine job needs invariants_id")
@@ -605,8 +580,24 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		}
 		fn = s.refineJob(sp, req)
 	default:
-		writeError(w, http.StatusBadRequest, "unknown job kind %q", req.Kind)
-		return
+		var job analysisJob
+		c, ok := core.ClientByName(req.Kind)
+		if ok {
+			job, ok = analysisJobs[c.Name()]
+		}
+		if !ok {
+			writeError(w, http.StatusBadRequest, "unknown job kind %q", req.Kind)
+			return
+		}
+		if req.InvariantsID == "" && !(req.Baseline && job.baseline) {
+			alt := ""
+			if job.baseline {
+				alt = " (or baseline=true)"
+			}
+			writeError(w, http.StatusBadRequest, "%s job needs invariants_id%s", req.Kind, alt)
+			return
+		}
+		fn = func(ctx context.Context) (any, error) { return job.run(ctx, s, sp, req) }
 	}
 	job, err := s.pool.Submit(JobKind(req.Kind), time.Duration(req.TimeoutMS)*time.Millisecond, fn)
 	switch {
@@ -683,8 +674,8 @@ func (s *Server) runOpts(ctx context.Context) core.RunOptions {
 }
 
 // observeIC folds one run's speculative-dispatch and fast-path
-// counters into the daemon-wide metrics; client labels the analysis
-// (race/null/slice) the run served.
+// counters into the daemon-wide metrics; client is the name of the
+// analysis client the run served.
 func (s *Server) observeIC(client string, ic interp.ICStats) {
 	s.icHits.Add(ic.Hits)
 	s.icMisses.Add(ic.Misses)
@@ -725,7 +716,6 @@ func (s *Server) adapter(sp *StoredProgram, req JobRequest) (*adapt.Manager, err
 	m, ok := s.adapters[key]
 	if !ok {
 		m = adapt.New(sp.Prog, db, adapt.Options{
-			Cache:   s.cache,
 			Metrics: s.adaptMetrics,
 			Static:  s.static,
 			Inc:     s.incMetrics,
@@ -756,20 +746,9 @@ func (s *Server) notifyGeneration(invID, progID string, m *adapt.Manager) {
 // back to reconciling inline: a pending refinement must never be lost,
 // or the next run pays the rollback the refinement was meant to avoid.
 func (s *Server) submitRefine(m *adapt.Manager, invID, progID string) {
-	fn := func(ctx context.Context) (any, error) {
-		swapped, err := m.Reconcile(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if swapped {
-			s.notifyGeneration(invID, progID, m)
-		}
-		return RefineJobResult{Swapped: swapped, Generation: m.Generation()}, nil
-	}
+	fn := func(ctx context.Context) (any, error) { return s.reconcile(ctx, m, invID, progID) }
 	if _, err := s.pool.Submit(JobRefine, 0, fn); err != nil {
-		if _, err := m.Reconcile(context.Background()); err == nil {
-			s.notifyGeneration(invID, progID, m)
-		}
+		s.reconcile(context.Background(), m, invID, progID) //nolint:errcheck // best effort: the next job retries
 	}
 }
 
@@ -780,15 +759,21 @@ func (s *Server) refineJob(sp *StoredProgram, req JobRequest) func(ctx context.C
 		if err != nil {
 			return nil, err
 		}
-		swapped, err := m.Reconcile(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if swapped {
-			s.notifyGeneration(req.InvariantsID, sp.ID, m)
-		}
-		return RefineJobResult{Swapped: swapped, Generation: m.Generation()}, nil
+		return s.reconcile(ctx, m, req.InvariantsID, sp.ID)
 	}
+}
+
+// reconcile publishes m's pending refinements as a new generation and
+// reports it to the OnGeneration hook.
+func (s *Server) reconcile(ctx context.Context, m *adapt.Manager, invID, progID string) (any, error) {
+	swapped, err := m.Reconcile(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if swapped {
+		s.notifyGeneration(invID, progID, m)
+	}
+	return RefineJobResult{Swapped: swapped, Generation: m.Generation()}, nil
 }
 
 // speculationEntry is one manager's row in GET /speculation.
@@ -908,223 +893,176 @@ func (s *Server) profileJob(sp *StoredProgram, req JobRequest) func(ctx context.
 	}
 }
 
-func (s *Server) raceJob(sp *StoredProgram, req JobRequest) func(ctx context.Context) (any, error) {
-	return func(ctx context.Context) (any, error) {
-		e := core.Execution{Inputs: req.Inputs, Seed: req.Seed}
-		var rep *core.RaceReport
-		generation, attempts := 0, 0
-		switch {
-		case req.Baseline:
-			var err error
-			rep, err = core.RunFastTrack(sp.Prog, e, s.runOpts(ctx))
-			if err != nil {
-				return nil, err
-			}
-		case req.Adapt:
-			m, err := s.adapter(sp, req)
-			if err != nil {
-				return nil, err
-			}
-			tries, err := m.RunRace(e, s.runOpts(ctx))
-			if err != nil {
-				return nil, err
-			}
-			if m.Pending() {
-				s.submitRefine(m, req.InvariantsID, sp.ID)
-			}
-			s.notifyGeneration(req.InvariantsID, sp.ID, m)
-			for _, t := range tries[:len(tries)-1] {
-				s.observeIC("race", t.Report.IC)
-			}
-			last := tries[len(tries)-1]
-			rep, generation, attempts = last.Report, last.Generation, len(tries)
-		default:
-			db, _, err := s.resolveDB(req)
-			if err != nil {
-				return nil, err
-			}
-			det, err := core.NewOptFTStatic(sp.Prog, db, s.cache, s.static)
-			if err != nil {
-				return nil, err
-			}
-			rep, err = det.Run(e, s.runOpts(ctx))
-			if err != nil {
-				return nil, err
-			}
-		}
-		s.observeIC("race", rep.IC)
-		races := make([]string, 0, len(rep.Details))
-		for _, rc := range rep.Details {
-			races = append(races, rc.String())
-		}
-		return RaceJobResult{
-			Races:           races,
-			RolledBack:      rep.RolledBack,
-			Violation:       rep.Violation.String(),
-			ViolationKind:   rep.Violation.Kind,
-			ViolationSite:   rep.Violation.Site,
-			Generation:      generation,
-			Attempts:        attempts,
-			InstrumentedOps: rep.Stats.InstrumentedOps(),
-			FTChecks:        rep.FTChecks,
-			CheckEvents:     rep.CheckEvents,
-			Output:          rep.Output,
-		}, nil
+// analysisJob is one analysis client's job body: whether the kind has
+// an unoptimized baseline mode, and how its result payload is built.
+type analysisJob struct {
+	baseline bool
+	run      func(ctx context.Context, s *Server, sp *StoredProgram, req JobRequest) (any, error)
+}
+
+// analysisJobs maps registered client names to their job bodies.
+var analysisJobs = map[string]analysisJob{
+	string(JobRace):  {baseline: true, run: raceJob},
+	string(JobSlice): {run: sliceJob},
+	string(JobNull):  {baseline: true, run: nullJob},
+}
+
+// analyzed is an analysis job's final report, the detector that
+// produced it (zero for a baseline run) and, in adaptive mode, the
+// generation it came from and the number of attempts.
+type analyzed[D adapt.Detector[R], R core.Report] struct {
+	rep                  R
+	det                  D
+	generation, attempts int
+}
+
+// outcome summarizes a's speculation for the job result.
+func (a analyzed[D, R]) outcome() JobOutcome {
+	out := a.rep.Base()
+	return JobOutcome{
+		RolledBack:    out.RolledBack,
+		Violation:     out.Violation.String(),
+		ViolationKind: out.Violation.Kind,
+		ViolationSite: out.Violation.Site,
+		Generation:    a.generation,
+		Attempts:      a.attempts,
 	}
 }
 
-func (s *Server) nullJob(sp *StoredProgram, req JobRequest) func(ctx context.Context) (any, error) {
-	return func(ctx context.Context) (any, error) {
-		e := core.Execution{Inputs: req.Inputs, Seed: req.Seed}
-		var rep *core.NullReport
-		generation, attempts := 0, 0
-		switch {
-		case req.Baseline:
-			var err error
-			rep, err = core.RunNullAlways(sp.Prog, e, s.runOpts(ctx))
-			if err != nil {
-				return nil, err
-			}
-		case req.Adapt:
-			m, err := s.adapter(sp, req)
-			if err != nil {
-				return nil, err
-			}
-			tries, err := m.RunNull(e, s.runOpts(ctx))
-			if err != nil {
-				return nil, err
-			}
-			if m.Pending() {
-				s.submitRefine(m, req.InvariantsID, sp.ID)
-			}
-			s.notifyGeneration(req.InvariantsID, sp.ID, m)
-			for _, t := range tries[:len(tries)-1] {
-				s.observeIC("null", t.Report.IC)
-			}
-			last := tries[len(tries)-1]
-			rep, generation, attempts = last.Report, last.Generation, len(tries)
-		default:
-			db, _, err := s.resolveDB(req)
-			if err != nil {
-				return nil, err
-			}
-			det, err := core.NewOptNullStatic(sp.Prog, db, s.cache, s.static)
-			if err != nil {
-				return nil, err
-			}
-			rep, err = det.Run(e, s.runOpts(ctx))
-			if err != nil {
-				return nil, err
-			}
+// analyze runs one analysis job in its mode: the unoptimized baseline
+// (when req asks and the kind has one), the adaptive refine-and-retry
+// loop, or one plain optimistic run under the daemon's static config.
+// Every analyzed execution's dispatch counters are folded into the
+// metrics under the client's name.
+func analyze[D adapt.Detector[R], R core.Report](ctx context.Context, s *Server, sp *StoredProgram, req JobRequest, spec adapt.Spec[D, R], baseline func(*ir.Program, core.Execution, core.RunOptions) (R, error)) (analyzed[D, R], error) {
+	var a analyzed[D, R]
+	e := core.Execution{Inputs: req.Inputs, Seed: req.Seed}
+	client := spec.Client().Name()
+	var err error
+	switch {
+	case req.Baseline && baseline != nil:
+		a.rep, err = baseline(sp.Prog, e, s.runOpts(ctx))
+	case req.Adapt:
+		var m *adapt.Manager
+		if m, err = s.adapter(sp, req); err != nil {
+			return a, err
 		}
-		s.observeIC("null", rep.IC)
-		return NullJobResult{
-			NilSites:         rep.NilSites,
-			NilDerefs:        rep.NilDerefs,
-			RolledBack:       rep.RolledBack,
-			Violation:        rep.Violation.String(),
-			ViolationKind:    rep.Violation.Kind,
-			ViolationSite:    rep.Violation.Site,
-			Generation:       generation,
-			Attempts:         attempts,
-			DischargedChecks: rep.DischargedChecks,
-			DerefSites:       rep.DerefSites,
-			CheckedDerefs:    rep.CheckedDerefs,
-			CheckEvents:      rep.CheckEvents,
-			Output:           rep.Output,
-		}, nil
+		tries, err := adapt.Run(m, spec, e, s.runOpts(ctx))
+		if err != nil {
+			return a, err
+		}
+		if m.Pending() {
+			s.submitRefine(m, req.InvariantsID, sp.ID)
+		}
+		s.notifyGeneration(req.InvariantsID, sp.ID, m)
+		for _, t := range tries[:len(tries)-1] {
+			s.observeIC(client, t.Report.Base().IC)
+		}
+		last := tries[len(tries)-1]
+		a.rep, a.generation, a.attempts = last.Report, last.Generation, len(tries)
+		// The current generation's memoized detector carries the static
+		// facts (the slice analysis type) the result reports; without
+		// one they are left out.
+		a.det, _, _ = adapt.Current(m, spec)
+	default:
+		var db *invariants.DB
+		if db, _, err = s.resolveDB(req); err != nil {
+			return a, err
+		}
+		if a.det, err = spec.Build(sp.Prog, db, s.static, s.incMetrics); err != nil {
+			return a, err
+		}
+		a.rep, err = a.det.Run(e, s.runOpts(ctx))
 	}
+	if err != nil {
+		return a, err
+	}
+	s.observeIC(client, a.rep.Base().IC)
+	return a, nil
 }
 
-func (s *Server) sliceJob(sp *StoredProgram, req JobRequest) func(ctx context.Context) (any, error) {
-	return func(ctx context.Context) (any, error) {
-		prints := printsOf(sp.Prog)
-		if len(prints) == 0 {
-			return nil, fmt.Errorf("program has no print statements to slice from")
-		}
-		idx := len(prints) - 1
-		if req.Criterion != nil {
-			idx = *req.Criterion
-			if idx < 0 || idx >= len(prints) {
-				return nil, fmt.Errorf("criterion %d out of range (program has %d prints)", idx, len(prints))
-			}
-		}
-		budget := req.Budget
-		if budget <= 0 {
-			budget = 4096
-		}
-		e := core.Execution{Inputs: req.Inputs, Seed: req.Seed}
-		var rep *core.SliceReport
-		var at string
-		generation, attempts := 0, 0
-		if req.Adapt {
-			m, err := s.adapter(sp, req)
-			if err != nil {
-				return nil, err
-			}
-			tries, err := m.RunSlice(prints[idx], budget, e, s.runOpts(ctx))
-			if err != nil {
-				return nil, err
-			}
-			if m.Pending() {
-				s.submitRefine(m, req.InvariantsID, sp.ID)
-			}
-			s.notifyGeneration(req.InvariantsID, sp.ID, m)
-			for _, t := range tries[:len(tries)-1] {
-				s.observeIC("slice", t.Report.IC)
-			}
-			last := tries[len(tries)-1]
-			rep, generation, attempts = last.Report, last.Generation, len(tries)
-			// The memoized slicer for the last attempt's generation
-			// carries the analysis type the report came from.
-			if sl, _, err := m.Slice(prints[idx], budget); err == nil {
-				at = string(sl.AT)
-			}
-		} else {
-			db, _, err := s.resolveDB(req)
-			if err != nil {
-				return nil, err
-			}
-			t := time.Now()
-			sl, err := core.NewOptSliceCached(sp.Prog, db, prints[idx], budget, s.cache)
-			if err != nil {
-				return nil, err
-			}
-			s.incMetrics.ObservePhase("slice", "slice", time.Since(t).Seconds())
-			rep, err = sl.Run(e, s.runOpts(ctx))
-			if err != nil {
-				return nil, err
-			}
-			at = string(sl.AT)
-		}
-		s.observeIC("slice", rep.IC)
-		res := SliceJobResult{
-			CriterionIndex: idx,
-			CriterionLine:  prints[idx].Pos.Line,
-			AnalysisType:   at,
-			TraceNodes:     rep.TraceNodes,
-			RolledBack:     rep.RolledBack,
-			Violation:      rep.Violation.String(),
-			ViolationKind:  rep.Violation.Kind,
-			ViolationSite:  rep.Violation.Site,
-			Generation:     generation,
-			Attempts:       attempts,
-		}
-		if rep.Slice != nil {
-			res.SliceInstrs = rep.Slice.Size()
-			res.DynNodes = rep.Slice.DynNodes
-			lines := map[int]bool{}
-			rep.Slice.Instrs.ForEach(func(id int) bool {
-				lines[sp.Prog.Instrs[id].Pos.Line] = true
-				return true
-			})
-			for l := range lines {
-				res.Lines = append(res.Lines, l)
-			}
-			sort.Ints(res.Lines)
-		}
-		return res, nil
+func raceJob(ctx context.Context, s *Server, sp *StoredProgram, req JobRequest) (any, error) {
+	a, err := analyze(ctx, s, sp, req, adapt.Race(), core.RunFastTrack)
+	if err != nil {
+		return nil, err
 	}
+	rep := a.rep
+	races := make([]string, 0, len(rep.Details))
+	for _, rc := range rep.Details {
+		races = append(races, rc.String())
+	}
+	return RaceJobResult{
+		Races:           races,
+		JobOutcome:      a.outcome(),
+		InstrumentedOps: rep.Stats.InstrumentedOps(),
+		FTChecks:        rep.FTChecks,
+		CheckEvents:     rep.CheckEvents,
+		Output:          rep.Output,
+	}, nil
+}
+
+func nullJob(ctx context.Context, s *Server, sp *StoredProgram, req JobRequest) (any, error) {
+	a, err := analyze(ctx, s, sp, req, adapt.Null(), core.RunNullAlways)
+	if err != nil {
+		return nil, err
+	}
+	rep := a.rep
+	return NullJobResult{
+		NilSites:         rep.NilSites,
+		NilDerefs:        rep.NilDerefs,
+		JobOutcome:       a.outcome(),
+		DischargedChecks: rep.DischargedChecks,
+		DerefSites:       rep.DerefSites,
+		CheckedDerefs:    rep.CheckedDerefs,
+		CheckEvents:      rep.CheckEvents,
+		Output:           rep.Output,
+	}, nil
+}
+
+func sliceJob(ctx context.Context, s *Server, sp *StoredProgram, req JobRequest) (any, error) {
+	prints := printsOf(sp.Prog)
+	if len(prints) == 0 {
+		return nil, fmt.Errorf("program has no print statements to slice from")
+	}
+	idx := len(prints) - 1
+	if req.Criterion != nil {
+		idx = *req.Criterion
+		if idx < 0 || idx >= len(prints) {
+			return nil, fmt.Errorf("criterion %d out of range (program has %d prints)", idx, len(prints))
+		}
+	}
+	budget := req.Budget
+	if budget <= 0 {
+		budget = 4096
+	}
+	a, err := analyze(ctx, s, sp, req, adapt.Slice(prints[idx], budget), nil)
+	if err != nil {
+		return nil, err
+	}
+	rep := a.rep
+	res := SliceJobResult{
+		CriterionIndex: idx,
+		CriterionLine:  prints[idx].Pos.Line,
+		TraceNodes:     rep.TraceNodes,
+		JobOutcome:     a.outcome(),
+	}
+	if a.det != nil {
+		res.AnalysisType = string(a.det.AT)
+	}
+	if rep.Slice != nil {
+		res.SliceInstrs = rep.Slice.Size()
+		res.DynNodes = rep.Slice.DynNodes
+		lines := map[int]bool{}
+		rep.Slice.Instrs.ForEach(func(id int) bool {
+			lines[sp.Prog.Instrs[id].Pos.Line] = true
+			return true
+		})
+		for l := range lines {
+			res.Lines = append(res.Lines, l)
+		}
+		sort.Ints(res.Lines)
+	}
+	return res, nil
 }
 
 // printsOf returns the program's print instructions in order (the pool

@@ -25,7 +25,7 @@ func profileNull(t *testing.T, w *Workload, runs int) *core.ProfileResult {
 func TestNullMonoDischarge(t *testing.T) {
 	w := ByName("null-mono")
 	pr := profileNull(t, w, 8)
-	det, err := core.NewOptNull(w.Prog(), pr.DB)
+	det, err := core.NewOptNull(w.Prog(), pr.DB, core.StaticConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestNullMonoDischarge(t *testing.T) {
 func TestNullFlakyRefutes(t *testing.T) {
 	w := ByName("null-flaky")
 	pr := profileNull(t, w, 16)
-	det, err := core.NewOptNull(w.Prog(), pr.DB)
+	det, err := core.NewOptNull(w.Prog(), pr.DB, core.StaticConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

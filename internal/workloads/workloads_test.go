@@ -117,7 +117,7 @@ func TestStaticRaceFreedomMatchesPaperGrouping(t *testing.T) {
 	for _, w := range Races() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			hy, err := core.NewHybridFT(w.Prog())
+			hy, err := core.NewHybridFT(w.Prog(), core.StaticConfig{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -181,16 +181,9 @@ func NewRaceDetector(prog *Program, db *InvariantDB) (*RaceDetector, error) {
 	return core.NewOptFT(prog, db)
 }
 
-// NewRaceDetectorCached is NewRaceDetector backed by an artifact
-// cache: both static analyses are memoized by (program, invariants)
-// digest, so rebuilding a detector for unchanged inputs skips the
-// static solves.
-func NewRaceDetectorCached(prog *Program, db *InvariantDB, cache *ArtifactCache) (*RaceDetector, error) {
-	return core.NewOptFTCached(prog, db, cache)
-}
-
-// StaticConfig tunes the static-analysis pipeline: the parallel solver
-// worker count (0 = GOMAXPROCS, 1 = sequential), whether adaptive
+// StaticConfig tunes the static-analysis pipeline: the artifact cache
+// that memoizes both static analyses by (program, invariants) digest,
+// the parallel solver worker count (0 = GOMAXPROCS, 1 = sequential), whether adaptive
 // re-analysis may resume incrementally from the previous generation's
 // saturated solver state, and the compiled engine's speculative
 // dispatch lowerings (NoIC disables inline-cache seeding, NoFusion
@@ -200,19 +193,18 @@ type StaticConfig = core.StaticConfig
 
 // ICStats counts the compiled engine's speculative-dispatch events
 // (inline-cache hits/misses/deopts and fused superinstruction
-// executions) for one analyzed run; RaceReport and SliceReport carry
-// them. Purely diagnostic — never part of the analysis result.
+// executions) for one analyzed run; every report carries them. Purely diagnostic — never part of the analysis result.
 type ICStats = interp.ICStats
 
-// NewRaceDetectorStatic is NewRaceDetectorCached with an explicit
-// static pipeline configuration.
-func NewRaceDetectorStatic(prog *Program, db *InvariantDB, cache *ArtifactCache, cfg StaticConfig) (*RaceDetector, error) {
-	return core.NewOptFTStatic(prog, db, cache, cfg)
+// NewRaceDetectorStatic is NewRaceDetector with an explicit static
+// pipeline configuration.
+func NewRaceDetectorStatic(prog *Program, db *InvariantDB, cfg StaticConfig) (*RaceDetector, error) {
+	return core.NewOptFTStatic(prog, db, cfg)
 }
 
 // NewHybridRaceDetector builds the traditional hybrid baseline.
 func NewHybridRaceDetector(prog *Program) (*HybridRaceDetector, error) {
-	return core.NewHybridFT(prog)
+	return core.NewHybridFT(prog, StaticConfig{Workers: 1})
 }
 
 // RunFastTrack runs the unoptimized FastTrack baseline on one
@@ -229,20 +221,15 @@ func NewSlicer(prog *Program, db *InvariantDB, criterion *Instr, budget int) (*S
 	return core.NewOptSlice(prog, db, criterion, budget)
 }
 
-// NewSlicerCached is NewSlicer backed by an artifact cache.
-func NewSlicerCached(prog *Program, db *InvariantDB, criterion *Instr, budget int, cache *ArtifactCache) (*Slicer, error) {
-	return core.NewOptSliceCached(prog, db, criterion, budget, cache)
-}
-
-// NewSlicerStatic is NewSlicerCached with an explicit static pipeline
+// NewSlicerStatic is NewSlicer with an explicit static pipeline
 // configuration.
-func NewSlicerStatic(prog *Program, db *InvariantDB, criterion *Instr, budget int, cache *ArtifactCache, cfg StaticConfig) (*Slicer, error) {
-	return core.NewOptSliceStatic(prog, db, criterion, budget, cache, cfg)
+func NewSlicerStatic(prog *Program, db *InvariantDB, criterion *Instr, budget int, cfg StaticConfig) (*Slicer, error) {
+	return core.NewOptSliceStatic(prog, db, criterion, budget, cfg)
 }
 
 // NewHybridSlicer builds the traditional hybrid slicing baseline.
 func NewHybridSlicer(prog *Program, criterion *Instr, budget int) (*HybridSlicer, error) {
-	return core.NewHybridSlicer(prog, criterion, budget)
+	return core.NewHybridSlicer(prog, criterion, budget, StaticConfig{Workers: 1})
 }
 
 // NewNullChecker builds OptNull for a program and its profiled
@@ -251,25 +238,20 @@ func NewHybridSlicer(prog *Program, criterion *Instr, budget int) (*HybridSlicer
 // the residual sites keep dynamic checks (plus cheap fact checks that
 // trigger rollback when a likely-non-null site observes nil).
 func NewNullChecker(prog *Program, db *InvariantDB) (*NullChecker, error) {
-	return core.NewOptNull(prog, db)
+	return core.NewOptNull(prog, db, StaticConfig{Workers: 1})
 }
 
-// NewNullCheckerCached is NewNullChecker backed by an artifact cache.
-func NewNullCheckerCached(prog *Program, db *InvariantDB, cache *ArtifactCache) (*NullChecker, error) {
-	return core.NewOptNullCached(prog, db, cache)
-}
-
-// NewNullCheckerStatic is NewNullCheckerCached with an explicit static
+// NewNullCheckerStatic is NewNullChecker with an explicit static
 // pipeline configuration.
-func NewNullCheckerStatic(prog *Program, db *InvariantDB, cache *ArtifactCache, cfg StaticConfig) (*NullChecker, error) {
-	return core.NewOptNullStatic(prog, db, cache, cfg)
+func NewNullCheckerStatic(prog *Program, db *InvariantDB, cfg StaticConfig) (*NullChecker, error) {
+	return core.NewOptNull(prog, db, cfg)
 }
 
 // NewHybridNullChecker builds the traditional hybrid null-checking
 // baseline (sound static discharge only — no likely invariants, no
 // rollback).
 func NewHybridNullChecker(prog *Program) (*HybridNullChecker, error) {
-	return core.NewHybridNull(prog)
+	return core.NewHybridNull(prog, StaticConfig{Workers: 1})
 }
 
 // RunNullAlways runs the unoptimized baseline: every pointer
@@ -315,8 +297,8 @@ func RunDJIT(prog *Program, e Execution, opts RunOptions) (*RaceReport, error) {
 // violated likely-invariant facts out of the database, re-runs the
 // predicated static analysis in the background, and hot-swaps the new
 // generation in — so one mis-speculation never costs a second
-// rollback. Use RunRace/RunSlice for the refine-and-retry loop, or
-// install it as RunOptions.Adapt to only observe.
+// rollback. Use RunAdaptive for the refine-and-retry loop, or install
+// it as RunOptions.Adapt to only observe.
 type SpeculationManager = adapt.Manager
 
 // SpeculationOptions configures a SpeculationManager.
@@ -331,15 +313,45 @@ type SpeculationStatus = adapt.Status
 // GenerationRecord describes one deployed refinement generation.
 type GenerationRecord = adapt.GenerationRecord
 
-// RaceAttempt / SliceAttempt are single-generation attempts within the
-// refine-and-retry loops.
-type RaceAttempt = adapt.RaceAttempt
+// Outcome is the part of every report the speculative pipeline owns:
+// event counts, check events, the rollback flag and violation, the
+// program output and dispatch counters.
+type Outcome = core.Outcome
+
+// Report is implemented by RaceReport, SliceReport and NullReport
+// through their embedded Outcome.
+type Report = core.Report
+
+// RaceAttempt is one generation's race-detection attempt within the
+// refine-and-retry loop.
+type RaceAttempt = adapt.Attempt[*RaceReport]
 
 // SliceAttempt is one generation's slicing attempt.
-type SliceAttempt = adapt.SliceAttempt
+type SliceAttempt = adapt.Attempt[*SliceReport]
 
 // NullAttempt is one generation's null-checking attempt.
-type NullAttempt = adapt.NullAttempt
+type NullAttempt = adapt.Attempt[*NullReport]
+
+// RunAdaptive is the refine-and-retry loop for one execution: run the
+// client c selects under the manager's current generation; on a
+// refinable rollback, refine the violated invariant, re-analyze and
+// retry under the new generation. The last attempt's report is
+// authoritative. Select the client with AdaptiveRace, AdaptiveSlice or
+// AdaptiveNull.
+func RunAdaptive[D adapt.Detector[R], R Report](m *SpeculationManager, c adapt.Spec[D, R], e Execution, opts RunOptions) ([]adapt.Attempt[R], error) {
+	return adapt.Run(m, c, e, opts)
+}
+
+// AdaptiveRace selects OptFT for RunAdaptive.
+func AdaptiveRace() adapt.Spec[*RaceDetector, *RaceReport] { return adapt.Race() }
+
+// AdaptiveSlice selects OptSlice for one criterion and budget.
+func AdaptiveSlice(criterion *Instr, budget int) adapt.Spec[*Slicer, *SliceReport] {
+	return adapt.Slice(criterion, budget)
+}
+
+// AdaptiveNull selects OptNull for RunAdaptive.
+func AdaptiveNull() adapt.Spec[*NullChecker, *NullReport] { return adapt.Null() }
 
 // NewSpeculationManager returns the adaptive manager for prog with
 // base invariant database db (generation 1).

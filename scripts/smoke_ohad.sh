@@ -2,7 +2,8 @@
 # Smoke test for the ohad analysis daemon: start it, push a program
 # through profile -> race end to end over HTTP, force a mis-speculation
 # through the adaptive loop (refine -> /speculation generation bump ->
-# clean second run), check /healthz and /metrics, then restart the
+# clean second run), run plain and adaptive slice and nullcheck jobs,
+# check /healthz and /metrics, then restart the
 # daemon against its warm -cache-dir and assert the first race job
 # runs with zero compile/solve cache misses (everything served from
 # the persisted disk tier). Pure curl + grep so it runs anywhere CI
@@ -192,6 +193,30 @@ curl -fsS "$BASE/v1/jobs/$ADAPT_JOB2/result" -o "$RESP" || fail "second adaptive
 grep -q '"rolled_back": false' "$RESP" || fail "second adaptive run rolled back: $(cat "$RESP")"
 [ "$(json_num "$RESP" attempts)" = 1 ] || fail "second adaptive run took $(json_num "$RESP" attempts) attempts, want 1"
 echo "adaptive rerun: $ADAPT_JOB2 clean in one attempt"
+
+# --- Slice jobs -------------------------------------------------------
+# A plain and an adaptive slice job on the adaptive program (the last
+# print is the criterion): both must report the analysis discipline
+# and a non-empty set of sliced source lines.
+# check_slice JOB -> asserts the slice result shape.
+check_slice() {
+  await_job "$1"
+  curl -fsS "$BASE/v1/jobs/$1/result" -o "$RESP" || fail "slice result fetch failed"
+  [ -n "$(json_field "$RESP" analysis_type)" ] || fail "slice result has no analysis_type: $(cat "$RESP")"
+  grep -A1 '"lines": \[' "$RESP" | grep -Eq '^ *[0-9]+,?$' || fail "slice result has no lines: $(cat "$RESP")"
+}
+curl -fsS "$BASE/v1/jobs" -o "$RESP" \
+  -d "{\"kind\":\"slice\",\"program_id\":\"$ADAPT_ID\",\"inputs\":[5],\"invariants_id\":\"adapt-smoke\"}" ||
+  fail "slice submit failed"
+SLICE_JOB=$(json_field "$RESP" id)
+check_slice "$SLICE_JOB"
+echo "slice: $SLICE_JOB done ($(json_field "$RESP" analysis_type))"
+curl -fsS "$BASE/v1/jobs" -o "$RESP" \
+  -d "{\"kind\":\"slice\",\"program_id\":\"$ADAPT_ID\",\"inputs\":[500],\"invariants_id\":\"adapt-smoke\",\"adapt\":true}" ||
+  fail "adaptive slice submit failed"
+ADAPT_SLICE_JOB=$(json_field "$RESP" id)
+check_slice "$ADAPT_SLICE_JOB"
+echo "adaptive slice: $ADAPT_SLICE_JOB done (generation $(json_num "$RESP" generation))"
 
 # --- Adaptive null checking ------------------------------------------
 # Same closed loop for the third client: profile a pointer program on
