@@ -295,6 +295,7 @@ func NewHybridFT(prog *ir.Program, cfg StaticConfig) (*HybridFT, error) {
 // Run executes one analysis under the hybrid instrumentation.
 func (h *HybridFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
 	det := fasttrack.New()
+	defer det.Release()
 	res, err := opts.run(interp.Config{
 		Prog:      h.Prog,
 		Inputs:    e.Inputs,
@@ -419,6 +420,7 @@ func (o *OptFT) ElidedAccesses() int {
 func (o *OptFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
 	abort := &interp.Abort{}
 	det := fasttrack.New()
+	defer det.Release()
 	checker := newRaceChecker(o.Prog, o.DB, abort)
 	cfg := interp.Config{
 		Prog:      o.Prog,
@@ -509,6 +511,7 @@ func (o *OptFT) setElidable(set *bitset.Set) {
 // (possibly false) race reports.
 func (o *OptFT) runWithoutRollback(e Execution, opts RunOptions) (*RaceReport, error) {
 	det := fasttrack.New()
+	defer det.Release()
 	res, err := opts.run(interp.Config{
 		Prog:      o.Prog,
 		Inputs:    e.Inputs,

@@ -210,6 +210,7 @@ func NewHybridSlicer(prog *ir.Program, criterion *ir.Instr, budget int, cfg Stat
 // Run performs one hybrid dynamic slicing of e.
 func (h *HybridSlicer) Run(e Execution, opts RunOptions) (*SliceReport, error) {
 	tr := dynslice.New(h.Prog, nil)
+	defer tr.Release()
 	if h.MaxTraceNodes > 0 {
 		tr.MaxNodes = h.MaxTraceNodes
 	}
@@ -336,6 +337,7 @@ func (o *OptSlice) CodeDigest() string { return o.code.ConfigDigest() }
 func (o *OptSlice) Run(e Execution, opts RunOptions) (*SliceReport, error) {
 	abort := &interp.Abort{}
 	tr := dynslice.New(o.Prog, abort)
+	defer tr.Release()
 	checker := o.tables.newChecker(abort, o.NoBloom)
 	cfg := interp.Config{
 		Prog:      o.Prog,

@@ -28,6 +28,8 @@ package dynslice
 
 import (
 	"errors"
+	"slices"
+	"sync"
 
 	"oha/internal/bitset"
 	"oha/internal/interp"
@@ -38,6 +40,14 @@ import (
 // ErrTraceExhausted is reported (via the interpreter's Abort flag)
 // when the trace exceeds MaxNodes.
 var ErrTraceExhausted = errors.New("dynslice: trace node limit exceeded")
+
+// defaultMaxNodes is the trace bound a zero MaxNodes stands for.
+const defaultMaxNodes = 4 << 20
+
+// pool recycles released tracers, so a run's arenas and shadow rows
+// start at the capacity an earlier run grew them to. Idle tracers are
+// dropped by the garbage collector like any pooled value.
+var pool sync.Pool
 
 // node is one dynamic instruction instance. Its dependence edges are
 // deps[dep : next node's dep] of the tracer's arena.
@@ -117,14 +127,45 @@ type retBinding struct {
 }
 
 // New returns a tracer for prog. abort, when non-nil, lets the tracer
-// stop the execution if the trace overflows MaxNodes.
+// stop the execution if the trace overflows MaxNodes. The tracer comes
+// from a pool of released ones when one is there; it is reset first,
+// so it behaves exactly like a freshly allocated tracer.
 func New(prog *ir.Program, abort *interp.Abort) *Tracer {
-	return &Tracer{
-		prog:         prog,
-		lastInstance: make([]int32, len(prog.Instrs)),
-		Abort:        abort,
-		MaxNodes:     4 << 20,
+	tr, _ := pool.Get().(*Tracer)
+	if tr == nil {
+		tr = &Tracer{}
 	}
+	tr.reset(prog, abort)
+	return tr
+}
+
+// Release returns tr to the pool New draws from. tr may not be used
+// after Release; the Slices it returned stay valid.
+func (tr *Tracer) Release() { pool.Put(tr) }
+
+// reset empties every table while keeping its storage. Rows are
+// truncated to length zero and regrown in place by push and memDefine,
+// which clear what they expose again.
+func (tr *Tracer) reset(prog *ir.Program, abort *interp.Abort) {
+	tr.prog = prog
+	tr.nodes = tr.nodes[:0]
+	tr.deps = tr.deps[:0]
+	tr.rows = tr.rows[:0]
+	tr.freeRows = tr.freeRows[:0]
+	for i := range tr.stacks {
+		tr.stacks[i] = tr.stacks[i][:0]
+	}
+	tr.retiring = activation{}
+	for i := range tr.lastMem {
+		tr.lastMem[i] = tr.lastMem[i][:0]
+	}
+	tr.lastInstance = slices.Grow(tr.lastInstance[:0], len(prog.Instrs))[:len(prog.Instrs)]
+	clear(tr.lastInstance)
+	tr.pendingCall = callBinding{}
+	tr.pendingRet = retBinding{}
+	tr.MaxNodes = 0
+	tr.Abort = abort
+	tr.full = false
 }
 
 // FastState implements interp.FastTracer: Exec events for opcodes the
@@ -194,8 +235,10 @@ func (tr *Tracer) push(t vc.TID, frame interp.FrameID, fn *ir.Function) int32 {
 		s = tr.freeRows[k-1]
 		tr.freeRows = tr.freeRows[:k-1]
 	} else {
+		// Within capacity the slot keeps the row array a released run
+		// left there; it is cleared below like any reused row.
 		s = int32(len(tr.rows))
-		tr.rows = append(tr.rows, nil)
+		tr.rows = slices.Grow(tr.rows, 1)[:s+1]
 	}
 	n := len(fn.Vars)
 	if r := tr.rows[s]; cap(r) >= n {
@@ -262,15 +305,11 @@ func (tr *Tracer) memDefine(a interp.Addr, id int32) {
 		tr.lastMem = append(tr.lastMem, nil)
 	}
 	cells := tr.lastMem[obj]
-	if int(off) >= len(cells) {
-		n := int(off) + 1
-		if n < 2*len(cells) {
-			n = 2 * len(cells)
-		}
-		grown := make([]int32, n)
-		copy(grown, cells)
-		tr.lastMem[obj] = grown
-		cells = grown
+	if old := len(cells); int(off) >= old {
+		n := max(int(off)+1, 2*old)
+		cells = slices.Grow(cells, n-old)[:n]
+		clear(cells[old:])
+		tr.lastMem[obj] = cells
 	}
 	cells[off] = id + 1
 }
@@ -297,7 +336,11 @@ func (tr *Tracer) Exec(t vc.TID, in *ir.Instr, frame interp.FrameID, addr interp
 	if tr.full {
 		return
 	}
-	if len(tr.nodes) >= tr.MaxNodes {
+	limit := tr.MaxNodes
+	if limit == 0 {
+		limit = defaultMaxNodes
+	}
+	if len(tr.nodes) >= limit {
 		tr.full = true
 		if tr.Abort != nil {
 			tr.Abort.Set(ErrTraceExhausted.Error())

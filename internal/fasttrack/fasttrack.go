@@ -29,7 +29,9 @@ package fasttrack
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"oha/internal/interp"
 	"oha/internal/ir"
@@ -138,11 +140,12 @@ type Detector struct {
 	rIn  [][]*ir.Instr
 	wIn  [][]*ir.Instr
 	meta [][]varMeta
-	// rvcPool recycles inflated read clocks: a write to a READ_SHARED
+	// spare holds bottom clocks for reuse: a write to a READ_SHARED
 	// variable collapses its read state and frees the clock, and the
-	// next SHARE inflation reuses it instead of allocating.
-	rvcPool []*vc.VC
-	races   map[Key]Race
+	// next SHARE inflation reuses it instead of allocating; reset frees
+	// every thread, lock and read clock of the previous run here too.
+	spare []*vc.VC
+	races map[Key]Race
 	// racyAddrs is tracked independently of the per-static-pair race
 	// dedup: one static instruction can race on several addresses.
 	racyAddrs map[interp.Addr]bool
@@ -152,13 +155,63 @@ type Detector struct {
 	Checks uint64
 }
 
-// New returns an empty detector.
+// pool recycles released detectors, so a run's shadow rows, clocks and
+// maps start at the capacity an earlier run grew them to. Idle
+// detectors are dropped by the garbage collector like any pooled value.
+var pool sync.Pool
+
+// New returns an empty detector. It comes from a pool of released ones
+// when one is there; it is reset first, so it behaves exactly like a
+// freshly allocated detector.
 func New() *Detector {
+	if d, _ := pool.Get().(*Detector); d != nil {
+		d.reset()
+		return d
+	}
+	return newDetector()
+}
+
+// newDetector allocates an empty detector.
+func newDetector() *Detector {
 	return &Detector{
 		locks:     map[interp.Addr]*vc.VC{},
 		races:     map[Key]Race{},
 		racyAddrs: map[interp.Addr]bool{},
 	}
+}
+
+// Release returns d to the pool New draws from. d may not be used after
+// Release; the slices Races, RaceKeys and RacyAddrs returned stay valid.
+func (d *Detector) Release() { pool.Put(d) }
+
+// reset empties every table while keeping its storage. Shadow rows are
+// truncated to length zero, not cleared in place: the engine's inline
+// fast path takes the slow path on any offset past a row's length, so
+// a row must have exactly the length it has on a fresh detector, and
+// state regrows it in place, clearing what it exposes again.
+func (d *Detector) reset() {
+	for _, c := range d.threads {
+		d.freeVC(c)
+	}
+	d.threads = d.threads[:0]
+	d.epochs = d.epochs[:0]
+	for _, lm := range d.locks {
+		d.freeVC(lm)
+	}
+	clear(d.locks)
+	for i, row := range d.meta {
+		for _, m := range row {
+			d.freeVC(m.rvc)
+		}
+		d.meta[i] = row[:0]
+		d.rEp[i] = d.rEp[i][:0]
+		d.wEp[i] = d.wEp[i][:0]
+		d.rIn[i] = d.rIn[i][:0]
+		d.wIn[i] = d.wIn[i][:0]
+	}
+	clear(d.races)
+	clear(d.racyAddrs)
+	d.Checks = 0
 }
 
 // FastState implements interp.FastTracer: the engine settles
@@ -216,7 +269,7 @@ func (d *Detector) clock(t vc.TID) *vc.VC {
 		d.epochs = append(d.epochs, vc.NoEpoch)
 	}
 	if d.threads[t] == nil {
-		c := vc.New()
+		c := d.newVC()
 		c.Set(t, 1)
 		d.threads[t] = c
 		d.epochs[t] = vc.MakeEpoch(t, 1)
@@ -242,45 +295,41 @@ func (d *Detector) state(a interp.Addr) (int, int64) {
 		d.wIn = append(d.wIn, nil)
 		d.meta = append(d.meta, nil)
 	}
-	if int(off) >= len(d.rEp[obj]) {
-		n := int(off) + 1
-		if n < 2*len(d.rEp[obj]) {
-			n = 2 * len(d.rEp[obj])
-		}
-		gr := make([]vc.Epoch, n)
-		copy(gr, d.rEp[obj])
-		d.rEp[obj] = gr
-		gw := make([]vc.Epoch, n)
-		copy(gw, d.wEp[obj])
-		d.wEp[obj] = gw
-		gri := make([]*ir.Instr, n)
-		copy(gri, d.rIn[obj])
-		d.rIn[obj] = gri
-		gwi := make([]*ir.Instr, n)
-		copy(gwi, d.wIn[obj])
-		d.wIn[obj] = gwi
-		gm := make([]varMeta, n)
-		copy(gm, d.meta[obj])
-		d.meta[obj] = gm
+	if old := len(d.rEp[obj]); int(off) >= old {
+		n := max(int(off)+1, 2*old)
+		d.rEp[obj] = extend(d.rEp[obj], n)
+		d.wEp[obj] = extend(d.wEp[obj], n)
+		d.rIn[obj] = extend(d.rIn[obj], n)
+		d.wIn[obj] = extend(d.wIn[obj], n)
+		d.meta[obj] = extend(d.meta[obj], n)
 	}
 	return obj, off
 }
 
-// newRVC takes a read clock from the pool (bottom) or allocates one.
-func (d *Detector) newRVC() *vc.VC {
-	if n := len(d.rvcPool); n > 0 {
-		rvc := d.rvcPool[n-1]
-		d.rvcPool = d.rvcPool[:n-1]
-		return rvc
+// extend lengthens row to n, in place when its capacity allows, and
+// zeroes the new tail: capacity a reset row kept may hold stale state.
+func extend[T any](row []T, n int) []T {
+	old := len(row)
+	row = slices.Grow(row, n-old)[:n]
+	clear(row[old:])
+	return row
+}
+
+// newVC takes a bottom clock from spare or allocates one.
+func (d *Detector) newVC() *vc.VC {
+	if n := len(d.spare); n > 0 {
+		c := d.spare[n-1]
+		d.spare = d.spare[:n-1]
+		return c
 	}
 	return vc.New()
 }
 
-// freeRVC recycles a collapsed read clock.
-func (d *Detector) freeRVC(rvc *vc.VC) {
-	if rvc != nil {
-		rvc.Reset()
-		d.rvcPool = append(d.rvcPool, rvc)
+// freeVC recycles a clock no longer in use (nil: none).
+func (d *Detector) freeVC(c *vc.VC) {
+	if c != nil {
+		c.Reset()
+		d.spare = append(d.spare, c)
 	}
 }
 
@@ -323,7 +372,7 @@ func (d *Detector) loadAt(t vc.TID, ct *vc.VC, e vc.Epoch, in *ir.Instr, addr in
 		return
 	}
 	// SHARE: inflate to a read vector clock (pooled).
-	rvc := d.newRVC()
+	rvc := d.newVC()
 	rvc.Set(r.TID(), r.Clock())
 	rvc.Set(t, e.Clock())
 	d.meta[obj][off].rvc = rvc
@@ -359,7 +408,7 @@ func (d *Detector) storeAt(t vc.TID, ct *vc.VC, e vc.Epoch, in *ir.Instr, addr i
 		}
 		// The write dominates: drop back to exclusive-read bottom.
 		d.rEp[obj][off] = vc.NoEpoch
-		d.freeRVC(m.rvc)
+		d.freeVC(m.rvc)
 		m.rvc = nil
 	case r != vc.NoEpoch && !ct.LeqEpoch(r):
 		d.report(ReadWrite, addr, t, in, d.rIn[obj][off])
@@ -382,7 +431,7 @@ func (d *Detector) Unlock(t vc.TID, _ *ir.Instr, addr interp.Addr) {
 	ct := d.clock(t)
 	lm := d.locks[addr]
 	if lm == nil {
-		lm = vc.New()
+		lm = d.newVC()
 		d.locks[addr] = lm
 	}
 	lm.Assign(ct)

@@ -23,7 +23,9 @@ import (
 
 	"oha/internal/artifacts"
 	"oha/internal/core"
+	"oha/internal/interp"
 	"oha/internal/ir"
+	"oha/internal/sched"
 	"oha/internal/workloads"
 )
 
@@ -124,6 +126,18 @@ func profileExec(w *workloads.Workload, i int) core.Execution {
 // candidate/testing corpus split).
 func testExec(w *workloads.Workload, i int) core.Execution {
 	return core.Execution{Inputs: w.GenInput(1000 + i), Seed: uint64(2000 + i)}
+}
+
+// plainRunner returns the uninstrumented run that Figure 5/6 runtimes
+// are normalized to. It runs core.RunPlain's configuration, no site
+// flagged for any event, from one image compiled here: RunPlain
+// compiles on every call, and on short runs the compile costs as much
+// as the run.
+func plainRunner(prog *ir.Program) func(core.Execution) (*interp.Result, error) {
+	code := interp.Compile(prog, interp.Masks{Mem: []bool{}, Sync: []bool{}, Block: []bool{}})
+	return func(e core.Execution) (*interp.Result, error) {
+		return interp.Run(interp.Config{Prog: prog, Inputs: e.Inputs, Choose: sched.NewSeeded(e.Seed), Code: code})
+	}
 }
 
 // timed measures the wall-clock seconds of f.

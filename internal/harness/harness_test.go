@@ -2,15 +2,40 @@ package harness
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"oha/internal/core"
+	"oha/internal/workloads"
 )
 
 // tiny returns options that keep the experiments fast in tests.
 func tiny() Options {
 	return Options{ProfileRuns: 8, TestRuns: 2, Budget: 24, Repeat: 1}
+}
+
+// The Figure 5/6 baseline runs a precompiled image; it must execute
+// exactly what core.RunPlain executes.
+func TestPlainRunnerMatchesRunPlain(t *testing.T) {
+	for _, w := range append(workloads.Races(), workloads.Slices()...) {
+		prog := w.Prog()
+		plain := plainRunner(prog)
+		for i := 0; i < 2; i++ {
+			e := testExec(w, i)
+			got, err := plain(e)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", w.Name, i, err)
+			}
+			want, err := core.RunPlain(prog, e, core.RunOptions{})
+			if err != nil {
+				t.Fatalf("%s/%d: RunPlain: %v", w.Name, i, err)
+			}
+			if !reflect.DeepEqual(got.Output, want.Output) || got.Stats.Steps != want.Stats.Steps {
+				t.Errorf("%s/%d: output %v in %d steps, RunPlain %v in %d", w.Name, i, got.Output, got.Stats.Steps, want.Output, want.Stats.Steps)
+			}
+		}
+	}
 }
 
 func TestFig5ShapesAndSoundness(t *testing.T) {

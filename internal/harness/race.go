@@ -112,10 +112,11 @@ func fig5Row(env *env, w *workloads.Workload) (Fig5Row, error) {
 	}
 
 	prog := w.Prog()
+	plain := plainRunner(prog)
 	for i := 0; i < opts.TestRuns; i++ {
 		e := testExec(w, i)
 		sec, err := env.timedN(func() error {
-			_, err := core.RunPlain(prog, e, core.RunOptions{})
+			_, err := plain(e)
 			return err
 		})
 		if err != nil {

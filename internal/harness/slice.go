@@ -100,10 +100,11 @@ func fig6Row(env *env, w *workloads.Workload) (Fig6Row, error) {
 		OptAT:        s.opt.AT,
 	}
 	prog := w.Prog()
+	plain := plainRunner(prog)
 	for i := 0; i < opts.TestRuns; i++ {
 		e := testExec(w, i)
 		sec, err := env.timedN(func() error {
-			_, err := core.RunPlain(prog, e, core.RunOptions{})
+			_, err := plain(e)
 			return err
 		})
 		if err != nil {
