@@ -557,30 +557,6 @@ func BenchmarkAblationEpochVsVC(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationContextBloom compares the Bloom-prefiltered
-// call-context check against plain hash-set lookups (§5.2.3's "naive
-// implementation was too inefficient" observation).
-func BenchmarkAblationContextBloom(b *testing.B) {
-	for _, name := range []string{"sphinx", "vim"} {
-		w := workloads.ByName(name)
-		e := testExecOf(w, 0)
-		for _, mode := range []string{"bloom", "exact"} {
-			mode := mode
-			b.Run(name+"/"+mode, func(b *testing.B) {
-				s := setupFor(b, w)
-				s.sl.NoBloom = mode == "exact"
-				defer func() { s.sl.NoBloom = false }()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.sl.Run(e, core.RunOptions{}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkAblationAggressiveLUC measures the §2.1 stability/strength
 // trade-off: OptFT with the standard invariant set vs the aggressive
 // one (blocks must appear in 60% of profiled runs to stay "reachable").

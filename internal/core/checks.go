@@ -1,8 +1,9 @@
 package core
 
 import (
+	"slices"
+
 	"oha/internal/bitset"
-	"oha/internal/bloom"
 	"oha/internal/interp"
 	"oha/internal/invariants"
 	"oha/internal/ir"
@@ -15,8 +16,8 @@ import (
 // violation (§2.3). The checks are deliberately cheap — a flag test at
 // a likely-unreachable block, a counter at a spawn site, an address
 // comparison at a paired lock site, a set-inclusion test at an
-// indirect call, and a Bloom-filter-guarded stack check for call
-// contexts (§5.2.3).
+// indirect call, and one transition-table probe per context-extending
+// call for call contexts (§5.2.3).
 
 // raceChecker verifies the OptFT invariants: likely-unreachable code,
 // likely singleton threads, and likely guarding locks. (No custom
@@ -137,11 +138,10 @@ type sliceTables struct {
 	nfuncs  int
 	luc     []bool        // block ID -> assumed unreachable
 	callees []*bitset.Set // instr ID -> allowed callee fn IDs (nil: none)
-	// checkCtx enables the call-context check; ctxHashes/ctxBloom hold
-	// the observed contexts' hashes and their Bloom prefilter.
-	checkCtx  bool
-	ctxHashes map[uint64]bool
-	ctxBloom  *bloom.Filter
+	// checkCtx enables the call-context check over ctx, the trie of the
+	// observed contexts.
+	checkCtx bool
+	ctx      *ctxTrie
 }
 
 func newSliceTables(prog *ir.Program, db *invariants.DB, checkContexts bool) *sliceTables {
@@ -161,10 +161,109 @@ func newSliceTables(prog *ir.Program, db *invariants.DB, checkContexts bool) *sl
 		}
 	}
 	if checkContexts {
-		t.ctxHashes = db.Contexts.HashSet()
-		t.ctxBloom = db.Contexts.Bloom(0.01)
+		t.ctx = newCtxTrie(db.Contexts.SortedPaths(), len(prog.Instrs))
 	}
 	return t
+}
+
+// ctxTrie is the exact automaton of a set of call contexts. State 0 is
+// the empty context; every other state is a path of call sites, reached
+// from its parent state by its last site. A state exists for every
+// prefix of a context, and member marks the contexts themselves: the
+// set need not be prefix-closed. -1 stands for every path with no
+// state, none of which is a member, and stays -1 under extension.
+type ctxTrie struct {
+	parent []int32 // state -> parent state (-1 for the empty context)
+	site   []int32 // state -> last call site (-1 for the empty context)
+	member []bool  // state -> the path is an observed context
+	// keys/children are an open-addressed (linear probing) table of the
+	// transitions: key (parent+1)<<32 | site, 0 marking a free slot.
+	keys     []uint64
+	children []int32
+	shift    uint8 // 64 - log2(len(keys))
+}
+
+// newCtxTrie builds the trie of paths over call sites [0, nsites).
+// A path naming any other site can never be observed at run time, so
+// dropping it is exact.
+func newCtxTrie(paths [][]int, nsites int) *ctxTrie {
+	tr := &ctxTrie{parent: []int32{-1}, site: []int32{-1}, member: []bool{false}}
+	// At most n-1 transitions: a table of 2n slots or more is at most
+	// half full, so every probe ends at a free slot.
+	n := 1
+	for _, p := range paths {
+		n += len(p)
+	}
+	bits := 1
+	for 1<<bits < 2*n {
+		bits++
+	}
+	tr.keys = make([]uint64, 1<<bits)
+	tr.children = make([]int32, 1<<bits)
+	tr.shift = uint8(64 - bits)
+pathLoop:
+	for _, p := range paths {
+		for _, s := range p {
+			if s < 0 || s >= nsites {
+				continue pathLoop
+			}
+		}
+		st := int32(0)
+		for _, s := range p {
+			i, found := tr.slot(st, s)
+			if !found {
+				tr.keys[i] = ctxKey(st, s)
+				tr.children[i] = int32(len(tr.parent))
+				tr.parent = append(tr.parent, st)
+				tr.site = append(tr.site, int32(s))
+				tr.member = append(tr.member, false)
+			}
+			st = tr.children[i]
+		}
+		tr.member[st] = true
+	}
+	return tr
+}
+
+func ctxKey(st int32, site int) uint64 { return uint64(st+1)<<32 | uint64(uint32(site)) }
+
+// slot returns the table slot of transition (st, site): the slot
+// holding it, or the free slot where it would go.
+func (tr *ctxTrie) slot(st int32, site int) (int, bool) {
+	k := ctxKey(st, site)
+	mask := len(tr.keys) - 1
+	for i := int(k * 0x9e3779b97f4a7c15 >> tr.shift); ; i = (i + 1) & mask {
+		switch tr.keys[i] {
+		case k:
+			return i, true
+		case 0:
+			return i, false
+		}
+	}
+}
+
+// next returns the state of st's path extended by site.
+func (tr *ctxTrie) next(st int32, site int) int32 {
+	if st < 0 {
+		return -1
+	}
+	if i, ok := tr.slot(st, site); ok {
+		return tr.children[i]
+	}
+	return -1
+}
+
+// known reports whether st is an observed context.
+func (tr *ctxTrie) known(st int32) bool { return st >= 0 && tr.member[st] }
+
+// path returns the sites of st's path extended by site (st >= 0).
+func (tr *ctxTrie) path(st int32, site int) []int {
+	out := []int{site}
+	for ; st > 0; st = tr.parent[st] {
+		out = append(out, int(tr.site[st]))
+	}
+	slices.Reverse(out)
+	return out
 }
 
 // sliceChecker verifies the OptSlice invariants: likely-unreachable
@@ -173,19 +272,15 @@ func newSliceTables(prog *ir.Program, db *invariants.DB, checkContexts bool) *sl
 type sliceChecker struct {
 	*sliceTables
 	checkState
-	// bloom is the run's context prefilter: the tables' filter, or nil
-	// for hash-set lookups only (the NoBloom ablation).
-	bloom  *bloom.Filter
 	stacks []*checkStack // by TID
 }
 
 // checkStack mirrors the profiler's acyclic context-tracking stack,
-// with incremental hashes for the Bloom fast path.
+// with the trie state of each extended frame's context.
 type checkStack struct {
 	frames []checkFrame
 	active []int32 // fn ID -> activations on the stack
-	path   []int
-	hashes []uint64 // hash prefix per extended frame
+	states []int32 // trie state per extended frame
 }
 
 type checkFrame struct {
@@ -193,24 +288,17 @@ type checkFrame struct {
 	extended bool
 }
 
-// newChecker starts one run's checker over t. noBloom switches the
-// call-context check to exact set inclusion only — the configuration
-// the paper found "too inefficient for some programs" (§5.2.3); kept
-// for the ablation benchmarks.
-func (t *sliceTables) newChecker(abort *interp.Abort, noBloom bool) *sliceChecker {
-	c := &sliceChecker{sliceTables: t, checkState: checkState{abort: abort}, bloom: t.ctxBloom}
-	if noBloom {
-		c.bloom = nil
-	}
-	return c
+// newChecker starts one run's checker over t.
+func (t *sliceTables) newChecker(abort *interp.Abort) *sliceChecker {
+	return &sliceChecker{sliceTables: t, checkState: checkState{abort: abort}}
 }
 
-// newStack returns an empty context stack rooted at fnID.
-func (c *sliceChecker) newStack(fnID int, h uint64) *checkStack {
+// newStack returns a context stack rooted at fnID in trie state st.
+func (c *sliceChecker) newStack(fnID int, st int32) *checkStack {
 	s := &checkStack{active: make([]int32, c.nfuncs)}
 	s.frames = append(s.frames, checkFrame{fnID: fnID, extended: true})
 	s.active[fnID] = 1
-	s.hashes = append(s.hashes, h)
+	s.states = append(s.states, st)
 	return s
 }
 
@@ -226,15 +314,26 @@ func (c *sliceChecker) stack(t vc.TID) *checkStack {
 	if int(t) < len(c.stacks) && c.stacks[t] != nil {
 		return c.stacks[t]
 	}
-	s := c.newStack(c.mainFn, invariants.EmptyContextHash)
+	s := c.newStack(c.mainFn, 0)
 	c.setStack(t, s)
 	return s
 }
 
-// knownContext reports whether h is an observed context hash: Bloom
-// prefilter, then the hash-set membership test.
-func (c *sliceChecker) knownContext(h uint64) bool {
-	return (c.bloom == nil || c.bloom.MayContain(h)) && c.ctxHashes[h]
+// enter checks the context that extending state from by site enters,
+// and returns its state.
+func (c *sliceChecker) enter(from int32, site int) int32 {
+	st := c.ctx.next(from, site)
+	c.Events++
+	if !c.ctx.known(st) {
+		v := Violation{Kind: ViolationCallContext, Site: site, Callee: -1}
+		// Only the first violation is reported. Every context entered
+		// before it was known, so from is a state of the trie.
+		if !c.abort.IsSet() {
+			v.Path = c.ctx.path(from, site)
+		}
+		c.violate(v)
+	}
+	return st
 }
 
 // checkCallee fires the likely-callee-set check at an indirect site.
@@ -265,22 +364,14 @@ func (c *sliceChecker) Call(t vc.TID, in *ir.Instr, callee *ir.Function) {
 	fr := checkFrame{fnID: callee.ID}
 	if s.active[callee.ID] == 0 {
 		fr.extended = true
-		s.path = append(s.path, in.ID)
-		h := invariants.HashExtend(s.hashes[len(s.hashes)-1], in.ID)
-		s.hashes = append(s.hashes, h)
-		c.Events++
-		if !c.knownContext(h) {
-			c.violate(Violation{
-				Kind: ViolationCallContext, Site: in.ID, Callee: -1,
-				Path: append([]int(nil), s.path...),
-			})
-		}
+		s.states = append(s.states, c.enter(s.states[len(s.states)-1], in.ID))
 	}
 	s.active[callee.ID]++
 	s.frames = append(s.frames, fr)
 }
 
-// Spawn begins a new thread-root context.
+// Spawn begins a new thread-root context: the parent's context
+// extended by the spawn site.
 func (c *sliceChecker) Spawn(t vc.TID, in *ir.Instr, child vc.TID, callee *ir.Function) {
 	if in.IsIndirect() {
 		c.checkCallee(in, callee)
@@ -288,21 +379,12 @@ func (c *sliceChecker) Spawn(t vc.TID, in *ir.Instr, child vc.TID, callee *ir.Fu
 	if !c.checkCtx {
 		return
 	}
-	path := append(append([]int(nil), c.stack(t).path...), in.ID)
-	h := invariants.HashContext(path)
-	s := c.newStack(callee.ID, h)
-	s.path = path
-	c.Events++
-	if !c.knownContext(h) {
-		c.violate(Violation{
-			Kind: ViolationCallContext, Site: in.ID, Callee: -1,
-			Path: append([]int(nil), s.path...),
-		})
-	}
-	c.setStack(child, s)
+	p := c.stack(t)
+	c.setStack(child, c.newStack(callee.ID, c.enter(p.states[len(p.states)-1], in.ID)))
 }
 
-// Ret unwinds the context stack.
+// Ret unwinds the context stack. A thread's root state stays: nothing
+// runs on the thread after its root returns.
 func (c *sliceChecker) Ret(t vc.TID) {
 	if !c.checkCtx {
 		return
@@ -314,8 +396,7 @@ func (c *sliceChecker) Ret(t vc.TID) {
 	fr := s.frames[len(s.frames)-1]
 	s.frames = s.frames[:len(s.frames)-1]
 	s.active[fr.fnID]--
-	if fr.extended && len(s.path) > 0 {
-		s.path = s.path[:len(s.path)-1]
-		s.hashes = s.hashes[:len(s.hashes)-1]
+	if fr.extended && len(s.states) > 1 {
+		s.states = s.states[:len(s.states)-1]
 	}
 }

@@ -272,10 +272,6 @@ type OptSlice struct {
 	blockMask []bool
 	code      *interp.Code
 	tables    *sliceTables
-	// NoBloom disables the Bloom-filter fast path of the call-context
-	// check (exact set inclusion only) — ablation of the paper's
-	// §5.2.3 optimization.
-	NoBloom bool
 }
 
 // NewOptSlice runs the predicated static slicer (context-sensitive
@@ -338,7 +334,7 @@ func (o *OptSlice) Run(e Execution, opts RunOptions) (*SliceReport, error) {
 	abort := &interp.Abort{}
 	tr := dynslice.New(o.Prog, abort)
 	defer tr.Release()
-	checker := o.tables.newChecker(abort, o.NoBloom)
+	checker := o.tables.newChecker(abort)
 	cfg := interp.Config{
 		Prog:      o.Prog,
 		Inputs:    e.Inputs,

@@ -80,6 +80,12 @@ type Tracer struct {
 	freeRows []int32
 	stacks   [][]activation
 	retiring activation
+	// cur caches the row of curFrame, the activation of the last Exec
+	// that recorded a node. Frame IDs are unique within a run, so once
+	// curFrame retires no Exec names it again, and the recycled row
+	// cur may still share is never read through the cache.
+	curFrame interp.FrameID
+	cur      []int32
 
 	// lastMem tracks each address's last traced store node, laid out as
 	// per-object slices mirroring the interpreter's heap
@@ -156,6 +162,7 @@ func (tr *Tracer) reset(prog *ir.Program, abort *interp.Abort) {
 		tr.stacks[i] = tr.stacks[i][:0]
 	}
 	tr.retiring = activation{}
+	tr.curFrame, tr.cur = 0, nil
 	for i := range tr.lastMem {
 		tr.lastMem[i] = tr.lastMem[i][:0]
 	}
@@ -348,7 +355,11 @@ func (tr *Tracer) Exec(t vc.TID, in *ir.Instr, frame interp.FrameID, addr interp
 		return
 	}
 
-	regs := tr.rows[tr.frameRow(t, frame, in.Block.Fn)]
+	regs := tr.cur
+	if frame != tr.curFrame {
+		regs = tr.rows[tr.frameRow(t, frame, in.Block.Fn)]
+		tr.curFrame, tr.cur = frame, regs
+	}
 	id := int32(len(tr.nodes))
 	tr.nodes = append(tr.nodes, node{instr: int32(in.ID), dep: int32(len(tr.deps))})
 	tr.operandDep(regs, in.A)

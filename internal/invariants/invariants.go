@@ -33,7 +33,6 @@ import (
 	"strings"
 
 	"oha/internal/bitset"
-	"oha/internal/bloom"
 )
 
 // LockPair is an unordered pair of lock-site instruction IDs profiled
@@ -354,7 +353,7 @@ func Parse(r io.Reader) (*DB, error) {
 			if colon < 0 {
 				return nil, fmt.Errorf("invariants: line %d: bad callee entry %q", lineNo, line)
 			}
-			site, err := strconv.Atoi(strings.TrimSpace(line[:colon]))
+			site, err := parseID(strings.TrimSpace(line[:colon]))
 			if err != nil {
 				return nil, fmt.Errorf("invariants: line %d: %w", lineNo, err)
 			}
@@ -398,6 +397,21 @@ func Parse(r io.Reader) (*DB, error) {
 	return db, nil
 }
 
+// maxID bounds the IDs a database may name. IDs index a program's
+// block, instruction and function tables; the bound keeps one hostile
+// integer from sizing a set's storage.
+const maxID = 1 << 20
+
+// parseID parses one ID in [0, maxID).
+func parseID(f string) (int, error) {
+	v, err := strconv.Atoi(f)
+	if err != nil || v < 0 || v >= maxID {
+		return 0, fmt.Errorf("bad ID %q", f)
+	}
+	return v, nil
+}
+
+// parseInts parses a space-separated list of IDs.
 func parseInts(line string) ([]int, error) {
 	if line == "" {
 		return nil, nil
@@ -405,9 +419,9 @@ func parseInts(line string) ([]int, error) {
 	fields := strings.Fields(line)
 	out := make([]int, len(fields))
 	for i, f := range fields {
-		v, err := strconv.Atoi(f)
+		v, err := parseID(f)
 		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", f)
+			return nil, err
 		}
 		out[i] = v
 	}
@@ -496,50 +510,6 @@ func (cs *ContextSet) SortedPaths() [][]int {
 	out := make([][]int, len(keys))
 	for i, k := range keys {
 		out[i] = cs.set[k]
-	}
-	return out
-}
-
-// HashContext returns the incremental context hash of a full path.
-// The dynamic call-context check uses HashExtend to maintain it per
-// frame in O(1).
-func HashContext(path []int) uint64 {
-	h := EmptyContextHash
-	for _, s := range path {
-		h = HashExtend(h, s)
-	}
-	return h
-}
-
-// EmptyContextHash is the hash of the empty context.
-const EmptyContextHash uint64 = 0xcbf29ce484222325 // FNV-64 offset basis
-
-// HashExtend extends a context hash by one call site.
-func HashExtend(h uint64, site int) uint64 {
-	h ^= uint64(site) + 0x9e3779b97f4a7c15
-	h *= 0x100000001b3 // FNV-64 prime
-	return h
-}
-
-// Bloom builds a Bloom filter over the context hashes, used to make
-// the likely-unused-call-context runtime check cheap (§5.2.3).
-func (cs *ContextSet) Bloom(fpRate float64) *bloom.Filter {
-	f := bloom.New(len(cs.set)+1, fpRate)
-	for _, p := range cs.set {
-		f.Add(HashContext(p))
-	}
-	return f
-}
-
-// HashSet returns the 64-bit hashes of every observed context. The
-// runtime check tests membership by hash (maintained incrementally per
-// frame), with the Bloom filter as a cache-friendly prefilter; a
-// 64-bit hash collision could in principle mask a violation, the usual
-// "soundy" engineering trade also present in the paper's Bloom scheme.
-func (cs *ContextSet) HashSet() map[uint64]bool {
-	out := make(map[uint64]bool, len(cs.set))
-	for _, p := range cs.set {
-		out[HashContext(p)] = true
 	}
 	return out
 }

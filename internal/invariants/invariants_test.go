@@ -1,6 +1,7 @@
 package invariants
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -221,29 +222,39 @@ func TestContextSet(t *testing.T) {
 	}
 }
 
-func TestContextHashIncremental(t *testing.T) {
-	path := []int{3, 1, 4, 1, 5}
-	h := EmptyContextHash
-	for _, s := range path {
-		h = HashExtend(h, s)
-	}
-	if h != HashContext(path) {
-		t.Error("incremental hash != full hash")
-	}
-	if HashContext([]int{1, 2}) == HashContext([]int{2, 1}) {
-		t.Error("hash order-insensitive")
-	}
+// badIDInputs are databases naming a negative or out-of-range ID in
+// each place Parse reads one, with the line that names it.
+var badIDInputs = []struct {
+	text string
+	line int
+}{
+	{"[visited-blocks]\n1 -3\n", 2},
+	{"[must-alias-locks]\n-1 4\n", 2},
+	{"[singleton-spawns]\n-7\n", 2},
+	{"[elidable-locks]\n2\n-2\n", 3},
+	{"[callees]\n-4: 1\n", 2},
+	{"[callees]\n4: 1 -1\n", 2},
+	{"[contexts]\n.\n3 -5\n", 3},
+	{"[non-null-loads]\n-9\n", 2},
+	{"[visited-blocks]\n4611686018427387904\n", 2},
+	{"[callees]\n1: 99999999999\n", 2},
 }
 
-func TestContextBloom(t *testing.T) {
-	cs := NewContextSet()
-	cs.Add([]int{1})
-	cs.Add([]int{1, 5})
-	cs.Add(nil)
-	f := cs.Bloom(0.01)
-	for _, p := range cs.SortedPaths() {
-		if !f.MayContain(HashContext(p)) {
-			t.Errorf("bloom lost context %v", p)
+// TestParseRejectsBadIDs: an ID that indexes no program table is a
+// line-numbered error, never a panic — Parse reads untrusted bytes.
+func TestParseRejectsBadIDs(t *testing.T) {
+	for _, in := range badIDInputs {
+		var err error
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%q: Parse panicked: %v", in.text, r)
+				}
+			}()
+			_, err = Parse(strings.NewReader(in.text))
+		}()
+		if want := fmt.Sprintf("line %d:", in.line); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: err = %v, want an error at %s", in.text, err, want)
 		}
 	}
 }

@@ -505,4 +505,7 @@ func TestServerInvariantEndpoints(t *testing.T) {
 	if status := c.do("PUT", "/v1/invariants/bad..id", "# oha invariants v1\n", nil); status != http.StatusBadRequest {
 		t.Fatalf("bad id: status %d, want 400", status)
 	}
+	if status := c.do("PUT", "/v1/invariants/webdb", "[visited-blocks]\n1 -3\n", nil); status != http.StatusBadRequest {
+		t.Fatalf("negative block ID: status %d, want 400", status)
+	}
 }
