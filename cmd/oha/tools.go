@@ -282,7 +282,7 @@ func printLoc(loc interp.DebugLoc) {
 		ann += " ic"
 	}
 	if loc.Fused {
-		ann += " fused"
+		ann += " fused(" + loc.Micro + ")"
 	}
 	fmt.Printf("t%d pc=%d line=%d %s: %s%s\n", loc.TID, loc.PC, loc.Line, loc.Func, loc.Instr, ann)
 }

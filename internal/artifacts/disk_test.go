@@ -75,6 +75,53 @@ func TestCompiledDiskTier(t *testing.T) {
 	}
 }
 
+// TestCompiledDiskTierOldVersionMisses checks that a disk image in an
+// older format version is a cache miss: a restarted cache recompiles
+// instead of serving it, and the recompiled image replaces it on disk.
+func TestCompiledDiskTierOldVersionMisses(t *testing.T) {
+	prog := lang.MustCompile(diskSrc)
+	dir := t.TempDir()
+	key := artifacts.Key(artifacts.KindCompiled, prog, nil, 0, "masks")
+	codec := artifacts.CompiledCodec(prog)
+	compile := func() (any, error) { return interp.Compile(prog, interp.Masks{}), nil }
+
+	if _, err := artifacts.New(dir).Memo(key, codec, compile); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, key[:2], key+".ohc")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[6], data[7] = 2, 0 // the version follows the 6-byte magic
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c := artifacts.New(dir)
+	recompiled := false
+	v, err := c.Memo(key, codec, func() (any, error) {
+		recompiled = true
+		return compile()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !recompiled {
+		t.Fatal("a version-2 image was served from disk")
+	}
+	if st := c.Stats(); st.Misses != 1 || st.DiskHits != 0 {
+		t.Fatalf("stats = %+v, want 1 miss / 0 disk hits", st)
+	}
+	want := interp.Compile(prog, interp.Masks{}).EncodeImage()
+	if got := v.(*interp.Code).EncodeImage(); string(got) != string(want) {
+		t.Fatal("recompiled image differs from a fresh compile")
+	}
+	if data, err = os.ReadFile(path); err != nil || string(data) != string(want) {
+		t.Fatalf("disk tier still holds the stale image (err %v)", err)
+	}
+}
+
 // TestSolverDiskTier checks the points-to / mhp / race codecs through
 // the disk tier, including PeekDisk's install-without-miss semantics.
 func TestSolverDiskTier(t *testing.T) {

@@ -19,42 +19,31 @@ import (
 // indirect call, and one transition-table probe per context-extending
 // call for call contexts (§5.2.3).
 
-// raceChecker verifies the OptFT invariants: likely-unreachable code,
-// likely singleton threads, and likely guarding locks. (No custom
-// synchronization is verified by the race detector itself: any race
-// report while locks are elided is treated as a potential
-// mis-speculation.)
-type raceChecker struct {
-	interp.NopTracer
-	checkState
-
-	luc         []bool // block ID -> assumed unreachable
-	spawnOnce   []bool // instr ID -> assumed singleton spawn site
-	spawnCounts map[int]int
-
-	// Guarding-lock verification: sites connected by must-alias pairs
-	// form groups; every lock event at a grouped site must present the
-	// same single runtime address for the whole group.
-	lockGroup map[int]int // lock site -> group id
-	groupAddr map[int]interp.Addr
+// raceTables are the OptFT checker's read-only tables. They depend
+// only on (program, invariant database), so an OptFT builds them once
+// and every run shares them.
+type raceTables struct {
+	luc       []bool // block ID -> assumed unreachable
+	spawnOnce []bool // instr ID -> assumed singleton spawn site
+	// lockGroup maps a lock site to its guarding-lock group (-1: none).
+	// Sites connected by must-alias pairs form a group; every lock event
+	// at a grouped site must present the same single runtime address for
+	// the whole group.
+	lockGroup []int32
+	ngroups   int
 }
 
-// newRaceChecker builds the checker for a database. prog supplies site
-// tables.
-func newRaceChecker(prog *ir.Program, db *invariants.DB, abort *interp.Abort) *raceChecker {
-	c := &raceChecker{
-		checkState:  checkState{abort: abort},
-		luc:         make([]bool, len(prog.Blocks)),
-		spawnOnce:   make([]bool, len(prog.Instrs)),
-		spawnCounts: map[int]int{},
-		lockGroup:   map[int]int{},
-		groupAddr:   map[int]interp.Addr{},
+func newRaceTables(prog *ir.Program, db *invariants.DB) *raceTables {
+	t := &raceTables{
+		luc:       make([]bool, len(prog.Blocks)),
+		spawnOnce: make([]bool, len(prog.Instrs)),
+		lockGroup: make([]int32, len(prog.Instrs)),
 	}
 	for _, b := range prog.Blocks {
-		c.luc[b.ID] = db.LikelyUnreachable(b.ID)
+		t.luc[b.ID] = db.LikelyUnreachable(b.ID)
 	}
 	db.SingletonSpawns.ForEach(func(id int) bool {
-		c.spawnOnce[id] = true
+		t.spawnOnce[id] = true
 		return true
 	})
 	// Union-find over must-alias pairs to form lock groups.
@@ -76,10 +65,40 @@ func newRaceChecker(prog *ir.Program, db *invariants.DB, abort *interp.Abort) *r
 			parent[ra] = rb
 		}
 	}
-	for site := range parent {
-		c.lockGroup[site] = find(site)
+	for i := range t.lockGroup {
+		t.lockGroup[i] = -1
 	}
-	return c
+	groups := map[int]int32{} // root site -> dense group number
+	for site := range parent {
+		root := find(site)
+		g, ok := groups[root]
+		if !ok {
+			g = int32(len(groups))
+			groups[root] = g
+		}
+		t.lockGroup[site] = g
+	}
+	t.ngroups = len(groups)
+	return t
+}
+
+// raceChecker verifies the OptFT invariants: likely-unreachable code,
+// likely singleton threads, and likely guarding locks. (No custom
+// synchronization is verified by the race detector itself: any race
+// report while locks are elided is treated as a potential
+// mis-speculation.) It holds one run's state over shared tables.
+type raceChecker struct {
+	interp.NopTracer
+	*raceTables
+	checkState
+
+	spawnCounts map[int]int   // made on the first singleton spawn
+	groupAddr   []interp.Addr // by lock group; 0: no lock seen yet
+}
+
+// newChecker starts one run's checker over t.
+func (t *raceTables) newChecker(abort *interp.Abort) *raceChecker {
+	return &raceChecker{raceTables: t, checkState: checkState{abort: abort}}
 }
 
 // BlockEnter fires the likely-unreachable-code check.
@@ -94,6 +113,9 @@ func (c *raceChecker) BlockEnter(_ vc.TID, b *ir.Block) {
 func (c *raceChecker) Spawn(_ vc.TID, in *ir.Instr, _ vc.TID, _ interp.FrameID, _ *ir.Function) {
 	c.Events++
 	if c.spawnOnce[in.ID] {
+		if c.spawnCounts == nil {
+			c.spawnCounts = map[int]int{}
+		}
 		c.spawnCounts[in.ID]++
 		if c.spawnCounts[in.ID] > 1 {
 			c.violate(Violation{Kind: ViolationSingletonSpawn, Site: in.ID, Callee: -1})
@@ -101,14 +123,18 @@ func (c *raceChecker) Spawn(_ vc.TID, in *ir.Instr, _ vc.TID, _ interp.FrameID, 
 	}
 }
 
-// Lock fires the likely-guarding-locks check.
+// Lock fires the likely-guarding-locks check. A locked address is
+// always a pointer, never 0, so 0 marks a group with no lock seen yet.
 func (c *raceChecker) Lock(_ vc.TID, in *ir.Instr, addr interp.Addr) {
-	g, ok := c.lockGroup[in.ID]
-	if !ok {
+	g := c.lockGroup[in.ID]
+	if g < 0 {
 		return
 	}
 	c.Events++
-	if prev, seen := c.groupAddr[g]; seen {
+	if c.groupAddr == nil {
+		c.groupAddr = make([]interp.Addr, c.ngroups)
+	}
+	if prev := c.groupAddr[g]; prev != 0 {
 		if prev != addr {
 			c.violate(Violation{Kind: ViolationGuardingLock, Site: in.ID, Callee: -1})
 		}

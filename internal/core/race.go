@@ -229,10 +229,11 @@ func (o *optTracer) BlockEnter(t vc.TID, b *ir.Block) {
 }
 
 func raceReport(det *fasttrack.Detector, res *interp.Result) *RaceReport {
+	races := det.Races()
 	return &RaceReport{
-		Races:     det.RaceKeys(),
+		Races:     fasttrack.Keys(races),
 		RacyAddrs: det.RacyAddrs(),
-		Details:   det.Races(),
+		Details:   races,
 		FTChecks:  det.Checks,
 		Outcome:   outcomeOf(res),
 	}
@@ -323,7 +324,8 @@ type OptFT struct {
 	Pred  *staticrace.Result
 	Sound *HybridFT
 
-	pred *raceStatic
+	pred   *raceStatic
+	tables *raceTables // the checker's tables, shared by every run
 	// unified interpreter masks (FastTrack sites ∪ check sites)
 	syncMask  []bool
 	blockMask []bool
@@ -367,7 +369,7 @@ func NewOptFTStatic(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*Opt
 	if err != nil {
 		return nil, err
 	}
-	o := &OptFT{Prog: prog, DB: db, Pred: pred.static, Sound: sound, pred: pred}
+	o := &OptFT{Prog: prog, DB: db, Pred: pred.static, Sound: sound, pred: pred, tables: newRaceTables(prog, db)}
 	o.blockMask = checkedBlockMask(prog, db)
 	// Sync events: FastTrack's sites plus the guarding-lock check
 	// sites (which need the cheap address check even when FastTrack's
@@ -421,7 +423,7 @@ func (o *OptFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
 	abort := &interp.Abort{}
 	det := fasttrack.New()
 	defer det.Release()
-	checker := newRaceChecker(o.Prog, o.DB, abort)
+	checker := o.tables.newChecker(abort)
 	cfg := interp.Config{
 		Prog:      o.Prog,
 		Inputs:    e.Inputs,

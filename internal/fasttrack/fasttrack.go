@@ -24,7 +24,8 @@
 // comparison below is a same-thread check that trivially passes)
 // with one epoch store plus an attribution store, mirroring the
 // EXCLUSIVE/write rules exactly. Only the truly cold metadata (the
-// inflated READ_SHARED clock) stays engine-invisible.
+// inflated READ_SHARED clock) stays engine-invisible. Lock clocks live
+// in per-object rows too, so a lock or unlock event does no map lookup.
 package fasttrack
 
 import (
@@ -124,7 +125,17 @@ type Detector struct {
 	// at every clock mutation; the engine fast path reads it directly.
 	// NoEpoch means "clock not created yet, take the slow path".
 	epochs []vc.Epoch
-	locks  map[interp.Addr]*vc.VC
+	// locks are the lock clocks L_m in per-object rows (locks[obj][off],
+	// nil: never released). The engine accepts a lock on any pointer,
+	// including fabricated ones far outside the heap, so the rows and
+	// their table hold at most lockSlack + 4 slots per lock clock made
+	// this run (lockSlots counts them); a clock that does not fit lives
+	// in lockOv for the rest of the run, pinned there even once the rows
+	// grow past its address (see lockClock).
+	locks      [][]*vc.VC
+	lockOv     map[interp.Addr]*vc.VC
+	lockSlots  int
+	lockClocks int
 	// rEp/wEp are the per-word read/write epochs, laid out as
 	// per-object rows mirroring the interpreter's heap (rEp[obj][off]).
 	// Addresses reaching Load/Store passed the interpreter's bounds
@@ -174,7 +185,6 @@ func New() *Detector {
 // newDetector allocates an empty detector.
 func newDetector() *Detector {
 	return &Detector{
-		locks:     map[interp.Addr]*vc.VC{},
 		races:     map[Key]Race{},
 		racyAddrs: map[interp.Addr]bool{},
 	}
@@ -195,10 +205,18 @@ func (d *Detector) reset() {
 	}
 	d.threads = d.threads[:0]
 	d.epochs = d.epochs[:0]
-	for _, lm := range d.locks {
+	for i, row := range d.locks {
+		for _, lm := range row {
+			d.freeVC(lm)
+		}
+		d.locks[i] = row[:0]
+	}
+	d.locks = d.locks[:0]
+	for _, lm := range d.lockOv {
 		d.freeVC(lm)
 	}
-	clear(d.locks)
+	clear(d.lockOv)
+	d.lockSlots, d.lockClocks = 0, 0
 	for i, row := range d.meta {
 		for _, m := range row {
 			d.freeVC(m.rvc)
@@ -417,9 +435,66 @@ func (d *Detector) storeAt(t vc.TID, ct *vc.VC, e vc.Epoch, in *ir.Instr, addr i
 	d.wIn[obj][off] = in
 }
 
+// lockSlack is the constant in the lock rows' budget: the rows and
+// their table may hold lockSlack slots plus 4 per lock clock. It is
+// large enough for a lock array past a large global table, as in
+// xalan; a fabricated address, or a heap object far into a large heap,
+// goes to the overflow map instead of sizing a row after it.
+const lockSlack = 1024
+
+// lockClock returns addr's lock clock L_m: nil when it was never
+// released, unless create is set, in which case a bottom clock is made
+// for it. A new clock goes in the rows when they can cover addr within
+// the budget and in lockOv otherwise. lockOv is consulted first, so an
+// address pinned there stays there and has one clock for the run.
+func (d *Detector) lockClock(addr interp.Addr, create bool) *vc.VC {
+	if len(d.lockOv) > 0 {
+		if lm, ok := d.lockOv[addr]; ok {
+			return lm
+		}
+	}
+	obj, off := interp.DecodeAddr(addr)
+	if obj < len(d.locks) && off < int64(len(d.locks[obj])) {
+		lm := d.locks[obj][off]
+		if lm == nil && create {
+			lm = d.newVC()
+			d.lockClocks++
+			d.locks[obj][off] = lm
+		}
+		return lm
+	}
+	if !create {
+		return nil
+	}
+	lm := d.newVC()
+	d.lockClocks++
+	budget := lockSlack + 4*d.lockClocks - d.lockSlots - max(obj+1-len(d.locks), 0)
+	old := 0
+	if obj < len(d.locks) {
+		old = len(d.locks[obj])
+	}
+	// Grow the row to twice its length, or less when the budget is short.
+	if n := min(max(int(off)+1, 2*old), old+budget); int64(n) > off {
+		if obj >= len(d.locks) {
+			// Rows past the length were truncated by reset; keep their capacity.
+			d.lockSlots += obj + 1 - len(d.locks)
+			d.locks = slices.Grow(d.locks, obj+1-len(d.locks))[:obj+1]
+		}
+		d.lockSlots += n - old
+		d.locks[obj] = extend(d.locks[obj], n)
+		d.locks[obj][off] = lm
+		return lm
+	}
+	if d.lockOv == nil {
+		d.lockOv = map[interp.Addr]*vc.VC{}
+	}
+	d.lockOv[addr] = lm
+	return lm
+}
+
 // Lock implements acquire: C_t joins the lock's clock.
 func (d *Detector) Lock(t vc.TID, _ *ir.Instr, addr interp.Addr) {
-	if lm := d.locks[addr]; lm != nil {
+	if lm := d.lockClock(addr, false); lm != nil {
 		d.clock(t).JoinWith(lm)
 		d.refresh(t)
 	}
@@ -429,12 +504,7 @@ func (d *Detector) Lock(t vc.TID, _ *ir.Instr, addr interp.Addr) {
 // advances.
 func (d *Detector) Unlock(t vc.TID, _ *ir.Instr, addr interp.Addr) {
 	ct := d.clock(t)
-	lm := d.locks[addr]
-	if lm == nil {
-		lm = d.newVC()
-		d.locks[addr] = lm
-	}
-	lm.Assign(ct)
+	d.lockClock(addr, true).Assign(ct)
 	ct.Tick(t)
 	d.refresh(t)
 }
@@ -478,10 +548,13 @@ func (d *Detector) Races() []Race {
 
 // RaceKeys returns the deduplicated race keys (static pairs), the
 // canonical form used to compare two detectors' findings.
-func (d *Detector) RaceKeys() []Key {
-	rs := d.Races()
-	out := make([]Key, len(rs))
-	for i, r := range rs {
+func (d *Detector) RaceKeys() []Key { return Keys(d.Races()) }
+
+// Keys returns the keys of races, in order: RaceKeys for a caller that
+// already holds the sorted races.
+func Keys(races []Race) []Key {
+	out := make([]Key, len(races))
+	for i, r := range races {
 		out[i] = keyFor(r.Kind, r.Instr, r.Prev)
 	}
 	return out

@@ -109,7 +109,14 @@ func stateOf(d *Detector) detectorState {
 	for _, c := range d.threads {
 		s.Threads = append(s.Threads, clockString(c))
 	}
-	for a, c := range d.locks {
+	for obj, row := range d.locks {
+		for off, c := range row {
+			if c != nil {
+				s.Locks[interp.MakeAddr(obj, int64(off))] = clockString(c)
+			}
+		}
+	}
+	for a, c := range d.lockOv {
 		s.Locks[a] = clockString(c)
 	}
 	meta := make([][]string, len(d.meta))

@@ -23,11 +23,11 @@
 //     seeded with an inline cache: 1-4 (function value, compiled
 //     target) pairs baked into the instruction, so a hit dispatches on
 //     one int64 compare instead of decode + table load + arity check;
-//   - a peephole pass fuses straight-line runs of simple event-free
-//     ops within a block (arith/copy/load/store chains, optionally
-//     ending in a branch, jump, instrumented memory op, call, or
-//     return) into cRun superinstructions dispatched once with a
-//     single budget check.
+//   - a peephole pass fuses straight-line runs of simple ops within a
+//     block (arith/copy/load/store chains, loads and stores with their
+//     Mem event on included, optionally ending in a branch, jump,
+//     call, or return) into cRun superinstructions dispatched once
+//     with a single budget check.
 //
 // Both are semantically invisible: an IC miss falls back to generic
 // resolution (the callee-set *invariant* is still checked by the
@@ -144,10 +144,10 @@ const (
 	cBr
 	cJmp
 	// cRun is the fused superinstruction: the head of a straight-line
-	// run of simple flag-free ops is rewritten to cRun; the remaining
-	// components stay intact at pc+1.. so a run split by a quantum or
-	// step-limit boundary can resume mid-run at the original
-	// instructions.
+	// run of simple ops is rewritten to cRun (keeping its event flags);
+	// every component is itself a head over the run's suffix, so a run
+	// split by a quantum or step-limit boundary resumes mid-run still
+	// fused.
 	cRun
 	cCall
 	cSpawn
@@ -210,11 +210,12 @@ type cinstr struct {
 
 	// Fused-run payload (cRun): nrun is the total component count,
 	// head included, and run the pre-decoded micro-op stream covering
-	// the head and every event-free component (an event-carrying
-	// terminator stays behind as the raw instruction at pc+nrun-1, so
-	// len(run) < nrun exactly when the run has one). Interior positions
-	// are themselves cRun heads over the shared stream's suffix, so a
-	// run split by a budget boundary resumes mid-run still fused.
+	// the head and every interior component (a branch, jump, call, or
+	// return terminator stays behind as the raw instruction at
+	// pc+nrun-1, so len(run) < nrun exactly when the run has one).
+	// Interior positions are themselves cRun heads over the shared
+	// stream's suffix, so a run split by a budget boundary resumes
+	// mid-run still fused.
 	nrun int32
 	run  []microp
 
@@ -226,13 +227,17 @@ type cinstr struct {
 
 // Micro opcodes for fused-run components. Values 0..15 are exactly
 // ir.BinOp: a cBin component's operator is folded into the opcode, so
-// the run handler never consults evalBin's second dispatch.
+// the run handler never consults evalBin's second dispatch. mLoadEv and
+// mStoreEv are the loads and stores whose instruction carries fMemEv:
+// after the access they deliver the Load/Store event.
 const (
 	mCopy uint8 = 16 + iota
 	mNeg
 	mNot
 	mLoad
 	mStore
+	mLoadEv
+	mStoreEv
 )
 
 // microp is one pre-decoded fused-run component: opcode (with the
@@ -244,9 +249,9 @@ const (
 // indexed loads. Indices are uint8 and every frame slab holds at
 // least 256 slots (see newFrame), so the run handler indexes a
 // *[256]int64 view with no bounds checks; a run whose indices don't
-// fit a uint8 simply stays unfused. Components are event-free by
-// construction, so no flags are carried; in remains for memory-trap
-// payloads.
+// fit a uint8 simply stays unfused. The only event a component can
+// carry is its Mem event, folded into the opcode (mLoadEv/mStoreEv),
+// so no flags are carried; in remains for trap and event payloads.
 type microp struct {
 	op   uint8
 	dst  uint8
@@ -289,8 +294,14 @@ func (c *Code) lowerMicro(ci *cinstr, cf *cfunc, pool map[int64]int32) (microp, 
 		u.op = mNot
 	case cLoad:
 		u.op = mLoad
+		if ci.flags&fMemEv != 0 {
+			u.op = mLoadEv
+		}
 	case cStore:
 		u.op = mStore
+		if ci.flags&fMemEv != 0 {
+			u.op = mStoreEv
+		}
 	}
 	return u, true
 }
@@ -735,18 +746,19 @@ const cRunMax = 32
 // resume point is the first instruction past the run), making the
 // rewrite invisible to control flow.
 //
-// Legality: every component but the last must be entirely event-free
-// — the engine delivers no tracer event, and so can observe no abort,
-// between components; the unfused semantics of polling after every
-// instruction are then indistinguishable from one poll after the run.
-// The last component may carry events, because they are delivered
-// immediately before the same post-run abort poll an unfused
-// execution would reach: a branch/jump (BlockEnter flags replicated),
-// a load/store with its Mem event on, or a call/return (Call/Ret
-// events plus frame transitions, replicated in full by the run
-// handler). No component may carry the Exec firehose flag, which the
-// run handler does not replicate. Lock, unlock, join, spawn, and the
-// remaining rare ops never join a run: they yield the scheduling
+// Legality: no component but the last may yield, block, or deliver
+// anything but its own Mem event, and none may carry the Exec firehose
+// or a residual null check, whose paths the run handler does not
+// replicate. An interior load or store with its Mem event on delivers
+// the event right after the access, exactly as unfused execution does,
+// and when that delivery can have raised the abort flag the handler
+// cuts the run right after the component, so the post-run abort poll
+// stops where the unfused poll-after-each would. The last component may
+// instead be a branch/jump (BlockEnter flags replicated) or a
+// call/return (Call/Ret events plus frame transitions, replicated in
+// full by the run handler), whose events are delivered immediately
+// before the same post-run abort poll. Lock, unlock, join, spawn, and
+// the remaining rare ops never join a run: they yield the scheduling
 // slice, block, or trap, so the instruction after them could never
 // execute in the same dispatch anyway.
 func (c *Code) fuseBlock(cf *cfunc, pool map[int64]int32, start, end int32) {
@@ -798,37 +810,34 @@ func (c *Code) fuseBlock(cf *cfunc, pool map[int64]int32, start, end int32) {
 }
 
 // runInterior reports whether ci may appear anywhere in a fused run:
-// a simple data op with no event flags at all.
+// a simple data op with no event flags, or a load/store whose only
+// flag is its Mem event.
 func runInterior(ci *cinstr) bool {
-	if ci.flags != 0 {
-		return false
-	}
 	switch ci.op {
-	case cBin, cCopy, cLoad, cStore, cNeg, cNot:
-		return true
+	case cBin, cCopy, cNeg, cNot:
+		return ci.flags == 0
+	case cLoad, cStore:
+		return ci.flags == 0 || ci.flags == fMemEv
 	}
 	return false
 }
 
 // runTerminator reports whether ci may end a fused run even though it
 // fires events: a branch/jump (BlockEnter flags replicated by the run
-// handler), a load/store with its Mem event on, or a call/return
-// (whose Call/Ret events and frame transitions the handler replicates
-// — both are safe in last position because their events, like all
-// last-component events, are delivered immediately before the same
+// handler) or a call/return (whose Call/Ret events and frame
+// transitions the handler replicates — both are safe in last position
+// because their events are delivered immediately before the same
 // post-run abort poll an unfused execution would reach). The Exec
-// firehose is never replicated, so it disqualifies, and so does a
-// residual null check, whose recovery path (skip the access, zero the
-// destination) the run handler does not replicate. Lock, unlock,
+// firehose is never replicated, so it disqualifies. Lock, unlock,
 // join, and spawn never join a run: they yield the scheduling slice,
 // so the following instruction could never execute in the same
 // dispatch anyway.
 func runTerminator(ci *cinstr) bool {
-	if ci.flags&(fExecEv|fNullEv) != 0 {
+	if ci.flags&fExecEv != 0 {
 		return false
 	}
 	switch ci.op {
-	case cBr, cJmp, cLoad, cStore, cCall, cRet:
+	case cBr, cJmp, cCall, cRet:
 		return true
 	}
 	return false

@@ -38,6 +38,7 @@ type DebugLoc struct {
 	Block  int    // basic-block ID
 	Depth  int    // frame depth
 	Fused  bool   // next dispatch is a fused-run head
+	Micro  string // the fused head's own micro op (microName), "" if not fused
 	IC     bool   // next dispatch carries an inline cache
 	Events string // baked event flags at this PC (flagString)
 }
@@ -126,6 +127,10 @@ func (s *Session) Breakpoints() []int {
 func (s *Session) locOf(th *cthread) DebugLoc {
 	fr := th.frames[len(th.frames)-1]
 	ci := &s.e.code.code[fr.pc]
+	micro := ""
+	if ci.op == cRun {
+		micro = microName(ci.run[0].op)
+	}
 	return DebugLoc{
 		TID:    th.id,
 		PC:     fr.pc,
@@ -135,6 +140,7 @@ func (s *Session) locOf(th *cthread) DebugLoc {
 		Block:  ci.in.Block.ID,
 		Depth:  len(th.frames),
 		Fused:  ci.op == cRun,
+		Micro:  micro,
 		IC:     ci.ic != nil,
 		Events: flagString(ci.flags),
 	}

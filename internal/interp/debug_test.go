@@ -165,4 +165,83 @@ func main() {
 	if sb2.String() != out {
 		t.Error("decoded image disassembles differently")
 	}
+
+	// With every Mem event on, the fused loads and stores are listed as
+	// event micro ops under fused heads carrying the M flag.
+	memProg, err := lang.Compile(`global a = 0;
+global b = 0;
+func main() { a = a + 1; b = a * 2 + b; print(b); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb.Reset()
+	if err := interp.Compile(memProg, interp.Masks{}).Disasm(&sb); err != nil {
+		t.Fatal(err)
+	}
+	evHead := false
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if f := strings.Fields(line); len(f) >= 3 && f[1] == "M....." && f[2] == "run" {
+			evHead = true
+			if !strings.Contains(line, "fused{store.ev ") && !strings.Contains(line, "fused{load.ev ") {
+				t.Errorf("M-flagged fused head does not start with an event micro op:\n%s", line)
+			}
+		}
+	}
+	if !evHead {
+		t.Errorf("no fused head carries the M flag:\n%s", sb.String())
+	}
+}
+
+// TestSessionShowsFusedMemEvents steps through fused runs whose loads
+// and stores deliver Mem events: the stop location must report the
+// head's M flag and its event-marked micro op, and an event-free fused
+// head neither.
+func TestSessionShowsFusedMemEvents(t *testing.T) {
+	prog, err := lang.Compile(`global a = 0;
+global b = 0;
+func main() {
+	var i = 0;
+	while (i < 3) {
+		a = a + i;
+		b = b + a * 2;
+		i = i + 1;
+	}
+	print(a + b);
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := interp.NewSession(interp.Config{Prog: prog, Tracer: &recorder{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evStops, plainStops int
+	for {
+		loc, ok := s.Loc()
+		if !ok {
+			break
+		}
+		if loc.Fused {
+			ev := strings.HasSuffix(loc.Micro, ".ev")
+			if ev != (loc.Events[0] == 'M') {
+				t.Fatalf("pc %d: micro %q with flags %s", loc.PC, loc.Micro, loc.Events)
+			}
+			if ev {
+				evStops++
+			} else {
+				plainStops++
+			}
+		} else if loc.Micro != "" {
+			t.Fatalf("pc %d: unfused stop shows micro %q", loc.PC, loc.Micro)
+		}
+		if _, ok := s.Step(); !ok {
+			break
+		}
+	}
+	if s.Err() != nil {
+		t.Fatal(s.Err())
+	}
+	if evStops == 0 || plainStops == 0 {
+		t.Fatalf("stopped on %d event and %d event-free fused heads, want both", evStops, plainStops)
+	}
 }

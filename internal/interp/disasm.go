@@ -94,6 +94,8 @@ func regName(cf *cfunc, reg int32) string {
 	return fmt.Sprintf("r%d", reg)
 }
 
+// microName renders a micro opcode; a load/store that delivers its
+// Mem event is marked ".ev".
 func microName(op uint8) string {
 	switch op {
 	case mCopy:
@@ -106,6 +108,10 @@ func microName(op uint8) string {
 		return "load"
 	case mStore:
 		return "store"
+	case mLoadEv:
+		return "load.ev"
+	case mStoreEv:
+		return "store.ev"
 	}
 	return fmt.Sprintf("bin.%d", op) // 0..15: ir.BinOp folded into the opcode
 }

@@ -938,18 +938,21 @@ func (e *engine) runSliceInner(th *cthread) error {
 		// many components this dispatch retires: k = min(run length,
 		// remaining quantum, remaining step allowance). The admitted
 		// prefix executes in a compact local switch — no per-component
-		// flag checks, abort polls, yield tests, or frame bookkeeping,
-		// because every component but the last is event-free by
-		// construction (no event means no abort can be set, so the
-		// single post-run abort poll matches the unfused poll-after-
-		// each exactly). A run that no longer fits the budget splits at
-		// the boundary instead of de-fusing wholesale: the first k
-		// components retire here, the slice ends exactly where unfused
-		// execution would have yielded, and the next slice resumes at
-		// base+k — a suffix head covering the rest of the run — so
-		// quantum and step-limit timing is bit-identical to unfused
-		// execution. The terminator (which may carry events) only
-		// executes when the whole run was admitted.
+		// flag checks, yield tests, or frame bookkeeping. Interior
+		// components deliver nothing but the Mem events of instrumented
+		// loads and stores; only a delivery that left the inline fast
+		// path can have raised the abort flag, so the run polls it
+		// there and, when set, cuts itself right after that component
+		// (k = j+1). The single post-run abort poll then stops exactly
+		// where the unfused poll-after-each would. A run that no longer
+		// fits the budget splits at the boundary instead of de-fusing
+		// wholesale: the first k components retire here, the slice ends
+		// exactly where unfused execution would have yielded, and the
+		// next slice resumes at base+k — a suffix head covering the
+		// rest of the run — so quantum and step-limit timing is
+		// bit-identical to unfused execution. The terminator (a branch,
+		// jump, call, or return) only executes when the whole run was
+		// admitted.
 		case cRun:
 			n := in.nrun
 			k := n
@@ -970,6 +973,7 @@ func (e *engine) runSliceInner(th *cthread) error {
 				if m > len(in.run) {
 					m = len(in.run) // raw terminator at base+n-1
 				}
+			run:
 				for j := 0; j < m; j++ {
 					u := &in.run[j]
 					av, bv := regs[u.a], regs[u.b]
@@ -1020,41 +1024,65 @@ func (e *engine) runSliceInner(th *cthread) error {
 						regs[u.dst] = -av
 					case mNot:
 						regs[u.dst] = b2i(av == 0)
-					case mLoad:
-						// Inlined e.mem hit path; the miss conditions
-						// mirror its trap conditions exactly, so the
-						// slow path re-resolves only to trap.
+					case mLoad, mLoadEv:
+						// Inlined e.mem hit path; a miss is exactly one of
+						// its trap conditions, so the slow path only traps.
 						if obj, off := DecodeAddr(av); IsPtr(av) && obj < len(e.objects) {
 							if cells := e.objects[obj]; uint64(off) < uint64(len(cells)) {
-								regs[u.dst] = cells[off]
+								v := cells[off]
+								regs[u.dst] = v
+								if u.op == mLoad || tr == nil {
+									continue
+								}
+								e.stats.Loads++
+								// Inlined same-epoch fast path, as in cLoad.
+								if e.fpKind == FastEpoch && e.fpReadHit(th.id, av-PtrBase) {
+									*e.fpChecks++
+									e.ic.FastPath.Hits++
+									continue
+								}
+								e.traceLoad(th.id, u.in, av, v)
+								if e.cfg.Abort != nil && e.cfg.Abort.IsSet() {
+									k = int32(j) + 1
+									fr.pc = base + k
+									break run
+								}
 								continue
 							}
 						}
-						cell, err := e.mem(th, u.in, av)
-						if err != nil {
-							e.stats.Steps += uint64(j)
-							return err
-						}
-						regs[u.dst] = *cell
-					case mStore:
+						_, err := e.mem(th, u.in, av)
+						e.stats.Steps += uint64(j)
+						return err
+					case mStore, mStoreEv:
 						if obj, off := DecodeAddr(av); IsPtr(av) && obj < len(e.objects) {
 							if cells := e.objects[obj]; uint64(off) < uint64(len(cells)) {
 								cells[off] = bv
+								if u.op == mStore || tr == nil {
+									continue
+								}
+								e.stats.Stores++
+								if e.fpKind == FastEpoch && e.fpWriteHit(th.id, av-PtrBase) {
+									*e.fpChecks++
+									e.ic.FastPath.Hits++
+									continue
+								}
+								e.traceStore(th.id, u.in, av, bv)
+								if e.cfg.Abort != nil && e.cfg.Abort.IsSet() {
+									k = int32(j) + 1
+									fr.pc = base + k
+									break run
+								}
 								continue
 							}
 						}
-						cell, err := e.mem(th, u.in, av)
-						if err != nil {
-							e.stats.Steps += uint64(j)
-							return err
-						}
-						*cell = bv
+						_, err := e.mem(th, u.in, av)
+						e.stats.Steps += uint64(j)
+						return err
 					}
 				}
-				// An event-carrying terminator is executed from its raw
-				// instruction — only when the whole run was admitted: a
-				// branch/jump (BlockEnter flags), a load/store with its
-				// Mem event on, or a call/return with its frame
+				// A terminator is executed from its raw instruction —
+				// only when the whole run was admitted: a branch/jump
+				// (BlockEnter flags) or a call/return with its frame
 				// transition and unconditional events.
 				if k == n && int32(len(in.run)) < n {
 					ci := &code[base+n-1]
@@ -1138,51 +1166,6 @@ func (e *engine) runSliceInner(th *cthread) error {
 							e.stats.BlockEvents++
 							e.drainMem()
 							tr.BlockEnter(th.id, ci.b0)
-						}
-					case cLoad:
-						a := opval(fr.regs, ci.a)
-						var v int64
-						if obj, off := DecodeAddr(a); IsPtr(a) && obj < len(e.objects) && uint64(off) < uint64(len(e.objects[obj])) {
-							v = e.objects[obj][off]
-						} else {
-							cell, err := e.mem(th, ci.in, a)
-							if err != nil {
-								e.stats.Steps += uint64(n) - 1
-								return err
-							}
-							v = *cell
-						}
-						fr.regs[ci.dst] = v
-						if ci.flags&fMemEv != 0 && tr != nil {
-							e.stats.Loads++
-							if e.fpKind == FastEpoch && e.fpReadHit(th.id, a-PtrBase) {
-								*e.fpChecks++
-								e.ic.FastPath.Hits++
-							} else {
-								e.traceLoad(th.id, ci.in, a, v)
-							}
-						}
-					case cStore:
-						a := opval(fr.regs, ci.a)
-						v := opval(fr.regs, ci.b)
-						if obj, off := DecodeAddr(a); IsPtr(a) && obj < len(e.objects) && uint64(off) < uint64(len(e.objects[obj])) {
-							e.objects[obj][off] = v
-						} else {
-							cell, err := e.mem(th, ci.in, a)
-							if err != nil {
-								e.stats.Steps += uint64(n) - 1
-								return err
-							}
-							*cell = v
-						}
-						if ci.flags&fMemEv != 0 && tr != nil {
-							e.stats.Stores++
-							if e.fpKind == FastEpoch && e.fpWriteHit(th.id, a-PtrBase) {
-								*e.fpChecks++
-								e.ic.FastPath.Hits++
-							} else {
-								e.traceStore(th.id, ci.in, a, v)
-							}
 						}
 					}
 				}

@@ -321,7 +321,49 @@ func diffVariants() []diffVariant {
 			}, r, nil
 		}},
 	)
+	// Aborting memory tracer: the recorder raises the abort flag on the
+	// Nth Load/Store event, N derived from the seed. Instrumented loads
+	// and stores sit inside fused runs, so the abort lands mid-run and
+	// the compiled engine must stop at exactly the step, event, and
+	// stats the tree-walker's poll-after-each stops at.
+	vs = append(vs, diffVariant{name: "abort-mem", make: func(prog *ir.Program, seed uint64) (interp.Config, *recorder, *fasttrack.Detector) {
+		abort := &interp.Abort{}
+		r := &memAborter{recorder: &recorder{}, abort: abort, left: 1 + int(seed*13%97)}
+		return interp.Config{
+			Prog:     prog,
+			Tracer:   r,
+			MemMask:  altMask(len(prog.Instrs), 0),
+			Choose:   sched.NewSeeded(seed*11 + 7),
+			Quantum:  16,
+			MaxSteps: diffMaxSteps,
+			Abort:    abort,
+		}, r.recorder, nil
+	}})
 	return vs
+}
+
+// memAborter is a recorder that raises the abort flag on its left'th
+// Load or Store event.
+type memAborter struct {
+	*recorder
+	abort *interp.Abort
+	left  int
+}
+
+func (m *memAborter) Load(t vc.TID, in *ir.Instr, a interp.Addr, v int64) {
+	m.recorder.Load(t, in, a, v)
+	m.count()
+}
+
+func (m *memAborter) Store(t vc.TID, in *ir.Instr, a interp.Addr, v int64) {
+	m.recorder.Store(t, in, a, v)
+	m.count()
+}
+
+func (m *memAborter) count() {
+	if m.left--; m.left == 0 {
+		m.abort.Set("memory event budget spent")
+	}
 }
 
 // derefMask marks every load/store site: the always-check null mask.

@@ -41,7 +41,7 @@ import (
 // and the caller recompiles.
 var imageMagic = [6]byte{'O', 'H', 'C', 'I', 'M', 'G'}
 
-const imageVersion uint16 = 2
+const imageVersion uint16 = 3
 
 // ErrImage wraps every image decode failure, so callers can
 // distinguish "stale/corrupt artifact" from other errors with
@@ -205,7 +205,9 @@ func (c *Code) EncodeImage() []byte {
 }
 
 // microOpFor returns the micro opcode a fused component of ci must
-// carry, or ok=false when ci's opcode is not fusable.
+// carry when its instruction has no Mem event, or ok=false when ci's
+// opcode is not fusable. A load or store with its Mem event on carries
+// the event variant instead (see memEvOp).
 func microOpFor(ci *cinstr) (uint8, bool) {
 	switch ci.op {
 	case cBin:
@@ -222,6 +224,27 @@ func microOpFor(ci *cinstr) (uint8, bool) {
 		return mStore, true
 	}
 	return 0, false
+}
+
+// memEvOp returns the event-delivering variant of a load/store micro
+// opcode, and ok=false for every other micro opcode.
+func memEvOp(op uint8) (uint8, bool) {
+	switch op {
+	case mLoad:
+		return mLoadEv, true
+	case mStore:
+		return mStoreEv, true
+	}
+	return 0, false
+}
+
+// headFlags returns the only event flags a fused head whose micro op
+// is u may carry: its Mem event exactly when u delivers one.
+func headFlags(u uint8) uint8 {
+	if u == mLoadEv || u == mStoreEv {
+		return fMemEv
+	}
+	return 0
 }
 
 // validOperandIndex reports whether a micro-op operand index is a
@@ -386,9 +409,6 @@ func DecodeImage(prog *ir.Program, data []byte) (*Code, error) {
 			}
 			ci.flags = flags
 		} else {
-			if flags != 0 {
-				return nil, imgErr("pc %d: fused head carries flags %#x", pc, flags)
-			}
 			nrun8, err := r.u8()
 			if err != nil {
 				return nil, err
@@ -406,8 +426,11 @@ func DecodeImage(prog *ir.Program, data []byte) (*Code, error) {
 				if nrun != chainN-int32(chainPos) {
 					return nil, imgErr("pc %d: suffix run length %d, want %d", pc, nrun, chainN-int32(chainPos))
 				}
+				if want := headFlags(chain[chainPos].op); flags != want {
+					return nil, imgErr("pc %d: fused head carries flags %#x, its micro op wants %#x", pc, flags, want)
+				}
 				ci.op = cRun
-				ci.flags = 0
+				ci.flags = flags
 				ci.nrun = nrun
 				ci.run = chain[chainPos:]
 				chainPos++
@@ -450,7 +473,8 @@ func DecodeImage(prog *ir.Program, data []byte) (*Code, error) {
 						return nil, err
 					}
 					wantOp, ok := microOpFor(comp)
-					if !ok || uop != wantOp {
+					evOp, hasEv := memEvOp(wantOp)
+					if !ok || uop != wantOp && !(hasEv && uop == evOp) {
 						return nil, imgErr("pc %d: micro op %d does not match component %d", pc, uop, i)
 					}
 					wantDst := comp.dst
@@ -471,13 +495,16 @@ func DecodeImage(prog *ir.Program, data []byte) (*Code, error) {
 					// can check its opcode class now from the skeleton.
 					term := &c.code[pc+int(nrun)-1]
 					switch term.op {
-					case cBr, cJmp, cLoad, cStore, cCall, cRet:
+					case cBr, cJmp, cCall, cRet:
 					default:
 						return nil, imgErr("pc %d: op %d cannot terminate a fused run", pc, term.op)
 					}
 				}
+				if want := headFlags(chain[0].op); flags != want {
+					return nil, imgErr("pc %d: fused head carries flags %#x, its micro op wants %#x", pc, flags, want)
+				}
 				ci.op = cRun
-				ci.flags = 0
+				ci.flags = flags
 				ci.nrun = nrun
 				ci.run = chain
 				chainN = nrun

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
+	"oha/internal/fasttrack"
 	"oha/internal/interp"
 	"oha/internal/lang"
 	"oha/internal/progen"
@@ -14,12 +16,20 @@ import (
 
 // imageConfigs is the compile-configuration matrix the round-trip
 // determinism gate sweeps: every combination of fusion/IC toggles,
-// with and without instrumentation masks and callee seeds.
+// with and without instrumentation masks and callee seeds. "optft" has
+// OptFT's shape — a partial Mem mask, sync sites, no block or Exec
+// events — so its instrumented loads and stores fuse into event
+// micro-ops.
 func imageConfigs(progInstrs, progBlocks int, callees map[int][]int) []struct {
 	name string
 	m    interp.Masks
 	o    interp.CompileOptions
 } {
+	optft := interp.Masks{
+		Mem:   altMask(progInstrs, 0),
+		Sync:  altMask(progInstrs, 1),
+		Block: make([]bool, progBlocks),
+	}
 	full := interp.Masks{
 		Mem:   altMask(progInstrs, 0),
 		Sync:  altMask(progInstrs, 1),
@@ -39,7 +49,20 @@ func imageConfigs(progInstrs, progBlocks int, callees map[int][]int) []struct {
 		{"ic-nofusion", interp.Masks{}, interp.CompileOptions{Callees: callees, DisableFusion: true}},
 		{"ic-noic", interp.Masks{}, interp.CompileOptions{Callees: callees, DisableIC: true}},
 		{"masked-ic", full, interp.CompileOptions{Callees: callees}},
+		{"optft", optft, interp.CompileOptions{Callees: callees}},
+		{"optft-nofusion", optft, interp.CompileOptions{Callees: callees, DisableFusion: true}},
 	}
+}
+
+// hasMemEvMicro reports whether code's listing shows a fused load or
+// store that delivers its Mem event.
+func hasMemEvMicro(t *testing.T, code *interp.Code) bool {
+	t.Helper()
+	var sb strings.Builder
+	if err := code.Disasm(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Contains(sb.String(), "load.ev r") || strings.Contains(sb.String(), "store.ev r")
 }
 
 // TestImageRoundTrip is the determinism gate: compile → encode →
@@ -75,6 +98,9 @@ func TestImageRoundTrip(t *testing.T) {
 				if dec.Len() != code.Len() {
 					t.Fatalf("length diverged: %d vs %d", dec.Len(), code.Len())
 				}
+				if tc.name == "optft" && !hasMemEvMicro(t, dec) {
+					t.Fatal("OptFT-shaped image fused no instrumented load or store")
+				}
 			})
 		}
 	}
@@ -82,7 +108,11 @@ func TestImageRoundTrip(t *testing.T) {
 
 // TestImageExecutesIdentically runs a decoded image and the in-memory
 // image it came from under the identical traced configuration and
-// requires bit-identical outputs, stats, and event streams.
+// requires bit-identical outputs, stats, and event streams. The masks
+// have OptFT's shape (no Exec events), so instrumented loads and stores
+// run as fused event micro-ops; a FastTrack detector then drives the
+// same images through the inline fast path and the slow-path ring, and
+// its races, checks, and fast-path counts must match too.
 func TestImageExecutesIdentically(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		src := progen.Generate(seed, progen.DefaultConfig())
@@ -111,6 +141,28 @@ func TestImageExecutesIdentically(t *testing.T) {
 		dec, err := interp.DecodeImage(prog, code.EncodeImage())
 		if err != nil {
 			t.Fatalf("seed %d: decode: %v", seed, err)
+		}
+		if !hasMemEvMicro(t, dec) {
+			t.Fatalf("seed %d: image fused no instrumented load or store", seed)
+		}
+		runFT := func(code *interp.Code) string {
+			det := fasttrack.New()
+			defer det.Release()
+			res, err := interp.Run(interp.Config{
+				Prog:      prog,
+				Tracer:    det,
+				MemMask:   m.Mem,
+				BlockMask: m.Block,
+				Choose:    sched.NewSeeded(seed),
+				Quantum:   3,
+				MaxSteps:  diffMaxSteps,
+				Engine:    interp.EngineCompiled,
+				Code:      code,
+			})
+			return fmt.Sprint(err, res.Stats, res.IC, det.RaceKeys(), det.RacyAddrs(), det.Checks)
+		}
+		if a, b := runFT(code), runFT(dec); a != b {
+			t.Fatalf("seed %d: FastTrack runs diverged:\n mem: %s\n dec: %s", seed, a, b)
 		}
 		res1, ev1, err1 := run(code)
 		res2, ev2, err2 := run(dec)
