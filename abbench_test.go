@@ -71,7 +71,7 @@ func pairedSpeedup(t *testing.T, traced bool) {
 				}
 				if traced {
 					cfg.Tracer = fasttrack.New()
-					cfg.BlockMask = blockMask
+					cfg.Masks.Block = blockMask
 				}
 				res, err := interp.Run(cfg)
 				if err != nil {
@@ -161,13 +161,13 @@ func TestPairedSpeedupFastPath(t *testing.T) {
 				start := time.Now()
 				for r := 0; r < runs; r++ {
 					res, err := interp.Run(interp.Config{
-						Prog:      prog,
-						Inputs:    inputs,
-						Choose:    sched.NewSeeded(2000),
-						Engine:    interp.EngineCompiled,
-						Code:      code,
-						Tracer:    fasttrack.New(),
-						BlockMask: blockMask,
+						Prog:   prog,
+						Inputs: inputs,
+						Choose: sched.NewSeeded(2000),
+						Engine: interp.EngineCompiled,
+						Code:   code,
+						Tracer: fasttrack.New(),
+						Masks:  interp.Masks{Block: blockMask},
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -181,7 +181,7 @@ func TestPairedSpeedupFastPath(t *testing.T) {
 			probe, err := interp.Run(interp.Config{
 				Prog: prog, Inputs: inputs, Choose: sched.NewSeeded(2000),
 				Engine: interp.EngineCompiled, Code: on,
-				Tracer: fasttrack.New(), BlockMask: blockMask,
+				Tracer: fasttrack.New(), Masks: interp.Masks{Block: blockMask},
 			})
 			if err != nil {
 				t.Fatal(err)

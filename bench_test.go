@@ -633,7 +633,7 @@ func benchEngine(b *testing.B, engine interp.EngineKind, traced bool) {
 				}
 				if traced {
 					cfg.Tracer = fasttrack.New()
-					cfg.BlockMask = blockMask
+					cfg.Masks.Block = blockMask
 				}
 				res, err := interp.Run(cfg)
 				if err != nil {
@@ -731,7 +731,7 @@ func benchIndirect(b *testing.B, engine interp.EngineKind, speculative, traced b
 				}
 				if traced {
 					cfg.Tracer = fasttrack.New()
-					cfg.BlockMask = blockMask
+					cfg.Masks.Block = blockMask
 				}
 				res, err := interp.Run(cfg)
 				if err != nil {

@@ -69,6 +69,7 @@ import (
 
 	"oha"
 	"oha/internal/adapt"
+	"oha/internal/core"
 )
 
 func main() {
@@ -245,22 +246,20 @@ func main() {
 
 	case "slice":
 		db := loadInv(*inv)
-		prints := oha.Prints(prog)
-		if len(prints) == 0 {
-			check(fmt.Errorf("program has no print statements to slice from"))
+		var want *int // nil: the last print
+		if *criterion >= 0 {
+			want = criterion
 		}
-		idx := *criterion
-		if idx < 0 || idx >= len(prints) {
-			idx = len(prints) - 1
-		}
+		idx, crit, err := core.SliceCriterion(prog, want)
+		check(err)
 		e := oha.Execution{Inputs: in, Seed: *seed}
 		var rep *oha.SliceReport
 		if *adaptive {
 			var m *oha.SpeculationManager
-			rep, m = runAdaptive(prog, db, oha.AdaptiveSlice(prints[idx], *budget), e, ropts, static)
+			rep, m = runAdaptive(prog, db, oha.AdaptiveSlice(crit, *budget), e, ropts, static)
 			defer printSpeculation(m)
 		} else {
-			sl, err := oha.NewSlicerStatic(prog, db, prints[idx], *budget, static)
+			sl, err := oha.NewSlicerStatic(prog, db, crit, *budget, static)
 			check(err)
 			rep, err = sl.Run(e, ropts)
 			check(err)
@@ -273,7 +272,7 @@ func main() {
 			return
 		}
 		fmt.Printf("dynamic slice of print #%d (criterion line %d): %d instructions, %d dynamic nodes\n",
-			idx, prints[idx].Pos.Line, rep.Slice.Size(), rep.Slice.DynNodes)
+			idx, crit.Pos.Line, rep.Slice.Size(), rep.Slice.DynNodes)
 		printSliceLines(prog, rep, string(src))
 
 	default:

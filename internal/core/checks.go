@@ -35,12 +35,9 @@ type raceTables struct {
 
 func newRaceTables(prog *ir.Program, db *invariants.DB) *raceTables {
 	t := &raceTables{
-		luc:       make([]bool, len(prog.Blocks)),
+		luc:       lucTable(prog, db),
 		spawnOnce: make([]bool, len(prog.Instrs)),
 		lockGroup: make([]int32, len(prog.Instrs)),
-	}
-	for _, b := range prog.Blocks {
-		t.luc[b.ID] = db.LikelyUnreachable(b.ID)
 	}
 	db.SingletonSpawns.ForEach(func(id int) bool {
 		t.spawnOnce[id] = true
@@ -143,17 +140,38 @@ func (c *raceChecker) Lock(_ vc.TID, in *ir.Instr, addr interp.Addr) {
 	c.groupAddr[g] = addr
 }
 
-// checkedBlockMask returns the BlockMask delivering exactly the
-// likely-unreachable blocks (the only block events the optimistic run
-// needs).
-func checkedBlockMask(prog *ir.Program, db *invariants.DB) []bool {
-	mask := make([]bool, len(prog.Blocks))
+// lucTable returns the likely-unreachable-code table: block ID ->
+// assumed unreachable. Every checker reads it, and it is also the block
+// mask of every speculative image: those blocks' events are the only
+// ones an optimistic run needs.
+func lucTable(prog *ir.Program, db *invariants.DB) []bool {
+	luc := make([]bool, len(prog.Blocks))
 	for _, b := range prog.Blocks {
-		if db.LikelyUnreachable(b.ID) {
-			mask[b.ID] = true
+		luc[b.ID] = db.LikelyUnreachable(b.ID)
+	}
+	return luc
+}
+
+// calleeTable maps an instruction ID to the likely callee set of its
+// indirect call or spawn (nil: no callee allowed).
+type calleeTable []*bitset.Set
+
+func newCalleeTable(prog *ir.Program, db *invariants.DB) calleeTable {
+	t := make(calleeTable, len(prog.Instrs))
+	for site, set := range db.Callees {
+		if site >= 0 && site < len(t) {
+			t[site] = set
 		}
 	}
-	return mask
+	return t
+}
+
+// check fires the likely-callee-set check at an indirect site.
+func (t calleeTable) check(c *checkState, in *ir.Instr, callee *ir.Function) {
+	c.Events++
+	if set := t[in.ID]; set == nil || !set.Has(callee.ID) {
+		c.violate(Violation{Kind: ViolationCalleeSet, Site: in.ID, Callee: callee.ID, Detail: callee.Name})
+	}
 }
 
 // sliceTables are the OptSlice checker's read-only tables. They depend
@@ -162,8 +180,8 @@ func checkedBlockMask(prog *ir.Program, db *invariants.DB) []bool {
 type sliceTables struct {
 	mainFn  int
 	nfuncs  int
-	luc     []bool        // block ID -> assumed unreachable
-	callees []*bitset.Set // instr ID -> allowed callee fn IDs (nil: none)
+	luc     []bool // block ID -> assumed unreachable
+	callees calleeTable
 	// checkCtx enables the call-context check over ctx, the trie of the
 	// observed contexts.
 	checkCtx bool
@@ -174,17 +192,9 @@ func newSliceTables(prog *ir.Program, db *invariants.DB, checkContexts bool) *sl
 	t := &sliceTables{
 		mainFn:   prog.Main().ID,
 		nfuncs:   len(prog.Funcs),
-		luc:      make([]bool, len(prog.Blocks)),
-		callees:  make([]*bitset.Set, len(prog.Instrs)),
+		luc:      lucTable(prog, db),
+		callees:  newCalleeTable(prog, db),
 		checkCtx: checkContexts,
-	}
-	for _, b := range prog.Blocks {
-		t.luc[b.ID] = db.LikelyUnreachable(b.ID)
-	}
-	for site, set := range db.Callees {
-		if site >= 0 && site < len(t.callees) {
-			t.callees[site] = set
-		}
 	}
 	if checkContexts {
 		t.ctx = newCtxTrie(db.Contexts.SortedPaths(), len(prog.Instrs))
@@ -362,14 +372,6 @@ func (c *sliceChecker) enter(from int32, site int) int32 {
 	return st
 }
 
-// checkCallee fires the likely-callee-set check at an indirect site.
-func (c *sliceChecker) checkCallee(in *ir.Instr, callee *ir.Function) {
-	c.Events++
-	if set := c.callees[in.ID]; set == nil || !set.Has(callee.ID) {
-		c.violate(Violation{Kind: ViolationCalleeSet, Site: in.ID, Callee: callee.ID, Detail: callee.Name})
-	}
-}
-
 // BlockEnter fires the likely-unreachable-code check.
 func (c *sliceChecker) BlockEnter(_ vc.TID, b *ir.Block) {
 	c.Events++
@@ -381,7 +383,7 @@ func (c *sliceChecker) BlockEnter(_ vc.TID, b *ir.Block) {
 // Call fires the likely-callee-set and call-context checks.
 func (c *sliceChecker) Call(t vc.TID, in *ir.Instr, callee *ir.Function) {
 	if in.IsIndirect() {
-		c.checkCallee(in, callee)
+		c.callees.check(&c.checkState, in, callee)
 	}
 	if !c.checkCtx {
 		return
@@ -400,7 +402,7 @@ func (c *sliceChecker) Call(t vc.TID, in *ir.Instr, callee *ir.Function) {
 // extended by the spawn site.
 func (c *sliceChecker) Spawn(t vc.TID, in *ir.Instr, child vc.TID, callee *ir.Function) {
 	if in.IsIndirect() {
-		c.checkCallee(in, callee)
+		c.callees.check(&c.checkState, in, callee)
 	}
 	if !c.checkCtx {
 		return

@@ -46,7 +46,7 @@ func TestCompiledImageKeyedByCallees(t *testing.T) {
 
 	var m interp.Masks
 	cache := artifacts.New("")
-	img1 := compiledCode(prog, m, compileOpts(pr.DB, StaticConfig{}), cache)
+	img1 := compiledCode(prog, m, compileOpts(pr.DB, StaticConfig{}), cache).code
 	if img1.ICSites() == 0 {
 		t.Fatal("seeded image has no inline caches")
 	}
@@ -59,7 +59,7 @@ func TestCompiledImageKeyedByCallees(t *testing.T) {
 		}
 		break
 	}
-	img2 := compiledCode(prog, m, compileOpts(db2, StaticConfig{}), cache)
+	img2 := compiledCode(prog, m, compileOpts(db2, StaticConfig{}), cache).code
 	if img1.ConfigDigest() == img2.ConfigDigest() {
 		t.Fatal("images for different callee sets share a config digest")
 	}
@@ -71,7 +71,7 @@ func TestCompiledImageKeyedByCallees(t *testing.T) {
 	// recompile (memoization is still effective under the new key
 	// scheme).
 	before := cache.Stats()
-	img3 := compiledCode(prog, m, compileOpts(pr.DB, StaticConfig{}), cache)
+	img3 := compiledCode(prog, m, compileOpts(pr.DB, StaticConfig{}), cache).code
 	if img3 != img1 {
 		t.Fatal("identical configuration did not reuse the cached image")
 	}
@@ -83,15 +83,15 @@ func TestCompiledImageKeyedByCallees(t *testing.T) {
 	// The debug toggles are part of the key too: a NoIC image must not
 	// alias the seeded one, and must digest identically to a never-
 	// seeded compile (the normalized-options property).
-	imgNoIC := compiledCode(prog, m, compileOpts(pr.DB, StaticConfig{NoIC: true}), cache)
+	imgNoIC := compiledCode(prog, m, compileOpts(pr.DB, StaticConfig{NoIC: true}), cache).code
 	if imgNoIC == img1 || imgNoIC.ICSites() != 0 {
 		t.Fatalf("NoIC image aliased the seeded one (%d IC sites)", imgNoIC.ICSites())
 	}
-	imgBare := compiledCode(prog, m, compileOpts(nil, StaticConfig{}), cache)
+	imgBare := compiledCode(prog, m, compileOpts(nil, StaticConfig{}), cache).code
 	if imgBare.ConfigDigest() != imgNoIC.ConfigDigest() {
 		t.Fatal("NoIC and seedless images should digest identically")
 	}
-	imgNoFuse := compiledCode(prog, m, compileOpts(pr.DB, StaticConfig{NoFusion: true}), cache)
+	imgNoFuse := compiledCode(prog, m, compileOpts(pr.DB, StaticConfig{NoFusion: true}), cache).code
 	if imgNoFuse == img1 || imgNoFuse.FusedInstrs() != 0 {
 		t.Fatalf("NoFusion image aliased the fused one (%d fused)", imgNoFuse.FusedInstrs())
 	}

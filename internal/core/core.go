@@ -59,15 +59,6 @@ type RunOptions struct {
 	Adapt Adapter
 }
 
-// run executes cfg bounded by o.
-func (o RunOptions) run(cfg interp.Config) (*interp.Result, error) {
-	cfg.Quantum = o.Quantum
-	cfg.MaxSteps = o.MaxSteps
-	cfg.Ctx = o.Ctx
-	cfg.Engine = o.Engine
-	return interp.Run(cfg)
-}
-
 // Adapter observes analysis reports as they are produced. It is
 // implemented by adapt.Manager; core itself never refines — the
 // observer only records, keeping run latency flat.

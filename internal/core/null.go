@@ -78,47 +78,39 @@ type nullObserver struct {
 
 func (o *nullObserver) NilDeref(_ vc.TID, in *ir.Instr) { o.log.record(in.ID) }
 
+// nullTables are the OptNull checker's read-only tables. They depend
+// only on (program, invariant database, proof), so an OptNull builds
+// them once and every run shares them.
+type nullTables struct {
+	luc     []bool      // block ID -> assumed unreachable
+	fact    []bool      // load site -> used non-null fact
+	callees calleeTable // nil: callee invariant disabled
+}
+
+func newNullTables(prog *ir.Program, db *invariants.DB, used *bitset.Set) *nullTables {
+	t := &nullTables{luc: lucTable(prog, db), fact: make([]bool, len(prog.Instrs))}
+	used.ForEach(func(id int) bool {
+		t.fact[id] = true
+		return true
+	})
+	// A database without callee facts assumes none, so it checks none.
+	if db.Callees != nil {
+		t.callees = newCalleeTable(prog, db)
+	}
+	return t
+}
+
 // nullChecker is the speculative run's tracer: it collects the verdict
 // at residual checks AND verifies every invariant the predicated proof
 // assumed — likely-non-null facts at the used load sites (Load events,
 // delivered exactly there by the mem mask), likely-unreachable code,
 // and likely callee sets (the predicated points-to prunes indirect
-// calls to them).
+// calls to them). It holds one run's state over shared tables.
 type nullChecker struct {
 	interp.NopTracer
+	*nullTables
 	checkState
 	log nilLog
-
-	luc        []bool
-	fact       []bool               // load site -> used non-null fact
-	calleeSets map[int]map[int]bool // nil: callee invariant disabled
-}
-
-func newNullChecker(prog *ir.Program, db *invariants.DB, used *bitset.Set, abort *interp.Abort) *nullChecker {
-	c := &nullChecker{
-		checkState: checkState{abort: abort},
-		luc:        make([]bool, len(prog.Blocks)),
-		fact:       make([]bool, len(prog.Instrs)),
-	}
-	for _, b := range prog.Blocks {
-		c.luc[b.ID] = db.LikelyUnreachable(b.ID)
-	}
-	used.ForEach(func(id int) bool {
-		c.fact[id] = true
-		return true
-	})
-	if db.Callees != nil {
-		c.calleeSets = map[int]map[int]bool{}
-		for site, set := range db.Callees {
-			m := map[int]bool{}
-			set.ForEach(func(f int) bool {
-				m[f] = true
-				return true
-			})
-			c.calleeSets[site] = m
-		}
-	}
-	return c
 }
 
 // FastState implements interp.FastTracer: the checker's Load handler
@@ -172,13 +164,8 @@ func (c *nullChecker) Spawn(_ vc.TID, in *ir.Instr, _ vc.TID, _ interp.FrameID, 
 }
 
 func (c *nullChecker) checkCallee(in *ir.Instr, callee *ir.Function) {
-	if c.calleeSets == nil || !in.IsIndirect() {
-		return
-	}
-	c.Events++
-	set := c.calleeSets[in.ID]
-	if set == nil || !set[callee.ID] {
-		c.violate(Violation{Kind: ViolationCalleeSet, Site: in.ID, Callee: callee.ID, Detail: callee.Name})
+	if c.callees != nil && in.IsIndirect() {
+		c.callees.check(&c.checkState, in, callee)
 	}
 }
 
@@ -280,6 +267,17 @@ func factMemMask(prog *ir.Program, res *nullcheck.Result) []bool {
 	return mask
 }
 
+// soundNullMasks check the sites in null and deliver no other event:
+// the configurations that only collect the verdict.
+func soundNullMasks(prog *ir.Program, null []bool) interp.Masks {
+	return interp.Masks{
+		Mem:   make([]bool, len(prog.Instrs)),
+		Sync:  make([]bool, len(prog.Instrs)),
+		Block: make([]bool, len(prog.Blocks)),
+		Null:  null,
+	}
+}
+
 // nullReport assembles the common report fields of one run.
 func nullReport(log *nilLog, res *interp.Result, proof *nullcheck.Result) *NullReport {
 	return &NullReport{
@@ -296,23 +294,19 @@ func nullReport(log *nilLog, res *interp.Result, proof *nullcheck.Result) *NullR
 // and no static analysis — the unoptimized baseline the discharge
 // ratio is measured against.
 func RunNullAlways(prog *ir.Program, e Execution, opts RunOptions) (*NullReport, error) {
+	none := &nullcheck.Result{Discharged: &bitset.Set{}, UsedFacts: &bitset.Set{}, DerefSites: countDerefSites(prog)}
+	return (&plan{prog: prog, masks: soundNullMasks(prog, fullNullMask(prog))}).observeNulls(e, opts, none)
+}
+
+// observeNulls runs e under p, only collecting the verdict; proof is
+// the static proof p's masks come from.
+func (p *plan) observeNulls(e Execution, opts RunOptions, proof *nullcheck.Result) (*NullReport, error) {
 	obs := &nullObserver{}
-	res, err := opts.run(interp.Config{
-		Prog:      prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
-		Tracer:    obs,
-		MemMask:   make([]bool, len(prog.Instrs)),
-		SyncMask:  make([]bool, len(prog.Instrs)),
-		BlockMask: make([]bool, len(prog.Blocks)),
-		NullMask:  fullNullMask(prog),
-	})
+	res, err := p.run(e, obs, nil, opts)
 	if err != nil {
 		return nil, err
 	}
-	rep := nullReport(&obs.log, res, &nullcheck.Result{Discharged: &bitset.Set{}, UsedFacts: &bitset.Set{}})
-	rep.DerefSites = countDerefSites(prog)
-	return rep, nil
+	return nullReport(&obs.log, res, proof), nil
 }
 
 func countDerefSites(prog *ir.Program) int {
@@ -333,11 +327,7 @@ type HybridNull struct {
 	Prog   *ir.Program
 	Static *nullcheck.Result
 
-	nullMask  []bool
-	memMask   []bool
-	syncMask  []bool
-	blockMask []bool
-	code      *interp.Code
+	plan *plan
 }
 
 // NewHybridNull runs the sound static non-nullness analysis.
@@ -346,37 +336,14 @@ func NewHybridNull(prog *ir.Program, cfg StaticConfig) (*HybridNull, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &HybridNull{
-		Prog:      prog,
-		Static:    proof,
-		nullMask:  residualNullMask(prog, proof),
-		memMask:   make([]bool, len(prog.Instrs)),
-		syncMask:  make([]bool, len(prog.Instrs)),
-		blockMask: make([]bool, len(prog.Blocks)),
-	}
 	// The sound image assumes no invariants: no IC seeds (nil db).
-	h.code = compiledCode(prog, interp.Masks{Mem: h.memMask, Sync: h.syncMask, Block: h.blockMask, Null: h.nullMask}, compileOpts(nil, cfg), cfg.Cache)
-	return h, nil
+	p := compiledCode(prog, soundNullMasks(prog, residualNullMask(prog, proof)), compileOpts(nil, cfg), cfg.Cache)
+	return &HybridNull{Prog: prog, Static: proof, plan: p}, nil
 }
 
 // Run performs one sound hybrid null-checking run of e.
 func (h *HybridNull) Run(e Execution, opts RunOptions) (*NullReport, error) {
-	obs := &nullObserver{}
-	res, err := opts.run(interp.Config{
-		Prog:      h.Prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
-		Tracer:    obs,
-		MemMask:   h.memMask,
-		SyncMask:  h.syncMask,
-		BlockMask: h.blockMask,
-		NullMask:  h.nullMask,
-		Code:      h.code,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return nullReport(&obs.log, res, h.Static), nil
+	return h.plan.observeNulls(e, opts, h.Static)
 }
 
 // OptNull is the optimistic hybrid null checker: dynamic checks minus
@@ -390,11 +357,8 @@ type OptNull struct {
 	Pred  *nullcheck.Result
 	Sound *HybridNull
 
-	nullMask  []bool
-	memMask   []bool
-	syncMask  []bool
-	blockMask []bool
-	code      *interp.Code
+	plan   *plan
+	tables *nullTables
 }
 
 // NewOptNull runs both static analyses (predicated for speculation,
@@ -412,27 +376,24 @@ func NewOptNull(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*OptNull
 	if err != nil {
 		return nil, err
 	}
-	o := &OptNull{
-		Prog:      prog,
-		DB:        db,
-		Pred:      proof,
-		Sound:     sound,
-		nullMask:  residualNullMask(prog, proof),
-		memMask:   factMemMask(prog, proof),
-		syncMask:  make([]bool, len(prog.Instrs)),
-		blockMask: checkedBlockMask(prog, db),
+	tables := newNullTables(prog, db, proof.UsedFacts)
+	m := interp.Masks{
+		Mem:   factMemMask(prog, proof),
+		Sync:  make([]bool, len(prog.Instrs)),
+		Block: tables.luc,
+		Null:  residualNullMask(prog, proof),
 	}
 	// The speculative image is IC-seeded from the likely callee sets
 	// (the null proof's points-to is predicated on them, and the
 	// checker verifies them at runtime).
-	o.code = compiledCode(prog, interp.Masks{Mem: o.memMask, Sync: o.syncMask, Block: o.blockMask, Null: o.nullMask}, compileOpts(db, cfg), cfg.Cache)
-	return o, nil
+	p := compiledCode(prog, m, compileOpts(db, cfg), cfg.Cache)
+	return &OptNull{Prog: prog, DB: db, Pred: proof, Sound: sound, plan: p, tables: tables}, nil
 }
 
 // CodeDigest returns the content digest of the speculative run's
 // compiled configuration (see OptFT.CodeDigest). Refining a
 // non-null-load fact changes the residual mask and so the digest.
-func (o *OptNull) CodeDigest() string { return o.code.ConfigDigest() }
+func (o *OptNull) CodeDigest() string { return o.plan.code.ConfigDigest() }
 
 // ElidedChecks returns how many deref sites the predicated analysis
 // lets OptNull run without a dynamic check — the analog of
@@ -445,20 +406,7 @@ func (o *OptNull) DischargeRatio() float64 { return o.Pred.DischargeRatio() }
 // Run performs one speculative null-checking run of e, rolling back to
 // the traditional hybrid configuration on invariant violation.
 func (o *OptNull) Run(e Execution, opts RunOptions) (*NullReport, error) {
-	abort := &interp.Abort{}
-	checker := newNullChecker(o.Prog, o.DB, o.Pred.UsedFacts, abort)
-	cfg := interp.Config{
-		Prog:      o.Prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
-		Tracer:    checker,
-		MemMask:   o.memMask,
-		SyncMask:  o.syncMask,
-		BlockMask: o.blockMask,
-		NullMask:  o.nullMask,
-		Code:      o.code,
-		Abort:     abort,
-	}
+	checker := &nullChecker{nullTables: o.tables, checkState: checkState{abort: &interp.Abort{}}}
 	report := func(res *interp.Result) *NullReport { return nullReport(&checker.log, res, o.Pred) }
-	return speculate(nullClient{}, cfg, &checker.checkState, e, opts, report, nil, o.Sound.Run)
+	return speculate(nullClient{}, o.plan, checker, &checker.checkState, e, opts, report, nil, o.Sound.Run)
 }

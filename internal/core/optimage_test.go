@@ -26,7 +26,8 @@ func TestOptFTImageFusesMemEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code := o.code
+	spec := o.spec
+	code := spec.code
 
 	var listing strings.Builder
 	if err := code.Disasm(&listing); err != nil {
@@ -65,12 +66,12 @@ func TestOptFTImageFusesMemEvents(t *testing.T) {
 
 	for i := 0; i < 4; i++ {
 		e := Execution{Inputs: w.GenInput(1000 + i), Seed: uint64(2000 + i)}
-		o.code = code
+		o.spec = spec
 		want, err := o.Run(e, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		o.code = dec
+		o.spec = &plan{prog: spec.prog, masks: spec.masks, code: dec}
 		got, err := o.Run(e, RunOptions{})
 		if err != nil {
 			t.Fatal(err)

@@ -67,20 +67,10 @@ type StaticConfig struct {
 	NoFastPath bool
 }
 
-// raceStatic bundles one static race analysis with the masks it
-// implies.
-type raceStatic struct {
-	static *staticrace.Result
-	mem    []bool // loads/stores FastTrack must instrument
-	sync   []bool // lock/unlock FastTrack must instrument
-}
-
 // analyzeRaceStatic runs the (sound or predicated) Chord-style static
-// pipeline and derives instrumentation masks. With a non-nil cache the
-// points-to, MHP, and static-race stages are memoized by content
-// address; the masks are rebuilt fresh on every call because callers
-// (ValidateCustomSync) mutate them per instance.
-func analyzeRaceStatic(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*raceStatic, error) {
+// pipeline. With a non-nil cache the points-to, MHP, and static-race
+// stages are memoized by content address.
+func analyzeRaceStatic(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*staticrace.Result, error) {
 	v, err := cfg.Cache.Memo(artifacts.Key(artifacts.KindStaticRace, prog, db, 0, "ci"), artifacts.RaceCodec(prog), func() (any, error) {
 		pt, err := pointsToCI(prog, db, cfg)
 		if err != nil {
@@ -95,10 +85,7 @@ func analyzeRaceStatic(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*
 	if err != nil {
 		return nil, err
 	}
-	sr := v.(*staticrace.Result)
-
-	mem, sync := sr.Masks(db)
-	return &raceStatic{static: sr, mem: mem, sync: sync}, nil
+	return v.(*staticrace.Result), nil
 }
 
 // pointsToCI returns the (memoized) context-insensitive points-to
@@ -124,54 +111,6 @@ func mhpOf(prog *ir.Program, pt *pointsto.Result, db *invariants.DB, cache *arti
 		return nil, err
 	}
 	return v.(*mhp.Result), nil
-}
-
-// ftAdapter forwards events to a FastTrack detector, filtering sync
-// events down to the sites FastTrack actually instruments (the
-// interpreter's SyncMask is the union of FastTrack's sites and the
-// invariant checks' sites).
-type ftAdapter struct {
-	interp.NopTracer
-	det  *fasttrack.Detector
-	sync []bool // nil: all
-}
-
-// FastState implements interp.FastTracer by exposing the underlying
-// detector's shadow state: the adapter forwards Load/Store to the
-// detector one-to-one (only sync events are filtered), so the
-// engine's inline memory fast path is exactly as sound here as on the
-// bare detector.
-func (a *ftAdapter) FastState() *interp.FastState { return a.det.FastState() }
-
-// FlushMem implements interp.FastTracer (see FastState).
-func (a *ftAdapter) FlushMem(evs []interp.MemEvent) { a.det.FlushMem(evs) }
-
-func (a *ftAdapter) Load(t vc.TID, in *ir.Instr, addr interp.Addr, v int64) {
-	a.det.Load(t, in, addr, v)
-}
-
-func (a *ftAdapter) Store(t vc.TID, in *ir.Instr, addr interp.Addr, v int64) {
-	a.det.Store(t, in, addr, v)
-}
-
-func (a *ftAdapter) Lock(t vc.TID, in *ir.Instr, addr interp.Addr) {
-	if a.sync == nil || a.sync[in.ID] {
-		a.det.Lock(t, in, addr)
-	}
-}
-
-func (a *ftAdapter) Unlock(t vc.TID, in *ir.Instr, addr interp.Addr) {
-	if a.sync == nil || a.sync[in.ID] {
-		a.det.Unlock(t, in, addr)
-	}
-}
-
-func (a *ftAdapter) Spawn(t vc.TID, in *ir.Instr, c vc.TID, f interp.FrameID, fn *ir.Function) {
-	a.det.Spawn(t, in, c, f, fn)
-}
-
-func (a *ftAdapter) Join(t vc.TID, in *ir.Instr, c vc.TID) {
-	a.det.Join(t, in, c)
 }
 
 // optTracer is the speculative run's combined tracer: FastTrack plus
@@ -242,22 +181,27 @@ func raceReport(det *fasttrack.Detector, res *interp.Result) *RaceReport {
 // RunPlain executes without any analysis — the "framework overhead"
 // baseline of Figure 5.
 func RunPlain(prog *ir.Program, e Execution, opts RunOptions) (*interp.Result, error) {
-	// Empty masks, not nil ones: a nil mask flags every site, and a
-	// flagged memory op cannot fuse even with no tracer installed.
-	return opts.run(interp.Config{Prog: prog, Inputs: e.Inputs, Choose: e.chooser(), MemMask: noEvents, SyncMask: noEvents, BlockMask: noEvents})
+	return (&plan{prog: prog, masks: plainMasks}).run(e, nil, nil, opts)
+}
+
+// raceMasks deliver FastTrack's events: loads and stores at mem, locks
+// and unlocks at sync (nil: every site), no block event. With nil masks
+// they are the unoptimized race detectors' configuration.
+func raceMasks(prog *ir.Program, mem, sync []bool) interp.Masks {
+	return interp.Masks{Mem: mem, Sync: sync, Block: make([]bool, len(prog.Blocks))}
 }
 
 // RunFastTrack executes under full FastTrack instrumentation (the
 // unoptimized baseline).
 func RunFastTrack(prog *ir.Program, e Execution, opts RunOptions) (*RaceReport, error) {
+	return (&plan{prog: prog, masks: raceMasks(prog, nil, nil)}).fastTrack(e, opts)
+}
+
+// fastTrack runs e under p with a FastTrack detector.
+func (p *plan) fastTrack(e Execution, opts RunOptions) (*RaceReport, error) {
 	det := fasttrack.New()
-	res, err := opts.run(interp.Config{
-		Prog:      prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
-		Tracer:    det,
-		BlockMask: make([]bool, len(prog.Blocks)),
-	})
+	defer det.Release()
+	res, err := p.run(e, det, nil, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -269,48 +213,27 @@ func RunFastTrack(prog *ir.Program, e Execution, opts RunOptions) (*RaceReport, 
 type HybridFT struct {
 	Prog   *ir.Program
 	Static *staticrace.Result
-	rs     *raceStatic
 
-	// blockMask is the stored all-false block mask (no BlockEnter
-	// events) and code the bytecode image compiled from exactly the
-	// masks Run installs, so repeated runs skip recompilation.
-	blockMask []bool
-	code      *interp.Code
+	plan *plan
 }
 
 // NewHybridFT runs the sound static analysis. The result is
 // digest-identical for every configuration; only the solve latency
 // changes.
 func NewHybridFT(prog *ir.Program, cfg StaticConfig) (*HybridFT, error) {
-	rs, err := analyzeRaceStatic(prog, nil, cfg)
+	sr, err := analyzeRaceStatic(prog, nil, cfg)
 	if err != nil {
 		return nil, err
 	}
-	h := &HybridFT{Prog: prog, Static: rs.static, rs: rs}
-	h.blockMask = make([]bool, len(prog.Blocks))
+	mem, sync := sr.Masks(nil)
 	// The sound image assumes no invariants: no IC seeds (nil db).
-	h.code = compiledCode(prog, interp.Masks{Mem: rs.mem, Sync: rs.sync, Block: h.blockMask}, compileOpts(nil, cfg), cfg.Cache)
-	return h, nil
+	p := compiledCode(prog, raceMasks(prog, mem, sync), compileOpts(nil, cfg), cfg.Cache)
+	return &HybridFT{Prog: prog, Static: sr, plan: p}, nil
 }
 
 // Run executes one analysis under the hybrid instrumentation.
 func (h *HybridFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
-	det := fasttrack.New()
-	defer det.Release()
-	res, err := opts.run(interp.Config{
-		Prog:      h.Prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
-		Tracer:    det,
-		MemMask:   h.rs.mem,
-		SyncMask:  h.rs.sync,
-		BlockMask: h.blockMask,
-		Code:      h.code,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return raceReport(det, res), nil
+	return h.plan.fastTrack(e, opts)
 }
 
 // OptFT is the optimistic hybrid race detector (§4): FastTrack
@@ -324,21 +247,12 @@ type OptFT struct {
 	Pred  *staticrace.Result
 	Sound *HybridFT
 
-	pred   *raceStatic
-	tables *raceTables // the checker's tables, shared by every run
-	// unified interpreter masks (FastTrack sites ∪ check sites)
-	syncMask  []bool
-	blockMask []bool
-
-	// static (with its cache) compiles images; code is the speculative
-	// run's image, valCode / valBlockMask the ones for validation runs
-	// (runWithoutRollback, which installs the raw FastTrack sync mask
-	// and no checks). setElidable mutates the masks in place, so both
-	// images are re-derived there.
-	static       StaticConfig
-	code         *interp.Code
-	valCode      *interp.Code
-	valBlockMask []bool
+	tables *raceTables  // the checker's tables, shared by every run
+	static StaticConfig // compiles the plans setElidable builds
+	// spec is the speculative run's plan: FastTrack's sites plus the
+	// check sites. val is the plan of ValidateCustomSync's runs:
+	// FastTrack's sites alone, no checks.
+	spec, val *plan
 }
 
 // NewOptFT runs both static analyses (predicated for speculation,
@@ -369,47 +283,42 @@ func NewOptFTStatic(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*Opt
 	if err != nil {
 		return nil, err
 	}
-	o := &OptFT{Prog: prog, DB: db, Pred: pred.static, Sound: sound, pred: pred, tables: newRaceTables(prog, db)}
-	o.blockMask = checkedBlockMask(prog, db)
-	// Sync events: FastTrack's sites plus the guarding-lock check
-	// sites (which need the cheap address check even when FastTrack's
-	// lock processing is elided).
-	o.syncMask = make([]bool, len(prog.Instrs))
-	copy(o.syncMask, pred.sync)
-	for pair := range db.MustAliasLocks {
-		o.syncMask[pair.A] = true
-		o.syncMask[pair.B] = true
-	}
-	o.static = cfg
-	o.valBlockMask = make([]bool, len(prog.Blocks))
-	o.recompile()
+	o := &OptFT{Prog: prog, DB: db, Pred: pred, Sound: sound, tables: newRaceTables(prog, db), static: cfg}
+	o.compile(pred.Masks(db))
 	return o, nil
 }
 
-// recompile re-derives the compiled images from the current masks.
-// Both speculative images (the checked run and the validation run) are
+// compile builds both plans from FastTrack's masks. Both images are
 // IC-seeded from the database's likely callee sets: an inline cache is
 // semantically transparent (a miss just resolves generically), so
 // seeding needs no checker support — the callee-set violation itself
 // is raised by the tracer, which both images already drive.
-func (o *OptFT) recompile() {
+func (o *OptFT) compile(mem, sync []bool) {
+	// Sync events: FastTrack's sites plus the guarding-lock check
+	// sites (which need the cheap address check even when FastTrack's
+	// lock processing is elided).
+	checked := slices.Clone(sync)
+	for pair := range o.DB.MustAliasLocks {
+		checked[pair.A] = true
+		checked[pair.B] = true
+	}
 	opts := compileOpts(o.DB, o.static)
-	o.code = compiledCode(o.Prog, interp.Masks{Mem: o.pred.mem, Sync: o.syncMask, Block: o.blockMask}, opts, o.static.Cache)
-	o.valCode = compiledCode(o.Prog, interp.Masks{Mem: o.pred.mem, Sync: o.pred.sync, Block: o.valBlockMask}, opts, o.static.Cache)
+	o.spec = compiledCode(o.Prog, interp.Masks{Mem: mem, Sync: checked, Block: o.tables.luc}, opts, o.static.Cache)
+	o.val = compiledCode(o.Prog, raceMasks(o.Prog, mem, sync), opts, o.static.Cache)
 }
 
 // CodeDigest returns the content digest of the speculative run's
 // compiled configuration (instrumentation masks, IC seeds, fusion) —
 // the fingerprint the adaptive speculation manager records per
 // generation. Refining a callee-set fact changes the digest.
-func (o *OptFT) CodeDigest() string { return o.code.ConfigDigest() }
+func (o *OptFT) CodeDigest() string { return o.spec.code.ConfigDigest() }
 
 // ElidedAccesses returns how many loads/stores the predicated analysis
 // allows OptFT to skip.
 func (o *OptFT) ElidedAccesses() int {
 	n := 0
 	for _, in := range o.Prog.Instrs {
-		if in.IsMemAccess() && !o.pred.mem[in.ID] {
+		if in.IsMemAccess() && !o.spec.masks.Mem[in.ID] {
 			n++
 		}
 	}
@@ -424,17 +333,7 @@ func (o *OptFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
 	det := fasttrack.New()
 	defer det.Release()
 	checker := o.tables.newChecker(abort)
-	cfg := interp.Config{
-		Prog:      o.Prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
-		Tracer:    &optTracer{det: det, checker: checker, sync: o.pred.sync},
-		MemMask:   o.pred.mem,
-		SyncMask:  o.syncMask,
-		BlockMask: o.blockMask,
-		Code:      o.code,
-		Abort:     abort,
-	}
+	tracer := &optTracer{det: det, checker: checker, sync: o.val.masks.Sync}
 	report := func(res *interp.Result) *RaceReport { return raceReport(det, res) }
 	suspect := func() Violation {
 		// Race reports are potential mis-speculations when lock
@@ -445,7 +344,7 @@ func (o *OptFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
 		}
 		return Violation{}
 	}
-	return speculate(raceClient{}, cfg, &checker.checkState, e, opts, report, suspect, o.Sound.Run)
+	return speculate(raceClient{}, o.spec, tracer, &checker.checkState, e, opts, report, suspect, o.Sound.Run)
 }
 
 // ValidateCustomSync performs the iterative no-custom-synchronization
@@ -455,14 +354,14 @@ func (o *OptFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
 // the sound detector; if elision introduces false races, the
 // instrumentation is restored lock-object group by group until the
 // reports agree. The validated set is stored in o.DB.ElidableLocks
-// (and reflected in the run masks).
+// (and reflected in the run plans).
 func (o *OptFT) ValidateCustomSync(execs []Execution, opts RunOptions) error {
 	tentative := o.Pred.ElidableSyncs.Clone()
 	for {
 		o.setElidable(tentative)
 		bad := false
 		for _, e := range execs {
-			optRep, err := o.runWithoutRollback(e, opts)
+			optRep, err := o.val.fastTrack(e, opts)
 			if err != nil {
 				return err
 			}
@@ -492,42 +391,16 @@ func (o *OptFT) ValidateCustomSync(execs []Execution, opts RunOptions) error {
 	}
 }
 
-// setElidable updates the elided-lock set and derived masks.
+// setElidable updates the elided-lock set and rebuilds both plans.
 func (o *OptFT) setElidable(set *bitset.Set) {
 	o.DB.ElidableLocks = set.Clone()
+	sync := slices.Clone(o.val.masks.Sync)
 	for _, in := range o.Prog.Instrs {
 		if in.Op == ir.OpLock || in.Op == ir.OpUnlock {
-			o.pred.sync[in.ID] = !set.Has(in.ID)
-			o.syncMask[in.ID] = o.pred.sync[in.ID]
+			sync[in.ID] = !set.Has(in.ID)
 		}
 	}
-	for pair := range o.DB.MustAliasLocks {
-		o.syncMask[pair.A] = true
-		o.syncMask[pair.B] = true
-	}
-	o.recompile()
-}
-
-// runWithoutRollback runs the optimistic configuration but never rolls
-// back — used by custom-sync validation, which wants the raw
-// (possibly false) race reports.
-func (o *OptFT) runWithoutRollback(e Execution, opts RunOptions) (*RaceReport, error) {
-	det := fasttrack.New()
-	defer det.Release()
-	res, err := opts.run(interp.Config{
-		Prog:      o.Prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
-		Tracer:    &ftAdapter{det: det, sync: o.pred.sync},
-		MemMask:   o.pred.mem,
-		SyncMask:  o.pred.sync,
-		BlockMask: o.valBlockMask,
-		Code:      o.valCode,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return raceReport(det, res), nil
+	o.compile(o.val.masks.Mem, sync)
 }
 
 // SameRaces reports whether two runs detected races on exactly the
@@ -541,19 +414,9 @@ func SameRaces(a, b *RaceReport) bool { return slices.Equal(a.RacyAddrs, b.RacyA
 // the ablation baseline for FastTrack's epoch optimization.
 func RunDJIT(prog *ir.Program, e Execution, opts RunOptions) (*RaceReport, error) {
 	det := fasttrack.NewDJIT()
-	res, err := opts.run(interp.Config{
-		Prog:      prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
-		Tracer:    det,
-		BlockMask: make([]bool, len(prog.Blocks)),
-	})
+	res, err := (&plan{prog: prog, masks: raceMasks(prog, nil, nil)}).run(e, det, nil, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &RaceReport{
-		RacyAddrs: det.RacyAddrs(),
-		FTChecks:  det.Checks,
-		Outcome:   Outcome{Stats: res.Stats, Output: res.Output},
-	}, nil
+	return &RaceReport{RacyAddrs: det.RacyAddrs(), FTChecks: det.Checks, Outcome: outcomeOf(res)}, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"oha/internal/ir"
 	"oha/internal/lang"
+	"oha/internal/workloads"
 )
 
 // lockedCounter: fully synchronized; OptFT should elide almost all
@@ -437,4 +438,31 @@ func TestHybridLessWorkThanFastTrackMoreThanOpt(t *testing.T) {
 		t.Errorf("hybrid does more work than FastTrack: %d > %d", hyW, ftW)
 	}
 	t.Logf("instrumented ops: fasttrack=%d hybrid=%d optimistic=%d", ftW, hyW, optW)
+}
+
+// DJIT+ and FastTrack run the same full-instrumentation configuration:
+// on every race workload they find the same racy addresses with the
+// same event counts and the same fused execution.
+func TestDJITMatchesFastTrackOutcome(t *testing.T) {
+	for _, w := range workloads.Races() {
+		prog := w.Prog()
+		for i := 0; i < 2; i++ {
+			e := Execution{Inputs: w.GenInput(1000 + i), Seed: uint64(2000 + i)}
+			ft, err := RunFastTrack(prog, e, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dj, err := RunDJIT(prog, e, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !SameRaces(dj, ft) || dj.Stats != ft.Stats || dj.IC.Fused != ft.IC.Fused {
+				t.Errorf("%s/%d: DJIT racy %v stats %+v fused %d; FastTrack racy %v stats %+v fused %d",
+					w.Name, i, dj.RacyAddrs, dj.Stats, dj.IC.Fused, ft.RacyAddrs, ft.Stats, ft.IC.Fused)
+			}
+			if ft.IC.Fused == 0 {
+				t.Errorf("%s/%d: FastTrack run fused nothing", w.Name, i)
+			}
+		}
+	}
 }

@@ -21,7 +21,7 @@ type analysis struct {
 // workloadAnalysis profiles workload name the way the evaluation
 // harness does and builds its optimistic analysis (OptFT with validated
 // custom synchronization for race workloads, OptSlice on the last print
-// for slicing workloads).
+// for slicing workloads, OptNull for null workloads).
 func workloadAnalysis(t *testing.T, name string, runs int) analysis {
 	t.Helper()
 	w := workloads.ByName(name)
@@ -39,6 +39,14 @@ func workloadAnalysis(t *testing.T, name string, runs int) analysis {
 			t.Fatal(err)
 		}
 		if err := o.ValidateCustomSync([]Execution{{Inputs: w.GenInput(0), Seed: 1}, {Inputs: w.GenInput(1), Seed: 2}}, RunOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		a.run = func(e Execution) (any, error) { return o.Run(e, RunOptions{}) }
+		return a
+	}
+	if w.Kind == workloads.Null {
+		o, err := NewOptNull(prog, pr.DB, StaticConfig{Workers: 1})
+		if err != nil {
 			t.Fatal(err)
 		}
 		a.run = func(e Execution) (any, error) { return o.Run(e, RunOptions{}) }
@@ -81,6 +89,8 @@ func rolledBack(rep any) bool {
 		return r.RolledBack
 	case *RaceReport:
 		return r.RolledBack
+	case *NullReport:
+		return r.RolledBack
 	}
 	return false
 }
@@ -90,7 +100,7 @@ func rolledBack(rep any) bool {
 // slices, races, Stats, IC counts with the engine's fast-path hits —
 // must equal the report of a run on fresh state.
 func TestRecycledRunsEqualFresh(t *testing.T) {
-	for _, name := range []string{"perl", "vim", "pmd", "montecarlo"} {
+	for _, name := range []string{"perl", "vim", "pmd", "montecarlo", "null-mono", "null-flaky"} {
 		a := workloadAnalysis(t, name, 8)
 		want := freshReports(t, a)
 		rollbacks := 0
@@ -120,14 +130,15 @@ func TestRecycledRunsEqualFresh(t *testing.T) {
 	}
 }
 
-// Daemon workers share one OptSlice and one OptFT. Eight goroutines
-// running a mixed list of executions, perl rollbacks included, on
-// shared instances must each get exactly the sequential reports.
+// Daemon workers share one OptSlice, one OptFT and one OptNull. Eight
+// goroutines running a mixed list of executions, perl rollbacks
+// included, on shared instances must each get exactly the sequential
+// reports.
 func TestConcurrentRunsShareRecycledState(t *testing.T) {
 	var jobs []func() (any, error)
 	var want []any
 	rollbacks := 0
-	for _, a := range []analysis{workloadAnalysis(t, "perl", 6), workloadAnalysis(t, "pmd", 3), workloadAnalysis(t, "raytracer", 2)} {
+	for _, a := range []analysis{workloadAnalysis(t, "perl", 6), workloadAnalysis(t, "pmd", 3), workloadAnalysis(t, "raytracer", 2), workloadAnalysis(t, "null-flaky", 4)} {
 		for _, e := range a.execs {
 			run, e := a.run, e
 			rep, err := run(e)

@@ -154,6 +154,36 @@ func staticSliceFor(prog *ir.Program, db *invariants.DB, criterion *ir.Instr, bu
 	return v.(*sliceStatic), nil
 }
 
+// Prints returns prog's print instructions in order — the pool of
+// slice criteria.
+func Prints(prog *ir.Program) []*ir.Instr {
+	var out []*ir.Instr
+	for _, in := range prog.Instrs {
+		if in.Op == ir.OpPrint {
+			out = append(out, in)
+		}
+	}
+	return out
+}
+
+// SliceCriterion resolves a slice request's criterion: print number
+// *idx of prog in program order, or the last print when idx is nil. It
+// returns the print's number and instruction.
+func SliceCriterion(prog *ir.Program, idx *int) (int, *ir.Instr, error) {
+	prints := Prints(prog)
+	if len(prints) == 0 {
+		return 0, nil, errors.New("program has no print statements to slice from")
+	}
+	i := len(prints) - 1
+	if idx != nil {
+		i = *idx
+		if i < 0 || i >= len(prints) {
+			return 0, nil, fmt.Errorf("criterion %d out of range (program has %d prints)", i, len(prints))
+		}
+	}
+	return i, prints[i], nil
+}
+
 // execMaskFor converts a static slice to the interpreter's trace mask.
 func execMaskFor(prog *ir.Program, s *staticslice.Slice) []bool {
 	mask := make([]bool, len(prog.Instrs))
@@ -166,12 +196,6 @@ func execMaskFor(prog *ir.Program, s *staticslice.Slice) []bool {
 	return mask
 }
 
-// noEvents is the empty non-nil mask: no site of its kind fires an
-// event (a nil mask would mean "every site"). The slicers consume only
-// Exec, call/ret/spawn and checked-block events, so their images carry
-// no Load/Store/Lock/Unlock flags and unflagged memory ops fuse.
-var noEvents = []bool{}
-
 // HybridSlicer is the traditional hybrid baseline (hybrid Giri): the
 // dynamic slicer tracing only the sound static slice.
 type HybridSlicer struct {
@@ -182,9 +206,15 @@ type HybridSlicer struct {
 	// MaxTraceNodes bounds the dynamic trace (0: dynslice default).
 	MaxTraceNodes int
 
-	execMask  []bool
-	blockMask []bool
-	code      *interp.Code
+	plan *plan
+}
+
+// sliceMasks trace the instructions in exec and deliver block events
+// exactly at block. The slicers consume only Exec, call/ret/spawn and
+// checked-block events, so their images carry no Load/Store/Lock/Unlock
+// flags and memory ops fuse.
+func sliceMasks(exec, block []bool) interp.Masks {
+	return interp.Masks{Mem: noEvents, Sync: noEvents, Exec: exec, Block: block}
 }
 
 // NewHybridSlicer runs the sound static slicer (CS if it fits budget,
@@ -194,41 +224,16 @@ func NewHybridSlicer(prog *ir.Program, criterion *ir.Instr, budget int, cfg Stat
 	if err != nil {
 		return nil, err
 	}
-	h := &HybridSlicer{
-		Prog:      prog,
-		Criterion: criterion,
-		Static:    ss.Slice,
-		AT:        ss.AT,
-		execMask:  execMaskFor(prog, ss.Slice),
-		blockMask: make([]bool, len(prog.Blocks)),
-	}
 	// The sound image assumes no invariants: no IC seeds (nil db).
-	h.code = compiledCode(prog, interp.Masks{Mem: noEvents, Sync: noEvents, Exec: h.execMask, Block: h.blockMask}, compileOpts(nil, cfg), cfg.Cache)
-	return h, nil
+	p := compiledCode(prog, sliceMasks(execMaskFor(prog, ss.Slice), make([]bool, len(prog.Blocks))), compileOpts(nil, cfg), cfg.Cache)
+	return &HybridSlicer{Prog: prog, Criterion: criterion, Static: ss.Slice, AT: ss.AT, plan: p}, nil
 }
 
-// Run performs one hybrid dynamic slicing of e.
+// Run performs one hybrid dynamic slicing of e. Like RunFullGiri it
+// errors when the trace outgrows MaxTraceNodes: a truncated trace
+// would yield a wrong slice.
 func (h *HybridSlicer) Run(e Execution, opts RunOptions) (*SliceReport, error) {
-	tr := dynslice.New(h.Prog, nil)
-	defer tr.Release()
-	if h.MaxTraceNodes > 0 {
-		tr.MaxNodes = h.MaxTraceNodes
-	}
-	res, err := opts.run(interp.Config{
-		Prog:      h.Prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
-		Tracer:    tr,
-		MemMask:   noEvents,
-		SyncMask:  noEvents,
-		ExecMask:  h.execMask,
-		BlockMask: h.blockMask,
-		Code:      h.code,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sliceReport(tr, h.Criterion, res), nil
+	return h.plan.slice(h.Criterion, e, opts, h.MaxTraceNodes)
 }
 
 // RunFullGiri traces every instruction (pure dynamic slicing). It
@@ -237,20 +242,21 @@ func (h *HybridSlicer) Run(e Execution, opts RunOptions) (*SliceReport, error) {
 // observation that unoptimized Giri exhausts resources on modest
 // executions.
 func RunFullGiri(prog *ir.Program, criterion *ir.Instr, e Execution, opts RunOptions, maxNodes int) (*SliceReport, error) {
+	m := interp.Masks{ExecAll: true, Block: make([]bool, len(prog.Blocks))}
+	return (&plan{prog: prog, masks: m}).slice(criterion, e, opts, maxNodes)
+}
+
+// slice runs e under p with a dynamic slicer bounded by maxNodes (0:
+// dynslice default); outgrowing the bound aborts the run with
+// interp.ErrAborted.
+func (p *plan) slice(criterion *ir.Instr, e Execution, opts RunOptions, maxNodes int) (*SliceReport, error) {
 	abort := &interp.Abort{}
-	tr := dynslice.New(prog, abort)
+	tr := dynslice.New(p.prog, abort)
+	defer tr.Release()
 	if maxNodes > 0 {
 		tr.MaxNodes = maxNodes
 	}
-	res, err := opts.run(interp.Config{
-		Prog:      prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
-		Tracer:    tr,
-		ExecAll:   true,
-		BlockMask: make([]bool, len(prog.Blocks)),
-		Abort:     abort,
-	})
+	res, err := p.run(e, tr, abort, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -268,10 +274,8 @@ type OptSlice struct {
 	AT        SliceAnalysisType
 	Sound     *HybridSlicer
 
-	execMask  []bool
-	blockMask []bool
-	code      *interp.Code
-	tables    *sliceTables
+	plan   *plan
+	tables *sliceTables
 }
 
 // NewOptSlice runs the predicated static slicer (context-sensitive
@@ -300,33 +304,32 @@ func NewOptSliceStatic(prog *ir.Program, db *invariants.DB, criterion *ir.Instr,
 	if err != nil {
 		return nil, err
 	}
-	o := &OptSlice{
+	// The unused-call-contexts invariant is only assumed (and so only
+	// needs checking) when the analysis was context-sensitive under the
+	// observed-context restriction.
+	tables := newSliceTables(prog, db, ss.AT == CS)
+	// The speculative image is IC-seeded from the likely callee sets:
+	// OptSlice assumes (and checks) exactly those sets, so a cached
+	// target is a callee the tracer's checker accepts, and an
+	// out-of-set target both misses the cache and raises the
+	// callee-set violation that drives refinement.
+	p := compiledCode(prog, sliceMasks(execMaskFor(prog, ss.Slice), tables.luc), compileOpts(db, cfg), cfg.Cache)
+	return &OptSlice{
 		Prog:      prog,
 		DB:        db,
 		Criterion: criterion,
 		Static:    ss.Slice,
 		AT:        ss.AT,
 		Sound:     sound,
-		execMask:  execMaskFor(prog, ss.Slice),
-		blockMask: checkedBlockMask(prog, db),
-		// The unused-call-contexts invariant is only assumed (and so
-		// only needs checking) when the analysis was context-sensitive
-		// under the observed-context restriction.
-		tables: newSliceTables(prog, db, ss.AT == CS),
-	}
-	// The speculative image is IC-seeded from the likely callee sets:
-	// OptSlice assumes (and checks) exactly those sets, so a cached
-	// target is a callee the tracer's checker accepts, and an
-	// out-of-set target both misses the cache and raises the
-	// callee-set violation that drives refinement.
-	o.code = compiledCode(prog, interp.Masks{Mem: noEvents, Sync: noEvents, Exec: o.execMask, Block: o.blockMask}, compileOpts(db, cfg), cfg.Cache)
-	return o, nil
+		plan:      p,
+		tables:    tables,
+	}, nil
 }
 
 // CodeDigest returns the content digest of the speculative run's
 // compiled configuration (see OptFT.CodeDigest). Refining a
 // callee-set fact changes the IC seeds and therefore the digest.
-func (o *OptSlice) CodeDigest() string { return o.code.ConfigDigest() }
+func (o *OptSlice) CodeDigest() string { return o.plan.code.ConfigDigest() }
 
 // Run performs one speculative dynamic slicing of e, rolling back to
 // the traditional hybrid slicer on invariant violation.
@@ -335,20 +338,8 @@ func (o *OptSlice) Run(e Execution, opts RunOptions) (*SliceReport, error) {
 	tr := dynslice.New(o.Prog, abort)
 	defer tr.Release()
 	checker := o.tables.newChecker(abort)
-	cfg := interp.Config{
-		Prog:      o.Prog,
-		Inputs:    e.Inputs,
-		Choose:    e.chooser(),
-		Tracer:    &optSliceTracer{tr: tr, checker: checker},
-		MemMask:   noEvents,
-		SyncMask:  noEvents,
-		ExecMask:  o.execMask,
-		BlockMask: o.blockMask,
-		Code:      o.code,
-		Abort:     abort,
-	}
 	report := func(res *interp.Result) *SliceReport { return sliceReport(tr, o.Criterion, res) }
-	return speculate(sliceClient{}, cfg, &checker.checkState, e, opts, report, nil, o.Sound.Run)
+	return speculate(sliceClient{}, o.plan, &optSliceTracer{tr: tr, checker: checker}, &checker.checkState, e, opts, report, nil, o.Sound.Run)
 }
 
 // sliceReport assembles one slicing run's report.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"oha/internal/interp"
@@ -301,6 +302,38 @@ func TestFullGiriExhaustsOnLongRuns(t *testing.T) {
 	}
 }
 
+// A hybrid slicer whose trace outgrows MaxTraceNodes must fail rather
+// than slice the truncated trace, and so must an OptSlice run that
+// rolls back onto it.
+func TestHybridSlicerErrorsOnTraceOverflow(t *testing.T) {
+	src := `
+		global g = 0;
+		func main() {
+			if (input(0)) { g = 1; }    // unlikely path
+			var i = 0;
+			while (i < 20000) { g = g + i; i = i + 1; }
+			print(g);
+		}
+	`
+	prog := lang.MustCompile(src)
+	criterion := lastPrintOf(t, prog)
+	pr := mustProfile(t, prog, func(run int) Execution {
+		return Execution{Inputs: []int64{0}, Seed: uint64(run + 1)}
+	}, 4)
+	opt, err := NewOptSlice(prog, pr.DB, criterion, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Sound.MaxTraceNodes = 5000
+	if rep, err := opt.Sound.Run(Execution{Inputs: []int64{0}, Seed: 1}, RunOptions{}); !errors.Is(err, interp.ErrAborted) {
+		t.Fatalf("hybrid slicer past its trace limit: err = %v, report %+v", err, rep)
+	}
+	rep, err := opt.Run(Execution{Inputs: []int64{1}, Seed: 1}, RunOptions{})
+	if !errors.Is(err, interp.ErrAborted) {
+		t.Fatalf("rollback onto an overflowing hybrid slicer: err = %v, report %+v", err, rep)
+	}
+}
+
 func TestSliceOfUnexecutedCriterion(t *testing.T) {
 	src := `
 		func main() {
@@ -388,6 +421,42 @@ func TestSlicerRunsDeliverNoMemoryOrSyncEvents(t *testing.T) {
 					t.Errorf("%s/%s: slice differs from full Giri", c.name, name)
 				}
 			}
+		}
+	}
+}
+
+// SliceCriterion resolves the CLI's and the daemon's criterion the same
+// way: the last print by default, a print by number, and an error for
+// a number past the last print or a program with no print.
+func TestSliceCriterion(t *testing.T) {
+	twoPrints := lang.MustCompile(`func main() { print(1); print(2); }`)
+	noPrints := lang.MustCompile(`func main() { var x = 1; }`)
+	num := func(i int) *int { return &i }
+	prints := Prints(twoPrints)
+	for _, c := range []struct {
+		name    string
+		prog    *ir.Program
+		idx     *int
+		want    int
+		wantErr string
+	}{
+		{name: "default", prog: twoPrints, want: 1},
+		{name: "first", prog: twoPrints, idx: num(0), want: 0},
+		{name: "last", prog: twoPrints, idx: num(1), want: 1},
+		{name: "past-last", prog: twoPrints, idx: num(99), wantErr: "criterion 99 out of range (program has 2 prints)"},
+		{name: "negative", prog: twoPrints, idx: num(-1), wantErr: "criterion -1 out of range (program has 2 prints)"},
+		{name: "no-prints", prog: noPrints, wantErr: "program has no print statements to slice from"},
+	} {
+		got, in, err := SliceCriterion(c.prog, c.idx)
+		switch {
+		case c.wantErr != "":
+			if err == nil || err.Error() != c.wantErr {
+				t.Errorf("%s: err = %v, want %q", c.name, err, c.wantErr)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case got != c.want || in != prints[c.want]:
+			t.Errorf("%s: print %d (%v), want %d", c.name, got, in, c.want)
 		}
 	}
 }

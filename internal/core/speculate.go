@@ -68,21 +68,21 @@ func (c *checkState) violate(v Violation) {
 }
 
 // speculate is the pipeline every optimistic client shares (§2.3): run
-// cfg — the predicated image with the client's fused tracer and the
-// abort flag its checker raises — and on a violation roll back and
-// re-execute the same recorded execution under the sound hybrid
-// analysis, charging the aborted work to the result. report builds a
-// clean run's result; suspect, when non-nil, names the reason a clean
-// run's result still needs the sound re-execution (zero: it does not).
-// The adapter observes the final report once.
+// p — the predicated plan — with tracer, the client's fused tracer,
+// polling the abort flag its checker raises, and on a violation roll
+// back and re-execute the same recorded execution under the sound
+// hybrid analysis, charging the aborted work to the result. report
+// builds a clean run's result; suspect, when non-nil, names the reason
+// a clean run's result still needs the sound re-execution (zero: it
+// does not). The adapter observes the final report once.
 //
 // The callbacks are parameters rather than struct fields so that they
 // stay on the stack: escape analysis does not track struct fields
-// apart, and cfg's contents escape into the interpreter.
-func speculate[R Report](c Client, cfg interp.Config, check *checkState, e Execution, opts RunOptions,
+// apart, and the tracer escapes into the interpreter.
+func speculate[R Report](c Client, p *plan, tracer interp.Tracer, check *checkState, e Execution, opts RunOptions,
 	report func(*interp.Result) R, suspect func() Violation, sound func(Execution, RunOptions) (R, error)) (R, error) {
 	var rep R
-	res, err := opts.run(cfg)
+	res, err := p.run(e, tracer, check.abort, opts)
 	var reason Violation
 	switch {
 	case errors.Is(err, interp.ErrAborted):
@@ -112,7 +112,7 @@ func speculate[R Report](c Client, cfg interp.Config, check *checkState, e Execu
 	out := rep.Base()
 	out.CheckEvents = check.Events
 	if opts.Adapt != nil {
-		opts.Adapt.Observe(c, cfg.Prog, out)
+		opts.Adapt.Observe(c, p.prog, out)
 	}
 	return rep, nil
 }

@@ -12,7 +12,7 @@
 // control dependencies, matching OptSlice §5).
 //
 // Hybrid slicing traces only the instructions in a static slice (the
-// interpreter's ExecMask); every dynamic dependence chain that reaches
+// interpreter's Masks.Exec); every dynamic dependence chain that reaches
 // the criterion is contained in a sound static slice, so the computed
 // dynamic slice is unchanged — that is the hybrid-Giri optimization.
 // Full tracing of non-trivial executions exhausts memory quickly
@@ -57,7 +57,7 @@ type node struct {
 }
 
 // Tracer records the dynamic dependence trace. Install as the
-// interpreter's Tracer with ExecMask covering the instructions to
+// interpreter's Tracer with Masks.Exec covering the instructions to
 // trace (or ExecAll for full Giri).
 type Tracer struct {
 	interp.NopTracer
@@ -175,12 +175,14 @@ func (tr *Tracer) reset(prog *ir.Program, abort *interp.Abort) {
 	tr.full = false
 }
 
+// sliceFast is every slicer's fast-path state. The engine only reads
+// a FastSlice state, so one shared value serves every run.
+var sliceFast = interp.FastState{Kind: interp.FastSlice}
+
 // FastState implements interp.FastTracer: Exec events for opcodes the
 // slicer unconditionally ignores (its first check, before any state)
 // are skipped inside the engine's dispatch loop.
-func (tr *Tracer) FastState() *interp.FastState {
-	return &interp.FastState{Kind: interp.FastSlice}
-}
+func (tr *Tracer) FastState() *interp.FastState { return &sliceFast }
 
 // FlushMem implements interp.FastTracer. The slicer never requests
 // memory-event batching (it consumes Exec, not Load/Store), so there

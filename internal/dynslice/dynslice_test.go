@@ -23,12 +23,11 @@ func trace(t *testing.T, p *ir.Program, inputs ...int64) *Tracer {
 	t.Helper()
 	tr := New(p, nil)
 	_, err := interp.Run(interp.Config{
-		Prog:      p,
-		Inputs:    inputs,
-		Tracer:    tr,
-		ExecAll:   true,
-		Choose:    sched.NewSeeded(1),
-		BlockMask: make([]bool, len(p.Blocks)),
+		Prog:   p,
+		Inputs: inputs,
+		Tracer: tr,
+		Masks:  interp.Masks{Block: make([]bool, len(p.Blocks)), ExecAll: true},
+		Choose: sched.NewSeeded(1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,8 +251,8 @@ func TestTraceOverflowAborts(t *testing.T) {
 	tr := New(p, ab)
 	tr.MaxNodes = 1000
 	_, err := interp.Run(interp.Config{
-		Prog: p, Tracer: tr, ExecAll: true, Abort: ab,
-		BlockMask: make([]bool, len(p.Blocks)),
+		Prog: p, Tracer: tr, Abort: ab,
+		Masks: interp.Masks{Block: make([]bool, len(p.Blocks)), ExecAll: true},
 	})
 	if !errors.Is(err, interp.ErrAborted) {
 		t.Fatalf("err = %v, want abort on trace overflow", err)
@@ -290,7 +289,7 @@ func TestHybridTracingEquivalence(t *testing.T) {
 	full := trace(t, p, 7)
 	fullSlice := full.Slice(criterion)
 
-	// Hybrid: static slice -> ExecMask.
+	// Hybrid: static slice -> Masks.Exec.
 	pt, err := pointsto.Analyze(p, ctxs.NewCI(p), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -303,9 +302,9 @@ func TestHybridTracingEquivalence(t *testing.T) {
 	})
 	hybrid := New(p, nil)
 	_, err = interp.Run(interp.Config{
-		Prog: p, Inputs: []int64{7}, Tracer: hybrid, ExecMask: mask,
-		Choose:    sched.NewSeeded(1),
-		BlockMask: make([]bool, len(p.Blocks)),
+		Prog: p, Inputs: []int64{7}, Tracer: hybrid,
+		Choose: sched.NewSeeded(1),
+		Masks:  interp.Masks{Block: make([]bool, len(p.Blocks)), Exec: mask},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -503,7 +502,7 @@ type oracleConfig struct {
 	engine  interp.EngineKind
 }
 
-// staticMask returns the ExecMask of the sound static slice of the
+// staticMask returns the Masks.Exec of the sound static slice of the
 // program's last print, plus that print.
 func staticMask(t *testing.T, p *ir.Program) []bool {
 	t.Helper()
@@ -529,8 +528,8 @@ func checkOracle(t *testing.T, name string, p *ir.Program, inputs []int64, seed 
 	run := func(tr interp.Tracer) error {
 		_, err := interp.Run(interp.Config{
 			Prog: p, Inputs: inputs, Tracer: tr, Choose: sched.NewSeeded(seed),
-			ExecAll: oc.execAll, ExecMask: oc.mask, Quantum: oc.quantum, Engine: oc.engine,
-			BlockMask: make([]bool, len(p.Blocks)), MaxSteps: 2_000_000,
+			Quantum: oc.quantum, Engine: oc.engine, MaxSteps: 2_000_000,
+			Masks: interp.Masks{Block: make([]bool, len(p.Blocks)), Exec: oc.mask, ExecAll: oc.execAll},
 		})
 		return err
 	}

@@ -134,17 +134,17 @@ func (r recycleRun) execute(t *testing.T, tr *Tracer, abort *interp.Abort) runOu
 	}
 	cfg := interp.Config{
 		Prog: r.prog, Inputs: r.inputs, Choose: sched.NewSeeded(r.seed), Tracer: tracer, Abort: abort,
-		MemMask: []bool{}, SyncMask: []bool{}, BlockMask: make([]bool, len(r.prog.Blocks)), MaxSteps: 2_000_000,
+		Masks: interp.Masks{Mem: []bool{}, Sync: []bool{}, Block: make([]bool, len(r.prog.Blocks))}, MaxSteps: 2_000_000,
 	}
 	switch r.trace {
 	case traceAll:
-		cfg.ExecAll = true
+		cfg.Masks.ExecAll = true
 	case traceStatic:
-		cfg.ExecMask = staticMask(t, r.prog)
+		cfg.Masks.Exec = staticMask(t, r.prog)
 	case traceSparse:
-		cfg.ExecMask = make([]bool, len(r.prog.Instrs))
-		for i := range cfg.ExecMask {
-			cfg.ExecMask[i] = i%3 == 0
+		cfg.Masks.Exec = make([]bool, len(r.prog.Instrs))
+		for i := range cfg.Masks.Exec {
+			cfg.Masks.Exec[i] = i%3 == 0
 		}
 	}
 	res, err := interp.Run(cfg)
@@ -268,8 +268,8 @@ func TestZeroMaxNodesIsDefault(t *testing.T) {
 	tr := New(p, ab)
 	tr.MaxNodes = 0
 	_, err := interp.Run(interp.Config{
-		Prog: p, Tracer: tr, ExecAll: true, Abort: ab,
-		BlockMask: make([]bool, len(p.Blocks)),
+		Prog: p, Tracer: tr, Abort: ab,
+		Masks: interp.Masks{Block: make([]bool, len(p.Blocks)), ExecAll: true},
 	})
 	if errors.Is(err, interp.ErrAborted) || tr.Overflowed() {
 		t.Fatalf("MaxNodes 0 aborted the trace: err = %v", err)

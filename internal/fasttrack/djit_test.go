@@ -21,12 +21,12 @@ func TestFastTrackEquivalentToDJIT(t *testing.T) {
 		for _, s := range []uint64{1, 2, 3} {
 			run := func(tr interp.Tracer) {
 				_, err := interp.Run(interp.Config{
-					Prog:      prog,
-					Inputs:    []int64{5, 9, 2, 7, 1, 8, 3, 6},
-					Tracer:    tr,
-					Choose:    sched.NewSeeded(s),
-					Quantum:   4,
-					BlockMask: make([]bool, len(prog.Blocks)),
+					Prog:    prog,
+					Inputs:  []int64{5, 9, 2, 7, 1, 8, 3, 6},
+					Tracer:  tr,
+					Choose:  sched.NewSeeded(s),
+					Quantum: 4,
+					Masks:   interp.Masks{Block: make([]bool, len(prog.Blocks))},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -67,7 +67,7 @@ func TestDJITDetectsSimpleRace(t *testing.T) {
 		d := NewDJIT()
 		if _, err := interp.Run(interp.Config{
 			Prog: prog, Tracer: d, Choose: sched.NewSeeded(s), Quantum: 2,
-			BlockMask: make([]bool, len(prog.Blocks)),
+			Masks: interp.Masks{Block: make([]bool, len(prog.Blocks))},
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestDJITNoFalseRaceWhenLocked(t *testing.T) {
 		d := NewDJIT()
 		if _, err := interp.Run(interp.Config{
 			Prog: prog, Tracer: d, Choose: sched.NewSeeded(s), Quantum: 2,
-			BlockMask: make([]bool, len(prog.Blocks)),
+			Masks: interp.Masks{Block: make([]bool, len(prog.Blocks))},
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -18,11 +18,11 @@ func detect(t *testing.T, src string, seed uint64) *Detector {
 	}
 	d := New()
 	_, err = interp.Run(interp.Config{
-		Prog:      p,
-		Tracer:    d,
-		Choose:    sched.NewSeeded(seed),
-		Quantum:   3,
-		BlockMask: make([]bool, len(p.Blocks)),
+		Prog:    p,
+		Tracer:  d,
+		Choose:  sched.NewSeeded(seed),
+		Quantum: 3,
+		Masks:   interp.Masks{Block: make([]bool, len(p.Blocks))},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -215,14 +215,14 @@ func TestCustomSyncWithoutLockEventsReportsFalseRace(t *testing.T) {
 	run := func(elideLocks bool) *Detector {
 		d := New()
 		cfg := interp.Config{
-			Prog:      p,
-			Tracer:    d,
-			Choose:    sched.NewSeeded(3),
-			Quantum:   3,
-			BlockMask: make([]bool, len(p.Blocks)),
+			Prog:    p,
+			Tracer:  d,
+			Choose:  sched.NewSeeded(3),
+			Quantum: 3,
+			Masks:   interp.Masks{Block: make([]bool, len(p.Blocks))},
 		}
 		if elideLocks {
-			cfg.SyncMask = make([]bool, len(p.Instrs)) // all lock events off
+			cfg.Masks.Sync = make([]bool, len(p.Instrs)) // all lock events off
 		}
 		if _, err := interp.Run(cfg); err != nil {
 			t.Fatal(err)
@@ -263,8 +263,7 @@ func TestElidingProvenAccessesPreservesRaces(t *testing.T) {
 		d := New()
 		if _, err := interp.Run(interp.Config{
 			Prog: p, Tracer: d, Choose: sched.NewSeeded(5), Quantum: 2,
-			MemMask:   mem,
-			BlockMask: make([]bool, len(p.Blocks)),
+			Masks: interp.Masks{Mem: mem, Block: make([]bool, len(p.Blocks))},
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -116,11 +116,11 @@ func TestFabricatedLockAddresses(t *testing.T) {
 		run := func(tr interp.Tracer) {
 			t.Helper()
 			if _, err := interp.Run(interp.Config{
-				Prog:      prog,
-				Tracer:    tr,
-				Choose:    sched.NewSeeded(seed),
-				Quantum:   2,
-				BlockMask: make([]bool, len(prog.Blocks)),
+				Prog:    prog,
+				Tracer:  tr,
+				Choose:  sched.NewSeeded(seed),
+				Quantum: 2,
+				Masks:   interp.Masks{Block: make([]bool, len(prog.Blocks))},
 			}); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}

@@ -139,7 +139,7 @@ func (r recycleRun) execute(t *testing.T, d *Detector) runOutcome {
 	}
 	res, err := interp.Run(interp.Config{
 		Prog: r.prog, Inputs: r.inputs, Choose: sched.NewSeeded(r.seed), Quantum: r.quantum,
-		Tracer: tracer, Abort: abort, BlockMask: make([]bool, len(r.prog.Blocks)), MaxSteps: 2_000_000,
+		Tracer: tracer, Abort: abort, Masks: interp.Masks{Block: make([]bool, len(r.prog.Blocks))}, MaxSteps: 2_000_000,
 	})
 	out := runOutcome{
 		Stats: res.Stats, IC: res.IC, RaceKeys: d.RaceKeys(), Races: d.Races(), RacyAddrs: d.RacyAddrs(),

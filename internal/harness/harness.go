@@ -129,12 +129,11 @@ func testExec(w *workloads.Workload, i int) core.Execution {
 }
 
 // plainRunner returns the uninstrumented run that Figure 5/6 runtimes
-// are normalized to. It runs core.RunPlain's configuration, no site
-// flagged for any event, from one image compiled here: RunPlain
-// compiles on every call, and on short runs the compile costs as much
-// as the run.
+// are normalized to. It runs core.RunPlain's configuration from one
+// image compiled here: RunPlain compiles on every call, and on short
+// runs the compile costs as much as the run.
 func plainRunner(prog *ir.Program) func(core.Execution) (*interp.Result, error) {
-	code := interp.Compile(prog, interp.Masks{Mem: []bool{}, Sync: []bool{}, Block: []bool{}})
+	code := core.PlainImage(prog, nil)
 	return func(e core.Execution) (*interp.Result, error) {
 		return interp.Run(interp.Config{Prog: prog, Inputs: e.Inputs, Choose: sched.NewSeeded(e.Seed), Code: code})
 	}

@@ -53,12 +53,12 @@ import (
 )
 
 // Masks bundles the per-site instrumentation masks of one execution
-// configuration; it is the compile-time input that, together with the
-// program, fully determines a compiled image. The mask semantics match
-// Config: a nil Mem/Sync/Block/Exec mask means "every site" for that
-// event kind — except Exec, where events additionally require ExecAll
-// or a non-nil ExecMask (a nil ExecMask without ExecAll delivers no
-// Exec events, exactly as in the tree-walker).
+// configuration (Config.Masks); it is the compile-time input that,
+// together with the program, fully determines a compiled image. A nil
+// Mem/Sync/Block mask means "every site" for that event kind and a
+// non-nil one delivers events only where true. Exec events are opt-in:
+// every instruction with ExecAll, else only where Exec is true (a nil
+// Exec without ExecAll delivers none).
 type Masks struct {
 	Mem     []bool // by instr ID: Load/Store events
 	Sync    []bool // by instr ID: Lock/Unlock events
@@ -66,22 +66,13 @@ type Masks struct {
 	Exec    []bool // by instr ID: Exec firehose
 	ExecAll bool
 	// Null marks load/store sites that carry a residual null check
-	// (the OptNull client's dynamic checks). Unlike the event masks, a
-	// nil Null mask means NO checks — null checking is opt-in, exactly
-	// like the Exec firehose.
+	// (the OptNull client's dynamic checks). A checked access through
+	// address 0 is recovered deterministically — a load writes 0 to its
+	// destination, a store is dropped — and delivers a NilDeref event
+	// instead of trapping. Unlike the event masks, a nil Null mask
+	// means NO checks — null checking is opt-in, exactly like the Exec
+	// firehose.
 	Null []bool
-}
-
-// Masks returns the instrumentation masks carried by a Config.
-func (c Config) Masks() Masks {
-	return Masks{
-		Mem:     c.MemMask,
-		Sync:    c.SyncMask,
-		Block:   c.BlockMask,
-		Exec:    c.ExecMask,
-		ExecAll: c.ExecAll,
-		Null:    c.NullMask,
-	}
 }
 
 // Digest returns a content digest of the masks, distinguishing nil
@@ -472,7 +463,7 @@ func lowerOperand(op ir.Operand) coperand {
 }
 
 // execFlagged reports whether the Exec firehose covers instruction id
-// under m (mirrors the tree-walker's inline condition).
+// under m.
 func execFlagged(m Masks, id int) bool {
 	return m.ExecAll || (m.Exec != nil && id < len(m.Exec) && m.Exec[id])
 }

@@ -106,7 +106,7 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 	code := cfg.Code
 	if code == nil {
-		code = Compile(cfg.Prog, cfg.Masks())
+		code = Compile(cfg.Prog, cfg.Masks)
 	} else if code.prog != cfg.Prog {
 		return nil, errors.New("interp: Config.Code was compiled from a different program")
 	}

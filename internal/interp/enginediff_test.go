@@ -217,38 +217,34 @@ func diffVariants() []diffVariant {
 		{name: "traced-masked", make: func(prog *ir.Program, seed uint64) (interp.Config, *recorder, *fasttrack.Detector) {
 			r := &recorder{}
 			return interp.Config{
-				Prog:      prog,
-				Tracer:    r,
-				MemMask:   altMask(len(prog.Instrs), 0),
-				SyncMask:  altMask(len(prog.Instrs), 1),
-				BlockMask: altMask(len(prog.Blocks), 0),
-				ExecMask:  altMask(len(prog.Instrs), 1),
-				Choose:    sched.NewSeeded(seed),
-				Quantum:   3,
-				MaxSteps:  diffMaxSteps,
+				Prog:     prog,
+				Tracer:   r,
+				Masks:    interp.Masks{Mem: altMask(len(prog.Instrs), 0), Sync: altMask(len(prog.Instrs), 1), Block: altMask(len(prog.Blocks), 0), Exec: altMask(len(prog.Instrs), 1)},
+				Choose:   sched.NewSeeded(seed),
+				Quantum:  3,
+				MaxSteps: diffMaxSteps,
 			}, r, nil
 		}},
 		{name: "execall", make: func(prog *ir.Program, seed uint64) (interp.Config, *recorder, *fasttrack.Detector) {
 			r := &recorder{}
 			return interp.Config{
-				Prog:      prog,
-				Tracer:    r,
-				ExecAll:   true,
-				BlockMask: make([]bool, len(prog.Blocks)),
-				Choose:    sched.NewSeeded(seed*7 + 1),
-				Quantum:   1,
-				MaxSteps:  diffMaxSteps,
+				Prog:     prog,
+				Tracer:   r,
+				Masks:    interp.Masks{Block: make([]bool, len(prog.Blocks)), ExecAll: true},
+				Choose:   sched.NewSeeded(seed*7 + 1),
+				Quantum:  1,
+				MaxSteps: diffMaxSteps,
 			}, r, nil
 		}},
 		{name: "fasttrack", make: func(prog *ir.Program, seed uint64) (interp.Config, *recorder, *fasttrack.Detector) {
 			det := fasttrack.New()
 			return interp.Config{
-				Prog:      prog,
-				Tracer:    det,
-				BlockMask: make([]bool, len(prog.Blocks)),
-				Choose:    sched.NewSeeded(seed),
-				Quantum:   5,
-				MaxSteps:  diffMaxSteps,
+				Prog:     prog,
+				Tracer:   det,
+				Masks:    interp.Masks{Block: make([]bool, len(prog.Blocks))},
+				Choose:   sched.NewSeeded(seed),
+				Quantum:  5,
+				MaxSteps: diffMaxSteps,
 			}, nil, det
 		}},
 	}
@@ -262,27 +258,23 @@ func diffVariants() []diffVariant {
 	traced := func(prog *ir.Program, seed uint64) (interp.Config, *recorder, *fasttrack.Detector) {
 		r := &recorder{}
 		return interp.Config{
-			Prog:      prog,
-			Tracer:    r,
-			MemMask:   altMask(len(prog.Instrs), 1),
-			SyncMask:  altMask(len(prog.Instrs), 0),
-			BlockMask: altMask(len(prog.Blocks), 1),
-			Choose:    sched.NewSeeded(seed*3 + 2),
-			Quantum:   4,
-			MaxSteps:  diffMaxSteps,
+			Prog:     prog,
+			Tracer:   r,
+			Masks:    interp.Masks{Mem: altMask(len(prog.Instrs), 1), Sync: altMask(len(prog.Instrs), 0), Block: altMask(len(prog.Blocks), 1)},
+			Choose:   sched.NewSeeded(seed*3 + 2),
+			Quantum:  4,
+			MaxSteps: diffMaxSteps,
 		}, r, nil
 	}
 	quantum1 := func(prog *ir.Program, seed uint64) (interp.Config, *recorder, *fasttrack.Detector) {
 		r := &recorder{}
 		return interp.Config{
-			Prog:      prog,
-			Tracer:    r,
-			MemMask:   make([]bool, len(prog.Instrs)),
-			SyncMask:  nil,
-			BlockMask: altMask(len(prog.Blocks), 0),
-			Choose:    sched.NewSeeded(seed),
-			Quantum:   1,
-			MaxSteps:  diffMaxSteps,
+			Prog:     prog,
+			Tracer:   r,
+			Masks:    interp.Masks{Mem: make([]bool, len(prog.Instrs)), Sync: nil, Block: altMask(len(prog.Blocks), 0)},
+			Choose:   sched.NewSeeded(seed),
+			Quantum:  1,
+			MaxSteps: diffMaxSteps,
 		}, r, nil
 	}
 	vs = append(vs,
@@ -302,7 +294,7 @@ func diffVariants() []diffVariant {
 			return interp.Config{
 				Prog:     prog,
 				Tracer:   r,
-				NullMask: derefMask(prog),
+				Masks:    interp.Masks{Null: derefMask(prog)},
 				Choose:   sched.NewSeeded(seed*5 + 3),
 				Quantum:  3,
 				MaxSteps: diffMaxSteps,
@@ -313,8 +305,7 @@ func diffVariants() []diffVariant {
 			return interp.Config{
 				Prog:     prog,
 				Tracer:   r,
-				MemMask:  altMask(len(prog.Instrs), 1),
-				NullMask: altMask(len(prog.Instrs), 0),
+				Masks:    interp.Masks{Mem: altMask(len(prog.Instrs), 1), Null: altMask(len(prog.Instrs), 0)},
 				Choose:   sched.NewSeeded(seed*9 + 5),
 				Quantum:  2,
 				MaxSteps: diffMaxSteps,
@@ -332,7 +323,7 @@ func diffVariants() []diffVariant {
 		return interp.Config{
 			Prog:     prog,
 			Tracer:   r,
-			MemMask:  altMask(len(prog.Instrs), 0),
+			Masks:    interp.Masks{Mem: altMask(len(prog.Instrs), 0)},
 			Choose:   sched.NewSeeded(seed*11 + 7),
 			Quantum:  16,
 			MaxSteps: diffMaxSteps,
@@ -406,7 +397,7 @@ func runDiffIn(t *testing.T, prog *ir.Program, v diffVariant, seed uint64, input
 			if v.callees != nil {
 				seeds = v.callees(prog)
 			}
-			cfg.Code = diffCompile(prog, cfg.Masks(), seeds)
+			cfg.Code = diffCompile(prog, cfg.Masks, seeds)
 		}
 		res, err := interp.Run(cfg)
 		var o outcome

@@ -54,7 +54,7 @@ func runFastPathClient(prog *ir.Program, seed uint64, inputs []int64, off bool, 
 	case "fasttrack":
 		det := fasttrack.New()
 		cfg.Tracer = det
-		cfg.BlockMask = make([]bool, len(prog.Blocks))
+		cfg.Masks.Block = make([]bool, len(prog.Blocks))
 		cfg.Choose = sched.NewSeeded(seed)
 		cfg.Quantum = 5
 		verdict = func() string {
@@ -63,8 +63,8 @@ func runFastPathClient(prog *ir.Program, seed uint64, inputs []int64, off bool, 
 	case "slice":
 		tr := dynslice.New(prog, nil)
 		cfg.Tracer = tr
-		cfg.ExecAll = true
-		cfg.BlockMask = make([]bool, len(prog.Blocks))
+		cfg.Masks.ExecAll = true
+		cfg.Masks.Block = make([]bool, len(prog.Blocks))
 		cfg.Choose = sched.NewSeeded(seed*3 + 1)
 		cfg.Quantum = 2
 		verdict = func() string {
@@ -96,7 +96,7 @@ func runFastPathClient(prog *ir.Program, seed uint64, inputs []int64, off bool, 
 	default:
 		panic("unknown fast-path client " + client)
 	}
-	cfg.Code = fastpathCompile(prog, cfg.Masks(), off)
+	cfg.Code = fastpathCompile(prog, cfg.Masks, off)
 	res, err := interp.Run(cfg)
 	var o fpOutcome
 	var ic interp.ICStats

@@ -123,15 +123,14 @@ func TestImageExecutesIdentically(t *testing.T) {
 		run := func(code *interp.Code) (*interp.Result, []string, error) {
 			r := &recorder{}
 			cfg := interp.Config{
-				Prog:      prog,
-				Tracer:    r,
-				MemMask:   altMask(len(prog.Instrs), 0),
-				BlockMask: altMask(len(prog.Blocks), 1),
-				Choose:    sched.NewSeeded(seed),
-				Quantum:   3,
-				MaxSteps:  diffMaxSteps,
-				Engine:    interp.EngineCompiled,
-				Code:      code,
+				Prog:     prog,
+				Tracer:   r,
+				Masks:    interp.Masks{Mem: altMask(len(prog.Instrs), 0), Block: altMask(len(prog.Blocks), 1)},
+				Choose:   sched.NewSeeded(seed),
+				Quantum:  3,
+				MaxSteps: diffMaxSteps,
+				Engine:   interp.EngineCompiled,
+				Code:     code,
 			}
 			res, err := interp.Run(cfg)
 			return res, r.ev, err
@@ -149,15 +148,14 @@ func TestImageExecutesIdentically(t *testing.T) {
 			det := fasttrack.New()
 			defer det.Release()
 			res, err := interp.Run(interp.Config{
-				Prog:      prog,
-				Tracer:    det,
-				MemMask:   m.Mem,
-				BlockMask: m.Block,
-				Choose:    sched.NewSeeded(seed),
-				Quantum:   3,
-				MaxSteps:  diffMaxSteps,
-				Engine:    interp.EngineCompiled,
-				Code:      code,
+				Prog:     prog,
+				Tracer:   det,
+				Masks:    interp.Masks{Mem: m.Mem, Block: m.Block},
+				Choose:   sched.NewSeeded(seed),
+				Quantum:  3,
+				MaxSteps: diffMaxSteps,
+				Engine:   interp.EngineCompiled,
+				Code:     code,
 			})
 			return fmt.Sprint(err, res.Stats, res.IC, det.RaceKeys(), det.RacyAddrs(), det.Checks)
 		}

@@ -89,7 +89,7 @@ type Stats struct {
 	CallEvents  uint64
 	ExecEvents  uint64
 	// NullChecks counts residual null checks executed (load/store sites
-	// flagged by NullMask), whether or not the address was nil. It is
+	// flagged by Masks.Null), whether or not the address was nil. It is
 	// the work metric the OptNull client's static phase elides.
 	NullChecks uint64
 }
@@ -144,9 +144,8 @@ type Config struct {
 	Engine EngineKind
 
 	// Code, when non-nil, is a precompiled image of Prog (from Compile)
-	// used by EngineCompiled; the per-site masks below are ignored in
-	// favor of the flags baked into it. When nil, Run compiles Prog
-	// with this Config's masks on entry.
+	// used by EngineCompiled; Masks is ignored in favor of the flags
+	// baked into it. When nil, Run compiles Prog with Masks on entry.
 	Code *Code
 
 	// Quantum is the maximum number of instructions a thread runs
@@ -156,24 +155,9 @@ type Config struct {
 	// MaxSteps bounds total executed instructions. Default 100M.
 	MaxSteps uint64
 
-	// Per-site instrumentation masks. A nil mask delivers events for
-	// every site of that kind; a non-nil mask delivers only where
-	// true. (Eliding instrumentation = clearing bits.)
-	MemMask   []bool // by instr ID: Load/Store events
-	SyncMask  []bool // by instr ID: Lock/Unlock events
-	BlockMask []bool // by block ID: BlockEnter events
-
-	// Exec firehose (full dynamic slicing): delivered for every
-	// instruction if ExecAll, else only where ExecMask is true.
-	ExecAll  bool
-	ExecMask []bool // by instr ID
-
-	// NullMask marks load/store sites carrying a residual null check
-	// (the OptNull client's dynamic checks). A checked access through
-	// address 0 is recovered deterministically — a load writes 0 to its
-	// destination, a store is dropped — and delivers a NilDeref event
-	// instead of trapping. Opt-in: a nil mask checks nothing.
-	NullMask []bool // by instr ID
+	// Masks selects the instrumented sites (see Masks). Eliding
+	// instrumentation = clearing bits.
+	Masks Masks
 
 	// Abort, if non-nil, is polled after every instruction.
 	Abort *Abort
@@ -436,7 +420,7 @@ func (it *Interp) enterBlock(th *thread, b *ir.Block) {
 	fr := th.frames[len(th.frames)-1]
 	fr.block = b
 	fr.idx = 0
-	if it.cfg.Tracer != nil && masked(it.cfg.BlockMask, b.ID) {
+	if it.cfg.Tracer != nil && masked(it.cfg.Masks.Block, b.ID) {
 		it.stats.BlockEvents++
 		it.cfg.Tracer.BlockEnter(th.id, b)
 	}
@@ -578,7 +562,7 @@ func (it *Interp) step(th *thread) (yield bool, err error) {
 		fr.idx++
 	case ir.OpLoad:
 		a := it.eval(fr, in.A)
-		if it.cfg.NullMask != nil && in.ID < len(it.cfg.NullMask) && it.cfg.NullMask[in.ID] {
+		if nullFlagged(it.cfg.Masks, in.ID) {
 			it.stats.NullChecks++
 			if a == 0 {
 				// Recovered nil deref: the load yields 0 and no memory is
@@ -599,14 +583,14 @@ func (it *Interp) step(th *thread) (yield bool, err error) {
 		v := *cell
 		fr.regs[in.Dst.ID] = v
 		accessAddr = a
-		if tr != nil && masked(it.cfg.MemMask, in.ID) {
+		if tr != nil && masked(it.cfg.Masks.Mem, in.ID) {
 			it.stats.Loads++
 			tr.Load(th.id, in, a, v)
 		}
 		fr.idx++
 	case ir.OpStore:
 		a := it.eval(fr, in.A)
-		if it.cfg.NullMask != nil && in.ID < len(it.cfg.NullMask) && it.cfg.NullMask[in.ID] {
+		if nullFlagged(it.cfg.Masks, in.ID) {
 			it.stats.NullChecks++
 			if a == 0 {
 				// Recovered nil deref: the store is dropped.
@@ -624,7 +608,7 @@ func (it *Interp) step(th *thread) (yield bool, err error) {
 		v := it.eval(fr, in.B)
 		*cell = v
 		accessAddr = a
-		if tr != nil && masked(it.cfg.MemMask, in.ID) {
+		if tr != nil && masked(it.cfg.Masks.Mem, in.ID) {
 			it.stats.Stores++
 			tr.Store(th.id, in, a, v)
 		}
@@ -644,7 +628,7 @@ func (it *Interp) step(th *thread) (yield bool, err error) {
 			ls.holder = th.id
 			th.state = tRunning
 			accessAddr = a
-			if tr != nil && masked(it.cfg.SyncMask, in.ID) {
+			if tr != nil && masked(it.cfg.Masks.Sync, in.ID) {
 				it.stats.Locks++
 				tr.Lock(th.id, in, a)
 			}
@@ -668,7 +652,7 @@ func (it *Interp) step(th *thread) (yield bool, err error) {
 			return false, it.trap(th, in, "unlock of mutex not held: %s", FormatValue(a))
 		}
 		accessAddr = a
-		if tr != nil && masked(it.cfg.SyncMask, in.ID) {
+		if tr != nil && masked(it.cfg.Masks.Sync, in.ID) {
 			it.stats.Unlocks++
 			tr.Unlock(th.id, in, a)
 		}
@@ -775,7 +759,7 @@ func (it *Interp) step(th *thread) (yield bool, err error) {
 		return false, it.trap(th, in, "unknown opcode %s", in.Op)
 	}
 
-	if tr != nil && (it.cfg.ExecAll || (it.cfg.ExecMask != nil && in.ID < len(it.cfg.ExecMask) && it.cfg.ExecMask[in.ID])) {
+	if tr != nil && execFlagged(it.cfg.Masks, in.ID) {
 		it.stats.ExecEvents++
 		tr.Exec(th.id, in, fr.id, accessAddr)
 	}

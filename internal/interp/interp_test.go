@@ -462,11 +462,13 @@ func TestInstrumentationMasks(t *testing.T) {
 	// All masks empty (non-nil): no load/store/lock/unlock/block events.
 	tr := &countingTracer{}
 	_, err = Run(Config{
-		Prog:      p,
-		Tracer:    tr,
-		MemMask:   make([]bool, len(p.Instrs)),
-		SyncMask:  make([]bool, len(p.Instrs)),
-		BlockMask: make([]bool, len(p.Blocks)),
+		Prog:   p,
+		Tracer: tr,
+		Masks: Masks{
+			Mem:   make([]bool, len(p.Instrs)),
+			Sync:  make([]bool, len(p.Instrs)),
+			Block: make([]bool, len(p.Blocks)),
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -490,9 +492,9 @@ func TestInstrumentationMasks(t *testing.T) {
 		}
 	}
 	tr2 := &countingTracer{}
-	_, err = Run(Config{Prog: p, Tracer: tr2, MemMask: mem,
-		SyncMask:  make([]bool, len(p.Instrs)),
-		BlockMask: make([]bool, len(p.Blocks))})
+	_, err = Run(Config{Prog: p, Tracer: tr2, Masks: Masks{Mem: mem,
+		Sync:  make([]bool, len(p.Instrs)),
+		Block: make([]bool, len(p.Blocks))}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,8 +509,8 @@ func TestExecFirehose(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := &countingTracer{}
-	res, err := Run(Config{Prog: p, Tracer: tr, ExecAll: true,
-		BlockMask: make([]bool, len(p.Blocks))})
+	res, err := Run(Config{Prog: p, Tracer: tr, Masks: Masks{ExecAll: true,
+		Block: make([]bool, len(p.Blocks))}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +526,7 @@ func TestAbort(t *testing.T) {
 	}
 	ab := &Abort{}
 	tr := &abortAfter{abort: ab, n: 3}
-	res, err := Run(Config{Prog: p, Tracer: tr, ExecAll: true, Abort: ab})
+	res, err := Run(Config{Prog: p, Tracer: tr, Masks: Masks{ExecAll: true}, Abort: ab})
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("err = %v, want abort", err)
 	}

@@ -48,7 +48,7 @@ type Tracer interface {
 	// its frame is the caller's for a call or spawn and the returning
 	// activation's for a ret.
 	Exec(t vc.TID, in *ir.Instr, frame FrameID, addr Addr)
-	// NilDeref is delivered when a load/store flagged by NullMask
+	// NilDeref is delivered when a load/store flagged by Masks.Null
 	// observes address 0: the access was recovered (load yields 0,
 	// store dropped) instead of trapping. No Load/Store event
 	// accompanies it — no memory was touched.

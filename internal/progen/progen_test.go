@@ -120,7 +120,7 @@ func TestNullableProgramsCompileAndRun(t *testing.T) {
 				Prog:     prog,
 				Inputs:   inputs,
 				Tracer:   nils,
-				NullMask: mask,
+				Masks:    interp.Masks{Null: mask},
 				Choose:   sched.NewSeeded(uint64(vi) + 1),
 				MaxSteps: 2_000_000,
 			})

@@ -87,7 +87,7 @@ func TestReplayUnderInstrumentationIsEquivalent(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := &countTracer{}
-	rep, err := Replay(interp.Config{Prog: p, Quantum: 3, Tracer: tr, ExecAll: true}, schedRec, nil)
+	rep, err := Replay(interp.Config{Prog: p, Quantum: 3, Tracer: tr, Masks: interp.Masks{ExecAll: true}}, schedRec, nil)
 	if err != nil {
 		t.Fatalf("instrumented replay: %v", err)
 	}

@@ -1020,29 +1020,22 @@ func nullJob(ctx context.Context, s *Server, sp *StoredProgram, req JobRequest) 
 }
 
 func sliceJob(ctx context.Context, s *Server, sp *StoredProgram, req JobRequest) (any, error) {
-	prints := printsOf(sp.Prog)
-	if len(prints) == 0 {
-		return nil, fmt.Errorf("program has no print statements to slice from")
-	}
-	idx := len(prints) - 1
-	if req.Criterion != nil {
-		idx = *req.Criterion
-		if idx < 0 || idx >= len(prints) {
-			return nil, fmt.Errorf("criterion %d out of range (program has %d prints)", idx, len(prints))
-		}
+	idx, crit, err := core.SliceCriterion(sp.Prog, req.Criterion)
+	if err != nil {
+		return nil, err
 	}
 	budget := req.Budget
 	if budget <= 0 {
 		budget = 4096
 	}
-	a, err := analyze(ctx, s, sp, req, adapt.Slice(prints[idx], budget), nil)
+	a, err := analyze(ctx, s, sp, req, adapt.Slice(crit, budget), nil)
 	if err != nil {
 		return nil, err
 	}
 	rep := a.rep
 	res := SliceJobResult{
 		CriterionIndex: idx,
-		CriterionLine:  prints[idx].Pos.Line,
+		CriterionLine:  crit.Pos.Line,
 		TraceNodes:     rep.TraceNodes,
 		JobOutcome:     a.outcome(),
 	}
@@ -1063,18 +1056,6 @@ func sliceJob(ctx context.Context, s *Server, sp *StoredProgram, req JobRequest)
 		sort.Ints(res.Lines)
 	}
 	return res, nil
-}
-
-// printsOf returns the program's print instructions in order (the pool
-// of slice criteria).
-func printsOf(prog *ir.Program) []*ir.Instr {
-	var out []*ir.Instr
-	for _, in := range prog.Instrs {
-		if in.Op == ir.OpPrint {
-			out = append(out, in)
-		}
-	}
-	return out
 }
 
 // shortID returns a 12-character prefix of a content address.

@@ -52,10 +52,10 @@ func TestAllCompileAndRun(t *testing.T) {
 			for run := 0; run < 3; run++ {
 				in := w.GenInput(run)
 				res, err := interp.Run(interp.Config{
-					Prog:     prog,
-					Inputs:   in,
-					Choose:   sched.NewSeeded(uint64(run + 1)),
-					NullMask: nullMask,
+					Prog:   prog,
+					Inputs: in,
+					Choose: sched.NewSeeded(uint64(run + 1)),
+					Masks:  interp.Masks{Null: nullMask},
 				})
 				if err != nil {
 					t.Fatalf("run %d: %v", run, err)

@@ -275,15 +275,7 @@ func RunFullGiri(prog *Program, criterion *Instr, e Execution, opts RunOptions, 
 
 // Prints returns the program's print instructions in order — the usual
 // pool of slice criteria.
-func Prints(prog *Program) []*Instr {
-	var out []*Instr
-	for _, in := range prog.Instrs {
-		if in.Op == ir.OpPrint {
-			out = append(out, in)
-		}
-	}
-	return out
-}
+func Prints(prog *Program) []*Instr { return core.Prints(prog) }
 
 // RunDJIT runs the DJIT+-style full-vector-clock race detector — the
 // ablation baseline FastTrack's epoch optimization is measured

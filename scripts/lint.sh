@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Lint gate: gofmt (no unformatted files), go vet, and staticcheck when
-# the tool is installed. CI environments without network access cannot
-# install staticcheck, so its absence downgrades to a notice — the
-# gofmt and vet gates always run and always fail the build on findings.
+# Lint gate: gofmt (no unformatted files), go vet (root and bench
+# modules), and staticcheck when the tool is installed. CI environments
+# without network access cannot install staticcheck, so its absence
+# downgrades to a notice — the gofmt and vet gates always run and
+# always fail the build on findings.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,6 +15,8 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
+# bench/ is its own module, compiled against the core constructors.
+(cd bench && go vet ./...)
 
 if command -v staticcheck >/dev/null 2>&1; then
   staticcheck ./...
