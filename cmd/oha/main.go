@@ -1,6 +1,6 @@
 // Command oha runs the optimistic-hybrid-analysis pipeline on a
-// MiniLang program: profile likely invariants, then race-detect or
-// slice executions speculatively.
+// MiniLang program: profile likely invariants, then race-detect,
+// null-check or slice executions speculatively.
 //
 // Usage:
 //
@@ -12,9 +12,9 @@
 //	    Run OptFT on one execution (or the FastTrack baseline) and
 //	    print the race report.
 //
-//	oha slice file.ml -inv invariants.txt [-in 1,2,3] [-seed 7] [-criterion N] [-adapt]
-//	    Run OptSlice from the N-th print (default: last) and print the
-//	    sliced source lines.
+//	oha slice file.ml -inv invariants.txt [-in 1,2,3] [-seed 7] [-criterion N] [-baseline] [-adapt]
+//	    Run OptSlice (or the full-Giri baseline) from the N-th print
+//	    (default: last) and print the sliced source lines.
 //
 //	oha nullcheck file.ml -inv invariants.txt [-in 1,2,3] [-seed 7] [-baseline] [-adapt]
 //	    Run OptNull on one execution (or the check-everything baseline)
@@ -63,13 +63,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
 	"oha"
 	"oha/internal/adapt"
 	"oha/internal/core"
+	"oha/internal/server"
 )
 
 func main() {
@@ -83,11 +83,11 @@ func main() {
 	runs := fs.Int("runs", 32, "profile: max profiling executions")
 	out := fs.String("o", "", "profile/compile: output file (default: stdout / FILE.ohc)")
 	inv := fs.String("inv", "", "invariants file from `oha profile`")
-	baseline := fs.Bool("baseline", false, "race/nullcheck: run the unoptimized check-everything baseline instead")
+	baseline := fs.Bool("baseline", false, "race/nullcheck/slice: run the unoptimized sound baseline (FastTrack / check-everything / full Giri) instead")
 	criterion := fs.Int("criterion", -1, "slice: print-statement index (default: last)")
 	budget := fs.Int("budget", 4096, "slice: context-sensitive analysis budget")
 	cacheDir := fs.String("cache-dir", "", "persist static-analysis artifacts under this directory (default: in-memory only)")
-	adaptive := fs.Bool("adapt", false, "race/slice: on mis-speculation, refine the violated invariant, re-analyze, and retry")
+	adaptive := fs.Bool("adapt", false, "race/nullcheck/slice: on mis-speculation, refine the violated invariant, re-analyze, and retry")
 	engine := fs.String("engine", "compiled", "execution engine: compiled|tree")
 	staticWorkers := fs.Int("static-workers", 0, "parallel static-solver workers (0: GOMAXPROCS, 1: sequential)")
 	incremental := fs.Bool("inc", true, "adapt: resume re-analysis from the previous generation's saturated solver state")
@@ -166,8 +166,7 @@ func main() {
 		NoFastPath:  parseToggle("fastpath", *fastpathFlag),
 	}
 
-	switch cmd {
-	case "profile":
+	if cmd == "profile" {
 		pr, err := oha.ProfileCached(prog, func(run int) oha.Execution {
 			return oha.Execution{Inputs: in, Seed: uint64(run + 1)}
 		}, *runs, static.Cache)
@@ -180,113 +179,69 @@ func main() {
 			w = f
 		}
 		check(oha.SaveInvariants(w, pr.DB))
-		fmt.Fprintf(os.Stderr, "profiled %d executions; invariants: %+v\n", pr.Runs, pr.DB.Count())
+		printProfile(server.ProfileJobResult{Runs: pr.Runs, Counts: pr.DB.Count()})
+		return
+	}
 
+	if _, ok := core.ClientByName(cmd); !ok {
+		usage()
+	}
+	e := oha.Execution{Inputs: in, Seed: *seed}
+	mode := adapt.Mode{Baseline: *baseline}
+	var m *oha.SpeculationManager
+	if !*baseline {
+		db := loadInv(*inv)
+		if *adaptive {
+			m = oha.NewSpeculationManager(prog, db, oha.SpeculationOptions{Static: static})
+			mode.Manager = m
+		} else {
+			mode.DB, mode.Static = db, static
+		}
+	}
+	switch cmd {
 	case "race":
-		e := oha.Execution{Inputs: in, Seed: *seed}
-		var rep *oha.RaceReport
-		switch {
-		case *baseline:
-			rep, err = oha.RunFastTrack(prog, e, ropts)
-			check(err)
-		case *adaptive:
-			var m *oha.SpeculationManager
-			rep, m = runAdaptive(prog, loadInv(*inv), oha.AdaptiveRace(), e, ropts, static)
-			defer printSpeculation(m)
-		default:
-			db := loadInv(*inv)
-			det, err := oha.NewRaceDetectorStatic(prog, db, static)
+		if mode.DB != nil {
+			// Plain race detection first validates the
+			// no-custom-synchronization invariant (§4.2.4), which
+			// stores the validated elidable locks in the database.
+			det, err := oha.NewRaceDetectorStatic(prog, mode.DB, static)
 			check(err)
 			check(det.ValidateCustomSync([]oha.Execution{{Inputs: in, Seed: 1}}, ropts))
-			rep, err = det.Run(e, ropts)
-			check(err)
 		}
-		if rep.RolledBack && !*adaptive {
-			fmt.Printf("mis-speculation (%s): rolled back to hybrid analysis\n", rep.Violation)
-		}
-		if len(rep.Details) == 0 {
-			fmt.Println("no data races detected")
-		}
-		for _, r := range rep.Details {
-			fmt.Println(r)
-		}
-		fmt.Printf("instrumented ops: %d\n", rep.Stats.InstrumentedOps())
+		a, err := adapt.Analyze(prog, core.Race(), mode, e, ropts)
+		check(err)
+		narrate(a.Attempts)
+		printRace(server.RaceResult(a))
 
 	case "nullcheck":
-		e := oha.Execution{Inputs: in, Seed: *seed}
-		var rep *oha.NullReport
-		switch {
-		case *baseline:
-			rep, err = oha.RunNullAlways(prog, e, ropts)
-			check(err)
-		case *adaptive:
-			var m *oha.SpeculationManager
-			rep, m = runAdaptive(prog, loadInv(*inv), oha.AdaptiveNull(), e, ropts, static)
-			defer printSpeculation(m)
-		default:
-			det, err := oha.NewNullCheckerStatic(prog, loadInv(*inv), static)
-			check(err)
-			fmt.Printf("static: discharged %d/%d null checks (%.0f%%)\n",
-				det.ElidedChecks(), det.Pred.DerefSites, 100*det.DischargeRatio())
-			rep, err = det.Run(e, ropts)
-			check(err)
+		a, err := adapt.Analyze(prog, core.Null(), mode, e, ropts)
+		check(err)
+		narrate(a.Attempts)
+		if mode.DB != nil {
+			printDischarge(a.Detector.ElidedChecks(), a.Detector.Pred.DerefSites)
 		}
-		if rep.RolledBack && !*adaptive {
-			fmt.Printf("mis-speculation (%s): rolled back to hybrid analysis\n", rep.Violation)
-		}
-		if len(rep.NilSites) == 0 {
-			fmt.Println("no nil dereferences observed")
-		}
-		for _, site := range rep.NilSites {
-			fmt.Printf("nil dereference at line %d (site %d), %s\n",
-				prog.Instrs[site].Pos.Line, site, prog.Instrs[site].Op)
-		}
-		fmt.Printf("null checks executed: %d (deref sites: %d, statically discharged: %d)\n",
-			rep.CheckedDerefs, rep.DerefSites, rep.DischargedChecks)
+		printNull(prog, server.NullResult(a))
 
 	case "slice":
-		db := loadInv(*inv)
 		var want *int // nil: the last print
 		if *criterion >= 0 {
 			want = criterion
 		}
 		idx, crit, err := core.SliceCriterion(prog, want)
 		check(err)
-		e := oha.Execution{Inputs: in, Seed: *seed}
-		var rep *oha.SliceReport
-		if *adaptive {
-			var m *oha.SpeculationManager
-			rep, m = runAdaptive(prog, db, oha.AdaptiveSlice(crit, *budget), e, ropts, static)
-			defer printSpeculation(m)
-		} else {
-			sl, err := oha.NewSlicerStatic(prog, db, crit, *budget, static)
-			check(err)
-			rep, err = sl.Run(e, ropts)
-			check(err)
-		}
-		if rep.RolledBack && !*adaptive {
-			fmt.Printf("mis-speculation (%s): rolled back to hybrid slicing\n", rep.Violation)
-		}
-		if rep.Slice == nil {
-			fmt.Println("criterion never executed")
-			return
-		}
-		fmt.Printf("dynamic slice of print #%d (criterion line %d): %d instructions, %d dynamic nodes\n",
-			idx, crit.Pos.Line, rep.Slice.Size(), rep.Slice.DynNodes)
-		printSliceLines(prog, rep, string(src))
-
-	default:
-		usage()
+		a, err := adapt.Analyze(prog, core.Slice(crit, *budget), mode, e, ropts)
+		check(err)
+		narrate(a.Attempts)
+		printSlice(server.SliceResult(prog, idx, crit, a), string(src))
+	}
+	if m != nil {
+		printSpeculation(m)
 	}
 }
 
-// runAdaptive runs the refine-and-retry loop for the client c selects,
-// narrating one line per generation attempted, and returns the final
-// report and the manager.
-func runAdaptive[D adapt.Detector[R], R oha.Report](prog *oha.Program, db *oha.InvariantDB, c adapt.Spec[D, R], e oha.Execution, ropts oha.RunOptions, static oha.StaticConfig) (R, *oha.SpeculationManager) {
-	m := oha.NewSpeculationManager(prog, db, oha.SpeculationOptions{Static: static})
-	as, err := oha.RunAdaptive(m, c, e, ropts)
-	check(err)
+// narrate prints one line per generation the adaptive loop attempted
+// (none outside adaptive mode).
+func narrate[R oha.Report](as []adapt.Attempt[R]) {
 	for i, a := range as {
 		out := a.Report.Base()
 		switch {
@@ -301,7 +256,6 @@ func runAdaptive[D adapt.Detector[R], R oha.Report](prog *oha.Program, db *oha.I
 			fmt.Printf("generation %d: mis-speculation (%s); rolled back to hybrid analysis\n", a.Generation, out.Violation)
 		}
 	}
-	return as[len(as)-1].Report, m
 }
 
 // printSpeculation prints the adaptive summary after the report.
@@ -311,26 +265,6 @@ func printSpeculation(m *oha.SpeculationManager) {
 	for _, g := range st.History[1:] {
 		for _, c := range g.Causes {
 			fmt.Printf("  generation %d refined: %s\n", g.Generation, c.String())
-		}
-	}
-}
-
-// printSliceLines maps the sliced instructions back to source lines.
-func printSliceLines(prog *oha.Program, rep *oha.SliceReport, src string) {
-	lines := map[int]bool{}
-	rep.Slice.Instrs.ForEach(func(id int) bool {
-		lines[prog.Instrs[id].Pos.Line] = true
-		return true
-	})
-	var sorted []int
-	for l := range lines {
-		sorted = append(sorted, l)
-	}
-	sort.Ints(sorted)
-	srcLines := strings.Split(src, "\n")
-	for _, l := range sorted {
-		if l-1 < len(srcLines) {
-			fmt.Printf("%4d: %s\n", l, strings.TrimRight(srcLines[l-1], " \t"))
 		}
 	}
 }

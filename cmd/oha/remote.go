@@ -6,21 +6,24 @@ package main
 // source is uploaded first (submission is idempotent: the id is the
 // source digest), then the job is submitted and polled to completion.
 // In this mode -inv names a server-side invariant-DB id, not a local
-// file: `profile` stores its merged DB under that id, `race`/`slice`
-// speculate against it. All requests go through the fleet client, so
-// 429 sheds are retried with the server's Retry-After hint plus
-// jitter, and 503s/transport blips back off exponentially.
+// file: `profile` stores its merged DB under that id, and the analysis
+// subcommands (race, nullcheck, slice) speculate against it. Reports
+// print through the same printers as in local mode. All requests go
+// through the fleet client, so 429 sheds are retried with the server's
+// Retry-After hint plus jitter, and 503s/transport blips back off
+// exponentially.
 
 import (
 	"context"
 	"fmt"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
+	"oha"
 	"oha/internal/fleet"
+	"oha/internal/server"
 )
 
 type remoteOpts struct {
@@ -34,67 +37,6 @@ type remoteOpts struct {
 	criterion int
 	budget    int
 	src       string
-}
-
-// remoteError mirrors the daemon's {"error": "..."} payload.
-type remoteError struct {
-	Error string `json:"error"`
-}
-
-type remoteJob struct {
-	ID    string `json:"id"`
-	State string `json:"state"`
-	Error string `json:"error"`
-}
-
-type remoteCounts struct {
-	VisitedBlocks   int
-	MustAliasPairs  int
-	SingletonSpawns int
-	ElidableLocks   int
-	CalleeSites     int
-	CalleeTargets   int
-	Contexts        int
-}
-
-type remoteProfileResult struct {
-	Runs         int          `json:"runs"`
-	InvariantsID string       `json:"invariants_id"`
-	Version      int          `json:"version"`
-	Counts       remoteCounts `json:"counts"`
-}
-
-type remoteRaceResult struct {
-	Races           []string `json:"races"`
-	RolledBack      bool     `json:"rolled_back"`
-	Violation       string   `json:"violation"`
-	Generation      int      `json:"generation"`
-	Attempts        int      `json:"attempts"`
-	InstrumentedOps uint64   `json:"instrumented_ops"`
-}
-
-type remoteNullResult struct {
-	NilSites         []int  `json:"nil_sites"`
-	NilDerefs        uint64 `json:"nil_derefs"`
-	RolledBack       bool   `json:"rolled_back"`
-	Violation        string `json:"violation"`
-	Generation       int    `json:"generation"`
-	Attempts         int    `json:"attempts"`
-	DischargedChecks int    `json:"discharged_checks"`
-	DerefSites       int    `json:"deref_sites"`
-	CheckedDerefs    uint64 `json:"checked_derefs"`
-}
-
-type remoteSliceResult struct {
-	CriterionIndex int    `json:"criterion_index"`
-	CriterionLine  int    `json:"criterion_line"`
-	SliceInstrs    int    `json:"slice_instrs"`
-	DynNodes       int    `json:"dyn_nodes"`
-	Lines          []int  `json:"lines"`
-	RolledBack     bool   `json:"rolled_back"`
-	Violation      string `json:"violation"`
-	Generation     int    `json:"generation"`
-	Attempts       int    `json:"attempts"`
 }
 
 func runRemote(base, cmd string, o remoteOpts) error {
@@ -124,25 +66,18 @@ func runRemote(base, cmd string, o remoteOpts) error {
 		"inputs":     o.inputs,
 		"seed":       o.seed,
 	}
-	switch cmd {
-	case "profile":
+	if cmd == "profile" {
 		if o.inv == "" {
 			return fmt.Errorf("remote profile needs -inv NAME (the server-side invariant-DB id to store under)")
 		}
 		job["runs"] = o.runs
 		job["save_as"] = o.inv
-	case "race", "nullcheck":
+	} else {
 		if o.inv == "" && !o.baseline {
 			return fmt.Errorf("remote %s needs -inv NAME (a server-side invariant-DB id; run `oha -remote %s profile` first)", cmd, base)
 		}
 		job["invariants_id"] = o.inv
 		job["baseline"] = o.baseline
-		job["adapt"] = o.adaptive
-	case "slice":
-		if o.inv == "" {
-			return fmt.Errorf("remote slice needs -inv NAME (a server-side invariant-DB id; run `oha -remote %s profile` first)", base)
-		}
-		job["invariants_id"] = o.inv
 		job["adapt"] = o.adaptive
 		job["budget"] = o.budget
 		if o.criterion >= 0 {
@@ -150,27 +85,26 @@ func runRemote(base, cmd string, o remoteOpts) error {
 		}
 	}
 
-	var accepted remoteJob
+	// A rejected submit answers {"error": …}, which decodes into the
+	// status's Error.
+	var accepted server.JobStatus
 	status, err = c.JSON(ctx, http.MethodPost, base+"/v1/jobs", job, &accepted)
 	if err != nil {
 		return err
 	}
 	if status != http.StatusAccepted {
-		var rerr remoteError
-		c.JSON(ctx, http.MethodGet, base+"/v1/jobs/"+accepted.ID, nil, &rerr) //nolint:errcheck
-		return fmt.Errorf("submit job: HTTP %d %s", status, rerr.Error)
+		return fmt.Errorf("submit job: HTTP %d %s", status, accepted.Error)
 	}
 	fmt.Fprintf(os.Stderr, "oha: remote job %s on program %.12s…\n", accepted.ID, sub.ID)
 
-	resultURL := base + "/v1/jobs/" + accepted.ID + "/result"
 	for {
-		var st remoteJob
+		var st server.JobStatus
 		if _, err := c.JSON(ctx, http.MethodGet, base+"/v1/jobs/"+accepted.ID, nil, &st); err != nil {
 			return err
 		}
 		switch st.State {
-		case "done":
-		case "failed":
+		case server.StateDone:
+		case server.StateFailed:
 			return fmt.Errorf("remote job %s failed: %s", accepted.ID, st.Error)
 		default:
 			select {
@@ -183,17 +117,22 @@ func runRemote(base, cmd string, o remoteOpts) error {
 		break
 	}
 
+	// result decodes the job's result payload into v, a pointer to the
+	// kind's result type.
+	result := func(v any) error {
+		wrap := struct {
+			Result any `json:"result"`
+		}{v}
+		_, err := c.JSON(ctx, http.MethodGet, base+"/v1/jobs/"+accepted.ID+"/result", nil, &wrap)
+		return err
+	}
 	switch cmd {
 	case "profile":
-		var wrap struct {
-			Result remoteProfileResult `json:"result"`
-		}
-		if _, err := c.JSON(ctx, http.MethodGet, resultURL, nil, &wrap); err != nil {
+		var res server.ProfileJobResult
+		if err := result(&res); err != nil {
 			return err
 		}
-		res := wrap.Result
-		fmt.Fprintf(os.Stderr, "profiled %d executions; invariants %q version %d: %+v\n",
-			res.Runs, res.InvariantsID, res.Version, res.Counts)
+		printProfile(res)
 		if o.out != "" {
 			st, body, _, err := c.Text(ctx, http.MethodGet, base+"/v1/invariants/"+o.inv, nil)
 			if err != nil {
@@ -208,74 +147,39 @@ func runRemote(base, cmd string, o remoteOpts) error {
 		}
 
 	case "race":
-		var wrap struct {
-			Result remoteRaceResult `json:"result"`
-		}
-		if _, err := c.JSON(ctx, http.MethodGet, resultURL, nil, &wrap); err != nil {
+		var res server.RaceJobResult
+		if err := result(&res); err != nil {
 			return err
 		}
-		res := wrap.Result
-		if res.RolledBack && !o.adaptive {
-			fmt.Printf("mis-speculation (%s): rolled back to hybrid analysis\n", res.Violation)
-		}
-		if o.adaptive {
-			fmt.Printf("adaptive: generation %d after %d attempt(s)\n", res.Generation, res.Attempts)
-		}
-		if len(res.Races) == 0 {
-			fmt.Println("no data races detected")
-		}
-		for _, r := range res.Races {
-			fmt.Println(r)
-		}
-		fmt.Printf("instrumented ops: %d\n", res.InstrumentedOps)
+		printAdaptive(res.JobOutcome)
+		printRace(res)
 
 	case "nullcheck":
-		var wrap struct {
-			Result remoteNullResult `json:"result"`
-		}
-		if _, err := c.JSON(ctx, http.MethodGet, resultURL, nil, &wrap); err != nil {
+		var res server.NullJobResult
+		if err := result(&res); err != nil {
 			return err
 		}
-		res := wrap.Result
-		if res.RolledBack && !o.adaptive {
-			fmt.Printf("mis-speculation (%s): rolled back to hybrid analysis\n", res.Violation)
+		// The daemon compiled the same source: compiling it here maps
+		// nil sites back to their lines.
+		prog, err := oha.Compile(o.src)
+		if err != nil {
+			return fmt.Errorf("compile source locally: %w", err)
 		}
-		if o.adaptive {
-			fmt.Printf("adaptive: generation %d after %d attempt(s)\n", res.Generation, res.Attempts)
+		printAdaptive(res.JobOutcome)
+		// The result's static counts are the predicated proof's unless
+		// the run rolled back onto the sound one.
+		if !o.baseline && !o.adaptive && !res.RolledBack {
+			printDischarge(res.DischargedChecks, res.DerefSites)
 		}
-		if len(res.NilSites) == 0 {
-			fmt.Println("no nil dereferences observed")
-		}
-		for _, site := range res.NilSites {
-			fmt.Printf("nil dereference at site %d\n", site)
-		}
-		fmt.Printf("null checks executed: %d (deref sites: %d, statically discharged: %d)\n",
-			res.CheckedDerefs, res.DerefSites, res.DischargedChecks)
+		printNull(prog, res)
 
 	case "slice":
-		var wrap struct {
-			Result remoteSliceResult `json:"result"`
-		}
-		if _, err := c.JSON(ctx, http.MethodGet, resultURL, nil, &wrap); err != nil {
+		var res server.SliceJobResult
+		if err := result(&res); err != nil {
 			return err
 		}
-		res := wrap.Result
-		if res.RolledBack && !o.adaptive {
-			fmt.Printf("mis-speculation (%s): rolled back to hybrid slicing\n", res.Violation)
-		}
-		if o.adaptive {
-			fmt.Printf("adaptive: generation %d after %d attempt(s)\n", res.Generation, res.Attempts)
-		}
-		fmt.Printf("dynamic slice of print #%d (criterion line %d): %d instructions, %d dynamic nodes\n",
-			res.CriterionIndex, res.CriterionLine, res.SliceInstrs, res.DynNodes)
-		lines := append([]int(nil), res.Lines...)
-		sort.Ints(lines)
-		srcLines := strings.Split(o.src, "\n")
-		for _, l := range lines {
-			if l-1 >= 0 && l-1 < len(srcLines) {
-				fmt.Printf("%4d: %s\n", l, strings.TrimRight(srcLines[l-1], " \t"))
-			}
-		}
+		printAdaptive(res.JobOutcome)
+		printSlice(res, o.src)
 	}
 
 	r429, rNet := c.Retries()
@@ -283,4 +187,12 @@ func runRemote(base, cmd string, o remoteOpts) error {
 		fmt.Fprintf(os.Stderr, "oha: retried %d shed (429) and %d transient failures with backoff\n", r429, rNet)
 	}
 	return nil
+}
+
+// printAdaptive heads an adaptive result with the generation it ran
+// under (the per-generation narrative needs the in-process manager).
+func printAdaptive(o server.JobOutcome) {
+	if o.Attempts > 0 {
+		fmt.Printf("adaptive: generation %d after %d attempt(s)\n", o.Generation, o.Attempts)
+	}
 }

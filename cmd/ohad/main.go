@@ -1,8 +1,8 @@
 // Command ohad runs the OHA analysis daemon: a long-running HTTP
 // service that keeps compiled MiniLang programs, versioned invariant
 // databases, and memoized static-analysis artifacts warm across
-// requests, and executes profile/race/slice jobs asynchronously on a
-// bounded worker pool.
+// requests, and executes profile, race, slice and nullcheck jobs
+// asynchronously on a bounded worker pool.
 //
 // Usage:
 //

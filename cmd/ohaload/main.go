@@ -48,6 +48,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"oha/internal/core"
 	"oha/internal/fleet"
 	"oha/internal/progen"
 )
@@ -231,7 +232,7 @@ func main() {
 					job["runs"] = cfg.ProfileRuns
 					job["save_as"] = invIDs[pi]
 					job["merge"] = true
-				case "race", "slice", "nullcheck":
+				default: // an analysis client (parseMix admits no other kind)
 					job["invariants_id"] = invIDs[pi]
 				}
 				t0 := time.Now()
@@ -347,10 +348,8 @@ func parseMix(s string) (kinds []string, cum []float64, err error) {
 		if !ok {
 			return nil, nil, fmt.Errorf("bad -mix entry %q (want kind=weight)", part)
 		}
-		switch k {
-		case "profile", "race", "slice", "nullcheck":
-		default:
-			return nil, nil, fmt.Errorf("unknown job kind %q in -mix", k)
+		if _, ok := core.ClientByName(k); !ok && k != "profile" {
+			return nil, nil, fmt.Errorf("unknown job kind %q in -mix (want profile or one of %v)", k, core.ClientNames())
 		}
 		w, err := strconv.ParseFloat(v, 64)
 		if err != nil || w < 0 {

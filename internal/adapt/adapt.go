@@ -33,7 +33,7 @@ package adapt
 
 import (
 	"context"
-	"strconv"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,10 +100,13 @@ type GenerationRecord struct {
 	// observed before one reconcile fold into one generation.
 	Causes []core.Violation `json:"causes,omitempty"`
 	// DBDigest is the SHA-256 of the generation's invariant database
-	// serialization; MaskDigest the content digest of the race
-	// detector's compiled configuration — instrumentation masks plus
-	// inline-cache seeds and fusion setting (set once the detector is
-	// built). Together they fingerprint the deployed configuration for
+	// serialization; MaskDigest the content digest of one detector's
+	// compiled configuration — instrumentation masks plus inline-cache
+	// seeds and fusion setting. Reconcile prebuilds the detectors the
+	// previous generation had built, in key order ("nullcheck" <
+	// "race" < "slice/…"), and records the first; a generation with no
+	// prebuilt detector records whichever client's detector is built
+	// first. Together they fingerprint the deployed configuration for
 	// the determinism guarantee; refining a callee-set fact changes
 	// both.
 	DBDigest   string `json:"db_digest"`
@@ -191,8 +194,8 @@ type Manager struct {
 var _ core.Adapter = (*Manager)(nil)
 
 // generation is one immutable deployed configuration. Its detectors
-// are built lazily and memoized by Spec key; construction goes through
-// the shared artifact cache, so a rebuild of an already-solved
+// are built lazily and memoized by core.Analysis key; construction goes
+// through the shared artifact cache, so a rebuild of an already-solved
 // configuration is cheap.
 type generation struct {
 	n  int
@@ -202,11 +205,16 @@ type generation struct {
 	detectors map[string]*built
 }
 
-// built is one memoized detector (or its construction error).
+// built is one memoized detector (or its construction error), its key
+// and client name, and how to build the same detector for another
+// generation.
 type built struct {
-	once sync.Once
-	det  any
-	err  error
+	once        sync.Once
+	det         any
+	err         error
+	ok          atomic.Bool // det is built
+	key, client string
+	again       func(g *generation) (digest string, err error)
 }
 
 func newGeneration(n int, db *invariants.DB) *generation {
@@ -242,89 +250,37 @@ func (m *Manager) Generation() int { return m.cur.Load().n }
 // DB returns the published generation's invariant database (immutable).
 func (m *Manager) DB() *invariants.DB { return m.cur.Load().db }
 
-// Detector is one generation's optimistic analysis for a client:
-// core.OptFT, core.OptSlice or core.OptNull.
-type Detector[R core.Report] interface {
-	Run(e core.Execution, opts core.RunOptions) (R, error)
-	CodeDigest() string
-}
-
-// Spec names one client's detector within a generation: the client,
-// the memo key, the static phase each build is timed under ("": none),
-// and how to build it for a database.
-type Spec[D Detector[R], R core.Report] struct {
-	client core.Client
-	key    string
-	phase  string
-	build  func(prog *ir.Program, db *invariants.DB, cfg core.StaticConfig) (D, error)
-}
-
-// Client returns the analysis client s builds a detector for.
-func (s Spec[D, R]) Client() core.Client { return s.client }
-
-// Build constructs s's detector for (prog, db), recording the build
-// time under s's static phase in met (nil: not recorded).
-func (s Spec[D, R]) Build(prog *ir.Program, db *invariants.DB, cfg core.StaticConfig, met *inc.Metrics) (D, error) {
-	start := time.Now()
-	det, err := s.build(prog, db, cfg)
-	if err == nil && s.phase != "" {
-		met.ObservePhase(s.phase, s.client.Name(), time.Since(start).Seconds())
-	}
-	return det, err
-}
-
-func client(name string) core.Client {
-	c, _ := core.ClientByName(name)
-	return c
-}
-
-// Race selects the OptFT race detector.
-func Race() Spec[*core.OptFT, *core.RaceReport] {
-	return Spec[*core.OptFT, *core.RaceReport]{client: client("race"), key: "race", build: core.NewOptFTStatic}
-}
-
-// Null selects the OptNull null checker.
-func Null() Spec[*core.OptNull, *core.NullReport] {
-	return Spec[*core.OptNull, *core.NullReport]{client: client("nullcheck"), key: "nullcheck", phase: "nullproof", build: core.NewOptNull}
-}
-
-// Slice selects the OptSlice slicer for one criterion and static
-// budget.
-func Slice(criterion *ir.Instr, budget int) Spec[*core.OptSlice, *core.SliceReport] {
-	return Spec[*core.OptSlice, *core.SliceReport]{
-		client: client("slice"),
-		key:    "slice/" + strconv.Itoa(criterion.ID) + "/" + strconv.Itoa(budget),
-		phase:  "slice",
-		build: func(prog *ir.Program, db *invariants.DB, cfg core.StaticConfig) (*core.OptSlice, error) {
-			return core.NewOptSliceStatic(prog, db, criterion, budget, cfg)
-		},
-	}
-}
-
-// Current returns the published generation's detector for s and the
+// Current returns the published generation's detector for a and the
 // generation number, building (and memoizing) it on first use.
-func Current[D Detector[R], R core.Report](m *Manager, s Spec[D, R]) (D, int, error) {
+func Current[D core.Detector[R], R core.Report](m *Manager, a core.Analysis[D, R]) (D, int, error) {
 	g := m.cur.Load()
-	det, err := detector(m, g, s)
+	det, err := detector(m, g, a)
 	return det, g.n, err
 }
 
-// detector returns g's memoized detector for s, building it once.
-func detector[D Detector[R], R core.Report](m *Manager, g *generation, s Spec[D, R]) (D, error) {
+// detector returns g's memoized detector for a, building it once.
+func detector[D core.Detector[R], R core.Report](m *Manager, g *generation, a core.Analysis[D, R]) (D, error) {
 	g.mu.Lock()
-	b := g.detectors[s.key]
+	b := g.detectors[a.Key]
 	if b == nil {
-		b = &built{}
-		g.detectors[s.key] = b
+		b = &built{key: a.Key, client: a.Client.Name(), again: func(next *generation) (string, error) {
+			det, err := detector(m, next, a)
+			if err != nil {
+				return "", err
+			}
+			return det.CodeDigest(), nil
+		}}
+		g.detectors[a.Key] = b
 	}
 	g.mu.Unlock()
 	b.once.Do(func() {
-		det, err := s.Build(m.prog, g.db, m.static, m.incMet)
+		det, err := build(a, m.prog, g.db, m.static, m.incMet)
 		if err != nil {
 			b.err = err
 			return
 		}
 		b.det = det
+		b.ok.Store(true)
 		m.setMaskDigest(g.n, det.CodeDigest())
 	})
 	if b.err != nil {
@@ -332,6 +288,17 @@ func detector[D Detector[R], R core.Report](m *Manager, g *generation, s Spec[D,
 		return zero, b.err
 	}
 	return b.det.(D), nil
+}
+
+// build constructs a's detector for (prog, db), recording the build
+// time under a's static phase in met (nil: not recorded).
+func build[D core.Detector[R], R core.Report](a core.Analysis[D, R], prog *ir.Program, db *invariants.DB, cfg core.StaticConfig, met *inc.Metrics) (D, error) {
+	start := time.Now()
+	det, err := a.Build(prog, db, cfg)
+	if err == nil && a.Phase != "" {
+		met.ObservePhase(a.Phase, a.Client.Name(), time.Since(start).Seconds())
+	}
+	return det, err
 }
 
 // setMaskDigest back-fills a generation's mask digest into the history
@@ -470,8 +437,8 @@ func (m *Manager) Reconcile(ctx context.Context) (bool, error) {
 	// Prewarm the static artifacts through the incremental pipeline:
 	// Reanalyze resumes from the previous generation's saturated solver
 	// state (or solves in parallel from scratch) and publishes the
-	// results under the new DB's digest — so the race build below finds
-	// every static kind already cached and only rebuilds masks +
+	// results under the new DB's digest — so the prebuilds below find
+	// every static kind already cached and only rebuild masks +
 	// bytecode. A Reanalyze error is non-fatal: the build recomputes on
 	// its own.
 	var st inc.Stats
@@ -484,13 +451,11 @@ func (m *Manager) Reconcile(ctx context.Context) (bool, error) {
 			st = s
 		}
 	}
-	maskStart := time.Now()
 	g := newGeneration(n, db)
-	det, err := detector(m, g, Race()) // the eager part of the re-solve
+	digest, err := m.prebuild(cur, g) // the eager part of the re-solve
 	if err != nil {
 		return fail(err)
 	}
-	m.incMet.ObservePhase("masks", "race", time.Since(maskStart).Seconds())
 	elapsed := time.Since(start).Seconds()
 
 	m.mu.Lock()
@@ -498,7 +463,7 @@ func (m *Manager) Reconcile(ctx context.Context) (bool, error) {
 		Generation:     n,
 		Causes:         causes,
 		DBDigest:       artifacts.DBDigest(db),
-		MaskDigest:     det.CodeDigest(),
+		MaskDigest:     digest,
 		ResolveSeconds: elapsed,
 		StaticMode:     st.Mode,
 		ReuseRatio:     st.ReuseRatio,
@@ -508,6 +473,36 @@ func (m *Manager) Reconcile(ctx context.Context) (bool, error) {
 	m.mu.Unlock()
 	m.met.observeSwap(elapsed)
 	return true, nil
+}
+
+// prebuild builds into g, in key order, every detector the outgoing
+// generation from had built, timing each under the "masks" phase with
+// its own client's name. It returns the first one's configuration
+// digest ("" when from had built none: the first lazy build fills it
+// in).
+func (m *Manager) prebuild(from, g *generation) (string, error) {
+	from.mu.Lock()
+	var bs []*built
+	for _, b := range from.detectors {
+		if b.ok.Load() {
+			bs = append(bs, b)
+		}
+	}
+	from.mu.Unlock()
+	sort.Slice(bs, func(i, j int) bool { return bs[i].key < bs[j].key })
+	first := ""
+	for _, b := range bs {
+		start := time.Now()
+		digest, err := b.again(g)
+		if err != nil {
+			return "", err
+		}
+		m.incMet.ObservePhase("masks", b.client, time.Since(start).Seconds())
+		if first == "" {
+			first = digest
+		}
+	}
+	return first, nil
 }
 
 // Status returns a consistent snapshot.
@@ -555,18 +550,18 @@ type Attempt[R core.Report] struct {
 	Report     R   `json:"report"`
 }
 
-// Run is the refine-and-retry loop for one execution: run s's detector
+// Run is the refine-and-retry loop for one execution: run a's detector
 // under the current generation; on a refinable rollback, reconcile and
 // retry under the new one. The last attempt's report is authoritative
 // (rollback re-execution makes every attempt sound; retries only
 // recover speculation). The loop terminates because each refinement
 // strictly weakens a finite fact set, and Policy.MaxGenerations caps
 // it besides. opts.Adapt is overridden with m.
-func Run[D Detector[R], R core.Report](m *Manager, s Spec[D, R], e core.Execution, opts core.RunOptions) ([]Attempt[R], error) {
+func Run[D core.Detector[R], R core.Report](m *Manager, a core.Analysis[D, R], e core.Execution, opts core.RunOptions) ([]Attempt[R], error) {
 	opts.Adapt = m
 	var attempts []Attempt[R]
 	for {
-		det, gen, err := Current(m, s)
+		det, gen, err := Current(m, a)
 		if err != nil {
 			return attempts, err
 		}
@@ -586,4 +581,57 @@ func Run[D Detector[R], R core.Report](m *Manager, s Spec[D, R], e core.Executio
 			return attempts, nil
 		}
 	}
+}
+
+// Mode is how Analyze runs a client: its unoptimized sound baseline,
+// the refine-and-retry loop under a manager, or one plain optimistic
+// run.
+type Mode struct {
+	// Baseline runs the client's sound baseline; nothing else is read.
+	Baseline bool
+	// Manager, when non-nil, runs the refine-and-retry loop under it.
+	Manager *Manager
+	// Otherwise one detector is built for DB under Static (its build
+	// timed into Inc; nil: not recorded) and run once.
+	DB     *invariants.DB
+	Static core.StaticConfig
+	Inc    *inc.Metrics
+}
+
+// Result is an analysis's final report and the detector that produced
+// it (zero for a baseline run); in adaptive mode also the generation
+// the report came from and every attempt of the loop.
+type Result[D core.Detector[R], R core.Report] struct {
+	Report     R
+	Detector   D
+	Generation int
+	Attempts   []Attempt[R]
+}
+
+// Analyze runs a on one execution of prog in the given mode. It is the
+// one place the baseline / optimistic / adaptive switch is written:
+// the daemon's analysis jobs and the CLI both call it.
+func Analyze[D core.Detector[R], R core.Report](prog *ir.Program, a core.Analysis[D, R], mode Mode, e core.Execution, opts core.RunOptions) (Result[D, R], error) {
+	var res Result[D, R]
+	var err error
+	switch {
+	case mode.Baseline:
+		res.Report, err = a.Baseline(prog, e, opts)
+	case mode.Manager != nil:
+		if res.Attempts, err = Run(mode.Manager, a, e, opts); err != nil {
+			return res, err
+		}
+		last := res.Attempts[len(res.Attempts)-1]
+		res.Report, res.Generation = last.Report, last.Generation
+		// The current generation's memoized detector carries the static
+		// facts (the slice analysis type) a result reports; without one
+		// they are left out.
+		res.Detector, _, _ = Current(mode.Manager, a)
+	default:
+		if res.Detector, err = build(a, prog, mode.DB, mode.Static, mode.Inc); err != nil {
+			return res, err
+		}
+		res.Report, err = res.Detector.Run(e, opts)
+	}
+	return res, err
 }

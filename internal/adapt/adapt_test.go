@@ -3,10 +3,13 @@ package adapt
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"oha/internal/artifacts"
 	"oha/internal/core"
+	"oha/internal/inc"
+	"oha/internal/invariants"
 	"oha/internal/ir"
 	"oha/internal/lang"
 	"oha/internal/metrics"
@@ -90,7 +93,7 @@ func TestRefineAndRetryRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attempts, err := Run(m, Race(), e, core.RunOptions{})
+	attempts, err := Run(m, core.Race(), e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +122,7 @@ func TestRefineAndRetryRace(t *testing.T) {
 
 	// The paper's promise: the same execution never costs a second
 	// rollback.
-	again, err := Run(m, Race(), e, core.RunOptions{})
+	again, err := Run(m, core.Race(), e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +137,7 @@ func TestRefineAndRetrySingleton(t *testing.T) {
 	pr := profileDB(t, prog, []int64{1}, 20)
 	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}})
 	e := core.Execution{Inputs: []int64{3}, Seed: 2}
-	attempts, err := Run(m, Race(), e, core.RunOptions{})
+	attempts, err := Run(m, core.Race(), e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +166,7 @@ func TestRefineAndRetrySlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attempts, err := Run(m, Slice(criterion, 512), e, core.RunOptions{})
+	attempts, err := Run(m, core.Slice(criterion, 512), e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +184,52 @@ func TestRefineAndRetrySlice(t *testing.T) {
 	}
 }
 
+// TestReconcilePrebuildsBuiltClients: Reconcile eagerly rebuilds only
+// the detectors the outgoing generation had built, timing each under
+// "masks" with its own client's name — a slice-only manager builds no
+// race detector — and records the first one's configuration digest.
+func TestReconcilePrebuildsBuiltClients(t *testing.T) {
+	prog := lang.MustCompile(pathProg)
+	pr := profileDB(t, prog, []int64{5}, 20)
+	checkPrebuilds(t, prog, pr.DB, core.Race())
+	checkPrebuilds(t, prog, pr.DB, core.Slice(lastPrint(prog), 512))
+}
+
+// checkPrebuilds refines a fresh manager through a alone and checks
+// the masks phases it recorded and its last generation's digest.
+func checkPrebuilds[D core.Detector[R], R core.Report](t *testing.T, prog *ir.Program, db *invariants.DB, a core.Analysis[D, R]) {
+	t.Helper()
+	name := a.Client.Name()
+	reg := metrics.NewRegistry()
+	cfg := core.StaticConfig{Cache: artifacts.New("")}
+	m := New(prog, db, Options{Static: cfg, Inc: inc.NewMetrics(reg)})
+	attempts, err := Run(m, a, core.Execution{Inputs: []int64{500}, Seed: 3}, core.RunOptions{})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if len(attempts) < 2 {
+		t.Fatalf("%s: attempts = %d, want a refinement", name, len(attempts))
+	}
+	var sb strings.Builder
+	if _, err := reg.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, client := range []string{"race", "slice"} {
+		series := `oha_static_phase_seconds_count{phase="masks",client="` + client + `"}`
+		if got := strings.Contains(sb.String(), series); got != (client == name) {
+			t.Errorf("%s-only manager: %s recorded = %v", name, series, got)
+		}
+	}
+	det, err := a.Build(prog, m.DB(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := m.Status().History
+	if got, want := hist[len(hist)-1].MaskDigest, det.CodeDigest(); got != want {
+		t.Errorf("%s-only manager: last mask digest %.12s, want its own detector's %.12s", name, got, want)
+	}
+}
+
 // TestStatusLedgerAndMetrics checks the ledger counters, history
 // digests, and metrics registration after one refinement.
 func TestStatusLedgerAndMetrics(t *testing.T) {
@@ -190,7 +239,7 @@ func TestStatusLedgerAndMetrics(t *testing.T) {
 	met := NewMetrics(reg)
 	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}, Metrics: met})
 
-	if _, err := Run(m, Race(), core.Execution{Inputs: []int64{500}, Seed: 3}, core.RunOptions{}); err != nil {
+	if _, err := Run(m, core.Race(), core.Execution{Inputs: []int64{500}, Seed: 3}, core.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	st := m.Status()
@@ -245,7 +294,7 @@ func TestStaleViolationIsIdempotent(t *testing.T) {
 	pr := profileDB(t, prog, []int64{5}, 20)
 	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}})
 	e := core.Execution{Inputs: []int64{500}, Seed: 3}
-	if _, err := Run(m, Race(), e, core.RunOptions{}); err != nil {
+	if _, err := Run(m, core.Race(), e, core.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if m.Generation() != 2 {
@@ -276,14 +325,14 @@ func TestPolicyThreshold(t *testing.T) {
 	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}, Policy: Policy{Threshold: 2}})
 	e := core.Execution{Inputs: []int64{500}, Seed: 3}
 
-	attempts, err := Run(m, Race(), e, core.RunOptions{})
+	attempts, err := Run(m, core.Race(), e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(attempts) != 1 || m.Generation() != 1 {
 		t.Fatalf("first violation refined below threshold (attempts=%d gen=%d)", len(attempts), m.Generation())
 	}
-	attempts, err = Run(m, Race(), e, core.RunOptions{})
+	attempts, err = Run(m, core.Race(), e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +394,7 @@ func TestAdaptationSoundnessProperty(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: fasttrack: %v", seed, err)
 				}
-				attempts, err := Run(m, Race(), e, core.RunOptions{})
+				attempts, err := Run(m, core.Race(), e, core.RunOptions{})
 				if err != nil {
 					t.Fatalf("seed %d: adapt race: %v", seed, err)
 				}
@@ -375,7 +424,7 @@ func TestAdaptationSoundnessProperty(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d: giri: %v", seed, err)
 					}
-					sattempts, err := Run(m, Slice(criterion, 512), e, core.RunOptions{})
+					sattempts, err := Run(m, core.Slice(criterion, 512), e, core.RunOptions{})
 					if err != nil {
 						t.Fatalf("seed %d: adapt slice: %v", seed, err)
 					}
@@ -417,14 +466,14 @@ func TestGenerationSequenceDeterministic(t *testing.T) {
 		for _, in := range inputs {
 			for _, s := range []uint64{11, 12} {
 				e := core.Execution{Inputs: in, Seed: s}
-				if _, err := Run(m, Race(), e, core.RunOptions{}); err != nil {
+				if _, err := Run(m, core.Race(), e, core.RunOptions{}); err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
-				if _, err := Run(m, Null(), e, core.RunOptions{}); err != nil {
+				if _, err := Run(m, core.Null(), e, core.RunOptions{}); err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
 				if criterion != nil {
-					if _, err := Run(m, Slice(criterion, 512), e, core.RunOptions{}); err != nil {
+					if _, err := Run(m, core.Slice(criterion, 512), e, core.RunOptions{}); err != nil {
 						t.Fatalf("trial %d: %v", trial, err)
 					}
 				}
@@ -479,7 +528,7 @@ func TestConcurrentRunsDuringHotSwap(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for rep := 0; rep < 5; rep++ {
 				i := (w + rep) % len(execs)
-				attempts, err := Run(m, Race(), execs[i], core.RunOptions{})
+				attempts, err := Run(m, core.Race(), execs[i], core.RunOptions{})
 				if err != nil {
 					errs <- err
 					return
@@ -503,7 +552,7 @@ func TestConcurrentRunsDuringHotSwap(t *testing.T) {
 	}
 	// Converged: one more pass over every execution runs clean.
 	for i, e := range execs {
-		attempts, err := Run(m, Race(), e, core.RunOptions{})
+		attempts, err := Run(m, core.Race(), e, core.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -523,11 +572,11 @@ func TestWarmCacheIncrementalReanalysis(t *testing.T) {
 	pr := profileDB(t, prog, []int64{5}, 20)
 	cache := artifacts.New("")
 	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: cache}})
-	if _, _, err := Current(m, Race()); err != nil {
+	if _, _, err := Current(m, core.Race()); err != nil {
 		t.Fatal(err)
 	}
 	before := cache.Stats()
-	if _, err := Run(m, Race(), core.Execution{Inputs: []int64{500}, Seed: 3}, core.RunOptions{}); err != nil {
+	if _, err := Run(m, core.Race(), core.Execution{Inputs: []int64{500}, Seed: 3}, core.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	after := cache.Stats()
@@ -595,7 +644,7 @@ func TestRefineAndRetryNull(t *testing.T) {
 		t.Fatalf("baseline nil sites = %v, want one", base.NilSites)
 	}
 
-	attempts, err := Run(m, Null(), e, core.RunOptions{})
+	attempts, err := Run(m, core.Null(), e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -631,7 +680,7 @@ func TestRefineAndRetryNull(t *testing.T) {
 
 	// The refined generation never pays a second rollback for the
 	// same execution.
-	again, err := Run(m, Null(), e, core.RunOptions{})
+	again, err := Run(m, core.Null(), e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func TestFastPathParityAcrossRefinement(t *testing.T) {
 			m := New(prog, pr.DB, Options{
 				Static: core.StaticConfig{Cache: artifacts.New(""), Workers: 1, NoFastPath: noFast},
 			})
-			tries, err := Run(m, Race(), e, core.RunOptions{})
+			tries, err := Run(m, core.Race(), e, core.RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func TestFastPathParityAcrossRefinement(t *testing.T) {
 			m := New(prog, pr.DB, Options{
 				Static: core.StaticConfig{Cache: artifacts.New(""), Workers: 1, NoFastPath: noFast},
 			})
-			tries, err := Run(m, Slice(criterion, 4096), e, core.RunOptions{})
+			tries, err := Run(m, core.Slice(criterion, 4096), e, core.RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +203,7 @@ func TestCalleeEscapeParityAcrossConfigs(t *testing.T) {
 		m := New(prog, pr.DB, Options{
 			Static: core.StaticConfig{Cache: artifacts.New(""), Workers: workers, NoIC: noIC},
 		})
-		attempts, err := Run(m, Slice(criterion, 4096), e, core.RunOptions{Engine: engine})
+		attempts, err := Run(m, core.Slice(criterion, 4096), e, core.RunOptions{Engine: engine})
 		if err != nil {
 			t.Fatal(err)
 		}

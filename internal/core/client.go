@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"oha/internal/invariants"
+	"oha/internal/ir"
 )
 
 // Client describes one analysis client of the optimistic hybrid core:
@@ -13,11 +14,13 @@ import (
 // analysis) pipeline with its own violation kinds and refinement
 // rules. The three paper clients — race detection (OptFT, §4),
 // backward slicing (OptSlice, §5), and the null/misuse checker
-// (OptNull) — register themselves here; everything downstream of core
-// (the adaptive speculation manager, the daemon's job kinds, the load
-// generator, the CLI) discovers clients through this registry instead
-// of hard-coding the set, so adding a fourth client is: implement
-// Client, register it, build its constructors. See DESIGN §17.
+// (OptNull) — are declared here, each with its typed entry point
+// (Race, Slice, Null) next to its refinement rules; everything
+// downstream of core (the adaptive speculation manager, the daemon's
+// job kinds, the load generator, the CLI) discovers clients through
+// this registry and runs them through their entry points instead of
+// hard-coding the set, so adding a fourth client is: implement Client,
+// register it, give it an entry point. See DESIGN §17.
 type Client interface {
 	// Name is the stable client identifier — the daemon job kind, the
 	// metric label value, and the registry key ("race", "slice",
@@ -111,6 +114,29 @@ func refineShared(db *invariants.DB, v Violation) (bool, bool) {
 	return false, false
 }
 
+// Detector is one client's optimistic analysis: OptFT, OptSlice or
+// OptNull.
+type Detector[R Report] interface {
+	Run(e Execution, opts RunOptions) (R, error)
+	CodeDigest() string
+}
+
+// Analysis is one client's typed entry point, in the two shapes the
+// paper runs every client in (§2.3): the optimistic analysis with
+// rollback, built for an invariant database, and the unoptimized sound
+// baseline it must agree with.
+type Analysis[D Detector[R], R Report] struct {
+	Client Client
+	// Key identifies the detector among one database's detectors.
+	Key string
+	// Phase is the static phase Build is timed under ("": none).
+	Phase string
+	// Build constructs the optimistic detector for (prog, db).
+	Build func(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (D, error)
+	// Baseline runs the unoptimized sound analysis on e.
+	Baseline func(prog *ir.Program, e Execution, opts RunOptions) (R, error)
+}
+
 // raceClient is the OptFT race-detection client (§4).
 type raceClient struct{}
 
@@ -150,6 +176,12 @@ func (raceClient) Refine(db *invariants.DB, v Violation) bool {
 }
 
 func (raceClient) FactKey(v Violation) string { return baseFactKey(v) }
+
+// Race is the race-detection entry point: OptFT, with full FastTrack
+// as its baseline.
+func Race() Analysis[*OptFT, *RaceReport] {
+	return Analysis[*OptFT, *RaceReport]{Client: raceClient{}, Key: "race", Build: NewOptFTStatic, Baseline: RunFastTrack}
+}
 
 // sliceClient is the OptSlice backward-slicing client (§5).
 type sliceClient struct{}
@@ -202,6 +234,23 @@ func (sliceClient) FactKey(v Violation) string {
 	return b.String()
 }
 
+// Slice is the backward-slicing entry point for one criterion and
+// static budget: OptSlice, with full Giri (every instruction traced, the
+// default trace limit) as its baseline.
+func Slice(criterion *ir.Instr, budget int) Analysis[*OptSlice, *SliceReport] {
+	return Analysis[*OptSlice, *SliceReport]{
+		Client: sliceClient{},
+		Key:    "slice/" + strconv.Itoa(criterion.ID) + "/" + strconv.Itoa(budget),
+		Phase:  "slice",
+		Build: func(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*OptSlice, error) {
+			return NewOptSliceStatic(prog, db, criterion, budget, cfg)
+		},
+		Baseline: func(prog *ir.Program, e Execution, opts RunOptions) (*SliceReport, error) {
+			return RunFullGiri(prog, criterion, e, opts, 0)
+		},
+	}
+}
+
 // nullClient is the OptNull null/misuse-checking client. Its static
 // proof is predicated on likely-non-null loads, likely-unreachable
 // code, and (through the predicated points-to) likely callee sets, so
@@ -244,6 +293,12 @@ func (nullClient) FactKey(v Violation) string {
 		return baseFactKey(v) + ">" + strconv.Itoa(v.Callee)
 	}
 	return baseFactKey(v)
+}
+
+// Null is the null-checking entry point: OptNull, with a dynamic check
+// at every dereference as its baseline.
+func Null() Analysis[*OptNull, *NullReport] {
+	return Analysis[*OptNull, *NullReport]{Client: nullClient{}, Key: "nullcheck", Phase: "nullproof", Build: NewOptNull, Baseline: RunNullAlways}
 }
 
 func init() {

@@ -71,7 +71,7 @@ func adaptiveRow(env *env, w *workloads.Workload) (AdaptRow, error) {
 		if err != nil {
 			return AdaptRow{}, fmt.Errorf("%s: fasttrack: %w", w.Name, err)
 		}
-		attempts, err := adapt.Run(m, adapt.Race(), e, core.RunOptions{})
+		attempts, err := adapt.Run(m, core.Race(), e, core.RunOptions{})
 		if err != nil {
 			return AdaptRow{}, fmt.Errorf("%s: adaptive run %d: %w", w.Name, i, err)
 		}

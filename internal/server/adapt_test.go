@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"oha/internal/core"
 	"oha/internal/invariants"
+	"oha/internal/lang"
 )
 
 // adaptSrc has a racy update on an input-guarded path: profiling with
@@ -405,5 +407,40 @@ func TestServerNullcheckAdaptive(t *testing.T) {
 	}
 	if !strings.Contains(mx, `oha_static_phase_seconds_count{phase="nullproof",client="nullcheck"}`) {
 		t.Fatalf("nullproof phase histogram missing from exposition:\n%s", mx)
+	}
+}
+
+// TestServerSliceBaseline: a slice job with baseline=true runs full
+// Giri — needing no invariants, and ignoring them when given — rather
+// than the optimistic slicer.
+func TestServerSliceBaseline(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1, QueueSize: 8, JobTimeout: 30 * time.Second})
+	id := c.submitProgram(adaptSrc)
+	_, jobID := c.submitJob(JobRequest{Kind: "profile", ProgramID: id, Inputs: []int64{5}, Runs: 8, SaveAs: "slice-base"})
+	c.awaitDone(jobID)
+
+	prog := lang.MustCompile(adaptSrc)
+	_, crit, err := core.SliceCriterion(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := core.Execution{Inputs: []int64{500}, Seed: 1}
+	giri, err := core.RunFullGiri(prog, crit, e, core.RunOptions{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inv := range []string{"", "slice-base"} {
+		status, jobID := c.submitJob(JobRequest{Kind: "slice", ProgramID: id, Inputs: e.Inputs, Baseline: true, InvariantsID: inv})
+		if status != http.StatusAccepted {
+			t.Fatalf("invariants %q: submit status %d", inv, status)
+		}
+		res := c.awaitDone(jobID)
+		if res["rolled_back"] != false || res["analysis_type"] != "" {
+			t.Fatalf("invariants %q: baseline slice ran speculatively: %v", inv, res)
+		}
+		if res["trace_nodes"] != float64(giri.TraceNodes) || res["dyn_nodes"] != float64(giri.Slice.DynNodes) {
+			t.Fatalf("invariants %q: result %v, want full Giri's %d trace / %d dynamic nodes",
+				inv, res, giri.TraceNodes, giri.Slice.DynNodes)
+		}
 	}
 }

@@ -467,8 +467,9 @@ type JobRequest struct {
 	SaveAs string `json:"save_as"`
 	Merge  bool   `json:"merge"`
 
-	// Race and nullcheck jobs: Baseline runs the unoptimized sound
-	// configuration (FastTrack / always-check; no invariants needed).
+	// Analysis jobs: Baseline runs the client's unoptimized sound
+	// analysis (FastTrack / full Giri / always-check; no invariants
+	// needed).
 	Baseline bool `json:"baseline"`
 
 	// Adapt routes a race, slice or nullcheck job through the adaptive
@@ -580,24 +581,15 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		}
 		fn = s.refineJob(sp, req)
 	default:
-		var job analysisJob
-		c, ok := core.ClientByName(req.Kind)
-		if ok {
-			job, ok = analysisJobs[c.Name()]
-		}
-		if !ok {
+		if _, ok := core.ClientByName(req.Kind); !ok {
 			writeError(w, http.StatusBadRequest, "unknown job kind %q", req.Kind)
 			return
 		}
-		if req.InvariantsID == "" && !(req.Baseline && job.baseline) {
-			alt := ""
-			if job.baseline {
-				alt = " (or baseline=true)"
-			}
-			writeError(w, http.StatusBadRequest, "%s job needs invariants_id%s", req.Kind, alt)
+		if req.InvariantsID == "" && !req.Baseline {
+			writeError(w, http.StatusBadRequest, "%s job needs invariants_id (or baseline=true)", req.Kind)
 			return
 		}
-		fn = func(ctx context.Context) (any, error) { return job.run(ctx, s, sp, req) }
+		fn = func(ctx context.Context) (any, error) { return s.runAnalysis(ctx, sp, req) }
 	}
 	job, err := s.pool.Submit(JobKind(req.Kind), time.Duration(req.TimeoutMS)*time.Millisecond, fn)
 	switch {
@@ -893,161 +885,132 @@ func (s *Server) profileJob(sp *StoredProgram, req JobRequest) func(ctx context.
 	}
 }
 
-// analysisJob is one analysis client's job body: whether the kind has
-// an unoptimized baseline mode, and how its result payload is built.
-type analysisJob struct {
-	baseline bool
-	run      func(ctx context.Context, s *Server, sp *StoredProgram, req JobRequest) (any, error)
+// runAnalysis runs one analysis job through its client's entry point
+// and maps the result to the client's wire payload.
+func (s *Server) runAnalysis(ctx context.Context, sp *StoredProgram, req JobRequest) (any, error) {
+	switch JobKind(req.Kind) {
+	case JobRace:
+		return analyze(ctx, s, sp, req, core.Race(), RaceResult)
+	case JobNull:
+		return analyze(ctx, s, sp, req, core.Null(), NullResult)
+	case JobSlice:
+		idx, crit, err := core.SliceCriterion(sp.Prog, req.Criterion)
+		if err != nil {
+			return nil, err
+		}
+		budget := req.Budget
+		if budget <= 0 {
+			budget = 4096
+		}
+		return analyze(ctx, s, sp, req, core.Slice(crit, budget), func(a adapt.Result[*core.OptSlice, *core.SliceReport]) SliceJobResult {
+			return SliceResult(sp.Prog, idx, crit, a)
+		})
+	}
+	return nil, fmt.Errorf("no result builder for job kind %q", req.Kind)
 }
 
-// analysisJobs maps registered client names to their job bodies.
-var analysisJobs = map[string]analysisJob{
-	string(JobRace):  {baseline: true, run: raceJob},
-	string(JobSlice): {run: sliceJob},
-	string(JobNull):  {baseline: true, run: nullJob},
-}
-
-// analyzed is an analysis job's final report, the detector that
-// produced it (zero for a baseline run) and, in adaptive mode, the
-// generation it came from and the number of attempts.
-type analyzed[D adapt.Detector[R], R core.Report] struct {
-	rep                  R
-	det                  D
-	generation, attempts int
+// analyze runs one analysis job in the request's mode (see
+// adapt.Analyze) — the unoptimized baseline, the adaptive
+// refine-and-retry loop under the (program, DB version) manager, or one
+// plain optimistic run under the daemon's static config — and builds
+// its wire result. Every analyzed execution's dispatch counters are
+// folded into the metrics under the client's name.
+func analyze[D core.Detector[R], R core.Report, W any](ctx context.Context, s *Server, sp *StoredProgram, req JobRequest, a core.Analysis[D, R], result func(adapt.Result[D, R]) W) (any, error) {
+	var mode adapt.Mode
+	var err error
+	switch {
+	case req.Baseline:
+		mode.Baseline = true
+	case req.Adapt:
+		mode.Manager, err = s.adapter(sp, req)
+	default:
+		mode.DB, _, err = s.resolveDB(req)
+		mode.Static, mode.Inc = s.static, s.incMetrics
+	}
+	if err != nil {
+		return nil, err
+	}
+	res, err := adapt.Analyze(sp.Prog, a, mode, core.Execution{Inputs: req.Inputs, Seed: req.Seed}, s.runOpts(ctx))
+	if err != nil {
+		return nil, err
+	}
+	if m := mode.Manager; m != nil {
+		if m.Pending() {
+			s.submitRefine(m, req.InvariantsID, sp.ID)
+		}
+		s.notifyGeneration(req.InvariantsID, sp.ID, m)
+		for _, t := range res.Attempts[:len(res.Attempts)-1] {
+			s.observeIC(a.Client.Name(), t.Report.Base().IC)
+		}
+	}
+	s.observeIC(a.Client.Name(), res.Report.Base().IC)
+	return result(res), nil
 }
 
 // outcome summarizes a's speculation for the job result.
-func (a analyzed[D, R]) outcome() JobOutcome {
-	out := a.rep.Base()
+func outcome[D core.Detector[R], R core.Report](a adapt.Result[D, R]) JobOutcome {
+	out := a.Report.Base()
 	return JobOutcome{
 		RolledBack:    out.RolledBack,
 		Violation:     out.Violation.String(),
 		ViolationKind: out.Violation.Kind,
 		ViolationSite: out.Violation.Site,
-		Generation:    a.generation,
-		Attempts:      a.attempts,
+		Generation:    a.Generation,
+		Attempts:      len(a.Attempts),
 	}
 }
 
-// analyze runs one analysis job in its mode: the unoptimized baseline
-// (when req asks and the kind has one), the adaptive refine-and-retry
-// loop, or one plain optimistic run under the daemon's static config.
-// Every analyzed execution's dispatch counters are folded into the
-// metrics under the client's name.
-func analyze[D adapt.Detector[R], R core.Report](ctx context.Context, s *Server, sp *StoredProgram, req JobRequest, spec adapt.Spec[D, R], baseline func(*ir.Program, core.Execution, core.RunOptions) (R, error)) (analyzed[D, R], error) {
-	var a analyzed[D, R]
-	e := core.Execution{Inputs: req.Inputs, Seed: req.Seed}
-	client := spec.Client().Name()
-	var err error
-	switch {
-	case req.Baseline && baseline != nil:
-		a.rep, err = baseline(sp.Prog, e, s.runOpts(ctx))
-	case req.Adapt:
-		var m *adapt.Manager
-		if m, err = s.adapter(sp, req); err != nil {
-			return a, err
-		}
-		tries, err := adapt.Run(m, spec, e, s.runOpts(ctx))
-		if err != nil {
-			return a, err
-		}
-		if m.Pending() {
-			s.submitRefine(m, req.InvariantsID, sp.ID)
-		}
-		s.notifyGeneration(req.InvariantsID, sp.ID, m)
-		for _, t := range tries[:len(tries)-1] {
-			s.observeIC(client, t.Report.Base().IC)
-		}
-		last := tries[len(tries)-1]
-		a.rep, a.generation, a.attempts = last.Report, last.Generation, len(tries)
-		// The current generation's memoized detector carries the static
-		// facts (the slice analysis type) the result reports; without
-		// one they are left out.
-		a.det, _, _ = adapt.Current(m, spec)
-	default:
-		var db *invariants.DB
-		if db, _, err = s.resolveDB(req); err != nil {
-			return a, err
-		}
-		if a.det, err = spec.Build(sp.Prog, db, s.static, s.incMetrics); err != nil {
-			return a, err
-		}
-		a.rep, err = a.det.Run(e, s.runOpts(ctx))
-	}
-	if err != nil {
-		return a, err
-	}
-	s.observeIC(client, a.rep.Base().IC)
-	return a, nil
-}
-
-func raceJob(ctx context.Context, s *Server, sp *StoredProgram, req JobRequest) (any, error) {
-	a, err := analyze(ctx, s, sp, req, adapt.Race(), core.RunFastTrack)
-	if err != nil {
-		return nil, err
-	}
-	rep := a.rep
+// RaceResult is a race analysis's wire result.
+func RaceResult(a adapt.Result[*core.OptFT, *core.RaceReport]) RaceJobResult {
+	rep := a.Report
 	races := make([]string, 0, len(rep.Details))
 	for _, rc := range rep.Details {
 		races = append(races, rc.String())
 	}
 	return RaceJobResult{
 		Races:           races,
-		JobOutcome:      a.outcome(),
+		JobOutcome:      outcome(a),
 		InstrumentedOps: rep.Stats.InstrumentedOps(),
 		FTChecks:        rep.FTChecks,
 		CheckEvents:     rep.CheckEvents,
 		Output:          rep.Output,
-	}, nil
+	}
 }
 
-func nullJob(ctx context.Context, s *Server, sp *StoredProgram, req JobRequest) (any, error) {
-	a, err := analyze(ctx, s, sp, req, adapt.Null(), core.RunNullAlways)
-	if err != nil {
-		return nil, err
-	}
-	rep := a.rep
+// NullResult is a nullcheck analysis's wire result.
+func NullResult(a adapt.Result[*core.OptNull, *core.NullReport]) NullJobResult {
+	rep := a.Report
 	return NullJobResult{
 		NilSites:         rep.NilSites,
 		NilDerefs:        rep.NilDerefs,
-		JobOutcome:       a.outcome(),
+		JobOutcome:       outcome(a),
 		DischargedChecks: rep.DischargedChecks,
 		DerefSites:       rep.DerefSites,
 		CheckedDerefs:    rep.CheckedDerefs,
 		CheckEvents:      rep.CheckEvents,
 		Output:           rep.Output,
-	}, nil
+	}
 }
 
-func sliceJob(ctx context.Context, s *Server, sp *StoredProgram, req JobRequest) (any, error) {
-	idx, crit, err := core.SliceCriterion(sp.Prog, req.Criterion)
-	if err != nil {
-		return nil, err
-	}
-	budget := req.Budget
-	if budget <= 0 {
-		budget = 4096
-	}
-	a, err := analyze(ctx, s, sp, req, adapt.Slice(crit, budget), nil)
-	if err != nil {
-		return nil, err
-	}
-	rep := a.rep
+// SliceResult is the wire result of slicing prog from crit, its idx-th
+// print.
+func SliceResult(prog *ir.Program, idx int, crit *ir.Instr, a adapt.Result[*core.OptSlice, *core.SliceReport]) SliceJobResult {
+	rep := a.Report
 	res := SliceJobResult{
 		CriterionIndex: idx,
 		CriterionLine:  crit.Pos.Line,
 		TraceNodes:     rep.TraceNodes,
-		JobOutcome:     a.outcome(),
+		JobOutcome:     outcome(a),
 	}
-	if a.det != nil {
-		res.AnalysisType = string(a.det.AT)
+	if a.Detector != nil {
+		res.AnalysisType = string(a.Detector.AT)
 	}
 	if rep.Slice != nil {
 		res.SliceInstrs = rep.Slice.Size()
 		res.DynNodes = rep.Slice.DynNodes
 		lines := map[int]bool{}
 		rep.Slice.Instrs.ForEach(func(id int) bool {
-			lines[sp.Prog.Instrs[id].Pos.Line] = true
+			lines[prog.Instrs[id].Pos.Line] = true
 			return true
 		})
 		for l := range lines {
@@ -1055,7 +1018,7 @@ func sliceJob(ctx context.Context, s *Server, sp *StoredProgram, req JobRequest)
 		}
 		sort.Ints(res.Lines)
 	}
-	return res, nil
+	return res
 }
 
 // shortID returns a 12-character prefix of a content address.

@@ -330,20 +330,20 @@ type NullAttempt = adapt.Attempt[*NullReport]
 // retry under the new generation. The last attempt's report is
 // authoritative. Select the client with AdaptiveRace, AdaptiveSlice or
 // AdaptiveNull.
-func RunAdaptive[D adapt.Detector[R], R Report](m *SpeculationManager, c adapt.Spec[D, R], e Execution, opts RunOptions) ([]adapt.Attempt[R], error) {
+func RunAdaptive[D core.Detector[R], R Report](m *SpeculationManager, c core.Analysis[D, R], e Execution, opts RunOptions) ([]adapt.Attempt[R], error) {
 	return adapt.Run(m, c, e, opts)
 }
 
 // AdaptiveRace selects OptFT for RunAdaptive.
-func AdaptiveRace() adapt.Spec[*RaceDetector, *RaceReport] { return adapt.Race() }
+func AdaptiveRace() core.Analysis[*RaceDetector, *RaceReport] { return core.Race() }
 
 // AdaptiveSlice selects OptSlice for one criterion and budget.
-func AdaptiveSlice(criterion *Instr, budget int) adapt.Spec[*Slicer, *SliceReport] {
-	return adapt.Slice(criterion, budget)
+func AdaptiveSlice(criterion *Instr, budget int) core.Analysis[*Slicer, *SliceReport] {
+	return core.Slice(criterion, budget)
 }
 
 // AdaptiveNull selects OptNull for RunAdaptive.
-func AdaptiveNull() adapt.Spec[*NullChecker, *NullReport] { return adapt.Null() }
+func AdaptiveNull() core.Analysis[*NullChecker, *NullReport] { return core.Null() }
 
 // NewSpeculationManager returns the adaptive manager for prog with
 // base invariant database db (generation 1).
