@@ -586,22 +586,6 @@ func (c *Cache) PruneDisk(maxAge time.Duration, maxBytes int64) int {
 
 // ---------------------------------------------------------------- keys
 
-// progDigests caches per-program IR digests by pointer identity;
-// programs are immutable after Finalize, so the text rendering (and
-// hence the digest) is stable.
-var progDigests sync.Map // *ir.Program -> string
-
-// ProgDigest returns the SHA-256 digest of a program's IR text.
-func ProgDigest(prog *ir.Program) string {
-	if d, ok := progDigests.Load(prog); ok {
-		return d.(string)
-	}
-	sum := sha256.Sum256([]byte(prog.String()))
-	d := hex.EncodeToString(sum[:])
-	progDigests.Store(prog, d)
-	return d
-}
-
 // DBDigest returns the SHA-256 digest of an invariant database's
 // canonical text serialization. A nil database (the sound, unpredicated
 // analysis) digests to a distinguished constant.
@@ -623,7 +607,7 @@ func Key(kind string, prog *ir.Program, db *invariants.DB, budget int, extra ...
 	h := sha256.New()
 	h.Write([]byte(kind))
 	h.Write([]byte{0})
-	h.Write([]byte(ProgDigest(prog)))
+	h.Write([]byte(prog.Digest()))
 	h.Write([]byte{0})
 	h.Write([]byte(DBDigest(db)))
 	h.Write([]byte{0})
@@ -641,7 +625,7 @@ func ExecKey(prog *ir.Program, inputs []int64, seed uint64) string {
 	h := sha256.New()
 	h.Write([]byte(KindProfileRun))
 	h.Write([]byte{0})
-	h.Write([]byte(ProgDigest(prog)))
+	h.Write([]byte(prog.Digest()))
 	var buf [8]byte
 	for _, v := range inputs {
 		binary.LittleEndian.PutUint64(buf[:], uint64(v))

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"oha/internal/artifacts"
 	"oha/internal/ctxs"
@@ -444,4 +446,25 @@ func TestBoundConcurrentMemo(t *testing.T) {
 	if n := c.Entries(); n > 8 {
 		t.Fatalf("entries = %d, want <= 8", n)
 	}
+}
+
+// TestDigestDoesNotPinProgram checks that keying an artifact by a
+// program leaves the program collectable once its last reference
+// drops: the digest memo lives on the program, not in a global table.
+func TestDigestDoesNotPinProgram(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		p := lang.MustCompile(prog)
+		artifacts.ExecKey(p, nil, 1)
+		runtime.SetFinalizer(p, func(*ir.Program) { close(collected) })
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a digested program stayed reachable after its last reference dropped")
 }

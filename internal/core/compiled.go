@@ -5,6 +5,7 @@ import (
 	"oha/internal/interp"
 	"oha/internal/invariants"
 	"oha/internal/ir"
+	"oha/internal/profile"
 )
 
 // compileOpts derives the speculative compile options for one image:
@@ -90,13 +91,13 @@ var noEvents = []bool{}
 // op cannot fuse even with no tracer installed.
 var plainMasks = interp.Masks{Mem: noEvents, Sync: noEvents, Block: noEvents}
 
-// BaseImage returns the program's full-instrumentation bytecode image
-// (interp.Masks{}: every event kind except the Exec firehose),
-// memoized through cache — including its disk tier, so a restarted
-// daemon's first profiling job starts with zero compile work. With a
-// nil cache it simply compiles.
+// BaseImage returns the program's profiling bytecode image (compiled
+// from profile.Masks: exactly the events the profiler reads), memoized
+// through cache — including its disk tier, so a restarted daemon's
+// first profiling job starts with zero compile work. With a nil cache
+// it simply compiles.
 func BaseImage(prog *ir.Program, cache *artifacts.Cache) *interp.Code {
-	return compiledCode(prog, interp.Masks{}, interp.CompileOptions{}, cache).code
+	return compiledCode(prog, profile.Masks(prog), interp.CompileOptions{}, cache).code
 }
 
 // PlainImage returns RunPlain's image, memoized through cache like

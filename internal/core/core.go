@@ -120,13 +120,25 @@ type ProfileOptions struct {
 	// before every profiling run and threaded into each execution, so
 	// cancellation takes effect within one scheduling quantum.
 	Ctx context.Context
-	// Code, when non-nil, is the program's full-instrumentation
-	// bytecode image (interp.Compile(prog, interp.Masks{})), shared by
-	// every profiling run instead of compiled per run. Long-lived
-	// callers (the analysis daemon) pass their stored image; when nil,
-	// the profiling entry points compile one image per call, which
+	// Code, when non-nil, is the program's profiling bytecode image
+	// (BaseImage: compiled from profile.Masks), shared by every
+	// profiling run instead of compiled per run. Long-lived callers
+	// (the analysis daemon) pass their stored image; when nil, the
+	// profiling entry points compile one image per call, which
 	// amortizes across the runs of that call.
 	Code *interp.Code
+}
+
+// ctxErr returns ctx's cancellation as an error wrapping
+// interp.ErrCanceled, or nil while ctx (nil: none) is live.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("%w: %v", interp.ErrCanceled, err)
+	}
+	return nil
 }
 
 // memoRunner wraps profile.Run with cancellation and per-execution
@@ -137,10 +149,8 @@ func memoRunner(ctx context.Context, cache *artifacts.Cache, code *interp.Code) 
 		return nil
 	}
 	return func(prog *ir.Program, inputs []int64, seed uint64) (*invariants.DB, error) {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("%w: %v", interp.ErrCanceled, err)
-			}
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
 		}
 		if cache == nil {
 			return profile.RunCoded(ctx, code, prog, inputs, seed)
@@ -171,7 +181,7 @@ func ProfileWith(prog *ir.Program, gen func(run int) Execution, o ProfileOptions
 		o.StableWindow = 5
 	}
 	if o.Code == nil {
-		o.Code = interp.Compile(prog, interp.Masks{})
+		o.Code = interp.Compile(prog, profile.Masks(prog))
 	}
 	db, st, err := profile.ConvergeOpt(prog, func(run int) ([]int64, uint64) {
 		e := gen(run)
@@ -204,7 +214,7 @@ func ProfileNWith(prog *ir.Program, execs []Execution, workers int, cache *artif
 	for i, e := range execs {
 		pexecs[i] = profile.Exec{Inputs: e.Inputs, Seed: e.Seed}
 	}
-	code := interp.Compile(prog, interp.Masks{})
+	code := interp.Compile(prog, profile.Masks(prog))
 	dbs, err := profile.RunAllWith(prog, pexecs, workers, memoRunner(nil, cache, code))
 	if err != nil {
 		return nil, err

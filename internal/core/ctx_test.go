@@ -73,6 +73,44 @@ func TestProfileCanceledContext(t *testing.T) {
 	}
 }
 
+// TestValidateCustomSyncCanceledNothingElided: with no lock site
+// proposed for elision validation runs nothing, yet a canceled context
+// still fails it as canceled.
+func TestValidateCustomSyncCanceledNothingElided(t *testing.T) {
+	prog := lang.MustCompile(`
+		global g = 0;
+		func w() { g = g + 1; }
+		func main() {
+			var t = spawn w();
+			join(t);
+			print(g);
+		}
+	`)
+	pr, err := Profile(prog, func(run int) Execution { return Execution{Seed: uint64(run + 1)} }, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := NewOptFT(prog, pr.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !o.Pred.ElidableSyncs.IsEmpty() {
+		t.Fatalf("test needs no proposed elisions, got %v", o.Pred.ElidableSyncs)
+	}
+	execs := []Execution{{Seed: 1}}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := o.ValidateCustomSync(execs, RunOptions{Ctx: ctx}); !errors.Is(err, interp.ErrCanceled) {
+		t.Fatalf("err = %v, want interp.ErrCanceled", err)
+	}
+	if err := o.ValidateCustomSync(execs, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if !o.DB.ElidableLocks.IsEmpty() {
+		t.Fatalf("validated elisions %v, want none", o.DB.ElidableLocks)
+	}
+}
+
 func TestNilCtxUnaffected(t *testing.T) {
 	prog := lang.MustCompile(spinSrc)
 	rep, err := RunFastTrack(prog, Execution{Inputs: []int64{3}, Seed: 1}, RunOptions{})

@@ -354,22 +354,35 @@ func (o *OptFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
 // the sound detector; if elision introduces false races, the
 // instrumentation is restored lock-object group by group until the
 // reports agree. The validated set is stored in o.DB.ElidableLocks
-// (and reflected in the run plans).
+// (and reflected in the run plans). When no site is proposed it runs
+// no execution: the validated set is empty whatever they would report.
 func (o *OptFT) ValidateCustomSync(execs []Execution, opts RunOptions) error {
 	tentative := o.Pred.ElidableSyncs.Clone()
+	if tentative.IsEmpty() {
+		if err := ctxErr(opts.Ctx); err != nil {
+			return err
+		}
+		o.setElidable(tentative)
+		return nil
+	}
+	// The sound analysis does not depend on the tentative set: each
+	// execution's report is computed once, when a round first reaches
+	// it.
+	soundReps := make([]*RaceReport, len(execs))
 	for {
 		o.setElidable(tentative)
 		bad := false
-		for _, e := range execs {
+		for i, e := range execs {
 			optRep, err := o.val.fastTrack(e, opts)
 			if err != nil {
 				return err
 			}
-			soundRep, err := o.Sound.Run(e, opts)
-			if err != nil {
-				return err
+			if soundReps[i] == nil {
+				if soundReps[i], err = o.Sound.Run(e, opts); err != nil {
+					return err
+				}
 			}
-			if !slices.Equal(optRep.Races, soundRep.Races) {
+			if !slices.Equal(optRep.Races, soundReps[i].Races) {
 				bad = true
 				break
 			}

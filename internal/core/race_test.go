@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"oha/internal/ir"
@@ -408,6 +409,76 @@ func TestCustomSyncElidesWhenSafe(t *testing.T) {
 	}
 	if !sameReports(opt, hy) {
 		t.Fatal("results differ after lock elision")
+	}
+}
+
+// TestCustomSyncRestoresTwoGroups needs two restore rounds: Figure 4's
+// flag handshake spans two functions, each its own lock-site group,
+// and eliding either group's locks loses the ordering of x. A third
+// function's ordinary locks stay elided, as they did before the sound
+// reports were computed once per execution.
+func TestCustomSyncRestoresTwoGroups(t *testing.T) {
+	prog := lang.MustCompile(`
+		global x = 0;
+		global b = 0;
+		global m = 0;
+		global k = 0;
+		global cnt = 0;
+		func t1() {
+			x = 5;
+			lock(&m);
+			b = 1;
+			unlock(&m);
+		}
+		func t2() {
+			var done = 0;
+			while (!done) {
+				lock(&m);
+				done = b;
+				unlock(&m);
+			}
+			print(x);
+		}
+		func bump() {
+			lock(&k);
+			cnt = cnt + 1;
+			unlock(&k);
+		}
+		func main() {
+			var a = spawn t1();
+			var d = spawn t2();
+			var e = spawn bump();
+			var f = spawn bump();
+			join(a);
+			join(d);
+			join(e);
+			join(f);
+			print(cnt);
+		}
+	`)
+	pr := mustProfile(t, prog, gen(), 20)
+	o, err := NewOptFT(prog, pr.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// syncSites lists the lock/unlock sites of the named functions.
+	syncSites := func(fns ...string) []int {
+		var out []int
+		for _, in := range prog.Instrs {
+			if (in.Op == ir.OpLock || in.Op == ir.OpUnlock) && slices.Contains(fns, in.Block.Fn.Name) {
+				out = append(out, in.ID)
+			}
+		}
+		return out
+	}
+	if got, want := o.Pred.ElidableSyncs.Slice(), syncSites("t1", "t2", "bump"); !slices.Equal(got, want) {
+		t.Fatalf("proposed elisions %v, want every lock site %v", got, want)
+	}
+	if err := o.ValidateCustomSync([]Execution{{Seed: 1}, {Seed: 2}, {Seed: 3}}, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := o.DB.ElidableLocks.Slice(), syncSites("bump"); !slices.Equal(got, want) {
+		t.Fatalf("validated elisions %v, want bump's sites %v", got, want)
 	}
 }
 

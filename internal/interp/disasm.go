@@ -122,7 +122,7 @@ func microName(op uint8) string {
 // and fused-run micro-op streams.
 func (c *Code) Disasm(w io.Writer) error {
 	bw := &strings.Builder{}
-	fmt.Fprintf(bw, "; program  %s\n", ProgramDigest(c.prog))
+	fmt.Fprintf(bw, "; program  %s\n", c.prog.Digest())
 	fmt.Fprintf(bw, "; masks    %s\n", c.maskDigest)
 	fmt.Fprintf(bw, "; config   %s\n", c.cfgDigest)
 	fmt.Fprintf(bw, "; funcs=%d instrs=%d ic-sites=%d fused-runs=%d\n",

@@ -52,13 +52,6 @@ func imgErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrImage, fmt.Sprintf(format, args...))
 }
 
-// ProgramDigest returns the SHA-256 (hex) of the program's printed IR
-// — the identity embedded in images and used as the rebind guard.
-func ProgramDigest(prog *ir.Program) string {
-	sum := sha256.Sum256([]byte(prog.String()))
-	return hex.EncodeToString(sum[:])
-}
-
 // imageWriter accumulates the little-endian image body.
 type imageWriter struct {
 	buf []byte
@@ -144,7 +137,7 @@ func (c *Code) EncodeImage() []byte {
 	w := &imageWriter{buf: make([]byte, 0, 64+8*len(c.code))}
 	w.buf = append(w.buf, imageMagic[:]...)
 	w.u16(imageVersion)
-	w.hexDigest(ProgramDigest(c.prog))
+	w.hexDigest(c.prog.Digest())
 	w.hexDigest(c.maskDigest)
 	w.hexDigest(c.cfgDigest)
 	w.u32(uint32(c.numICs))
@@ -285,7 +278,7 @@ func DecodeImage(prog *ir.Program, data []byte) (*Code, error) {
 	if err != nil {
 		return nil, err
 	}
-	if hex.EncodeToString(rawProg) != ProgramDigest(prog) {
+	if hex.EncodeToString(rawProg) != prog.Digest() {
 		return nil, imgErr("image was compiled from a different program")
 	}
 	rawMask, err := r.bytes(sha256.Size)

@@ -17,8 +17,10 @@
 package ir
 
 import (
-	"fmt"
-	"strings"
+	"crypto/sha256"
+	"encoding/hex"
+	"strconv"
+	"sync"
 )
 
 // Pos is a source position (1-based line and column).
@@ -26,7 +28,7 @@ type Pos struct {
 	Line, Col int
 }
 
-func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
+func (p Pos) String() string { return strconv.Itoa(p.Line) + ":" + strconv.Itoa(p.Col) }
 
 // Op enumerates instruction opcodes.
 type Op uint8
@@ -78,7 +80,7 @@ func (o Op) String() string {
 	if int(o) < len(opNames) {
 		return opNames[o]
 	}
-	return fmt.Sprintf("op(%d)", uint8(o))
+	return "op(" + strconv.Itoa(int(o)) + ")"
 }
 
 // UnOp enumerates unary operators.
@@ -126,7 +128,7 @@ func (b BinOp) String() string {
 	if int(b) < len(binNames) {
 		return binNames[b]
 	}
-	return fmt.Sprintf("bin(%d)", uint8(b))
+	return "bin(" + strconv.Itoa(int(b)) + ")"
 }
 
 // OperandKind discriminates Operand.
@@ -166,18 +168,21 @@ func FuncOp(f *Function) Operand { return Operand{Kind: OperFunc, Func: f} }
 // IsZero reports whether the operand is unset.
 func (o Operand) IsZero() bool { return o.Kind == OperNone }
 
-func (o Operand) String() string {
+func (o Operand) String() string { return string(o.appendTo(nil)) }
+
+// appendTo appends the operand's printed form to b.
+func (o Operand) appendTo(b []byte) []byte {
 	switch o.Kind {
 	case OperConst:
-		return fmt.Sprintf("%d", o.Const)
+		return strconv.AppendInt(b, o.Const, 10)
 	case OperVar:
-		return o.Var.Name
+		return append(b, o.Var.Name...)
 	case OperGlobal:
-		return "@" + o.Global.Name
+		return append(append(b, '@'), o.Global.Name...)
 	case OperFunc:
-		return "fn:" + o.Func.Name
+		return append(append(b, "fn:"...), o.Func.Name...)
 	}
-	return "_"
+	return append(b, '_')
 }
 
 // Var is a function-local register (a named local, parameter, or
@@ -236,66 +241,78 @@ func (in *Instr) IsSync() bool {
 	return false
 }
 
-func (in *Instr) String() string {
-	var b strings.Builder
+func (in *Instr) String() string { return string(in.appendTo(nil)) }
+
+// appendBlockRef appends a block reference ("b<ID>") to b.
+func appendBlockRef(b []byte, blk *Block) []byte {
+	return strconv.AppendInt(append(b, 'b'), int64(blk.ID), 10)
+}
+
+// appendTo appends the instruction's printed form to b.
+func (in *Instr) appendTo(b []byte) []byte {
 	if in.Dst != nil {
-		fmt.Fprintf(&b, "%s = ", in.Dst.Name)
+		b = append(append(b, in.Dst.Name...), " = "...)
 	}
 	switch in.Op {
 	case OpCopy:
-		fmt.Fprintf(&b, "%s", in.A)
+		b = in.A.appendTo(b)
 	case OpUn:
-		fmt.Fprintf(&b, "%s%s", in.Un, in.A)
+		b = in.A.appendTo(append(b, in.Un.String()...))
 	case OpBin:
-		fmt.Fprintf(&b, "%s %s %s", in.A, in.Bin, in.B)
+		b = in.A.appendTo(b)
+		b = append(append(append(b, ' '), in.Bin.String()...), ' ')
+		b = in.B.appendTo(b)
 	case OpAlloc:
-		fmt.Fprintf(&b, "alloc(%s)", in.A)
+		b = append(in.A.appendTo(append(b, "alloc("...)), ')')
 	case OpLoad:
-		fmt.Fprintf(&b, "*%s", in.A)
+		b = in.A.appendTo(append(b, '*'))
 	case OpStore:
-		fmt.Fprintf(&b, "*%s = %s", in.A, in.B)
+		b = in.A.appendTo(append(b, '*'))
+		b = in.B.appendTo(append(b, " = "...))
 	case OpCall, OpSpawn:
 		if in.Op == OpSpawn {
-			b.WriteString("spawn ")
+			b = append(b, "spawn "...)
 		}
 		if in.Callee != nil {
-			b.WriteString(in.Callee.Name)
+			b = append(b, in.Callee.Name...)
 		} else {
-			fmt.Fprintf(&b, "(%s)", in.A)
+			b = append(in.A.appendTo(append(b, '(')), ')')
 		}
-		b.WriteByte('(')
+		b = append(b, '(')
 		for i, a := range in.Args {
 			if i > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			b.WriteString(a.String())
+			b = a.appendTo(b)
 		}
-		b.WriteByte(')')
+		b = append(b, ')')
 	case OpJoin:
-		fmt.Fprintf(&b, "join %s", in.A)
+		b = in.A.appendTo(append(b, "join "...))
 	case OpLock:
-		fmt.Fprintf(&b, "lock %s", in.A)
+		b = in.A.appendTo(append(b, "lock "...))
 	case OpUnlock:
-		fmt.Fprintf(&b, "unlock %s", in.A)
+		b = in.A.appendTo(append(b, "unlock "...))
 	case OpRet:
-		b.WriteString("ret")
+		b = append(b, "ret"...)
 		if !in.A.IsZero() {
-			fmt.Fprintf(&b, " %s", in.A)
+			b = in.A.appendTo(append(b, ' '))
 		}
 	case OpJmp:
-		fmt.Fprintf(&b, "jmp b%d", in.Block.Succs[0].ID)
+		b = appendBlockRef(append(b, "jmp "...), in.Block.Succs[0])
 	case OpBr:
-		fmt.Fprintf(&b, "br %s, b%d, b%d", in.A, in.Block.Succs[0].ID, in.Block.Succs[1].ID)
+		b = in.A.appendTo(append(b, "br "...))
+		b = appendBlockRef(append(b, ", "...), in.Block.Succs[0])
+		b = appendBlockRef(append(b, ", "...), in.Block.Succs[1])
 	case OpPrint:
-		fmt.Fprintf(&b, "print %s", in.A)
+		b = in.A.appendTo(append(b, "print "...))
 	case OpInput:
-		fmt.Fprintf(&b, "input(%s)", in.A)
+		b = append(in.A.appendTo(append(b, "input("...)), ')')
 	case OpNInputs:
-		b.WriteString("ninputs()")
+		b = append(b, "ninputs()"...)
 	default:
-		b.WriteString(in.Op.String())
+		b = append(b, in.Op.String()...)
 	}
-	return b.String()
+	return b
 }
 
 // Block is a basic block: a straight-line instruction sequence ending
@@ -350,6 +367,9 @@ type Program struct {
 
 	Instrs []*Instr // all instructions, indexed by Instr.ID
 	Blocks []*Block // all blocks, indexed by Block.ID
+
+	digestOnce sync.Once
+	digest     string
 }
 
 // NewProgram returns an empty program.
@@ -403,26 +423,43 @@ func (p *Program) Finalize() {
 }
 
 // String renders the whole program as readable IR.
-func (p *Program) String() string {
-	var b strings.Builder
+func (p *Program) String() string { return string(p.appendTo(nil)) }
+
+// appendTo appends the program's printed IR to b.
+func (p *Program) appendTo(b []byte) []byte {
 	for _, g := range p.Globals {
-		fmt.Fprintf(&b, "global @%s = %d\n", g.Name, g.Init)
+		b = append(append(append(b, "global @"...), g.Name...), " = "...)
+		b = append(strconv.AppendInt(b, g.Init, 10), '\n')
 	}
 	for _, f := range p.Funcs {
-		fmt.Fprintf(&b, "\nfunc %s(", f.Name)
+		b = append(append(append(b, "\nfunc "...), f.Name...), '(')
 		for i, pv := range f.Params {
 			if i > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			b.WriteString(pv.Name)
+			b = append(b, pv.Name...)
 		}
-		b.WriteString("):\n")
+		b = append(b, "):\n"...)
 		for _, blk := range f.Blocks {
-			fmt.Fprintf(&b, "  b%d:\n", blk.ID)
+			b = append(appendBlockRef(append(b, "  "...), blk), ":\n"...)
 			for _, in := range blk.Instrs {
-				fmt.Fprintf(&b, "    [%d] %s\n", in.ID, in.String())
+				b = append(strconv.AppendInt(append(b, "    ["...), int64(in.ID), 10), "] "...)
+				b = append(in.appendTo(b), '\n')
 			}
 		}
 	}
-	return b.String()
+	return b
+}
+
+// Digest returns the SHA-256 (hex) of the program's printed IR: the
+// program's identity in artifact cache keys and compiled images. It is
+// computed on first use and memoized on the program (safe for
+// concurrent callers), so a program must not change after its first
+// Digest.
+func (p *Program) Digest() string {
+	p.digestOnce.Do(func() {
+		sum := sha256.Sum256(p.appendTo(nil))
+		p.digest = hex.EncodeToString(sum[:])
+	})
+	return p.digest
 }

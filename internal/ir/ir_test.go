@@ -1,7 +1,10 @@
 package ir
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -292,5 +295,28 @@ func TestInstrPredicates(t *testing.T) {
 	}
 	if (&Instr{Op: OpLoad}).IsSync() {
 		t.Error("load is sync")
+	}
+}
+
+// TestDigestConcurrent digests one program from many goroutines at
+// once: every caller gets the SHA-256 of the printed IR.
+func TestDigestConcurrent(t *testing.T) {
+	p, _ := buildDiamond()
+	sum := sha256.Sum256([]byte(p.String()))
+	want := hex.EncodeToString(sum[:])
+	got := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = p.Digest()
+		}()
+	}
+	wg.Wait()
+	for i, d := range got {
+		if d != want {
+			t.Errorf("caller %d: digest %s, want %s", i, d, want)
+		}
 	}
 }

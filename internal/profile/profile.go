@@ -15,6 +15,7 @@ package profile
 
 import (
 	"context"
+	"slices"
 
 	"oha/internal/bitset"
 	"oha/internal/interp"
@@ -25,98 +26,152 @@ import (
 )
 
 // Collector gathers raw profiling observations from one execution.
-// Install it as the interpreter's Tracer with all masks nil (full
-// instrumentation), as the paper's per-invariant profiling passes do.
+// Install it as the interpreter's Tracer under Masks(prog), which
+// flags exactly the events it reads; a run with more events flagged
+// (all masks nil, say) yields the same observations.
+//
+// Its per-run state is flat: per-site and per-thread tables indexed by
+// instruction, function and thread ID, and a trie interning the call
+// contexts, so a context-extending call costs one trie step and builds
+// no key.
 type Collector struct {
 	interp.NopTracer
 	prog *ir.Program
 
 	visited     *bitset.Set
-	spawnCounts map[int]int
-	lockObjs    map[int]map[interp.Addr]bool
-	callees     map[int]*bitset.Set
-	ctxs        *invariants.ContextSet
-	stacks      map[vc.TID]*ctxStack
 	zeroLoads   *bitset.Set // load sites observed producing 0
+	spawnCounts []int32     // by spawn-site instr ID (nil until the first spawn)
+	locks       []lockSite  // by lock-site instr ID (nil until the first lock)
+	callees     map[int]*bitset.Set
+	trie        ctxTrie
+	rootSeen    bool        // some thread ran with the empty context
+	stacks      []*ctxStack // by TID
+}
+
+// lockSite is what Summarize needs of the objects one lock site
+// locked: whether it locked exactly one dynamic object, and which.
+type lockSite struct {
+	obj  interp.Addr
+	objs uint8 // distinct objects locked, saturating at 2
+}
+
+// ctxTrie interns call contexts: node n is the context of node
+// parent[n] extended by call or spawn site site[n]. Node 0 is the
+// empty context.
+type ctxTrie struct {
+	parent []int32
+	site   []int32
+	child  map[uint64]int32 // (parent node, site) -> node
+}
+
+// extend returns the node of node's context extended by site,
+// interning it on first use.
+func (t *ctxTrie) extend(node int32, site int) int32 {
+	k := uint64(node)<<32 | uint64(uint32(site))
+	if n, ok := t.child[k]; ok {
+		return n
+	}
+	n := int32(len(t.parent))
+	t.parent = append(t.parent, node)
+	t.site = append(t.site, int32(site))
+	t.child[k] = n
+	return n
+}
+
+// appendPath appends node's context, root first, to buf.
+func (t *ctxTrie) appendPath(buf []int, node int32) []int {
+	start := len(buf)
+	for ; node != 0; node = t.parent[node] {
+		buf = append(buf, int(t.site[node]))
+	}
+	slices.Reverse(buf[start:])
+	return buf
 }
 
 // ctxFrame mirrors one activation for context tracking.
 type ctxFrame struct {
-	fnID     int
+	fnID     int32
 	extended bool // this activation extended the acyclic context path
 }
 
 // ctxStack is the per-thread analysis stack.
 type ctxStack struct {
 	frames []ctxFrame
-	active map[int]int // function ID -> activations on stack
-	path   []int       // acyclic context path (call-site instr IDs)
+	active []int32 // by function ID: activations on the stack
+	node   int32   // trie node of the acyclic context path
 }
 
 // NewCollector returns a collector for one profiling run of prog.
 func NewCollector(prog *ir.Program) *Collector {
 	return &Collector{
-		prog:        prog,
-		visited:     &bitset.Set{},
-		spawnCounts: map[int]int{},
-		lockObjs:    map[int]map[interp.Addr]bool{},
-		callees:     map[int]*bitset.Set{},
-		ctxs:        invariants.NewContextSet(),
-		stacks:      map[vc.TID]*ctxStack{},
-		zeroLoads:   &bitset.Set{},
+		prog:      prog,
+		visited:   &bitset.Set{},
+		zeroLoads: &bitset.Set{},
+		callees:   map[int]*bitset.Set{},
+		trie:      ctxTrie{parent: []int32{0}, site: []int32{-1}, child: map[uint64]int32{}},
 	}
 }
+
+// Masks returns the instrumentation masks of a profiling run of prog:
+// exactly the events the collector reads. Loads (the zero test) and
+// locks fire at their sites, every block entry fires, and calls,
+// returns and spawns are never masked; stores and unlocks fire
+// nothing.
+func Masks(prog *ir.Program) interp.Masks {
+	mem := make([]bool, len(prog.Instrs))
+	sync := make([]bool, len(prog.Instrs))
+	for _, in := range prog.Instrs {
+		switch in.Op {
+		case ir.OpLoad:
+			mem[in.ID] = true
+		case ir.OpLock:
+			sync[in.ID] = true
+		}
+	}
+	return interp.Masks{Mem: mem, Sync: sync}
+}
+
+// fastNull is the collector's fast-path descriptor, shared by every
+// run: it carries no per-run state.
+var fastNull = &interp.FastState{Kind: interp.FastNull}
 
 // FastState implements interp.FastTracer: profiling's Load handler is
 // a pure zero-test (the same shape as nullcheck.Observer), so the
 // engine can settle every non-nil load inline. The collector's other
 // events are unaffected.
-func (c *Collector) FastState() *interp.FastState {
-	return &interp.FastState{Kind: interp.FastNull}
-}
+func (c *Collector) FastState() *interp.FastState { return fastNull }
 
 // FlushMem implements interp.FastTracer; the collector never requests
 // memory-event batching.
 func (c *Collector) FlushMem([]interp.MemEvent) {}
 
-// stack returns (creating on first use) the context stack of thread t.
-// Thread 0's root is main with the empty context.
-func (c *Collector) stack(t vc.TID) *ctxStack {
-	s := c.stacks[t]
-	if s == nil {
-		main := c.prog.Main()
-		s = &ctxStack{active: map[int]int{}}
-		s.frames = append(s.frames, ctxFrame{fnID: main.ID, extended: true})
-		s.active[main.ID] = 1
-		c.ctxs.Add(nil)
-		c.stacks[t] = s
-	}
+// newStack returns a thread stack rooted at function fnID with context
+// node.
+func (c *Collector) newStack(fnID int, node int32) *ctxStack {
+	s := &ctxStack{active: make([]int32, len(c.prog.Funcs)), node: node}
+	s.frames = append(s.frames, ctxFrame{fnID: int32(fnID), extended: true})
+	s.active[fnID] = 1
 	return s
 }
 
-// push records entry into callee through call-site siteID.
-func (s *ctxStack) push(siteID, calleeID int, ctxs *invariants.ContextSet) {
-	fr := ctxFrame{fnID: calleeID}
-	if s.active[calleeID] == 0 {
-		fr.extended = true
-		s.path = append(s.path, siteID)
-		ctxs.Add(s.path)
+// setStack installs s as thread t's stack.
+func (c *Collector) setStack(t vc.TID, s *ctxStack) {
+	for int(t) >= len(c.stacks) {
+		c.stacks = append(c.stacks, nil)
 	}
-	s.active[calleeID]++
-	s.frames = append(s.frames, fr)
+	c.stacks[t] = s
 }
 
-// pop records a return.
-func (s *ctxStack) pop() {
-	if len(s.frames) == 0 {
-		return
+// stack returns (creating on first use) the context stack of thread t.
+// Thread 0's root is main with the empty context.
+func (c *Collector) stack(t vc.TID) *ctxStack {
+	if int(t) < len(c.stacks) && c.stacks[t] != nil {
+		return c.stacks[t]
 	}
-	fr := s.frames[len(s.frames)-1]
-	s.frames = s.frames[:len(s.frames)-1]
-	s.active[fr.fnID]--
-	if fr.extended && len(s.path) > 0 {
-		s.path = s.path[:len(s.path)-1]
-	}
+	s := c.newStack(c.prog.Main().ID, 0)
+	c.rootSeen = true
+	c.setStack(t, s)
+	return s
 }
 
 // BlockEnter implements interp.Tracer: basic-block counting for the
@@ -136,45 +191,65 @@ func (c *Collector) Load(_ vc.TID, in *ir.Instr, _ interp.Addr, val int64) {
 // Lock implements interp.Tracer: records the dynamic object locked at
 // each lock site (likely guarding locks).
 func (c *Collector) Lock(_ vc.TID, in *ir.Instr, addr interp.Addr) {
-	m := c.lockObjs[in.ID]
-	if m == nil {
-		m = map[interp.Addr]bool{}
-		c.lockObjs[in.ID] = m
+	if c.locks == nil {
+		c.locks = make([]lockSite, len(c.prog.Instrs))
 	}
-	m[addr] = true
+	ls := &c.locks[in.ID]
+	switch {
+	case ls.objs == 0:
+		ls.obj, ls.objs = addr, 1
+	case ls.obj != addr:
+		ls.objs = 2
+	}
 }
 
 // Spawn implements interp.Tracer: spawn-site instance counting (likely
 // singleton threads), indirect-spawn targets, and context roots for
 // spawned threads.
 func (c *Collector) Spawn(t vc.TID, in *ir.Instr, child vc.TID, _ interp.FrameID, callee *ir.Function) {
+	if c.spawnCounts == nil {
+		c.spawnCounts = make([]int32, len(c.prog.Instrs))
+	}
 	c.spawnCounts[in.ID]++
 	if in.IsIndirect() {
 		c.addCallee(in.ID, callee.ID)
 	}
 	// Child context: parent's path extended by the spawn site.
-	parent := c.stack(t)
-	cs := &ctxStack{active: map[int]int{}}
-	cs.path = append(append([]int(nil), parent.path...), in.ID)
-	cs.frames = append(cs.frames, ctxFrame{fnID: callee.ID, extended: true})
-	cs.active[callee.ID] = 1
-	c.ctxs.Add(cs.path)
-	c.stacks[child] = cs
+	node := c.trie.extend(c.stack(t).node, in.ID)
+	c.setStack(child, c.newStack(callee.ID, node))
 }
 
 // Call implements interp.Tracer: indirect-call target sets (likely
 // callee sets) and call-context tracking (likely unused call
-// contexts).
+// contexts). Only the first activation of a function on a thread's
+// stack extends the context path.
 func (c *Collector) Call(t vc.TID, in *ir.Instr, callee *ir.Function, _, _ interp.FrameID) {
 	if in.IsIndirect() {
 		c.addCallee(in.ID, callee.ID)
 	}
-	c.stack(t).push(in.ID, callee.ID, c.ctxs)
+	s := c.stack(t)
+	fr := ctxFrame{fnID: int32(callee.ID)}
+	if s.active[callee.ID] == 0 {
+		fr.extended = true
+		s.node = c.trie.extend(s.node, in.ID)
+	}
+	s.active[callee.ID]++
+	s.frames = append(s.frames, fr)
 }
 
-// Ret implements interp.Tracer.
+// Ret implements interp.Tracer: pops the returning activation, and
+// with it the path step it added.
 func (c *Collector) Ret(t vc.TID, _ *ir.Instr, _, _ interp.FrameID, _ *ir.Var) {
-	c.stack(t).pop()
+	s := c.stack(t)
+	if len(s.frames) == 0 {
+		return
+	}
+	fr := s.frames[len(s.frames)-1]
+	s.frames = s.frames[:len(s.frames)-1]
+	s.active[fr.fnID]--
+	if fr.extended && s.node != 0 {
+		s.node = c.trie.parent[s.node]
+	}
 }
 
 func (c *Collector) addCallee(site, fnID int) {
@@ -197,25 +272,19 @@ func (c *Collector) Summarize() *invariants.DB {
 
 	// Likely guarding locks: pairs of sites that each locked exactly
 	// one dynamic object, the same one.
-	type single struct {
-		site int
-		obj  interp.Addr
-	}
-	var singles []single
-	for site, objs := range c.lockObjs {
-		if len(objs) == 1 {
-			for obj := range objs {
-				singles = append(singles, single{site, obj})
-			}
+	var singles []int // lock-site IDs, ascending
+	for site, ls := range c.locks {
+		if ls.objs == 1 {
+			singles = append(singles, site)
 		}
 	}
-	for i := 0; i < len(singles); i++ {
+	for i, a := range singles {
 		// A single-object site must-aliases itself (required for even
 		// self-pair lockset pruning: polymorphic sites do not).
-		db.MustAliasLocks[invariants.NormPair(singles[i].site, singles[i].site)] = true
-		for j := i + 1; j < len(singles); j++ {
-			if singles[i].obj == singles[j].obj {
-				db.MustAliasLocks[invariants.NormPair(singles[i].site, singles[j].site)] = true
+		db.MustAliasLocks[invariants.NormPair(a, a)] = true
+		for _, b := range singles[i+1:] {
+			if c.locks[a].obj == c.locks[b].obj {
+				db.MustAliasLocks[invariants.NormPair(a, b)] = true
 			}
 		}
 	}
@@ -223,7 +292,7 @@ func (c *Collector) Summarize() *invariants.DB {
 	// Likely singleton threads: every spawn site that created at most
 	// one thread this run (sites that did not run count as ≤ 1).
 	for _, in := range c.prog.Instrs {
-		if in.Op == ir.OpSpawn && c.spawnCounts[in.ID] <= 1 {
+		if in.Op == ir.OpSpawn && (c.spawnCounts == nil || c.spawnCounts[in.ID] <= 1) {
 			db.SingletonSpawns.Add(in.ID)
 		}
 	}
@@ -231,7 +300,14 @@ func (c *Collector) Summarize() *invariants.DB {
 	for site, set := range c.callees {
 		db.Callees[site] = set.Clone()
 	}
-	db.Contexts = c.ctxs.Clone()
+	if c.rootSeen {
+		db.Contexts.Add(nil)
+	}
+	var path []int
+	for n := 1; n < len(c.trie.parent); n++ {
+		path = c.trie.appendPath(path[:0], int32(n))
+		db.Contexts.Add(path)
+	}
 
 	// Likely non-null loads: every load site never observed producing 0
 	// this run (sites that did not execute trivially qualify, like
@@ -259,19 +335,24 @@ func RunCtx(ctx context.Context, prog *ir.Program, inputs []int64, seed uint64) 
 }
 
 // RunCoded is RunCtx with a precompiled bytecode image shared across
-// runs (nil: the engine compiles per run). The image must be
-// interp.Compile(prog, interp.Masks{}) — profiling instruments every
-// event kind except the Exec firehose, which is exactly the zero Masks.
+// runs (nil: the engine compiles one from Masks(prog) per run). The
+// image must flag at least the events of Masks(prog); one compiled
+// from interp.Masks{} (every event but the Exec firehose) gives the
+// same database, only slower.
 func RunCoded(ctx context.Context, code *interp.Code, prog *ir.Program, inputs []int64, seed uint64) (*invariants.DB, error) {
 	col := NewCollector(prog)
-	_, err := interp.Run(interp.Config{
+	cfg := interp.Config{
 		Prog:   prog,
 		Inputs: inputs,
 		Tracer: col,
 		Choose: sched.NewSeeded(seed),
 		Code:   code,
 		Ctx:    ctx,
-	})
+	}
+	if code == nil {
+		cfg.Masks = Masks(prog)
+	}
+	_, err := interp.Run(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"oha/internal/artifacts"
 	"oha/internal/invariants"
 	"oha/internal/ir"
 	"oha/internal/lang"
@@ -94,7 +93,7 @@ func (s *ProgramStore) Submit(source string) (sp *StoredProgram, created bool, e
 	if err != nil {
 		return nil, false, err
 	}
-	id := artifacts.ProgDigest(prog)
+	id := prog.Digest()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if old, ok := s.progs[id]; ok {
