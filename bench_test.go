@@ -234,6 +234,37 @@ func BenchmarkTable1Static(b *testing.B) {
 	}
 }
 
+// BenchmarkValidateCustomSync measures §4.2.4's custom-sync validation
+// (part of Table 1's predicated start-up cost) on the race workloads
+// whose validated set elides lock sites, over the first four profiling
+// executions, as the evaluation harness replays them.
+func BenchmarkValidateCustomSync(b *testing.B) {
+	for _, name := range []string{"lusearch", "raytracer", "moldyn", "pmd", "batik"} {
+		w := workloads.ByName(name)
+		b.Run(name, func(b *testing.B) {
+			execs := make([]core.Execution, 4)
+			for i := range execs {
+				execs[i] = core.Execution{Inputs: w.GenInput(i), Seed: uint64(i + 1)}
+			}
+			pr, err := core.Profile(w.Prog(), func(run int) core.Execution { return execs[run%len(execs)] }, len(execs))
+			if err != nil {
+				b.Fatal(err)
+			}
+			o, err := core.NewOptFT(w.Prog(), pr.DB)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := o.ValidateCustomSync(execs, core.RunOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(o.DB.ElidableLocks.Len()), "elided-sites")
+		})
+	}
+}
+
 // ---------------------------------------------------------------- Fig 6
 
 // BenchmarkFig6Hybrid measures the traditional hybrid slicer bar.

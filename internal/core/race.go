@@ -356,6 +356,11 @@ func (o *OptFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
 // reports agree. The validated set is stored in o.DB.ElidableLocks
 // (and reflected in the run plans). When no site is proposed it runs
 // no execution: the validated set is empty whatever they would report.
+//
+// Each execution is interpreted once in the round that first reaches
+// it, feeding both detectors (see validateWithSound); later rounds
+// rerun only the validation plan, since the sound report does not
+// depend on the tentative set.
 func (o *OptFT) ValidateCustomSync(execs []Execution, opts RunOptions) error {
 	tentative := o.Pred.ElidableSyncs.Clone()
 	if tentative.IsEmpty() {
@@ -365,22 +370,21 @@ func (o *OptFT) ValidateCustomSync(execs []Execution, opts RunOptions) error {
 		o.setElidable(tentative)
 		return nil
 	}
-	// The sound analysis does not depend on the tentative set: each
-	// execution's report is computed once, when a round first reaches
-	// it.
 	soundReps := make([]*RaceReport, len(execs))
 	for {
 		o.setElidable(tentative)
+		both := o.dualPlan()
 		bad := false
 		for i, e := range execs {
-			optRep, err := o.val.fastTrack(e, opts)
+			var optRep *RaceReport
+			var err error
+			if soundReps[i] == nil {
+				optRep, soundReps[i], err = o.validateWithSound(both, e, opts)
+			} else {
+				optRep, err = o.val.fastTrack(e, opts)
+			}
 			if err != nil {
 				return err
-			}
-			if soundReps[i] == nil {
-				if soundReps[i], err = o.Sound.Run(e, opts); err != nil {
-					return err
-				}
 			}
 			if !slices.Equal(optRep.Races, soundReps[i].Races) {
 				bad = true
@@ -402,6 +406,131 @@ func (o *OptFT) ValidateCustomSync(execs []Execution, opts RunOptions) error {
 			}
 		}
 	}
+}
+
+// dualPlan returns the plan of a run that delivers the events
+// of both the validation plan and the sound plan: the sound plan
+// itself when its masks flag every validation event (they do on every
+// workload: the sound plan flags every lock site and the predicated
+// analysis keeps a subset of the racy accesses), else a plan whose
+// masks are the union of the two.
+func (o *OptFT) dualPlan() *plan {
+	sound, val := o.Sound.plan.masks, o.val.masks
+	if covers(sound.Mem, val.Mem) && covers(sound.Sync, val.Sync) {
+		return o.Sound.plan
+	}
+	return compiledCode(o.Prog, raceMasks(o.Prog, unionMask(sound.Mem, val.Mem), unionMask(sound.Sync, val.Sync)),
+		compileOpts(nil, o.static), o.static.Cache)
+}
+
+// validateWithSound interprets e once under both (dualPlan's
+// plan) and returns the validation plan's report and the sound plan's:
+// the run feeds two FastTrack detectors, each seeing exactly the
+// events its own plan flags, so each report equals that of a separate
+// run under its plan (the schedule does not depend on the masks).
+func (o *OptFT) validateWithSound(both *plan, e Execution, opts RunOptions) (val, sound *RaceReport, err error) {
+	tr := &dualTracer{
+		val: fasttrack.New(), sound: fasttrack.New(),
+		valMasks: o.val.masks, soundMasks: o.Sound.plan.masks,
+	}
+	defer tr.val.Release()
+	defer tr.sound.Release()
+	res, err := both.run(e, tr, nil, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return raceReport(tr.val, res), raceReport(tr.sound, res), nil
+}
+
+// dualTracer routes one run's FastTrack events to two detectors, each
+// filtered by its own plan's Mem and Sync masks; spawns and joins go to
+// both. It deliberately does not implement interp.FastTracer: an inline
+// fast-path hit settles one detector's shadow state and would skip the
+// other's update.
+type dualTracer struct {
+	interp.NopTracer
+	val, sound           *fasttrack.Detector
+	valMasks, soundMasks interp.Masks
+}
+
+// flagged reports whether mask delivers events at site id (nil: every
+// site).
+func flagged(mask []bool, id int) bool { return mask == nil || mask[id] }
+
+func (d *dualTracer) Load(t vc.TID, in *ir.Instr, addr interp.Addr, v int64) {
+	if flagged(d.valMasks.Mem, in.ID) {
+		d.val.Load(t, in, addr, v)
+	}
+	if flagged(d.soundMasks.Mem, in.ID) {
+		d.sound.Load(t, in, addr, v)
+	}
+}
+
+func (d *dualTracer) Store(t vc.TID, in *ir.Instr, addr interp.Addr, v int64) {
+	if flagged(d.valMasks.Mem, in.ID) {
+		d.val.Store(t, in, addr, v)
+	}
+	if flagged(d.soundMasks.Mem, in.ID) {
+		d.sound.Store(t, in, addr, v)
+	}
+}
+
+func (d *dualTracer) Lock(t vc.TID, in *ir.Instr, addr interp.Addr) {
+	if flagged(d.valMasks.Sync, in.ID) {
+		d.val.Lock(t, in, addr)
+	}
+	if flagged(d.soundMasks.Sync, in.ID) {
+		d.sound.Lock(t, in, addr)
+	}
+}
+
+func (d *dualTracer) Unlock(t vc.TID, in *ir.Instr, addr interp.Addr) {
+	if flagged(d.valMasks.Sync, in.ID) {
+		d.val.Unlock(t, in, addr)
+	}
+	if flagged(d.soundMasks.Sync, in.ID) {
+		d.sound.Unlock(t, in, addr)
+	}
+}
+
+func (d *dualTracer) Spawn(t vc.TID, in *ir.Instr, c vc.TID, f interp.FrameID, fn *ir.Function) {
+	d.val.Spawn(t, in, c, f, fn)
+	d.sound.Spawn(t, in, c, f, fn)
+}
+
+func (d *dualTracer) Join(t vc.TID, in *ir.Instr, c vc.TID) {
+	d.val.Join(t, in, c)
+	d.sound.Join(t, in, c)
+}
+
+// covers reports whether mask sup flags every site mask sub flags (nil:
+// every site).
+func covers(sup, sub []bool) bool {
+	if sup == nil {
+		return true
+	}
+	if sub == nil {
+		return false
+	}
+	for id, on := range sub {
+		if on && !sup[id] {
+			return false
+		}
+	}
+	return true
+}
+
+// unionMask returns the mask flagging every site a or b flags (nil: every
+// site).
+func unionMask(a, b []bool) []bool {
+	if a == nil || b == nil {
+		return nil
+	}
+	out := slices.Clone(a)
+	for id, on := range b {
+		out[id] = out[id] || on
+	}
+	return out
 }
 
 // setElidable updates the elided-lock set and rebuilds both plans.

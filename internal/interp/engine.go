@@ -82,6 +82,7 @@ type engine struct {
 	fpWIn    *[][]*ir.Instr
 	fpChecks *uint64
 	fpBatch  bool
+	fpBlocks []bool     // block-coverage row replacing BlockEnter (nil: call)
 	ring     []MemEvent // buffered slow-path memory events (fpBatch)
 }
 
@@ -117,6 +118,9 @@ func newEngine(cfg Config) (*engine, error) {
 	if cfg.Tracer != nil && !code.noFast {
 		if ft, ok := cfg.Tracer.(FastTracer); ok {
 			if fs := ft.FastState(); fs != nil {
+				if len(fs.Blocks) == len(code.prog.Blocks) {
+					e.fpBlocks = fs.Blocks
+				}
 				switch fs.Kind {
 				case FastEpoch:
 					if fs.Epochs != nil && fs.Read != nil && fs.Write != nil &&
@@ -390,6 +394,25 @@ func (e *engine) drainMem() {
 	}
 }
 
+// blockEnter delivers the entry of flagged block b to thread t: a
+// store into the client's coverage row when one is armed, otherwise a
+// BlockEnter call after draining the memory ring. Either way the event
+// counts in Stats.BlockEvents. The call lives in callBlockEnter so
+// that blockEnter inlines and the armed path makes no call at all.
+func (e *engine) blockEnter(tr Tracer, t vc.TID, b *ir.Block) {
+	e.stats.BlockEvents++
+	if e.fpBlocks != nil {
+		e.fpBlocks[b.ID] = true
+		return
+	}
+	e.callBlockEnter(tr, t, b)
+}
+
+func (e *engine) callBlockEnter(tr Tracer, t vc.TID, b *ir.Block) {
+	e.drainMem()
+	tr.BlockEnter(t, b)
+}
+
 // fpReadHit settles the same-epoch read check inline: true when the
 // address's read slot already holds t's current epoch, which is
 // exactly the detector's SAME EPOCH early return (no state changes;
@@ -576,8 +599,7 @@ func (e *engine) start() error {
 	}
 	mainTh := e.spawnThread(e.code.main)
 	if tr := e.cfg.Tracer; tr != nil && e.code.main.entryEv {
-		e.stats.BlockEvents++
-		tr.BlockEnter(mainTh.id, e.code.main.entryB)
+		e.blockEnter(tr, mainTh.id, e.code.main.entryB)
 	}
 	return nil
 }
@@ -829,8 +851,7 @@ func (e *engine) runSliceInner(th *cthread) error {
 				tr.Call(th.id, in.in, callee.fn, fr.id, nf.id)
 			}
 			if callee.entryEv && tr != nil {
-				e.stats.BlockEvents++
-				tr.BlockEnter(th.id, callee.entryB)
+				e.blockEnter(tr, th.id, callee.entryB)
 			}
 			nextFr = nf
 		case cSpawn:
@@ -853,8 +874,7 @@ func (e *engine) runSliceInner(th *cthread) error {
 			}
 			fr.pc++
 			if callee.entryEv && tr != nil {
-				e.stats.BlockEvents++
-				tr.BlockEnter(child.id, callee.entryB)
+				e.blockEnter(tr, child.id, callee.entryB)
 			}
 			yield = true
 		case cJoin:
@@ -914,24 +934,18 @@ func (e *engine) runSliceInner(th *cthread) error {
 		case cJmp:
 			fr.pc = in.t0
 			if in.flags&fBlkEv0 != 0 && tr != nil {
-				e.stats.BlockEvents++
-				e.drainMem()
-				tr.BlockEnter(th.id, in.b0)
+				e.blockEnter(tr, th.id, in.b0)
 			}
 		case cBr:
 			if opval(fr.regs, in.a) != 0 {
 				fr.pc = in.t0
 				if in.flags&fBlkEv0 != 0 && tr != nil {
-					e.stats.BlockEvents++
-					e.drainMem()
-					tr.BlockEnter(th.id, in.b0)
+					e.blockEnter(tr, th.id, in.b0)
 				}
 			} else {
 				fr.pc = in.t1
 				if in.flags&fBlkEv1 != 0 && tr != nil {
-					e.stats.BlockEvents++
-					e.drainMem()
-					tr.BlockEnter(th.id, in.b1)
+					e.blockEnter(tr, th.id, in.b1)
 				}
 			}
 		// cRun: a fused straight-line run. One budget check bounds how
@@ -1117,8 +1131,7 @@ func (e *engine) runSliceInner(th *cthread) error {
 							tr.Call(th.id, ci.in, callee.fn, fr.id, nf.id)
 						}
 						if callee.entryEv && tr != nil {
-							e.stats.BlockEvents++
-							tr.BlockEnter(th.id, callee.entryB)
+							e.blockEnter(tr, th.id, callee.entryB)
 						}
 						nextFr = nf
 					case cRet:
@@ -1148,24 +1161,18 @@ func (e *engine) runSliceInner(th *cthread) error {
 						if opval(fr.regs, ci.a) != 0 {
 							fr.pc = ci.t0
 							if ci.flags&fBlkEv0 != 0 && tr != nil {
-								e.stats.BlockEvents++
-								e.drainMem()
-								tr.BlockEnter(th.id, ci.b0)
+								e.blockEnter(tr, th.id, ci.b0)
 							}
 						} else {
 							fr.pc = ci.t1
 							if ci.flags&fBlkEv1 != 0 && tr != nil {
-								e.stats.BlockEvents++
-								e.drainMem()
-								tr.BlockEnter(th.id, ci.b1)
+								e.blockEnter(tr, th.id, ci.b1)
 							}
 						}
 					case cJmp:
 						fr.pc = ci.t0
 						if ci.flags&fBlkEv0 != 0 && tr != nil {
-							e.stats.BlockEvents++
-							e.drainMem()
-							tr.BlockEnter(th.id, ci.b0)
+							e.blockEnter(tr, th.id, ci.b0)
 						}
 					}
 				}

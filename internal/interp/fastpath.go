@@ -121,6 +121,15 @@ type FastState struct {
 	// BatchMem permits ring-buffering of slow-path Load/Store events
 	// (see the package comment for the soundness conditions).
 	BatchMem bool
+
+	// Blocks, when it has an entry per program block, replaces the
+	// BlockEnter call: the engine stores Blocks[b.ID] = true at every
+	// flagged block entry instead. It suits a client whose BlockEnter
+	// only records that the block ran. The store is idempotent and
+	// commutes with every other event, so it needs no ring drain and
+	// sees the same set of blocks in any delivery order. Independent
+	// of Kind.
+	Blocks []bool
 }
 
 // FastTracer is the optional contract a Tracer implements to arm the

@@ -21,47 +21,12 @@ package mhp
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"oha/internal/bitset"
 	"oha/internal/invariants"
 	"oha/internal/ir"
 	"oha/internal/pointsto"
 )
-
-// progCFG caches the reachability and main-dominator structures per
-// program: both are pure functions of the immutable CFG, and the
-// adaptive refinement loop re-analyzes the same program once per
-// generation, so recomputing them every Analyze is pure waste.
-type progCFG struct {
-	reach   *ir.Reach
-	mainDom []*bitset.Set
-	// joins[spawn instr ID] = main's joins that certainly wait for that
-	// spawn's thread (matchingJoins is likewise a pure CFG function).
-	joins map[int][]*ir.Instr
-}
-
-var cfgCache sync.Map // *ir.Program -> *progCFG
-
-func cachedCFG(prog *ir.Program) *progCFG {
-	if c, ok := cfgCache.Load(prog); ok {
-		return c.(*progCFG)
-	}
-	c := &progCFG{
-		reach:   ir.ComputeReach(prog),
-		mainDom: ir.Dominators(prog.Main()),
-		joins:   map[int][]*ir.Instr{},
-	}
-	for _, b := range prog.Main().Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpSpawn {
-				c.joins[in.ID] = matchingJoins(prog.Main(), in)
-			}
-		}
-	}
-	actual, _ := cfgCache.LoadOrStore(prog, c)
-	return actual.(*progCFG)
-}
 
 // rootMain is the root id of the main thread; spawn-site roots follow.
 const rootMain = 0
@@ -93,11 +58,13 @@ type forkJoin struct {
 
 // Analyze computes thread roots and concurrency. pt supplies the call
 // graph (already predicated if pt was). db non-nil additionally
-// assumes the likely singleton-thread invariant.
+// assumes the likely singleton-thread invariant. The CFG facts it
+// consults (reachability, main's dominators, matching joins) are
+// computed per call: a table memoizing them per program would keep
+// every analyzed program alive.
 func Analyze(prog *ir.Program, pt *pointsto.Result, db *invariants.DB) *Result {
 	r := &Result{prog: prog}
-	cfg := cachedCFG(prog)
-	reach := cfg.reach
+	reach := ir.ComputeReach(prog)
 
 	// Roots: main + each analyzed spawn site.
 	type rootInfo struct {
@@ -167,7 +134,7 @@ func Analyze(prog *ir.Program, pt *pointsto.Result, db *invariants.DB) *Result {
 	r.rootSite = make([]int, len(roots))
 	r.order = make([]*forkJoin, len(roots))
 	r.reach = reach
-	r.mainDom = cfg.mainDom
+	r.mainDom = ir.Dominators(prog.Main())
 	r.rootSite[rootMain] = -1
 	for rid, info := range roots[1:] {
 		in := info.site
@@ -185,7 +152,7 @@ func Analyze(prog *ir.Program, pt *pointsto.Result, db *invariants.DB) *Result {
 		// directly by main: find the joins that certainly wait for
 		// this spawn's thread.
 		if !r.multi[rid+1] && in.Block.Fn == prog.Main() && !mainCalled && !inCycle(reach, in.Block) {
-			r.order[rid+1] = &forkJoin{spawn: in, joins: cfg.joins[in.ID]}
+			r.order[rid+1] = &forkJoin{spawn: in, joins: matchingJoins(prog.Main(), in)}
 		}
 	}
 	return r

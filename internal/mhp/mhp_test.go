@@ -1,7 +1,9 @@
 package mhp
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"oha/internal/ctxs"
 	"oha/internal/invariants"
@@ -203,4 +205,35 @@ func TestReassignedHandleDefeatsJoinMatching(t *testing.T) {
 	if !m.MHP(post, w) {
 		t.Error("reassigned handle still treated as matched join")
 	}
+}
+
+// TestAnalyzeDoesNotPinProgram checks that analyzing a program, and
+// decoding a stored result for it, leave the program collectable once
+// the caller drops it: MHP keeps no table keyed by a program.
+func TestAnalyzeDoesNotPinProgram(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		p := lang.MustCompile(portableSrc)
+		pt, err := pointsto.Analyze(p, ctxs.NewCI(p), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := Analyze(p, pt, nil).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeResult(p, blob); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(p, func(*ir.Program) { close(collected) })
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("an analyzed program stayed reachable after its last reference dropped")
 }

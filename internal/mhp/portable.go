@@ -86,15 +86,14 @@ func DecodeResult(prog *ir.Program, data []byte) (*Result, error) {
 		}
 		return in, nil
 	}
-	cfg := cachedCFG(prog)
 	r := &Result{
 		prog:     prog,
 		multi:    w.Multi,
 		rootSite: w.RootSite,
 		roots:    make([]*bitset.Set, len(w.Roots)),
 		order:    make([]*forkJoin, nroots),
-		reach:    cfg.reach,
-		mainDom:  cfg.mainDom,
+		reach:    ir.ComputeReach(prog),
+		mainDom:  ir.Dominators(prog.Main()),
 	}
 	for i, words := range w.Roots {
 		s := bitset.FromWords(words)

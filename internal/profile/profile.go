@@ -37,8 +37,10 @@ import (
 type Collector struct {
 	interp.NopTracer
 	prog *ir.Program
+	// fast is this run's fast-path descriptor; fast.Blocks is the
+	// run's block coverage, by block ID.
+	fast interp.FastState
 
-	visited     *bitset.Set
 	zeroLoads   *bitset.Set // load sites observed producing 0
 	spawnCounts []int32     // by spawn-site instr ID (nil until the first spawn)
 	locks       []lockSite  // by lock-site instr ID (nil until the first lock)
@@ -105,7 +107,7 @@ type ctxStack struct {
 func NewCollector(prog *ir.Program) *Collector {
 	return &Collector{
 		prog:      prog,
-		visited:   &bitset.Set{},
+		fast:      interp.FastState{Kind: interp.FastNull, Blocks: make([]bool, len(prog.Blocks))},
 		zeroLoads: &bitset.Set{},
 		callees:   map[int]*bitset.Set{},
 		trie:      ctxTrie{parent: []int32{0}, site: []int32{-1}, child: map[uint64]int32{}},
@@ -131,15 +133,13 @@ func Masks(prog *ir.Program) interp.Masks {
 	return interp.Masks{Mem: mem, Sync: sync}
 }
 
-// fastNull is the collector's fast-path descriptor, shared by every
-// run: it carries no per-run state.
-var fastNull = &interp.FastState{Kind: interp.FastNull}
-
-// FastState implements interp.FastTracer: profiling's Load handler is
-// a pure zero-test (the same shape as nullcheck.Observer), so the
-// engine can settle every non-nil load inline. The collector's other
-// events are unaffected.
-func (c *Collector) FastState() *interp.FastState { return fastNull }
+// FastState implements interp.FastTracer with a descriptor private to
+// this run. Profiling's Load handler is a pure zero-test (the same
+// shape as nullcheck.Observer), so the engine settles every non-nil
+// load inline; and BlockEnter only marks the block entered, so the
+// engine marks the run's coverage row (Blocks) itself instead of
+// calling it. The collector's other events are unaffected.
+func (c *Collector) FastState() *interp.FastState { return &c.fast }
 
 // FlushMem implements interp.FastTracer; the collector never requests
 // memory-event batching.
@@ -174,10 +174,11 @@ func (c *Collector) stack(t vc.TID) *ctxStack {
 	return s
 }
 
-// BlockEnter implements interp.Tracer: basic-block counting for the
-// likely-unreachable-code invariant.
+// BlockEnter implements interp.Tracer: basic-block coverage for the
+// likely-unreachable-code invariant. With the fast path armed the
+// engine stores into the same row instead of calling it.
 func (c *Collector) BlockEnter(_ vc.TID, b *ir.Block) {
-	c.visited.Add(b.ID)
+	c.fast.Blocks[b.ID] = true
 }
 
 // Load implements interp.Tracer: records load sites observed producing
@@ -268,7 +269,11 @@ func (c *Collector) addCallee(site, fnID int) {
 // invariant database.
 func (c *Collector) Summarize() *invariants.DB {
 	db := invariants.NewDB()
-	db.Visited = c.visited.Clone()
+	for id, entered := range c.fast.Blocks {
+		if entered {
+			db.Visited.Add(id)
+		}
+	}
 
 	// Likely guarding locks: pairs of sites that each locked exactly
 	// one dynamic object, the same one.
