@@ -122,10 +122,6 @@ func (c *nullChecker) FastState() *interp.FastState {
 	return &interp.FastState{Kind: interp.FastNull, Checks: &c.Events}
 }
 
-// FlushMem implements interp.FastTracer; the checker never requests
-// memory-event batching.
-func (c *nullChecker) FlushMem([]interp.MemEvent) {}
-
 // Load fires the non-null-fact check: the mem mask delivers load
 // events exactly at the used fact sites.
 func (c *nullChecker) Load(_ vc.TID, in *ir.Instr, _ interp.Addr, v int64) {

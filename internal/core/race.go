@@ -124,14 +124,10 @@ type optTracer struct {
 }
 
 // FastState implements interp.FastTracer. Memory events route only to
-// the detector (the invariant checker consumes sync/block events, and
-// those always drain the ring before delivery), so exposing the
-// detector's shadow state — batching included — preserves the exact
-// event order both consumers observe.
+// the detector (the invariant checker consumes sync and block events),
+// so an inline hit on the detector's shadow state skips nothing the
+// checker would see.
 func (o *optTracer) FastState() *interp.FastState { return o.det.FastState() }
-
-// FlushMem implements interp.FastTracer (see FastState).
-func (o *optTracer) FlushMem(evs []interp.MemEvent) { o.det.FlushMem(evs) }
 
 func (o *optTracer) Load(t vc.TID, in *ir.Instr, addr interp.Addr, v int64) {
 	o.det.Load(t, in, addr, v)

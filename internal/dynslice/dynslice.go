@@ -184,11 +184,6 @@ var sliceFast = interp.FastState{Kind: interp.FastSlice}
 // are skipped inside the engine's dispatch loop.
 func (tr *Tracer) FastState() *interp.FastState { return &sliceFast }
 
-// FlushMem implements interp.FastTracer. The slicer never requests
-// memory-event batching (it consumes Exec, not Load/Store), so there
-// is never anything to flush.
-func (tr *Tracer) FlushMem([]interp.MemEvent) {}
-
 // NodeCount returns the number of trace nodes recorded.
 func (tr *Tracer) NodeCount() int { return len(tr.nodes) }
 

@@ -234,10 +234,8 @@ func (d *Detector) reset() {
 
 // FastState implements interp.FastTracer: the engine settles
 // same-epoch and thread-exclusive reads and writes inline against the
-// epoch and attribution rows, counts them as Checks, and may batch
-// slow-path memory events (sound here: Load/Store never abort, and
-// nothing a memory event reads is mutated by anything but FlushMem
-// between drain points — see fastpath.go).
+// epoch and attribution rows and counts them as Checks; every other
+// memory event is a Load or Store call.
 func (d *Detector) FastState() *interp.FastState {
 	return &interp.FastState{
 		Kind:       interp.FastEpoch,
@@ -247,35 +245,6 @@ func (d *Detector) FastState() *interp.FastState {
 		ReadInstr:  &d.rIn,
 		WriteInstr: &d.wIn,
 		Checks:     &d.Checks,
-		BatchMem:   true,
-	}
-}
-
-// FlushMem implements interp.FastTracer: buffered slow-path memory
-// events replay through the full rules in order. Memory events never
-// advance thread clocks, so the clock and epoch are loop invariants
-// hoisted out of the replay; the ring drains at every slice boundary,
-// so a batch is single-threaded in practice (the per-event check
-// recomputes on the change anyway rather than assuming it).
-func (d *Detector) FlushMem(evs []interp.MemEvent) {
-	if len(evs) == 0 {
-		return
-	}
-	t := evs[0].T
-	ct := d.clock(t)
-	e := ct.Epoch(t)
-	for i := range evs {
-		ev := &evs[i]
-		if ev.T != t {
-			t = ev.T
-			ct = d.clock(t)
-			e = ct.Epoch(t)
-		}
-		if ev.Store {
-			d.storeAt(t, ct, e, ev.In, ev.Addr)
-		} else {
-			d.loadAt(t, ct, e, ev.In, ev.Addr)
-		}
 	}
 }
 
@@ -362,12 +331,7 @@ func (d *Detector) report(kind RaceKind, addr interp.Addr, t vc.TID, cur, prev *
 // Load implements the FastTrack read rules.
 func (d *Detector) Load(t vc.TID, in *ir.Instr, addr interp.Addr, _ int64) {
 	ct := d.clock(t)
-	d.loadAt(t, ct, ct.Epoch(t), in, addr)
-}
-
-// loadAt is Load with the thread's clock and epoch precomputed, so
-// FlushMem can hoist that prologue out of a batch replay.
-func (d *Detector) loadAt(t vc.TID, ct *vc.VC, e vc.Epoch, in *ir.Instr, addr interp.Addr) {
+	e := ct.Epoch(t)
 	d.Checks++
 	obj, off := d.state(addr)
 
@@ -401,12 +365,7 @@ func (d *Detector) loadAt(t vc.TID, ct *vc.VC, e vc.Epoch, in *ir.Instr, addr in
 // Store implements the FastTrack write rules.
 func (d *Detector) Store(t vc.TID, in *ir.Instr, addr interp.Addr, _ int64) {
 	ct := d.clock(t)
-	d.storeAt(t, ct, ct.Epoch(t), in, addr)
-}
-
-// storeAt is Store with the thread's clock and epoch precomputed (see
-// loadAt).
-func (d *Detector) storeAt(t vc.TID, ct *vc.VC, e vc.Epoch, in *ir.Instr, addr interp.Addr) {
+	e := ct.Epoch(t)
 	d.Checks++
 	obj, off := d.state(addr)
 

@@ -74,22 +74,14 @@ type engine struct {
 	// backing arrays at slow-path boundaries and the engine re-derefs
 	// per event.
 	fpKind   FastKind
-	ft       FastTracer
 	fpEpochs *[]vc.Epoch
 	fpRead   *[][]vc.Epoch
 	fpWrite  *[][]vc.Epoch
 	fpRIn    *[][]*ir.Instr
 	fpWIn    *[][]*ir.Instr
 	fpChecks *uint64
-	fpBatch  bool
-	fpBlocks []bool     // block-coverage row replacing BlockEnter (nil: call)
-	ring     []MemEvent // buffered slow-path memory events (fpBatch)
+	fpBlocks []bool // block-coverage row replacing BlockEnter (nil: call)
 }
-
-// memRingCap bounds the slow-path memory-event ring. It only needs to
-// cover the events of one quantum (every slice exit drains); overflow
-// within a quantum drains early, which is always sound.
-const memRingCap = 64
 
 // newEngine builds an engine for cfg with defaults applied: the
 // shared construction path of runCompiled and the step debugger
@@ -126,25 +118,18 @@ func newEngine(cfg Config) (*engine, error) {
 					if fs.Epochs != nil && fs.Read != nil && fs.Write != nil &&
 						fs.ReadInstr != nil && fs.WriteInstr != nil && fs.Checks != nil {
 						e.fpKind = FastEpoch
-						e.ft = ft
 						e.fpEpochs = fs.Epochs
 						e.fpRead = fs.Read
 						e.fpWrite = fs.Write
 						e.fpRIn = fs.ReadInstr
 						e.fpWIn = fs.WriteInstr
 						e.fpChecks = fs.Checks
-						if fs.BatchMem {
-							e.fpBatch = true
-							e.ring = make([]MemEvent, 0, memRingCap)
-						}
 					}
 				case FastNull:
 					e.fpKind = FastNull
-					e.ft = ft
 					e.fpChecks = fs.Checks
 				case FastSlice:
 					e.fpKind = FastSlice
-					e.ft = ft
 				}
 			}
 		}
@@ -383,33 +368,15 @@ func (e *engine) resolveCallee(th *cthread, fr *cframe, in *cinstr) (*cfunc, err
 	return f, nil
 }
 
-// drainMem delivers any ring-buffered slow-path memory events. It
-// runs before every non-memory tracer delivery and at every slice
-// exit, so the client observes the exact per-thread event order the
-// unbatched engine would deliver.
-func (e *engine) drainMem() {
-	if len(e.ring) > 0 {
-		e.ft.FlushMem(e.ring)
-		e.ring = e.ring[:0]
-	}
-}
-
 // blockEnter delivers the entry of flagged block b to thread t: a
 // store into the client's coverage row when one is armed, otherwise a
-// BlockEnter call after draining the memory ring. Either way the event
-// counts in Stats.BlockEvents. The call lives in callBlockEnter so
-// that blockEnter inlines and the armed path makes no call at all.
+// BlockEnter call. Either way the event counts in Stats.BlockEvents.
 func (e *engine) blockEnter(tr Tracer, t vc.TID, b *ir.Block) {
 	e.stats.BlockEvents++
 	if e.fpBlocks != nil {
 		e.fpBlocks[b.ID] = true
 		return
 	}
-	e.callBlockEnter(tr, t, b)
-}
-
-func (e *engine) callBlockEnter(tr Tracer, t vc.TID, b *ir.Block) {
-	e.drainMem()
 	tr.BlockEnter(t, b)
 }
 
@@ -459,8 +426,7 @@ func (e *engine) fpWriteHit(t vc.TID, rel int64) bool {
 // passes, so the EXCLUSIVE update applies verbatim as one epoch store
 // plus one attribution store. FastNull: a non-nil value is only ever
 // counted, never checked, so the interface call is skipped.
-// Everything else falls back to the full Tracer method, ring-buffered
-// when the client permits batching.
+// Everything else falls back to the full Tracer method.
 func (e *engine) traceLoad(t vc.TID, in *ir.Instr, a Addr, v int64) {
 	switch e.fpKind {
 	case FastEpoch:
@@ -499,13 +465,6 @@ func (e *engine) traceLoad(t vc.TID, in *ir.Instr, a Addr, v int64) {
 			}
 		}
 		e.ic.FastPath.Slow++
-		if e.fpBatch {
-			e.ring = append(e.ring, MemEvent{T: t, In: in, Addr: a, Val: v})
-			if len(e.ring) == cap(e.ring) {
-				e.drainMem()
-			}
-			return
-		}
 		e.cfg.Tracer.Load(t, in, a, v)
 	case FastNull:
 		if v != 0 {
@@ -568,13 +527,6 @@ func (e *engine) traceStore(t vc.TID, in *ir.Instr, a Addr, v int64) {
 			}
 		}
 		e.ic.FastPath.Slow++
-		if e.fpBatch {
-			e.ring = append(e.ring, MemEvent{Store: true, T: t, In: in, Addr: a, Val: v})
-			if len(e.ring) == cap(e.ring) {
-				e.drainMem()
-			}
-			return
-		}
 	}
 	e.cfg.Tracer.Store(t, in, a, v)
 }
@@ -639,25 +591,11 @@ func (e *engine) run() error {
 	}
 }
 
-// runSlice executes up to one quantum of th and then drains any
-// ring-buffered slow-path memory events: a slice exit is a scheduling
-// boundary, and the next slice may run another thread, so the ring
-// must never carry events across it (the fast-path equivalence
-// argument in fastpath.go relies on queued events belonging to the
-// currently-running thread). Draining on error exits too keeps final
-// reports identical — a trap or abort must observe every event that
-// preceded it.
-func (e *engine) runSlice(th *cthread) error {
-	err := e.runSliceInner(th)
-	e.drainMem()
-	return err
-}
-
-// runSliceInner executes up to one quantum of th. Control flow mirrors
-// the tree-walker exactly: step-limit check before each instruction,
-// abort poll after each, context poll once per slice, and blocked sync
+// runSlice executes up to one quantum of th. Control flow mirrors the
+// tree-walker exactly: step-limit check before each instruction, abort
+// poll after each, context poll once per slice, and blocked sync
 // operations retried without consuming a step.
-func (e *engine) runSliceInner(th *cthread) error {
+func (e *engine) runSlice(th *cthread) error {
 	if e.ctxDone != nil {
 		select {
 		case <-e.ctxDone:
@@ -711,7 +649,6 @@ func (e *engine) runSliceInner(th *cthread) error {
 					// load yields 0 and no memory is touched.
 					fr.regs[in.dst] = 0
 					if tr != nil {
-						e.drainMem()
 						tr.NilDeref(th.id, in.in)
 					}
 					fr.pc++
@@ -751,7 +688,6 @@ func (e *engine) runSliceInner(th *cthread) error {
 				if a == 0 {
 					// Recovered nil deref: the store is dropped.
 					if tr != nil {
-						e.drainMem()
 						tr.NilDeref(th.id, in.in)
 					}
 					fr.pc++
@@ -797,7 +733,6 @@ func (e *engine) runSliceInner(th *cthread) error {
 				accessAddr = a
 				if in.flags&fSyncEv != 0 && tr != nil {
 					e.stats.Locks++
-					e.drainMem()
 					tr.Lock(th.id, in.in, a)
 				}
 				fr.pc++
@@ -828,7 +763,6 @@ func (e *engine) runSliceInner(th *cthread) error {
 			accessAddr = a
 			if in.flags&fSyncEv != 0 && tr != nil {
 				e.stats.Unlocks++
-				e.drainMem()
 				tr.Unlock(th.id, in.in, a)
 			}
 			e.lockSet(a, 0)
@@ -847,7 +781,6 @@ func (e *engine) runSliceInner(th *cthread) error {
 			th.frames = append(th.frames, nf)
 			if tr != nil {
 				e.stats.CallEvents++
-				e.drainMem()
 				tr.Call(th.id, in.in, callee.fn, fr.id, nf.id)
 			}
 			if callee.entryEv && tr != nil {
@@ -869,7 +802,6 @@ func (e *engine) runSliceInner(th *cthread) error {
 			}
 			if tr != nil {
 				e.stats.Spawns++
-				e.drainMem()
 				tr.Spawn(th.id, in.in, child.id, cf.id, callee.fn)
 			}
 			fr.pc++
@@ -903,7 +835,6 @@ func (e *engine) runSliceInner(th *cthread) error {
 			}
 			if tr != nil {
 				e.stats.Joins++
-				e.drainMem()
 				tr.Join(th.id, in.in, target.id)
 			}
 			fr.pc++
@@ -916,7 +847,6 @@ func (e *engine) runSliceInner(th *cthread) error {
 				e.removeRunning(th.id)
 				yield = true
 				if tr != nil {
-					e.drainMem()
 					tr.Ret(th.id, in.in, fr.id, 0, nil)
 				}
 			} else {
@@ -925,7 +855,6 @@ func (e *engine) runSliceInner(th *cthread) error {
 					caller.regs[fr.retReg] = v
 				}
 				if tr != nil {
-					e.drainMem()
 					tr.Ret(th.id, in.in, fr.id, caller.id, fr.retVar)
 				}
 				nextFr = caller
@@ -1127,7 +1056,6 @@ func (e *engine) runSliceInner(th *cthread) error {
 						th.frames = append(th.frames, nf)
 						if tr != nil {
 							e.stats.CallEvents++
-							e.drainMem()
 							tr.Call(th.id, ci.in, callee.fn, fr.id, nf.id)
 						}
 						if callee.entryEv && tr != nil {
@@ -1142,7 +1070,6 @@ func (e *engine) runSliceInner(th *cthread) error {
 							e.removeRunning(th.id)
 							yield = true
 							if tr != nil {
-								e.drainMem()
 								tr.Ret(th.id, ci.in, fr.id, 0, nil)
 							}
 						} else {
@@ -1151,7 +1078,6 @@ func (e *engine) runSliceInner(th *cthread) error {
 								caller.regs[fr.retReg] = v
 							}
 							if tr != nil {
-								e.drainMem()
 								tr.Ret(th.id, ci.in, fr.id, caller.id, fr.retVar)
 							}
 							nextFr = caller
@@ -1209,7 +1135,6 @@ func (e *engine) runSliceInner(th *cthread) error {
 				if e.fpKind == FastSlice {
 					e.ic.FastPath.Slow++
 				}
-				e.drainMem()
 				tr.Exec(th.id, in.in, fr.id, accessAddr)
 			}
 		}

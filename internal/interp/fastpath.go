@@ -18,29 +18,7 @@
 // attribution instr; for the null observer it is "value is non-nil,
 // no fact consulted"; for the slicer it is an opcode class Exec
 // ignores unconditionally. Anything the engine cannot prove cheap
-// falls back to the ordinary interface call — possibly batched, see
-// below.
-//
-// Batching and inline updates compose: a buffered event exists only
-// because one of its address's epoch slots was foreign or shared, an
-// inline *transition* requires both slots owned-by-thread or empty,
-// and rows change only through transitions or FlushMem — so no
-// transition can touch an address with buffered events before they
-// drain. The only fast-path work permitted on such an address is the
-// exact same-epoch hit, which mutates nothing and is a no-op at any
-// position in the replay order. Inline updates therefore never
-// reorder against buffered events.
-//
-// Slow-path batching: a FastState with BatchMem set permits the
-// engine to buffer slow-path Load/Store events in a small ring and
-// deliver them via FlushMem at the next non-memory event, quantum
-// boundary, or run exit. This is sound only for clients whose
-// Load/Store handlers (a) never abort the run and (b) read no state
-// that other event kinds mutate between the event site and the flush
-// point. FastTrack qualifies: within a quantum only one thread runs,
-// memory events never advance thread clocks, and every sync/control
-// event drains the ring first, so the detector observes the exact
-// per-thread event order the unbatched engine would deliver.
+// falls back to the ordinary interface call, in program order.
 package interp
 
 import (
@@ -73,16 +51,6 @@ const (
 	// lock/unlock, join) are skipped engine-side.
 	FastSlice
 )
-
-// MemEvent is one buffered slow-path memory event, drained in order
-// via FastTracer.FlushMem.
-type MemEvent struct {
-	Store bool
-	T     vc.TID
-	In    *ir.Instr
-	Addr  Addr
-	Val   int64
-}
 
 // FastState describes the client's engine-adjacent shadow state. All
 // slice pointers are double-indirect so the client can grow or swap
@@ -118,17 +86,12 @@ type FastState struct {
 	// identical with the fast path on or off.
 	Checks *uint64
 
-	// BatchMem permits ring-buffering of slow-path Load/Store events
-	// (see the package comment for the soundness conditions).
-	BatchMem bool
-
 	// Blocks, when it has an entry per program block, replaces the
 	// BlockEnter call: the engine stores Blocks[b.ID] = true at every
 	// flagged block entry instead. It suits a client whose BlockEnter
 	// only records that the block ran. The store is idempotent and
-	// commutes with every other event, so it needs no ring drain and
-	// sees the same set of blocks in any delivery order. Independent
-	// of Kind.
+	// commutes with every other event, so it sees the same set of
+	// blocks as the calls would. Independent of Kind.
 	Blocks []bool
 }
 
@@ -141,7 +104,4 @@ type FastTracer interface {
 	// are re-derefed per event, so the same descriptor stays valid
 	// across state growth.
 	FastState() *FastState
-	// FlushMem delivers buffered slow-path memory events in order.
-	// Clients that never set BatchMem may implement it as a no-op.
-	FlushMem(evs []MemEvent)
 }

@@ -111,7 +111,7 @@ func TestImageRoundTrip(t *testing.T) {
 // requires bit-identical outputs, stats, and event streams. The masks
 // have OptFT's shape (no Exec events), so instrumented loads and stores
 // run as fused event micro-ops; a FastTrack detector then drives the
-// same images through the inline fast path and the slow-path ring, and
+// same images through the inline fast path and the slow-path calls, and
 // its races, checks, and fast-path counts must match too.
 func TestImageExecutesIdentically(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {

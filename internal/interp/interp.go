@@ -187,8 +187,8 @@ type ICStats struct {
 	Fused uint64
 	// FastPath reports inline tracer fast-path activity (fastpath.go):
 	// Hits are events settled in the dispatch loop without an interface
-	// call, Slow are events that fell back to the full Tracer method
-	// (batched or not). Both zero when no FastTracer is armed.
+	// call, Slow are events that fell back to the full Tracer method.
+	// Both zero when no FastTracer is armed.
 	FastPath FastPathStats
 }
 

@@ -137,25 +137,29 @@ func (db *DB) Clone() *DB {
 // per-kind merge rule: union for reachable-flavoured facts (visited
 // blocks, callee sets, contexts), intersection for
 // unreachable-flavoured ones (must-alias pairs, singleton spawns,
-// elidable locks, non-null loads).
-func (db *DB) MergeInto(run *DB) {
-	db.Visited.UnionWith(run.Visited)
+// elidable locks, non-null loads). It reports whether db changed,
+// which is exactly whether db before the merge was not Equal to db
+// after it.
+func (db *DB) MergeInto(run *DB) bool {
+	changed := db.Visited.UnionWith(run.Visited)
 	for k := range db.MustAliasLocks {
 		if !run.MustAliasLocks[k] {
 			delete(db.MustAliasLocks, k)
+			changed = true
 		}
 	}
-	db.SingletonSpawns.IntersectWith(run.SingletonSpawns)
-	db.ElidableLocks.IntersectWith(run.ElidableLocks)
+	changed = db.SingletonSpawns.IntersectWith(run.SingletonSpawns) || changed
+	changed = db.ElidableLocks.IntersectWith(run.ElidableLocks) || changed
 	for site, set := range run.Callees {
 		if cur, ok := db.Callees[site]; ok {
-			cur.UnionWith(set)
+			changed = cur.UnionWith(set) || changed
 		} else {
 			db.Callees[site] = set.Clone()
+			changed = true
 		}
 	}
-	db.Contexts.UnionWith(run.Contexts)
-	db.NonNullLoads.IntersectWith(run.NonNullLoads)
+	changed = db.Contexts.UnionWith(run.Contexts) || changed
+	return db.NonNullLoads.IntersectWith(run.NonNullLoads) || changed
 }
 
 // Merge combines per-run invariant databases into the final set, as
@@ -471,13 +475,16 @@ func (cs *ContextSet) Has(path []int) bool {
 // Len returns the number of contexts.
 func (cs *ContextSet) Len() int { return len(cs.set) }
 
-// UnionWith adds all contexts of o.
-func (cs *ContextSet) UnionWith(o *ContextSet) {
+// UnionWith adds all contexts of o and reports whether any was new.
+func (cs *ContextSet) UnionWith(o *ContextSet) bool {
+	changed := false
 	for k, p := range o.set {
 		if _, ok := cs.set[k]; !ok {
 			cs.set[k] = p
+			changed = true
 		}
 	}
+	return changed
 }
 
 // Equal reports set equality.

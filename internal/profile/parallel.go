@@ -36,7 +36,7 @@ type Options struct {
 	// MaxRuns bounds the number of profiled executions.
 	MaxRuns int
 	// StableWindow is the number of consecutive no-new-invariant runs
-	// required to declare convergence (default 3).
+	// required to declare convergence (core.ProfileWith defaults it).
 	StableWindow int
 	// Workers bounds the worker pool (<= 0: runtime.GOMAXPROCS(0);
 	// 1: fully sequential, no goroutines spawned).
@@ -46,9 +46,6 @@ type Options struct {
 }
 
 func (o Options) defaults() Options {
-	if o.StableWindow <= 0 {
-		o.StableWindow = 3
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -119,9 +116,12 @@ func RunAllWith(prog *ir.Program, execs []Exec, workers int, run Runner) ([]*inv
 	return dbs, nil
 }
 
-// ConvergeOpt is the convergence loop with explicit options: profile
-// executions drawn from gen until the merged invariant set is
-// unchanged for StableWindow consecutive runs (or MaxRuns is hit).
+// ConvergeOpt is the convergence loop: profile executions drawn from
+// gen until the merged invariant set is unchanged for StableWindow
+// consecutive runs (or MaxRuns is hit), mirroring the paper's "profile
+// increasing numbers of executions until the learned invariants
+// stabilize" methodology. It also returns per-block visit-run counts
+// for aggressive-invariant construction.
 // Runs execute on a worker pool, but the merge — and therefore the
 // returned database, statistics, and stop decision — replays the
 // sequential order, so the result is bit-identical for every worker
@@ -167,9 +167,7 @@ func ConvergeOpt(prog *ir.Program, gen func(run int) (inputs []int64, seed uint6
 				stable = 0
 				continue
 			}
-			before := merged.Clone()
-			merged.MergeInto(db)
-			if merged.Equal(before) {
+			if !merged.MergeInto(db) {
 				stable++
 				if stable >= o.StableWindow {
 					converged = true

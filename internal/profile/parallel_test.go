@@ -123,3 +123,69 @@ func TestConvergeOptGenOrder(t *testing.T) {
 		t.Errorf("gen over-scheduled %d runs past convergence (batch is 4)", over)
 	}
 }
+
+// TestMergeIntoReportsChange checks the convergence loop's stop signal:
+// on profiled databases of every corpus program, MergeInto reports a
+// change exactly when the merged database is no longer Equal to the
+// accumulator before the merge. Pairs are every ordered pair of one
+// program's runs (a run merged into itself included) and each
+// program's last run merged into the next program's first run. Each
+// pair is also merged with all but one kind of the merged run's facts
+// taken from the accumulator, so that each kind's report is checked on
+// its own.
+func TestMergeIntoReportsChange(t *testing.T) {
+	kinds := map[string]func(dst, src *invariants.DB){
+		"visited":   func(d, s *invariants.DB) { d.Visited = s.Visited },
+		"mustalias": func(d, s *invariants.DB) { d.MustAliasLocks = s.MustAliasLocks },
+		"singleton": func(d, s *invariants.DB) { d.SingletonSpawns = s.SingletonSpawns },
+		"elidable":  func(d, s *invariants.DB) { d.ElidableLocks = s.ElidableLocks },
+		"callees":   func(d, s *invariants.DB) { d.Callees = s.Callees },
+		"contexts":  func(d, s *invariants.DB) { d.Contexts = s.Contexts },
+		"nonnull":   func(d, s *invariants.DB) { d.NonNullLoads = s.NonNullLoads },
+	}
+	changed := map[string]int{}
+	check := func(name, kind string, acc, run *invariants.DB) {
+		before := acc.Clone()
+		got, want := acc.MergeInto(run), !before.Equal(acc)
+		if got != want {
+			t.Errorf("%s, %s facts: MergeInto reported %v, Equal says changed=%v", name, kind, got, want)
+		}
+		if want {
+			changed[kind]++
+		}
+	}
+	pair := func(name string, a, b *invariants.DB) {
+		check(name, "all", a.Clone(), b)
+		for kind, set := range kinds {
+			run := a.Clone()
+			set(run, b.Clone())
+			check(name, kind, a.Clone(), run)
+		}
+	}
+	var prev *invariants.DB
+	for _, c := range profCorpus(t) {
+		var dbs []*invariants.DB
+		for _, e := range c.execs {
+			if db, err := Run(c.prog, e.Inputs, e.Seed); err == nil {
+				dbs = append(dbs, db)
+			}
+		}
+		for i, a := range dbs {
+			for j, b := range dbs {
+				pair(fmt.Sprintf("%s runs %d<-%d", c.name, i, j), a, b)
+			}
+		}
+		if len(dbs) > 0 {
+			if prev != nil {
+				pair(c.name+" after previous program", dbs[0], prev)
+			}
+			prev = dbs[len(dbs)-1]
+		}
+	}
+	// Every kind the profiler can change must have been exercised.
+	for _, k := range []string{"all", "visited", "mustalias", "singleton", "callees", "contexts", "nonnull"} {
+		if changed[k] == 0 {
+			t.Errorf("no merge changed %s facts", k)
+		}
+	}
+}

@@ -141,10 +141,6 @@ func Masks(prog *ir.Program) interp.Masks {
 // calling it. The collector's other events are unaffected.
 func (c *Collector) FastState() *interp.FastState { return &c.fast }
 
-// FlushMem implements interp.FastTracer; the collector never requests
-// memory-event batching.
-func (c *Collector) FlushMem([]interp.MemEvent) {}
-
 // newStack returns a thread stack rooted at function fnID with context
 // node.
 func (c *Collector) newStack(fnID int, node int32) *ctxStack {
@@ -330,17 +326,13 @@ func (c *Collector) Summarize() *invariants.DB {
 // Run profiles one execution of prog on the given inputs and schedule
 // seed, returning the per-run invariant database.
 func Run(prog *ir.Program, inputs []int64, seed uint64) (*invariants.DB, error) {
-	return RunCtx(nil, prog, inputs, seed)
+	return RunCoded(nil, nil, prog, inputs, seed)
 }
 
-// RunCtx is Run under a cancellation context (nil: none): a canceled
-// ctx stops the profiled execution within one scheduling quantum.
-func RunCtx(ctx context.Context, prog *ir.Program, inputs []int64, seed uint64) (*invariants.DB, error) {
-	return RunCoded(ctx, nil, prog, inputs, seed)
-}
-
-// RunCoded is RunCtx with a precompiled bytecode image shared across
-// runs (nil: the engine compiles one from Masks(prog) per run). The
+// RunCoded is Run under a cancellation context (nil: none), which
+// stops the profiled execution within one scheduling quantum, with a
+// precompiled bytecode image shared across runs (nil: the engine
+// compiles one from Masks(prog) per run). The
 // image must flag at least the events of Masks(prog); one compiled
 // from interp.Masks{} (every event but the Exec firehose) gives the
 // same database, only slower.
@@ -374,26 +366,4 @@ type Stats struct {
 	BlockRuns map[int]int
 	// Runs is the number of profiled executions.
 	Runs int
-}
-
-// Converge profiles executions drawn from gen until the merged
-// invariant set is unchanged for stableWindow consecutive runs (or
-// maxRuns is hit), mirroring the paper's "profile increasing numbers
-// of executions until the learned invariants stabilize" methodology.
-// It returns the merged database and the number of runs profiled.
-func Converge(prog *ir.Program, gen func(run int) (inputs []int64, seed uint64), maxRuns, stableWindow int) (*invariants.DB, int, error) {
-	db, st, err := ConvergeWithStats(prog, gen, maxRuns, stableWindow)
-	if err != nil {
-		return nil, 0, err
-	}
-	_ = st
-	return db, st.Runs, nil
-}
-
-// ConvergeWithStats is Converge, additionally returning per-block
-// visit-run counts for aggressive-invariant construction. It runs
-// strictly sequentially; ConvergeOpt fans runs out over a worker pool
-// with bit-identical results.
-func ConvergeWithStats(prog *ir.Program, gen func(run int) (inputs []int64, seed uint64), maxRuns, stableWindow int) (*invariants.DB, *Stats, error) {
-	return ConvergeOpt(prog, gen, Options{MaxRuns: maxRuns, StableWindow: stableWindow, Workers: 1})
 }

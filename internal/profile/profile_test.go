@@ -297,10 +297,11 @@ func TestConverge(t *testing.T) {
 		// Alternate inputs; after both paths are seen nothing changes.
 		return []int64{int64(run % 2)}, uint64(run + 1)
 	}
-	db, runs, err := Converge(p, gen, 50, 3)
+	db, st, err := ConvergeOpt(p, gen, Options{MaxRuns: 50, StableWindow: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	runs := st.Runs
 	if runs >= 50 {
 		t.Errorf("did not converge (runs = %d)", runs)
 	}
@@ -318,7 +319,7 @@ func TestConverge(t *testing.T) {
 
 func TestConvergeZeroRuns(t *testing.T) {
 	p := lang.MustCompile(`func main() { print(1); }`)
-	if _, _, err := Converge(p, func(int) ([]int64, uint64) { return nil, 1 }, 0, 3); err == nil {
-		t.Fatal("Converge with zero runs succeeded")
+	if _, _, err := ConvergeOpt(p, func(int) ([]int64, uint64) { return nil, 1 }, Options{MaxRuns: 0, StableWindow: 3, Workers: 1}); err == nil {
+		t.Fatal("ConvergeOpt with zero runs succeeded")
 	}
 }

@@ -68,10 +68,6 @@ func (c *refCollector) FastState() *interp.FastState {
 	return &interp.FastState{Kind: interp.FastNull}
 }
 
-// FlushMem implements interp.FastTracer; the collector never requests
-// memory-event batching.
-func (c *refCollector) FlushMem([]interp.MemEvent) {}
-
 // stack returns (creating on first use) the context stack of thread t.
 // Thread 0's root is main with the empty context.
 func (c *refCollector) stack(t vc.TID) *refStack {
