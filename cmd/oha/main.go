@@ -63,6 +63,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -183,7 +184,7 @@ func main() {
 		return
 	}
 
-	if _, ok := core.ClientByName(cmd); !ok {
+	if !slices.Contains(core.ClientNames, cmd) {
 		usage()
 	}
 	e := oha.Execution{Inputs: in, Seed: *seed}

@@ -41,6 +41,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -348,8 +349,8 @@ func parseMix(s string) (kinds []string, cum []float64, err error) {
 		if !ok {
 			return nil, nil, fmt.Errorf("bad -mix entry %q (want kind=weight)", part)
 		}
-		if _, ok := core.ClientByName(k); !ok && k != "profile" {
-			return nil, nil, fmt.Errorf("unknown job kind %q in -mix (want profile or one of %v)", k, core.ClientNames())
+		if !slices.Contains(core.ClientNames, k) && k != "profile" {
+			return nil, nil, fmt.Errorf("unknown job kind %q in -mix (want profile or one of %v)", k, core.ClientNames)
 		}
 		w, err := strconv.ParseFloat(v, 64)
 		if err != nil || w < 0 {

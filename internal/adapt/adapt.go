@@ -13,8 +13,8 @@
 //     violation counters and per-generation success statistics;
 //   - a refinement policy: past Policy.Threshold observations of one
 //     fact (default 1, per the paper), the fact is removed from a
-//     derived invariants.DB generation using the merge-respecting
-//     weaken helpers (Refine);
+//     derived invariants.DB generation by the violation kind's rule
+//     (core.Violation.Refine);
 //   - a re-analysis reconciler: Reconcile recomputes the predicated
 //     static artifacts and compiled elision masks for the refined DB
 //     through the content-addressed artifact cache — sound artifacts
@@ -136,7 +136,7 @@ type Status struct {
 	// ViolationsByKind counts observed violations per invariant kind.
 	ViolationsByKind map[core.ViolationKind]uint64 `json:"violations_by_kind,omitempty"`
 	// Clients breaks runs and rollbacks down per analysis client
-	// (race, slice, nullcheck), keyed by core.Client name.
+	// (race, slice, nullcheck), keyed by core.Analysis name.
 	Clients map[string]ClientStats `json:"clients,omitempty"`
 	// PendingReconcile reports that refinements await a Reconcile.
 	PendingReconcile bool `json:"pending_reconcile"`
@@ -157,10 +157,10 @@ type ClientStats struct {
 	Rollbacks uint64 `json:"rollbacks"`
 }
 
-// Manager owns the adaptive state for one (program, base DB) pair. It
-// implements core.Adapter, so it can be installed as RunOptions.Adapt
-// on any optimistic run; Run adds the refine-and-retry loop on top.
-// All methods are safe for concurrent use.
+// Manager owns the adaptive state for one (program, base DB) pair.
+// Observe feeds it the outcome of any optimistic run; Run adds the
+// refine-and-retry loop on top. All methods are safe for concurrent
+// use.
 type Manager struct {
 	prog   *ir.Program
 	policy Policy
@@ -190,8 +190,6 @@ type Manager struct {
 	reconciling bool
 	history     []GenerationRecord
 }
-
-var _ core.Adapter = (*Manager)(nil)
 
 // generation is one immutable deployed configuration. Its detectors
 // are built lazily and memoized by core.Analysis key; construction goes
@@ -263,7 +261,7 @@ func detector[D core.Detector[R], R core.Report](m *Manager, g *generation, a co
 	g.mu.Lock()
 	b := g.detectors[a.Key]
 	if b == nil {
-		b = &built{key: a.Key, client: a.Client.Name(), again: func(next *generation) (string, error) {
+		b = &built{key: a.Key, client: a.Name, again: func(next *generation) (string, error) {
 			det, err := detector(m, next, a)
 			if err != nil {
 				return "", err
@@ -296,7 +294,7 @@ func build[D core.Detector[R], R core.Report](a core.Analysis[D, R], prog *ir.Pr
 	start := time.Now()
 	det, err := a.Build(prog, db, cfg)
 	if err == nil && a.Phase != "" {
-		met.ObservePhase(a.Phase, a.Client.Name(), time.Since(start).Seconds())
+		met.ObservePhase(a.Phase, a.Name, time.Since(start).Seconds())
 	}
 	return det, err
 }
@@ -317,21 +315,15 @@ func (m *Manager) setMaskDigest(gen int, digest string) {
 	}
 }
 
-// Observe implements core.Adapter: it feeds one run's outcome into the
-// ledger and, past the policy threshold, derives the refined DB.
-// Outcomes from foreign programs are ignored; the expensive re-solve
-// is deferred to Reconcile.
-func (m *Manager) Observe(c core.Client, prog *ir.Program, out *core.Outcome) {
-	if c == nil || out == nil || prog != m.prog {
-		return
-	}
-	m.observe(c.Name(), out.RolledBack, out.Violation, out.IC)
-}
-
-func (m *Manager) observe(client string, rolledBack bool, v core.Violation, ic interp.ICStats) {
+// Observe feeds the final outcome of one run of the named client on
+// the managed program into the ledger and, past the policy threshold,
+// derives the refined DB. The expensive re-solve is deferred to
+// Reconcile.
+func (m *Manager) Observe(client string, out *core.Outcome) {
+	rolledBack, v := out.RolledBack, out.Violation
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.ic.Add(ic)
+	m.ic.Add(out.IC)
 	gen := m.cur.Load().n
 	m.runs++
 	cs := m.byClient[client]
@@ -349,10 +341,10 @@ func (m *Manager) observe(client string, rolledBack bool, v core.Violation, ic i
 	}
 	m.byClient[client] = cs
 	m.met.observeRun(client, rolledBack, gen > 1, string(v.Kind))
-	if !rolledBack || !Refinable(v.Kind) {
+	if !rolledBack || !v.Kind.Refinable() {
 		return
 	}
-	key := factKey(v)
+	key := v.FactKey()
 	m.factCounts[key]++
 	if m.factCounts[key] < m.policy.threshold() {
 		return
@@ -376,11 +368,11 @@ func (m *Manager) observe(client string, rolledBack bool, v core.Violation, ic i
 // without re-deriving them.
 func (m *Manager) derive(base *invariants.DB, v core.Violation) *invariants.DB {
 	refined := base.Clone()
-	if !Refine(refined, v) {
+	if !v.Refine(refined) {
 		return nil
 	}
 	if m.static.Cache != nil {
-		key := artifacts.Key(artifacts.KindRefined, m.prog, base, 0, factKey(v))
+		key := artifacts.Key(artifacts.KindRefined, m.prog, base, 0, v.FactKey())
 		if got, err := m.static.Cache.Memo(key, artifacts.DBCodec(), func() (any, error) {
 			return refined, nil
 		}); err == nil {
@@ -556,9 +548,8 @@ type Attempt[R core.Report] struct {
 // (rollback re-execution makes every attempt sound; retries only
 // recover speculation). The loop terminates because each refinement
 // strictly weakens a finite fact set, and Policy.MaxGenerations caps
-// it besides. opts.Adapt is overridden with m.
+// it besides. Every completed attempt is observed once.
 func Run[D core.Detector[R], R core.Report](m *Manager, a core.Analysis[D, R], e core.Execution, opts core.RunOptions) ([]Attempt[R], error) {
-	opts.Adapt = m
 	var attempts []Attempt[R]
 	for {
 		det, gen, err := Current(m, a)
@@ -570,7 +561,9 @@ func Run[D core.Detector[R], R core.Report](m *Manager, a core.Analysis[D, R], e
 			return attempts, err
 		}
 		attempts = append(attempts, Attempt[R]{Generation: gen, Report: rep})
-		if out := rep.Base(); !out.RolledBack || !Refinable(out.Violation.Kind) {
+		out := rep.Base()
+		m.Observe(a.Name, out)
+		if !out.RolledBack || !out.Violation.Kind.Refinable() {
 			return attempts, nil
 		}
 		swapped, err := m.Reconcile(opts.Ctx)

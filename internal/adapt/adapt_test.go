@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"oha/internal/artifacts"
 	"oha/internal/core"
 	"oha/internal/inc"
+	"oha/internal/interp"
 	"oha/internal/invariants"
 	"oha/internal/ir"
 	"oha/internal/lang"
@@ -199,7 +201,7 @@ func TestReconcilePrebuildsBuiltClients(t *testing.T) {
 // the masks phases it recorded and its last generation's digest.
 func checkPrebuilds[D core.Detector[R], R core.Report](t *testing.T, prog *ir.Program, db *invariants.DB, a core.Analysis[D, R]) {
 	t.Helper()
-	name := a.Client.Name()
+	name := a.Name
 	reg := metrics.NewRegistry()
 	cfg := core.StaticConfig{Cache: artifacts.New("")}
 	m := New(prog, db, Options{Static: cfg, Inc: inc.NewMetrics(reg)})
@@ -286,6 +288,55 @@ func TestStatusLedgerAndMetrics(t *testing.T) {
 	}
 }
 
+// TestRunObservesFinalOutcome: Run feeds the ledger exactly once per
+// completed attempt, with that attempt's final report — rolled back,
+// charged with the aborted speculative run's dispatch counts — and a
+// canceled run feeds it nothing. MaxGenerations 1 stops the loop after
+// its first attempt, so the ledger holds one observation.
+func TestRunObservesFinalOutcome(t *testing.T) {
+	prog := lang.MustCompile(pathProg)
+	pr := profileDB(t, prog, []int64{5}, 20)
+	e := core.Execution{Inputs: []int64{500}, Seed: 3}
+	checkObserved(t, prog, pr.DB, core.Race(), e)
+	checkObserved(t, prog, pr.DB, core.Slice(lastPrint(prog), 512), e)
+	checkObserved(t, prog, pr.DB, core.Null(), e)
+}
+
+// checkObserved runs a on the violating execution e under two fresh
+// managers, once to completion and once canceled, and checks what each
+// ledger recorded.
+func checkObserved[D core.Detector[R], R core.Report](t *testing.T, prog *ir.Program, db *invariants.DB, a core.Analysis[D, R], e core.Execution) {
+	t.Helper()
+	m := New(prog, db, Options{Policy: Policy{MaxGenerations: 1}})
+	attempts, err := Run(m, a, e, core.RunOptions{})
+	if err != nil {
+		t.Fatalf("%s: %v", a.Name, err)
+	}
+	if len(attempts) != 1 {
+		t.Fatalf("%s: %d attempts, want 1 at the generation cap", a.Name, len(attempts))
+	}
+	out := attempts[0].Report.Base()
+	if !out.RolledBack || out.Violation.Kind != core.ViolationUnreachableBlock {
+		t.Fatalf("%s: rolledBack=%v violation=%v, want an unreachable-block rollback", a.Name, out.RolledBack, out.Violation)
+	}
+	st := m.Status()
+	if st.Runs != 1 || st.Rollbacks != 1 || st.IC != out.IC ||
+		!reflect.DeepEqual(st.Clients, map[string]ClientStats{a.Name: {Runs: 1, Rollbacks: 1}}) ||
+		!reflect.DeepEqual(st.ViolationsByKind, map[core.ViolationKind]uint64{core.ViolationUnreachableBlock: 1}) {
+		t.Errorf("%s: status %+v does not describe the one rolled-back report %+v", a.Name, st, *out)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m = New(prog, db, Options{})
+	if _, err := Run(m, a, e, core.RunOptions{Ctx: ctx}); !errors.Is(err, interp.ErrCanceled) {
+		t.Fatalf("%s: canceled run: err = %v, want interp.ErrCanceled", a.Name, err)
+	}
+	if st := m.Status(); st.Runs != 0 || st.Rollbacks != 0 || st.ViolationsByKind != nil || st.Clients != nil {
+		t.Errorf("%s: canceled run was observed: %+v", a.Name, st)
+	}
+}
+
 // TestStaleViolationIsIdempotent: observing the same violation twice
 // (as a run that started under the old generation would report) must
 // not produce a second generation.
@@ -302,10 +353,9 @@ func TestStaleViolationIsIdempotent(t *testing.T) {
 	}
 	// Replay the stale report by hand: an old-generation detector
 	// finishing late.
-	race, _ := core.ClientByName("race")
 	stale := &core.Outcome{RolledBack: true, Violation: core.Violation{
 		Kind: core.ViolationUnreachableBlock, Site: m.Status().History[1].Causes[0].Site, Callee: -1}}
-	m.Observe(race, prog, stale)
+	m.Observe("race", stale)
 	if m.Pending() {
 		t.Fatal("stale violation left a pending reconcile")
 	}
@@ -404,7 +454,7 @@ func TestAdaptationSoundnessProperty(t *testing.T) {
 							seed, i, a.Generation, src)
 					}
 					if i > 0 && attempts[i-1].Report.RolledBack &&
-						Refinable(attempts[i-1].Report.Violation.Kind) && a.Report.RolledBack &&
+						attempts[i-1].Report.Violation.Kind.Refinable() && a.Report.RolledBack &&
 						reflect.DeepEqual(a.Report.Violation, attempts[i-1].Report.Violation) {
 						t.Fatalf("seed %d: generation %d repeated the refined violation %s\nprogram:\n%s",
 							seed, a.Generation, a.Report.Violation, src)
@@ -414,7 +464,7 @@ func TestAdaptationSoundnessProperty(t *testing.T) {
 				// generation unless the loop stopped on a non-refinable
 				// cause.
 				last := attempts[len(attempts)-1]
-				if last.Report.RolledBack && Refinable(last.Report.Violation.Kind) {
+				if last.Report.RolledBack && last.Report.Violation.Kind.Refinable() {
 					t.Fatalf("seed %d: loop ended rolled-back on refinable %s\nprogram:\n%s",
 						seed, last.Report.Violation, src)
 				}

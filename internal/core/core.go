@@ -15,7 +15,7 @@
 // the evaluation harness: OptFT (race detection, §4; pure and hybrid
 // FastTrack), OptSlice (backward slicing, §5; full and hybrid Giri),
 // and OptNull (null/misuse checking; always-check and hybrid). All
-// three share one speculative run → check → roll back → observe path
+// three share one speculative run → check → roll back path
 // (speculate).
 package core
 
@@ -52,20 +52,6 @@ type RunOptions struct {
 	// Engine selects the interpreter engine (default: compiled
 	// bytecode; interp.EngineTree for the reference tree-walker).
 	Engine interp.EngineKind
-	// Adapt, when non-nil, observes every OptFT/OptSlice/OptNull report
-	// — the hook the adaptive speculation manager (internal/adapt) uses
-	// to feed its violation ledger. The observer runs after the report
-	// is final (including rollback re-execution) and must not mutate it.
-	Adapt Adapter
-}
-
-// Adapter observes analysis reports as they are produced. It is
-// implemented by adapt.Manager; core itself never refines — the
-// observer only records, keeping run latency flat.
-type Adapter interface {
-	// Observe is called once per optimistic Run with the client that
-	// ran, the analyzed program, and the final report's outcome.
-	Observe(c Client, prog *ir.Program, out *Outcome)
 }
 
 // chooser builds the deterministic chooser for an execution.

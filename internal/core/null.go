@@ -404,5 +404,5 @@ func (o *OptNull) DischargeRatio() float64 { return o.Pred.DischargeRatio() }
 func (o *OptNull) Run(e Execution, opts RunOptions) (*NullReport, error) {
 	checker := &nullChecker{nullTables: o.tables, checkState: checkState{abort: &interp.Abort{}}}
 	report := func(res *interp.Result) *NullReport { return nullReport(&checker.log, res, o.Pred) }
-	return speculate(nullClient{}, o.plan, checker, &checker.checkState, e, opts, report, nil, o.Sound.Run)
+	return speculate(o.plan, checker, &checker.checkState, e, opts, report, nil, o.Sound.Run)
 }

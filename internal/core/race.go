@@ -340,7 +340,7 @@ func (o *OptFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
 		}
 		return Violation{}
 	}
-	return speculate(raceClient{}, o.spec, tracer, &checker.checkState, e, opts, report, suspect, o.Sound.Run)
+	return speculate(o.spec, tracer, &checker.checkState, e, opts, report, suspect, o.Sound.Run)
 }
 
 // ValidateCustomSync performs the iterative no-custom-synchronization

@@ -339,7 +339,7 @@ func (o *OptSlice) Run(e Execution, opts RunOptions) (*SliceReport, error) {
 	defer tr.Release()
 	checker := o.tables.newChecker(abort)
 	report := func(res *interp.Result) *SliceReport { return sliceReport(tr, o.Criterion, res) }
-	return speculate(sliceClient{}, o.plan, &optSliceTracer{tr: tr, checker: checker}, &checker.checkState, e, opts, report, nil, o.Sound.Run)
+	return speculate(o.plan, &optSliceTracer{tr: tr, checker: checker}, &checker.checkState, e, opts, report, nil, o.Sound.Run)
 }
 
 // sliceReport assembles one slicing run's report.

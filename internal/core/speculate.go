@@ -74,12 +74,12 @@ func (c *checkState) violate(v Violation) {
 // hybrid analysis, charging the aborted work to the result. report
 // builds a clean run's result; suspect, when non-nil, names the reason
 // a clean run's result still needs the sound re-execution (zero: it
-// does not). The adapter observes the final report once.
+// does not).
 //
 // The callbacks are parameters rather than struct fields so that they
 // stay on the stack: escape analysis does not track struct fields
 // apart, and the tracer escapes into the interpreter.
-func speculate[R Report](c Client, p *plan, tracer interp.Tracer, check *checkState, e Execution, opts RunOptions,
+func speculate[R Report](p *plan, tracer interp.Tracer, check *checkState, e Execution, opts RunOptions,
 	report func(*interp.Result) R, suspect func() Violation, sound func(Execution, RunOptions) (R, error)) (R, error) {
 	var rep R
 	res, err := p.run(e, tracer, check.abort, opts)
@@ -109,10 +109,6 @@ func speculate[R Report](c Client, p *plan, tracer interp.Tracer, check *checkSt
 		out.Stats.Add(res.Stats)
 		out.IC.Add(res.IC)
 	}
-	out := rep.Base()
-	out.CheckEvents = check.Events
-	if opts.Adapt != nil {
-		opts.Adapt.Observe(c, p.prog, out)
-	}
+	rep.Base().CheckEvents = check.Events
 	return rep, nil
 }

@@ -2,14 +2,19 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+
+	"oha/internal/invariants"
 )
 
 // ViolationKind names one checkable likely-invariant kind (or an
 // auxiliary rollback cause). The values are stable wire/ledger
 // identifiers: the adaptive speculation manager keys its violation
-// counters and refinement rules on them, and the daemon exposes them
-// as metric labels.
+// counters on them, and the daemon exposes them as metric labels. The
+// kind alone decides how a violation refines the invariant database
+// (Refinable, Violation.Refine, Violation.FactKey), whichever client
+// raised it.
 type ViolationKind string
 
 // Violation kinds.
@@ -47,6 +52,18 @@ const (
 	// rolls back like one, so reports carry it uniformly. Site is -1.
 	ViolationTraceLimit ViolationKind = "trace-limit"
 )
+
+// Refinable reports whether k refutes an invariant fact the adaptive
+// manager can remove. The zero kind and the trace limit (like any
+// unknown kind) roll back but refine nothing.
+func (k ViolationKind) Refinable() bool {
+	switch k {
+	case ViolationUnreachableBlock, ViolationSingletonSpawn, ViolationGuardingLock,
+		ViolationElidedLockRace, ViolationCalleeSet, ViolationCallContext, ViolationNonNull:
+		return true
+	}
+	return false
+}
 
 // Violation is a structured mis-speculation reason. The zero value
 // means "no violation"; RolledBack reports carry the first violation
@@ -111,6 +128,55 @@ func (v Violation) String() string {
 	}
 	if v.Detail != "" {
 		b.WriteString(": " + v.Detail)
+	}
+	return b.String()
+}
+
+// Refine weakens db by the fact v refutes, using the invariant
+// package's merge-respecting weaken helpers: the result is what
+// profiling would have produced had it also observed the violating
+// execution. Reports whether db changed (false: the fact was already
+// absent, or v's kind is not Refinable).
+func (v Violation) Refine(db *invariants.DB) bool {
+	switch v.Kind {
+	case ViolationUnreachableBlock:
+		return db.MarkVisited(v.Site)
+	case ViolationSingletonSpawn:
+		return db.RetractSingletonSpawn(v.Site)
+	case ViolationGuardingLock:
+		return db.DropMustAliasGroup(v.Site) > 0
+	case ViolationElidedLockRace:
+		return db.ClearElidableLocks()
+	case ViolationCalleeSet:
+		return db.WidenCallees(v.Site, v.Callee)
+	case ViolationCallContext:
+		return db.AddContext(v.Path)
+	case ViolationNonNull:
+		return db.RetractNonNullLoad(v.Site)
+	}
+	return false
+}
+
+// FactKey fingerprints the invariant fact v refutes: kind@site, plus
+// ">callee" for a callee-set violation and "/s1/s2/…" (the context
+// path) for a call-context one. It is the unit the adaptive ledger
+// counts toward its threshold, and it keys refined databases in the
+// artifact cache, so the format is stable. Distinct dynamic
+// observations of one fact collapse to one key.
+func (v Violation) FactKey() string {
+	var b strings.Builder
+	b.WriteString(string(v.Kind))
+	b.WriteByte('@')
+	b.WriteString(strconv.Itoa(v.Site))
+	switch v.Kind {
+	case ViolationCalleeSet:
+		b.WriteByte('>')
+		b.WriteString(strconv.Itoa(v.Callee))
+	case ViolationCallContext:
+		for _, s := range v.Path {
+			b.WriteByte('/')
+			b.WriteString(strconv.Itoa(s))
+		}
 	}
 	return b.String()
 }

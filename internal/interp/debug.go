@@ -261,11 +261,3 @@ func (s *Session) Threads() []DebugThread {
 	}
 	return out
 }
-
-// SourceLine maps a PC to its source line (0 if unknown).
-func (s *Session) SourceLine(pc int32) int {
-	if pc < 0 || int(pc) >= len(s.e.code.code) {
-		return 0
-	}
-	return s.e.code.code[pc].in.Pos.Line
-}

@@ -165,17 +165,6 @@ func ReachableBlocks(f *Function) *bitset.Set {
 	return s
 }
 
-// CallSites returns every call and spawn instruction in the program.
-func (p *Program) CallSites() []*Instr {
-	var out []*Instr
-	for _, in := range p.Instrs {
-		if in.IsCallLike() {
-			out = append(out, in)
-		}
-	}
-	return out
-}
-
 // Dominators computes, for one function, the set of blocks dominating
 // each block (by block Index within the function, including the block
 // itself). Standard iterative bitset algorithm; function CFGs are

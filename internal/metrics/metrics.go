@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing counter. The zero value is
@@ -92,9 +91,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// ObserveSince records the seconds elapsed since start.
-func (h *Histogram) ObserveSince(start time.Time) { h.Observe(time.Since(start).Seconds()) }
 
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }

@@ -314,6 +314,3 @@ func (r *Result) RootsOf(f *ir.Function) *bitset.Set { return r.roots[f.ID] }
 
 // NumRoots returns the number of thread roots (main + spawn sites).
 func (r *Result) NumRoots() int { return len(r.multi) }
-
-// MultiRoot reports whether root id may have several live threads.
-func (r *Result) MultiRoot(id int) bool { return r.multi[id] }

@@ -28,41 +28,10 @@ package nullcheck
 
 import (
 	"oha/internal/bitset"
-	"oha/internal/interp"
 	"oha/internal/invariants"
 	"oha/internal/ir"
 	"oha/internal/pointsto"
 )
-
-// Observer is the raw dynamic observation behind the likely-non-null-
-// loads invariant: the set of load sites ever seen producing 0. Its
-// per-event work is one zero test and (rarely) one bitset insert —
-// exactly the shape the compiled engine's FastNull inline path
-// assumes, so a tracer built on an Observer lets the engine settle
-// every non-nil load without an interface call.
-type Observer struct {
-	zero *bitset.Set
-}
-
-// NewObserver returns an empty observer.
-func NewObserver() *Observer { return &Observer{zero: &bitset.Set{}} }
-
-// Observe records one load observation.
-func (o *Observer) Observe(in *ir.Instr, val int64) {
-	if val == 0 {
-		o.zero.Add(in.ID)
-	}
-}
-
-// ZeroLoads returns the set of load sites observed producing 0.
-func (o *Observer) ZeroLoads() *bitset.Set { return o.zero }
-
-// FastState describes the observer to the engine's inline fast path:
-// non-nil loads are pure no-ops (no counter, nothing recorded), only
-// v == 0 needs the full Load call.
-func (o *Observer) FastState() *interp.FastState {
-	return &interp.FastState{Kind: interp.FastNull}
-}
 
 // Result is the static phase's output for one (program, database)
 // pair.

@@ -134,11 +134,11 @@ func Masks(prog *ir.Program) interp.Masks {
 }
 
 // FastState implements interp.FastTracer with a descriptor private to
-// this run. Profiling's Load handler is a pure zero-test (the same
-// shape as nullcheck.Observer), so the engine settles every non-nil
-// load inline; and BlockEnter only marks the block entered, so the
-// engine marks the run's coverage row (Blocks) itself instead of
-// calling it. The collector's other events are unaffected.
+// this run. Profiling's Load handler is a pure zero-test (the shape
+// the engine's FastNull inline path assumes), so the engine settles
+// every non-nil load inline; and BlockEnter only marks the block
+// entered, so the engine marks the run's coverage row (Blocks) itself
+// instead of calling it. The collector's other events are unaffected.
 func (c *Collector) FastState() *interp.FastState { return &c.fast }
 
 // newStack returns a thread stack rooted at function fnID with context

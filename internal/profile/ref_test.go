@@ -61,8 +61,8 @@ func newRefCollector(prog *ir.Program) *refCollector {
 }
 
 // FastState implements interp.FastTracer: profiling's Load handler is
-// a pure zero-test (the same shape as nullcheck.Observer), so the
-// engine can settle every non-nil load inline. The collector's other
+// a pure zero-test (the shape the FastNull inline path assumes), so
+// the engine can settle every non-nil load inline. The collector's other
 // events are unaffected.
 func (c *refCollector) FastState() *interp.FastState {
 	return &interp.FastState{Kind: interp.FastNull}

@@ -44,10 +44,10 @@ func TestServerPlainSliceHonoursNoFastPath(t *testing.T) {
 	}
 }
 
-// TestServerFastPathLabelsUseClientName: analysis job kinds resolve
-// through the client registry (an unregistered kind is a bad request),
-// and the fast-path counters are labeled with the registry's client
-// name, the same value the job kind and the oha_adapt_* families use.
+// TestServerFastPathLabelsUseClientName: analysis job kinds are
+// checked against core.ClientNames (an unknown kind is a bad request),
+// and the fast-path counters are labeled with the client's name, the
+// same value the job kind and the oha_adapt_* families use.
 func TestServerFastPathLabelsUseClientName(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1, QueueSize: 8, JobTimeout: 30 * time.Second})
 	id := c.submitProgram(nullSrc)

@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -581,7 +582,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		}
 		fn = s.refineJob(sp, req)
 	default:
-		if _, ok := core.ClientByName(req.Kind); !ok {
+		if !slices.Contains(core.ClientNames, req.Kind) {
 			writeError(w, http.StatusBadRequest, "unknown job kind %q", req.Kind)
 			return
 		}
@@ -940,10 +941,10 @@ func analyze[D core.Detector[R], R core.Report, W any](ctx context.Context, s *S
 		}
 		s.notifyGeneration(req.InvariantsID, sp.ID, m)
 		for _, t := range res.Attempts[:len(res.Attempts)-1] {
-			s.observeIC(a.Client.Name(), t.Report.Base().IC)
+			s.observeIC(a.Name, t.Report.Base().IC)
 		}
 	}
-	s.observeIC(a.Client.Name(), res.Report.Base().IC)
+	s.observeIC(a.Name, res.Report.Base().IC)
 	return result(res), nil
 }
 

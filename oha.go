@@ -289,8 +289,8 @@ func RunDJIT(prog *Program, e Execution, opts RunOptions) (*RaceReport, error) {
 // violated likely-invariant facts out of the database, re-runs the
 // predicated static analysis in the background, and hot-swaps the new
 // generation in — so one mis-speculation never costs a second
-// rollback. Use RunAdaptive for the refine-and-retry loop, or install
-// it as RunOptions.Adapt to only observe.
+// rollback. Use RunAdaptive for the refine-and-retry loop, or call its
+// Observe with a client name and a report's Outcome to only record.
 type SpeculationManager = adapt.Manager
 
 // SpeculationOptions configures a SpeculationManager.
