@@ -518,8 +518,9 @@ func BenchmarkProfileParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkHarnessParallel measures a full Figure 6 regeneration at
-// experiment-pool sizes 1 and GOMAXPROCS.
+// BenchmarkHarnessParallel measures a full Figure 10 regeneration,
+// which fans its workloads out, at experiment-pool sizes 1 and
+// GOMAXPROCS.
 func BenchmarkHarnessParallel(b *testing.B) {
 	for _, parallel := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("parallel=%d", parallel), func(b *testing.B) {
@@ -528,7 +529,7 @@ func BenchmarkHarnessParallel(b *testing.B) {
 					ProfileRuns: 8, TestRuns: 2, Budget: benchBudget, Repeat: 1,
 					Parallel: parallel,
 				}
-				if _, err := harness.Fig6(opts); err != nil {
+				if _, err := harness.Fig10(opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -5,20 +5,22 @@
 //
 //	ohabench -exp fig5|tab1|fig6|tab2|fig7|fig8|fig9|fig10|fig11|all
 //	         [-profile-runs N] [-test-runs N] [-budget N] [-repeat N]
-//	         [-parallel N] [-cache-dir DIR] [-exclusive-timing]
-//	         [-cache-stats]
+//	         [-parallel N] [-cache-dir DIR] [-cache-stats]
 //
 // Every experiment re-verifies the core soundness property while
 // measuring: the optimistic analyses must produce results identical to
 // their unoptimized counterparts on every run. All deterministic
 // columns (event counts, node counts, slice sizes, rollbacks) are
 // identical for every -parallel value; only wall-clock columns vary.
+// Tables 1 and 2 are derived from the Figure 5 and Figure 6
+// measurements, so each workload is timed once.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"oha/internal/artifacts"
 	"oha/internal/harness"
@@ -29,22 +31,20 @@ func main() {
 	profileRuns := flag.Int("profile-runs", 32, "max profiling executions per benchmark")
 	testRuns := flag.Int("test-runs", 8, "testing executions per benchmark")
 	budget := flag.Int("budget", 24, "context-sensitive analysis clone budget")
-	repeat := flag.Int("repeat", 3, "timing repetitions (min is reported)")
+	repeat := flag.Int("repeat", 3, "timing rounds per Figure 5/6 testing execution (median is reported)")
 	parallel := flag.Int("parallel", 0, "experiment worker-pool size (0: GOMAXPROCS, 1: sequential)")
-	cacheDir := flag.String("cache-dir", "", "persist portable static artifacts under this directory (default: in-memory only)")
-	exclusiveTiming := flag.Bool("exclusive-timing", false, "serialize timed sections for stable wall-clock numbers under -parallel > 1")
+	cacheDir := flag.String("cache-dir", "", "persist the portable static artifacts of figures 7-11 under this directory (default: in-memory only)")
 	cacheStats := flag.Bool("cache-stats", false, "print artifact-cache hit/miss counters on exit")
 	flag.Parse()
 
 	cache := artifacts.New(*cacheDir)
 	opts := harness.Options{
-		ProfileRuns:     *profileRuns,
-		TestRuns:        *testRuns,
-		Budget:          *budget,
-		Repeat:          *repeat,
-		Parallel:        *parallel,
-		ExclusiveTiming: *exclusiveTiming,
-		Cache:           cache,
+		ProfileRuns: *profileRuns,
+		TestRuns:    *testRuns,
+		Budget:      *budget,
+		Repeat:      *repeat,
+		Parallel:    *parallel,
+		Cache:       cache,
 	}
 	defer func() {
 		if *cacheStats {
@@ -54,87 +54,80 @@ func main() {
 		}
 	}()
 
-	run := func(name string, f func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "ohabench: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Println()
+	wants := func(names ...string) bool {
+		return *exp == "all" || slices.Contains(names, *exp)
 	}
-
-	run("fig5", func() error {
+	fail := func(name string, err error) {
+		fmt.Fprintf(os.Stderr, "ohabench: %s: %v\n", name, err)
+		os.Exit(1)
+	}
+	// Table 1 is derived from Figure 5's rows and Table 2 from Figure
+	// 6's: one measurement per workload.
+	if wants("fig5", "tab1") {
 		rows, err := harness.Fig5(opts)
 		if err != nil {
-			return err
+			fail("fig5", err)
 		}
-		harness.PrintFig5(os.Stdout, rows)
-		return nil
-	})
-	run("tab1", func() error {
-		rows, err := harness.Tab1(opts)
-		if err != nil {
-			return err
+		if wants("fig5") {
+			harness.PrintFig5(os.Stdout, rows)
+			fmt.Println()
 		}
-		harness.PrintTab1(os.Stdout, rows)
-		return nil
-	})
-	run("fig6", func() error {
+		if wants("tab1") {
+			harness.PrintTab1(os.Stdout, harness.Tab1(rows))
+			fmt.Println()
+		}
+	}
+	if wants("fig6", "tab2") {
 		rows, err := harness.Fig6(opts)
 		if err != nil {
-			return err
+			fail("fig6", err)
 		}
-		harness.PrintFig6(os.Stdout, rows)
-		return nil
-	})
-	run("tab2", func() error {
-		rows, err := harness.Tab2(opts)
-		if err != nil {
-			return err
+		if wants("fig6") {
+			harness.PrintFig6(os.Stdout, rows)
+			fmt.Println()
 		}
-		harness.PrintTab2(os.Stdout, rows)
-		return nil
-	})
+		if wants("tab2") {
+			harness.PrintTab2(os.Stdout, harness.Tab2(rows))
+			fmt.Println()
+		}
+	}
 	// fig7 and fig8 share one sweep.
-	if *exp == "fig7" || *exp == "fig8" || *exp == "all" {
+	if wants("fig7", "fig8") {
 		rows, err := harness.Sweep(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ohabench: sweep: %v\n", err)
-			os.Exit(1)
+			fail("sweep", err)
 		}
-		if *exp == "fig7" || *exp == "all" {
+		if wants("fig7") {
 			harness.PrintFig7(os.Stdout, rows)
 			fmt.Println()
 		}
-		if *exp == "fig8" || *exp == "all" {
+		if wants("fig8") {
 			harness.PrintFig8(os.Stdout, rows)
 			fmt.Println()
 		}
 	}
-	run("fig9", func() error {
+	if wants("fig9") {
 		rows, err := harness.Fig9(opts)
 		if err != nil {
-			return err
+			fail("fig9", err)
 		}
 		harness.PrintFig9(os.Stdout, rows)
-		return nil
-	})
-	run("fig10", func() error {
+		fmt.Println()
+	}
+	if wants("fig10") {
 		rows, err := harness.Fig10(opts)
 		if err != nil {
-			return err
+			fail("fig10", err)
 		}
 		harness.PrintFig10(os.Stdout, rows)
-		return nil
-	})
-	run("fig11", func() error {
+		fmt.Println()
+	}
+	if wants("fig11") {
 		rows, err := harness.Fig11(opts)
 		if err != nil {
-			return err
+			fail("fig11", err)
 		}
 		harness.PrintFig11(os.Stdout, rows)
-		return nil
-	})
+		fmt.Println()
+	}
 }

@@ -17,13 +17,13 @@
 // kind and overall, alongside throughput, error counts, retry
 // counters, and a scrape of each target's /metrics (artifact-cache
 // hit rates, fleet routing counters). The report is written as JSON
-// to -out (default stdout), suitable for committing as BENCH_*.json.
+// to -out (default stdout), one self-describing record per run.
 //
 // Usage:
 //
 //	ohaload -targets http://127.0.0.1:8344,http://127.0.0.1:8345 \
 //	        -programs 8 -jobs 500 -concurrency 16 \
-//	        -mix profile=0.2,race=0.5,slice=0.3 -out BENCH_fleet.json
+//	        -mix profile=0.2,race=0.5,slice=0.3 -out fleet.json
 //
 // With -coldstart, ohaload instead measures AOT artifact persistence:
 // it boots an in-process daemon twice over the same cache/state dirs

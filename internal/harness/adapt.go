@@ -50,15 +50,13 @@ type AdaptRow struct {
 // order.
 func Adaptive(opts Options) ([]AdaptRow, error) {
 	opts = opts.Defaults()
-	env := newEnv(opts)
 	return mapOrdered(opts.Parallel, workloads.Races(), func(_ int, w *workloads.Workload) (AdaptRow, error) {
-		return adaptiveRow(env, w)
+		return adaptiveRow(opts, w)
 	})
 }
 
-func adaptiveRow(env *env, w *workloads.Workload) (AdaptRow, error) {
-	opts := env.opts
-	pr, _, err := profiled(w, env)
+func adaptiveRow(opts Options, w *workloads.Workload) (AdaptRow, error) {
+	pr, err := profiled(w, opts, opts.Cache)
 	if err != nil {
 		return AdaptRow{}, err
 	}

@@ -18,7 +18,7 @@ package harness
 import (
 	"fmt"
 	"runtime"
-	"sync"
+	"slices"
 	"time"
 
 	"oha/internal/artifacts"
@@ -37,23 +37,21 @@ type Options struct {
 	TestRuns int
 	// Budget bounds context-sensitive analyses (clones).
 	Budget int
-	// Repeat repeats each timed dynamic run to stabilize wall-clock
-	// numbers.
+	// Repeat is the number of timing rounds per Figure 5/6 testing
+	// execution; each configuration reports its median over them.
 	Repeat int
-	// Parallel bounds the experiment worker pool: per-workload setups,
-	// testing-set replays, and profiling runs fan out over up to
-	// Parallel workers (0: runtime.GOMAXPROCS(0), 1: sequential).
-	// Every deterministic output — event counts, node counts, slice
-	// sizes, mis-speculation rates — is identical for every value;
-	// only wall-clock readings vary.
+	// Parallel bounds the profiling worker pool and fans the workloads
+	// of the other experiments out over up to Parallel workers (0:
+	// runtime.GOMAXPROCS(0), 1: sequential). Figures 5/6 time one
+	// workload at a time. Every deterministic output — event counts,
+	// node counts, slice sizes, mis-speculation rates — is identical
+	// for every value; only wall-clock readings vary.
 	Parallel int
-	// ExclusiveTiming serializes timed sections on a global semaphore
-	// so wall-clock numbers stay stable under Parallel > 1, trading
-	// away most of the parallel speedup of the timed portions.
-	ExclusiveTiming bool
 	// Cache, when non-nil, memoizes static artifacts (points-to, MHP,
 	// static-race, static-slice results) and per-run profiling
-	// databases by content address across experiments.
+	// databases by content address across the experiments that do not
+	// time their set-up (Figures 7–11 and Adaptive). Figures 5/6 never
+	// consult it, so no set-up time they report is a cache hit.
 	Cache *artifacts.Cache
 }
 
@@ -70,50 +68,13 @@ func (o Options) Defaults() Options {
 	if o.Budget == 0 {
 		o.Budget = 4096
 	}
-	if o.Repeat == 0 {
+	if o.Repeat <= 0 {
 		o.Repeat = 3
 	}
 	if o.Parallel <= 0 {
 		o.Parallel = runtime.GOMAXPROCS(0)
 	}
 	return o
-}
-
-// env bundles one experiment invocation's options with its timing gate
-// and artifact cache.
-type env struct {
-	opts Options
-	gate *sync.Mutex // non-nil: exclusive-timing semaphore
-}
-
-// newEnv prepares the experiment environment (opts must already have
-// defaults applied).
-func newEnv(opts Options) *env {
-	e := &env{opts: opts}
-	if opts.ExclusiveTiming {
-		e.gate = &sync.Mutex{}
-	}
-	return e
-}
-
-// timed measures f, holding the exclusive-timing semaphore if enabled.
-func (e *env) timed(f func() error) (float64, error) {
-	if e.gate != nil {
-		e.gate.Lock()
-		defer e.gate.Unlock()
-	}
-	return timed(f)
-}
-
-// timedN is timedN under the exclusive-timing semaphore: the whole
-// repeat loop runs exclusively so the minimum is taken over undisturbed
-// repetitions.
-func (e *env) timedN(f func() error) (float64, error) {
-	if e.gate != nil {
-		e.gate.Lock()
-		defer e.gate.Unlock()
-	}
-	return timedN(e.opts.Repeat, f)
 }
 
 // profileExec builds the profiling execution for run i.
@@ -139,29 +100,6 @@ func plainRunner(prog *ir.Program) func(core.Execution) (*interp.Result, error) 
 	}
 }
 
-// timed measures the wall-clock seconds of f.
-func timed(f func() error) (float64, error) {
-	start := time.Now()
-	err := f()
-	return time.Since(start).Seconds(), err
-}
-
-// timedN runs f repeat times and returns the minimum duration (the
-// usual noise-robust estimator for deterministic work).
-func timedN(repeat int, f func() error) (float64, error) {
-	best := -1.0
-	for i := 0; i < repeat; i++ {
-		d, err := timed(f)
-		if err != nil {
-			return 0, err
-		}
-		if best < 0 || d < best {
-			best = d
-		}
-	}
-	return best, nil
-}
-
 // lastPrint returns the workload's final print instruction — the slice
 // criterion used throughout (the program's primary output).
 func lastPrint(prog *ir.Program) *ir.Instr {
@@ -174,27 +112,90 @@ func lastPrint(prog *ir.Program) *ir.Instr {
 	return out
 }
 
-// profiled runs the profiling phase for a workload and returns the
-// result plus the measured profiling seconds. Profiling runs fan out
-// over the experiment's worker pool; the merge replays sequential run
+// profiled runs the profiling phase for a workload. Profiling runs
+// fan out over Parallel workers; the merge replays sequential run
 // order, so the databases are bit-identical for every Parallel value.
-// Under ExclusiveTiming the whole profiling phase holds the timing
-// semaphore (it is a timed section).
-func profiled(w *workloads.Workload, e *env) (*core.ProfileResult, float64, error) {
-	var pr *core.ProfileResult
-	sec, err := e.timed(func() error {
-		var err error
-		pr, err = core.ProfileWith(w.Prog(), func(run int) core.Execution {
-			return profileExec(w, run)
-		}, core.ProfileOptions{
-			MaxRuns: e.opts.ProfileRuns,
-			Workers: e.opts.Parallel,
-			Cache:   e.opts.Cache,
-		})
-		return err
+func profiled(w *workloads.Workload, opts Options, cache *artifacts.Cache) (*core.ProfileResult, error) {
+	pr, err := core.ProfileWith(w.Prog(), func(run int) core.Execution {
+		return profileExec(w, run)
+	}, core.ProfileOptions{
+		MaxRuns: opts.ProfileRuns,
+		Workers: opts.Parallel,
+		Cache:   cache,
 	})
 	if err != nil {
-		return nil, 0, fmt.Errorf("%s: profiling: %w", w.Name, err)
+		return nil, fmt.Errorf("%s: profiling: %w", w.Name, err)
 	}
-	return pr, sec, nil
+	return pr, nil
+}
+
+// timed returns the wall-clock seconds f takes.
+func timed(f func() error) (float64, error) {
+	start := time.Now()
+	err := f()
+	return time.Since(start).Seconds(), err
+}
+
+// rounds times one testing execution under every configuration in
+// runs. Each of repeat rounds follows a runtime.GC() and runs every
+// configuration once, starting one configuration later than the round
+// before, so no configuration always runs first or straight after a
+// collection. It returns sec[config][round].
+func rounds(repeat int, runs []func() error) ([][]float64, error) {
+	sec := make([][]float64, len(runs))
+	for c := range sec {
+		sec[c] = make([]float64, repeat)
+	}
+	for r := 0; r < repeat; r++ {
+		runtime.GC()
+		for k := range runs {
+			c := (r + k) % len(runs)
+			d, err := timed(runs[c])
+			if err != nil {
+				return nil, err
+			}
+			sec[c][r] = d
+		}
+	}
+	return sec, nil
+}
+
+// Quartiles summarises a sample by its median and interquartile range.
+type Quartiles struct {
+	P25, Median, P75 float64
+}
+
+// quartiles returns the linearly interpolated quartiles of xs.
+func quartiles(xs []float64) Quartiles {
+	if len(xs) == 0 {
+		return Quartiles{}
+	}
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	at := func(q float64) float64 {
+		pos := q * float64(len(s)-1)
+		i := int(pos)
+		if i+1 >= len(s) {
+			return s[i]
+		}
+		return s[i] + (pos-float64(i))*(s[i+1]-s[i])
+	}
+	return Quartiles{P25: at(0.25), Median: at(0.5), P75: at(0.75)}
+}
+
+// Resolved reports whether a ratio's sign is settled: both quartiles
+// lie on the same side of 1.
+func (q Quartiles) Resolved() bool { return q.P75 < 1 || q.P25 > 1 }
+
+// String renders a ratio as "median [p25,p75] mark", the mark being
+// <1 or >1 when resolved and ~1 when the quartiles straddle 1.
+func (q Quartiles) String() string {
+	mark := "~1"
+	switch {
+	case q.P75 < 1:
+		mark = "<1"
+	case q.P25 > 1:
+		mark = ">1"
+	}
+	return fmt.Sprintf("%5.2f [%4.2f,%4.2f] %s", q.Median, q.P25, q.P75, mark)
 }

@@ -168,6 +168,67 @@ func TestBreakEvenMath(t *testing.T) {
 	}
 }
 
+// Tables 1/2 are pure functions of the Figure 5/6 rows: their set-up
+// columns and speedups are the rows' own values, and break-even is
+// solved from them.
+func TestTablesFromFigureRows(t *testing.T) {
+	fig5 := []Fig5Row{
+		{Name: "free", RaceFree: true, PlainSec: 1, FTSec: 2, HybridSec: 1, OptSec: 1},
+		{Name: "racy", PlainSec: 1, FTSec: 3, HybridSec: 2, OptSec: 1,
+			ProfileSec: 0.5, ProfileRuns: 7, SoundSec: 0.125, PredSec: 0.25},
+	}
+	want1 := []Tab1Row{{
+		Name: "racy", SoundSec: 0.125, ProfileSec: 0.5, ProfileRuns: 7, PredSec: 0.25,
+		// Optimistic start-up 0.75 s against 0.125 s (hybrid) and 0 s
+		// (FastTrack), at normalized rates 1 against 2 and 3.
+		BreakEvenVsHybrid: 0.625, BreakEvenVsFT: 0.375,
+		SpeedupVsHybrid: 2, SpeedupVsFT: 3,
+	}}
+	if got := Tab1(fig5); !reflect.DeepEqual(got, want1) {
+		t.Errorf("Tab1 = %+v\nwant %+v", got, want1)
+	}
+
+	fig6 := []Fig6Row{{Name: "s", PlainSec: 2, HybridSec: 6, OptSec: 2,
+		HybridAT: core.CI, OptAT: core.CS,
+		ProfileSec: 1, ProfileRuns: 9, SoundSec: 0.25, PredSec: 0.5}}
+	want2 := []Tab2Row{{
+		Name: "s", TradAT: core.CI, TradSec: 0.25, OptAT: core.CS, OptSec: 0.5,
+		ProfSec: 1, ProfRuns: 9,
+		// Start-up 1.5 s against 0.25 s at normalized rates 1 against 3.
+		BreakEvenSec: 0.625, DynamicSpeedup: 3,
+	}}
+	if got := Tab2(fig6); !reflect.DeepEqual(got, want2) {
+		t.Errorf("Tab2 = %+v\nwant %+v", got, want2)
+	}
+}
+
+// A ratio's sign is resolved only when both quartiles lie on one side
+// of 1.
+func TestQuartilesResolved(t *testing.T) {
+	for _, tc := range []struct {
+		xs       []float64
+		resolved bool
+		mark     string
+	}{
+		{[]float64{0.7, 0.8, 0.9, 0.95, 0.97}, true, "<1"},
+		{[]float64{1.05, 1.1, 1.2, 1.3, 1.4}, true, ">1"},
+		{[]float64{0.8, 0.9, 1.0, 1.1, 1.2}, false, "~1"},
+		{[]float64{0.5, 0.98, 0.99, 1.01, 1.02, 2}, false, "~1"},
+	} {
+		q := quartiles(tc.xs)
+		if q.Resolved() != tc.resolved || !strings.HasSuffix(q.String(), tc.mark) {
+			t.Errorf("%v: quartiles %+v resolved=%v %q, want resolved=%v mark %s",
+				tc.xs, q, q.Resolved(), q, tc.resolved, tc.mark)
+		}
+	}
+	if q := quartiles([]float64{4, 1, 3, 2, 5}); q != (Quartiles{P25: 2, Median: 3, P75: 4}) {
+		t.Errorf("quartiles of 1..5 = %+v", q)
+	}
+	if q := quartiles([]float64{1, 2}); q.Median != 1.5 {
+		t.Errorf("median of {1,2} = %v, want 1.5", q.Median)
+	}
+}
+
 func TestFmtBE(t *testing.T) {
 	if fmtBE(math.Inf(1)) != "never" || fmtBE(0) != "0s" {
 		t.Error("fmtBE sentinels wrong")

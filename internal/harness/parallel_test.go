@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"oha/internal/artifacts"
@@ -60,14 +61,15 @@ func deterministicFig6(rows []Fig6Row) []Fig6Row {
 	copy(out, rows)
 	for i := range out {
 		out[i].PlainSec, out[i].HybridSec, out[i].OptSec = 0, 0, 0
+		out[i].OptVsHybrid = Quartiles{}
+		out[i].ProfileSec, out[i].SoundSec, out[i].PredSec = 0, 0, 0
 	}
 	return out
 }
 
-// TestHarnessParallelDeterminism asserts that the experiment pool
-// changes only wall-clock readings: every deterministic Figure 6 column
-// is identical across pool sizes, with and without a warm artifact
-// cache, and rows stay in suite order.
+// TestHarnessParallelDeterminism asserts that the profiling pool
+// changes only wall-clock readings: every deterministic Figure 6
+// column is identical across pool sizes, and rows stay in suite order.
 func TestHarnessParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite experiment")
@@ -79,23 +81,47 @@ func TestHarnessParallelDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := deterministicFig6(seq)
+	for _, parallel := range []int{2, 8} {
+		opts := tiny()
+		opts.Parallel = parallel
+		rows, err := Fig6(opts)
+		if err != nil {
+			t.Fatalf("parallel=%d: %v", parallel, err)
+		}
+		got := deterministicFig6(rows)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("parallel=%d: row %d diverged:\n got %+v\nwant %+v", parallel, i, got[i], want[i])
+			}
+		}
+	}
+}
 
+// TestSweepParallelDeterminism asserts that the Figure 7/8 sweep is
+// identical across pool sizes, with and without a warm artifact cache,
+// and that the warm passes are served from the cache.
+func TestSweepParallelDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-suite experiment")
+	}
+	base := tiny()
+	base.Parallel = 1
+	want, err := Sweep(base)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cache := artifacts.New("")
 	for _, parallel := range []int{2, 8} {
 		for pass := 0; pass < 2; pass++ { // second pass: warm cache
 			opts := tiny()
 			opts.Parallel = parallel
 			opts.Cache = cache
-			rows, err := Fig6(opts)
+			got, err := Sweep(opts)
 			if err != nil {
 				t.Fatalf("parallel=%d pass=%d: %v", parallel, pass, err)
 			}
-			got := deterministicFig6(rows)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("parallel=%d pass=%d: row %d diverged:\n got %+v\nwant %+v",
-						parallel, pass, i, got[i], want[i])
-				}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("parallel=%d pass=%d: sweep diverged:\n got %+v\nwant %+v", parallel, pass, got, want)
 			}
 		}
 	}
@@ -104,27 +130,23 @@ func TestHarnessParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestExclusiveTimingStillCorrect runs an experiment with the timing
-// semaphore enabled and checks the deterministic columns survive.
-func TestExclusiveTimingStillCorrect(t *testing.T) {
+// TestTimedSetupBypassesCache asserts that Figures 5/6 never consult
+// the artifact cache: every set-up time they report, and so every
+// Table 1/2 column, is a cold build.
+func TestTimedSetupBypassesCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite experiment")
 	}
+	cache := artifacts.New("")
 	opts := tiny()
-	opts.Parallel = 4
-	opts.ExclusiveTiming = true
-	rows, err := Fig6(opts)
-	if err != nil {
+	opts.Cache = cache
+	if _, err := Fig5(opts); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Fig6(tiny())
-	if err != nil {
+	if _, err := Fig6(opts); err != nil {
 		t.Fatal(err)
 	}
-	got, want := deterministicFig6(rows), deterministicFig6(seq)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("row %d diverged under exclusive timing", i)
-		}
+	if n := cache.Stats().Lookups(); n != 0 {
+		t.Errorf("Figures 5/6 made %d artifact-cache lookups, want 0", n)
 	}
 }

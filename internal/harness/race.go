@@ -10,15 +10,21 @@ import (
 )
 
 // Fig5Row is one benchmark's Figure 5 measurement: normalized runtimes
-// of FastTrack, hybrid FastTrack, and OptFT, with the work breakdown.
+// of FastTrack, hybrid FastTrack, and OptFT, with the work breakdown
+// and the cold set-up Table 1 weighs against it.
 type Fig5Row struct {
 	Name     string
 	RaceFree bool // right of the red line: statically proven race-free
 
+	// Each configuration's median over the timing rounds, summed over
+	// the testing set.
 	PlainSec  float64 // framework (uninstrumented) baseline
 	FTSec     float64
 	HybridSec float64
 	OptSec    float64
+	// OptVsHybrid is the OptFT/HybridFT time ratio of every (testing
+	// execution, round) pair.
+	OptVsHybrid Quartiles
 
 	// Deterministic work counters, summed over the testing set.
 	FTEvents     uint64 // instrumented ops under full FastTrack
@@ -30,6 +36,15 @@ type Fig5Row struct {
 	// Static results.
 	SoundPairs int // racy pairs the sound analysis reports
 	PredPairs  int
+
+	// Cold set-up, timed without an artifact cache.
+	ProfileSec  float64
+	ProfileRuns int
+	SoundSec    float64 // traditional hybrid static analysis
+	// PredSec builds OptFT: the predicated analysis, the sound
+	// analysis it keeps as its rollback target, and custom-sync
+	// validation.
+	PredSec float64
 }
 
 // Norm returns runtime normalized to the uninstrumented baseline.
@@ -40,119 +55,105 @@ func (r Fig5Row) Norm(sec float64) float64 {
 	return sec / r.PlainSec
 }
 
-// raceSetup bundles the per-benchmark artifacts shared by fig5/tab1.
-type raceSetup struct {
-	w          *workloads.Workload
-	pr         *core.ProfileResult
-	profileSec float64
-	opt        *core.OptFT
-	soundSec   float64 // sound static analysis seconds
-	predSec    float64 // predicated static analysis + custom-sync seconds
+// Fig5 measures the race-detection suite, one workload at a time so
+// that no timing shares the machine with another workload. Profiling
+// fans out over Options.Parallel; every deterministic column is
+// independent of it.
+func Fig5(opts Options) ([]Fig5Row, error) {
+	opts = opts.Defaults()
+	return mapOrdered(1, workloads.Races(), func(_ int, w *workloads.Workload) (Fig5Row, error) {
+		return fig5Row(opts, w)
+	})
 }
 
-func setupRace(w *workloads.Workload, e *env) (*raceSetup, error) {
-	pr, profSec, err := profiled(w, e)
+// setupRace times the cold set-up of one benchmark into row and
+// returns the optimistic detector, whose Sound field is the hybrid one.
+func setupRace(opts Options, w *workloads.Workload, row *Fig5Row) (*core.OptFT, error) {
+	prog := w.Prog()
+	var pr *core.ProfileResult
+	var err error
+	row.ProfileSec, err = timed(func() error {
+		pr, err = profiled(w, opts, nil)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	s := &raceSetup{w: w, pr: pr, profileSec: profSec}
-	s.soundSec, err = e.timed(func() error {
-		_, err := core.NewHybridFT(w.Prog(), core.StaticConfig{Cache: e.opts.Cache, Workers: 1})
+	row.ProfileRuns = pr.Runs
+	row.SoundSec, err = timed(func() error {
+		_, err := core.NewHybridFT(prog, core.StaticConfig{Workers: 1})
 		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: sound static: %w", w.Name, err)
 	}
-	s.predSec, err = e.timed(func() error {
-		o, err := core.NewOptFTCached(w.Prog(), pr.DB, e.opts.Cache)
-		if err != nil {
+	var opt *core.OptFT
+	row.PredSec, err = timed(func() error {
+		if opt, err = core.NewOptFTCached(prog, pr.DB, nil); err != nil {
 			return err
 		}
-		s.opt = o
 		// Custom-sync validation over (a few of) the profiling runs.
-		n := pr.Runs
-		if n > 4 {
-			n = 4
-		}
-		execs := make([]core.Execution, n)
+		execs := make([]core.Execution, min(pr.Runs, 4))
 		for i := range execs {
 			execs[i] = profileExec(w, i)
 		}
-		return o.ValidateCustomSync(execs, core.RunOptions{})
+		return opt.ValidateCustomSync(execs, core.RunOptions{})
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: predicated static: %w", w.Name, err)
 	}
-	return s, nil
-}
-
-// Fig5 measures the race-detection suite. Workloads run on the
-// experiment worker pool (Options.Parallel); rows keep the Figure 5
-// order and every deterministic column is independent of the pool size.
-func Fig5(opts Options) ([]Fig5Row, error) {
-	opts = opts.Defaults()
-	env := newEnv(opts)
-	return mapOrdered(opts.Parallel, workloads.Races(), func(_ int, w *workloads.Workload) (Fig5Row, error) {
-		return fig5Row(env, w)
-	})
+	return opt, nil
 }
 
 // fig5Row measures one benchmark for Figure 5.
-func fig5Row(env *env, w *workloads.Workload) (Fig5Row, error) {
-	opts := env.opts
-	s, err := setupRace(w, env)
+func fig5Row(opts Options, w *workloads.Workload) (Fig5Row, error) {
+	row := Fig5Row{Name: w.Name, RaceFree: w.RaceFree}
+	opt, err := setupRace(opts, w, &row)
 	if err != nil {
 		return Fig5Row{}, err
 	}
-	row := Fig5Row{
-		Name:       w.Name,
-		RaceFree:   w.RaceFree,
-		SoundPairs: len(s.opt.Sound.Static.Pairs),
-		PredPairs:  len(s.opt.Pred.Pairs),
-	}
+	row.SoundPairs = len(opt.Sound.Static.Pairs)
+	row.PredPairs = len(opt.Pred.Pairs)
 
 	prog := w.Prog()
 	plain := plainRunner(prog)
+	var ratios []float64
 	for i := 0; i < opts.TestRuns; i++ {
 		e := testExec(w, i)
-		sec, err := env.timedN(func() error {
-			_, err := plain(e)
-			return err
-		})
-		if err != nil {
-			return Fig5Row{}, fmt.Errorf("%s: plain: %w", w.Name, err)
-		}
-		row.PlainSec += sec
-
+		// Counts and the soundness gate read the last round's reports;
+		// every round does the same deterministic work.
 		var ft, hy, op *core.RaceReport
-		sec, err = env.timedN(func() error {
-			ft, err = core.RunFastTrack(prog, e, core.RunOptions{})
-			return err
+		sec, err := rounds(opts.Repeat, []func() error{
+			func() error {
+				_, err := plain(e)
+				return err
+			},
+			func() (err error) {
+				ft, err = core.RunFastTrack(prog, e, core.RunOptions{})
+				return err
+			},
+			func() (err error) {
+				hy, err = opt.Sound.Run(e, core.RunOptions{})
+				return err
+			},
+			func() (err error) {
+				op, err = opt.Run(e, core.RunOptions{})
+				return err
+			},
 		})
 		if err != nil {
-			return Fig5Row{}, fmt.Errorf("%s: fasttrack: %w", w.Name, err)
+			return Fig5Row{}, fmt.Errorf("%s: test %d: %w", w.Name, i, err)
 		}
-		row.FTSec += sec
+		row.PlainSec += quartiles(sec[0]).Median
+		row.FTSec += quartiles(sec[1]).Median
+		row.HybridSec += quartiles(sec[2]).Median
+		row.OptSec += quartiles(sec[3]).Median
+		for r := range sec[3] {
+			ratios = append(ratios, ratio(sec[3][r], sec[2][r]))
+		}
+
 		row.FTEvents += ft.Stats.InstrumentedOps()
-
-		sec, err = env.timedN(func() error {
-			hy, err = s.opt.Sound.Run(e, core.RunOptions{})
-			return err
-		})
-		if err != nil {
-			return Fig5Row{}, fmt.Errorf("%s: hybrid: %w", w.Name, err)
-		}
-		row.HybridSec += sec
 		row.HybridEvents += hy.Stats.InstrumentedOps()
-
-		sec, err = env.timedN(func() error {
-			op, err = s.opt.Run(e, core.RunOptions{})
-			return err
-		})
-		if err != nil {
-			return Fig5Row{}, fmt.Errorf("%s: optimistic: %w", w.Name, err)
-		}
-		row.OptSec += sec
 		row.OptEvents += op.Stats.InstrumentedOps()
 		row.CheckEvents += op.CheckEvents
 		if op.RolledBack {
@@ -166,14 +167,15 @@ func fig5Row(env *env, w *workloads.Workload) (Fig5Row, error) {
 				w.Name, ft.Races, hy.Races, op.Races)
 		}
 	}
+	row.OptVsHybrid = quartiles(ratios)
 	return row, nil
 }
 
 // PrintFig5 renders the Figure 5 table.
 func PrintFig5(w io.Writer, rows []Fig5Row) {
 	fmt.Fprintf(w, "Figure 5: normalized race-detection runtimes (x = runtime / uninstrumented)\n")
-	fmt.Fprintf(w, "%-11s %9s %9s %9s | %12s %12s %12s %7s %9s\n",
-		"benchmark", "FastTrack", "HybridFT", "OptFT", "FT events", "Hyb events", "Opt events", "checks%", "rollbacks")
+	fmt.Fprintf(w, "%-11s %9s %9s %9s %20s | %12s %12s %12s %7s %9s\n",
+		"benchmark", "FastTrack", "HybridFT", "OptFT", "opt/hyb [p25,p75]", "FT events", "Hyb events", "Opt events", "checks%", "rollbacks")
 	for _, r := range rows {
 		marker := ""
 		if r.RaceFree {
@@ -183,11 +185,12 @@ func PrintFig5(w io.Writer, rows []Fig5Row) {
 		if r.OptEvents > 0 {
 			checkPct = 100 * float64(r.CheckEvents) / float64(r.OptEvents)
 		}
-		fmt.Fprintf(w, "%-11s %8.2fx %8.2fx %8.2fx | %12d %12d %12d %6.1f%% %9d%s\n",
-			r.Name, r.Norm(r.FTSec), r.Norm(r.HybridSec), r.Norm(r.OptSec),
+		fmt.Fprintf(w, "%-11s %8.2fx %8.2fx %8.2fx %20s | %12d %12d %12d %6.1f%% %9d%s\n",
+			r.Name, r.Norm(r.FTSec), r.Norm(r.HybridSec), r.Norm(r.OptSec), r.OptVsHybrid,
 			r.FTEvents, r.HybridEvents, r.OptEvents, checkPct, r.Rollbacks, marker)
 	}
-	fmt.Fprintf(w, "(* = statically proven race-free by the sound analysis)\n")
+	fmt.Fprintf(w, "(* = statically proven race-free by the sound analysis; opt/hyb = median OptFT/HybridFT time\n")
+	fmt.Fprintf(w, " ratio over (test run, round) pairs; <1 or >1 = both quartiles on that side, ~1 = unresolved)\n")
 }
 
 // Tab1Row is one benchmark's Table 1 measurement.
@@ -196,7 +199,7 @@ type Tab1Row struct {
 	SoundSec    float64 // traditional hybrid static analysis time
 	ProfileSec  float64
 	ProfileRuns int
-	PredSec     float64 // optimistic static analysis (+ custom-sync) time
+	PredSec     float64 // optimistic static set-up (see Fig5Row.PredSec)
 
 	// Break-even baseline-execution seconds (math.Inf(1) = never).
 	BreakEvenVsHybrid float64
@@ -206,50 +209,32 @@ type Tab1Row struct {
 	SpeedupVsFT     float64
 }
 
-// Tab1 computes end-to-end analysis economics for the benchmarks not
-// statically proven race-free (Table 1 lists exactly those).
-func Tab1(opts Options) ([]Tab1Row, error) {
-	opts = opts.Defaults()
-	fig5, err := Fig5(opts)
-	if err != nil {
-		return nil, err
-	}
-	byName := map[string]Fig5Row{}
-	for _, r := range fig5 {
-		byName[r.Name] = r
-	}
-	env := newEnv(opts)
-	var racy []*workloads.Workload
-	for _, w := range workloads.Races() {
-		if !w.RaceFree {
-			racy = append(racy, w)
+// Tab1 derives the end-to-end analysis economics from Figure 5's rows
+// for the benchmarks not statically proven race-free (Table 1 lists
+// exactly those). The optimistic start-up is profiling plus PredSec,
+// which already includes the sound analysis OptFT keeps for rollback;
+// hybrid FastTrack starts with the sound analysis and FastTrack with
+// nothing.
+func Tab1(rows []Fig5Row) []Tab1Row {
+	var out []Tab1Row
+	for _, r := range rows {
+		if r.RaceFree {
+			continue
 		}
+		optStart := r.ProfileSec + r.PredSec
+		out = append(out, Tab1Row{
+			Name:              r.Name,
+			SoundSec:          r.SoundSec,
+			ProfileSec:        r.ProfileSec,
+			ProfileRuns:       r.ProfileRuns,
+			PredSec:           r.PredSec,
+			BreakEvenVsHybrid: breakEven(optStart, r.SoundSec, r.Norm(r.HybridSec), r.Norm(r.OptSec)),
+			BreakEvenVsFT:     breakEven(optStart, 0, r.Norm(r.FTSec), r.Norm(r.OptSec)),
+			SpeedupVsHybrid:   ratio(r.HybridSec, r.OptSec),
+			SpeedupVsFT:       ratio(r.FTSec, r.OptSec),
+		})
 	}
-	return mapOrdered(opts.Parallel, racy, func(_ int, w *workloads.Workload) (Tab1Row, error) {
-		f5 := byName[w.Name]
-		s, err := setupRace(w, env)
-		if err != nil {
-			return Tab1Row{}, err
-		}
-		row := Tab1Row{
-			Name:        w.Name,
-			SoundSec:    s.soundSec,
-			ProfileSec:  s.profileSec,
-			ProfileRuns: s.pr.Runs,
-			PredSec:     s.predSec,
-		}
-		row.SpeedupVsHybrid = ratio(f5.HybridSec, f5.OptSec)
-		row.SpeedupVsFT = ratio(f5.FTSec, f5.OptSec)
-		row.BreakEvenVsHybrid = breakEven(
-			s.profileSec+s.predSec+s.soundSec, // optimistic startup (incl. rollback fallback analysis)
-			s.soundSec,                        // traditional startup
-			f5.HybridSec/f5.PlainSec, f5.OptSec/f5.PlainSec)
-		row.BreakEvenVsFT = breakEven(
-			s.profileSec+s.predSec+s.soundSec,
-			0,
-			f5.FTSec/f5.PlainSec, f5.OptSec/f5.PlainSec)
-		return row, nil
-	})
+	return out
 }
 
 func ratio(a, b float64) float64 {

@@ -9,13 +9,19 @@ import (
 )
 
 // Fig6Row is one benchmark's Figure 6 measurement: normalized runtimes
-// of the traditional hybrid slicer and OptSlice.
+// of the traditional hybrid slicer and OptSlice, with the cold set-up
+// Table 2 weighs against them.
 type Fig6Row struct {
 	Name string
 
+	// Each configuration's median over the timing rounds, summed over
+	// the testing set.
 	PlainSec  float64
 	HybridSec float64
 	OptSec    float64
+	// OptVsHybrid is the OptSlice/hybrid time ratio of every (testing
+	// execution, round) pair.
+	OptVsHybrid Quartiles
 
 	HybridNodes uint64 // dynamic trace nodes recorded (work metric)
 	OptNodes    uint64
@@ -26,6 +32,14 @@ type Fig6Row struct {
 	OptStatic    int
 	HybridAT     core.SliceAnalysisType
 	OptAT        core.SliceAnalysisType
+
+	// Cold set-up, timed without an artifact cache.
+	ProfileSec  float64
+	ProfileRuns int
+	SoundSec    float64 // traditional points-to + static slice
+	// PredSec builds OptSlice: the predicated analysis and the sound
+	// slicer it keeps as its rollback target.
+	PredSec float64
 }
 
 // Norm returns runtime normalized to the uninstrumented baseline.
@@ -36,101 +50,95 @@ func (r Fig6Row) Norm(sec float64) float64 {
 	return sec / r.PlainSec
 }
 
-// sliceSetup bundles per-benchmark slicing artifacts.
-type sliceSetup struct {
-	w          *workloads.Workload
-	pr         *core.ProfileResult
-	profileSec float64
-	opt        *core.OptSlice
-	hy         *core.HybridSlicer
-	soundSec   float64
-	predSec    float64
+// Fig6 measures the slicing suite, one workload at a time so that no
+// timing shares the machine with another workload. Profiling fans out
+// over Options.Parallel; every deterministic column is independent of
+// it.
+func Fig6(opts Options) ([]Fig6Row, error) {
+	opts = opts.Defaults()
+	return mapOrdered(1, workloads.Slices(), func(_ int, w *workloads.Workload) (Fig6Row, error) {
+		return fig6Row(opts, w)
+	})
 }
 
-func setupSlice(w *workloads.Workload, e *env) (*sliceSetup, error) {
-	pr, profSec, err := profiled(w, e)
+// setupSlice times the cold set-up of one benchmark into row and
+// returns the optimistic slicer, whose Sound field is the hybrid one.
+func setupSlice(opts Options, w *workloads.Workload, row *Fig6Row) (*core.OptSlice, error) {
+	prog := w.Prog()
+	criterion := lastPrint(prog)
+	var pr *core.ProfileResult
+	var err error
+	row.ProfileSec, err = timed(func() error {
+		pr, err = profiled(w, opts, nil)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	prog := w.Prog()
-	criterion := lastPrint(prog)
-	s := &sliceSetup{w: w, pr: pr, profileSec: profSec}
-	s.soundSec, err = e.timed(func() error {
-		var err error
-		s.hy, err = core.NewHybridSlicer(prog, criterion, e.opts.Budget, core.StaticConfig{Cache: e.opts.Cache, Workers: 1})
+	row.ProfileRuns = pr.Runs
+	row.SoundSec, err = timed(func() error {
+		_, err := core.NewHybridSlicer(prog, criterion, opts.Budget, core.StaticConfig{Workers: 1})
 		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: sound static slice: %w", w.Name, err)
 	}
-	s.predSec, err = e.timed(func() error {
-		var err error
-		s.opt, err = core.NewOptSliceCached(prog, pr.DB, criterion, e.opts.Budget, e.opts.Cache)
+	var opt *core.OptSlice
+	row.PredSec, err = timed(func() error {
+		opt, err = core.NewOptSliceCached(prog, pr.DB, criterion, opts.Budget, nil)
 		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: predicated static slice: %w", w.Name, err)
 	}
-	return s, nil
-}
-
-// Fig6 measures the slicing suite. Workloads run on the experiment
-// worker pool (Options.Parallel); rows keep the Figure 6 order and
-// every deterministic column is independent of the pool size.
-func Fig6(opts Options) ([]Fig6Row, error) {
-	opts = opts.Defaults()
-	env := newEnv(opts)
-	return mapOrdered(opts.Parallel, workloads.Slices(), func(_ int, w *workloads.Workload) (Fig6Row, error) {
-		return fig6Row(env, w)
-	})
+	return opt, nil
 }
 
 // fig6Row measures one benchmark for Figure 6.
-func fig6Row(env *env, w *workloads.Workload) (Fig6Row, error) {
-	opts := env.opts
-	s, err := setupSlice(w, env)
+func fig6Row(opts Options, w *workloads.Workload) (Fig6Row, error) {
+	row := Fig6Row{Name: w.Name}
+	opt, err := setupSlice(opts, w, &row)
 	if err != nil {
 		return Fig6Row{}, err
 	}
-	row := Fig6Row{
-		Name:         w.Name,
-		HybridStatic: s.hy.Static.Size(),
-		OptStatic:    s.opt.Static.Size(),
-		HybridAT:     s.hy.AT,
-		OptAT:        s.opt.AT,
-	}
+	row.HybridStatic = opt.Sound.Static.Size()
+	row.OptStatic = opt.Static.Size()
+	row.HybridAT = opt.Sound.AT
+	row.OptAT = opt.AT
+
 	prog := w.Prog()
 	plain := plainRunner(prog)
+	var ratios []float64
 	for i := 0; i < opts.TestRuns; i++ {
 		e := testExec(w, i)
-		sec, err := env.timedN(func() error {
-			_, err := plain(e)
-			return err
-		})
-		if err != nil {
-			return Fig6Row{}, fmt.Errorf("%s: plain: %w", w.Name, err)
-		}
-		row.PlainSec += sec
-
+		// Counts and the soundness gate read the last round's reports;
+		// every round does the same deterministic work.
 		var hrep, orep *core.SliceReport
-		sec, err = env.timedN(func() error {
-			hrep, err = s.hy.Run(e, core.RunOptions{})
-			return err
+		sec, err := rounds(opts.Repeat, []func() error{
+			func() error {
+				_, err := plain(e)
+				return err
+			},
+			func() (err error) {
+				hrep, err = opt.Sound.Run(e, core.RunOptions{})
+				return err
+			},
+			func() (err error) {
+				orep, err = opt.Run(e, core.RunOptions{})
+				return err
+			},
 		})
 		if err != nil {
-			return Fig6Row{}, fmt.Errorf("%s: hybrid: %w", w.Name, err)
+			return Fig6Row{}, fmt.Errorf("%s: test %d: %w", w.Name, i, err)
 		}
-		row.HybridSec += sec
-		row.HybridNodes += uint64(hrep.TraceNodes)
+		row.PlainSec += quartiles(sec[0]).Median
+		row.HybridSec += quartiles(sec[1]).Median
+		row.OptSec += quartiles(sec[2]).Median
+		for r := range sec[2] {
+			ratios = append(ratios, ratio(sec[2][r], sec[1][r]))
+		}
 
-		sec, err = env.timedN(func() error {
-			orep, err = s.opt.Run(e, core.RunOptions{})
-			return err
-		})
-		if err != nil {
-			return Fig6Row{}, fmt.Errorf("%s: optimistic: %w", w.Name, err)
-		}
-		row.OptSec += sec
+		row.HybridNodes += uint64(hrep.TraceNodes)
 		row.OptNodes += uint64(orep.TraceNodes)
 		row.CheckEvents += orep.CheckEvents
 		if orep.RolledBack {
@@ -143,17 +151,18 @@ func fig6Row(env *env, w *workloads.Workload) (Fig6Row, error) {
 			return Fig6Row{}, fmt.Errorf("%s: dynamic slices diverged on test %d", w.Name, i)
 		}
 	}
+	row.OptVsHybrid = quartiles(ratios)
 	return row, nil
 }
 
 // PrintFig6 renders the Figure 6 table.
 func PrintFig6(w io.Writer, rows []Fig6Row) {
 	fmt.Fprintf(w, "Figure 6: normalized dynamic-slicing runtimes (x = runtime / uninstrumented)\n")
-	fmt.Fprintf(w, "%-8s %12s %9s %8s | %12s %12s %8s %9s | %9s %9s\n",
-		"bench", "Trad.Hybrid", "OptSlice", "speedup", "hyb nodes", "opt nodes", "checks", "rollbacks", "hyb stat", "opt stat")
+	fmt.Fprintf(w, "%-8s %12s %9s %8s %20s | %12s %12s %8s %9s | %9s %9s\n",
+		"bench", "Trad.Hybrid", "OptSlice", "speedup", "opt/hyb [p25,p75]", "hyb nodes", "opt nodes", "checks", "rollbacks", "hyb stat", "opt stat")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %11.2fx %8.2fx %7.2fx | %12d %12d %8d %9d | %6d/%s %6d/%s\n",
-			r.Name, r.Norm(r.HybridSec), r.Norm(r.OptSec), ratio(r.HybridSec, r.OptSec),
+		fmt.Fprintf(w, "%-8s %11.2fx %8.2fx %7.2fx %20s | %12d %12d %8d %9d | %6d/%s %6d/%s\n",
+			r.Name, r.Norm(r.HybridSec), r.Norm(r.OptSec), ratio(r.HybridSec, r.OptSec), r.OptVsHybrid,
 			r.HybridNodes, r.OptNodes, r.CheckEvents, r.Rollbacks,
 			r.HybridStatic, r.HybridAT, r.OptStatic, r.OptAT)
 	}
@@ -166,7 +175,7 @@ type Tab2Row struct {
 	TradAT   core.SliceAnalysisType
 	TradSec  float64 // traditional static analysis (points-to + slice)
 	OptAT    core.SliceAnalysisType
-	OptSec   float64 // optimistic static analysis
+	OptSec   float64 // optimistic static set-up (see Fig6Row.PredSec)
 	ProfSec  float64
 	ProfRuns int
 
@@ -174,40 +183,25 @@ type Tab2Row struct {
 	DynamicSpeedup float64
 }
 
-// Tab2 computes the end-to-end slicing economics.
-func Tab2(opts Options) ([]Tab2Row, error) {
-	opts = opts.Defaults()
-	fig6, err := Fig6(opts)
-	if err != nil {
-		return nil, err
-	}
-	byName := map[string]Fig6Row{}
-	for _, r := range fig6 {
-		byName[r.Name] = r
-	}
-	env := newEnv(opts)
-	return mapOrdered(opts.Parallel, workloads.Slices(), func(_ int, w *workloads.Workload) (Tab2Row, error) {
-		s, err := setupSlice(w, env)
-		if err != nil {
-			return Tab2Row{}, err
+// Tab2 derives the end-to-end slicing economics from Figure 6's rows.
+// The optimistic start-up is profiling plus PredSec, which already
+// includes the sound slicer OptSlice keeps for rollback.
+func Tab2(rows []Fig6Row) []Tab2Row {
+	out := make([]Tab2Row, len(rows))
+	for i, r := range rows {
+		out[i] = Tab2Row{
+			Name:           r.Name,
+			TradAT:         r.HybridAT,
+			TradSec:        r.SoundSec,
+			OptAT:          r.OptAT,
+			OptSec:         r.PredSec,
+			ProfSec:        r.ProfileSec,
+			ProfRuns:       r.ProfileRuns,
+			BreakEvenSec:   breakEven(r.ProfileSec+r.PredSec, r.SoundSec, r.Norm(r.HybridSec), r.Norm(r.OptSec)),
+			DynamicSpeedup: ratio(r.HybridSec, r.OptSec),
 		}
-		f6 := byName[w.Name]
-		row := Tab2Row{
-			Name:           w.Name,
-			TradAT:         s.hy.AT,
-			TradSec:        s.soundSec,
-			OptAT:          s.opt.AT,
-			OptSec:         s.predSec,
-			ProfSec:        s.profileSec,
-			ProfRuns:       s.pr.Runs,
-			DynamicSpeedup: ratio(f6.HybridSec, f6.OptSec),
-		}
-		row.BreakEvenSec = breakEven(
-			s.profileSec+s.predSec+s.soundSec, // optimistic startup (sound analysis kept for rollback)
-			s.soundSec,
-			f6.HybridSec/f6.PlainSec, f6.OptSec/f6.PlainSec)
-		return row, nil
-	})
+	}
+	return out
 }
 
 // PrintTab2 renders the Table 2 table.

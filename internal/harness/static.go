@@ -46,14 +46,14 @@ type ptArtifact struct {
 // cachedPointsTo memoizes bestPointsTo by content address (memory layer
 // only: the result graph is pointer-laden). A nil db makes restrictCtx
 // irrelevant, so the flag is normalized to share one cache entry.
-func cachedPointsTo(e *env, prog *ir.Program, db *invariants.DB, restrictCtx bool) (*pointsto.Result, core.SliceAnalysisType, error) {
+func cachedPointsTo(opts Options, prog *ir.Program, db *invariants.DB, restrictCtx bool) (*pointsto.Result, core.SliceAnalysisType, error) {
 	if db == nil {
 		restrictCtx = false
 	}
-	key := artifacts.Key(artifacts.KindPointsTo, prog, db, e.opts.Budget,
+	key := artifacts.Key(artifacts.KindPointsTo, prog, db, opts.Budget,
 		"best", fmt.Sprintf("restrict=%v", restrictCtx))
-	v, err := e.opts.Cache.Memo(key, nil, func() (any, error) {
-		pt, at, err := bestPointsTo(prog, db, e.opts.Budget, restrictCtx)
+	v, err := opts.Cache.Memo(key, nil, func() (any, error) {
+		pt, at, err := bestPointsTo(prog, db, opts.Budget, restrictCtx)
 		if err != nil {
 			return nil, err
 		}
@@ -76,14 +76,14 @@ type avgSliceArtifact struct {
 // program's endpoints under the given invariant database, memoized by
 // content address (Figures 10 and 11 share entries where their
 // configurations coincide).
-func cachedAvgSlice(e *env, prog *ir.Program, db *invariants.DB, restrictCtx bool) (float64, core.SliceAnalysisType, error) {
+func cachedAvgSlice(opts Options, prog *ir.Program, db *invariants.DB, restrictCtx bool) (float64, core.SliceAnalysisType, error) {
 	if db == nil {
 		restrictCtx = false
 	}
-	key := artifacts.Key(artifacts.KindSlice, prog, db, e.opts.Budget,
+	key := artifacts.Key(artifacts.KindSlice, prog, db, opts.Budget,
 		"avg-endpoints", fmt.Sprintf("restrict=%v", restrictCtx))
-	v, err := e.opts.Cache.Memo(key, nil, func() (any, error) {
-		pt, at, err := cachedPointsTo(e, prog, db, restrictCtx)
+	v, err := opts.Cache.Memo(key, nil, func() (any, error) {
+		pt, at, err := cachedPointsTo(opts, prog, db, restrictCtx)
 		if err != nil {
 			return nil, err
 		}
@@ -109,17 +109,16 @@ type Fig9Row struct {
 // worker pool; rows keep the suite order.
 func Fig9(opts Options) ([]Fig9Row, error) {
 	opts = opts.Defaults()
-	env := newEnv(opts)
 	return mapOrdered(opts.Parallel, workloads.Slices(), func(_ int, w *workloads.Workload) (Fig9Row, error) {
-		pr, _, err := profiled(w, env)
+		pr, err := profiled(w, opts, opts.Cache)
 		if err != nil {
 			return Fig9Row{}, err
 		}
-		base, baseAT, err := cachedPointsTo(env, w.Prog(), nil, false)
+		base, baseAT, err := cachedPointsTo(opts, w.Prog(), nil, false)
 		if err != nil {
 			return Fig9Row{}, fmt.Errorf("%s: base points-to: %w", w.Name, err)
 		}
-		opt, optAT, err := cachedPointsTo(env, w.Prog(), pr.DB, true)
+		opt, optAT, err := cachedPointsTo(opts, w.Prog(), pr.DB, true)
 		if err != nil {
 			return Fig9Row{}, fmt.Errorf("%s: optimistic points-to: %w", w.Name, err)
 		}
@@ -189,18 +188,17 @@ func avgSliceSize(sl *staticslice.Slicer, eps []*ir.Instr) float64 {
 // Figure 11.
 func Fig10(opts Options) ([]Fig10Row, error) {
 	opts = opts.Defaults()
-	env := newEnv(opts)
 	return mapOrdered(opts.Parallel, workloads.Slices(), func(_ int, w *workloads.Workload) (Fig10Row, error) {
 		prog := w.Prog()
-		pr, _, err := profiled(w, env)
+		pr, err := profiled(w, opts, opts.Cache)
 		if err != nil {
 			return Fig10Row{}, err
 		}
-		base, _, err := cachedAvgSlice(env, prog, nil, false)
+		base, _, err := cachedAvgSlice(opts, prog, nil, false)
 		if err != nil {
 			return Fig10Row{}, err
 		}
-		opt, _, err := cachedAvgSlice(env, prog, pr.DB, true)
+		opt, _, err := cachedAvgSlice(opts, prog, pr.DB, true)
 		if err != nil {
 			return Fig10Row{}, err
 		}
@@ -243,23 +241,22 @@ type Fig11Row struct {
 // full-database step share cache entries with Figures 9/10.
 func Fig11(opts Options) ([]Fig11Row, error) {
 	opts = opts.Defaults()
-	env := newEnv(opts)
 	return mapOrdered(opts.Parallel, workloads.Slices(), func(_ int, w *workloads.Workload) (Fig11Row, error) {
 		prog := w.Prog()
-		pr, _, err := profiled(w, env)
+		pr, err := profiled(w, opts, opts.Cache)
 		if err != nil {
 			return Fig11Row{}, err
 		}
 		row := Fig11Row{Name: w.Name}
 
 		// Sound baseline.
-		row.Base, row.BaseAT, err = cachedAvgSlice(env, prog, nil, false)
+		row.Base, row.BaseAT, err = cachedAvgSlice(opts, prog, nil, false)
 		if err != nil {
 			return Fig11Row{}, err
 		}
 		// + likely-unreachable code only.
 		lucOnly := lucOnlyDB(pr.DB, prog)
-		row.LUC, _, err = cachedAvgSlice(env, prog, lucOnly, false)
+		row.LUC, _, err = cachedAvgSlice(opts, prog, lucOnly, false)
 		if err != nil {
 			return Fig11Row{}, err
 		}
@@ -269,12 +266,12 @@ func Fig11(opts Options) ([]Fig11Row, error) {
 		for k, v := range pr.DB.Callees {
 			withCallees.Callees[k] = v.Clone()
 		}
-		row.Callees, _, err = cachedAvgSlice(env, prog, withCallees, false)
+		row.Callees, _, err = cachedAvgSlice(opts, prog, withCallees, false)
 		if err != nil {
 			return Fig11Row{}, err
 		}
 		// + likely-unused call contexts (may unlock CS).
-		row.Contexts, row.ContextsAT, err = cachedAvgSlice(env, prog, pr.DB, true)
+		row.Contexts, row.ContextsAT, err = cachedAvgSlice(opts, prog, pr.DB, true)
 		if err != nil {
 			return Fig11Row{}, err
 		}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"oha/internal/core"
-	"oha/internal/invariants"
 	"oha/internal/workloads"
 )
 
@@ -13,7 +12,6 @@ import (
 // Figure 7 / Figure 8 sweeps.
 type SweepPoint struct {
 	ProfileRuns int
-	ProfileSec  float64
 	// MisSpecRate is the fraction of testing executions that violated
 	// an invariant (Figure 7).
 	MisSpecRate float64
@@ -39,7 +37,6 @@ var defaultSweep = []int{1, 2, 4, 8, 16, 32, 64}
 // each execution exactly once across the whole sweep.
 func Sweep(opts Options) ([]SweepRow, error) {
 	opts = opts.Defaults()
-	env := newEnv(opts)
 	return mapOrdered(opts.Parallel, workloads.Slices(), func(_ int, w *workloads.Workload) (SweepRow, error) {
 		prog := w.Prog()
 		criterion := lastPrint(prog)
@@ -50,16 +47,10 @@ func Sweep(opts Options) ([]SweepRow, error) {
 				execs[i] = profileExec(w, i)
 			}
 			pt := SweepPoint{ProfileRuns: k}
-			var db *invariants.DB
-			sec, err := env.timed(func() error {
-				var err error
-				db, err = core.ProfileNWith(prog, execs, opts.Parallel, opts.Cache)
-				return err
-			})
+			db, err := core.ProfileNWith(prog, execs, opts.Parallel, opts.Cache)
 			if err != nil {
 				return SweepRow{}, fmt.Errorf("%s: profiling %d runs: %w", w.Name, k, err)
 			}
-			pt.ProfileSec = sec
 			opt, err := core.NewOptSliceCached(prog, db, criterion, opts.Budget, opts.Cache)
 			if err != nil {
 				return SweepRow{}, fmt.Errorf("%s: static: %w", w.Name, err)

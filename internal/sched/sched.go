@@ -1,20 +1,15 @@
 // Package sched provides deterministic thread scheduling policies for
-// the IR interpreter, plus recording and replay of scheduling
-// decisions.
+// the IR interpreter.
 //
 // The paper's rollback mechanism (§2.3) relies on deterministic
 // record/replay: when an invariant is violated mid-run, the execution
 // is re-run under a traditional hybrid analysis and is guaranteed to
 // be equivalent. Our interpreter is single-threaded and consults a
-// Chooser at every scheduling point, so recording the sequence of
-// chooser decisions captures the entire interleaving.
+// Chooser at every scheduling point, so re-running the same execution
+// with a fresh chooser of the same seed replays the same interleaving.
 package sched
 
-import (
-	"fmt"
-
-	"oha/internal/vc"
-)
+import "oha/internal/vc"
 
 // Chooser picks which runnable thread executes next. The runnable
 // slice is non-empty and sorted ascending; Choose must return one of
@@ -63,94 +58,3 @@ func (s *Seeded) Choose(runnable []vc.TID) vc.TID {
 	z ^= z >> 31
 	return runnable[z%uint64(len(runnable))]
 }
-
-// MainBiased mostly runs the lowest-id runnable thread but yields to
-// another thread every n-th decision. It produces schedules with long
-// sequential stretches, similar to low-contention real executions.
-type MainBiased struct {
-	N     int
-	count int
-}
-
-// Choose implements Chooser.
-func (m *MainBiased) Choose(runnable []vc.TID) vc.TID {
-	m.count++
-	n := m.N
-	if n <= 0 {
-		n = 8
-	}
-	if m.count%n == 0 && len(runnable) > 1 {
-		return runnable[m.count/n%len(runnable)]
-	}
-	return runnable[0]
-}
-
-// Schedule is a recorded sequence of scheduling decisions.
-type Schedule struct {
-	Choices []vc.TID
-}
-
-// Recorder wraps a Chooser and records every decision so the run can
-// be replayed later.
-type Recorder struct {
-	Inner    Chooser
-	Schedule Schedule
-}
-
-// NewRecorder returns a Recorder wrapping inner.
-func NewRecorder(inner Chooser) *Recorder { return &Recorder{Inner: inner} }
-
-// Choose delegates to the wrapped chooser and appends the decision to
-// the schedule.
-func (r *Recorder) Choose(runnable []vc.TID) vc.TID {
-	t := r.Inner.Choose(runnable)
-	r.Schedule.Choices = append(r.Schedule.Choices, t)
-	return t
-}
-
-// Replayer replays a recorded schedule. If the execution diverges from
-// the recording (a decision names a non-runnable thread, or the
-// schedule is exhausted), Choose panics with a *DivergenceError;
-// divergence indicates a bug because the interpreter is deterministic.
-type Replayer struct {
-	Schedule Schedule
-	pos      int
-}
-
-// NewReplayer returns a Replayer for the given schedule.
-func NewReplayer(s Schedule) *Replayer { return &Replayer{Schedule: s} }
-
-// DivergenceError reports replay divergence.
-type DivergenceError struct {
-	Pos      int
-	Want     vc.TID
-	Runnable []vc.TID
-}
-
-func (e *DivergenceError) Error() string {
-	return fmt.Sprintf("sched: replay divergence at decision %d: recorded thread %d not in runnable %v",
-		e.Pos, e.Want, e.Runnable)
-}
-
-// Choose returns the next recorded decision.
-func (r *Replayer) Choose(runnable []vc.TID) vc.TID {
-	if r.pos >= len(r.Schedule.Choices) {
-		panic(&DivergenceError{Pos: r.pos, Want: -1, Runnable: runnable})
-	}
-	want := r.Schedule.Choices[r.pos]
-	ok := false
-	for _, t := range runnable {
-		if t == want {
-			ok = true
-			break
-		}
-	}
-	if !ok {
-		panic(&DivergenceError{Pos: r.pos, Want: want, Runnable: runnable})
-	}
-	r.pos++
-	return want
-}
-
-// Used reports how many decisions have been consumed.
-func (r *Replayer) Used() int { return r.pos }

@@ -58,60 +58,3 @@ func TestSeededDeterministic(t *testing.T) {
 		t.Error("different seeds produced identical 50-step schedules")
 	}
 }
-
-func TestMainBiased(t *testing.T) {
-	m := &MainBiased{N: 4}
-	run := tids(0, 1)
-	zero := 0
-	for i := 0; i < 100; i++ {
-		if m.Choose(run) == 0 {
-			zero++
-		}
-	}
-	if zero < 60 {
-		t.Errorf("main-biased picked thread 0 only %d/100 times", zero)
-	}
-}
-
-func TestRecorderAndReplayer(t *testing.T) {
-	rec := NewRecorder(NewSeeded(9))
-	run := tids(0, 1, 2)
-	var orig []vc.TID
-	for i := 0; i < 20; i++ {
-		orig = append(orig, rec.Choose(run))
-	}
-	rep := NewReplayer(rec.Schedule)
-	for i := 0; i < 20; i++ {
-		if got := rep.Choose(run); got != orig[i] {
-			t.Fatalf("replay %d = %d, want %d", i, got, orig[i])
-		}
-	}
-	if rep.Used() != 20 {
-		t.Errorf("Used = %d", rep.Used())
-	}
-}
-
-func TestReplayerDivergence(t *testing.T) {
-	rep := NewReplayer(Schedule{Choices: tids(5)})
-	func() {
-		defer func() {
-			r := recover()
-			de, ok := r.(*DivergenceError)
-			if !ok {
-				t.Fatalf("panic value %T", r)
-			}
-			if de.Want != 5 {
-				t.Errorf("Want = %d", de.Want)
-			}
-		}()
-		rep.Choose(tids(0, 1))
-	}()
-
-	rep2 := NewReplayer(Schedule{})
-	defer func() {
-		if _, ok := recover().(*DivergenceError); !ok {
-			t.Error("exhausted replayer did not panic with DivergenceError")
-		}
-	}()
-	rep2.Choose(tids(0))
-}
