@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"oha/internal/artifacts"
 	"oha/internal/core"
@@ -61,14 +62,6 @@ func setupFor(b *testing.B, w *workloads.Workload) *benchSetup {
 		switch w.Kind {
 		case workloads.Race:
 			s.ft, s.err = core.NewOptFT(w.Prog(), s.pr.DB)
-			if s.err != nil {
-				return
-			}
-			execs := []core.Execution{
-				{Inputs: w.GenInput(0), Seed: 1},
-				{Inputs: w.GenInput(1), Seed: 2},
-			}
-			s.err = s.ft.ValidateCustomSync(execs, core.RunOptions{})
 		case workloads.Slice:
 			criterion := lastPrintOf(w)
 			s.sl, s.err = core.NewOptSlice(w.Prog(), s.pr.DB, criterion, benchBudget)
@@ -140,46 +133,39 @@ func BenchmarkFig5FastTrack(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5Hybrid measures the traditional hybrid FastTrack bar.
-func BenchmarkFig5Hybrid(b *testing.B) {
+// BenchmarkFig5OptVsHybrid compares the OptFT bar with the
+// traditional hybrid FastTrack bar on one execution. Each iteration
+// runs both configurations, in an order that alternates between
+// iterations, so that neither always runs first; it reports each one's
+// time per run and their ratio.
+func BenchmarkFig5OptVsHybrid(b *testing.B) {
 	for _, w := range workloads.Races() {
 		w := w
 		b.Run(w.Name, func(b *testing.B) {
 			s := setupFor(b, w)
 			e := testExecOf(w, 0)
-			var events uint64
+			configs := [2]func(core.Execution, core.RunOptions) (*core.RaceReport, error){s.ft.Sound.Run, s.ft.Run}
+			var elapsed [2]time.Duration
+			var reps [2]*core.RaceReport
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rep, err := s.ft.Sound.Run(e, core.RunOptions{})
-				if err != nil {
-					b.Fatal(err)
+				for k := range configs {
+					c := (i + k) % len(configs)
+					start := time.Now()
+					rep, err := configs[c](e, core.RunOptions{})
+					elapsed[c] += time.Since(start)
+					if err != nil {
+						b.Fatal(err)
+					}
+					reps[c] = rep
 				}
-				events = rep.Stats.InstrumentedOps()
 			}
-			b.ReportMetric(float64(events), "events/op")
-		})
-	}
-}
-
-// BenchmarkFig5OptFT measures the OptFT bar.
-func BenchmarkFig5OptFT(b *testing.B) {
-	for _, w := range workloads.Races() {
-		w := w
-		b.Run(w.Name, func(b *testing.B) {
-			s := setupFor(b, w)
-			e := testExecOf(w, 0)
-			var events, checks uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := s.ft.Run(e, core.RunOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				events = rep.Stats.InstrumentedOps()
-				checks = rep.CheckEvents
-			}
-			b.ReportMetric(float64(events), "events/op")
-			b.ReportMetric(float64(checks), "checks/op")
+			hybrid, opt := float64(elapsed[0])/float64(b.N), float64(elapsed[1])/float64(b.N)
+			b.ReportMetric(hybrid, "hybrid-ns/op")
+			b.ReportMetric(opt, "opt-ns/op")
+			b.ReportMetric(opt/hybrid, "opt/hybrid")
+			b.ReportMetric(float64(reps[0].Stats.InstrumentedOps()), "hybrid-events/op")
+			b.ReportMetric(float64(reps[1].Stats.InstrumentedOps()), "opt-events/op")
 		})
 	}
 }
@@ -235,9 +221,10 @@ func BenchmarkTable1Static(b *testing.B) {
 }
 
 // BenchmarkValidateCustomSync measures §4.2.4's custom-sync validation
-// (part of Table 1's predicated start-up cost) on the race workloads
-// whose validated set elides lock sites, over the first four profiling
-// executions, as the evaluation harness replays them.
+// (part of Table 1's profiling cost) on the race workloads whose
+// validated set elides lock sites, over the first four profiling
+// executions, as profiling runs it. With no artifact cache every call
+// runs the validation profiling memoizes.
 func BenchmarkValidateCustomSync(b *testing.B) {
 	for _, name := range []string{"lusearch", "raytracer", "moldyn", "pmd", "batik"} {
 		w := workloads.ByName(name)

@@ -201,14 +201,6 @@ func main() {
 	}
 	switch cmd {
 	case "race":
-		if mode.DB != nil {
-			// Plain race detection first validates the
-			// no-custom-synchronization invariant (§4.2.4), which
-			// stores the validated elidable locks in the database.
-			det, err := oha.NewRaceDetectorStatic(prog, mode.DB, static)
-			check(err)
-			check(det.ValidateCustomSync([]oha.Execution{{Inputs: in, Seed: 1}}, ropts))
-		}
 		a, err := adapt.Analyze(prog, core.Race(), mode, e, ropts)
 		check(err)
 		narrate(a.Attempts)

@@ -136,18 +136,15 @@ func TestGoldenLocal(t *testing.T) {
 var adaptiveLine = regexp.MustCompile(`^(generation \d+|adaptive: |  generation \d+ refined)`)
 
 // body is the report with the adaptive narrative, header and footer
-// removed, and with the lines the two modes are known to compute
-// differently: plain race detection validates custom synchronization
-// (§4.2.4) only locally, so its instrumented-op count differs; and
-// after a rollback the result carries the sound proof's discharge
-// count, so only local mode prints the predicated one.
-func body(cmd, mode, out string) string {
+// removed, and with the line the two modes are known to compute
+// differently: after a rollback the result carries the sound proof's
+// discharge count, so only local mode prints the predicated one.
+func body(out string) string {
 	rolledBack := strings.Contains(out, "mis-speculation (")
 	var keep []string
 	for _, l := range strings.Split(out, "\n") {
 		switch {
 		case adaptiveLine.MatchString(l),
-			cmd == "race" && mode == "plain" && strings.HasPrefix(l, "instrumented ops: "),
 			rolledBack && strings.HasPrefix(l, "static: discharged "):
 			continue
 		}
@@ -203,7 +200,7 @@ func TestRemoteParity(t *testing.T) {
 					t.Errorf("%s remote: %v\n%s", id, err, stderr)
 					continue
 				}
-				if got, want := body(cmd, mode, out), body(cmd, mode, golden(t, id)); got != want {
+				if got, want := body(out), body(golden(t, id)); got != want {
 					t.Errorf("%s: remote body differs from local\n got:\n%s\nwant:\n%s", id, got, want)
 				}
 			}

@@ -26,6 +26,11 @@ import (
 	"oha/internal/harness"
 )
 
+// experiments are the -exp values; any other name would run nothing.
+var experiments = []string{"fig5", "tab1", "fig6", "tab2", "fig7", "fig8", "fig9", "fig10", "fig11", "all"}
+
+func knownExp(name string) bool { return slices.Contains(experiments, name) }
+
 func main() {
 	exp := flag.String("exp", "all", "experiment: fig5, tab1, fig6, tab2, fig7, fig8, fig9, fig10, fig11, or all")
 	profileRuns := flag.Int("profile-runs", 32, "max profiling executions per benchmark")
@@ -36,6 +41,11 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist the portable static artifacts of figures 7-11 under this directory (default: in-memory only)")
 	cacheStats := flag.Bool("cache-stats", false, "print artifact-cache hit/miss counters on exit")
 	flag.Parse()
+	if !knownExp(*exp) {
+		fmt.Fprintf(os.Stderr, "ohabench: unknown -exp %q\n", *exp)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cache := artifacts.New(*cacheDir)
 	opts := harness.Options{

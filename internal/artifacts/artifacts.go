@@ -47,7 +47,6 @@ import (
 	"oha/internal/bitset"
 	"oha/internal/invariants"
 	"oha/internal/ir"
-	"oha/internal/staticslice"
 )
 
 // Artifact kinds, part of every cache key.
@@ -81,6 +80,9 @@ const (
 	// bundles are portable via inc.GenerationCodec; context-sensitive
 	// ones refuse to marshal and stay memory-only.
 	KindSolverState = "solverstate"
+	// KindCustomSync keys custom-sync validated databases (extra
+	// discriminators: the executions' ExecKeys). Portable via DBCodec.
+	KindCustomSync = "customsync"
 )
 
 // Codec converts an artifact to and from a portable byte payload for
@@ -173,22 +175,6 @@ func (c *Cache) Bound(maxEntries int, maxBytes int64) *Cache {
 	return c
 }
 
-// Evictions returns the number of entries dropped by the LRU bound.
-func (c *Cache) Evictions() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.evictions.Load()
-}
-
-// Dir returns the on-disk layer's directory ("" if memory-only).
-func (c *Cache) Dir() string {
-	if c == nil {
-		return ""
-	}
-	return c.dir
-}
-
 // Stats returns a snapshot of the hit/miss counters.
 func (c *Cache) Stats() Stats {
 	if c == nil {
@@ -202,31 +188,6 @@ func (c *Cache) Stats() Stats {
 		DiskMisses: c.diskMisses.Load(),
 		DiskPrunes: c.diskPrunes.Load(),
 	}
-}
-
-// DiskHits returns the number of lookups served from the disk layer.
-func (c *Cache) DiskHits() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.diskHits.Load()
-}
-
-// DiskMisses returns the number of disk probes that found nothing
-// usable (absent, corrupt, or key-mismatched files).
-func (c *Cache) DiskMisses() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.diskMisses.Load()
-}
-
-// DiskPrunes returns the number of disk files removed by PruneDisk.
-func (c *Cache) DiskPrunes() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.diskPrunes.Load()
 }
 
 // Entries returns the number of live in-memory cache entries
@@ -619,6 +580,19 @@ func Key(kind string, prog *ir.Program, db *invariants.DB, budget int, extra ...
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// RaceKey keys a race-pipeline artifact of (prog, db). It leaves
+// db.ElidableLocks out: no solver reads it (staticrace.Result.Masks
+// applies it), so a database before and after custom-sync validation
+// shares every static solve.
+func RaceKey(kind string, prog *ir.Program, db *invariants.DB, extra ...string) string {
+	if db != nil && !db.ElidableLocks.IsEmpty() {
+		c := *db
+		c.ElidableLocks = &bitset.Set{}
+		db = &c
+	}
+	return Key(kind, prog, db, 0, append([]string{"ci"}, extra...)...)
+}
+
 // ExecKey builds the cache key for one profiling execution's invariant
 // database: hash(program IR, inputs, seed).
 func ExecKey(prog *ir.Program, inputs []int64, seed uint64) string {
@@ -657,49 +631,3 @@ func (dbCodec) Unmarshal(data []byte) (any, error) {
 
 // DBCodec returns the on-disk codec for *invariants.DB artifacts.
 func DBCodec() Codec { return dbCodec{} }
-
-// portableSlice is the gob image of a static slice: instruction IDs
-// only, rebound to the live program on load.
-type portableSlice struct {
-	Criterion int
-	Nodes     int
-	Instrs    []int
-}
-
-// sliceCodec persists *staticslice.Slice artifacts against one
-// program. The key already covers the program digest, so IDs resolve
-// to the identical IR on load.
-type sliceCodec struct{ prog *ir.Program }
-
-func (c sliceCodec) Marshal(v any) ([]byte, error) {
-	s := v.(*staticslice.Slice)
-	p := portableSlice{Criterion: s.Criterion.ID, Nodes: s.Nodes, Instrs: s.Instrs.Slice()}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func (c sliceCodec) Unmarshal(data []byte) (any, error) {
-	var p portableSlice
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&p); err != nil {
-		return nil, err
-	}
-	if p.Criterion < 0 || p.Criterion >= len(c.prog.Instrs) {
-		return nil, fmt.Errorf("artifacts: slice criterion %d out of range", p.Criterion)
-	}
-	s := &staticslice.Slice{
-		Instrs:    &bitset.Set{},
-		Nodes:     p.Nodes,
-		Criterion: c.prog.Instrs[p.Criterion],
-	}
-	for _, id := range p.Instrs {
-		s.Instrs.Add(id)
-	}
-	return s, nil
-}
-
-// SliceCodec returns the on-disk codec for *staticslice.Slice
-// artifacts of one program.
-func SliceCodec(prog *ir.Program) Codec { return sliceCodec{prog: prog} }

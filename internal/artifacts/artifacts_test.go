@@ -12,13 +12,10 @@ import (
 	"time"
 
 	"oha/internal/artifacts"
-	"oha/internal/ctxs"
 	"oha/internal/invariants"
 	"oha/internal/ir"
 	"oha/internal/lang"
-	"oha/internal/pointsto"
 	"oha/internal/profile"
-	"oha/internal/staticslice"
 )
 
 const prog = `
@@ -62,7 +59,7 @@ func TestMemoNilCacheComputesEveryTime(t *testing.T) {
 			t.Fatalf("Memo = %v, %v", v, err)
 		}
 	}
-	if c.Stats() != (artifacts.Stats{}) || c.Dir() != "" {
+	if c.Stats() != (artifacts.Stats{}) {
 		t.Error("nil cache reported state")
 	}
 }
@@ -143,53 +140,6 @@ func TestDBDiskRoundtrip(t *testing.T) {
 	if st := c2.Stats(); st.DiskHits != 1 || st.Misses != 0 {
 		t.Errorf("stats after load = %+v", st)
 	}
-}
-
-func TestSliceDiskRoundtrip(t *testing.T) {
-	p := lang.MustCompile(prog)
-	pt, err := pointsto.Analyze(p, ctxs.NewCI(p), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var criterion = -1
-	for _, in := range p.Instrs {
-		if in.Op == ir.OpPrint {
-			criterion = in.ID
-		}
-	}
-	if criterion < 0 {
-		t.Fatal("no print instruction")
-	}
-	want := staticslice.New(pt).BackwardSlice(p.Instrs[criterion])
-
-	dir := t.TempDir()
-	key := artifacts.Key(artifacts.KindSlice, p, nil, 0, "test")
-	c1 := artifacts.New(dir)
-	if _, err := c1.Memo(key, artifacts.SliceCodec(p), func() (any, error) { return want, nil }); err != nil {
-		t.Fatal(err)
-	}
-	c2 := artifacts.New(dir)
-	v, err := c2.Memo(key, artifacts.SliceCodec(p), func() (any, error) {
-		t.Fatal("compute ran despite disk entry")
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := v.(*staticslice.Slice)
-	if got.Criterion != want.Criterion || got.Nodes != want.Nodes {
-		t.Errorf("roundtrip criterion/nodes = %v/%d, want %v/%d",
-			got.Criterion, got.Nodes, want.Criterion, want.Nodes)
-	}
-	if got.Instrs.Len() != want.Instrs.Len() {
-		t.Errorf("roundtrip slice size = %d, want %d", got.Instrs.Len(), want.Instrs.Len())
-	}
-	want.Instrs.ForEach(func(id int) bool {
-		if !got.Instrs.Has(id) {
-			t.Errorf("roundtrip lost instr %d", id)
-		}
-		return true
-	})
 }
 
 func TestKeysDiscriminate(t *testing.T) {
@@ -355,7 +305,7 @@ func TestBoundEvictsLRU(t *testing.T) {
 	mk("b")
 	mk("a") // refresh a: b is now the LRU victim
 	mk("c") // evicts b
-	if got := c.Evictions(); got != 1 {
+	if got := c.Stats().Evictions; got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
 	if _, ok := c.Peek("b"); ok {
@@ -384,7 +334,7 @@ func TestBoundByteCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Evictions() == 0 {
+	if c.Stats().Evictions == 0 {
 		t.Fatal("byte cap never evicted")
 	}
 	if n := c.Entries(); n > 2 {
@@ -407,7 +357,7 @@ func TestBoundEvictedEntryFallsBackToDisk(t *testing.T) {
 	if _, err := c.Memo("other", nil, func() (any, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if c.Evictions() == 0 {
+	if c.Stats().Evictions == 0 {
 		t.Fatal("no eviction under entry cap 1")
 	}
 	// …but the portable artifact comes back from the disk layer.

@@ -280,7 +280,7 @@ func TestPruneDisk(t *testing.T) {
 	if _, err := os.Stat(path(keys[1], ".ohc")); !os.IsNotExist(err) {
 		t.Fatal("oldest file survived budget pruning")
 	}
-	if c.DiskPrunes() < 4 {
-		t.Fatalf("DiskPrunes = %d, want >= 4", c.DiskPrunes())
+	if c.Stats().DiskPrunes < 4 {
+		t.Fatalf("DiskPrunes = %d, want >= 4", c.Stats().DiskPrunes)
 	}
 }

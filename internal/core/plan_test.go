@@ -47,7 +47,9 @@ func TestRunPathsAgreeAcrossEngines(t *testing.T) {
 			{"RunDJIT", func(e Execution, o RunOptions) (any, error) { return RunDJIT(prog, e, o) }},
 			{"HybridFT", func(e Execution, o RunOptions) (any, error) { return oft.Sound.Run(e, o) }},
 			{"OptFT", func(e Execution, o RunOptions) (any, error) { return oft.Run(e, o) }},
-			{"OptFT-validation", func(e Execution, o RunOptions) (any, error) { return oft.val.fastTrack(e, o) }},
+			{"OptFT-validation", func(e Execution, o RunOptions) (any, error) {
+				return validationPlan(oft.Pred, oft.DB.ElidableLocks).fastTrack(e, o)
+			}},
 			{"RunFullGiri", func(e Execution, o RunOptions) (any, error) { return RunFullGiri(prog, osl.Criterion, e, o, 0) }},
 			{"HybridSlicer", func(e Execution, o RunOptions) (any, error) { return osl.Sound.Run(e, o) }},
 			{"OptSlice", func(e Execution, o RunOptions) (any, error) { return osl.Run(e, o) }},

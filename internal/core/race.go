@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"slices"
 
 	"oha/internal/artifacts"
@@ -69,9 +71,10 @@ type StaticConfig struct {
 
 // analyzeRaceStatic runs the (sound or predicated) Chord-style static
 // pipeline. With a non-nil cache the points-to, MHP, and static-race
-// stages are memoized by content address.
+// stages are memoized by content address (artifacts.RaceKey, which
+// leaves db.ElidableLocks out).
 func analyzeRaceStatic(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*staticrace.Result, error) {
-	v, err := cfg.Cache.Memo(artifacts.Key(artifacts.KindStaticRace, prog, db, 0, "ci"), artifacts.RaceCodec(prog), func() (any, error) {
+	v, err := cfg.Cache.Memo(artifacts.RaceKey(artifacts.KindStaticRace, prog, db), artifacts.RaceCodec(prog), func() (any, error) {
 		pt, err := pointsToCI(prog, db, cfg)
 		if err != nil {
 			return nil, err
@@ -91,7 +94,7 @@ func analyzeRaceStatic(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*
 // pointsToCI returns the (memoized) context-insensitive points-to
 // result for the race pipeline.
 func pointsToCI(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*pointsto.Result, error) {
-	v, err := cfg.Cache.Memo(artifacts.Key(artifacts.KindPointsTo, prog, db, 0, "ci"), artifacts.PointsToCodec(prog, db), func() (any, error) {
+	v, err := cfg.Cache.Memo(artifacts.RaceKey(artifacts.KindPointsTo, prog, db), artifacts.PointsToCodec(prog, db), func() (any, error) {
 		return pointsto.AnalyzeParallel(prog, ctxs.NewCI(prog), db, cfg.Workers)
 	})
 	if err != nil {
@@ -104,7 +107,7 @@ func pointsToCI(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*pointst
 // be the pointsToCI result for the same (prog, db), which the key
 // already determines.
 func mhpOf(prog *ir.Program, pt *pointsto.Result, db *invariants.DB, cache *artifacts.Cache) (*mhp.Result, error) {
-	v, err := cache.Memo(artifacts.Key(artifacts.KindMHP, prog, db, 0, "ci"), artifacts.MHPCodec(prog), func() (any, error) {
+	v, err := cache.Memo(artifacts.RaceKey(artifacts.KindMHP, prog, db), artifacts.MHPCodec(prog), func() (any, error) {
 		return mhp.Analyze(prog, pt, db), nil
 	})
 	if err != nil {
@@ -238,23 +241,23 @@ func (h *HybridFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
 // mis-speculation.
 type OptFT struct {
 	Prog *ir.Program
-	DB   *invariants.DB
+	DB   *invariants.DB // the caller's, or ValidateCustomSync's copy
 	// Pred and Sound are the predicated and sound static results.
 	Pred  *staticrace.Result
 	Sound *HybridFT
 
 	tables *raceTables  // the checker's tables, shared by every run
-	static StaticConfig // compiles the plans setElidable builds
+	static StaticConfig // compiles the speculative plan
 	// spec is the speculative run's plan: FastTrack's sites plus the
-	// check sites. val is the plan of ValidateCustomSync's runs:
-	// FastTrack's sites alone, no checks.
-	spec, val *plan
+	// check sites; sync flags FastTrack's own lock sites.
+	spec *plan
+	sync []bool
 }
 
 // NewOptFT runs both static analyses (predicated for speculation,
-// sound for rollback) and prepares masks. The db should already
-// contain a validated ElidableLocks set (see ValidateCustomSync);
-// with an empty set no lock instrumentation is elided.
+// sound for rollback) and prepares masks. Lock instrumentation is
+// elided at db.ElidableLocks, the set profiling validated (see
+// ProfileWith).
 func NewOptFT(prog *ir.Program, db *invariants.DB) (*OptFT, error) {
 	return NewOptFTStatic(prog, db, StaticConfig{Workers: 1})
 }
@@ -268,8 +271,8 @@ func NewOptFTCached(prog *ir.Program, db *invariants.DB, cache *artifacts.Cache)
 // configuration. Masks and derived state are always private to the
 // returned instance; only the immutable static results are shared
 // through cfg.Cache. With a warm cache — in particular one prewarmed
-// by inc.Reanalyze after an adaptive refinement — no static solving
-// happens here at all.
+// by inc.Reanalyze after an adaptive refinement, or by ProfileWith's
+// custom-sync validation — no static solving happens here at all.
 func NewOptFTStatic(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*OptFT, error) {
 	pred, err := analyzeRaceStatic(prog, db, cfg)
 	if err != nil {
@@ -284,11 +287,11 @@ func NewOptFTStatic(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*Opt
 	return o, nil
 }
 
-// compile builds both plans from FastTrack's masks. Both images are
-// IC-seeded from the database's likely callee sets: an inline cache is
-// semantically transparent (a miss just resolves generically), so
+// compile builds the speculative plan from FastTrack's masks. Its image
+// is IC-seeded from the database's likely callee sets: an inline cache
+// is semantically transparent (a miss just resolves generically), so
 // seeding needs no checker support — the callee-set violation itself
-// is raised by the tracer, which both images already drive.
+// is raised by the tracer.
 func (o *OptFT) compile(mem, sync []bool) {
 	// Sync events: FastTrack's sites plus the guarding-lock check
 	// sites (which need the cheap address check even when FastTrack's
@@ -298,9 +301,8 @@ func (o *OptFT) compile(mem, sync []bool) {
 		checked[pair.A] = true
 		checked[pair.B] = true
 	}
-	opts := compileOpts(o.DB, o.static)
-	o.spec = compiledCode(o.Prog, interp.Masks{Mem: mem, Sync: checked, Block: o.tables.luc}, opts, o.static.Cache)
-	o.val = compiledCode(o.Prog, raceMasks(o.Prog, mem, sync), opts, o.static.Cache)
+	o.spec = compiledCode(o.Prog, interp.Masks{Mem: mem, Sync: checked, Block: o.tables.luc}, compileOpts(o.DB, o.static), o.static.Cache)
+	o.sync = sync
 }
 
 // CodeDigest returns the content digest of the speculative run's
@@ -329,7 +331,7 @@ func (o *OptFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
 	det := fasttrack.New()
 	defer det.Release()
 	checker := o.tables.newChecker(abort)
-	tracer := &optTracer{det: det, checker: checker, sync: o.val.masks.Sync}
+	tracer := &optTracer{det: det, checker: checker, sync: o.sync}
 	report := func(res *interp.Result) *RaceReport { return raceReport(det, res) }
 	suspect := func() Violation {
 		// Race reports are potential mis-speculations when lock
@@ -343,44 +345,107 @@ func (o *OptFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
 	return speculate(o.spec, tracer, &checker.checkState, e, opts, report, suspect, o.Sound.Run)
 }
 
-// ValidateCustomSync performs the iterative no-custom-synchronization
+// ValidateCustomSync runs profiling's custom-sync validation
+// (validatedDB) on execs and elides the lock sites it keeps. After
+// ProfileWith with the same cache and executions it is one cache hit.
+// The caller's database is left as it was.
+func (o *OptFT) ValidateCustomSync(execs []Execution, opts RunOptions) error {
+	db, err := validatedDB(o.Prog, o.DB, execs, o.static.Cache, opts, func() (*staticrace.Result, *HybridFT, error) { return o.Pred, o.Sound, nil })
+	if err != nil {
+		return err
+	}
+	if !db.ElidableLocks.Equal(o.DB.ElidableLocks) {
+		o.DB = db
+		o.compile(o.Pred.Masks(db))
+	}
+	return nil
+}
+
+// withValidatedLocks is profiling's custom-sync validation of db on
+// execs. A program with no lock instruction skips it, static analysis
+// included.
+func withValidatedLocks(ctx context.Context, prog *ir.Program, db *invariants.DB, execs []Execution, cfg StaticConfig) (*invariants.DB, error) {
+	if !hasLock(prog) {
+		return db, nil
+	}
+	return validatedDB(prog, db, execs, cfg.Cache, RunOptions{Ctx: ctx}, func() (*staticrace.Result, *HybridFT, error) {
+		pred, err := analyzeRaceStatic(prog, db, cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		sound, err := NewHybridFT(prog, cfg)
+		return pred, sound, err
+	})
+}
+
+// hasLock reports whether prog has a lock instruction.
+func hasLock(prog *ir.Program) bool {
+	return slices.ContainsFunc(prog.Instrs, func(in *ir.Instr) bool { return in.Op == ir.OpLock })
+}
+
+// validatedDB returns a copy of db whose ElidableLocks is the set
+// validateLocks keeps on execs, memoized by IR digest, db's digest
+// without ElidableLocks, run bounds and the executions' ExecKeys. On a
+// miss, static supplies the predicated and sound race analyses.
+func validatedDB(prog *ir.Program, db *invariants.DB, execs []Execution, cache *artifacts.Cache, opts RunOptions,
+	static func() (*staticrace.Result, *HybridFT, error)) (*invariants.DB, error) {
+	extra := []string{fmt.Sprintf("q%d/max%d", opts.Quantum, opts.MaxSteps)}
+	for _, e := range execs {
+		extra = append(extra, artifacts.ExecKey(prog, e.Inputs, e.Seed))
+	}
+	v, err := cache.Memo(artifacts.RaceKey(artifacts.KindCustomSync, prog, db, extra...), artifacts.DBCodec(), func() (any, error) {
+		pred, sound, err := static()
+		if err != nil {
+			return nil, err
+		}
+		set, err := validateLocks(pred, sound, execs, opts)
+		if err != nil {
+			return nil, err
+		}
+		out := db.Clone()
+		out.ElidableLocks = set
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*invariants.DB).Clone(), nil
+}
+
+// validateLocks performs the iterative no-custom-synchronization
 // profiling of §4.2.4: starting from the lock/unlock sites the
-// predicated static analysis proposes to elide, it runs the optimistic
-// detector on the profiling executions and compares race reports with
-// the sound detector; if elision introduces false races, the
+// predicated static analysis proposes to elide, it runs FastTrack with
+// those sites elided on the executions and compares race reports with
+// the sound detector's; if elision introduces false races, the
 // instrumentation is restored lock-object group by group until the
-// reports agree. The validated set is stored in o.DB.ElidableLocks
-// (and reflected in the run plans). When no site is proposed it runs
-// no execution: the validated set is empty whatever they would report.
+// reports agree. When no site is proposed it runs no execution: the
+// validated set is empty whatever they would report.
 //
 // Each execution is interpreted once in the round that first reaches
 // it, feeding both detectors (see validateWithSound); later rounds
 // rerun only the validation plan, since the sound report does not
 // depend on the tentative set.
-func (o *OptFT) ValidateCustomSync(execs []Execution, opts RunOptions) error {
-	tentative := o.Pred.ElidableSyncs.Clone()
+func validateLocks(pred *staticrace.Result, sound *HybridFT, execs []Execution, opts RunOptions) (*bitset.Set, error) {
+	prog := pred.Prog
+	tentative := pred.ElidableSyncs.Clone()
 	if tentative.IsEmpty() {
-		if err := ctxErr(opts.Ctx); err != nil {
-			return err
-		}
-		o.setElidable(tentative)
-		return nil
+		return tentative, ctxErr(opts.Ctx)
 	}
 	soundReps := make([]*RaceReport, len(execs))
 	for {
-		o.setElidable(tentative)
-		both := o.dualPlan()
+		val := validationPlan(pred, tentative)
+		both := dualPlan(sound.plan, val)
 		bad := false
 		for i, e := range execs {
 			var optRep *RaceReport
 			var err error
 			if soundReps[i] == nil {
-				optRep, soundReps[i], err = o.validateWithSound(both, e, opts)
+				optRep, soundReps[i], err = validateWithSound(both, val, sound.plan, e, opts)
 			} else {
-				optRep, err = o.val.fastTrack(e, opts)
+				optRep, err = val.fastTrack(e, opts)
 			}
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if !slices.Equal(optRep.Races, soundReps[i].Races) {
 				bad = true
@@ -388,46 +453,53 @@ func (o *OptFT) ValidateCustomSync(execs []Execution, opts RunOptions) error {
 			}
 		}
 		if !bad || tentative.IsEmpty() {
-			return nil
+			return tentative, nil
 		}
 		// Restore instrumentation on one lock-site group and retry.
 		restore := tentative.Min()
 		tentative.Remove(restore)
 		// Also restore the sites sharing an abstract lock object —
 		// approximated here by removing unlocks in the same function.
-		for _, in := range o.Prog.Instrs {
+		for _, in := range prog.Instrs {
 			if (in.Op == ir.OpLock || in.Op == ir.OpUnlock) &&
-				in.Block.Fn == o.Prog.Instrs[restore].Block.Fn {
+				in.Block.Fn == prog.Instrs[restore].Block.Fn {
 				tentative.Remove(in.ID)
 			}
 		}
 	}
 }
 
-// dualPlan returns the plan of a run that delivers the events
-// of both the validation plan and the sound plan: the sound plan
-// itself when its masks flag every validation event (they do on every
-// workload: the sound plan flags every lock site and the predicated
-// analysis keeps a subset of the racy accesses), else a plan whose
-// masks are the union of the two.
-func (o *OptFT) dualPlan() *plan {
-	sound, val := o.Sound.plan.masks, o.val.masks
-	if covers(sound.Mem, val.Mem) && covers(sound.Sync, val.Sync) {
-		return o.Sound.plan
-	}
-	return compiledCode(o.Prog, raceMasks(o.Prog, unionMask(sound.Mem, val.Mem), unionMask(sound.Sync, val.Sync)),
-		compileOpts(nil, o.static), o.static.Cache)
+// validationPlan is the plan of a validation run: FastTrack at pred's
+// racy accesses and at the lock sites outside elided. It has no image,
+// since a validation that restores no site runs only dualPlan's.
+func validationPlan(pred *staticrace.Result, elided *bitset.Set) *plan {
+	mem, sync := pred.Masks(&invariants.DB{ElidableLocks: elided})
+	return &plan{prog: pred.Prog, masks: raceMasks(pred.Prog, mem, sync)}
 }
 
-// validateWithSound interprets e once under both (dualPlan's
-// plan) and returns the validation plan's report and the sound plan's:
-// the run feeds two FastTrack detectors, each seeing exactly the
-// events its own plan flags, so each report equals that of a separate
-// run under its plan (the schedule does not depend on the masks).
-func (o *OptFT) validateWithSound(both *plan, e Execution, opts RunOptions) (val, sound *RaceReport, err error) {
+// dualPlan returns the plan of a run that delivers the events of both
+// the validation plan and the sound plan: the sound plan itself when
+// its masks flag every validation event (they do on every workload:
+// the sound plan flags every lock site and the predicated analysis
+// keeps a subset of the racy accesses), else a plan whose masks are the
+// union of the two.
+func dualPlan(sound, val *plan) *plan {
+	s, v := sound.masks, val.masks
+	if covers(s.Mem, v.Mem) && covers(s.Sync, v.Sync) {
+		return sound
+	}
+	return &plan{prog: sound.prog, masks: raceMasks(sound.prog, unionMask(s.Mem, v.Mem), unionMask(s.Sync, v.Sync))}
+}
+
+// validateWithSound interprets e once under both (dualPlan's plan) and
+// returns the validation plan's report and the sound plan's: the run
+// feeds two FastTrack detectors, each seeing exactly the events its
+// own plan flags, so each report equals that of a separate run under
+// its plan (the schedule does not depend on the masks).
+func validateWithSound(both, val, sound *plan, e Execution, opts RunOptions) (valRep, soundRep *RaceReport, err error) {
 	tr := &dualTracer{
 		val: fasttrack.New(), sound: fasttrack.New(),
-		valMasks: o.val.masks, soundMasks: o.Sound.plan.masks,
+		valMasks: val.masks, soundMasks: sound.masks,
 	}
 	defer tr.val.Release()
 	defer tr.sound.Release()
@@ -527,18 +599,6 @@ func unionMask(a, b []bool) []bool {
 		out[id] = out[id] || on
 	}
 	return out
-}
-
-// setElidable updates the elided-lock set and rebuilds both plans.
-func (o *OptFT) setElidable(set *bitset.Set) {
-	o.DB.ElidableLocks = set.Clone()
-	sync := slices.Clone(o.val.masks.Sync)
-	for _, in := range o.Prog.Instrs {
-		if in.Op == ir.OpLock || in.Op == ir.OpUnlock {
-			sync[in.ID] = !set.Has(in.ID)
-		}
-	}
-	o.compile(o.val.masks.Mem, sync)
 }
 
 // SameRaces reports whether two runs detected races on exactly the

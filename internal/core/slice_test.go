@@ -4,9 +4,11 @@ import (
 	"errors"
 	"testing"
 
+	"oha/internal/artifacts"
 	"oha/internal/interp"
 	"oha/internal/ir"
 	"oha/internal/lang"
+	"oha/internal/workloads"
 )
 
 // interpSrc models a small dispatch interpreter (the perl-style
@@ -458,5 +460,33 @@ func TestSliceCriterion(t *testing.T) {
 		case got != c.want || in != prints[c.want]:
 			t.Errorf("%s: print %d (%v), want %d", c.name, got, in, c.want)
 		}
+	}
+}
+
+// TestStaticSliceDiskRoundtrip: a static slice and its analysis type
+// written to the disk tier through one cache come back unchanged
+// through another, without recomputing.
+func TestStaticSliceDiskRoundtrip(t *testing.T) {
+	w := workloads.ByName("perl")
+	prog := w.Prog()
+	pr := mustProfile(t, prog, func(run int) Execution { return Execution{Inputs: w.GenInput(run), Seed: uint64(run + 1)} }, 16)
+	prints := Prints(prog)
+	crit := prints[len(prints)-1]
+	dir := t.TempDir()
+	want, err := staticSliceFor(prog, pr.DB, crit, 4096, artifacts.New(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := artifacts.New(dir)
+	got, err := staticSliceFor(prog, pr.DB, crit, 4096, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.DiskHits != 1 || st.Misses != 0 {
+		t.Errorf("second cache: %+v, want one disk hit and no miss", st)
+	}
+	if got.AT != want.AT || got.Slice.Criterion != want.Slice.Criterion || got.Slice.Nodes != want.Slice.Nodes || !got.Slice.Instrs.Equal(want.Slice.Instrs) {
+		t.Errorf("round trip: %s %v %d %v, want %s %v %d %v", got.AT, got.Slice.Criterion, got.Slice.Nodes, got.Slice.Instrs,
+			want.AT, want.Slice.Criterion, want.Slice.Nodes, want.Slice.Instrs)
 	}
 }

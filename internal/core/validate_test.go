@@ -1,10 +1,16 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
 
+	"oha/internal/artifacts"
+	"oha/internal/bitset"
+	"oha/internal/interp"
+	"oha/internal/invariants"
 	"oha/internal/ir"
 	"oha/internal/lang"
 	"oha/internal/progen"
@@ -12,28 +18,26 @@ import (
 )
 
 // refValidate is the two-pass custom-sync validation loop that
-// ValidateCustomSync replaces: every round runs each execution under
-// the validation plan, and the first round to reach an execution runs
-// it a second time under the sound plan. ValidateCustomSync must
-// validate the same lock set.
-func refValidate(o *OptFT, execs []Execution, opts RunOptions) error {
+// validateLocks replaces: every round runs each execution under the
+// validation plan, and the first round to reach an execution runs it a
+// second time under the sound plan. validateLocks must validate the
+// same lock set.
+func refValidate(o *OptFT, execs []Execution, opts RunOptions) (*bitset.Set, error) {
 	tentative := o.Pred.ElidableSyncs.Clone()
 	if tentative.IsEmpty() {
-		o.setElidable(tentative)
-		return nil
+		return tentative, nil
 	}
 	soundReps := make([]*RaceReport, len(execs))
 	for {
-		o.setElidable(tentative)
 		bad := false
 		for i, e := range execs {
-			optRep, err := o.val.fastTrack(e, opts)
+			optRep, err := validationPlan(o.Pred, tentative).fastTrack(e, opts)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if soundReps[i] == nil {
 				if soundReps[i], err = o.Sound.Run(e, opts); err != nil {
-					return err
+					return nil, err
 				}
 			}
 			if !slices.Equal(optRep.Races, soundReps[i].Races) {
@@ -42,7 +46,7 @@ func refValidate(o *OptFT, execs []Execution, opts RunOptions) error {
 			}
 		}
 		if !bad || tentative.IsEmpty() {
-			return nil
+			return tentative, nil
 		}
 		restore := tentative.Min()
 		tentative.Remove(restore)
@@ -109,13 +113,13 @@ func sameReport(a, b *RaceReport) bool {
 // checkOnePass requires one interpretation under dualPlan to
 // give, for each detector, the report of a separate run under its own
 // plan.
-func checkOnePass(t *testing.T, name string, o *OptFT, execs []Execution) {
+func checkOnePass(t *testing.T, name string, soundPlan, valPlan *plan, execs []Execution) {
 	t.Helper()
-	both := o.dualPlan()
+	both := dualPlan(soundPlan, valPlan)
 	for i, e := range execs {
-		val, sound, err := o.validateWithSound(both, e, RunOptions{})
-		wantVal, errVal := o.val.fastTrack(e, RunOptions{})
-		wantSound, errSound := o.Sound.Run(e, RunOptions{})
+		val, sound, err := validateWithSound(both, valPlan, soundPlan, e, RunOptions{})
+		wantVal, errVal := valPlan.fastTrack(e, RunOptions{})
+		wantSound, errSound := soundPlan.fastTrack(e, RunOptions{})
 		if err != nil || errVal != nil || errSound != nil {
 			if fmt.Sprint(err) != fmt.Sprint(errVal) || fmt.Sprint(err) != fmt.Sprint(errSound) {
 				t.Errorf("%s exec %d: one-pass error %v, separate runs %v / %v", name, i, err, errVal, errSound)
@@ -143,26 +147,22 @@ func TestValidateMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: profile: %v", c.name, err)
 		}
-		ref, err := NewOptFT(c.prog, pr.DB.Clone())
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		refErr := refValidate(ref, c.execs, RunOptions{})
 		o, err := NewOptFT(c.prog, pr.DB.Clone())
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
+		ref, refErr := refValidate(o, c.execs, RunOptions{})
 		if err := o.ValidateCustomSync(c.execs, RunOptions{}); fmt.Sprint(err) != fmt.Sprint(refErr) {
 			t.Fatalf("%s: validation error %v, reference %v", c.name, err, refErr)
 		}
-		if got, want := o.DB.ElidableLocks.Slice(), ref.DB.ElidableLocks.Slice(); !slices.Equal(got, want) {
-			t.Errorf("%s: validated %v, reference %v", c.name, got, want)
+		if refErr == nil && !o.DB.ElidableLocks.Equal(ref) {
+			t.Errorf("%s: validated %v, reference %v", c.name, o.DB.ElidableLocks, ref)
 		}
-		o.setElidable(o.Pred.ElidableSyncs)
-		if o.dualPlan() != o.Sound.plan {
+		val := validationPlan(o.Pred, o.Pred.ElidableSyncs)
+		if dualPlan(o.Sound.plan, val) != o.Sound.plan {
 			t.Errorf("%s: the sound plan does not cover the validation plan", c.name)
 		}
-		checkOnePass(t, c.name, o, c.execs)
+		checkOnePass(t, c.name, o.Sound.plan, val, c.execs)
 	}
 }
 
@@ -204,10 +204,196 @@ func TestValidateUnionImage(t *testing.T) {
 	for id := range mem {
 		mem[id] = mem[id] && id%2 == 0
 	}
-	o.Sound.plan = compiledCode(prog, raceMasks(prog, mem, make([]bool, len(prog.Instrs))), compileOpts(nil, o.static), nil)
-	if o.dualPlan() == o.Sound.plan {
+	trimmed := compiledCode(prog, raceMasks(prog, mem, make([]bool, len(prog.Instrs))), compileOpts(nil, o.static), nil)
+	val := validationPlan(o.Pred, o.DB.ElidableLocks)
+	if dualPlan(trimmed, val) == trimmed {
 		t.Fatal("the trimmed sound plan still covers the validation plan")
 	}
 	execs := []Execution{{Inputs: []int64{10}, Seed: 1}, {Inputs: []int64{10}, Seed: 2}, {Inputs: []int64{3}, Seed: 3}}
-	checkOnePass(t, "union", o, execs)
+	checkOnePass(t, "union", trimmed, val, execs)
+}
+
+// profileCorpus returns every workload program and 25 seeds each of the
+// progen default and dispatch families, with their profiling
+// executions.
+func profileCorpus(t *testing.T) []validateCase {
+	t.Helper()
+	var out []validateCase
+	for _, w := range workloads.All() {
+		out = append(out, validateCase{name: w.Name, prog: w.Prog(), profile: func(run int) Execution {
+			return Execution{Inputs: w.GenInput(run), Seed: uint64(run + 1)}
+		}})
+	}
+	for _, c := range validateCorpus(t) {
+		if workloads.ByName(c.name) == nil {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// firstExecs returns gen's first n executions.
+func firstExecs(gen func(int) Execution, n int) []Execution {
+	out := make([]Execution, n)
+	for i := range out {
+		out[i] = gen(i)
+	}
+	return out
+}
+
+// TestProfileValidatesCustomSync: profiling ends with custom-sync
+// validation, so ProfileWith's ElidableLocks is the set an explicit
+// ValidateCustomSync on its first (at most four) executions keeps, for
+// a detector built on the unvalidated database.
+func TestProfileValidatesCustomSync(t *testing.T) {
+	elided := 0
+	for _, c := range profileCorpus(t) {
+		pr, err := ProfileWith(c.prog, c.profile, ProfileOptions{MaxRuns: 32, Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: profile: %v", c.name, err)
+		}
+		db := pr.DB.Clone()
+		db.ElidableLocks.Clear()
+		o, err := NewOptFT(c.prog, db)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := o.ValidateCustomSync(firstExecs(c.profile, min(pr.Runs, 4)), RunOptions{}); err != nil {
+			t.Fatalf("%s: validate: %v", c.name, err)
+		}
+		if !pr.DB.ElidableLocks.Equal(o.DB.ElidableLocks) {
+			t.Errorf("%s: profiling validated %v, explicit validation %v", c.name, pr.DB.ElidableLocks, o.DB.ElidableLocks)
+		}
+		if !pr.DB.ElidableLocks.IsEmpty() {
+			elided++
+		}
+	}
+	if elided == 0 {
+		t.Fatal("no program validated an elidable lock: the corpus checks nothing")
+	}
+}
+
+// TestValidationSharesProfilingSolves: with one shared cache,
+// ProfileWith has already made every static solve the detector of its
+// database needs and memoized the validation: building the detector
+// misses at most the speculative image, the one artifact validation
+// does not build, and validating again on the same executions is one
+// cache hit. (A
+// program with no lock instruction validates nothing; see
+// TestProfileWithoutLocksRunsNoStaticAnalysis.)
+func TestValidationSharesProfilingSolves(t *testing.T) {
+	for _, w := range append(workloads.Races(), workloads.ByName("dispatch-mono"), workloads.ByName("dispatch-poly")) {
+		prog := w.Prog()
+		if !hasLock(prog) {
+			continue
+		}
+		profile := func(run int) Execution { return Execution{Inputs: w.GenInput(run), Seed: uint64(run + 1)} }
+		cache := artifacts.New("")
+		pr, err := ProfileWith(prog, profile, ProfileOptions{MaxRuns: 32, Workers: 1, Cache: cache})
+		if err != nil {
+			t.Fatalf("%s: profile: %v", w.Name, err)
+		}
+		for _, kind := range []string{artifacts.KindPointsTo, artifacts.KindMHP, artifacts.KindStaticRace} {
+			for _, db := range []*invariants.DB{pr.DB, nil} {
+				if _, ok := cache.Peek(artifacts.RaceKey(kind, prog, db)); !ok {
+					t.Errorf("%s: profiling left no %s artifact for database %v", w.Name, kind, db != nil)
+				}
+			}
+		}
+		before := cache.Stats()
+		o, err := NewOptFTCached(prog, pr.DB, cache)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		built := cache.Stats()
+		if misses := built.Misses - before.Misses; misses > 1 {
+			t.Errorf("%s: detector build missed %d artifacts, want at most 1 (the speculative image)", w.Name, misses)
+		}
+		if err := o.ValidateCustomSync(firstExecs(profile, min(pr.Runs, 4)), RunOptions{}); err != nil {
+			t.Fatalf("%s: validate: %v", w.Name, err)
+		}
+		if st := cache.Stats(); st.Misses != built.Misses || st.Lookups() != built.Lookups()+1 {
+			t.Errorf("%s: validation made %d lookups and %d misses, want one hit", w.Name, st.Lookups()-built.Lookups(), st.Misses-built.Misses)
+		}
+		if !o.DB.ElidableLocks.Equal(pr.DB.ElidableLocks) {
+			t.Errorf("%s: validation kept %v, profiling %v", w.Name, o.DB.ElidableLocks, pr.DB.ElidableLocks)
+		}
+	}
+}
+
+// TestProfileWithoutLocksRunsNoStaticAnalysis: a program with no lock
+// instruction has nothing to validate, so profiling looks up nothing
+// in the cache but its own runs.
+func TestProfileWithoutLocksRunsNoStaticAnalysis(t *testing.T) {
+	for _, w := range workloads.All() {
+		if hasLock(w.Prog()) {
+			continue
+		}
+		cache := artifacts.New("")
+		pr, err := ProfileWith(w.Prog(), func(run int) Execution {
+			return Execution{Inputs: w.GenInput(run), Seed: uint64(run + 1)}
+		}, ProfileOptions{MaxRuns: 32, Workers: 1, Cache: cache})
+		if err != nil {
+			t.Fatalf("%s: profile: %v", w.Name, err)
+		}
+		if got := cache.Stats().Lookups(); got != uint64(pr.Runs) {
+			t.Errorf("%s: %d cache lookups for %d profiling runs", w.Name, got, pr.Runs)
+		}
+	}
+}
+
+// TestValidationLeavesCallerDB: neither building OptFT nor validating
+// its lock sites writes to the database the caller passed in; the
+// detector runs under its own validated copy.
+func TestValidationLeavesCallerDB(t *testing.T) {
+	w := workloads.ByName("raytracer")
+	profile := func(run int) Execution { return Execution{Inputs: w.GenInput(run), Seed: uint64(run + 1)} }
+	pr := mustProfile(t, w.Prog(), profile, 32)
+	if pr.DB.ElidableLocks.IsEmpty() {
+		t.Fatal("test needs a validated elidable lock")
+	}
+	db := pr.DB.Clone()
+	db.ElidableLocks.Clear()
+	want := db.Clone()
+	o, err := NewOptFT(w.Prog(), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !db.Equal(want) {
+		t.Fatal("NewOptFT changed the caller's database")
+	}
+	if err := o.ValidateCustomSync(firstExecs(profile, 4), RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if !db.Equal(want) {
+		t.Errorf("ValidateCustomSync changed the caller's database: elidable %v", db.ElidableLocks)
+	}
+	if !o.DB.ElidableLocks.Equal(pr.DB.ElidableLocks) {
+		t.Errorf("detector elides %v, want %v", o.DB.ElidableLocks, pr.DB.ElidableLocks)
+	}
+}
+
+// TestProfileValidationCanceled: a context canceled once profiling has
+// converged, while validation replays the first executions, fails
+// ProfileWith as canceled.
+func TestProfileValidationCanceled(t *testing.T) {
+	w := workloads.ByName("raytracer")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	firstRuns := 0
+	pr, err := ProfileWith(w.Prog(), func(run int) Execution {
+		if run == 0 {
+			// The second request for run 0 is validation's.
+			if firstRuns++; firstRuns == 2 {
+				cancel()
+			}
+		}
+		return Execution{Inputs: w.GenInput(run), Seed: uint64(run + 1)}
+	}, ProfileOptions{MaxRuns: 32, Workers: 1, Ctx: ctx})
+	if firstRuns != 2 {
+		t.Fatalf("run 0 requested %d times, want 2 (profiling, then validation)", firstRuns)
+	}
+	if !errors.Is(err, interp.ErrCanceled) {
+		t.Fatalf("err = %v (db %v), want interp.ErrCanceled", err, pr)
+	}
 }

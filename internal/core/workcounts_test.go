@@ -5,11 +5,13 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"oha/internal/artifacts"
 	"oha/internal/bitset"
 	"oha/internal/interp"
 	"oha/internal/ir"
@@ -34,11 +36,18 @@ import (
 //
 //	go test ./internal/core/ -run TestWorkCountsPinned -fastpath=off
 //	go test ./internal/core/ -run TestWorkCountsPinned -ic=off -fusion=off
+//
+// With -image=roundtrip every compiled image is served by an artifact
+// cache from its disk tier, so the runs execute decoded .ohc images,
+// and every column must match:
+//
+//	go test ./internal/core/ -run TestWorkCountsPinned -image=roundtrip
 var (
 	updateGolden = flag.Bool("update", false, "rewrite testdata/workcounts.golden from this tree")
 	icFlag       = flag.String("ic", "on", "work counts: speculative inline caches (on|off)")
 	fusionFlag   = flag.String("fusion", "on", "work counts: superinstruction fusion (on|off)")
 	fastpathFlag = flag.String("fastpath", "on", "work counts: inline analysis fast paths (on|off)")
+	imageFlag    = flag.String("image", "direct", "work counts: in-memory images, or images decoded from an artifact cache's disk tier (direct|roundtrip)")
 )
 
 const (
@@ -92,10 +101,40 @@ func TestWorkCountsPinned(t *testing.T) {
 		t.Skip("profiles and runs every workload")
 	}
 	cfg := workCountsConfig(t)
+	images := 0
+	switch *imageFlag {
+	case "direct":
+	case "roundtrip":
+		// The first pass writes every compiled image to the disk tier as
+		// an .ohc file; the compared pass must decode each one through
+		// a fresh cache. Other artifacts are dropped, so they recompute.
+		dir := t.TempDir()
+		cfg.Cache = artifacts.New(dir)
+		renderWorkCounts(t, cfg)
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			switch {
+			case err != nil || d.IsDir():
+				return err
+			case filepath.Ext(path) == ".ohc":
+				images++
+				return nil
+			}
+			return os.Remove(path)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Cache = artifacts.New(dir)
+	default:
+		t.Fatalf("-image=%q: want direct or roundtrip", *imageFlag)
+	}
 	got := renderWorkCounts(t, cfg)
+	if st := cfg.Cache.Stats(); cfg.Cache != nil && (images == 0 || st.DiskHits != uint64(images)) {
+		t.Fatalf("-image=roundtrip: %d of the %d images on disk were decoded", st.DiskHits, images)
+	}
 	if *updateGolden {
-		if len(excludedColumns(cfg)) > 0 {
-			t.Fatal("-update needs every engine toggle on")
+		if len(excludedColumns(cfg)) > 0 || cfg.Cache != nil {
+			t.Fatal("-update needs every engine toggle on and -image=direct")
 		}
 		if err := os.WriteFile(workCountsGolden, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -184,7 +223,7 @@ func workCounts(b *bytes.Buffer, w *workloads.Workload, cfg StaticConfig) error 
 			}
 		}
 	}
-	plain := compiledCode(prog, plainMasks, compileOpts(pr.DB, cfg), nil)
+	plain := compiledCode(prog, plainMasks, compileOpts(pr.DB, cfg), cfg.Cache)
 	emit(configRow("plain", func(e Execution, opts RunOptions) (*Outcome, error) {
 		res, err := plain.run(e, nil, nil, opts)
 		if err != nil {
@@ -199,16 +238,9 @@ func workCounts(b *bytes.Buffer, w *workloads.Workload, cfg StaticConfig) error 
 		if err != nil {
 			return err
 		}
-		val := make([]Execution, min(pr.Runs, 4))
-		for i := range val {
-			val[i] = workCountProfileExec(w, i)
-		}
-		if err := opt.ValidateCustomSync(val, RunOptions{}); err != nil {
-			return err
-		}
 		fmt.Fprintf(b, "static sound-pairs=%d pred-pairs=%d validated-elidable=%d elided-accesses=%d\n",
 			len(opt.Sound.Static.Pairs), len(opt.Pred.Pairs), opt.DB.ElidableLocks.Len(), opt.ElidedAccesses())
-		full := compiledCode(prog, raceMasks(prog, nil, nil), compileOpts(nil, cfg), nil)
+		full := compiledCode(prog, raceMasks(prog, nil, nil), compileOpts(nil, cfg), cfg.Cache)
 		cols := func(r *RaceReport) string { return fmt.Sprintf(" ft=%d racy=%d", r.FTChecks, len(r.RacyAddrs)) }
 		emit(configRow("fasttrack", full.fastTrack, cols), configRow("hybridft", opt.Sound.Run, cols), configRow("optft", opt.Run, cols))
 	case workloads.Slice:
@@ -219,7 +251,7 @@ func workCounts(b *bytes.Buffer, w *workloads.Workload, cfg StaticConfig) error 
 		}
 		fmt.Fprintf(b, "static sound-slice=%d sound-at=%s pred-slice=%d pred-at=%s\n",
 			opt.Sound.Static.Size(), opt.Sound.AT, opt.Static.Size(), opt.AT)
-		full := compiledCode(prog, interp.Masks{ExecAll: true, Block: make([]bool, len(prog.Blocks))}, compileOpts(nil, cfg), nil)
+		full := compiledCode(prog, interp.Masks{ExecAll: true, Block: make([]bool, len(prog.Blocks))}, compileOpts(nil, cfg), cfg.Cache)
 		giri := func(e Execution, opts RunOptions) (*SliceReport, error) { return full.slice(crit, e, opts, 0) }
 		cols := func(r *SliceReport) string {
 			n := 0
@@ -237,7 +269,7 @@ func workCounts(b *bytes.Buffer, w *workloads.Workload, cfg StaticConfig) error 
 		fmt.Fprintf(b, "static deref-sites=%d sound-discharged=%d pred-discharged=%d\n",
 			opt.Pred.DerefSites, opt.Sound.Static.Discharged.Len(), opt.ElidedChecks())
 		none := &nullcheck.Result{Discharged: &bitset.Set{}, UsedFacts: &bitset.Set{}, DerefSites: countDerefSites(prog)}
-		always := compiledCode(prog, soundNullMasks(prog, fullNullMask(prog)), compileOpts(nil, cfg), nil)
+		always := compiledCode(prog, soundNullMasks(prog, fullNullMask(prog)), compileOpts(nil, cfg), cfg.Cache)
 		alwaysRun := func(e Execution, opts RunOptions) (*NullReport, error) { return always.observeNulls(e, opts, none) }
 		cols := func(r *NullReport) string { return fmt.Sprintf(" nil=%d nil-sites=%d", r.NilDerefs, len(r.NilSites)) }
 		emit(configRow("nullalways", alwaysRun, cols), configRow("hybridnull", opt.Sound.Run, cols), configRow("optnull", opt.Run, cols))
@@ -263,7 +295,7 @@ func configRow[R Report](name string, run func(Execution, RunOptions) (R, error)
 // on an 8-worker pool, and fails unless the two agree exactly: the
 // golden file must not depend on the profiling pool.
 func profileAtWorkers(prog *ir.Program, w *workloads.Workload, cfg StaticConfig) (*ProfileResult, error) {
-	code := compiledCode(prog, profile.Masks(prog), compileOpts(nil, cfg), nil).code
+	code := compiledCode(prog, profile.Masks(prog), compileOpts(nil, cfg), cfg.Cache).code
 	var prs [2]*ProfileResult
 	for i, workers := range []int{1, 8} {
 		pr, err := ProfileWith(prog, func(run int) Execution { return workCountProfileExec(w, run) },

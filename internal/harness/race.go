@@ -37,13 +37,13 @@ type Fig5Row struct {
 	SoundPairs int // racy pairs the sound analysis reports
 	PredPairs  int
 
-	// Cold set-up, timed without an artifact cache.
+	// Cold set-up, timed without an artifact cache. ProfileSec
+	// includes profiling's custom-sync validation.
 	ProfileSec  float64
 	ProfileRuns int
 	SoundSec    float64 // traditional hybrid static analysis
-	// PredSec builds OptFT: the predicated analysis, the sound
-	// analysis it keeps as its rollback target, and custom-sync
-	// validation.
+	// PredSec builds OptFT: the predicated analysis and the sound
+	// analysis it keeps as its rollback target.
 	PredSec float64
 }
 
@@ -88,16 +88,9 @@ func setupRace(opts Options, w *workloads.Workload, row *Fig5Row) (*core.OptFT, 
 		return nil, fmt.Errorf("%s: sound static: %w", w.Name, err)
 	}
 	var opt *core.OptFT
-	row.PredSec, err = timed(func() error {
-		if opt, err = core.NewOptFTCached(prog, pr.DB, nil); err != nil {
-			return err
-		}
-		// Custom-sync validation over (a few of) the profiling runs.
-		execs := make([]core.Execution, min(pr.Runs, 4))
-		for i := range execs {
-			execs[i] = profileExec(w, i)
-		}
-		return opt.ValidateCustomSync(execs, core.RunOptions{})
+	row.PredSec, err = timed(func() (err error) {
+		opt, err = core.NewOptFTCached(prog, pr.DB, nil)
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: predicated static: %w", w.Name, err)

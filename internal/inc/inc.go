@@ -113,7 +113,7 @@ func (m *Metrics) ObserveReuse(r float64) {
 
 // solverStateKey keys a generation bundle by (IR digest, DB digest).
 func solverStateKey(prog *ir.Program, db *invariants.DB) string {
-	return artifacts.Key(artifacts.KindSolverState, prog, db, 0, "ci")
+	return artifacts.RaceKey(artifacts.KindSolverState, prog, db)
 }
 
 // Reanalyze runs (or reuses) the predicated static race pipeline for
@@ -125,9 +125,9 @@ func solverStateKey(prog *ir.Program, db *invariants.DB) string {
 // friends) and the NEXT refinement's resume both hit.
 func Reanalyze(prog *ir.Program, oldDB, newDB *invariants.DB, cache *artifacts.Cache, opts Options) (*Generation, Stats, error) {
 	st := Stats{Phases: map[string]float64{}}
-	ptKey := artifacts.Key(artifacts.KindPointsTo, prog, newDB, 0, "ci")
-	mhpKey := artifacts.Key(artifacts.KindMHP, prog, newDB, 0, "ci")
-	raceKey := artifacts.Key(artifacts.KindStaticRace, prog, newDB, 0, "ci")
+	ptKey := artifacts.RaceKey(artifacts.KindPointsTo, prog, newDB)
+	mhpKey := artifacts.RaceKey(artifacts.KindMHP, prog, newDB)
+	raceKey := artifacts.RaceKey(artifacts.KindStaticRace, prog, newDB)
 
 	// Already analyzed: serve the cached generation.
 	if g, ok := loadBundle(prog, newDB, cache); ok {
@@ -203,15 +203,15 @@ func loadBundle(prog *ir.Program, db *invariants.DB, cache *artifacts.Cache) (*G
 	if bv, ok := cache.PeekDisk(solverStateKey(prog, db), GenerationCodec(prog, db)); ok {
 		return bv.(*Generation), true
 	}
-	pv, ok := cache.PeekDisk(artifacts.Key(artifacts.KindPointsTo, prog, db, 0, "ci"), artifacts.PointsToCodec(prog, db))
+	pv, ok := cache.PeekDisk(artifacts.RaceKey(artifacts.KindPointsTo, prog, db), artifacts.PointsToCodec(prog, db))
 	if !ok {
 		return nil, false
 	}
-	mv, ok := cache.PeekDisk(artifacts.Key(artifacts.KindMHP, prog, db, 0, "ci"), artifacts.MHPCodec(prog))
+	mv, ok := cache.PeekDisk(artifacts.RaceKey(artifacts.KindMHP, prog, db), artifacts.MHPCodec(prog))
 	if !ok {
 		return nil, false
 	}
-	rv, ok := cache.PeekDisk(artifacts.Key(artifacts.KindStaticRace, prog, db, 0, "ci"), artifacts.RaceCodec(prog))
+	rv, ok := cache.PeekDisk(artifacts.RaceKey(artifacts.KindStaticRace, prog, db), artifacts.RaceCodec(prog))
 	if !ok {
 		return nil, false
 	}

@@ -42,7 +42,7 @@ func TestReanalyzeSurvivesRestart(t *testing.T) {
 	if s := c2.Stats(); s.Misses != 0 {
 		t.Fatalf("restart: %d solve misses, want 0 (stats %+v)", s.Misses, s)
 	}
-	if c2.DiskHits() == 0 {
+	if c2.Stats().DiskHits == 0 {
 		t.Fatal("restart: no disk hits recorded")
 	}
 

@@ -227,13 +227,13 @@ func New(cfg Config) (*Server, error) {
 		func() float64 { return float64(s.invs.Len()) })
 	registerCacheMetrics(s.reg, cache)
 	s.reg.NewCounterFunc("oha_artifacts_evictions_total",
-		"artifact-cache entries dropped by the LRU bound", cache.Evictions)
+		"artifact-cache entries dropped by the LRU bound", func() uint64 { return cache.Stats().Evictions })
 	s.reg.NewCounterFunc("oha_artifacts_disk_hits_total",
-		"artifact lookups served from the on-disk tier", cache.DiskHits)
+		"artifact lookups served from the on-disk tier", func() uint64 { return cache.Stats().DiskHits })
 	s.reg.NewCounterFunc("oha_artifacts_disk_misses_total",
-		"artifact disk probes that found no usable file", cache.DiskMisses)
+		"artifact disk probes that found no usable file", func() uint64 { return cache.Stats().DiskMisses })
 	s.reg.NewCounterFunc("oha_artifacts_disk_prunes_total",
-		"artifact disk files removed by pruning", cache.DiskPrunes)
+		"artifact disk files removed by pruning", func() uint64 { return cache.Stats().DiskPrunes })
 	s.routes()
 	return s, nil
 }

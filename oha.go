@@ -132,7 +132,8 @@ func Compile(src string) (*Program, error) { return lang.Compile(src) }
 func MustCompile(src string) *Program { return lang.MustCompile(src) }
 
 // Profile learns likely invariants from executions produced by gen,
-// stopping when the invariant set stabilizes (or after maxRuns).
+// stopping when the invariant set stabilizes (or after maxRuns), then
+// validates the lock sites a race detector may elide (§4.2.4).
 func Profile(prog *Program, gen func(run int) Execution, maxRuns int) (*ProfileResult, error) {
 	return core.Profile(prog, gen, maxRuns)
 }
@@ -174,9 +175,8 @@ func ProfileCached(prog *Program, gen func(run int) Execution, maxRuns int, cach
 
 // NewRaceDetector builds OptFT for a program and its profiled
 // invariants: it runs the predicated static race analysis (for
-// elision) and the sound one (for rollback). Call ValidateCustomSync
-// on the result with profiling executions to enable lock-
-// instrumentation elision.
+// elision) and the sound one (for rollback). Lock instrumentation is
+// elided at the sites profiling validated.
 func NewRaceDetector(prog *Program, db *InvariantDB) (*RaceDetector, error) {
 	return core.NewOptFT(prog, db)
 }
@@ -195,12 +195,6 @@ type StaticConfig = core.StaticConfig
 // (inline-cache hits/misses/deopts and fused superinstruction
 // executions) for one analyzed run; every report carries them. Purely diagnostic — never part of the analysis result.
 type ICStats = interp.ICStats
-
-// NewRaceDetectorStatic is NewRaceDetector with an explicit static
-// pipeline configuration.
-func NewRaceDetectorStatic(prog *Program, db *InvariantDB, cfg StaticConfig) (*RaceDetector, error) {
-	return core.NewOptFTStatic(prog, db, cfg)
-}
 
 // NewHybridRaceDetector builds the traditional hybrid baseline.
 func NewHybridRaceDetector(prog *Program) (*HybridRaceDetector, error) {

@@ -43,9 +43,6 @@ func TestPublicAPIRacePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := det.ValidateCustomSync([]oha.Execution{{Inputs: []int64{15}, Seed: 1}}, oha.RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
 	e := oha.Execution{Inputs: []int64{15}, Seed: 7}
 	opt, err := det.Run(e, oha.RunOptions{})
 	if err != nil {
