@@ -242,6 +242,10 @@ func narrate[R oha.Report](as []adapt.Attempt[R]) {
 			fmt.Printf("generation %d: speculation held\n", a.Generation)
 		case i < len(as)-1:
 			fmt.Printf("generation %d: mis-speculation (%s); refining and re-analyzing\n", a.Generation, out.Violation)
+		case out.RolledBackTo == core.RollbackRefined:
+			// Rolled back with no retry, but the rollback's own
+			// refinement served the run.
+			fmt.Printf("generation %d: mis-speculation (%s); re-executed under a refined generation\n", a.Generation, out.Violation)
 		default:
 			// Rolled back with no retry: the violation was not a
 			// refinable invariant (the report is still sound — the

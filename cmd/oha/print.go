@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"oha"
+	"oha/internal/core"
 	"oha/internal/server"
 )
 
@@ -23,10 +24,14 @@ func printProfile(res server.ProfileJobResult) {
 	fmt.Fprintf(os.Stderr, "profiled %d executions; invariants%s: %+v\n", res.Runs, where, res.Counts)
 }
 
-// printRollback reports a plain run's mis-speculation; the adaptive
-// loop's attempts report their own.
+// printRollback reports a plain run's mis-speculation and what
+// re-executed it; the adaptive loop's attempts report their own.
 func printRollback(o server.JobOutcome, fallback string) {
-	if o.RolledBack && o.Attempts == 0 {
+	switch {
+	case !o.RolledBack || o.Attempts > 0:
+	case o.RolledBackTo == core.RollbackRefined:
+		fmt.Printf("mis-speculation (%s): re-executed under a refined generation without %s\n", o.Violation, strings.Join(o.Refuted, ", "))
+	default:
 		fmt.Printf("mis-speculation (%s): rolled back to hybrid %s\n", o.Violation, fallback)
 	}
 }

@@ -65,7 +65,7 @@ func analyze(det *oha.RaceDetector, prog *oha.Program, e oha.Execution, label st
 	}
 	fmt.Printf("--- %s (inputs %v)\n", label, e.Inputs)
 	if opt.RolledBack {
-		fmt.Printf("    mis-speculation: %s\n    rolled back to the traditional hybrid analysis\n", opt.Violation)
+		fmt.Printf("    mis-speculation: %s\n    rolled back; the %s re-execution produced the result\n", opt.Violation, opt.RolledBackTo)
 	} else {
 		fmt.Println("    speculation succeeded")
 	}

@@ -258,21 +258,36 @@ func Current[D core.Detector[R], R core.Report](m *Manager, a core.Analysis[D, R
 
 // detector returns g's memoized detector for a, building it once.
 func detector[D core.Detector[R], R core.Report](m *Manager, g *generation, a core.Analysis[D, R]) (D, error) {
+	return memoDetector(m, g, a, func() (D, error) { return build(a, m.prog, g.db, m.static, m.incMet) })
+}
+
+// memoDetector returns g's memoized detector for a, obtaining it once
+// from obtain.
+func memoDetector[D core.Detector[R], R core.Report](m *Manager, g *generation, a core.Analysis[D, R], obtain func() (D, error)) (D, error) {
 	g.mu.Lock()
 	b := g.detectors[a.Key]
 	if b == nil {
-		b = &built{key: a.Key, client: a.Name, again: func(next *generation) (string, error) {
-			det, err := detector(m, next, a)
+		b = &built{key: a.Key, client: a.Name}
+		b.again = func(next *generation) (string, error) {
+			det, err := memoDetector(m, next, a, func() (D, error) {
+				// The outgoing detector's rollback chain has usually
+				// built next's database already: deploy that
+				// generation rather than build the same detector twice.
+				if det, ok := core.Memoized(b.det.(D), next.db); ok {
+					return det, nil
+				}
+				return build(a, m.prog, next.db, m.static, m.incMet)
+			})
 			if err != nil {
 				return "", err
 			}
 			return det.CodeDigest(), nil
-		}}
+		}
 		g.detectors[a.Key] = b
 	}
 	g.mu.Unlock()
 	b.once.Do(func() {
-		det, err := build(a, m.prog, g.db, m.static, m.incMet)
+		det, err := obtain()
 		if err != nil {
 			b.err = err
 			return
@@ -362,17 +377,24 @@ func (m *Manager) Observe(client string, out *core.Outcome) {
 	m.nextCauses = append(m.nextCauses, v)
 }
 
+// refineRules versions the kind rules of core.Violation.Refine in the
+// KindRefined key. It changes whenever a rule does (rules-2: a
+// callee-set refinement also marks the callee's entry block visited),
+// so a disk tier written under older rules misses instead of serving
+// databases those rules refined.
+const refineRules = "rules-2"
+
 // derive returns latest weakened by v, or nil if v's fact is already
 // absent. The result is memoized under KindRefined (with DBCodec), so
 // a restarted daemon with a warm disk cache replays refinements
 // without re-deriving them.
 func (m *Manager) derive(base *invariants.DB, v core.Violation) *invariants.DB {
 	refined := base.Clone()
-	if !v.Refine(refined) {
+	if !v.Refine(m.prog, refined) {
 		return nil
 	}
 	if m.static.Cache != nil {
-		key := artifacts.Key(artifacts.KindRefined, m.prog, base, 0, v.FactKey())
+		key := artifacts.Key(artifacts.KindRefined, m.prog, base, 0, v.FactKey(), refineRules)
 		if got, err := m.static.Cache.Memo(key, artifacts.DBCodec(), func() (any, error) {
 			return refined, nil
 		}); err == nil {
@@ -468,8 +490,9 @@ func (m *Manager) Reconcile(ctx context.Context) (bool, error) {
 }
 
 // prebuild builds into g, in key order, every detector the outgoing
-// generation from had built, timing each under the "masks" phase with
-// its own client's name. It returns the first one's configuration
+// generation from had built (or takes the one its rollback chain
+// already built for g's database), timing each under the "masks" phase
+// with its own client's name. It returns the first one's configuration
 // digest ("" when from had built none: the first lazy build fills it
 // in).
 func (m *Manager) prebuild(from, g *generation) (string, error) {

@@ -133,6 +133,79 @@ func TestRefineAndRetryRace(t *testing.T) {
 	}
 }
 
+// refutedCalleeRaceSrc races on g only through a table call outside
+// its profiled callee set (input 1 selects h; profiling selects f).
+const refutedCalleeRaceSrc = `
+	global g = 0;
+	global ftab[2];
+	func f(n) { return n + 1; }
+	func h(n) {
+		g = g + n;
+		return g;
+	}
+	func w(n) {
+		var fn = ftab[input(0)];
+		var r = fn(n);
+		return r;
+	}
+	func main() {
+		ftab[0] = f;
+		ftab[1] = h;
+		var x = h(1);
+		var t1 = spawn w(2);
+		var t2 = spawn w(3);
+		join(t1);
+		join(t2);
+		print(g + x);
+	}
+`
+
+// TestRefineAndRetryCalleeSetRace: OptFT's callee-set violation refines
+// through WidenCallees, the incremental re-analysis re-solves race
+// points-to, and the loop converges to clean speculative runs that
+// report FastTrack's race.
+func TestRefineAndRetryCalleeSetRace(t *testing.T) {
+	prog := lang.MustCompile(refutedCalleeRaceSrc)
+	pr := profileDB(t, prog, []int64{0}, 10)
+	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New(""), Incremental: true}})
+	base, _, err := Current(m, core.Race())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		e := core.Execution{Inputs: []int64{1}, Seed: seed}
+		ft, err := core.RunFastTrack(prog, e, core.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		attempts, err := Run(m, core.Race(), e, core.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seed == 1 && (len(attempts) != 2 || attempts[0].Report.Violation.Kind != core.ViolationCalleeSet) {
+			t.Fatalf("first execution: %d attempts, first violation %v; want a callee-set refinement then a retry", len(attempts), attempts[0].Report.Violation)
+		}
+		last := attempts[len(attempts)-1]
+		if seed > 1 && len(attempts) != 1 || last.Report.RolledBack || last.Generation != 2 {
+			t.Fatalf("seed %d: %d attempts, last under generation %d rolled back %v; want one clean generation-2 run", seed, len(attempts), last.Generation, last.Report.RolledBack)
+		}
+		for i, a := range attempts {
+			if !core.SameRaces(ft, a.Report) || len(a.Report.RacyAddrs) == 0 {
+				t.Fatalf("seed %d attempt %d: races %v, FastTrack %v", seed, i, a.Report.RacyAddrs, ft.RacyAddrs)
+			}
+		}
+	}
+	// Generation 2 deploys the detector the first rollback's chain
+	// built for the refined database, not a second one.
+	det, _, err := Current(m, core.Race())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refined, ok := core.Memoized(base, m.DB()); !ok || refined != det {
+		t.Fatalf("generation 2's detector is not the rollback chain's refined generation (memoized %v)", ok)
+	}
+}
+
 // TestRefineAndRetrySingleton covers the singleton-spawn weakening.
 func TestRefineAndRetrySingleton(t *testing.T) {
 	prog := lang.MustCompile(singletonProg)

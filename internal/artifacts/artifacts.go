@@ -64,7 +64,8 @@ const (
 	KindCompiled = "compiled"
 	// KindRefined keys refined invariant databases: the result of
 	// weakening one database by one violation record (extra
-	// discriminator: the violation fingerprint). Portable via DBCodec,
+	// discriminators: the violation fingerprint and the version of the
+	// refinement rules). Portable via DBCodec,
 	// so a restarted daemon replays refinements from the disk layer
 	// without re-deriving them.
 	KindRefined = "refined"

@@ -31,6 +31,7 @@ type raceTables struct {
 	// the whole group.
 	lockGroup []int32
 	ngroups   int
+	callees   calleeTable // nil: callee invariant disabled
 }
 
 func newRaceTables(prog *ir.Program, db *invariants.DB) *raceTables {
@@ -38,6 +39,12 @@ func newRaceTables(prog *ir.Program, db *invariants.DB) *raceTables {
 		luc:       lucTable(prog, db),
 		spawnOnce: make([]bool, len(prog.Instrs)),
 		lockGroup: make([]int32, len(prog.Instrs)),
+	}
+	// The predicated points-to wires an indirect call or spawn only to
+	// its likely callees, so a database with callee facts assumes them
+	// and the checker verifies them; one without assumes and checks none.
+	if db.Callees != nil {
+		t.callees = newCalleeTable(prog, db)
 	}
 	db.SingletonSpawns.ForEach(func(id int) bool {
 		t.spawnOnce[id] = true
@@ -80,10 +87,11 @@ func newRaceTables(prog *ir.Program, db *invariants.DB) *raceTables {
 }
 
 // raceChecker verifies the OptFT invariants: likely-unreachable code,
-// likely singleton threads, and likely guarding locks. (No custom
-// synchronization is verified by the race detector itself: any race
-// report while locks are elided is treated as a potential
-// mis-speculation.) It holds one run's state over shared tables.
+// likely singleton threads, likely guarding locks, and likely callee
+// sets. (No custom synchronization is verified by the race detector
+// itself: any race report while locks are elided is treated as a
+// potential mis-speculation.) It holds one run's state over shared
+// tables.
 type raceChecker struct {
 	interp.NopTracer
 	*raceTables
@@ -106,8 +114,19 @@ func (c *raceChecker) BlockEnter(_ vc.TID, b *ir.Block) {
 	}
 }
 
-// Spawn fires the likely-singleton-thread check.
-func (c *raceChecker) Spawn(_ vc.TID, in *ir.Instr, _ vc.TID, _ interp.FrameID, _ *ir.Function) {
+// Call fires the likely-callee-set check at indirect sites.
+func (c *raceChecker) Call(_ vc.TID, in *ir.Instr, callee *ir.Function, _, _ interp.FrameID) {
+	if in.IsIndirect() {
+		c.callees.check(&c.checkState, in, callee)
+	}
+}
+
+// Spawn fires the likely-singleton-thread check, and the callee-set
+// check at an indirect spawn.
+func (c *raceChecker) Spawn(_ vc.TID, in *ir.Instr, _ vc.TID, _ interp.FrameID, callee *ir.Function) {
+	if in.IsIndirect() {
+		c.callees.check(&c.checkState, in, callee)
+	}
 	c.Events++
 	if c.spawnOnce[in.ID] {
 		if c.spawnCounts == nil {
@@ -166,8 +185,12 @@ func newCalleeTable(prog *ir.Program, db *invariants.DB) calleeTable {
 	return t
 }
 
-// check fires the likely-callee-set check at an indirect site.
+// check fires the likely-callee-set check at an indirect site (a nil
+// table checks nothing).
 func (t calleeTable) check(c *checkState, in *ir.Instr, callee *ir.Function) {
+	if t == nil {
+		return
+	}
 	c.Events++
 	if set := t[in.ID]; set == nil || !set.Has(callee.ID) {
 		c.violate(Violation{Kind: ViolationCalleeSet, Site: in.ID, Callee: callee.ID, Detail: callee.Name})

@@ -98,7 +98,7 @@ func TestCallContextViolationReportsDroppedContext(t *testing.T) {
 						t.Fatalf("without %v: exec %d reports site %d path %v", p, i, v.Site, v.Path)
 					}
 					refined := dropped.Clone()
-					if !v.Refine(refined) {
+					if !v.Refine(prog, refined) {
 						t.Fatalf("without %v: refining with %v changed nothing", p, v)
 					}
 					if rep := run(build(refined), e); rep.RolledBack {

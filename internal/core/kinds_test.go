@@ -10,6 +10,7 @@ import (
 
 	"oha/internal/bitset"
 	"oha/internal/invariants"
+	"oha/internal/lang"
 )
 
 // kindRule is one violation kind's expected refinement rule, on a
@@ -48,11 +49,25 @@ func factDB() *invariants.DB {
 	return db
 }
 
+// kindsSrc declares the functions kindRules' callee-set violation
+// names: function 3 is c.
+const kindsSrc = `
+	func a() { return 1; }
+	func b() { return 2; }
+	func main() { print(a() + b()); }
+	func c() { return 3; }
+`
+
 // TestViolationKindRules pins each kind's refinement rule: which kinds
 // refine, the fact-key format (refined databases are cached under these
 // keys, so it must not drift), and that Refine removes the refuted fact
-// exactly once.
+// exactly once. Refining a callee-set fact also marks the callee's
+// entry block visited.
 func TestViolationKindRules(t *testing.T) {
+	prog := lang.MustCompile(kindsSrc)
+	if len(prog.Funcs) < 4 {
+		t.Fatalf("kindsSrc has %d functions, want function 3", len(prog.Funcs))
+	}
 	if got, want := ruleNames(), violationKindConsts(t); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("rule table covers %v, want every ViolationKind constant %v", got, want)
 	}
@@ -64,11 +79,14 @@ func TestViolationKindRules(t *testing.T) {
 			t.Errorf("%s: FactKey = %q, want %q", r.name, got, r.key)
 		}
 		db := factDB()
-		if got := r.v.Refine(db); got != r.refinable {
+		if got := r.v.Refine(prog, db); got != r.refinable {
 			t.Errorf("%s: first Refine = %v, want %v", r.name, got, r.refinable)
 		}
-		if r.v.Refine(db) {
+		if r.v.Refine(prog, db) {
 			t.Errorf("%s: second Refine changed the database again", r.name)
+		}
+		if entry := prog.Funcs[3].Entry.ID; r.v.Kind == ViolationCalleeSet && db.LikelyUnreachable(entry) {
+			t.Errorf("%s: callee 3's entry block %d still likely unreachable", r.name, entry)
 		}
 	}
 

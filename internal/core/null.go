@@ -152,15 +152,13 @@ func (c *nullChecker) BlockEnter(_ vc.TID, b *ir.Block) {
 
 // Call / Spawn fire the likely-callee-set check at indirect sites.
 func (c *nullChecker) Call(_ vc.TID, in *ir.Instr, callee *ir.Function, _, _ interp.FrameID) {
-	c.checkCallee(in, callee)
+	if in.IsIndirect() {
+		c.callees.check(&c.checkState, in, callee)
+	}
 }
 
 func (c *nullChecker) Spawn(_ vc.TID, in *ir.Instr, _ vc.TID, _ interp.FrameID, callee *ir.Function) {
-	c.checkCallee(in, callee)
-}
-
-func (c *nullChecker) checkCallee(in *ir.Instr, callee *ir.Function) {
-	if c.callees != nil && in.IsIndirect() {
+	if in.IsIndirect() {
 		c.callees.check(&c.checkState, in, callee)
 	}
 }
@@ -317,8 +315,8 @@ func countDerefSites(prog *ir.Program) int {
 
 // HybridNull is the traditional hybrid baseline: dynamic null checks
 // minus those the SOUND static non-nullness analysis discharges. It
-// assumes no invariants, so it never rolls back — it is the rollback
-// target.
+// assumes no invariants, so it never rolls back — it is the sound
+// rollback target.
 type HybridNull struct {
 	Prog   *ir.Program
 	Static *nullcheck.Result
@@ -344,17 +342,20 @@ func (h *HybridNull) Run(e Execution, opts RunOptions) (*NullReport, error) {
 
 // OptNull is the optimistic hybrid null checker: dynamic checks minus
 // those the PREDICATED static analysis discharges, run speculatively
-// with invariant checks and rollback to the traditional hybrid
-// configuration on mis-speculation.
+// with invariant checks and rollback to a refined generation or the
+// traditional hybrid configuration on mis-speculation.
 type OptNull struct {
 	Prog *ir.Program
 	DB   *invariants.DB
-	// Pred is the predicated static proof; Sound the rollback target.
+	// Pred is the predicated static proof; Sound the sound rollback
+	// target, shared by every refined generation.
 	Pred  *nullcheck.Result
 	Sound *HybridNull
 
 	plan   *plan
 	tables *nullTables
+	static StaticConfig
+	gens   *generations[*OptNull]
 }
 
 // NewOptNull runs both static analyses (predicated for speculation,
@@ -364,11 +365,17 @@ type OptNull struct {
 // prewarmed by inc.Reanalyze after an adaptive refinement — the
 // points-to stage is served, not solved.
 func NewOptNull(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*OptNull, error) {
-	proof, err := nullProofFor(prog, db, cfg)
+	sound, err := NewHybridNull(prog, cfg)
 	if err != nil {
 		return nil, err
 	}
-	sound, err := NewHybridNull(prog, cfg)
+	return newOptNull(prog, db, cfg, sound, &generations[*OptNull]{})
+}
+
+// newOptNull builds the OptNull for db over an existing sound fallback,
+// sharing gens with the generations it is refined from.
+func newOptNull(prog *ir.Program, db *invariants.DB, cfg StaticConfig, sound *HybridNull, gens *generations[*OptNull]) (*OptNull, error) {
+	proof, err := nullProofFor(prog, db, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -383,7 +390,7 @@ func NewOptNull(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*OptNull
 	// (the null proof's points-to is predicated on them, and the
 	// checker verifies them at runtime).
 	p := compiledCode(prog, m, compileOpts(db, cfg), cfg.Cache)
-	return &OptNull{Prog: prog, DB: db, Pred: proof, Sound: sound, plan: p, tables: tables}, nil
+	return &OptNull{Prog: prog, DB: db, Pred: proof, Sound: sound, plan: p, tables: tables, static: cfg, gens: gens}, nil
 }
 
 // CodeDigest returns the content digest of the speculative run's
@@ -400,9 +407,22 @@ func (o *OptNull) ElidedChecks() int { return o.Pred.Discharged.Len() }
 func (o *OptNull) DischargeRatio() float64 { return o.Pred.DischargeRatio() }
 
 // Run performs one speculative null-checking run of e, rolling back to
-// the traditional hybrid configuration on invariant violation.
+// a refined generation or the traditional hybrid configuration on
+// invariant violation (speculate).
 func (o *OptNull) Run(e Execution, opts RunOptions) (*NullReport, error) {
+	return speculate(o, e, opts, o.Sound.Run)
+}
+
+func (o *OptNull) try(e Execution, opts RunOptions) (*NullReport, *Outcome, error) {
 	checker := &nullChecker{nullTables: o.tables, checkState: checkState{abort: &interp.Abort{}}}
 	report := func(res *interp.Result) *NullReport { return nullReport(&checker.log, res, o.Pred) }
-	return speculate(o.plan, checker, &checker.checkState, e, opts, report, nil, o.Sound.Run)
+	return attempt(o.plan, checker, &checker.checkState, e, opts, report, nil)
 }
+
+func (o *OptNull) facts() (*ir.Program, *invariants.DB) { return o.Prog, o.DB }
+
+func (o *OptNull) refined(db *invariants.DB) (optimistic[*NullReport], error) {
+	return o.gens.get(db, func() (*OptNull, error) { return newOptNull(o.Prog, db, o.static, o.Sound, o.gens) })
+}
+
+func (o *OptNull) memoized(db *invariants.DB) (*OptNull, bool) { return o.gens.lookup(db) }

@@ -158,6 +158,10 @@ func (o *optTracer) Spawn(t vc.TID, in *ir.Instr, c vc.TID, f interp.FrameID, fn
 	o.checker.Spawn(t, in, c, f, fn)
 }
 
+func (o *optTracer) Call(t vc.TID, in *ir.Instr, fn *ir.Function, caller, callee interp.FrameID) {
+	o.checker.Call(t, in, fn, caller, callee)
+}
+
 func (o *optTracer) Join(t vc.TID, in *ir.Instr, c vc.TID) {
 	o.det.Join(t, in, c)
 }
@@ -237,12 +241,13 @@ func (h *HybridFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
 
 // OptFT is the optimistic hybrid race detector (§4): FastTrack
 // optimized by the predicated static analysis, run speculatively with
-// invariant checks, rolling back to the traditional hybrid analysis on
-// mis-speculation.
+// invariant checks, rolling back to a refined generation or the
+// traditional hybrid analysis on mis-speculation.
 type OptFT struct {
 	Prog *ir.Program
 	DB   *invariants.DB // the caller's, or ValidateCustomSync's copy
-	// Pred and Sound are the predicated and sound static results.
+	// Pred and Sound are the predicated and sound static results; Sound
+	// is shared by every refined generation.
 	Pred  *staticrace.Result
 	Sound *HybridFT
 
@@ -252,6 +257,7 @@ type OptFT struct {
 	// check sites; sync flags FastTrack's own lock sites.
 	spec *plan
 	sync []bool
+	gens *generations[*OptFT]
 }
 
 // NewOptFT runs both static analyses (predicated for speculation,
@@ -274,15 +280,21 @@ func NewOptFTCached(prog *ir.Program, db *invariants.DB, cache *artifacts.Cache)
 // by inc.Reanalyze after an adaptive refinement, or by ProfileWith's
 // custom-sync validation — no static solving happens here at all.
 func NewOptFTStatic(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*OptFT, error) {
-	pred, err := analyzeRaceStatic(prog, db, cfg)
-	if err != nil {
-		return nil, err
-	}
 	sound, err := NewHybridFT(prog, cfg)
 	if err != nil {
 		return nil, err
 	}
-	o := &OptFT{Prog: prog, DB: db, Pred: pred, Sound: sound, tables: newRaceTables(prog, db), static: cfg}
+	return newOptFT(prog, db, cfg, sound, &generations[*OptFT]{})
+}
+
+// newOptFT builds the OptFT for db over an existing sound fallback,
+// sharing gens with the generations it is refined from.
+func newOptFT(prog *ir.Program, db *invariants.DB, cfg StaticConfig, sound *HybridFT, gens *generations[*OptFT]) (*OptFT, error) {
+	pred, err := analyzeRaceStatic(prog, db, cfg)
+	if err != nil {
+		return nil, err
+	}
+	o := &OptFT{Prog: prog, DB: db, Pred: pred, Sound: sound, tables: newRaceTables(prog, db), static: cfg, gens: gens}
 	o.compile(pred.Masks(db))
 	return o, nil
 }
@@ -323,10 +335,15 @@ func (o *OptFT) ElidedAccesses() int {
 	return n
 }
 
-// Run executes one speculative analysis of e, rolling back to the
-// traditional hybrid analysis on invariant violation (or on any race
-// report while lock instrumentation is elided, per §4.2.4).
+// Run executes one speculative analysis of e, rolling back to a
+// refined generation or the traditional hybrid analysis on invariant
+// violation, or on any race report while lock instrumentation is
+// elided, per §4.2.4 (speculate).
 func (o *OptFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
+	return speculate(o, e, opts, o.Sound.Run)
+}
+
+func (o *OptFT) try(e Execution, opts RunOptions) (*RaceReport, *Outcome, error) {
 	abort := &interp.Abort{}
 	det := fasttrack.New()
 	defer det.Release()
@@ -336,14 +353,22 @@ func (o *OptFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
 	suspect := func() Violation {
 		// Race reports are potential mis-speculations when lock
 		// instrumentation was elided (custom synchronization may have
-		// been missed): re-check under the sound hybrid analysis.
+		// been missed): re-check without the elision.
 		if det.HasRaces() && !o.DB.ElidableLocks.IsEmpty() {
 			return Violation{Kind: ViolationElidedLockRace, Site: -1, Callee: -1}
 		}
 		return Violation{}
 	}
-	return speculate(o.spec, tracer, &checker.checkState, e, opts, report, suspect, o.Sound.Run)
+	return attempt(o.spec, tracer, &checker.checkState, e, opts, report, suspect)
 }
+
+func (o *OptFT) facts() (*ir.Program, *invariants.DB) { return o.Prog, o.DB }
+
+func (o *OptFT) refined(db *invariants.DB) (optimistic[*RaceReport], error) {
+	return o.gens.get(db, func() (*OptFT, error) { return newOptFT(o.Prog, db, o.static, o.Sound, o.gens) })
+}
+
+func (o *OptFT) memoized(db *invariants.DB) (*OptFT, bool) { return o.gens.lookup(db) }
 
 // ValidateCustomSync runs profiling's custom-sync validation
 // (validatedDB) on execs and elides the lock sites it keeps. After

@@ -537,3 +537,66 @@ func TestDJITMatchesFastTrackOutcome(t *testing.T) {
 		}
 	}
 }
+
+// refutedCalleeRaceSrc is a race only a refuted likely callee set
+// reveals. h writes g; main calls it once before spawning, so profiling
+// visits h, and with input 0 both workers call f through the table.
+// With input 1 both call h concurrently and race on g, while the
+// predicated analysis — whose points-to wires the table call only to
+// f — sees no concurrent access to g.
+const refutedCalleeRaceSrc = `
+	global g = 0;
+	global ftab[2];
+	func f(n) { return n + 1; }
+	func h(n) {
+		g = g + n;
+		return g;
+	}
+	func w(n) {
+		var fn = ftab[input(0)];
+		var r = fn(n);
+		return r;
+	}
+	func main() {
+		ftab[0] = f;
+		ftab[1] = h;
+		var x = h(1);
+		var t1 = spawn w(2);
+		var t2 = spawn w(3);
+		join(t1);
+		join(t2);
+		print(g + x);
+	}
+`
+
+// OptFT checks the likely callee sets its predicated analysis relies
+// on: a call outside the profiled set rolls back, to the generation
+// with that set widened, and the race on g is reported.
+func TestOptFTChecksLikelyCallees(t *testing.T) {
+	prog := lang.MustCompile(refutedCalleeRaceSrc)
+	pr := mustProfile(t, prog, gen(0), 10)
+	opt, err := NewOptFT(prog, pr.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		e := Execution{Inputs: []int64{1}, Seed: seed}
+		full, err := RunFastTrack(prog, e, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full.RacyAddrs) == 0 {
+			t.Fatalf("seed %d: FastTrack reports no race on g", seed)
+		}
+		rep, err := opt.Run(e, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !SameRaces(rep, full) {
+			t.Fatalf("seed %d: OptFT races on %v, FastTrack on %v (rolled back %v)", seed, rep.RacyAddrs, full.RacyAddrs, rep.RolledBack)
+		}
+		if rep.Violation.Kind != ViolationCalleeSet || rep.RolledBackTo != RollbackRefined {
+			t.Fatalf("seed %d: violation %v, rolled back to %q; want a callee-set rollback to the widened generation", seed, rep.Violation, rep.RolledBackTo)
+		}
+	}
+}

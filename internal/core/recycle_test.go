@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"oha/internal/dynslice"
+	"oha/internal/fasttrack"
 	"oha/internal/ir"
 	"oha/internal/workloads"
 )
@@ -174,4 +176,63 @@ func TestConcurrentRunsShareRecycledState(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// pooled counts the released tracers or detectors draw finds in its
+// pool: the draws served without an allocation. draw returns what it
+// drew, held until the count is done so that no draw is served twice.
+func pooled(draw func() any) int {
+	var held []any
+	for {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		x := draw()
+		runtime.ReadMemStats(&after)
+		if after.Mallocs != before.Mallocs {
+			return len(held)
+		}
+		held = append(held, x)
+	}
+}
+
+// A rolled-back run releases each aborted attempt's analysis state
+// before the next attempt starts, so the re-execution draws the arena
+// the aborted attempt released: after one rolled-back run on emptied
+// pools, exactly one slicer (perl) or detector (dispatch-mono) is
+// pooled, not one per attempt. The race detector's sync.Pool drops
+// released values at random, so a trial may find none; the largest
+// count over a few trials must be one.
+func TestRollbackReusesReleasedArena(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		draw func(prog *ir.Program) any
+	}{
+		{"perl", func(prog *ir.Program) any { return dynslice.New(prog, nil) }},
+		{"dispatch-mono", func(*ir.Program) any { return fasttrack.New() }},
+	} {
+		a := workloadAnalysis(t, c.name, 8)
+		var e *Execution
+		for i, rep := range freshReports(t, a) {
+			if rolledBack(rep) {
+				e = &a.execs[i]
+				break
+			}
+		}
+		if e == nil {
+			t.Fatalf("%s: no execution rolls back", c.name)
+		}
+		prog := workloads.ByName(c.name).Prog()
+		most := 0
+		for trial := 0; trial < 8; trial++ {
+			runtime.GC()
+			runtime.GC()
+			if _, err := a.run(*e); err != nil {
+				t.Fatal(err)
+			}
+			most = max(most, pooled(func() any { return c.draw(prog) }))
+		}
+		if most != 1 {
+			t.Errorf("%s: %d pooled after a rolled-back run, want 1: the re-execution did not reuse the aborted attempt's state", c.name, most)
+		}
+	}
 }

@@ -265,17 +265,22 @@ func (p *plan) slice(criterion *ir.Instr, e Execution, opts RunOptions, maxNodes
 
 // OptSlice is the optimistic hybrid slicer (§5): the dynamic slicer
 // tracing only the predicated static slice, with invariant checks and
-// rollback to the traditional hybrid slicer.
+// rollback to a refined generation or the traditional hybrid slicer.
 type OptSlice struct {
 	Prog      *ir.Program
 	DB        *invariants.DB
 	Criterion *ir.Instr
 	Static    *staticslice.Slice
 	AT        SliceAnalysisType
-	Sound     *HybridSlicer
+	// Sound is the sound rollback target, shared by every refined
+	// generation. Its MaxTraceNodes bounds the speculative traces too.
+	Sound *HybridSlicer
 
 	plan   *plan
 	tables *sliceTables
+	budget int
+	static StaticConfig
+	gens   *generations[*OptSlice]
 }
 
 // NewOptSlice runs the predicated static slicer (context-sensitive
@@ -296,11 +301,18 @@ func NewOptSliceCached(prog *ir.Program, db *invariants.DB, criterion *ir.Instr,
 // the returned instance; the static slices are shared cached values
 // and must not be mutated.
 func NewOptSliceStatic(prog *ir.Program, db *invariants.DB, criterion *ir.Instr, budget int, cfg StaticConfig) (*OptSlice, error) {
-	ss, err := staticSliceFor(prog, db, criterion, budget, cfg.Cache)
+	sound, err := NewHybridSlicer(prog, criterion, budget, cfg)
 	if err != nil {
 		return nil, err
 	}
-	sound, err := NewHybridSlicer(prog, criterion, budget, cfg)
+	return newOptSlice(prog, db, criterion, budget, cfg, sound, &generations[*OptSlice]{})
+}
+
+// newOptSlice builds the OptSlice for db over an existing sound
+// fallback, sharing gens with the generations it is refined from.
+func newOptSlice(prog *ir.Program, db *invariants.DB, criterion *ir.Instr, budget int, cfg StaticConfig,
+	sound *HybridSlicer, gens *generations[*OptSlice]) (*OptSlice, error) {
+	ss, err := staticSliceFor(prog, db, criterion, budget, cfg.Cache)
 	if err != nil {
 		return nil, err
 	}
@@ -323,6 +335,9 @@ func NewOptSliceStatic(prog *ir.Program, db *invariants.DB, criterion *ir.Instr,
 		Sound:     sound,
 		plan:      p,
 		tables:    tables,
+		budget:    budget,
+		static:    cfg,
+		gens:      gens,
 	}, nil
 }
 
@@ -331,16 +346,32 @@ func NewOptSliceStatic(prog *ir.Program, db *invariants.DB, criterion *ir.Instr,
 // callee-set fact changes the IC seeds and therefore the digest.
 func (o *OptSlice) CodeDigest() string { return o.plan.code.ConfigDigest() }
 
-// Run performs one speculative dynamic slicing of e, rolling back to
-// the traditional hybrid slicer on invariant violation.
+// Run performs one speculative dynamic slicing of e, rolling back to a
+// refined generation or the traditional hybrid slicer on invariant
+// violation (speculate).
 func (o *OptSlice) Run(e Execution, opts RunOptions) (*SliceReport, error) {
+	return speculate(o, e, opts, o.Sound.Run)
+}
+
+func (o *OptSlice) try(e Execution, opts RunOptions) (*SliceReport, *Outcome, error) {
 	abort := &interp.Abort{}
 	tr := dynslice.New(o.Prog, abort)
 	defer tr.Release()
+	tr.MaxNodes = o.Sound.MaxTraceNodes
 	checker := o.tables.newChecker(abort)
 	report := func(res *interp.Result) *SliceReport { return sliceReport(tr, o.Criterion, res) }
-	return speculate(o.plan, &optSliceTracer{tr: tr, checker: checker}, &checker.checkState, e, opts, report, nil, o.Sound.Run)
+	return attempt(o.plan, &optSliceTracer{tr: tr, checker: checker}, &checker.checkState, e, opts, report, nil)
 }
+
+func (o *OptSlice) facts() (*ir.Program, *invariants.DB) { return o.Prog, o.DB }
+
+func (o *OptSlice) refined(db *invariants.DB) (optimistic[*SliceReport], error) {
+	return o.gens.get(db, func() (*OptSlice, error) {
+		return newOptSlice(o.Prog, db, o.Criterion, o.budget, o.static, o.Sound, o.gens)
+	})
+}
+
+func (o *OptSlice) memoized(db *invariants.DB) (*OptSlice, bool) { return o.gens.lookup(db) }
 
 // sliceReport assembles one slicing run's report.
 func sliceReport(tr *dynslice.Tracer, criterion *ir.Instr, res *interp.Result) *SliceReport {

@@ -3,8 +3,27 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 
+	"oha/internal/artifacts"
 	"oha/internal/interp"
+	"oha/internal/invariants"
+	"oha/internal/ir"
+)
+
+// RollbackTarget names what produced a rolled-back run's result.
+type RollbackTarget string
+
+// Rollback targets.
+const (
+	// RollbackRefined: a clean speculative re-execution under a refined
+	// generation, the detector for the database the refuted facts'
+	// kind rules weaken.
+	RollbackRefined RollbackTarget = "refined"
+	// RollbackSound: the traditional (sound) hybrid re-execution.
+	RollbackSound RollbackTarget = "sound"
 )
 
 // Outcome is the part of a report the speculative pipeline owns. Every
@@ -12,22 +31,29 @@ import (
 // report's own.
 type Outcome struct {
 	// Stats are the interpreter's event counts for the run. For a
-	// rolled-back run they include the aborted speculative execution.
+	// rolled-back run they include every aborted attempt.
 	Stats interp.Stats
-	// CheckEvents counts invariant-check events (optimistic runs).
+	// CheckEvents counts invariant-check events (optimistic runs),
+	// summed over every speculative attempt of a rolled-back run.
 	CheckEvents uint64
 	// RolledBack reports that the speculative run mis-speculated and
-	// the results come from the traditional hybrid re-execution.
+	// the results come from a re-execution (RolledBackTo says which).
 	RolledBack bool
 	// Violation is the structured mis-speculation reason when
 	// RolledBack (the first violation the speculative run raised).
 	Violation Violation
+	// RolledBackTo names what re-executed a rolled-back run: a refined
+	// generation or the sound analysis ("" when not RolledBack).
+	RolledBackTo RollbackTarget
+	// Refuted lists every fact a rolled-back run's attempts refuted, in
+	// order: Violation first, then each refined generation's.
+	Refuted []Violation
 	// Output is the analyzed program's output.
 	Output []int64
 	// IC reports the compiled engine's speculative-dispatch activity
 	// (inline-cache hits/misses/deopts, fused superinstructions). For a
-	// rolled-back run it includes the aborted speculative execution's
-	// counts. Zero under the tree-walking engine.
+	// rolled-back run it includes every aborted attempt's counts. Zero
+	// under the tree-walking engine.
 	IC interp.ICStats
 }
 
@@ -67,20 +93,118 @@ func (c *checkState) violate(v Violation) {
 	c.abort.Set(v.String())
 }
 
-// speculate is the pipeline every optimistic client shares (§2.3): run
-// p — the predicated plan — with tracer, the client's fused tracer,
-// polling the abort flag its checker raises, and on a violation roll
-// back and re-execute the same recorded execution under the sound
-// hybrid analysis, charging the aborted work to the result. report
-// builds a clean run's result; suspect, when non-nil, names the reason
-// a clean run's result still needs the sound re-execution (zero: it
-// does not).
+// maxRefinements bounds a rollback's refinement chain: a run that this
+// many refined generations in a row mis-speculate on re-executes under
+// the sound analysis.
+const maxRefinements = 2
+
+// maxGenerations bounds the refined generations one optimistic detector
+// keeps (see generations): the generations of one full chain. Every
+// rolled-back workload measured refutes one fact chain over and over
+// (perl: the same callee-set fact in all 40 of its seed-1 rollbacks),
+// so one generation serves all of its rollbacks.
+const maxGenerations = maxRefinements
+
+// optimistic is one generation of an optimistic detector, as the
+// rollback chain drives it.
+type optimistic[R Report] interface {
+	// try runs e once under the generation's speculative plan: a clean
+	// run's report, or the outcome of a run that mis-speculated (its
+	// Violation says why). It releases the run's analysis state before
+	// it returns.
+	try(e Execution, opts RunOptions) (R, *Outcome, error)
+	// facts returns the generation's program and invariant database.
+	facts() (*ir.Program, *invariants.DB)
+	// refined returns the generation for db, a weakening of this one's
+	// database: memoized (generations), built by the client's
+	// constructor under the same static configuration, and sharing this
+	// generation's sound fallback.
+	refined(db *invariants.DB) (optimistic[R], error)
+}
+
+// speculate is the pipeline every optimistic client shares (§2.3): try
+// e under gen, and on a violation roll back and re-execute the same
+// recorded execution. A refinable violation re-executes speculatively
+// under the generation whose database the violated fact's kind rule
+// weakens (Violation.Refine); after maxRefinements such generations, on
+// a violation with no rule, or on a rule that changes nothing, sound
+// re-executes under the traditional hybrid analysis. Either way the
+// result equals the sound one, and it is charged every aborted
+// attempt's work.
+func speculate[R Report](gen optimistic[R], e Execution, opts RunOptions, sound func(Execution, RunOptions) (R, error)) (R, error) {
+	var chain Outcome // the aborted attempts
+	for gen != nil {
+		rep, aborted, err := gen.try(e, opts)
+		if err != nil {
+			return rep, err
+		}
+		if aborted == nil {
+			if chain.RolledBack {
+				rep.Base().chargeChain(&chain, RollbackRefined)
+			}
+			return rep, nil
+		}
+		chain.Stats.Add(aborted.Stats)
+		chain.IC.Add(aborted.IC)
+		chain.CheckEvents += aborted.CheckEvents
+		chain.RolledBack = true
+		chain.Refuted = append(chain.Refuted, aborted.Violation)
+		if gen, err = next(gen, aborted.Violation, len(chain.Refuted)); err != nil {
+			return rep, err
+		}
+	}
+	rep, err := sound(e, opts)
+	if err != nil {
+		return rep, fmt.Errorf("core: rollback re-execution failed: %w", err)
+	}
+	rep.Base().chargeChain(&chain, RollbackSound)
+	return rep, nil
+}
+
+// next returns the generation that re-executes a run gen mis-speculated
+// on with v, the chain's n-th refuted fact, or nil for the sound
+// analysis.
+func next[R Report](gen optimistic[R], v Violation, n int) (optimistic[R], error) {
+	if n > maxRefinements || !v.Kind.Refinable() {
+		return nil, nil
+	}
+	prog, db := gen.facts()
+	db = db.Clone()
+	if !v.Refine(prog, db) {
+		return nil, nil
+	}
+	g, err := gen.refined(db)
+	if err != nil {
+		return nil, fmt.Errorf("core: refining %s: %w", v.FactKey(), err)
+	}
+	return g, nil
+}
+
+// chargeChain makes o, the outcome of the re-execution to, the result
+// of the rolled-back run whose aborted attempts chain sums.
+func (o *Outcome) chargeChain(chain *Outcome, to RollbackTarget) {
+	o.Stats.Add(chain.Stats)
+	o.IC.Add(chain.IC)
+	o.CheckEvents += chain.CheckEvents
+	o.RolledBack = true
+	o.RolledBackTo = to
+	o.Violation = chain.Refuted[0]
+	o.Refuted = chain.Refuted
+}
+
+// attempt runs e under p with tracer, a client's fused tracer, polling
+// the abort flag its checker raises. A clean run returns report's
+// result. A run that mis-speculated returns its outcome instead, whose
+// Violation is the first violation the checker raised, or suspect's
+// verdict on a completed run (when non-nil, it names the reason a
+// clean-looking run still needs re-execution; zero: it does not). Both
+// carry the checker's CheckEvents.
 //
 // The callbacks are parameters rather than struct fields so that they
 // stay on the stack: escape analysis does not track struct fields
 // apart, and the tracer escapes into the interpreter.
-func speculate[R Report](p *plan, tracer interp.Tracer, check *checkState, e Execution, opts RunOptions,
-	report func(*interp.Result) R, suspect func() Violation, sound func(Execution, RunOptions) (R, error)) (R, error) {
+func attempt[R Report](p *plan, tracer interp.Tracer, check *checkState, e Execution, opts RunOptions,
+	report func(*interp.Result) R, suspect func() Violation) (R, *Outcome, error) {
 	var rep R
 	res, err := p.run(e, tracer, check.abort, opts)
 	var reason Violation
@@ -93,22 +217,91 @@ func speculate[R Report](p *plan, tracer interp.Tracer, check *checkState, e Exe
 			reason = Violation{Kind: ViolationTraceLimit, Site: -1, Callee: -1, Detail: check.abort.Reason()}
 		}
 	case err != nil:
-		return rep, err
+		return rep, nil, err
 	case suspect != nil:
 		reason = suspect()
 	}
-	if reason.None() {
-		rep = report(res)
-	} else {
-		if rep, err = sound(e, opts); err != nil {
-			return rep, fmt.Errorf("core: rollback re-execution failed: %w", err)
-		}
-		out := rep.Base()
-		out.RolledBack = true
+	if !reason.None() {
+		out := outcomeOf(res)
 		out.Violation = reason
-		out.Stats.Add(res.Stats)
-		out.IC.Add(res.IC)
+		out.CheckEvents = check.Events
+		return rep, &out, nil
 	}
+	rep = report(res)
 	rep.Base().CheckEvents = check.Events
-	return rep, nil
+	return rep, nil, nil
+}
+
+// generations memoizes the refined generations of one optimistic
+// detector by refined-database digest. The detector and every
+// generation refined from it share one, so each refined database is
+// built once however it is reached, by however many concurrent runs.
+// It keeps at most maxGenerations, evicting the least recently used: an
+// evicted generation is rebuilt on its next use (through the artifact
+// cache, when there is one), so eviction changes no result.
+type generations[D any] struct {
+	mu   sync.Mutex
+	list []*refinedGen[D] // least recently used first
+}
+
+// refinedGen is one memoized generation (or its construction error).
+type refinedGen[D any] struct {
+	digest string
+	once   sync.Once
+	det    D
+	err    error
+	ok     atomic.Bool // det is built
+}
+
+// get returns the generation for db, building it with build on first
+// use.
+func (g *generations[D]) get(db *invariants.DB, build func() (D, error)) (D, error) {
+	digest := artifacts.DBDigest(db)
+	g.mu.Lock()
+	var r *refinedGen[D]
+	if i := slices.IndexFunc(g.list, func(r *refinedGen[D]) bool { return r.digest == digest }); i >= 0 {
+		r = g.list[i]
+		g.list = slices.Delete(g.list, i, i+1)
+	} else {
+		r = &refinedGen[D]{digest: digest}
+		if len(g.list) == maxGenerations {
+			g.list = slices.Delete(g.list, 0, 1)
+		}
+	}
+	g.list = append(g.list, r)
+	g.mu.Unlock()
+	r.once.Do(func() {
+		r.det, r.err = build()
+		r.ok.Store(r.err == nil)
+	})
+	return r.det, r.err
+}
+
+// lookup returns the generation for db if one is built, building
+// nothing.
+func (g *generations[D]) lookup(db *invariants.DB) (D, bool) {
+	digest := artifacts.DBDigest(db)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, r := range g.list {
+		if r.digest == digest && r.ok.Load() {
+			return r.det, true
+		}
+	}
+	var zero D
+	return zero, false
+}
+
+// Memoized returns the refined generation det's rollback chain has
+// already built for db, if det is an optimistic detector that still
+// holds one. The adaptive manager deploys it for its own generation of
+// db instead of building a second detector for the same database.
+func Memoized[D Detector[R], R Report](det D, db *invariants.DB) (D, bool) {
+	if m, ok := any(det).(interface {
+		memoized(*invariants.DB) (D, bool)
+	}); ok {
+		return m.memoized(db)
+	}
+	var zero D
+	return zero, false
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"oha/internal/invariants"
+	"oha/internal/ir"
 )
 
 // ViolationKind names one checkable likely-invariant kind (or an
@@ -53,9 +54,10 @@ const (
 	ViolationTraceLimit ViolationKind = "trace-limit"
 )
 
-// Refinable reports whether k refutes an invariant fact the adaptive
-// manager can remove. The zero kind and the trace limit (like any
-// unknown kind) roll back but refine nothing.
+// Refinable reports whether k refutes an invariant fact the rollback
+// chain and the adaptive manager can remove. The zero kind and the
+// trace limit (like any unknown kind) roll back to the sound analysis
+// and refine nothing.
 func (k ViolationKind) Refinable() bool {
 	switch k {
 	case ViolationUnreachableBlock, ViolationSingletonSpawn, ViolationGuardingLock,
@@ -132,12 +134,17 @@ func (v Violation) String() string {
 	return b.String()
 }
 
-// Refine weakens db by the fact v refutes, using the invariant
-// package's merge-respecting weaken helpers: the result is what
-// profiling would have produced had it also observed the violating
-// execution. Reports whether db changed (false: the fact was already
-// absent, or v's kind is not Refinable).
-func (v Violation) Refine(db *invariants.DB) bool {
+// Refine weakens db, a database of prog, by the fact v refutes, using
+// the invariant package's merge-respecting weaken helpers: the result
+// is what profiling would have produced had it also observed the
+// violating execution. Reports whether db changed (false: the fact was
+// already absent, or v's kind is not Refinable).
+//
+// A callee-set violation also marks the callee's entry block visited:
+// the violating execution enters that block on its next step, so a
+// database that still assumed it unreachable would be refuted by the
+// same run.
+func (v Violation) Refine(prog *ir.Program, db *invariants.DB) bool {
 	switch v.Kind {
 	case ViolationUnreachableBlock:
 		return db.MarkVisited(v.Site)
@@ -148,7 +155,9 @@ func (v Violation) Refine(db *invariants.DB) bool {
 	case ViolationElidedLockRace:
 		return db.ClearElidableLocks()
 	case ViolationCalleeSet:
-		return db.WidenCallees(v.Site, v.Callee)
+		widened := db.WidenCallees(v.Site, v.Callee)
+		entered := v.Callee >= 0 && v.Callee < len(prog.Funcs) && db.MarkVisited(prog.Funcs[v.Callee].Entry.ID)
+		return widened || entered
 	case ViolationCallContext:
 		return db.AddContext(v.Path)
 	case ViolationNonNull:

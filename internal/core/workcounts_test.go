@@ -37,6 +37,12 @@ import (
 //	go test ./internal/core/ -run TestWorkCountsPinned -fastpath=off
 //	go test ./internal/core/ -run TestWorkCountsPinned -ic=off -fusion=off
 //
+// With -engine=tree every configuration runs on the reference
+// tree-walker, which has no fast paths, inline caches or fusion, so the
+// "fp", "ic" and "fused" columns are left out:
+//
+//	go test ./internal/core/ -run TestWorkCountsPinned -engine=tree
+//
 // With -image=roundtrip every compiled image is served by an artifact
 // cache from its disk tier, so the runs execute decoded .ohc images,
 // and every column must match:
@@ -48,6 +54,7 @@ var (
 	fusionFlag   = flag.String("fusion", "on", "work counts: superinstruction fusion (on|off)")
 	fastpathFlag = flag.String("fastpath", "on", "work counts: inline analysis fast paths (on|off)")
 	imageFlag    = flag.String("image", "direct", "work counts: in-memory images, or images decoded from an artifact cache's disk tier (direct|roundtrip)")
+	engineFlag   = flag.String("engine", "compiled", "work counts: the engine the configurations run on (compiled|tree)")
 )
 
 const (
@@ -81,16 +88,29 @@ func workCountsConfig(t *testing.T) StaticConfig {
 	}
 }
 
-// excludedColumns are the columns cfg's toggles legitimately change.
-func excludedColumns(cfg StaticConfig) map[string]bool {
+// workCountsEngine is the engine the -engine flag selects.
+func workCountsEngine(t *testing.T) interp.EngineKind {
+	switch *engineFlag {
+	case "compiled":
+		return interp.EngineCompiled
+	case "tree":
+		return interp.EngineTree
+	}
+	t.Fatalf("-engine=%q: want compiled or tree", *engineFlag)
+	return 0
+}
+
+// excludedColumns are the columns cfg's toggles and the engine
+// legitimately change.
+func excludedColumns(cfg StaticConfig, engine interp.EngineKind) map[string]bool {
 	ex := map[string]bool{}
-	if cfg.NoIC {
+	if cfg.NoIC || engine == interp.EngineTree {
 		ex["ic"] = true
 	}
-	if cfg.NoFusion {
+	if cfg.NoFusion || engine == interp.EngineTree {
 		ex["fused"] = true
 	}
-	if cfg.NoFastPath {
+	if cfg.NoFastPath || engine == interp.EngineTree {
 		ex["fp"] = true
 	}
 	return ex
@@ -101,6 +121,7 @@ func TestWorkCountsPinned(t *testing.T) {
 		t.Skip("profiles and runs every workload")
 	}
 	cfg := workCountsConfig(t)
+	opts := RunOptions{Engine: workCountsEngine(t)}
 	images := 0
 	switch *imageFlag {
 	case "direct":
@@ -110,7 +131,7 @@ func TestWorkCountsPinned(t *testing.T) {
 		// a fresh cache. Other artifacts are dropped, so they recompute.
 		dir := t.TempDir()
 		cfg.Cache = artifacts.New(dir)
-		renderWorkCounts(t, cfg)
+		renderWorkCounts(t, cfg, opts)
 		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 			switch {
 			case err != nil || d.IsDir():
@@ -128,13 +149,13 @@ func TestWorkCountsPinned(t *testing.T) {
 	default:
 		t.Fatalf("-image=%q: want direct or roundtrip", *imageFlag)
 	}
-	got := renderWorkCounts(t, cfg)
+	got := renderWorkCounts(t, cfg, opts)
 	if st := cfg.Cache.Stats(); cfg.Cache != nil && (images == 0 || st.DiskHits != uint64(images)) {
 		t.Fatalf("-image=roundtrip: %d of the %d images on disk were decoded", st.DiskHits, images)
 	}
 	if *updateGolden {
-		if len(excludedColumns(cfg)) > 0 || cfg.Cache != nil {
-			t.Fatal("-update needs every engine toggle on and -image=direct")
+		if len(excludedColumns(cfg, opts.Engine)) > 0 || cfg.Cache != nil {
+			t.Fatal("-update needs every engine toggle on, -engine=compiled and -image=direct")
 		}
 		if err := os.WriteFile(workCountsGolden, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -145,7 +166,7 @@ func TestWorkCountsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
-	ex := excludedColumns(cfg)
+	ex := excludedColumns(cfg, opts.Engine)
 	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 	if len(gl) != len(wl) {
 		t.Fatalf("work counts have %d lines, golden file %d (regenerate with -update)", len(gl), len(wl))
@@ -177,13 +198,14 @@ func dropColumns(line string, ex map[string]bool) string {
 	return strings.Join(out, " ")
 }
 
-// renderWorkCounts profiles and runs every workload program under cfg
-// and renders the counts, one program after another in name order.
-func renderWorkCounts(t *testing.T, cfg StaticConfig) []byte {
+// renderWorkCounts profiles and runs every workload program under cfg,
+// each configuration bounded by opts, and renders the counts, one
+// program after another in name order.
+func renderWorkCounts(t *testing.T, cfg StaticConfig, opts RunOptions) []byte {
 	var b bytes.Buffer
 	b.WriteString("# Deterministic work per workload program; see workcounts_test.go.\n")
 	for _, w := range workloads.All() {
-		if err := workCounts(&b, w, cfg); err != nil {
+		if err := workCounts(&b, w, cfg, opts); err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
 	}
@@ -199,8 +221,9 @@ func workCountTestExec(w *workloads.Workload, i int) Execution {
 }
 
 // workCounts renders one program: its profile, its static results, and
-// one line per (configuration, testing execution).
-func workCounts(b *bytes.Buffer, w *workloads.Workload, cfg StaticConfig) error {
+// one line per (configuration, testing execution), each run bounded by
+// opts.
+func workCounts(b *bytes.Buffer, w *workloads.Workload, cfg StaticConfig, opts RunOptions) error {
 	prog := w.Prog()
 	pr, err := profileAtWorkers(prog, w, cfg)
 	if err != nil {
@@ -216,10 +239,10 @@ func workCounts(b *bytes.Buffer, w *workloads.Workload, cfg StaticConfig) error 
 		pr.Runs, sha256.Sum256(dbText.Bytes()), c.VisitedBlocks, c.MustAliasPairs, c.SingletonSpawns,
 		c.ElidableLocks, c.CalleeSites, c.CalleeTargets, c.Contexts, c.NonNullLoads)
 
-	emit := func(rows ...func(b *bytes.Buffer, i int, e Execution)) {
+	emit := func(rows ...func(b *bytes.Buffer, i int, e Execution, opts RunOptions)) {
 		for _, row := range rows {
 			for i := 0; i < workCountExecs; i++ {
-				row(b, i, workCountTestExec(w, i))
+				row(b, i, workCountTestExec(w, i), opts)
 			}
 		}
 	}
@@ -280,9 +303,9 @@ func workCounts(b *bytes.Buffer, w *workloads.Workload, cfg StaticConfig) error 
 // configRow renders one configuration's run of a testing execution:
 // the outcome columns every configuration shares, then cols's own, or
 // the run's error.
-func configRow[R Report](name string, run func(Execution, RunOptions) (R, error), cols func(R) string) func(b *bytes.Buffer, i int, e Execution) {
-	return func(b *bytes.Buffer, i int, e Execution) {
-		rep, err := run(e, RunOptions{})
+func configRow[R Report](name string, run func(Execution, RunOptions) (R, error), cols func(R) string) func(b *bytes.Buffer, i int, e Execution, opts RunOptions) {
+	return func(b *bytes.Buffer, i int, e Execution, opts RunOptions) {
+		rep, err := run(e, opts)
 		if err != nil {
 			fmt.Fprintf(b, "%-11s %d err=%q\n", name, i, err.Error())
 			return
@@ -320,7 +343,9 @@ func workCountCriterion(prog *ir.Program) *ir.Instr {
 // outcomeColumns renders the counts every configuration shares: Stats
 // by event kind, check events, rollback and violation kind, and the
 // engine's fast-path ("fp" hits/slow), inline-cache ("ic"
-// hits/misses/deopts) and fusion counters.
+// hits/misses/deopts) and fusion counters. A rolled-back run also shows
+// the facts its attempts refuted and what re-executed it ("to": a
+// refined generation or the sound analysis).
 func outcomeColumns(o *Outcome) string {
 	s := o.Stats
 	viol := string(o.Violation.Kind)
@@ -330,6 +355,11 @@ func outcomeColumns(o *Outcome) string {
 	rb := 0
 	if o.RolledBack {
 		rb = 1
+		keys := make([]string, len(o.Refuted))
+		for i, v := range o.Refuted {
+			keys[i] = v.FactKey()
+		}
+		viol += fmt.Sprintf(" refuted=%s to=%s", strings.Join(keys, ","), o.RolledBackTo)
 	}
 	return fmt.Sprintf("steps=%d ld=%d st=%d lk=%d ul=%d sp=%d jn=%d blk=%d call=%d exec=%d nullck=%d chk=%d rb=%d viol=%s fp=%d/%d ic=%d/%d/%d fused=%d",
 		s.Steps, s.Loads, s.Stores, s.Locks, s.Unlocks, s.Spawns, s.Joins, s.BlockEvents, s.CallEvents, s.ExecEvents, s.NullChecks,

@@ -256,10 +256,10 @@ func breakEven(optStart, tradStart, tradRate, optRate float64) float64 {
 // PrintTab1 renders the Table 1 table.
 func PrintTab1(w io.Writer, rows []Tab1Row) {
 	fmt.Fprintf(w, "Table 1: OptFT end-to-end analysis economics\n")
-	fmt.Fprintf(w, "%-11s %11s %15s %11s | %14s %12s | %9s %9s\n",
-		"benchmark", "static(ms)", "profile(ms/run)", "pred(ms)", "breakeven-hyb", "breakeven-ft", "spd-hyb", "spd-ft")
+	fmt.Fprintf(w, "%-11s %11s %16s %11s | %14s %12s | %9s %9s\n",
+		"benchmark", "static(ms)", "profile(ms)/runs", "pred(ms)", "breakeven-hyb", "breakeven-ft", "spd-hyb", "spd-ft")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-11s %11.2f %10.2f/%3d %11.2f | %14s %12s | %8.2fx %8.2fx\n",
+		fmt.Fprintf(w, "%-11s %11.2f %11.2f/%4d %11.2f | %14s %12s | %8.2fx %8.2fx\n",
 			r.Name, r.SoundSec*1000, r.ProfileSec*1000, r.ProfileRuns, r.PredSec*1000,
 			fmtBE(r.BreakEvenVsHybrid), fmtBE(r.BreakEvenVsFT),
 			r.SpeedupVsHybrid, r.SpeedupVsFT)

@@ -207,10 +207,10 @@ func Tab2(rows []Fig6Row) []Tab2Row {
 // PrintTab2 renders the Table 2 table.
 func PrintTab2(w io.Writer, rows []Tab2Row) {
 	fmt.Fprintf(w, "Table 2: OptSlice end-to-end analysis economics\n")
-	fmt.Fprintf(w, "%-8s | %4s %10s | %4s %10s %15s | %10s %9s\n",
-		"bench", "tAT", "trad(ms)", "oAT", "opt(ms)", "profile(ms/run)", "breakeven", "dyn-spd")
+	fmt.Fprintf(w, "%-8s | %4s %10s | %4s %10s %16s | %10s %9s\n",
+		"bench", "tAT", "trad(ms)", "oAT", "opt(ms)", "profile(ms)/runs", "breakeven", "dyn-spd")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s | %4s %10.2f | %4s %10.2f %10.2f/%4d | %10s %8.2fx\n",
+		fmt.Fprintf(w, "%-8s | %4s %10.2f | %4s %10.2f %11.2f/%4d | %10s %8.2fx\n",
 			r.Name, r.TradAT, r.TradSec*1000, r.OptAT, r.OptSec*1000, r.ProfSec*1000, r.ProfRuns,
 			fmtBE(r.BreakEvenSec), r.DynamicSpeedup)
 	}

@@ -16,14 +16,18 @@ import (
 // adaptSrc has a racy update on an input-guarded path: profiling with
 // small inputs marks the `k > 100` branch likely-unreachable, so a
 // large input violates the speculation, refines the fact away, and the
-// retry under generation 2 succeeds. `h = 7;` races unconditionally,
-// so every sound report carries at least one race.
+// retry under generation 2 succeeds. A negative input violates the
+// `k < 0` branch instead. `h = 7;` races unconditionally, so every
+// sound report carries at least one race.
 const adaptSrc = `
 	global g = 0;
 	global h = 0;
 	func w(k) {
 		if (k > 100) {
 			g = g + 1;
+		}
+		if (k < 0) {
+			g = g - 1;
 		}
 		h = 7;
 	}
@@ -117,21 +121,15 @@ func TestServerAdaptiveSpeculation(t *testing.T) {
 		t.Fatalf("client-labeled violation counter missing from exposition:\n%s", mx)
 	}
 
-	// The static pipeline's phase histograms and incremental-reuse
-	// gauge: the reconcile resumed generation 1's saturated solver
-	// state, so the mode is incremental and the reuse ratio the
-	// fraction of constraints inherited.
-	for _, phase := range []string{"pointsto", "mhp", "race", "masks"} {
-		if !strings.Contains(mx, `oha_static_phase_seconds_count{phase="`+phase+`",client="race"}`) {
-			t.Fatalf("phase histogram for %q missing from exposition:\n%s", phase, mx)
-		}
+	// The static pipeline: attempt 1's rollback re-executed under the
+	// generation its violation refines, solved through the daemon's
+	// artifact cache, so the reconcile found generation 2 cached and
+	// deployed the rollback's detector (the "masks" phase).
+	if !strings.Contains(mx, `oha_static_phase_seconds_count{phase="masks",client="race"}`) {
+		t.Fatalf("phase histogram for \"masks\" missing from exposition:\n%s", mx)
 	}
-	if v := metricValue(t, mx, "oha_inc_reuse_ratio"); v <= 0 || v > 1 {
-		t.Fatalf("oha_inc_reuse_ratio = %v, want in (0,1]", v)
-	}
-	if st.StaticMode != "incremental" || st.IncReuseRatio <= 0 || st.IncReuseRatio > 1 {
-		t.Fatalf("speculation static mode = %q reuse %v, want incremental in (0,1]",
-			st.StaticMode, st.IncReuseRatio)
+	if st.StaticMode != "cached" {
+		t.Fatalf("speculation static mode = %q, want cached: the rollback already solved generation 2", st.StaticMode)
 	}
 	missesBefore := metricValue(t, mx, "ohad_artifact_cache_misses")
 
@@ -167,6 +165,37 @@ func TestServerAdaptiveSpeculation(t *testing.T) {
 	}
 	if status := c.do("GET", "/speculation", nil, &listing); status != http.StatusOK || len(listing.Managers) != 1 {
 		t.Fatalf("after slice: %d managers", len(listing.Managers))
+	}
+
+	// An adaptive slice job violating the `k < 0` branch: its rollback
+	// solves only the slicer's artifacts for generation 3, so the
+	// reconcile re-solves the race pipeline generation 2's race detector
+	// needs, resuming generation 2's saturated solver state: the mode
+	// is incremental and the reuse ratio the fraction of constraints
+	// inherited.
+	_, sliceID2 := c.submitJob(JobRequest{
+		Kind: "slice", ProgramID: id, Inputs: []int64{-5}, InvariantsID: "adapt-itest", Adapt: true,
+	})
+	sl = c.awaitDone(sliceID2)
+	if sl["rolled_back"].(bool) || sl["generation"].(float64) != 3 || sl["attempts"].(float64) != 2 {
+		t.Fatalf("violating adaptive slice = %v, want a clean generation-3 retry", sl)
+	}
+	if status := c.do("GET", "/speculation?program="+id+"&invariants=adapt-itest", nil, &entry); status != http.StatusOK {
+		t.Fatalf("speculation: status %d", status)
+	}
+	st = entry.Status
+	_, mx = c.text("/metrics")
+	for _, phase := range []string{"pointsto", "mhp", "race", "masks"} {
+		if !strings.Contains(mx, `oha_static_phase_seconds_count{phase="`+phase+`",client="race"}`) {
+			t.Fatalf("phase histogram for %q missing from exposition:\n%s", phase, mx)
+		}
+	}
+	if v := metricValue(t, mx, "oha_inc_reuse_ratio"); v <= 0 || v > 1 {
+		t.Fatalf("oha_inc_reuse_ratio = %v, want in (0,1]", v)
+	}
+	if st.Generation != 3 || st.StaticMode != "incremental" || st.IncReuseRatio <= 0 || st.IncReuseRatio > 1 {
+		t.Fatalf("speculation generation %d static mode = %q reuse %v, want generation 3 incremental in (0,1]",
+			st.Generation, st.StaticMode, st.IncReuseRatio)
 	}
 }
 

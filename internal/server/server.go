@@ -504,8 +504,13 @@ type JobOutcome struct {
 	Violation     string             `json:"violation,omitempty"`
 	ViolationKind core.ViolationKind `json:"violation_kind,omitempty"`
 	ViolationSite int                `json:"violation_site,omitempty"`
-	Generation    int                `json:"generation,omitempty"`
-	Attempts      int                `json:"attempts,omitempty"`
+	// RolledBackTo names what re-executed a rolled-back run (a refined
+	// generation or the sound analysis); Refuted are the fact keys of
+	// every fact its attempts refuted.
+	RolledBackTo core.RollbackTarget `json:"rolled_back_to,omitempty"`
+	Refuted      []string            `json:"refuted,omitempty"`
+	Generation   int                 `json:"generation,omitempty"`
+	Attempts     int                 `json:"attempts,omitempty"`
 }
 
 // RaceJobResult is the result payload of a race job.
@@ -951,11 +956,17 @@ func analyze[D core.Detector[R], R core.Report, W any](ctx context.Context, s *S
 // outcome summarizes a's speculation for the job result.
 func outcome[D core.Detector[R], R core.Report](a adapt.Result[D, R]) JobOutcome {
 	out := a.Report.Base()
+	var refuted []string
+	for _, v := range out.Refuted {
+		refuted = append(refuted, v.FactKey())
+	}
 	return JobOutcome{
 		RolledBack:    out.RolledBack,
 		Violation:     out.Violation.String(),
 		ViolationKind: out.Violation.Kind,
 		ViolationSite: out.Violation.Site,
+		RolledBackTo:  out.RolledBackTo,
+		Refuted:       refuted,
 		Generation:    a.Generation,
 		Attempts:      len(a.Attempts),
 	}

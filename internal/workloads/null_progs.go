@@ -17,8 +17,8 @@ package workloads
 //   - null-flaky models the optimistic failure mode: a rare input
 //     range drops a cursor to nil and skips the repair path, refuting
 //     the profiled non-null fact at runtime — the speculative run
-//     rolls back to the always-check configuration and the adaptive
-//     layer refines the fact away.
+//     rolls back, re-executing under the generation without that
+//     fact, and the adaptive layer refines the fact away.
 //
 // Nil dereferences recover deterministically under null-checking
 // configurations (a nil load produces 0, a nil store is dropped), so
