@@ -35,10 +35,11 @@
 //	    Single-step the deterministic compiled engine interactively:
 //	    line breakpoints, registers, globals, threads (try `help`).
 //
-// With -adapt, a mis-speculation refines the violated likely invariant
-// out of the database, re-runs the predicated static analysis, and
-// retries under the new generation (printing a per-generation
-// summary) — the same closed loop `ohad` exposes via /speculation.
+// With -adapt, the run goes through an adaptive manager: the facts a
+// mis-speculated run's rollback refuted are refined out of the
+// database, which is published as the next generation (printing a
+// summary of the generations) — the same closed loop `ohad` exposes
+// via /speculation.
 // -engine tree|compiled selects the execution engine (default
 // compiled); results are identical under both. -ic=off disables the
 // compiled engine's speculative inline caches, -fusion=off its
@@ -88,7 +89,7 @@ func main() {
 	criterion := fs.Int("criterion", -1, "slice: print-statement index (default: last)")
 	budget := fs.Int("budget", 4096, "slice: context-sensitive analysis budget")
 	cacheDir := fs.String("cache-dir", "", "persist static-analysis artifacts under this directory (default: in-memory only)")
-	adaptive := fs.Bool("adapt", false, "race/nullcheck/slice: on mis-speculation, refine the violated invariant, re-analyze, and retry")
+	adaptive := fs.Bool("adapt", false, "race/nullcheck/slice: on mis-speculation, publish the database without the refuted invariants as the next generation")
 	engine := fs.String("engine", "compiled", "execution engine: compiled|tree")
 	staticWorkers := fs.Int("static-workers", 0, "parallel static-solver workers (0: GOMAXPROCS, 1: sequential)")
 	incremental := fs.Bool("inc", true, "adapt: resume re-analysis from the previous generation's saturated solver state")
@@ -203,14 +204,12 @@ func main() {
 	case "race":
 		a, err := adapt.Analyze(prog, core.Race(), mode, e, ropts)
 		check(err)
-		narrate(a.Attempts)
 		printRace(server.RaceResult(a))
 
 	case "nullcheck":
 		a, err := adapt.Analyze(prog, core.Null(), mode, e, ropts)
 		check(err)
-		narrate(a.Attempts)
-		if mode.DB != nil {
+		if !*baseline {
 			printDischarge(a.Detector.ElidedChecks(), a.Detector.Pred.DerefSites)
 		}
 		printNull(prog, server.NullResult(a))
@@ -224,34 +223,10 @@ func main() {
 		check(err)
 		a, err := adapt.Analyze(prog, core.Slice(crit, *budget), mode, e, ropts)
 		check(err)
-		narrate(a.Attempts)
 		printSlice(server.SliceResult(prog, idx, crit, a), string(src))
 	}
 	if m != nil {
 		printSpeculation(m)
-	}
-}
-
-// narrate prints one line per generation the adaptive loop attempted
-// (none outside adaptive mode).
-func narrate[R oha.Report](as []adapt.Attempt[R]) {
-	for i, a := range as {
-		out := a.Report.Base()
-		switch {
-		case !out.RolledBack:
-			fmt.Printf("generation %d: speculation held\n", a.Generation)
-		case i < len(as)-1:
-			fmt.Printf("generation %d: mis-speculation (%s); refining and re-analyzing\n", a.Generation, out.Violation)
-		case out.RolledBackTo == core.RollbackRefined:
-			// Rolled back with no retry, but the rollback's own
-			// refinement served the run.
-			fmt.Printf("generation %d: mis-speculation (%s); re-executed under a refined generation\n", a.Generation, out.Violation)
-		default:
-			// Rolled back with no retry: the violation was not a
-			// refinable invariant (the report is still sound — the
-			// rollback re-ran the traditional hybrid analysis).
-			fmt.Printf("generation %d: mis-speculation (%s); rolled back to hybrid analysis\n", a.Generation, out.Violation)
-		}
 	}
 }
 

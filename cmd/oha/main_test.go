@@ -130,15 +130,35 @@ func TestGoldenLocal(t *testing.T) {
 	}
 }
 
-// adaptiveLine matches the adaptive narrative (local: one line per
-// generation plus a footer) and header (remote), which differ by
-// design: the narrative reads the in-process manager.
-var adaptiveLine = regexp.MustCompile(`^(generation \d+|adaptive: |  generation \d+ refined)`)
+// adaptiveLine matches the adaptive summary (local: a footer with the
+// generation history) and header (remote), which differ by design: the
+// history reads the in-process manager.
+var adaptiveLine = regexp.MustCompile(`^(adaptive: |  generation \d+ refined)`)
 
-// body is the report with the adaptive narrative, header and footer
-// removed, and with the line the two modes are known to compute
-// differently: after a rollback the result carries the sound proof's
-// discharge count, so only local mode prints the predicated one.
+// TestGoldenAdaptiveIsPlain: an adaptive run is the plain run plus the
+// adaptive summary. Its rollback chain is the only refinement loop, so
+// with the summary removed every adaptive golden equals the plain one.
+func TestGoldenAdaptiveIsPlain(t *testing.T) {
+	for _, c := range goldenCases {
+		for _, cmd := range analysisCmds {
+			id := c.name + "." + cmd
+			var keep []string
+			for _, l := range strings.SplitAfter(golden(t, id+".adapt"), "\n") {
+				if !adaptiveLine.MatchString(l) {
+					keep = append(keep, l)
+				}
+			}
+			if got, want := strings.Join(keep, ""), golden(t, id+".plain"); got != want {
+				t.Errorf("%s: adaptive report differs from the plain one\n got:\n%s\nwant:\n%s", id, got, want)
+			}
+		}
+	}
+}
+
+// body is the report with the adaptive header and footer removed, and
+// with the line the two modes are known to compute differently: after
+// a rollback the result carries the re-execution's discharge count, so
+// only local mode prints the predicated one.
 func body(out string) string {
 	rolledBack := strings.Contains(out, "mis-speculation (")
 	var keep []string

@@ -24,11 +24,11 @@ func printProfile(res server.ProfileJobResult) {
 	fmt.Fprintf(os.Stderr, "profiled %d executions; invariants%s: %+v\n", res.Runs, where, res.Counts)
 }
 
-// printRollback reports a plain run's mis-speculation and what
-// re-executed it; the adaptive loop's attempts report their own.
+// printRollback reports a run's mis-speculation and what re-executed
+// it.
 func printRollback(o server.JobOutcome, fallback string) {
 	switch {
-	case !o.RolledBack || o.Attempts > 0:
+	case !o.RolledBack:
 	case o.RolledBackTo == core.RollbackRefined:
 		fmt.Printf("mis-speculation (%s): re-executed under a refined generation without %s\n", o.Violation, strings.Join(o.Refuted, ", "))
 	default:

@@ -168,7 +168,7 @@ func runRemote(base, cmd string, o remoteOpts) error {
 		printAdaptive(res.JobOutcome)
 		// The result's static counts are the predicated proof's unless
 		// the run rolled back onto the sound one.
-		if !o.baseline && !o.adaptive && !res.RolledBack {
+		if !o.baseline && !res.RolledBack {
 			printDischarge(res.DischargedChecks, res.DerefSites)
 		}
 		printNull(prog, res)
@@ -189,10 +189,11 @@ func runRemote(base, cmd string, o remoteOpts) error {
 	return nil
 }
 
-// printAdaptive heads an adaptive result with the generation it ran
-// under (the per-generation narrative needs the in-process manager).
+// printAdaptive heads an adaptive result with the generation the job
+// left published (the generation history needs the in-process
+// manager).
 func printAdaptive(o server.JobOutcome) {
-	if o.Attempts > 0 {
-		fmt.Printf("adaptive: generation %d after %d attempt(s)\n", o.Generation, o.Attempts)
+	if o.Generation > 0 {
+		fmt.Printf("adaptive: generation %d\n", o.Generation)
 	}
 }

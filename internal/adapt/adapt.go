@@ -1,27 +1,28 @@
 // Package adapt closes the optimistic-hybrid-analysis feedback loop
 // the paper leaves to the deployment (§2.1's stability/strength
 // trade-off, §3's recovery discussion): when a speculative run
-// mis-speculates, the violated likely invariant is demoted, the
-// predicated static analysis re-runs without it, and a weaker-but-
-// stabler configuration is hot-swapped in — so one violation never
-// costs a second rollback.
+// mis-speculates, its rollback chain (core's speculate) re-executes it
+// under a database without the refuted likely invariants, and the
+// manager publishes that database as the next generation — so one
+// violation never costs a second rollback.
 //
 // The package is three cooperating pieces:
 //
-//   - a violation ledger: structured core.Violation records from
-//     OptFT/OptSlice/OptNull rollbacks, accumulated into per-invariant-fact
+//   - a violation ledger: the structured core.Violation records of
+//     OptFT/OptSlice/OptNull rollbacks, accumulated into per-kind
 //     violation counters and per-generation success statistics;
-//   - a refinement policy: past Policy.Threshold observations of one
-//     fact (default 1, per the paper), the fact is removed from a
-//     derived invariants.DB generation by the violation kind's rule
-//     (core.Violation.Refine);
+//   - a refinement rule: every fact a run's rollback chain refuted is
+//     removed from a derived invariants.DB by its kind's rule
+//     (core.Violation.Refine), in the chain's order, so the derived
+//     database is the one the chain ended on;
 //   - a re-analysis reconciler: Reconcile recomputes the predicated
 //     static artifacts and compiled elision masks for the refined DB
 //     through the content-addressed artifact cache — sound artifacts
 //     (keyed on the nil DB) stay warm; only the invalidated predicated
-//     kinds re-solve — and hot-swaps the new generation in without
-//     blocking in-flight runs (immutable snapshots behind an atomic
-//     pointer; old detectors finish serving their runs untouched).
+//     kinds re-solve — or deploys the detector the chain already built
+//     for it, and hot-swaps the new generation in without blocking
+//     in-flight runs (immutable snapshots behind an atomic pointer; old
+//     detectors finish serving their runs untouched).
 //
 // Determinism: given the same program, executions, and schedule seeds,
 // the sequence of refinement generations (refined-DB serializations
@@ -46,36 +47,13 @@ import (
 	"oha/internal/ir"
 )
 
-// Policy configures when the manager refines.
-type Policy struct {
-	// Threshold is the number of observed violations of one invariant
-	// fact before it is refined away. Default 1 — the paper's stance: a
-	// fact that misfired once will misfire again, and a rollback is
-	// expensive enough to never pay twice.
-	Threshold int
-	// MaxGenerations caps deployed configurations, including the base
-	// generation (default 64). At the cap the manager keeps serving
-	// (and counting) but stops refining.
-	MaxGenerations int
-}
-
-func (p Policy) threshold() int {
-	if p.Threshold <= 0 {
-		return 1
-	}
-	return p.Threshold
-}
-
-func (p Policy) maxGenerations() int {
-	if p.MaxGenerations <= 0 {
-		return 64
-	}
-	return p.MaxGenerations
-}
+// maxGenerations caps a manager's deployed configurations, including
+// the base generation. At the cap the manager keeps serving (and
+// counting) but stops refining.
+const maxGenerations = 64
 
 // Options configures a Manager.
 type Options struct {
-	Policy Policy
 	// Metrics, when non-nil, records ledger and reconciler activity.
 	Metrics *Metrics
 	// Static configures the static re-analysis pipeline: the artifact
@@ -96,8 +74,9 @@ type GenerationRecord struct {
 	// Generation numbers configurations from 1 (the base DB).
 	Generation int `json:"generation"`
 	// Causes are the violations whose refinements this generation
-	// deployed (empty for the base generation). Several violations
-	// observed before one reconcile fold into one generation.
+	// deployed (empty for the base generation): every fact one run's
+	// rollback chain refuted, and several runs' facts when they are
+	// observed before one reconcile.
 	Causes []core.Violation `json:"causes,omitempty"`
 	// DBDigest is the SHA-256 of the generation's invariant database
 	// serialization; MaskDigest the content digest of one detector's
@@ -133,7 +112,8 @@ type Status struct {
 	SuccessRate         float64 `json:"success_rate"`
 	PostRefineRuns      uint64  `json:"post_refine_runs"`
 	PostRefineRollbacks uint64  `json:"post_refine_rollbacks"`
-	// ViolationsByKind counts observed violations per invariant kind.
+	// ViolationsByKind counts refuted facts per invariant kind: every
+	// fact an observed run's rollback chain refuted.
 	ViolationsByKind map[core.ViolationKind]uint64 `json:"violations_by_kind,omitempty"`
 	// Clients breaks runs and rollbacks down per analysis client
 	// (race, slice, nullcheck), keyed by core.Analysis name.
@@ -158,12 +138,11 @@ type ClientStats struct {
 }
 
 // Manager owns the adaptive state for one (program, base DB) pair.
-// Observe feeds it the outcome of any optimistic run; Run adds the
-// refine-and-retry loop on top. All methods are safe for concurrent
-// use.
+// Run analyzes one execution under its published generation and
+// publishes the database the run's rollback chain refined. All methods
+// are safe for concurrent use.
 type Manager struct {
 	prog   *ir.Program
-	policy Policy
 	met    *Metrics
 	static core.StaticConfig
 	incMet *inc.Metrics
@@ -172,15 +151,14 @@ type Manager struct {
 	// in-flight runs keep their snapshot while a swap lands.
 	cur atomic.Pointer[generation]
 
-	mu         sync.Mutex
-	runs       uint64
-	rollbacks  uint64
-	prRuns     uint64 // runs under generation > 1
-	prRolls    uint64
-	byKind     map[core.ViolationKind]uint64
-	byClient   map[string]ClientStats
-	ic         interp.ICStats
-	factCounts map[string]int
+	mu        sync.Mutex
+	runs      uint64
+	rollbacks uint64
+	prRuns    uint64 // runs under generation > 1
+	prRolls   uint64
+	byKind    map[core.ViolationKind]uint64
+	byClient  map[string]ClientStats
+	ic        interp.ICStats
 	// latest is the newest derived DB — always at least as weak as
 	// every published or in-flight generation. nextCauses are the
 	// violations folded into latest but not yet captured by a
@@ -224,15 +202,13 @@ func newGeneration(n int, db *invariants.DB) *generation {
 // deferred to the first run.
 func New(prog *ir.Program, db *invariants.DB, o Options) *Manager {
 	m := &Manager{
-		prog:       prog,
-		policy:     o.Policy,
-		met:        o.Metrics,
-		static:     o.Static,
-		incMet:     o.Inc,
-		byKind:     map[core.ViolationKind]uint64{},
-		byClient:   map[string]ClientStats{},
-		factCounts: map[string]int{},
-		latest:     db,
+		prog:     prog,
+		met:      o.Metrics,
+		static:   o.Static,
+		incMet:   o.Inc,
+		byKind:   map[core.ViolationKind]uint64{},
+		byClient: map[string]ClientStats{},
+		latest:   db,
 	}
 	m.cur.Store(newGeneration(1, db))
 	m.history = []GenerationRecord{{Generation: 1, DBDigest: artifacts.DBDigest(db)}}
@@ -248,9 +224,9 @@ func (m *Manager) Generation() int { return m.cur.Load().n }
 // DB returns the published generation's invariant database (immutable).
 func (m *Manager) DB() *invariants.DB { return m.cur.Load().db }
 
-// Current returns the published generation's detector for a and the
+// current returns the published generation's detector for a and the
 // generation number, building (and memoizing) it on first use.
-func Current[D core.Detector[R], R core.Report](m *Manager, a core.Analysis[D, R]) (D, int, error) {
+func current[D core.Detector[R], R core.Report](m *Manager, a core.Analysis[D, R]) (D, int, error) {
 	g := m.cur.Load()
 	det, err := detector(m, g, a)
 	return det, g.n, err
@@ -330,78 +306,50 @@ func (m *Manager) setMaskDigest(gen int, digest string) {
 	}
 }
 
-// Observe feeds the final outcome of one run of the named client on
-// the managed program into the ledger and, past the policy threshold,
-// derives the refined DB. The expensive re-solve is deferred to
-// Reconcile.
-func (m *Manager) Observe(client string, out *core.Outcome) {
-	rolledBack, v := out.RolledBack, out.Violation
+// observe feeds the final outcome of one run of the named client under
+// generation gen into the ledger and folds every refinable fact the
+// run's rollback chain refuted into the newest derived DB, in the
+// chain's order: when the run started under the newest DB, the result
+// is the database the chain ended on. A fact already absent from the
+// newest DB (the run started under an older generation) refines
+// nothing. The expensive re-solve is deferred to Reconcile.
+func (m *Manager) observe(client string, gen int, out *core.Outcome) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.ic.Add(out.IC)
-	gen := m.cur.Load().n
 	m.runs++
 	cs := m.byClient[client]
 	cs.Runs++
 	if gen > 1 {
 		m.prRuns++
 	}
-	if rolledBack {
+	if out.RolledBack {
 		m.rollbacks++
 		cs.Rollbacks++
 		if gen > 1 {
 			m.prRolls++
 		}
-		m.byKind[v.Kind]++
 	}
 	m.byClient[client] = cs
-	m.met.observeRun(client, rolledBack, gen > 1, string(v.Kind))
-	if !rolledBack || !v.Kind.Refinable() {
-		return
-	}
-	key := v.FactKey()
-	m.factCounts[key]++
-	if m.factCounts[key] < m.policy.threshold() {
-		return
-	}
-	if len(m.history) >= m.policy.maxGenerations() {
-		return
-	}
-	refined := m.derive(m.latest, v)
-	if refined == nil {
-		// Stale: the fact is already gone from the newest DB (the run
-		// started under an older generation). No generation owed.
-		return
-	}
-	m.latest = refined
-	m.nextCauses = append(m.nextCauses, v)
-}
-
-// refineRules versions the kind rules of core.Violation.Refine in the
-// KindRefined key. It changes whenever a rule does (rules-2: a
-// callee-set refinement also marks the callee's entry block visited),
-// so a disk tier written under older rules misses instead of serving
-// databases those rules refined.
-const refineRules = "rules-2"
-
-// derive returns latest weakened by v, or nil if v's fact is already
-// absent. The result is memoized under KindRefined (with DBCodec), so
-// a restarted daemon with a warm disk cache replays refinements
-// without re-deriving them.
-func (m *Manager) derive(base *invariants.DB, v core.Violation) *invariants.DB {
-	refined := base.Clone()
-	if !v.Refine(m.prog, refined) {
-		return nil
-	}
-	if m.static.Cache != nil {
-		key := artifacts.Key(artifacts.KindRefined, m.prog, base, 0, v.FactKey(), refineRules)
-		if got, err := m.static.Cache.Memo(key, artifacts.DBCodec(), func() (any, error) {
-			return refined, nil
-		}); err == nil {
-			return got.(*invariants.DB)
+	m.met.observeRun(client, out.RolledBack, gen > 1, out.Refuted)
+	var refined *invariants.DB
+	var causes []core.Violation
+	for _, v := range out.Refuted {
+		m.byKind[v.Kind]++
+		if !v.Kind.Refinable() || len(m.history) >= maxGenerations {
+			continue
+		}
+		if refined == nil {
+			refined = m.latest.Clone()
+		}
+		if v.Refine(m.prog, refined) {
+			causes = append(causes, v)
 		}
 	}
-	return refined
+	if len(causes) > 0 {
+		m.latest = refined
+		m.nextCauses = append(m.nextCauses, causes...)
+	}
 }
 
 // Pending reports whether refinements await a Reconcile (including one
@@ -559,53 +507,38 @@ func (m *Manager) Status() Status {
 	return st
 }
 
-// Attempt is one generation's attempt within Run.
-type Attempt[R core.Report] struct {
-	Generation int `json:"generation"`
-	Report     R   `json:"report"`
-}
-
-// Run is the refine-and-retry loop for one execution: run a's detector
-// under the current generation; on a refinable rollback, reconcile and
-// retry under the new one. The last attempt's report is authoritative
-// (rollback re-execution makes every attempt sound; retries only
-// recover speculation). The loop terminates because each refinement
-// strictly weakens a finite fact set, and Policy.MaxGenerations caps
-// it besides. Every completed attempt is observed once.
-func Run[D core.Detector[R], R core.Report](m *Manager, a core.Analysis[D, R], e core.Execution, opts core.RunOptions) ([]Attempt[R], error) {
-	var attempts []Attempt[R]
-	for {
-		det, gen, err := Current(m, a)
-		if err != nil {
-			return attempts, err
-		}
-		rep, err := det.Run(e, opts)
-		if err != nil {
-			return attempts, err
-		}
-		attempts = append(attempts, Attempt[R]{Generation: gen, Report: rep})
-		out := rep.Base()
-		m.Observe(a.Name, out)
-		if !out.RolledBack || !out.Violation.Kind.Refinable() {
-			return attempts, nil
-		}
-		swapped, err := m.Reconcile(opts.Ctx)
-		if err != nil {
-			return attempts, err
-		}
-		if !swapped {
-			return attempts, nil
-		}
+// Run runs a's detector of the published generation once on e. The
+// detector's rollback chain already re-executes a mis-speculated run
+// under the database its refuted facts' rules weaken; Run observes the
+// final report, folding every refuted fact into the manager's newest
+// database, and reconciles, which publishes that database as the next
+// generation and deploys the detector the chain built for it. A run
+// that fails (a canceled one, say) is not observed.
+func Run[D core.Detector[R], R core.Report](m *Manager, a core.Analysis[D, R], e core.Execution, opts core.RunOptions) (Result[D, R], error) {
+	var res Result[D, R]
+	det, gen, err := current(m, a)
+	if err != nil {
+		return res, err
 	}
+	rep, err := det.Run(e, opts)
+	if err != nil {
+		return res, err
+	}
+	m.observe(a.Name, gen, rep.Base())
+	// A no-op unless the observation left a refinement pending.
+	if _, err := m.Reconcile(opts.Ctx); err != nil {
+		return res, err
+	}
+	res.Report, res.Detector, res.Generation = rep, det, m.Generation()
+	return res, nil
 }
 
 // Mode is how Analyze runs a client: its unoptimized sound baseline,
-// the refine-and-retry loop under a manager, or one plain optimistic
-// run.
+// one run under a manager (Run), or one plain optimistic run.
 type Mode struct {
 	// Baseline runs the client's sound baseline; nothing else is read.
 	Baseline bool
-	// Manager, when non-nil, runs the refine-and-retry loop under it.
+	// Manager, when non-nil, runs a once under it (Run).
 	Manager *Manager
 	// Otherwise one detector is built for DB under Static (its build
 	// timed into Inc; nil: not recorded) and run once.
@@ -615,13 +548,13 @@ type Mode struct {
 }
 
 // Result is an analysis's final report and the detector that produced
-// it (zero for a baseline run); in adaptive mode also the generation
-// the report came from and every attempt of the loop.
+// it (zero for a baseline run). In adaptive mode Generation is the
+// generation the manager publishes once the run's refinements are
+// reconciled: the one the next run starts under.
 type Result[D core.Detector[R], R core.Report] struct {
 	Report     R
 	Detector   D
 	Generation int
-	Attempts   []Attempt[R]
 }
 
 // Analyze runs a on one execution of prog in the given mode. It is the
@@ -634,15 +567,7 @@ func Analyze[D core.Detector[R], R core.Report](prog *ir.Program, a core.Analysi
 	case mode.Baseline:
 		res.Report, err = a.Baseline(prog, e, opts)
 	case mode.Manager != nil:
-		if res.Attempts, err = Run(mode.Manager, a, e, opts); err != nil {
-			return res, err
-		}
-		last := res.Attempts[len(res.Attempts)-1]
-		res.Report, res.Generation = last.Report, last.Generation
-		// The current generation's memoized detector carries the static
-		// facts (the slice analysis type) a result reports; without one
-		// they are left out.
-		res.Detector, _, _ = Current(mode.Manager, a)
+		return Run(mode.Manager, a, e, opts)
 	default:
 		if res.Detector, err = build(a, prog, mode.DB, mode.Static, mode.Inc); err != nil {
 			return res, err

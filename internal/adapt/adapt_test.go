@@ -3,6 +3,7 @@ package adapt
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"oha/internal/lang"
 	"oha/internal/metrics"
 	"oha/internal/progen"
+	"oha/internal/workloads"
 )
 
 // pathProg has an input-guarded racy path: profiling with small inputs
@@ -81,45 +83,35 @@ func lastPrint(prog *ir.Program) *ir.Instr {
 	return criterion
 }
 
-// TestRefineAndRetryRace: the full loop on the LUC trigger — gen 1
-// rolls back, gen 2 runs the identical execution clean, and every
-// attempt matches FastTrack.
+// TestRefineAndRetryRace: one violating job on the LUC trigger is one
+// run. Its rollback chain re-executes it under the refined database,
+// which the manager publishes as generation 2 and counts as one run
+// and one rollback; the same execution then runs clean under it.
 func TestRefineAndRetryRace(t *testing.T) {
 	prog := lang.MustCompile(pathProg)
 	pr := profileDB(t, prog, []int64{5}, 20)
-	cache := artifacts.New("")
-	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: cache}})
+	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}})
 
 	e := core.Execution{Inputs: []int64{500}, Seed: 3}
 	ft, err := core.RunFastTrack(prog, e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	attempts, err := Run(m, core.Race(), e, core.RunOptions{})
+	res, err := Run(m, core.Race(), e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(attempts) != 2 {
-		t.Fatalf("attempts = %d, want 2 (rollback then clean retry)", len(attempts))
+	rep := res.Report
+	if !rep.RolledBack || rep.RolledBackTo != core.RollbackRefined || rep.Violation.Kind != core.ViolationUnreachableBlock {
+		t.Fatalf("violating run: rolledBack=%v to %q violation %v, want an unreachable-block rollback to a refined generation",
+			rep.RolledBack, rep.RolledBackTo, rep.Violation)
 	}
-	first, second := attempts[0], attempts[1]
-	if first.Generation != 1 || !first.Report.RolledBack {
-		t.Fatalf("first attempt: gen=%d rolledback=%v", first.Generation, first.Report.RolledBack)
+	if !core.SameRaces(ft, rep) {
+		t.Fatal("violating run diverged from FastTrack")
 	}
-	if first.Report.Violation.Kind != core.ViolationUnreachableBlock {
-		t.Fatalf("violation kind = %q", first.Report.Violation.Kind)
-	}
-	if second.Generation != 2 || second.Report.RolledBack {
-		t.Fatalf("second attempt: gen=%d rolledback=%v violation=%s",
-			second.Generation, second.Report.RolledBack, second.Report.Violation)
-	}
-	for i, a := range attempts {
-		if !core.SameRaces(ft, a.Report) {
-			t.Fatalf("attempt %d diverged from FastTrack", i)
-		}
-	}
-	if got := m.Generation(); got != 2 {
-		t.Fatalf("generation = %d, want 2", got)
+	if st := m.Status(); st.Runs != 1 || st.Rollbacks != 1 || st.Generation != 2 || res.Generation != 2 {
+		t.Fatalf("after one violating job: runs %d, rollbacks %d, generation %d (result %d); want 1, 1, 2",
+			st.Runs, st.Rollbacks, st.Generation, res.Generation)
 	}
 
 	// The paper's promise: the same execution never costs a second
@@ -128,10 +120,79 @@ func TestRefineAndRetryRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(again) != 1 || again[0].Report.RolledBack {
-		t.Fatalf("re-run after refinement still rolled back (%d attempts)", len(again))
+	if again.Report.RolledBack || again.Generation != 2 || !core.SameRaces(ft, again.Report) {
+		t.Fatalf("re-run after refinement: rolledBack=%v (%v) at generation %d", again.Report.RolledBack, again.Report.Violation, again.Generation)
+	}
+	if st := m.Status(); st.Runs != 2 || st.Rollbacks != 1 {
+		t.Fatalf("after the re-run: runs %d, rollbacks %d; want 2, 1", st.Runs, st.Rollbacks)
 	}
 }
+
+// TestChainOfTwoFactsIsOneGeneration: a run whose rollback chain
+// refutes two facts publishes one generation, caused by both facts,
+// whose database is the one the chain ended on; the same execution
+// then runs clean under it.
+func TestChainOfTwoFactsIsOneGeneration(t *testing.T) {
+	prog := lang.MustCompile(rareBranchesSrc)
+	pr := profileDB(t, prog, []int64{0, 0, 0, 0}, 10)
+	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}})
+	a := core.Slice(lastPrint(prog), 4096)
+	e := core.Execution{Inputs: []int64{99, 1, 99, 2}, Seed: 1}
+
+	res, err := Run(m, a, e, core.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := res.Report
+	if rep.RolledBackTo != core.RollbackRefined || len(rep.Refuted) != 2 {
+		t.Fatalf("rolled back to %q refuting %v, want two facts and a refined re-execution", rep.RolledBackTo, rep.Refuted)
+	}
+	st := m.Status()
+	if st.Generation != 2 || st.Runs != 1 || len(st.History) != 2 {
+		t.Fatalf("generation %d after %d run(s) with %d history records, want generation 2 after 1 run", st.Generation, st.Runs, len(st.History))
+	}
+	if got := st.History[1].Causes; !reflect.DeepEqual(got, rep.Refuted) {
+		t.Fatalf("generation 2 causes %v, want both refuted facts %v", got, rep.Refuted)
+	}
+	final := pr.DB.Clone()
+	for _, v := range rep.Refuted {
+		v.Refine(prog, final)
+	}
+	if got, want := st.History[1].DBDigest, artifacts.DBDigest(final); got != want {
+		t.Fatalf("generation 2 digest %.12s, want the chain's final generation's %.12s", got, want)
+	}
+	det, _, err := current(m, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chain, ok := core.Memoized(res.Detector, m.DB()); !ok || chain != det {
+		t.Fatalf("generation 2 does not deploy the chain's final generation (memoized %v)", ok)
+	}
+
+	again, err := Run(m, a, e, core.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Report.RolledBack || m.Generation() != 2 {
+		t.Fatalf("re-run: rolled back %v (refuted %v), generation %d", again.Report.RolledBack, again.Report.Refuted, m.Generation())
+	}
+	if !again.Report.Slice.Equal(rep.Slice) {
+		t.Fatal("re-run's slice differs from the rolled-back run's")
+	}
+}
+
+// rareBranchesSrc has two input-guarded branches that profiling on
+// zero inputs never enters: an execution refutes one likely-unreachable
+// block per large guard input, in order.
+const rareBranchesSrc = `
+	global g = 0;
+	global h = 0;
+	func main() {
+		if (input(0) > 50) { g = input(1); }
+		if (input(2) > 50) { h = input(3); }
+		print(g + h);
+	}
+`
 
 // refutedCalleeRaceSrc races on g only through a table call outside
 // its profiled callee set (input 1 selects h; profiling selects f).
@@ -161,14 +222,14 @@ const refutedCalleeRaceSrc = `
 `
 
 // TestRefineAndRetryCalleeSetRace: OptFT's callee-set violation refines
-// through WidenCallees, the incremental re-analysis re-solves race
-// points-to, and the loop converges to clean speculative runs that
-// report FastTrack's race.
+// through WidenCallees, generation 2 deploys the detector the first
+// rollback's chain built, and every later execution runs clean there,
+// reporting FastTrack's race.
 func TestRefineAndRetryCalleeSetRace(t *testing.T) {
 	prog := lang.MustCompile(refutedCalleeRaceSrc)
 	pr := profileDB(t, prog, []int64{0}, 10)
 	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New(""), Incremental: true}})
-	base, _, err := Current(m, core.Race())
+	base, _, err := current(m, core.Race())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,26 +239,24 @@ func TestRefineAndRetryCalleeSetRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		attempts, err := Run(m, core.Race(), e, core.RunOptions{})
+		res, err := Run(m, core.Race(), e, core.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seed == 1 && (len(attempts) != 2 || attempts[0].Report.Violation.Kind != core.ViolationCalleeSet) {
-			t.Fatalf("first execution: %d attempts, first violation %v; want a callee-set refinement then a retry", len(attempts), attempts[0].Report.Violation)
+		rep := res.Report
+		if seed == 1 && (rep.Violation.Kind != core.ViolationCalleeSet || rep.RolledBackTo != core.RollbackRefined) {
+			t.Fatalf("first execution: violation %v, rolled back to %q; want a callee-set refinement", rep.Violation, rep.RolledBackTo)
 		}
-		last := attempts[len(attempts)-1]
-		if seed > 1 && len(attempts) != 1 || last.Report.RolledBack || last.Generation != 2 {
-			t.Fatalf("seed %d: %d attempts, last under generation %d rolled back %v; want one clean generation-2 run", seed, len(attempts), last.Generation, last.Report.RolledBack)
+		if seed > 1 && rep.RolledBack || res.Generation != 2 {
+			t.Fatalf("seed %d: rolled back %v, generation %d; want a clean generation-2 run", seed, rep.RolledBack, res.Generation)
 		}
-		for i, a := range attempts {
-			if !core.SameRaces(ft, a.Report) || len(a.Report.RacyAddrs) == 0 {
-				t.Fatalf("seed %d attempt %d: races %v, FastTrack %v", seed, i, a.Report.RacyAddrs, ft.RacyAddrs)
-			}
+		if !core.SameRaces(ft, rep) || len(rep.RacyAddrs) == 0 {
+			t.Fatalf("seed %d: races %v, FastTrack %v", seed, rep.RacyAddrs, ft.RacyAddrs)
 		}
 	}
 	// Generation 2 deploys the detector the first rollback's chain
 	// built for the refined database, not a second one.
-	det, _, err := Current(m, core.Race())
+	det, _, err := current(m, core.Race())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,25 +271,28 @@ func TestRefineAndRetrySingleton(t *testing.T) {
 	pr := profileDB(t, prog, []int64{1}, 20)
 	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}})
 	e := core.Execution{Inputs: []int64{3}, Seed: 2}
-	attempts, err := Run(m, core.Race(), e, core.RunOptions{})
+	res, err := Run(m, core.Race(), e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := attempts[len(attempts)-1]
-	if last.Report.RolledBack {
-		t.Fatalf("did not converge: last attempt (gen %d) rolled back with %s",
-			last.Generation, last.Report.Violation)
+	v := res.Report.Violation
+	if v.Kind != core.ViolationSingletonSpawn {
+		t.Fatalf("violation kind = %q", v.Kind)
 	}
-	if attempts[0].Report.Violation.Kind != core.ViolationSingletonSpawn {
-		t.Fatalf("violation kind = %q", attempts[0].Report.Violation.Kind)
-	}
-	if m.DB().SingletonSpawns.Has(attempts[0].Report.Violation.Site) {
+	if m.DB().SingletonSpawns.Has(v.Site) {
 		t.Fatal("violated singleton fact still in refined DB")
+	}
+	again, err := Run(m, core.Race(), e, core.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Report.RolledBack {
+		t.Fatalf("did not converge: generation %d rolled back with %s", again.Generation, again.Report.Violation)
 	}
 }
 
-// TestRefineAndRetrySlice: the slicer side of the loop against hybrid
-// Giri per generation.
+// TestRefineAndRetrySlice: the slicer side of the loop against full
+// Giri, on the violating run and on its re-run under generation 2.
 func TestRefineAndRetrySlice(t *testing.T) {
 	prog := lang.MustCompile(pathProg)
 	pr := profileDB(t, prog, []int64{5}, 20)
@@ -241,20 +303,16 @@ func TestRefineAndRetrySlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attempts, err := Run(m, core.Slice(criterion, 512), e, core.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(attempts) < 2 {
-		t.Fatalf("attempts = %d, want >= 2", len(attempts))
-	}
-	last := attempts[len(attempts)-1]
-	if last.Report.RolledBack {
-		t.Fatalf("last attempt rolled back with %s", last.Report.Violation)
-	}
-	for i, a := range attempts {
-		if !full.Slice.Equal(a.Report.Slice) {
-			t.Fatalf("attempt %d slice diverged from full Giri", i)
+	for run := 0; run < 2; run++ {
+		res, err := Run(m, core.Slice(criterion, 512), e, core.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Report.RolledBack != (run == 0) {
+			t.Fatalf("run %d: rolled back %v (%s)", run, res.Report.RolledBack, res.Report.Violation)
+		}
+		if !full.Slice.Equal(res.Report.Slice) {
+			t.Fatalf("run %d: slice diverged from full Giri", run)
 		}
 	}
 }
@@ -278,12 +336,12 @@ func checkPrebuilds[D core.Detector[R], R core.Report](t *testing.T, prog *ir.Pr
 	reg := metrics.NewRegistry()
 	cfg := core.StaticConfig{Cache: artifacts.New("")}
 	m := New(prog, db, Options{Static: cfg, Inc: inc.NewMetrics(reg)})
-	attempts, err := Run(m, a, core.Execution{Inputs: []int64{500}, Seed: 3}, core.RunOptions{})
+	res, err := Run(m, a, core.Execution{Inputs: []int64{500}, Seed: 3}, core.RunOptions{})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if len(attempts) < 2 {
-		t.Fatalf("%s: attempts = %d, want a refinement", name, len(attempts))
+	if res.Generation != 2 {
+		t.Fatalf("%s: generation %d, want a refinement", name, res.Generation)
 	}
 	var sb strings.Builder
 	if _, err := reg.WriteTo(&sb); err != nil {
@@ -306,7 +364,8 @@ func checkPrebuilds[D core.Detector[R], R core.Report](t *testing.T, prog *ir.Pr
 }
 
 // TestStatusLedgerAndMetrics checks the ledger counters, history
-// digests, and metrics registration after one refinement.
+// digests, and metrics registration after one refinement and a clean
+// re-run.
 func TestStatusLedgerAndMetrics(t *testing.T) {
 	prog := lang.MustCompile(pathProg)
 	pr := profileDB(t, prog, []int64{5}, 20)
@@ -314,8 +373,10 @@ func TestStatusLedgerAndMetrics(t *testing.T) {
 	met := NewMetrics(reg)
 	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}, Metrics: met})
 
-	if _, err := Run(m, core.Race(), core.Execution{Inputs: []int64{500}, Seed: 3}, core.RunOptions{}); err != nil {
-		t.Fatal(err)
+	for run := 0; run < 2; run++ {
+		if _, err := Run(m, core.Race(), core.Execution{Inputs: []int64{500}, Seed: 3}, core.RunOptions{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := m.Status()
 	if st.Generation != 2 || st.Runs != 2 || st.Rollbacks != 1 {
@@ -331,7 +392,7 @@ func TestStatusLedgerAndMetrics(t *testing.T) {
 		t.Fatalf("violations by kind = %v", st.ViolationsByKind)
 	}
 	if st.PendingReconcile {
-		t.Fatal("pending reconcile after the loop finished")
+		t.Fatal("pending reconcile after the runs finished")
 	}
 	if len(st.History) != 2 {
 		t.Fatalf("history length = %d, want 2", len(st.History))
@@ -362,10 +423,9 @@ func TestStatusLedgerAndMetrics(t *testing.T) {
 }
 
 // TestRunObservesFinalOutcome: Run feeds the ledger exactly once per
-// completed attempt, with that attempt's final report — rolled back,
-// charged with the aborted speculative run's dispatch counts — and a
-// canceled run feeds it nothing. MaxGenerations 1 stops the loop after
-// its first attempt, so the ledger holds one observation.
+// completed run, with its final report — rolled back, charged with the
+// aborted speculative run's dispatch counts, and counting each fact the
+// rollback chain refuted — and a canceled run feeds it nothing.
 func TestRunObservesFinalOutcome(t *testing.T) {
 	prog := lang.MustCompile(pathProg)
 	pr := profileDB(t, prog, []int64{5}, 20)
@@ -380,22 +440,23 @@ func TestRunObservesFinalOutcome(t *testing.T) {
 // ledger recorded.
 func checkObserved[D core.Detector[R], R core.Report](t *testing.T, prog *ir.Program, db *invariants.DB, a core.Analysis[D, R], e core.Execution) {
 	t.Helper()
-	m := New(prog, db, Options{Policy: Policy{MaxGenerations: 1}})
-	attempts, err := Run(m, a, e, core.RunOptions{})
+	m := New(prog, db, Options{})
+	res, err := Run(m, a, e, core.RunOptions{})
 	if err != nil {
 		t.Fatalf("%s: %v", a.Name, err)
 	}
-	if len(attempts) != 1 {
-		t.Fatalf("%s: %d attempts, want 1 at the generation cap", a.Name, len(attempts))
-	}
-	out := attempts[0].Report.Base()
+	out := res.Report.Base()
 	if !out.RolledBack || out.Violation.Kind != core.ViolationUnreachableBlock {
 		t.Fatalf("%s: rolledBack=%v violation=%v, want an unreachable-block rollback", a.Name, out.RolledBack, out.Violation)
+	}
+	byKind := map[core.ViolationKind]uint64{}
+	for _, v := range out.Refuted {
+		byKind[v.Kind]++
 	}
 	st := m.Status()
 	if st.Runs != 1 || st.Rollbacks != 1 || st.IC != out.IC ||
 		!reflect.DeepEqual(st.Clients, map[string]ClientStats{a.Name: {Runs: 1, Rollbacks: 1}}) ||
-		!reflect.DeepEqual(st.ViolationsByKind, map[core.ViolationKind]uint64{core.ViolationUnreachableBlock: 1}) {
+		!reflect.DeepEqual(st.ViolationsByKind, byKind) {
 		t.Errorf("%s: status %+v does not describe the one rolled-back report %+v", a.Name, st, *out)
 	}
 
@@ -424,11 +485,10 @@ func TestStaleViolationIsIdempotent(t *testing.T) {
 	if m.Generation() != 2 {
 		t.Fatalf("generation = %d", m.Generation())
 	}
-	// Replay the stale report by hand: an old-generation detector
+	// Replay the stale report by hand: a generation-1 detector
 	// finishing late.
-	stale := &core.Outcome{RolledBack: true, Violation: core.Violation{
-		Kind: core.ViolationUnreachableBlock, Site: m.Status().History[1].Causes[0].Site, Callee: -1}}
-	m.Observe("race", stale)
+	v := m.Status().History[1].Causes[0]
+	m.observe("race", 1, &core.Outcome{RolledBack: true, Violation: v, Refuted: []core.Violation{v}})
 	if m.Pending() {
 		t.Fatal("stale violation left a pending reconcile")
 	}
@@ -437,33 +497,6 @@ func TestStaleViolationIsIdempotent(t *testing.T) {
 	}
 	if m.Generation() != 2 {
 		t.Fatalf("generation moved to %d on a stale violation", m.Generation())
-	}
-}
-
-// TestPolicyThreshold: with Threshold 2 the first violation only
-// counts; the second refines.
-func TestPolicyThreshold(t *testing.T) {
-	prog := lang.MustCompile(pathProg)
-	pr := profileDB(t, prog, []int64{5}, 20)
-	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}, Policy: Policy{Threshold: 2}})
-	e := core.Execution{Inputs: []int64{500}, Seed: 3}
-
-	attempts, err := Run(m, core.Race(), e, core.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(attempts) != 1 || m.Generation() != 1 {
-		t.Fatalf("first violation refined below threshold (attempts=%d gen=%d)", len(attempts), m.Generation())
-	}
-	attempts, err = Run(m, core.Race(), e, core.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Generation() != 2 {
-		t.Fatalf("second violation did not refine (gen=%d)", m.Generation())
-	}
-	if attempts[len(attempts)-1].Report.RolledBack {
-		t.Fatal("post-threshold retry still rolled back")
 	}
 }
 
@@ -487,10 +520,11 @@ func randomInputs(seed uint64) [][]int64 {
 }
 
 // TestAdaptationSoundnessProperty is the acceptance property over
-// generated programs: at EVERY generation the loop visits, OptFT's
-// results equal FastTrack's and OptSlice's equal full Giri's, and the
-// execution that triggered a refinement runs clean (RolledBack ==
-// false) on the next generation.
+// generated programs and the race workloads: every run's results equal
+// the sound baseline's (OptFT's FastTrack's, OptSlice's full Giri's),
+// and a run that rolled back leaves a generation under which the same
+// execution refutes none of its facts again — it runs clean when the
+// rollback chain ended on a refined generation.
 func TestAdaptationSoundnessProperty(t *testing.T) {
 	const programs = 12
 	for seed := uint64(0); seed < programs; seed++ {
@@ -506,58 +540,76 @@ func TestAdaptationSoundnessProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: profile: %v", seed, err)
 		}
-		cache := artifacts.New("")
-		m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: cache}})
+		m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}})
 		criterion := lastPrint(prog)
-
+		name := fmt.Sprintf("seed %d", seed)
 		for _, in := range inputs {
 			for _, s := range []uint64{11, 12} {
 				e := core.Execution{Inputs: in, Seed: s}
 				ft, err := core.RunFastTrack(prog, e, core.RunOptions{})
 				if err != nil {
-					t.Fatalf("seed %d: fasttrack: %v", seed, err)
+					t.Fatalf("%s: fasttrack: %v", name, err)
 				}
-				attempts, err := Run(m, core.Race(), e, core.RunOptions{})
-				if err != nil {
-					t.Fatalf("seed %d: adapt race: %v", seed, err)
-				}
-				for i, a := range attempts {
-					if !core.SameRaces(ft, a.Report) {
-						t.Fatalf("seed %d: attempt %d (gen %d) diverged from FastTrack\nprogram:\n%s",
-							seed, i, a.Generation, src)
-					}
-					if i > 0 && attempts[i-1].Report.RolledBack &&
-						attempts[i-1].Report.Violation.Kind.Refinable() && a.Report.RolledBack &&
-						reflect.DeepEqual(a.Report.Violation, attempts[i-1].Report.Violation) {
-						t.Fatalf("seed %d: generation %d repeated the refined violation %s\nprogram:\n%s",
-							seed, a.Generation, a.Report.Violation, src)
-					}
-				}
-				// The triggering execution runs clean on the final
-				// generation unless the loop stopped on a non-refinable
-				// cause.
-				last := attempts[len(attempts)-1]
-				if last.Report.RolledBack && last.Report.Violation.Kind.Refinable() {
-					t.Fatalf("seed %d: loop ended rolled-back on refinable %s\nprogram:\n%s",
-						seed, last.Report.Violation, src)
-				}
-
+				checkAdapts(t, name, src, m, core.Race(), e, func(r *core.RaceReport) bool { return core.SameRaces(ft, r) })
 				if criterion != nil {
 					full, err := core.RunFullGiri(prog, criterion, e, core.RunOptions{}, 0)
 					if err != nil {
-						t.Fatalf("seed %d: giri: %v", seed, err)
+						t.Fatalf("%s: giri: %v", name, err)
 					}
-					sattempts, err := Run(m, core.Slice(criterion, 512), e, core.RunOptions{})
-					if err != nil {
-						t.Fatalf("seed %d: adapt slice: %v", seed, err)
-					}
-					for i, a := range sattempts {
-						if !full.Slice.Equal(a.Report.Slice) {
-							t.Fatalf("seed %d: slice attempt %d (gen %d) diverged from Giri\nprogram:\n%s",
-								seed, i, a.Generation, src)
-						}
-					}
+					checkAdapts(t, name, src, m, core.Slice(criterion, 512), e, func(r *core.SliceReport) bool { return full.Slice.Equal(r.Slice) })
 				}
+			}
+		}
+	}
+
+	// The race workloads, profiled and tested on the evaluation's
+	// execution ranges (profiling runs 0..7, testing runs 1000..1001
+	// with seeds 2000..2001).
+	for _, w := range workloads.Races() {
+		prog := w.Prog()
+		pr, err := core.Profile(prog, func(run int) core.Execution {
+			return core.Execution{Inputs: w.GenInput(run), Seed: uint64(run + 1)}
+		}, 8)
+		if err != nil {
+			t.Fatalf("%s: profile: %v", w.Name, err)
+		}
+		m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}})
+		for i := 0; i < 2; i++ {
+			e := core.Execution{Inputs: w.GenInput(1000 + i), Seed: uint64(2000 + i)}
+			ft, err := core.RunFastTrack(prog, e, core.RunOptions{})
+			if err != nil {
+				t.Fatalf("%s: fasttrack: %v", w.Name, err)
+			}
+			checkAdapts(t, w.Name, w.Source, m, core.Race(), e, func(r *core.RaceReport) bool { return core.SameRaces(ft, r) })
+		}
+	}
+}
+
+// checkAdapts runs a on e under m twice and checks both reports with
+// sound. The re-run must refute none of the refinable facts the first
+// run's chain refuted, and must run clean when the chain ended on a
+// refined generation.
+func checkAdapts[D core.Detector[R], R core.Report](t *testing.T, name, src string, m *Manager, a core.Analysis[D, R], e core.Execution, sound func(R) bool) {
+	t.Helper()
+	var reps [2]*core.Outcome
+	for i := range reps {
+		res, err := Run(m, a, e, core.RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: adapt %s: %v", name, a.Name, err)
+		}
+		if !sound(res.Report) {
+			t.Fatalf("%s: %s run %d (generation %d) diverged from the sound baseline\nprogram:\n%s", name, a.Name, i, res.Generation, src)
+		}
+		reps[i] = res.Report.Base()
+	}
+	first, again := reps[0], reps[1]
+	if first.RolledBackTo == core.RollbackRefined && again.RolledBack {
+		t.Fatalf("%s: %s re-run rolled back on %v after a chain that ended refined\nprogram:\n%s", name, a.Name, again.Refuted, src)
+	}
+	for _, v := range again.Refuted {
+		for _, w := range first.Refuted {
+			if v.Kind.Refinable() && reflect.DeepEqual(v, w) {
+				t.Fatalf("%s: %s re-run refuted the refined fact %s again\nprogram:\n%s", name, a.Name, v, src)
 			}
 		}
 	}
@@ -565,8 +617,9 @@ func TestAdaptationSoundnessProperty(t *testing.T) {
 
 // TestGenerationSequenceDeterministic: the acceptance determinism
 // criterion — the refinement-generation sequence (DB digests and mask
-// digests) is bit-identical across independent managers, fresh caches,
-// and profiling worker counts.
+// digests) is bit-identical across independent managers, profiling
+// worker counts, and cache temperature: fresh caches, then a last pass
+// on the first pass's warm cache.
 func TestGenerationSequenceDeterministic(t *testing.T) {
 	const seed = uint64(7)
 	src := progen.Generate(seed, progen.DefaultConfig())
@@ -576,15 +629,20 @@ func TestGenerationSequenceDeterministic(t *testing.T) {
 	}
 	inputs := randomInputs(seed)
 
-	histories := make([][]GenerationRecord, 0, 3)
-	for trial, workers := range []int{1, 4, 8} {
+	warm := artifacts.New("")
+	trials := []struct {
+		workers int
+		cache   *artifacts.Cache
+	}{{1, warm}, {4, artifacts.New("")}, {8, artifacts.New("")}, {1, warm}}
+	histories := make([][]GenerationRecord, 0, len(trials))
+	for trial, tr := range trials {
 		pr, err := core.ProfileWith(prog, func(run int) core.Execution {
 			return core.Execution{Inputs: inputs[0], Seed: uint64(run + 1)}
-		}, core.ProfileOptions{MaxRuns: 8, Workers: workers})
+		}, core.ProfileOptions{MaxRuns: 8, Workers: tr.workers})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}})
+		m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: tr.cache}})
 		criterion := lastPrint(prog)
 		for _, in := range inputs {
 			for _, s := range []uint64{11, 12} {
@@ -651,16 +709,14 @@ func TestConcurrentRunsDuringHotSwap(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for rep := 0; rep < 5; rep++ {
 				i := (w + rep) % len(execs)
-				attempts, err := Run(m, core.Race(), execs[i], core.RunOptions{})
+				res, err := Run(m, core.Race(), execs[i], core.RunOptions{})
 				if err != nil {
 					errs <- err
 					return
 				}
-				for _, a := range attempts {
-					if !core.SameRaces(want[i], a.Report) {
-						errs <- errDiverged
-						return
-					}
+				if !core.SameRaces(want[i], res.Report) {
+					errs <- errDiverged
+					return
 				}
 			}
 		}(w)
@@ -673,13 +729,18 @@ func TestConcurrentRunsDuringHotSwap(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
+	// A run whose reconcile met one in flight leaves its refinement
+	// pending (the daemon queues a refine job for it); publish it.
+	if _, err := m.Reconcile(nil); err != nil {
+		t.Fatal(err)
+	}
 	// Converged: one more pass over every execution runs clean.
 	for i, e := range execs {
-		attempts, err := Run(m, core.Race(), e, core.RunOptions{})
+		res, err := Run(m, core.Race(), e, core.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(attempts) != 1 || attempts[0].Report.RolledBack {
+		if res.Report.RolledBack {
 			t.Fatalf("exec %d still rolls back after convergence", i)
 		}
 	}
@@ -695,7 +756,7 @@ func TestWarmCacheIncrementalReanalysis(t *testing.T) {
 	pr := profileDB(t, prog, []int64{5}, 20)
 	cache := artifacts.New("")
 	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: cache}})
-	if _, _, err := Current(m, core.Race()); err != nil {
+	if _, _, err := current(m, core.Race()); err != nil {
 		t.Fatal(err)
 	}
 	before := cache.Stats()
@@ -708,7 +769,7 @@ func TestWarmCacheIncrementalReanalysis(t *testing.T) {
 	}
 	// The sound static pipeline must not have re-solved: misses grow
 	// only by the predicated artifacts of the new DB digest (points-to,
-	// MHP, static race, compiled images, refined-DB derivation).
+	// MHP, static race, compiled images).
 	t.Logf("cache misses %d -> %d, hits %d -> %d", before.Misses, after.Misses, before.Hits, after.Hits)
 	soundAgain, err := core.NewHybridFT(prog, core.StaticConfig{Cache: cache, Workers: 1})
 	if err != nil {
@@ -743,10 +804,10 @@ const nullProg = `
 	}
 `
 
-// TestRefineAndRetryNull: the full loop on the refuted non-null fact —
-// gen 1 rolls back to the sound run, gen 2 keeps the residual check
-// and runs the identical execution clean, and every attempt reports
-// the same nil-deref verdicts as the always-check baseline.
+// TestRefineAndRetryNull: the loop on the refuted non-null fact — the
+// generation-1 run rolls back to a refined generation that keeps the
+// residual check, generation 2 runs the identical execution clean, and
+// both report the always-check baseline's nil-deref verdicts.
 func TestRefineAndRetryNull(t *testing.T) {
 	prog := lang.MustCompile(nullProg)
 	pr, err := core.Profile(prog, func(run int) core.Execution {
@@ -755,8 +816,7 @@ func TestRefineAndRetryNull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := artifacts.New("")
-	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: cache}})
+	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}})
 
 	e := core.Execution{Inputs: []int64{2000}, Seed: 3}
 	base, err := core.RunNullAlways(prog, e, core.RunOptions{})
@@ -767,37 +827,22 @@ func TestRefineAndRetryNull(t *testing.T) {
 		t.Fatalf("baseline nil sites = %v, want one", base.NilSites)
 	}
 
-	attempts, err := Run(m, core.Null(), e, core.RunOptions{})
+	first, err := Run(m, core.Null(), e, core.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(attempts) != 2 {
-		t.Fatalf("attempts = %d, want 2 (rollback then clean retry)", len(attempts))
+	v := first.Report.Violation
+	if !first.Report.RolledBack || v.Kind != core.ViolationNonNull || first.Report.RolledBackTo != core.RollbackRefined {
+		t.Fatalf("first run: rolledBack=%v violation %v to %q, want a non-null rollback to a refined generation",
+			first.Report.RolledBack, v, first.Report.RolledBackTo)
 	}
-	first, second := attempts[0], attempts[1]
-	if first.Generation != 1 || !first.Report.RolledBack {
-		t.Fatalf("first attempt: gen=%d rolledback=%v", first.Generation, first.Report.RolledBack)
-	}
-	if first.Report.Violation.Kind != core.ViolationNonNull {
-		t.Fatalf("violation kind = %q", first.Report.Violation.Kind)
-	}
-	if first.Report.DischargedChecks == 0 {
-		t.Fatal("gen 1 discharged no checks — nothing was speculative")
-	}
-	if second.Generation != 2 || second.Report.RolledBack {
-		t.Fatalf("second attempt: gen=%d rolledback=%v violation=%s",
-			second.Generation, second.Report.RolledBack, second.Report.Violation)
-	}
-	for i, a := range attempts {
-		if !core.SameNullVerdicts(base, a.Report) {
-			t.Fatalf("attempt %d: nil sites %v diverged from baseline %v",
-				i, a.Report.NilSites, base.NilSites)
-		}
+	if first.Detector.ElidedChecks() == 0 {
+		t.Fatal("generation 1 discharged no checks — nothing was speculative")
 	}
 	if got := m.Generation(); got != 2 {
 		t.Fatalf("generation = %d, want 2", got)
 	}
-	if m.DB().NonNullLoads.Has(first.Report.Violation.Site) {
+	if m.DB().NonNullLoads.Has(v.Site) {
 		t.Fatal("refinement left the refuted non-null fact in place")
 	}
 
@@ -807,12 +852,15 @@ func TestRefineAndRetryNull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(again) != 1 || again[0].Report.RolledBack {
-		t.Fatalf("post-refinement run: %d attempts, rolledback=%v",
-			len(again), again[0].Report.RolledBack)
+	if again.Report.RolledBack {
+		t.Fatalf("post-refinement run rolled back with %s", again.Report.Violation)
 	}
-	st := m.Status()
-	if got := st.Clients["nullcheck"]; got.Runs != 3 || got.Rollbacks != 1 {
-		t.Fatalf("nullcheck client stats = %+v, want runs 3 rollbacks 1", got)
+	for i, rep := range []*core.NullReport{first.Report, again.Report} {
+		if !core.SameNullVerdicts(base, rep) {
+			t.Fatalf("run %d: nil sites %v diverged from baseline %v", i, rep.NilSites, base.NilSites)
+		}
+	}
+	if got := m.Status().Clients["nullcheck"]; got.Runs != 2 || got.Rollbacks != 1 {
+		t.Fatalf("nullcheck client stats = %+v, want runs 2 rollbacks 1", got)
 	}
 }

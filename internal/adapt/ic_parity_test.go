@@ -69,16 +69,39 @@ const fpRaceProg = `
 	}
 `
 
-// TestFastPathParityAcrossRefinement drives the refine-and-retry loop
-// with the engine's inline analysis fast paths on and off, for both
-// the race client (epoch fast path + memory-event batching) and the
-// slice client (Exec skip classes): attempt sequences, refinement
-// histories, and final verdicts must be identical — the fast paths may
-// only change tracing speed, never results — across every recompile
-// and generation hot-swap the loop performs.
+// runTwice runs a on e under m twice — the violating run, then the
+// same execution under the generation it published — and describes
+// each run's speculation. It also returns the second report and the
+// two runs' summed dispatch counters.
+func runTwice[D core.Detector[R], R core.Report](t *testing.T, m *Manager, a core.Analysis[D, R], e core.Execution, opts core.RunOptions) ([]string, R, interp.ICStats) {
+	t.Helper()
+	var runs []string
+	var last R
+	var ic interp.ICStats
+	for i := 0; i < 2; i++ {
+		res, err := Run(m, a, e, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := res.Report.Base()
+		runs = append(runs, fmt.Sprintf("gen%d rolled=%v to=%s kind=%s site=%d callee=%d refuted=%d",
+			res.Generation, out.RolledBack, out.RolledBackTo, out.Violation.Kind, out.Violation.Site, out.Violation.Callee, len(out.Refuted)))
+		ic.Add(out.IC)
+		last = res.Report
+	}
+	return runs, last, ic
+}
+
+// TestFastPathParityAcrossRefinement drives a refinement with the
+// engine's inline analysis fast paths on and off, for both the race
+// client (epoch fast path) and the slice client (Exec skip classes):
+// the runs' speculation, refinement histories, and final verdicts must
+// be identical — the fast paths may only change tracing speed, never
+// results — across the rollback chain's refined generation and the
+// hot-swap that deploys it.
 func TestFastPathParityAcrossRefinement(t *testing.T) {
 	type outcome struct {
-		attempts  []string
+		runs      []string
 		dbDigests []string
 		final     string
 	}
@@ -92,19 +115,10 @@ func TestFastPathParityAcrossRefinement(t *testing.T) {
 			m := New(prog, pr.DB, Options{
 				Static: core.StaticConfig{Cache: artifacts.New(""), Workers: 1, NoFastPath: noFast},
 			})
-			tries, err := Run(m, core.Race(), e, core.RunOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			var o outcome
+			var last *core.RaceReport
 			var ic interp.ICStats
-			for _, a := range tries {
-				rep := a.Report
-				o.attempts = append(o.attempts, fmt.Sprintf("gen%d rolled=%v kind=%s site=%d",
-					a.Generation, rep.RolledBack, rep.Violation.Kind, rep.Violation.Site))
-				ic.Add(rep.IC)
-			}
-			last := tries[len(tries)-1].Report
+			o.runs, last, ic = runTwice(t, m, core.Race(), e, core.RunOptions{})
 			o.final = fmt.Sprint(last.Details, last.Stats, last.FTChecks, last.Output)
 			for _, g := range m.Status().History {
 				o.dbDigests = append(o.dbDigests, g.DBDigest)
@@ -113,11 +127,11 @@ func TestFastPathParityAcrossRefinement(t *testing.T) {
 		}
 		on, onIC := run(false)
 		off, offIC := run(true)
-		if len(on.attempts) < 2 {
-			t.Fatalf("expected a rollback and retry, got attempts %v", on.attempts)
+		if !strings.Contains(on.runs[0], "to=refined") || !strings.Contains(on.runs[1], "gen2 rolled=false") {
+			t.Fatalf("expected a refined rollback, then a clean generation-2 run; got %v", on.runs)
 		}
-		if fmt.Sprint(on.attempts) != fmt.Sprint(off.attempts) {
-			t.Errorf("attempts diverged:\n on:  %v\n off: %v", on.attempts, off.attempts)
+		if fmt.Sprint(on.runs) != fmt.Sprint(off.runs) {
+			t.Errorf("runs diverged:\n on:  %v\n off: %v", on.runs, off.runs)
 		}
 		if fmt.Sprint(on.dbDigests) != fmt.Sprint(off.dbDigests) {
 			t.Errorf("refinement history diverged:\n on:  %v\n off: %v", on.dbDigests, off.dbDigests)
@@ -143,19 +157,10 @@ func TestFastPathParityAcrossRefinement(t *testing.T) {
 			m := New(prog, pr.DB, Options{
 				Static: core.StaticConfig{Cache: artifacts.New(""), Workers: 1, NoFastPath: noFast},
 			})
-			tries, err := Run(m, core.Slice(criterion, 4096), e, core.RunOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			var o outcome
+			var last *core.SliceReport
 			var ic interp.ICStats
-			for _, a := range tries {
-				rep := a.Report
-				o.attempts = append(o.attempts, fmt.Sprintf("gen%d rolled=%v kind=%s site=%d",
-					a.Generation, rep.RolledBack, rep.Violation.Kind, rep.Violation.Site))
-				ic.Add(rep.IC)
-			}
-			last := tries[len(tries)-1].Report
+			o.runs, last, ic = runTwice(t, m, core.Slice(criterion, 4096), e, core.RunOptions{})
 			o.final = fmt.Sprint(last.Slice.Instrs, last.Stats, last.TraceNodes, last.Output)
 			for _, g := range m.Status().History {
 				o.dbDigests = append(o.dbDigests, g.DBDigest)
@@ -164,8 +169,8 @@ func TestFastPathParityAcrossRefinement(t *testing.T) {
 		}
 		on, _ := run(false)
 		off, offIC := run(true)
-		if fmt.Sprint(on.attempts) != fmt.Sprint(off.attempts) {
-			t.Errorf("attempts diverged:\n on:  %v\n off: %v", on.attempts, off.attempts)
+		if fmt.Sprint(on.runs) != fmt.Sprint(off.runs) {
+			t.Errorf("runs diverged:\n on:  %v\n off: %v", on.runs, off.runs)
 		}
 		if fmt.Sprint(on.dbDigests) != fmt.Sprint(off.dbDigests) {
 			t.Errorf("refinement history diverged:\n on:  %v\n off: %v", on.dbDigests, off.dbDigests)
@@ -179,12 +184,12 @@ func TestFastPathParityAcrossRefinement(t *testing.T) {
 	})
 }
 
-// TestCalleeEscapeParityAcrossConfigs drives the refine-and-retry loop
-// on an execution whose indirect calls escape the speculated callee
-// set, across the full configuration matrix {tree, compiled} ×
-// {IC on, IC off} × {1, 8 static workers}: every configuration must
-// produce the identical attempt sequence (violation kinds, sites, and
-// escaping callees), identical refinement histories (generation count
+// TestCalleeEscapeParityAcrossConfigs drives a refinement on an
+// execution whose indirect calls escape the speculated callee set,
+// across the full configuration matrix {tree, compiled} × {IC on, IC
+// off} × {1, 8 static workers}: every configuration must produce the
+// identical runs (violation kinds, sites, escaping callees and what
+// re-executed them), identical refinement histories (generation count
 // and DB digests), and the identical post-refine slice — inline caches
 // and solver parallelism may only change speed, never results.
 func TestCalleeEscapeParityAcrossConfigs(t *testing.T) {
@@ -194,7 +199,7 @@ func TestCalleeEscapeParityAcrossConfigs(t *testing.T) {
 	e := core.Execution{Inputs: []int64{3}, Seed: 2}
 
 	type outcome struct {
-		attempts  []string
+		runs      []string
 		dbDigests []string
 		slice     string
 	}
@@ -203,19 +208,10 @@ func TestCalleeEscapeParityAcrossConfigs(t *testing.T) {
 		m := New(prog, pr.DB, Options{
 			Static: core.StaticConfig{Cache: artifacts.New(""), Workers: workers, NoIC: noIC},
 		})
-		attempts, err := Run(m, core.Slice(criterion, 4096), e, core.RunOptions{Engine: engine})
-		if err != nil {
-			t.Fatal(err)
-		}
 		var o outcome
+		var last *core.SliceReport
 		var ic interp.ICStats
-		for _, a := range attempts {
-			rep := a.Report
-			o.attempts = append(o.attempts, fmt.Sprintf("gen%d rolled=%v kind=%s site=%d callee=%d",
-				a.Generation, rep.RolledBack, rep.Violation.Kind, rep.Violation.Site, rep.Violation.Callee))
-			ic.Add(rep.IC)
-		}
-		last := attempts[len(attempts)-1].Report
+		o.runs, last, ic = runTwice(t, m, core.Slice(criterion, 4096), e, core.RunOptions{Engine: engine})
 		if last.RolledBack || last.Slice == nil {
 			t.Fatalf("loop did not converge: %+v", last.Violation)
 		}
@@ -227,12 +223,9 @@ func TestCalleeEscapeParityAcrossConfigs(t *testing.T) {
 	}
 
 	ref, refIC := run(interp.EngineCompiled, false, 1)
-	if len(ref.attempts) < 2 {
-		t.Fatalf("expected at least one refinement, got attempts %v", ref.attempts)
-	}
-	first := ref.attempts[0]
+	first := ref.runs[0]
 	if want := "kind=" + string(core.ViolationCalleeSet); !strings.Contains(first, want) {
-		t.Fatalf("first attempt = %q, want a callee-set violation", first)
+		t.Fatalf("first run = %q, want a callee-set violation", first)
 	}
 	// The speculated image is monomorphic on f0: the first dispatches
 	// hit, the first escaping callee deoptimizes its site.
@@ -245,8 +238,8 @@ func TestCalleeEscapeParityAcrossConfigs(t *testing.T) {
 			for _, workers := range []int{1, 8} {
 				got, ic := run(engine, noIC, workers)
 				name := fmt.Sprintf("engine=%v noIC=%v workers=%d", engine, noIC, workers)
-				if fmt.Sprint(got.attempts) != fmt.Sprint(ref.attempts) {
-					t.Errorf("%s: attempts diverged:\n got: %v\n ref: %v", name, got.attempts, ref.attempts)
+				if fmt.Sprint(got.runs) != fmt.Sprint(ref.runs) {
+					t.Errorf("%s: runs diverged:\n got: %v\n ref: %v", name, got.runs, ref.runs)
 				}
 				if fmt.Sprint(got.dbDigests) != fmt.Sprint(ref.dbDigests) {
 					t.Errorf("%s: refinement history diverged:\n got: %v\n ref: %v", name, got.dbDigests, ref.dbDigests)

@@ -1,6 +1,9 @@
 package adapt
 
-import "oha/internal/metrics"
+import (
+	"oha/internal/core"
+	"oha/internal/metrics"
+)
 
 // Metrics is the adaptive layer's instrumentation, shared by every
 // Manager bound to one registry (the daemon registers one set and
@@ -20,7 +23,8 @@ type Metrics struct {
 	// drive toward zero.
 	PostRefineRuns      *metrics.CounterVec
 	PostRefineRollbacks *metrics.CounterVec
-	// Violations counts violations by client and invariant kind.
+	// Violations counts refuted facts by client and invariant kind:
+	// every fact a run's rollback chain refuted.
 	Violations *metrics.CounterVec
 	// Refinements counts deployed refinement generations (hot-swaps).
 	// Generations are per-manager, not per-client: one swap serves all
@@ -46,7 +50,7 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 	}
 }
 
-func (m *Metrics) observeRun(client string, rolledBack, postRefine bool, kind string) {
+func (m *Metrics) observeRun(client string, rolledBack, postRefine bool, refuted []core.Violation) {
 	if m == nil {
 		return
 	}
@@ -66,8 +70,8 @@ func (m *Metrics) observeRun(client string, rolledBack, postRefine bool, kind st
 	if postRefine {
 		postRollbacks.Inc()
 	}
-	if kind != "" {
-		m.Violations.With(client, kind).Inc()
+	for _, v := range refuted {
+		m.Violations.With(client, string(v.Kind)).Inc()
 	}
 }
 

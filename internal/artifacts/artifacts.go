@@ -62,13 +62,6 @@ const (
 	// Portable via CompiledCodec as a raw .ohc image, so a restarted
 	// daemon admits its first job with zero compile work.
 	KindCompiled = "compiled"
-	// KindRefined keys refined invariant databases: the result of
-	// weakening one database by one violation record (extra
-	// discriminators: the violation fingerprint and the version of the
-	// refinement rules). Portable via DBCodec,
-	// so a restarted daemon replays refinements from the disk layer
-	// without re-deriving them.
-	KindRefined = "refined"
 	// KindNullProof keys the OptNull client's static non-nullness
 	// results: the discharged-site set proven under one (program,
 	// invariant database) pair. Portable via gob (IDs only).

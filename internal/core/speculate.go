@@ -58,7 +58,7 @@ type Outcome struct {
 }
 
 // Base returns the outcome itself; through embedding it gives generic
-// code (the rollback path, the adaptive retry loop) a report's shared
+// code (the rollback path, the adaptive manager) a report's shared
 // fields.
 func (o *Outcome) Base() *Outcome { return o }
 

@@ -168,9 +168,8 @@ func (v Violation) Refine(prog *ir.Program, db *invariants.DB) bool {
 
 // FactKey fingerprints the invariant fact v refutes: kind@site, plus
 // ">callee" for a callee-set violation and "/s1/s2/…" (the context
-// path) for a call-context one. It is the unit the adaptive ledger
-// counts toward its threshold, and it keys refined databases in the
-// artifact cache, so the format is stable. Distinct dynamic
+// path) for a call-context one. Job results list a rolled-back run's
+// refuted facts by it, so the format is stable. Distinct dynamic
 // observations of one fact collapse to one key.
 func (v Violation) FactKey() string {
 	var b strings.Builder

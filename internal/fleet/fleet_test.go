@@ -288,14 +288,15 @@ func TestFleetReplicationConvergesWithAdaptGeneration(t *testing.T) {
 	})
 	c.awaitDone(profID)
 
-	// The violating adaptive job: rolls back, refines, retries clean —
-	// and its node publishes the refined generation into the log.
+	// The violating adaptive job: rolls back to a refined generation,
+	// which its manager publishes as generation 2 — and its node
+	// publishes that generation into the log.
 	_, raceID := c.submitJob(map[string]any{
 		"kind": "race", "program_id": id, "inputs": []int64{500}, "invariants_id": invID, "adapt": true,
 	})
 	res := c.awaitDone(raceID)
-	if res["generation"].(float64) != 2 || res["rolled_back"].(bool) {
-		t.Fatalf("adaptive job = %v, want clean generation-2 result", res)
+	if res["generation"].(float64) != 2 || res["rolled_back_to"] != "refined" {
+		t.Fatalf("adaptive job = %v, want a rollback to a refined generation, published as generation 2", res)
 	}
 
 	invOwners := fleet[0].node.Invariants().Owners(invID)

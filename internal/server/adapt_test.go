@@ -15,8 +15,9 @@ import (
 
 // adaptSrc has a racy update on an input-guarded path: profiling with
 // small inputs marks the `k > 100` branch likely-unreachable, so a
-// large input violates the speculation, refines the fact away, and the
-// retry under generation 2 succeeds. A negative input violates the
+// large input violates the speculation, its rollback re-executes under
+// a database without the fact, and the manager publishes that database
+// as generation 2, under which the same input runs clean. A negative input violates the
 // `k < 0` branch instead. `h = 7;` races unconditionally, so every
 // sound report carries at least one race.
 const adaptSrc = `
@@ -41,7 +42,8 @@ const adaptSrc = `
 `
 
 // TestServerAdaptiveSpeculation is the daemon-side closed loop: profile
-// → violating adaptive race job (rolls back, refines, retries clean) →
+// → violating adaptive race job (rolls back to a refined generation,
+// which the manager publishes) →
 // /speculation generation bump and /metrics counters → an identical
 // second job succeeds without any rollback, and its static setup comes
 // entirely from the warm artifact cache.
@@ -65,18 +67,18 @@ func TestServerAdaptiveSpeculation(t *testing.T) {
 	})
 	baseline := c.awaitDone(baseID)
 
-	// The violating adaptive job: attempt 1 rolls back on the
-	// likely-unreachable branch, the manager refines and re-solves, and
-	// attempt 2 runs clean under generation 2.
+	// The violating adaptive job is one run: it rolls back on the
+	// likely-unreachable branch and re-executes under the refined
+	// generation, which the manager publishes as generation 2.
 	_, raceID := c.submitJob(JobRequest{
 		Kind: "race", ProgramID: id, Inputs: []int64{500}, InvariantsID: "adapt-itest", Adapt: true,
 	})
 	first := c.awaitDone(raceID)
-	if first["attempts"].(float64) != 2 || first["generation"].(float64) != 2 {
-		t.Fatalf("violating job: attempts=%v generation=%v, want 2/2", first["attempts"], first["generation"])
+	if !first["rolled_back"].(bool) || first["rolled_back_to"] != "refined" || first["generation"].(float64) != 2 {
+		t.Fatalf("violating job = %v, want a rollback to a refined generation, published as generation 2", first)
 	}
-	if first["rolled_back"].(bool) {
-		t.Fatalf("final attempt still rolled back: %v", first)
+	if fmt.Sprint(first["refuted"]) != "[unreachable-block@"+fmt.Sprint(first["violation_site"])+"]" {
+		t.Fatalf("violating job refuted %v, want its one unreachable block", first["refuted"])
 	}
 	if fmt.Sprint(first["races"]) != fmt.Sprint(baseline["races"]) {
 		t.Fatalf("adaptive races %v != baseline %v", first["races"], baseline["races"])
@@ -89,8 +91,8 @@ func TestServerAdaptiveSpeculation(t *testing.T) {
 		t.Fatalf("speculation: status %d", status)
 	}
 	st := entry.Status
-	if st.Generation != 2 || st.Rollbacks != 1 || len(st.History) != 2 {
-		t.Fatalf("speculation status = %+v, want generation 2 with 1 rollback", st)
+	if st.Generation != 2 || st.Runs != 1 || st.Rollbacks != 1 || len(st.History) != 2 {
+		t.Fatalf("speculation status = %+v, want generation 2 after 1 run with 1 rollback", st)
 	}
 	if st.ViolationsByKind["unreachable-block"] != 1 {
 		t.Fatalf("violations by kind = %v", st.ViolationsByKind)
@@ -121,7 +123,7 @@ func TestServerAdaptiveSpeculation(t *testing.T) {
 		t.Fatalf("client-labeled violation counter missing from exposition:\n%s", mx)
 	}
 
-	// The static pipeline: attempt 1's rollback re-executed under the
+	// The static pipeline: the job's rollback re-executed under the
 	// generation its violation refines, solved through the daemon's
 	// artifact cache, so the reconcile found generation 2 cached and
 	// deployed the rollback's detector (the "masks" phase).
@@ -133,15 +135,15 @@ func TestServerAdaptiveSpeculation(t *testing.T) {
 	}
 	missesBefore := metricValue(t, mx, "ohad_artifact_cache_misses")
 
-	// The identical second job: one clean attempt under generation 2,
-	// no rollback, and no new cache misses — every static artifact it
+	// The identical second job: one clean run under generation 2, no
+	// rollback, and no new cache misses — every static artifact it
 	// needs is already warm.
 	_, raceID2 := c.submitJob(JobRequest{
 		Kind: "race", ProgramID: id, Inputs: []int64{500}, InvariantsID: "adapt-itest", Adapt: true,
 	})
 	second := c.awaitDone(raceID2)
-	if second["attempts"].(float64) != 1 || second["generation"].(float64) != 2 || second["rolled_back"].(bool) {
-		t.Fatalf("second job = %v, want one clean generation-2 attempt", second)
+	if second["generation"].(float64) != 2 || second["rolled_back"].(bool) {
+		t.Fatalf("second job = %v, want a clean generation-2 run", second)
 	}
 	if fmt.Sprint(second["races"]) != fmt.Sprint(baseline["races"]) {
 		t.Fatalf("second job races %v != baseline %v", second["races"], baseline["races"])
@@ -177,8 +179,8 @@ func TestServerAdaptiveSpeculation(t *testing.T) {
 		Kind: "slice", ProgramID: id, Inputs: []int64{-5}, InvariantsID: "adapt-itest", Adapt: true,
 	})
 	sl = c.awaitDone(sliceID2)
-	if sl["rolled_back"].(bool) || sl["generation"].(float64) != 3 || sl["attempts"].(float64) != 2 {
-		t.Fatalf("violating adaptive slice = %v, want a clean generation-3 retry", sl)
+	if sl["rolled_back_to"] != "refined" || sl["generation"].(float64) != 3 {
+		t.Fatalf("violating adaptive slice = %v, want a rollback to a refined generation, published as generation 3", sl)
 	}
 	if status := c.do("GET", "/speculation?program="+id+"&invariants=adapt-itest", nil, &entry); status != http.StatusOK {
 		t.Fatalf("speculation: status %d", status)
@@ -355,9 +357,9 @@ const nullSrc = `
 
 // TestServerNullcheckAdaptive is the daemon-side closed loop for the
 // null client: profile → check elision on a benign input → violating
-// adaptive nullcheck job (rolls back, refines the non-null fact,
-// retries clean in one retry) → /speculation and /metrics carry the
-// nullcheck client.
+// adaptive nullcheck job (rolls back to a generation without the
+// non-null fact, which the manager publishes) → /speculation and
+// /metrics carry the nullcheck client.
 func TestServerNullcheckAdaptive(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 2, QueueSize: 16, JobTimeout: 30 * time.Second, Incremental: true})
 	id := c.submitProgram(nullSrc)
@@ -389,17 +391,15 @@ func TestServerNullcheckAdaptive(t *testing.T) {
 		t.Fatalf("baseline saw no nil deref: %v", baseline)
 	}
 
-	// The violating adaptive job: attempt 1 refutes the non-null fact,
-	// the manager refines, and attempt 2 runs clean under generation 2.
+	// The violating adaptive job refutes the non-null fact and
+	// re-executes under the refined generation, which the manager
+	// publishes as generation 2.
 	_, nullID := c.submitJob(JobRequest{
 		Kind: "nullcheck", ProgramID: id, Inputs: []int64{50, 2000}, InvariantsID: "null-itest", Adapt: true,
 	})
 	first := c.awaitDone(nullID)
-	if first["attempts"].(float64) != 2 || first["generation"].(float64) != 2 {
-		t.Fatalf("violating job: attempts=%v generation=%v, want 2/2", first["attempts"], first["generation"])
-	}
-	if first["rolled_back"].(bool) {
-		t.Fatalf("final attempt still rolled back: %v", first)
+	if first["rolled_back_to"] != "refined" || first["generation"].(float64) != 2 {
+		t.Fatalf("violating job = %v, want a rollback to a refined generation, published as generation 2", first)
 	}
 	if fmt.Sprint(first["nil_sites"]) != fmt.Sprint(baseline["nil_sites"]) {
 		t.Fatalf("adaptive nil sites %v != baseline %v", first["nil_sites"], baseline["nil_sites"])
@@ -421,15 +421,15 @@ func TestServerNullcheckAdaptive(t *testing.T) {
 	if st.ViolationsByKind["non-null-load"] != 1 {
 		t.Fatalf("violations by kind = %v", st.ViolationsByKind)
 	}
-	if cs := st.Clients["nullcheck"]; cs.Runs != 2 || cs.Rollbacks != 1 {
-		t.Fatalf("nullcheck client stats = %+v, want runs 2 rollbacks 1", cs)
+	if cs := st.Clients["nullcheck"]; cs.Runs != 1 || cs.Rollbacks != 1 {
+		t.Fatalf("nullcheck client stats = %+v, want runs 1 rollbacks 1", cs)
 	}
 
 	// /metrics carries the client-labeled adaptive families and the
 	// null static phase.
 	_, mx := c.text("/metrics")
-	if v := metricValue(t, mx, `oha_adapt_runs_total{client="nullcheck"}`); v != 2 {
-		t.Fatalf("oha_adapt_runs_total{client=nullcheck} = %v, want 2", v)
+	if v := metricValue(t, mx, `oha_adapt_runs_total{client="nullcheck"}`); v != 1 {
+		t.Fatalf("oha_adapt_runs_total{client=nullcheck} = %v, want 1", v)
 	}
 	if !strings.Contains(mx, `oha_adapt_violations_total{client="nullcheck",kind="non-null-load"} 1`) {
 		t.Fatalf("nullcheck violation counter missing from exposition:\n%s", mx)

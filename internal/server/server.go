@@ -28,12 +28,12 @@
 //	GET  /metrics                Prometheus text exposition
 //
 // Adaptive speculation: an analysis job with "adapt": true routes
-// through a per-(program, invariant DB version) adapt.Manager — on a
-// mis-speculation the violated fact is refined away, the predicated
-// artifacts re-solve through the shared cache, and the job retries
-// under the new generation. PUT/merge of invariants accept a ?program=
-// digest binding; merging databases profiled from different programs
-// is rejected with 409 Conflict.
+// through a per-(program, invariant DB version) adapt.Manager — a
+// mis-speculated run re-executes under a database without the refuted
+// facts, and the manager publishes that database as the next
+// generation, which later jobs run under. PUT/merge of invariants
+// accept a ?program= digest binding; merging databases profiled from
+// different programs is rejected with 409 Conflict.
 package server
 
 import (
@@ -474,10 +474,10 @@ type JobRequest struct {
 	Baseline bool `json:"baseline"`
 
 	// Adapt routes a race, slice or nullcheck job through the adaptive
-	// speculation manager for (program, invariant DB version): a
-	// refinable mis-speculation refines the violated fact away,
-	// re-solves, and retries under the new generation. Refine jobs also
-	// use the manager. Ignored for baseline jobs.
+	// speculation manager for (program, invariant DB version): the
+	// facts a mis-speculated run's rollback refuted are refined away,
+	// and the refined database is published as the next generation.
+	// Refine jobs also use the manager. Ignored for baseline jobs.
 	Adapt bool `json:"adapt"`
 
 	// Slice jobs: index into the program's print statements (nil:
@@ -495,8 +495,9 @@ type ProfileJobResult struct {
 }
 
 // JobOutcome is the speculation summary every analysis job result
-// carries: whether the final run rolled back and why, and in adaptive
-// mode the generation it ran under and the number of attempts.
+// carries: whether the run rolled back and why, and in adaptive mode
+// the generation the manager published once the job's refinements were
+// reconciled.
 type JobOutcome struct {
 	RolledBack bool `json:"rolled_back"`
 	// Violation is the display string; ViolationKind/ViolationSite the
@@ -510,7 +511,6 @@ type JobOutcome struct {
 	RolledBackTo core.RollbackTarget `json:"rolled_back_to,omitempty"`
 	Refuted      []string            `json:"refuted,omitempty"`
 	Generation   int                 `json:"generation,omitempty"`
-	Attempts     int                 `json:"attempts,omitempty"`
 }
 
 // RaceJobResult is the result payload of a race job.
@@ -739,8 +739,8 @@ func (s *Server) notifyGeneration(invID, progID string, m *adapt.Manager) {
 }
 
 // submitRefine queues any reconcile still pending after an adaptive
-// job's refine-and-retry loop (possible when a concurrent reconcile was
-// in flight when the loop sampled it). A full or draining queue falls
+// job's run (possible when a concurrent reconcile was in flight when
+// the run tried its own). A full or draining queue falls
 // back to reconciling inline: a pending refinement must never be lost,
 // or the next run pays the rollback the refinement was meant to avoid.
 func (s *Server) submitRefine(m *adapt.Manager, invID, progID string) {
@@ -916,11 +916,11 @@ func (s *Server) runAnalysis(ctx context.Context, sp *StoredProgram, req JobRequ
 }
 
 // analyze runs one analysis job in the request's mode (see
-// adapt.Analyze) — the unoptimized baseline, the adaptive
-// refine-and-retry loop under the (program, DB version) manager, or one
-// plain optimistic run under the daemon's static config — and builds
-// its wire result. Every analyzed execution's dispatch counters are
-// folded into the metrics under the client's name.
+// adapt.Analyze) — the unoptimized baseline, one run under the
+// (program, DB version) adaptive manager, or one plain optimistic run
+// under the daemon's static config — and builds its wire result. The
+// report's dispatch counters, which include every aborted attempt's,
+// are folded into the metrics under the client's name.
 func analyze[D core.Detector[R], R core.Report, W any](ctx context.Context, s *Server, sp *StoredProgram, req JobRequest, a core.Analysis[D, R], result func(adapt.Result[D, R]) W) (any, error) {
 	var mode adapt.Mode
 	var err error
@@ -945,9 +945,6 @@ func analyze[D core.Detector[R], R core.Report, W any](ctx context.Context, s *S
 			s.submitRefine(m, req.InvariantsID, sp.ID)
 		}
 		s.notifyGeneration(req.InvariantsID, sp.ID, m)
-		for _, t := range res.Attempts[:len(res.Attempts)-1] {
-			s.observeIC(a.Name, t.Report.Base().IC)
-		}
 	}
 	s.observeIC(a.Name, res.Report.Base().IC)
 	return result(res), nil
@@ -968,7 +965,6 @@ func outcome[D core.Detector[R], R core.Report](a adapt.Result[D, R]) JobOutcome
 		RolledBackTo:  out.RolledBackTo,
 		Refuted:       refuted,
 		Generation:    a.Generation,
-		Attempts:      len(a.Attempts),
 	}
 }
 

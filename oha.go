@@ -280,18 +280,13 @@ func RunDJIT(prog *Program, e Execution, opts RunOptions) (*RaceReport, error) {
 
 // SpeculationManager closes the optimistic feedback loop for one
 // (program, invariant DB) pair: it observes rollbacks, refines the
-// violated likely-invariant facts out of the database, re-runs the
-// predicated static analysis in the background, and hot-swaps the new
-// generation in — so one mis-speculation never costs a second
-// rollback. Use RunAdaptive for the refine-and-retry loop, or call its
-// Observe with a client name and a report's Outcome to only record.
+// refuted likely-invariant facts out of the database, and hot-swaps
+// the refined generation in — so one mis-speculation never costs a
+// second rollback. Use RunAdaptive to analyze an execution under it.
 type SpeculationManager = adapt.Manager
 
 // SpeculationOptions configures a SpeculationManager.
 type SpeculationOptions = adapt.Options
-
-// SpeculationPolicy sets the refinement threshold and generation cap.
-type SpeculationPolicy = adapt.Policy
 
 // SpeculationStatus is a snapshot of a manager's ledger and history.
 type SpeculationStatus = adapt.Status
@@ -308,24 +303,16 @@ type Outcome = core.Outcome
 // through their embedded Outcome.
 type Report = core.Report
 
-// RaceAttempt is one generation's race-detection attempt within the
-// refine-and-retry loop.
-type RaceAttempt = adapt.Attempt[*RaceReport]
-
-// SliceAttempt is one generation's slicing attempt.
-type SliceAttempt = adapt.Attempt[*SliceReport]
-
-// NullAttempt is one generation's null-checking attempt.
-type NullAttempt = adapt.Attempt[*NullReport]
-
-// RunAdaptive is the refine-and-retry loop for one execution: run the
-// client c selects under the manager's current generation; on a
-// refinable rollback, refine the violated invariant, re-analyze and
-// retry under the new generation. The last attempt's report is
-// authoritative. Select the client with AdaptiveRace, AdaptiveSlice or
-// AdaptiveNull.
-func RunAdaptive[D core.Detector[R], R Report](m *SpeculationManager, c core.Analysis[D, R], e Execution, opts RunOptions) ([]adapt.Attempt[R], error) {
-	return adapt.Run(m, c, e, opts)
+// RunAdaptive runs the client c selects once on e under the manager's
+// published generation and returns its report. A mis-speculated run
+// re-executes under a database without the facts it refuted (the
+// report says so: RolledBackTo, Refuted), and the manager publishes
+// that database as its next generation, so the same execution runs
+// clean from then on. Select the client with AdaptiveRace,
+// AdaptiveSlice or AdaptiveNull.
+func RunAdaptive[D core.Detector[R], R Report](m *SpeculationManager, c core.Analysis[D, R], e Execution, opts RunOptions) (R, error) {
+	res, err := adapt.Run(m, c, e, opts)
+	return res.Report, err
 }
 
 // AdaptiveRace selects OptFT for RunAdaptive.
