@@ -524,7 +524,9 @@ func randomInputs(seed uint64) [][]int64 {
 // the sound baseline's (OptFT's FastTrack's, OptSlice's full Giri's),
 // and a run that rolled back leaves a generation under which the same
 // execution refutes none of its facts again — it runs clean when the
-// rollback chain ended on a refined generation.
+// rollback chain ended on a refined generation. The workloads include
+// the dispatch programs, whose testing executions race with lock
+// instrumentation elided, so that half refines too.
 func TestAdaptationSoundnessProperty(t *testing.T) {
 	const programs = 12
 	for seed := uint64(0); seed < programs; seed++ {
@@ -565,7 +567,8 @@ func TestAdaptationSoundnessProperty(t *testing.T) {
 	// The race workloads, profiled and tested on the evaluation's
 	// execution ranges (profiling runs 0..7, testing runs 1000..1001
 	// with seeds 2000..2001).
-	for _, w := range workloads.Races() {
+	rollbacks, generation := 0, 0
+	for _, w := range append(workloads.Races(), workloads.ByName("dispatch-mono"), workloads.ByName("dispatch-poly")) {
 		prog := w.Prog()
 		pr, err := core.Profile(prog, func(run int) core.Execution {
 			return core.Execution{Inputs: w.GenInput(run), Seed: uint64(run + 1)}
@@ -580,18 +583,27 @@ func TestAdaptationSoundnessProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: fasttrack: %v", w.Name, err)
 			}
-			checkAdapts(t, w.Name, w.Source, m, core.Race(), e, func(r *core.RaceReport) bool { return core.SameRaces(ft, r) })
+			first, gen := checkAdapts(t, w.Name, w.Source, m, core.Race(), e, func(r *core.RaceReport) bool { return core.SameRaces(ft, r) })
+			if first.RolledBack {
+				rollbacks++
+			}
+			generation = max(generation, gen)
 		}
+	}
+	if rollbacks == 0 || generation < 2 {
+		t.Fatalf("the race workloads rolled back %d times and published generation %d: want a refinement", rollbacks, generation)
 	}
 }
 
 // checkAdapts runs a on e under m twice and checks both reports with
 // sound. The re-run must refute none of the refinable facts the first
 // run's chain refuted, and must run clean when the chain ended on a
-// refined generation.
-func checkAdapts[D core.Detector[R], R core.Report](t *testing.T, name, src string, m *Manager, a core.Analysis[D, R], e core.Execution, sound func(R) bool) {
+// refined generation. It returns the first run's outcome and the
+// generation published after the re-run.
+func checkAdapts[D core.Detector[R], R core.Report](t *testing.T, name, src string, m *Manager, a core.Analysis[D, R], e core.Execution, sound func(R) bool) (*core.Outcome, int) {
 	t.Helper()
 	var reps [2]*core.Outcome
+	generation := 0
 	for i := range reps {
 		res, err := Run(m, a, e, core.RunOptions{})
 		if err != nil {
@@ -601,6 +613,7 @@ func checkAdapts[D core.Detector[R], R core.Report](t *testing.T, name, src stri
 			t.Fatalf("%s: %s run %d (generation %d) diverged from the sound baseline\nprogram:\n%s", name, a.Name, i, res.Generation, src)
 		}
 		reps[i] = res.Report.Base()
+		generation = res.Generation
 	}
 	first, again := reps[0], reps[1]
 	if first.RolledBackTo == core.RollbackRefined && again.RolledBack {
@@ -613,6 +626,7 @@ func checkAdapts[D core.Detector[R], R core.Report](t *testing.T, name, src stri
 			}
 		}
 	}
+	return first, generation
 }
 
 // TestGenerationSequenceDeterministic: the acceptance determinism

@@ -11,46 +11,97 @@ import (
 )
 
 // This file implements the runtime invariant checks that make the
-// optimistic dynamic analyses speculative: each check verifies one
-// likely-invariant kind and raises the interpreter's Abort flag on
-// violation (§2.3). The checks are deliberately cheap — a flag test at
-// a likely-unreachable block, a counter at a spawn site, an address
-// comparison at a paired lock site, a set-inclusion test at an
-// indirect call, and one transition-table probe per context-extending
-// call for call contexts (§5.2.3).
+// optimistic dynamic analyses speculative (§2.3): every likely
+// invariant a detector's predicated static result read gets one cheap
+// check, which raises the interpreter's Abort flag on violation — a
+// flag test at a likely-unreachable block, a counter at a spawn site,
+// an address comparison at a paired lock site, a set-inclusion test at
+// an indirect call, one transition-table probe per context-extending
+// call (§5.2.3), and a zero test at a used non-null load.
 
-// raceTables are the OptFT checker's read-only tables. They depend
-// only on (program, invariant database), so an OptFT builds them once
-// and every run shares them.
-type raceTables struct {
-	luc       []bool // block ID -> assumed unreachable
-	spawnOnce []bool // instr ID -> assumed singleton spawn site
-	// lockGroup maps a lock site to its guarding-lock group (-1: none).
-	// Sites connected by must-alias pairs form a group; every lock event
-	// at a grouped site must present the same single runtime address for
-	// the whole group.
+// checks are one optimistic detector's read-only check tables, one for
+// each fact kind its predicated static result read; a nil table checks
+// nothing of its kind. They depend only on (program, database, static
+// result), so a detector builds them once and every run shares them.
+type checks struct {
+	// luc (unreachable-block) maps a block ID to "assumed unreachable".
+	// It is also the speculative image's block mask: those blocks'
+	// events are the only ones an optimistic run needs.
+	luc []bool
+	// callees (callee-set) maps an instruction ID to the likely callee
+	// set of its indirect call or spawn (nil: no callee allowed).
+	callees []*bitset.Set
+	// spawnOnce (singleton-spawn) flags the assumed singleton spawn
+	// sites.
+	spawnOnce []bool
+	// lockGroup (guarding-lock) maps a lock site to its guarding-lock
+	// group (-1: none). Sites connected by must-alias pairs form a
+	// group; every lock event at a grouped site must present the same
+	// single runtime address for the whole group.
 	lockGroup []int32
 	ngroups   int
-	callees   calleeTable // nil: callee invariant disabled
+	// ctx (call-context) is the trie of the observed contexts; mainFn
+	// roots a thread no spawn announced, and nfuncs sizes a context
+	// stack's activation counts.
+	ctx            *ctxTrie
+	mainFn, nfuncs int
+	// nonNull (non-null-load) flags the load sites whose likely
+	// non-null fact the null proof used. It is also the speculative
+	// image's memory mask: the loads the run must observe.
+	nonNull []bool
 }
 
-func newRaceTables(prog *ir.Program, db *invariants.DB) *raceTables {
-	t := &raceTables{
-		luc:       lucTable(prog, db),
-		spawnOnce: make([]bool, len(prog.Instrs)),
-		lockGroup: make([]int32, len(prog.Instrs)),
+// newChecks builds the tables of reads, the fact kinds a detector's
+// predicated result read from db; used holds the non-null facts the
+// null proof used. A database that assumes nothing of a kind checks
+// nothing of it: a nil Callees map (the callee-set invariant switched
+// off) builds no callee table. An elided-lock race has no table: OptFT
+// checks for it once its run completes.
+func newChecks(prog *ir.Program, db *invariants.DB, used *bitset.Set, reads ...ViolationKind) *checks {
+	c := &checks{}
+	for _, k := range reads {
+		switch k {
+		case ViolationUnreachableBlock:
+			c.luc = make([]bool, len(prog.Blocks))
+			for _, b := range prog.Blocks {
+				c.luc[b.ID] = db.LikelyUnreachable(b.ID)
+			}
+		case ViolationCalleeSet:
+			if db.Callees != nil {
+				c.callees = make([]*bitset.Set, len(prog.Instrs))
+				for site, set := range db.Callees {
+					if site >= 0 && site < len(c.callees) {
+						c.callees[site] = set
+					}
+				}
+			}
+		case ViolationSingletonSpawn:
+			c.spawnOnce = siteFlags(prog, db.SingletonSpawns)
+		case ViolationGuardingLock:
+			c.lockGroup, c.ngroups = lockGroups(prog, db)
+		case ViolationCallContext:
+			c.ctx = newCtxTrie(db.Contexts.SortedPaths(), len(prog.Instrs))
+			c.mainFn, c.nfuncs = prog.Main().ID, len(prog.Funcs)
+		case ViolationNonNull:
+			c.nonNull = siteFlags(prog, used)
+		}
 	}
-	// The predicated points-to wires an indirect call or spawn only to
-	// its likely callees, so a database with callee facts assumes them
-	// and the checker verifies them; one without assumes and checks none.
-	if db.Callees != nil {
-		t.callees = newCalleeTable(prog, db)
-	}
-	db.SingletonSpawns.ForEach(func(id int) bool {
-		t.spawnOnce[id] = true
+	return c
+}
+
+// siteFlags returns the instruction-ID table flagging the sites in set.
+func siteFlags(prog *ir.Program, set *bitset.Set) []bool {
+	flags := make([]bool, len(prog.Instrs))
+	set.ForEach(func(id int) bool {
+		flags[id] = true
 		return true
 	})
-	// Union-find over must-alias pairs to form lock groups.
+	return flags
+}
+
+// lockGroups returns the guarding-lock group of every lock site (a
+// union-find over db's must-alias pairs) and the number of groups.
+func lockGroups(prog *ir.Program, db *invariants.DB) ([]int32, int) {
 	parent := map[int]int{}
 	var find func(x int) int
 	find = func(x int) int {
@@ -69,8 +120,9 @@ func newRaceTables(prog *ir.Program, db *invariants.DB) *raceTables {
 			parent[ra] = rb
 		}
 	}
-	for i := range t.lockGroup {
-		t.lockGroup[i] = -1
+	group := make([]int32, len(prog.Instrs))
+	for i := range group {
+		group[i] = -1
 	}
 	groups := map[int]int32{} // root site -> dense group number
 	for site := range parent {
@@ -80,68 +132,104 @@ func newRaceTables(prog *ir.Program, db *invariants.DB) *raceTables {
 			g = int32(len(groups))
 			groups[root] = g
 		}
-		t.lockGroup[site] = g
+		group[site] = g
 	}
-	t.ngroups = len(groups)
-	return t
+	return group, len(groups)
 }
 
-// raceChecker verifies the OptFT invariants: likely-unreachable code,
-// likely singleton threads, likely guarding locks, and likely callee
-// sets. (No custom synchronization is verified by the race detector
-// itself: any race report while locks are elided is treated as a
-// potential mis-speculation.) It holds one run's state over shared
-// tables.
-type raceChecker struct {
+// checker is one run's invariant checker over a detector's checks. Each
+// handler runs the checks whose table exists; a client's tracer embeds
+// it and adds its own analysis's events.
+type checker struct {
 	interp.NopTracer
-	*raceTables
+	*checks
 	checkState
 
 	spawnCounts map[int]int   // made on the first singleton spawn
 	groupAddr   []interp.Addr // by lock group; 0: no lock seen yet
+	stacks      []*checkStack // context stacks, by TID
 }
 
-// newChecker starts one run's checker over t.
-func (t *raceTables) newChecker(abort *interp.Abort) *raceChecker {
-	return &raceChecker{raceTables: t, checkState: checkState{abort: abort}}
+// newChecker starts one run's checker over c, with its own abort flag.
+func (c *checks) newChecker() *checker {
+	return &checker{checks: c, checkState: checkState{abort: &interp.Abort{}}}
 }
 
 // BlockEnter fires the likely-unreachable-code check.
-func (c *raceChecker) BlockEnter(_ vc.TID, b *ir.Block) {
+func (c *checker) BlockEnter(_ vc.TID, b *ir.Block) {
+	if c.luc == nil {
+		return
+	}
 	c.Events++
 	if c.luc[b.ID] {
 		c.violate(Violation{Kind: ViolationUnreachableBlock, Site: b.ID, Callee: -1})
 	}
 }
 
-// Call fires the likely-callee-set check at indirect sites.
-func (c *raceChecker) Call(_ vc.TID, in *ir.Instr, callee *ir.Function, _, _ interp.FrameID) {
-	if in.IsIndirect() {
-		c.callees.check(&c.checkState, in, callee)
+// Call fires the likely-callee-set check at an indirect call and the
+// call-context check at a context-extending one.
+func (c *checker) Call(t vc.TID, in *ir.Instr, callee *ir.Function, _, _ interp.FrameID) {
+	c.checkCallee(in, callee)
+	if c.ctx == nil {
+		return
+	}
+	s := c.stack(t)
+	fr := checkFrame{fnID: callee.ID}
+	if s.active[callee.ID] == 0 {
+		fr.extended = true
+		s.states = append(s.states, c.enter(s.states[len(s.states)-1], in.ID))
+	}
+	s.active[callee.ID]++
+	s.frames = append(s.frames, fr)
+}
+
+// Spawn fires the likely-callee-set check at an indirect spawn and the
+// likely-singleton-thread check, and begins the child's thread-root
+// context: the parent's context extended by the spawn site.
+func (c *checker) Spawn(t vc.TID, in *ir.Instr, child vc.TID, _ interp.FrameID, callee *ir.Function) {
+	c.checkCallee(in, callee)
+	if c.spawnOnce != nil {
+		c.Events++
+		if c.spawnOnce[in.ID] {
+			if c.spawnCounts == nil {
+				c.spawnCounts = map[int]int{}
+			}
+			c.spawnCounts[in.ID]++
+			if c.spawnCounts[in.ID] > 1 {
+				c.violate(Violation{Kind: ViolationSingletonSpawn, Site: in.ID, Callee: -1})
+			}
+		}
+	}
+	if c.ctx != nil {
+		p := c.stack(t)
+		c.setStack(child, c.newStack(callee.ID, c.enter(p.states[len(p.states)-1], in.ID)))
 	}
 }
 
-// Spawn fires the likely-singleton-thread check, and the callee-set
-// check at an indirect spawn.
-func (c *raceChecker) Spawn(_ vc.TID, in *ir.Instr, _ vc.TID, _ interp.FrameID, callee *ir.Function) {
-	if in.IsIndirect() {
-		c.callees.check(&c.checkState, in, callee)
+// Ret unwinds the context stack. A thread's root state stays: nothing
+// runs on the thread after its root returns.
+func (c *checker) Ret(t vc.TID, _ *ir.Instr, _, _ interp.FrameID, _ *ir.Var) {
+	if c.ctx == nil {
+		return
 	}
-	c.Events++
-	if c.spawnOnce[in.ID] {
-		if c.spawnCounts == nil {
-			c.spawnCounts = map[int]int{}
-		}
-		c.spawnCounts[in.ID]++
-		if c.spawnCounts[in.ID] > 1 {
-			c.violate(Violation{Kind: ViolationSingletonSpawn, Site: in.ID, Callee: -1})
-		}
+	s := c.stack(t)
+	if len(s.frames) == 0 {
+		return
+	}
+	fr := s.frames[len(s.frames)-1]
+	s.frames = s.frames[:len(s.frames)-1]
+	s.active[fr.fnID]--
+	if fr.extended && len(s.states) > 1 {
+		s.states = s.states[:len(s.states)-1]
 	}
 }
 
 // Lock fires the likely-guarding-locks check. A locked address is
 // always a pointer, never 0, so 0 marks a group with no lock seen yet.
-func (c *raceChecker) Lock(_ vc.TID, in *ir.Instr, addr interp.Addr) {
+func (c *checker) Lock(_ vc.TID, in *ir.Instr, addr interp.Addr) {
+	if c.lockGroup == nil {
+		return
+	}
 	g := c.lockGroup[in.ID]
 	if g < 0 {
 		return
@@ -159,70 +247,93 @@ func (c *raceChecker) Lock(_ vc.TID, in *ir.Instr, addr interp.Addr) {
 	c.groupAddr[g] = addr
 }
 
-// lucTable returns the likely-unreachable-code table: block ID ->
-// assumed unreachable. Every checker reads it, and it is also the block
-// mask of every speculative image: those blocks' events are the only
-// ones an optimistic run needs.
-func lucTable(prog *ir.Program, db *invariants.DB) []bool {
-	luc := make([]bool, len(prog.Blocks))
-	for _, b := range prog.Blocks {
-		luc[b.ID] = db.LikelyUnreachable(b.ID)
-	}
-	return luc
-}
-
-// calleeTable maps an instruction ID to the likely callee set of its
-// indirect call or spawn (nil: no callee allowed).
-type calleeTable []*bitset.Set
-
-func newCalleeTable(prog *ir.Program, db *invariants.DB) calleeTable {
-	t := make(calleeTable, len(prog.Instrs))
-	for site, set := range db.Callees {
-		if site >= 0 && site < len(t) {
-			t[site] = set
-		}
-	}
-	return t
-}
-
-// check fires the likely-callee-set check at an indirect site (a nil
-// table checks nothing).
-func (t calleeTable) check(c *checkState, in *ir.Instr, callee *ir.Function) {
-	if t == nil {
+// Load fires the non-null-fact check: the memory mask delivers load
+// events exactly at the used fact sites.
+func (c *checker) Load(_ vc.TID, in *ir.Instr, _ interp.Addr, v int64) {
+	if c.nonNull == nil {
 		return
 	}
 	c.Events++
-	if set := t[in.ID]; set == nil || !set.Has(callee.ID) {
+	if v == 0 && c.nonNull[in.ID] {
+		c.violate(Violation{Kind: ViolationNonNull, Site: in.ID, Callee: -1})
+	}
+}
+
+// NilDeref fires the non-null-fact check at a residual check: a nil
+// address at a fact-covered load refutes that fact (the recovered load
+// produced 0).
+func (c *checker) NilDeref(_ vc.TID, in *ir.Instr) {
+	if c.nonNull != nil && c.nonNull[in.ID] {
+		c.Events++
+		c.violate(Violation{Kind: ViolationNonNull, Site: in.ID, Callee: -1})
+	}
+}
+
+// checkCallee fires the likely-callee-set check at an indirect site.
+func (c *checker) checkCallee(in *ir.Instr, callee *ir.Function) {
+	if c.callees == nil || !in.IsIndirect() {
+		return
+	}
+	c.Events++
+	if set := c.callees[in.ID]; set == nil || !set.Has(callee.ID) {
 		c.violate(Violation{Kind: ViolationCalleeSet, Site: in.ID, Callee: callee.ID, Detail: callee.Name})
 	}
 }
 
-// sliceTables are the OptSlice checker's read-only tables. They depend
-// only on (program, invariant database), so an OptSlice builds them
-// once and every run shares them.
-type sliceTables struct {
-	mainFn  int
-	nfuncs  int
-	luc     []bool // block ID -> assumed unreachable
-	callees calleeTable
-	// checkCtx enables the call-context check over ctx, the trie of the
-	// observed contexts.
-	checkCtx bool
-	ctx      *ctxTrie
+// checkStack mirrors the profiler's acyclic context-tracking stack,
+// with the trie state of each extended frame's context.
+type checkStack struct {
+	frames []checkFrame
+	active []int32 // fn ID -> activations on the stack
+	states []int32 // trie state per extended frame
 }
 
-func newSliceTables(prog *ir.Program, db *invariants.DB, checkContexts bool) *sliceTables {
-	t := &sliceTables{
-		mainFn:   prog.Main().ID,
-		nfuncs:   len(prog.Funcs),
-		luc:      lucTable(prog, db),
-		callees:  newCalleeTable(prog, db),
-		checkCtx: checkContexts,
+type checkFrame struct {
+	fnID     int
+	extended bool
+}
+
+// newStack returns a context stack rooted at fnID in trie state st.
+func (c *checker) newStack(fnID int, st int32) *checkStack {
+	s := &checkStack{active: make([]int32, c.nfuncs)}
+	s.frames = append(s.frames, checkFrame{fnID: fnID, extended: true})
+	s.active[fnID] = 1
+	s.states = append(s.states, st)
+	return s
+}
+
+// setStack installs s as thread t's context stack.
+func (c *checker) setStack(t vc.TID, s *checkStack) {
+	for int(t) >= len(c.stacks) {
+		c.stacks = append(c.stacks, nil)
 	}
-	if checkContexts {
-		t.ctx = newCtxTrie(db.Contexts.SortedPaths(), len(prog.Instrs))
+	c.stacks[t] = s
+}
+
+func (c *checker) stack(t vc.TID) *checkStack {
+	if int(t) < len(c.stacks) && c.stacks[t] != nil {
+		return c.stacks[t]
 	}
-	return t
+	s := c.newStack(c.mainFn, 0)
+	c.setStack(t, s)
+	return s
+}
+
+// enter checks the context that extending state from by site enters,
+// and returns its state.
+func (c *checker) enter(from int32, site int) int32 {
+	st := c.ctx.next(from, site)
+	c.Events++
+	if !c.ctx.known(st) {
+		v := Violation{Kind: ViolationCallContext, Site: site, Callee: -1}
+		// Only the first violation is reported. Every context entered
+		// before it was known, so from is a state of the trie.
+		if !c.abort.IsSet() {
+			v.Path = c.ctx.path(from, site)
+		}
+		c.violate(v)
+	}
+	return st
 }
 
 // ctxTrie is the exact automaton of a set of call contexts. State 0 is
@@ -323,131 +434,4 @@ func (tr *ctxTrie) path(st int32, site int) []int {
 	}
 	slices.Reverse(out)
 	return out
-}
-
-// sliceChecker verifies the OptSlice invariants: likely-unreachable
-// code, likely callee sets, and likely unused call contexts. It holds
-// one run's state over shared tables.
-type sliceChecker struct {
-	*sliceTables
-	checkState
-	stacks []*checkStack // by TID
-}
-
-// checkStack mirrors the profiler's acyclic context-tracking stack,
-// with the trie state of each extended frame's context.
-type checkStack struct {
-	frames []checkFrame
-	active []int32 // fn ID -> activations on the stack
-	states []int32 // trie state per extended frame
-}
-
-type checkFrame struct {
-	fnID     int
-	extended bool
-}
-
-// newChecker starts one run's checker over t.
-func (t *sliceTables) newChecker(abort *interp.Abort) *sliceChecker {
-	return &sliceChecker{sliceTables: t, checkState: checkState{abort: abort}}
-}
-
-// newStack returns a context stack rooted at fnID in trie state st.
-func (c *sliceChecker) newStack(fnID int, st int32) *checkStack {
-	s := &checkStack{active: make([]int32, c.nfuncs)}
-	s.frames = append(s.frames, checkFrame{fnID: fnID, extended: true})
-	s.active[fnID] = 1
-	s.states = append(s.states, st)
-	return s
-}
-
-// setStack installs s as thread t's context stack.
-func (c *sliceChecker) setStack(t vc.TID, s *checkStack) {
-	for int(t) >= len(c.stacks) {
-		c.stacks = append(c.stacks, nil)
-	}
-	c.stacks[t] = s
-}
-
-func (c *sliceChecker) stack(t vc.TID) *checkStack {
-	if int(t) < len(c.stacks) && c.stacks[t] != nil {
-		return c.stacks[t]
-	}
-	s := c.newStack(c.mainFn, 0)
-	c.setStack(t, s)
-	return s
-}
-
-// enter checks the context that extending state from by site enters,
-// and returns its state.
-func (c *sliceChecker) enter(from int32, site int) int32 {
-	st := c.ctx.next(from, site)
-	c.Events++
-	if !c.ctx.known(st) {
-		v := Violation{Kind: ViolationCallContext, Site: site, Callee: -1}
-		// Only the first violation is reported. Every context entered
-		// before it was known, so from is a state of the trie.
-		if !c.abort.IsSet() {
-			v.Path = c.ctx.path(from, site)
-		}
-		c.violate(v)
-	}
-	return st
-}
-
-// BlockEnter fires the likely-unreachable-code check.
-func (c *sliceChecker) BlockEnter(_ vc.TID, b *ir.Block) {
-	c.Events++
-	if c.luc[b.ID] {
-		c.violate(Violation{Kind: ViolationUnreachableBlock, Site: b.ID, Callee: -1})
-	}
-}
-
-// Call fires the likely-callee-set and call-context checks.
-func (c *sliceChecker) Call(t vc.TID, in *ir.Instr, callee *ir.Function) {
-	if in.IsIndirect() {
-		c.callees.check(&c.checkState, in, callee)
-	}
-	if !c.checkCtx {
-		return
-	}
-	s := c.stack(t)
-	fr := checkFrame{fnID: callee.ID}
-	if s.active[callee.ID] == 0 {
-		fr.extended = true
-		s.states = append(s.states, c.enter(s.states[len(s.states)-1], in.ID))
-	}
-	s.active[callee.ID]++
-	s.frames = append(s.frames, fr)
-}
-
-// Spawn begins a new thread-root context: the parent's context
-// extended by the spawn site.
-func (c *sliceChecker) Spawn(t vc.TID, in *ir.Instr, child vc.TID, callee *ir.Function) {
-	if in.IsIndirect() {
-		c.callees.check(&c.checkState, in, callee)
-	}
-	if !c.checkCtx {
-		return
-	}
-	p := c.stack(t)
-	c.setStack(child, c.newStack(callee.ID, c.enter(p.states[len(p.states)-1], in.ID)))
-}
-
-// Ret unwinds the context stack. A thread's root state stays: nothing
-// runs on the thread after its root returns.
-func (c *sliceChecker) Ret(t vc.TID) {
-	if !c.checkCtx {
-		return
-	}
-	s := c.stack(t)
-	if len(s.frames) == 0 {
-		return
-	}
-	fr := s.frames[len(s.frames)-1]
-	s.frames = s.frames[:len(s.frames)-1]
-	s.active[fr.fnID]--
-	if fr.extended && len(s.states) > 1 {
-		s.states = s.states[:len(s.states)-1]
-	}
 }

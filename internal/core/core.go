@@ -5,11 +5,13 @@
 //     iterative no-custom-synchronization pass of §4.2.4;
 //  2. predicated static analysis (packages pointsto, mhp, staticrace,
 //     staticslice over an invariant-restricted ctxs.Tree);
-//  3. speculative dynamic analysis: the client analysis (FastTrack or
-//     the dynamic slicer) runs with instrumentation elided per the
-//     predicated static results, alongside cheap invariant checks;
-//     a violated invariant aborts the run, which is then rolled back
-//     and re-executed under the traditional (sound) hybrid analysis.
+//  3. speculative dynamic analysis: the client analysis (FastTrack,
+//     the dynamic slicer or the null checker) runs with instrumentation
+//     elided per the predicated static results, alongside a cheap check
+//     of every fact kind those results read; a violated invariant
+//     aborts the run, which re-executes under the refined generation
+//     that drops the violated fact, or under the traditional (sound)
+//     hybrid analysis when no refinement applies.
 //
 // Three clients are provided, each with its traditional baselines for
 // the evaluation harness: OptFT (race detection, §4; pure and hybrid

@@ -43,17 +43,20 @@ type NullReport struct {
 // nil dereferences at exactly the same sites.
 func SameNullVerdicts(a, b *NullReport) bool { return slices.Equal(a.NilSites, b.NilSites) }
 
-// nilLog accumulates the nil-deref verdict of one run.
+// nilLog accumulates the nil-deref verdict of one run. It is the sound
+// configurations' tracer: they only collect the verdict.
 type nilLog struct {
+	interp.NopTracer
 	sites map[int]uint64
 	total uint64
 }
 
-func (l *nilLog) record(id int) {
+// NilDeref records the verdict at a residual check.
+func (l *nilLog) NilDeref(_ vc.TID, in *ir.Instr) {
 	if l.sites == nil {
 		l.sites = map[int]uint64{}
 	}
-	l.sites[id]++
+	l.sites[in.ID]++
 	l.total++
 }
 
@@ -69,47 +72,10 @@ func (l *nilLog) sorted() []int {
 	return out
 }
 
-// nullObserver is the sound configurations' tracer: it only collects
-// the verdict.
-type nullObserver struct {
-	interp.NopTracer
-	log nilLog
-}
-
-func (o *nullObserver) NilDeref(_ vc.TID, in *ir.Instr) { o.log.record(in.ID) }
-
-// nullTables are the OptNull checker's read-only tables. They depend
-// only on (program, invariant database, proof), so an OptNull builds
-// them once and every run shares them.
-type nullTables struct {
-	luc     []bool      // block ID -> assumed unreachable
-	fact    []bool      // load site -> used non-null fact
-	callees calleeTable // nil: callee invariant disabled
-}
-
-func newNullTables(prog *ir.Program, db *invariants.DB, used *bitset.Set) *nullTables {
-	t := &nullTables{luc: lucTable(prog, db), fact: make([]bool, len(prog.Instrs))}
-	used.ForEach(func(id int) bool {
-		t.fact[id] = true
-		return true
-	})
-	// A database without callee facts assumes none, so it checks none.
-	if db.Callees != nil {
-		t.callees = newCalleeTable(prog, db)
-	}
-	return t
-}
-
-// nullChecker is the speculative run's tracer: it collects the verdict
-// at residual checks AND verifies every invariant the predicated proof
-// assumed — likely-non-null facts at the used load sites (Load events,
-// delivered exactly there by the mem mask), likely-unreachable code,
-// and likely callee sets (the predicated points-to prunes indirect
-// calls to them). It holds one run's state over shared tables.
-type nullChecker struct {
-	interp.NopTracer
-	*nullTables
-	checkState
+// optNullTracer is the speculative run's tracer: the run's invariant
+// checker plus the verdict's nil log.
+type optNullTracer struct {
+	*checker
 	log nilLog
 }
 
@@ -118,49 +84,14 @@ type nullChecker struct {
 // only fire on 0), so the engine settles non-nil fact loads inline,
 // crediting the check through Checks. Zero values still call through
 // and raise the violation as before.
-func (c *nullChecker) FastState() *interp.FastState {
-	return &interp.FastState{Kind: interp.FastNull, Checks: &c.Events}
+func (o *optNullTracer) FastState() *interp.FastState {
+	return &interp.FastState{Kind: interp.FastNull, Checks: &o.Events}
 }
 
-// Load fires the non-null-fact check: the mem mask delivers load
-// events exactly at the used fact sites.
-func (c *nullChecker) Load(_ vc.TID, in *ir.Instr, _ interp.Addr, v int64) {
-	c.Events++
-	if v == 0 && c.fact[in.ID] {
-		c.violate(Violation{Kind: ViolationNonNull, Site: in.ID, Callee: -1})
-	}
-}
-
-// NilDeref records the verdict at a residual check; a nil address at a
-// fact-covered load also refutes that fact (the recovered load
-// produced 0).
-func (c *nullChecker) NilDeref(_ vc.TID, in *ir.Instr) {
-	c.log.record(in.ID)
-	if c.fact[in.ID] {
-		c.Events++
-		c.violate(Violation{Kind: ViolationNonNull, Site: in.ID, Callee: -1})
-	}
-}
-
-// BlockEnter fires the likely-unreachable-code check.
-func (c *nullChecker) BlockEnter(_ vc.TID, b *ir.Block) {
-	c.Events++
-	if c.luc[b.ID] {
-		c.violate(Violation{Kind: ViolationUnreachableBlock, Site: b.ID, Callee: -1})
-	}
-}
-
-// Call / Spawn fire the likely-callee-set check at indirect sites.
-func (c *nullChecker) Call(_ vc.TID, in *ir.Instr, callee *ir.Function, _, _ interp.FrameID) {
-	if in.IsIndirect() {
-		c.callees.check(&c.checkState, in, callee)
-	}
-}
-
-func (c *nullChecker) Spawn(_ vc.TID, in *ir.Instr, _ vc.TID, _ interp.FrameID, callee *ir.Function) {
-	if in.IsIndirect() {
-		c.callees.check(&c.checkState, in, callee)
-	}
+// NilDeref records the verdict at a residual check, then checks it.
+func (o *optNullTracer) NilDeref(t vc.TID, in *ir.Instr) {
+	o.log.NilDeref(t, in)
+	o.checker.NilDeref(t, in)
 }
 
 // portableNullProof is the gob image of a nullcheck.Result (IDs only,
@@ -250,17 +181,6 @@ func residualNullMask(prog *ir.Program, res *nullcheck.Result) []bool {
 	return mask
 }
 
-// factMemMask marks the used fact sites — exactly the loads the
-// speculative run must observe to verify its optimistic assumptions.
-func factMemMask(prog *ir.Program, res *nullcheck.Result) []bool {
-	mask := make([]bool, len(prog.Instrs))
-	res.UsedFacts.ForEach(func(id int) bool {
-		mask[id] = true
-		return true
-	})
-	return mask
-}
-
 // soundNullMasks check the sites in null and deliver no other event:
 // the configurations that only collect the verdict.
 func soundNullMasks(prog *ir.Program, null []bool) interp.Masks {
@@ -295,12 +215,12 @@ func RunNullAlways(prog *ir.Program, e Execution, opts RunOptions) (*NullReport,
 // observeNulls runs e under p, only collecting the verdict; proof is
 // the static proof p's masks come from.
 func (p *plan) observeNulls(e Execution, opts RunOptions, proof *nullcheck.Result) (*NullReport, error) {
-	obs := &nullObserver{}
-	res, err := p.run(e, obs, nil, opts)
+	log := &nilLog{}
+	res, err := p.run(e, log, nil, opts)
 	if err != nil {
 		return nil, err
 	}
-	return nullReport(&obs.log, res, proof), nil
+	return nullReport(log, res, proof), nil
 }
 
 func countDerefSites(prog *ir.Program) int {
@@ -353,7 +273,7 @@ type OptNull struct {
 	Sound *HybridNull
 
 	plan   *plan
-	tables *nullTables
+	checks *checks
 	static StaticConfig
 	gens   *generations[*OptNull]
 }
@@ -379,18 +299,21 @@ func newOptNull(prog *ir.Program, db *invariants.DB, cfg StaticConfig, sound *Hy
 	if err != nil {
 		return nil, err
 	}
-	tables := newNullTables(prog, db, proof.UsedFacts)
+	// The kinds the predicated proof reads (TestChecksCoverReads): the
+	// speculative run observes exactly the used facts' loads and the
+	// likely-unreachable blocks.
+	checks := newChecks(prog, db, proof.UsedFacts, ViolationUnreachableBlock, ViolationCalleeSet, ViolationNonNull)
 	m := interp.Masks{
-		Mem:   factMemMask(prog, proof),
+		Mem:   checks.nonNull,
 		Sync:  make([]bool, len(prog.Instrs)),
-		Block: tables.luc,
+		Block: checks.luc,
 		Null:  residualNullMask(prog, proof),
 	}
 	// The speculative image is IC-seeded from the likely callee sets
 	// (the null proof's points-to is predicated on them, and the
 	// checker verifies them at runtime).
 	p := compiledCode(prog, m, compileOpts(db, cfg), cfg.Cache)
-	return &OptNull{Prog: prog, DB: db, Pred: proof, Sound: sound, plan: p, tables: tables, static: cfg, gens: gens}, nil
+	return &OptNull{Prog: prog, DB: db, Pred: proof, Sound: sound, plan: p, checks: checks, static: cfg, gens: gens}, nil
 }
 
 // CodeDigest returns the content digest of the speculative run's
@@ -414,9 +337,9 @@ func (o *OptNull) Run(e Execution, opts RunOptions) (*NullReport, error) {
 }
 
 func (o *OptNull) try(e Execution, opts RunOptions) (*NullReport, *Outcome, error) {
-	checker := &nullChecker{nullTables: o.tables, checkState: checkState{abort: &interp.Abort{}}}
-	report := func(res *interp.Result) *NullReport { return nullReport(&checker.log, res, o.Pred) }
-	return attempt(o.plan, checker, &checker.checkState, e, opts, report, nil)
+	tr := &optNullTracer{checker: o.checks.newChecker()}
+	report := func(res *interp.Result) *NullReport { return nullReport(&tr.log, res, o.Pred) }
+	return attempt(o.plan, tr, &tr.checkState, e, opts, report, nil)
 }
 
 func (o *OptNull) facts() (*ir.Program, *invariants.DB) { return o.Prog, o.DB }

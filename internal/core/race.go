@@ -116,14 +116,16 @@ func mhpOf(prog *ir.Program, pt *pointsto.Result, db *invariants.DB, cache *arti
 	return v.(*mhp.Result), nil
 }
 
-// optTracer is the speculative run's combined tracer: FastTrack plus
-// the invariant checker, fused into one dispatch so the optimistic
-// configuration pays no fan-out overhead over the hybrid one.
+// optTracer is the speculative run's tracer: the run's invariant
+// checker plus FastTrack's memory, sync, spawn and join events. Unlike
+// the hybrid run, whose tracer is the bare detector, every event it
+// delivers to FastTrack costs one more call through this wrapper;
+// BenchmarkFig5OptVsHybrid measures that cost where the two runs fire
+// the same events.
 type optTracer struct {
-	interp.NopTracer
-	det     *fasttrack.Detector
-	checker *raceChecker
-	sync    []bool // FastTrack's sync sites (checker sees the rest)
+	*checker
+	det  *fasttrack.Detector
+	sync []bool // FastTrack's sync sites (the checker sees the rest)
 }
 
 // FastState implements interp.FastTracer. Memory events route only to
@@ -158,16 +160,8 @@ func (o *optTracer) Spawn(t vc.TID, in *ir.Instr, c vc.TID, f interp.FrameID, fn
 	o.checker.Spawn(t, in, c, f, fn)
 }
 
-func (o *optTracer) Call(t vc.TID, in *ir.Instr, fn *ir.Function, caller, callee interp.FrameID) {
-	o.checker.Call(t, in, fn, caller, callee)
-}
-
 func (o *optTracer) Join(t vc.TID, in *ir.Instr, c vc.TID) {
 	o.det.Join(t, in, c)
-}
-
-func (o *optTracer) BlockEnter(t vc.TID, b *ir.Block) {
-	o.checker.BlockEnter(t, b)
 }
 
 func raceReport(det *fasttrack.Detector, res *interp.Result) *RaceReport {
@@ -251,7 +245,7 @@ type OptFT struct {
 	Pred  *staticrace.Result
 	Sound *HybridFT
 
-	tables *raceTables  // the checker's tables, shared by every run
+	checks *checks      // shared by every run
 	static StaticConfig // compiles the speculative plan
 	// spec is the speculative run's plan: FastTrack's sites plus the
 	// check sites; sync flags FastTrack's own lock sites.
@@ -294,7 +288,10 @@ func newOptFT(prog *ir.Program, db *invariants.DB, cfg StaticConfig, sound *Hybr
 	if err != nil {
 		return nil, err
 	}
-	o := &OptFT{Prog: prog, DB: db, Pred: pred, Sound: sound, tables: newRaceTables(prog, db), static: cfg, gens: gens}
+	// The kinds the predicated race analysis reads (TestChecksCoverReads);
+	// an elided-lock race is checked once the run completes (try).
+	checks := newChecks(prog, db, nil, ViolationUnreachableBlock, ViolationCalleeSet, ViolationSingletonSpawn, ViolationGuardingLock)
+	o := &OptFT{Prog: prog, DB: db, Pred: pred, Sound: sound, checks: checks, static: cfg, gens: gens}
 	o.compile(pred.Masks(db))
 	return o, nil
 }
@@ -313,7 +310,7 @@ func (o *OptFT) compile(mem, sync []bool) {
 		checked[pair.A] = true
 		checked[pair.B] = true
 	}
-	o.spec = compiledCode(o.Prog, interp.Masks{Mem: mem, Sync: checked, Block: o.tables.luc}, compileOpts(o.DB, o.static), o.static.Cache)
+	o.spec = compiledCode(o.Prog, interp.Masks{Mem: mem, Sync: checked, Block: o.checks.luc}, compileOpts(o.DB, o.static), o.static.Cache)
 	o.sync = sync
 }
 
@@ -344,11 +341,10 @@ func (o *OptFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
 }
 
 func (o *OptFT) try(e Execution, opts RunOptions) (*RaceReport, *Outcome, error) {
-	abort := &interp.Abort{}
+	checker := o.checks.newChecker()
 	det := fasttrack.New()
 	defer det.Release()
-	checker := o.tables.newChecker(abort)
-	tracer := &optTracer{det: det, checker: checker, sync: o.sync}
+	tracer := &optTracer{checker: checker, det: det, sync: o.sync}
 	report := func(res *interp.Result) *RaceReport { return raceReport(det, res) }
 	suspect := func() Violation {
 		// Race reports are potential mis-speculations when lock

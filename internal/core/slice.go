@@ -186,11 +186,7 @@ func SliceCriterion(prog *ir.Program, idx *int) (int, *ir.Instr, error) {
 
 // execMaskFor converts a static slice to the interpreter's trace mask.
 func execMaskFor(prog *ir.Program, s *staticslice.Slice) []bool {
-	mask := make([]bool, len(prog.Instrs))
-	s.Instrs.ForEach(func(id int) bool {
-		mask[id] = true
-		return true
-	})
+	mask := siteFlags(prog, s.Instrs)
 	// The criterion itself must be traced.
 	mask[s.Criterion.ID] = true
 	return mask
@@ -277,7 +273,7 @@ type OptSlice struct {
 	Sound *HybridSlicer
 
 	plan   *plan
-	tables *sliceTables
+	checks *checks
 	budget int
 	static StaticConfig
 	gens   *generations[*OptSlice]
@@ -316,16 +312,21 @@ func newOptSlice(prog *ir.Program, db *invariants.DB, criterion *ir.Instr, budge
 	if err != nil {
 		return nil, err
 	}
-	// The unused-call-contexts invariant is only assumed (and so only
-	// needs checking) when the analysis was context-sensitive under the
+	// The kinds the predicated slice reads (TestChecksCoverReads). The
+	// unused-call-contexts invariant is only assumed (and so only
+	// checked) when the analysis was context-sensitive under the
 	// observed-context restriction.
-	tables := newSliceTables(prog, db, ss.AT == CS)
+	reads := []ViolationKind{ViolationUnreachableBlock, ViolationCalleeSet}
+	if ss.AT == CS {
+		reads = append(reads, ViolationCallContext)
+	}
+	checks := newChecks(prog, db, nil, reads...)
 	// The speculative image is IC-seeded from the likely callee sets:
 	// OptSlice assumes (and checks) exactly those sets, so a cached
 	// target is a callee the tracer's checker accepts, and an
 	// out-of-set target both misses the cache and raises the
 	// callee-set violation that drives refinement.
-	p := compiledCode(prog, sliceMasks(execMaskFor(prog, ss.Slice), tables.luc), compileOpts(db, cfg), cfg.Cache)
+	p := compiledCode(prog, sliceMasks(execMaskFor(prog, ss.Slice), checks.luc), compileOpts(db, cfg), cfg.Cache)
 	return &OptSlice{
 		Prog:      prog,
 		DB:        db,
@@ -334,7 +335,7 @@ func newOptSlice(prog *ir.Program, db *invariants.DB, criterion *ir.Instr, budge
 		AT:        ss.AT,
 		Sound:     sound,
 		plan:      p,
-		tables:    tables,
+		checks:    checks,
 		budget:    budget,
 		static:    cfg,
 		gens:      gens,
@@ -354,13 +355,12 @@ func (o *OptSlice) Run(e Execution, opts RunOptions) (*SliceReport, error) {
 }
 
 func (o *OptSlice) try(e Execution, opts RunOptions) (*SliceReport, *Outcome, error) {
-	abort := &interp.Abort{}
-	tr := dynslice.New(o.Prog, abort)
+	checker := o.checks.newChecker()
+	tr := dynslice.New(o.Prog, checker.abort)
 	defer tr.Release()
 	tr.MaxNodes = o.Sound.MaxTraceNodes
-	checker := o.tables.newChecker(abort)
 	report := func(res *interp.Result) *SliceReport { return sliceReport(tr, o.Criterion, res) }
-	return attempt(o.plan, &optSliceTracer{tr: tr, checker: checker}, &checker.checkState, e, opts, report, nil)
+	return attempt(o.plan, &optSliceTracer{checker: checker, tr: tr}, &checker.checkState, e, opts, report, nil)
 }
 
 func (o *OptSlice) facts() (*ir.Program, *invariants.DB) { return o.Prog, o.DB }
@@ -378,15 +378,14 @@ func sliceReport(tr *dynslice.Tracer, criterion *ir.Instr, res *interp.Result) *
 	return &SliceReport{Slice: tr.Slice(criterion), TraceNodes: tr.NodeCount(), Outcome: outcomeOf(res)}
 }
 
-// optSliceTracer is the speculative run's combined tracer: the dynamic
-// slicer plus the invariant checker, fused into one dispatch (see
-// optTracer). Exec goes only to the slicer; the checker consumes the
-// call/ret/spawn and checked-block events. No other event is delivered:
-// the image flags no memory or sync site.
+// optSliceTracer is the speculative run's tracer: the run's invariant
+// checker plus the dynamic slicer's events. Exec goes only to the
+// slicer; the checker consumes the call/ret/spawn and checked-block
+// events. No other event is delivered: the image flags no memory or
+// sync site.
 type optSliceTracer struct {
-	interp.NopTracer
-	tr      *dynslice.Tracer
-	checker *sliceChecker
+	*checker
+	tr *dynslice.Tracer
 }
 
 func (o *optSliceTracer) Exec(t vc.TID, in *ir.Instr, f interp.FrameID, a interp.Addr) {
@@ -395,19 +394,15 @@ func (o *optSliceTracer) Exec(t vc.TID, in *ir.Instr, f interp.FrameID, a interp
 
 func (o *optSliceTracer) Call(t vc.TID, in *ir.Instr, fn *ir.Function, caller, callee interp.FrameID) {
 	o.tr.Call(t, in, fn, caller, callee)
-	o.checker.Call(t, in, fn)
+	o.checker.Call(t, in, fn, caller, callee)
 }
 
 func (o *optSliceTracer) Spawn(t vc.TID, in *ir.Instr, c vc.TID, f interp.FrameID, fn *ir.Function) {
 	o.tr.Spawn(t, in, c, f, fn)
-	o.checker.Spawn(t, in, c, fn)
+	o.checker.Spawn(t, in, c, f, fn)
 }
 
 func (o *optSliceTracer) Ret(t vc.TID, in *ir.Instr, callee, caller interp.FrameID, dst *ir.Var) {
 	o.tr.Ret(t, in, callee, caller, dst)
-	o.checker.Ret(t)
-}
-
-func (o *optSliceTracer) BlockEnter(t vc.TID, b *ir.Block) {
-	o.checker.BlockEnter(t, b)
+	o.checker.Ret(t, in, callee, caller, dst)
 }

@@ -71,9 +71,9 @@ func outcomeOf(res *interp.Result) Outcome {
 // Outcome.
 type Report interface{ Base() *Outcome }
 
-// checkState is the verdict every invariant checker keeps: the abort
-// flag it raises, the first violation in structured form, and the
-// count of check events.
+// checkState is the verdict a run's checker keeps: the abort flag it
+// raises, the first violation in structured form, and the count of
+// check events.
 type checkState struct {
 	abort *interp.Abort
 	// first mirrors abort's first-wins reason in structured form.
@@ -192,13 +192,13 @@ func (o *Outcome) chargeChain(chain *Outcome, to RollbackTarget) {
 	o.Refuted = chain.Refuted
 }
 
-// attempt runs e under p with tracer, a client's fused tracer, polling
-// the abort flag its checker raises. A clean run returns report's
-// result. A run that mis-speculated returns its outcome instead, whose
-// Violation is the first violation the checker raised, or suspect's
-// verdict on a completed run (when non-nil, it names the reason a
-// clean-looking run still needs re-execution; zero: it does not). Both
-// carry the checker's CheckEvents.
+// attempt runs e under p with tracer, a client's tracer over the run's
+// checker, polling the abort flag the checker raises. A clean run
+// returns report's result. A run that mis-speculated returns its
+// outcome instead, whose Violation is the first violation the checker
+// raised, or suspect's verdict on a completed run (when non-nil, it
+// names the reason a clean-looking run still needs re-execution; zero:
+// it does not). Both carry the checker's CheckEvents.
 //
 // The callbacks are parameters rather than struct fields so that they
 // stay on the stack: escape analysis does not track struct fields
