@@ -92,7 +92,6 @@ func main() {
 	adaptive := fs.Bool("adapt", false, "race/nullcheck/slice: on mis-speculation, publish the database without the refuted invariants as the next generation")
 	engine := fs.String("engine", "compiled", "execution engine: compiled|tree")
 	staticWorkers := fs.Int("static-workers", 0, "parallel static-solver workers (0: GOMAXPROCS, 1: sequential)")
-	incremental := fs.Bool("inc", true, "adapt: resume re-analysis from the previous generation's saturated solver state")
 	icFlag := fs.String("ic", "on", "compiled engine: speculative inline caches at indirect call sites (on|off)")
 	fusionFlag := fs.String("fusion", "on", "compiled engine: superinstruction fusion (on|off)")
 	fastpathFlag := fs.String("fastpath", "on", "compiled engine: inline analysis fast paths (on|off)")
@@ -160,12 +159,11 @@ func main() {
 	}
 	ropts := oha.RunOptions{Engine: eng}
 	static := oha.StaticConfig{
-		Cache:       oha.NewArtifactCache(*cacheDir),
-		Workers:     *staticWorkers,
-		Incremental: *incremental,
-		NoIC:        parseToggle("ic", *icFlag),
-		NoFusion:    parseToggle("fusion", *fusionFlag),
-		NoFastPath:  parseToggle("fastpath", *fastpathFlag),
+		Cache:      oha.NewArtifactCache(*cacheDir),
+		Workers:    *staticWorkers,
+		NoIC:       parseToggle("ic", *icFlag),
+		NoFusion:   parseToggle("fusion", *fusionFlag),
+		NoFastPath: parseToggle("fastpath", *fastpathFlag),
 	}
 
 	if cmd == "profile" {

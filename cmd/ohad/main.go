@@ -67,7 +67,6 @@ func main() {
 	cachePruneInterval := flag.Duration("cache-prune-interval", time.Hour, "how often the disk-tier pruner runs (given -cache-dir and a prune bound)")
 	stateDir := flag.String("state-dir", "", "persist invariant-DB versions under this directory (default: in-memory only)")
 	staticWorkers := flag.Int("static-workers", 0, "parallel static-solver workers (0: GOMAXPROCS, 1: sequential)")
-	incremental := flag.Bool("inc", true, "resume adaptive re-analysis from the previous generation's saturated solver state")
 	fastpath := flag.String("fastpath", "on", "compiled engine: inline analysis fast paths (on|off)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/")
 	peers := flag.String("peers", "", "fleet mode: static member list, comma-separated host:port (must include -advertise)")
@@ -95,7 +94,6 @@ func main() {
 		Cache:         cache,
 		StateDir:      *stateDir,
 		StaticWorkers: *staticWorkers,
-		Incremental:   *incremental,
 		NoFastPath:    *fastpath == "off",
 	}
 	if *fastpath != "on" && *fastpath != "off" {

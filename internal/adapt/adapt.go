@@ -15,14 +15,15 @@
 //     removed from a derived invariants.DB by its kind's rule
 //     (core.Violation.Refine), in the chain's order, so the derived
 //     database is the one the chain ended on;
-//   - a re-analysis reconciler: Reconcile recomputes the predicated
-//     static artifacts and compiled elision masks for the refined DB
-//     through the content-addressed artifact cache — sound artifacts
-//     (keyed on the nil DB) stay warm; only the invalidated predicated
-//     kinds re-solve — or deploys the detector the chain already built
-//     for it, and hot-swaps the new generation in without blocking
-//     in-flight runs (immutable snapshots behind an atomic pointer; old
-//     detectors finish serving their runs untouched).
+//   - a re-analysis reconciler: Reconcile deploys, for every client the
+//     outgoing generation had built, the detector its rollback chain
+//     already built for the refined DB, or else builds it through the
+//     content-addressed artifact cache — sound artifacts (keyed on the
+//     nil DB) stay warm and each generation solves exactly the
+//     predicated kinds its clients read, once — and hot-swaps the new
+//     generation in without blocking in-flight runs (immutable
+//     snapshots behind an atomic pointer; old detectors finish serving
+//     their runs untouched).
 //
 // Determinism: given the same program, executions, and schedule seeds,
 // the sequence of refinement generations (refined-DB serializations
@@ -41,7 +42,6 @@ import (
 
 	"oha/internal/artifacts"
 	"oha/internal/core"
-	"oha/internal/inc"
 	"oha/internal/interp"
 	"oha/internal/invariants"
 	"oha/internal/ir"
@@ -54,19 +54,15 @@ const maxGenerations = 64
 
 // Options configures a Manager.
 type Options struct {
-	// Metrics, when non-nil, records ledger and reconciler activity.
+	// Metrics, when non-nil, records ledger and reconciler activity
+	// and the static pipeline's per-phase latencies.
 	Metrics *Metrics
 	// Static configures the static re-analysis pipeline: the artifact
 	// cache that memoizes static artifacts across generations (strongly
-	// recommended: it is what makes re-analysis incremental; nil
-	// recomputes everything per generation), parallel solver workers,
-	// and whether Reconcile may resume incrementally from the previous
-	// generation's saturated solver state (requires the cache; the
-	// solver-state bundle lives there).
+	// recommended: it keeps the sound artifacts warm and shares one
+	// solve between a generation's clients; nil recomputes everything
+	// per generation) and parallel solver workers.
 	Static core.StaticConfig
-	// Inc, when non-nil, receives the static pipeline's per-phase
-	// latencies and the incremental constraint-reuse ratio.
-	Inc *inc.Metrics
 }
 
 // GenerationRecord describes one deployed configuration.
@@ -93,14 +89,6 @@ type GenerationRecord struct {
 	// ResolveSeconds is the re-analysis latency that produced this
 	// generation (0 for the base).
 	ResolveSeconds float64 `json:"resolve_seconds"`
-	// StaticMode records how the generation's static artifacts were
-	// computed: "cached", "incremental", or "scratch" (empty for the
-	// base generation and for cache-less managers).
-	StaticMode string `json:"static_mode,omitempty"`
-	// ReuseRatio is the fraction of points-to constraints inherited
-	// from the previous generation's saturated solver state (0 outside
-	// incremental mode).
-	ReuseRatio float64 `json:"reuse_ratio,omitempty"`
 }
 
 // Status is a consistent snapshot of the manager, served by the
@@ -119,12 +107,8 @@ type Status struct {
 	// (race, slice, nullcheck), keyed by core.Analysis name.
 	Clients map[string]ClientStats `json:"clients,omitempty"`
 	// PendingReconcile reports that refinements await a Reconcile.
-	PendingReconcile bool `json:"pending_reconcile"`
-	// StaticMode and IncReuseRatio mirror the latest non-base
-	// generation's static-pipeline provenance (see GenerationRecord).
-	StaticMode    string             `json:"static_mode,omitempty"`
-	IncReuseRatio float64            `json:"inc_reuse_ratio,omitempty"`
-	History       []GenerationRecord `json:"history"`
+	PendingReconcile bool               `json:"pending_reconcile"`
+	History          []GenerationRecord `json:"history"`
 	// IC aggregates the compiled engine's speculative-dispatch
 	// counters (inline-cache hits/misses/deopts, fused
 	// superinstruction executions) over every observed run.
@@ -145,7 +129,6 @@ type Manager struct {
 	prog   *ir.Program
 	met    *Metrics
 	static core.StaticConfig
-	incMet *inc.Metrics
 
 	// cur is the published generation; reads are lock-free, so
 	// in-flight runs keep their snapshot while a swap lands.
@@ -205,7 +188,6 @@ func New(prog *ir.Program, db *invariants.DB, o Options) *Manager {
 		prog:     prog,
 		met:      o.Metrics,
 		static:   o.Static,
-		incMet:   o.Inc,
 		byKind:   map[core.ViolationKind]uint64{},
 		byClient: map[string]ClientStats{},
 		latest:   db,
@@ -234,7 +216,7 @@ func current[D core.Detector[R], R core.Report](m *Manager, a core.Analysis[D, R
 
 // detector returns g's memoized detector for a, building it once.
 func detector[D core.Detector[R], R core.Report](m *Manager, g *generation, a core.Analysis[D, R]) (D, error) {
-	return memoDetector(m, g, a, func() (D, error) { return build(a, m.prog, g.db, m.static, m.incMet) })
+	return memoDetector(m, g, a, func() (D, error) { return build(a, m.prog, g.db, m.static, m.met) })
 }
 
 // memoDetector returns g's memoized detector for a, obtaining it once
@@ -252,7 +234,7 @@ func memoDetector[D core.Detector[R], R core.Report](m *Manager, g *generation, 
 				if det, ok := core.Memoized(b.det.(D), next.db); ok {
 					return det, nil
 				}
-				return build(a, m.prog, next.db, m.static, m.incMet)
+				return build(a, m.prog, next.db, m.static, m.met)
 			})
 			if err != nil {
 				return "", err
@@ -281,11 +263,11 @@ func memoDetector[D core.Detector[R], R core.Report](m *Manager, g *generation, 
 
 // build constructs a's detector for (prog, db), recording the build
 // time under a's static phase in met (nil: not recorded).
-func build[D core.Detector[R], R core.Report](a core.Analysis[D, R], prog *ir.Program, db *invariants.DB, cfg core.StaticConfig, met *inc.Metrics) (D, error) {
+func build[D core.Detector[R], R core.Report](a core.Analysis[D, R], prog *ir.Program, db *invariants.DB, cfg core.StaticConfig, met *Metrics) (D, error) {
 	start := time.Now()
 	det, err := a.Build(prog, db, cfg)
 	if err == nil && a.Phase != "" {
-		met.ObservePhase(a.Phase, a.Name, time.Since(start).Seconds())
+		met.observePhase(a.Phase, a.Name, time.Since(start).Seconds())
 	}
 	return det, err
 }
@@ -361,10 +343,11 @@ func (m *Manager) Pending() bool {
 }
 
 // Reconcile performs the background re-analysis for any pending
-// refined DB: it rebuilds the predicated static artifacts and compiled
-// masks (through the artifact cache — sound artifacts stay warm, only
-// predicated kinds re-solve under the new DB digest) and hot-swaps the
-// new generation in. In-flight runs keep their old snapshot. Returns
+// refined DB: it deploys the detectors the outgoing generation's
+// rollback chains built for it, or rebuilds them (through the artifact
+// cache — sound artifacts stay warm, only the predicated kinds each
+// client reads solve under the new DB digest), and hot-swaps the new
+// generation in. In-flight runs keep their old snapshot. Returns
 // whether a new generation was published. Safe to call from multiple
 // goroutines; at most one re-solve runs at a time, extra callers
 // return (false, nil).
@@ -396,23 +379,6 @@ func (m *Manager) Reconcile(ctx context.Context) (bool, error) {
 	}
 
 	start := time.Now()
-	// Prewarm the static artifacts through the incremental pipeline:
-	// Reanalyze resumes from the previous generation's saturated solver
-	// state (or solves in parallel from scratch) and publishes the
-	// results under the new DB's digest — so the prebuilds below find
-	// every static kind already cached and only rebuild masks +
-	// bytecode. A Reanalyze error is non-fatal: the build recomputes on
-	// its own.
-	var st inc.Stats
-	if m.static.Cache != nil {
-		if _, s, err := inc.Reanalyze(m.prog, cur.db, db, m.static.Cache, inc.Options{
-			Workers:     m.static.Workers,
-			Incremental: m.static.Incremental,
-			Metrics:     m.incMet,
-		}); err == nil {
-			st = s
-		}
-	}
 	g := newGeneration(n, db)
 	digest, err := m.prebuild(cur, g) // the eager part of the re-solve
 	if err != nil {
@@ -427,8 +393,6 @@ func (m *Manager) Reconcile(ctx context.Context) (bool, error) {
 		DBDigest:       artifacts.DBDigest(db),
 		MaskDigest:     digest,
 		ResolveSeconds: elapsed,
-		StaticMode:     st.Mode,
-		ReuseRatio:     st.ReuseRatio,
 	})
 	m.reconciling = false
 	m.cur.Store(g)
@@ -460,7 +424,7 @@ func (m *Manager) prebuild(from, g *generation) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		m.incMet.ObservePhase("masks", b.client, time.Since(start).Seconds())
+		m.met.observePhase("masks", b.client, time.Since(start).Seconds())
 		if first == "" {
 			first = digest
 		}
@@ -495,13 +459,6 @@ func (m *Manager) Status() Status {
 		st.Clients = make(map[string]ClientStats, len(m.byClient))
 		for k, v := range m.byClient {
 			st.Clients[k] = v
-		}
-	}
-	for i := len(m.history) - 1; i > 0; i-- {
-		if m.history[i].StaticMode != "" {
-			st.StaticMode = m.history[i].StaticMode
-			st.IncReuseRatio = m.history[i].ReuseRatio
-			break
 		}
 	}
 	return st
@@ -541,10 +498,10 @@ type Mode struct {
 	// Manager, when non-nil, runs a once under it (Run).
 	Manager *Manager
 	// Otherwise one detector is built for DB under Static (its build
-	// timed into Inc; nil: not recorded) and run once.
-	DB     *invariants.DB
-	Static core.StaticConfig
-	Inc    *inc.Metrics
+	// timed into Metrics; nil: not recorded) and run once.
+	DB      *invariants.DB
+	Static  core.StaticConfig
+	Metrics *Metrics
 }
 
 // Result is an analysis's final report and the detector that produced
@@ -569,7 +526,7 @@ func Analyze[D core.Detector[R], R core.Report](prog *ir.Program, a core.Analysi
 	case mode.Manager != nil:
 		return Run(mode.Manager, a, e, opts)
 	default:
-		if res.Detector, err = build(a, prog, mode.DB, mode.Static, mode.Inc); err != nil {
+		if res.Detector, err = build(a, prog, mode.DB, mode.Static, mode.Metrics); err != nil {
 			return res, err
 		}
 		res.Report, err = res.Detector.Run(e, opts)

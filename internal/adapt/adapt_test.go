@@ -10,7 +10,6 @@ import (
 
 	"oha/internal/artifacts"
 	"oha/internal/core"
-	"oha/internal/inc"
 	"oha/internal/interp"
 	"oha/internal/invariants"
 	"oha/internal/ir"
@@ -228,7 +227,7 @@ const refutedCalleeRaceSrc = `
 func TestRefineAndRetryCalleeSetRace(t *testing.T) {
 	prog := lang.MustCompile(refutedCalleeRaceSrc)
 	pr := profileDB(t, prog, []int64{0}, 10)
-	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New(""), Incremental: true}})
+	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}})
 	base, _, err := current(m, core.Race())
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +334,7 @@ func checkPrebuilds[D core.Detector[R], R core.Report](t *testing.T, prog *ir.Pr
 	name := a.Name
 	reg := metrics.NewRegistry()
 	cfg := core.StaticConfig{Cache: artifacts.New("")}
-	m := New(prog, db, Options{Static: cfg, Inc: inc.NewMetrics(reg)})
+	m := New(prog, db, Options{Static: cfg, Metrics: NewMetrics(reg)})
 	res, err := Run(m, a, core.Execution{Inputs: []int64{500}, Seed: 3}, core.RunOptions{})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -361,6 +360,33 @@ func checkPrebuilds[D core.Detector[R], R core.Report](t *testing.T, prog *ir.Pr
 	if got, want := hist[len(hist)-1].MaskDigest, det.CodeDigest(); got != want {
 		t.Errorf("%s-only manager: last mask digest %.12s, want its own detector's %.12s", name, got, want)
 	}
+}
+
+// TestStaticPhaseMetricsExposition: the static phase histogram renders
+// under its documented name with phase and client labels, and a nil
+// *Metrics records nothing and never panics.
+func TestStaticPhaseMetricsExposition(t *testing.T) {
+	reg := metrics.NewRegistry()
+	met := NewMetrics(reg)
+	met.observePhase("race", "race", 0.01)
+	met.observePhase("masks", "slice", 0.02)
+
+	var sb strings.Builder
+	if _, err := reg.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{
+		`oha_static_phase_seconds_bucket{phase="race",client="race",le=`,
+		`oha_static_phase_seconds_count{phase="masks",client="slice"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
+	}
+
+	var nilMet *Metrics
+	nilMet.observePhase("race", "race", 1)
 }
 
 // TestStatusLedgerAndMetrics checks the ledger counters, history
@@ -762,10 +788,10 @@ func TestConcurrentRunsDuringHotSwap(t *testing.T) {
 
 var errDiverged = errors.New("adapted run diverged from FastTrack")
 
-// TestWarmCacheIncrementalReanalysis: refining must re-solve only the
+// TestWarmCacheReanalysis: refining must re-solve only the
 // predicated artifacts — the sound ones (keyed on the nil DB) are
 // reused from the cache across generations.
-func TestWarmCacheIncrementalReanalysis(t *testing.T) {
+func TestWarmCacheReanalysis(t *testing.T) {
 	prog := lang.MustCompile(pathProg)
 	pr := profileDB(t, prog, []int64{5}, 20)
 	cache := artifacts.New("")
@@ -793,6 +819,104 @@ func TestWarmCacheIncrementalReanalysis(t *testing.T) {
 	final := cache.Stats()
 	if final.Misses != after.Misses {
 		t.Fatal("sound artifacts were not warm after refinement")
+	}
+}
+
+// coldProg is the quickstart program. Profiled where the worker loop
+// never runs (input 0), every client's analyzed run with input 3
+// mis-speculates on the loop body and refines.
+const coldProg = `
+	global counter = 0;
+	global m = 0;
+
+	func worker(n) {
+		var i = 0;
+		while (i < n) {
+			lock(&m);
+			counter = counter + 1;
+			unlock(&m);
+			i = i + 1;
+		}
+	}
+
+	func main() {
+		var t1 = spawn worker(input(0));
+		var t2 = spawn worker(input(0));
+		join(t1);
+		join(t2);
+		print(counter);
+	}
+`
+
+// TestRefinementSolvesOnlyItsClientsReads: a refinement under a manager
+// without a race detector solves no race pipeline for the refined
+// database, and reconciling solves nothing the run's rollback chain did
+// not: the adaptive run costs the cache exactly the misses of the same
+// run by a plain detector. The generations the chain passes through
+// (the quickstart's null chain refutes an unreachable block, then a
+// non-null load, which no points-to solve reads) share one CI
+// points-to solve.
+func TestRefinementSolvesOnlyItsClientsReads(t *testing.T) {
+	prog := lang.MustCompile(coldProg)
+	db := profileDB(t, prog, []int64{0}, 4).DB
+	e := core.Execution{Inputs: []int64{3}, Seed: 2}
+	checkRefinementSolves(t, prog, db, core.Slice(lastPrint(prog), 4096), e, 0)
+	checkRefinementSolves(t, prog, db, core.Null(), e, 1)
+}
+
+// checkRefinementSolves runs a once on e under a fresh manager and
+// checks the refinement's solves; wantPT is the number of CI points-to
+// results solved for the generations its rollback chain passed through.
+func checkRefinementSolves[D core.Detector[R], R core.Report](t *testing.T, prog *ir.Program, db *invariants.DB, a core.Analysis[D, R], e core.Execution, wantPT int) {
+	t.Helper()
+	cache := artifacts.New("")
+	m := New(prog, db, Options{Static: core.StaticConfig{Cache: cache}})
+	if _, _, err := current(m, a); err != nil {
+		t.Fatal(err)
+	}
+	before := cache.Stats().Misses
+	res, err := Run(m, a, e, core.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Generation != 2 {
+		t.Fatalf("%s: generation %d, want a refinement", a.Name, res.Generation)
+	}
+	adaptive := cache.Stats().Misses - before
+
+	// The reference: the same run by a plain detector, whose rollback
+	// chain builds the same generations.
+	ref := artifacts.New("")
+	det, err := a.Build(prog, db, core.StaticConfig{Cache: ref})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refBefore := ref.Stats().Misses
+	if _, err := det.Run(e, core.RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if plain := ref.Stats().Misses - refBefore; adaptive != plain {
+		t.Errorf("%s: the adaptive run cost %d cache misses, the plain run %d: reconciling re-solved", a.Name, adaptive, plain)
+	}
+
+	refined := m.DB()
+	for _, kind := range []string{artifacts.KindMHP, artifacts.KindStaticRace} {
+		if _, ok := cache.Peek(artifacts.RaceKey(kind, prog, refined)); ok {
+			t.Errorf("%s: the refinement solved %s for the refined database, which no %s detector reads", a.Name, kind, a.Name)
+		}
+	}
+	// One database per step of the chain: each prefix of the causes.
+	pts := map[string]bool{}
+	step := db.Clone()
+	for _, v := range m.Status().History[1].Causes {
+		v.Refine(prog, step)
+		key := artifacts.RaceKey(artifacts.KindPointsTo, prog, step)
+		if _, ok := cache.Peek(key); ok {
+			pts[key] = true
+		}
+	}
+	if len(pts) != wantPT {
+		t.Errorf("%s: the refinement solved CI points-to for %d databases, want %d", a.Name, len(pts), wantPT)
 	}
 }
 

@@ -34,6 +34,10 @@ type Metrics struct {
 	// re-analysis (static re-solve + recompile) that produced a
 	// generation.
 	ResolveSeconds *metrics.Histogram
+	// StaticPhase observes the wall-clock seconds of each static phase
+	// by phase and client: a client's detector build under its
+	// core.Analysis Phase, and each reconcile prebuild under "masks".
+	StaticPhase *metrics.HistogramVec
 }
 
 // NewMetrics registers the adaptive metrics on r (nil r: working but
@@ -47,6 +51,15 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 		Violations:          r.NewCounterVec("oha_adapt_violations_total", "Invariant violations by client and kind.", "client", "kind"),
 		Refinements:         r.NewCounter("oha_adapt_refinements_total", "Refinement generations deployed (hot-swaps)."),
 		ResolveSeconds:      r.NewHistogram("oha_adapt_resolve_seconds", "Latency of the background re-analysis producing each generation."),
+		StaticPhase:         r.NewHistogramVec("oha_static_phase_seconds", "Wall-clock seconds per static-analysis phase.", "phase", "client"),
+	}
+}
+
+// observePhase records one static phase's wall-clock seconds for one
+// client.
+func (m *Metrics) observePhase(phase, client string, secs float64) {
+	if m != nil {
+		m.StaticPhase.With(phase, client).Observe(secs)
 	}
 }
 

@@ -66,14 +66,6 @@ const (
 	// results: the discharged-site set proven under one (program,
 	// invariant database) pair. Portable via gob (IDs only).
 	KindNullProof = "nullproof"
-	// KindSolverState keys saturated points-to solver state by (IR
-	// digest, DB digest): the resume base incremental re-analysis loads
-	// so a generation-N+1 solve starts from generation N's fixpoint.
-	// The stored value is the generation bundle itself — a saturated
-	// Andersen analysis IS its own solver state. Context-insensitive
-	// bundles are portable via inc.GenerationCodec; context-sensitive
-	// ones refuse to marshal and stay memory-only.
-	KindSolverState = "solverstate"
 	// KindCustomSync keys custom-sync validated databases (extra
 	// discriminators: the executions' ExecKeys). Portable via DBCodec.
 	KindCustomSync = "customsync"
@@ -316,9 +308,8 @@ func (c *Cache) overCap() bool {
 
 // Peek returns the completed in-memory artifact stored under key, if
 // any, without computing, waiting on an in-flight compute, or touching
-// the hit/miss counters. Incremental re-analysis uses it to probe for a
-// previous generation's solver state: a miss just means "start from
-// scratch", so it must not install an entry or block.
+// the hit/miss counters: it asks which artifacts a pipeline has solved
+// without solving or counting anything itself.
 func (c *Cache) Peek(key string) (any, bool) {
 	if c == nil {
 		return nil, false
@@ -333,40 +324,6 @@ func (c *Cache) Peek(key string) (any, bool) {
 		return nil, false
 	}
 	return e.val, true
-}
-
-// PeekDisk is Peek extended to the on-disk layer: a memory miss probes
-// the disk, and a disk hit is installed as a live in-memory entry (so
-// later Memo calls hit memory). Like Peek it never computes and never
-// counts a Misses — a failed probe only bumps the disk-miss counter —
-// so incremental re-analysis can ask "does a previous generation
-// exist?" across restarts without distorting solve accounting.
-func (c *Cache) PeekDisk(key string, codec Codec) (any, bool) {
-	if v, ok := c.Peek(key); ok {
-		return v, true
-	}
-	if c == nil || codec == nil || c.dir == "" {
-		return nil, false
-	}
-	v, ok := c.loadDisk(key, codec)
-	if !ok {
-		c.diskMisses.Add(1)
-		return nil, false
-	}
-	c.diskHits.Add(1)
-	e := &entry{key: key, val: v}
-	e.once.Do(func() {})
-	e.done.Store(true)
-	c.mu.Lock()
-	if _, exists := c.entries[key]; exists {
-		// Raced with a concurrent Memo; its entry wins.
-		c.mu.Unlock()
-		return v, true
-	}
-	c.entries[key] = e
-	c.mu.Unlock()
-	c.admit(e)
-	return v, true
 }
 
 // estimateCost approximates an artifact's resident bytes for the LRU
@@ -575,13 +532,15 @@ func Key(kind string, prog *ir.Program, db *invariants.DB, budget int, extra ...
 }
 
 // RaceKey keys a race-pipeline artifact of (prog, db). It leaves
-// db.ElidableLocks out: no solver reads it (staticrace.Result.Masks
-// applies it), so a database before and after custom-sync validation
-// shares every static solve.
+// db.ElidableLocks and db.NonNullLoads out: no race-pipeline solver
+// reads them (staticrace.Result.Masks applies the first, only the null
+// proof reads the second), so a database before and after custom-sync
+// validation, or before and after a non-null-load refinement, shares
+// every points-to, MHP and static race solve.
 func RaceKey(kind string, prog *ir.Program, db *invariants.DB, extra ...string) string {
-	if db != nil && !db.ElidableLocks.IsEmpty() {
+	if db != nil && (!db.ElidableLocks.IsEmpty() || !db.NonNullLoads.IsEmpty()) {
 		c := *db
-		c.ElidableLocks = &bitset.Set{}
+		c.ElidableLocks, c.NonNullLoads = &bitset.Set{}, &bitset.Set{}
 		db = &c
 	}
 	return Key(kind, prog, db, 0, append([]string{"ci"}, extra...)...)

@@ -40,7 +40,7 @@ type Analysis[D Detector[R], R Report] struct {
 // Race is the race-detection entry point: OptFT, with full FastTrack
 // as its baseline.
 func Race() Analysis[*OptFT, *RaceReport] {
-	return Analysis[*OptFT, *RaceReport]{Name: "race", Key: "race", Build: NewOptFTStatic, Baseline: RunFastTrack}
+	return Analysis[*OptFT, *RaceReport]{Name: "race", Key: "race", Phase: "race", Build: NewOptFTStatic, Baseline: RunFastTrack}
 }
 
 // Slice is the backward-slicing entry point for one criterion and

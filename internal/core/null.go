@@ -142,8 +142,8 @@ func (c nullProofCodec) Unmarshal(data []byte) (any, error) {
 
 // nullProofFor returns the (memoized) static non-nullness proof for
 // one (program, database) pair. The points-to stage is shared with the
-// race pipeline through its own memo key, so an inc.Reanalyze prewarm
-// after a refinement serves the null client too.
+// race pipeline through its own memo key, so one solve serves both
+// clients.
 func nullProofFor(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*nullcheck.Result, error) {
 	v, err := cfg.Cache.Memo(artifacts.Key(artifacts.KindNullProof, prog, db, 0, "ci"), nullProofCodec{prog: prog}, func() (any, error) {
 		pt, err := pointsToCI(prog, db, cfg)
@@ -281,9 +281,9 @@ type OptNull struct {
 // NewOptNull runs both static analyses (predicated for speculation,
 // sound for rollback) and prepares masks. Masks are private to the
 // returned instance; the static proofs are shared through cfg.Cache
-// and must not be mutated. With a warm cache — in particular one
-// prewarmed by inc.Reanalyze after an adaptive refinement — the
-// points-to stage is served, not solved.
+// and must not be mutated. With a warm cache — in particular one a
+// race detector for the same database already filled — the points-to
+// stage is served, not solved.
 func NewOptNull(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*OptNull, error) {
 	sound, err := NewHybridNull(prog, cfg)
 	if err != nil {

@@ -1,11 +1,18 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"oha/internal/artifacts"
+	"oha/internal/ctxs"
 	"oha/internal/invariants"
+	"oha/internal/ir"
 	"oha/internal/lang"
+	"oha/internal/mhp"
+	"oha/internal/pointsto"
+	"oha/internal/progen"
+	"oha/internal/staticrace"
 )
 
 // ------------------------------------------------- AggressiveDB edges
@@ -207,5 +214,169 @@ func TestCacheEliminatesRepeatedSliceSolves(t *testing.T) {
 	}
 	if plain.Static.Size() != opt1.Static.Size() || plain.AT != opt1.AT {
 		t.Error("cached and uncached slicers disagree")
+	}
+}
+
+// ------------------------------------- parallel solver determinism
+
+// solverProgram compiles one generated program and profiles a base
+// invariant DB for it.
+func solverProgram(t testing.TB, seed uint64, cfg progen.Config) (*ir.Program, *invariants.DB) {
+	t.Helper()
+	prog, err := lang.Compile(progen.Generate(seed, cfg))
+	if err != nil {
+		t.Fatalf("seed %d: compile: %v", seed, err)
+	}
+	inputs := make([]int64, 8)
+	for j := range inputs {
+		z := seed*1000 + uint64(j) + 0x9e3779b97f4a7c15
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		inputs[j] = int64((z ^ (z >> 27)) % 100)
+	}
+	pr, err := Profile(prog, func(run int) Execution {
+		return Execution{Inputs: inputs, Seed: uint64(run + 1)}
+	}, 8)
+	if err != nil {
+		t.Fatalf("seed %d: profile: %v", seed, err)
+	}
+	return prog, pr.DB
+}
+
+// weakening is one single-fact removal from a profiled DB.
+type weakening struct {
+	name string
+	db   *invariants.DB
+}
+
+// singleFactWeakenings enumerates every single-fact removal the
+// refinement rules can produce from db (capped per category so the
+// exhaustive product stays fast).
+func singleFactWeakenings(prog *ir.Program, db *invariants.DB) []weakening {
+	const perKind = 6
+	var out []weakening
+	n := 0
+	for _, fn := range prog.Funcs {
+		for _, b := range fn.Blocks {
+			if db.Visited.Has(b.ID) || n >= perKind {
+				continue
+			}
+			w := db.Clone()
+			if w.MarkVisited(b.ID) {
+				out = append(out, weakening{fmt.Sprintf("visit-block-%d", b.ID), w})
+				n++
+			}
+		}
+	}
+	db.SingletonSpawns.ForEach(func(site int) bool {
+		w := db.Clone()
+		if w.RetractSingletonSpawn(site) {
+			out = append(out, weakening{fmt.Sprintf("retract-singleton-%d", site), w})
+		}
+		return true
+	})
+	seenGroup := map[int]bool{}
+	for pair := range db.MustAliasLocks {
+		if seenGroup[pair.A] {
+			continue
+		}
+		w := db.Clone()
+		if w.DropMustAliasGroup(pair.A) > 0 {
+			out = append(out, weakening{fmt.Sprintf("drop-alias-%d", pair.A), w})
+			// Group members share the outcome; skip their duplicates.
+			for p := range db.MustAliasLocks {
+				if !w.MustAliasLocks[p] {
+					seenGroup[p.A], seenGroup[p.B] = true, true
+				}
+			}
+		}
+	}
+	n = 0
+	for _, in := range prog.Instrs {
+		if in.Op != ir.OpCall && in.Op != ir.OpSpawn || in.Callee != nil || n >= perKind {
+			continue
+		}
+		for _, fn := range prog.Funcs {
+			if set, ok := db.Callees[in.ID]; ok && set.Has(fn.ID) {
+				continue
+			}
+			w := db.Clone()
+			if w.WidenCallees(in.ID, fn.ID) {
+				out = append(out, weakening{fmt.Sprintf("widen-call-%d-fn-%d", in.ID, fn.ID), w})
+				n++
+			}
+			break // one widened callee per site is enough
+		}
+	}
+	if w := db.Clone(); w.ClearElidableLocks() {
+		out = append(out, weakening{"clear-elidable", w})
+	}
+	for _, in := range prog.Instrs {
+		if in.Op == ir.OpCall {
+			w := db.Clone()
+			if w.AddContext([]int{in.ID}) {
+				out = append(out, weakening{fmt.Sprintf("add-context-%d", in.ID), w})
+			}
+			break
+		}
+	}
+	return out
+}
+
+// raceMaskDigest renders the elision masks a static race result
+// compiles for db.
+func raceMaskDigest(sr *staticrace.Result, db *invariants.DB) string {
+	mem, sync := sr.Masks(db)
+	return fmt.Sprintf("%v|%v", mem, sync)
+}
+
+// TestParallelSolveEquivalence: for every generated program and every
+// single-fact removal from its profiled DB, the parallel points-to and
+// race-pair solvers at 1, 2 and 8 workers produce digests bit-identical
+// to the sequential pipeline, for points-to, race pairs and masks.
+func TestParallelSolveEquivalence(t *testing.T) {
+	for seed := uint64(0); seed < 4; seed++ {
+		prog, base := solverProgram(t, seed, progen.DefaultConfig())
+		weaks := singleFactWeakenings(prog, base)
+		if len(weaks) == 0 {
+			t.Fatalf("seed %d: no weakenings enumerated", seed)
+		}
+		for _, w := range weaks {
+			pt, err := pointsto.Analyze(prog, ctxs.NewCI(prog), w.db)
+			if err != nil {
+				t.Fatalf("seed %d %s: pointsto: %v", seed, w.name, err)
+			}
+			sr := staticrace.Analyze(prog, pt, mhp.Analyze(prog, pt, w.db), w.db)
+			wantPT, wantRace, wantMasks := pt.CanonicalDigest(), sr.CanonicalDigest(), raceMaskDigest(sr, w.db)
+
+			for _, workers := range []int{1, 2, 8} {
+				pt, err := pointsto.AnalyzeParallel(prog, ctxs.NewCI(prog), w.db, workers)
+				if err != nil {
+					t.Fatalf("seed %d %s: parallel(%d): %v", seed, w.name, workers, err)
+				}
+				if got := pt.CanonicalDigest(); got != wantPT {
+					t.Fatalf("seed %d %s: parallel(%d) points-to digest diverged", seed, w.name, workers)
+				}
+				m := mhp.Analyze(prog, pt, w.db)
+				sr := staticrace.AnalyzeParallel(prog, pt, m, w.db, workers)
+				if got := sr.CanonicalDigest(); got != wantRace {
+					t.Fatalf("seed %d %s: parallel(%d) race digest diverged", seed, w.name, workers)
+				}
+				if got := raceMaskDigest(sr, w.db); got != wantMasks {
+					t.Fatalf("seed %d %s: parallel(%d) masks diverged", seed, w.name, workers)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPointsToParallel measures the sharded worklist solver
+// (GOMAXPROCS workers) on a larger generated program.
+func BenchmarkPointsToParallel(b *testing.B) {
+	prog, db := solverProgram(b, 3, progen.Config{Funcs: 24, Workers: 6, MaxDepth: 4, MaxStmts: 10})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pointsto.AnalyzeParallel(prog, ctxs.NewCI(prog), db, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -34,11 +34,10 @@ type RaceReport struct {
 }
 
 // StaticConfig tunes how the static pipelines are computed. The zero
-// value is the parallel from-scratch pipeline with no memoization.
-// Results are digest-identical for every configuration, so
-// Workers/Incremental are deliberately NOT part of the static artifact
-// cache keys: a result solved with 8 workers serves a sequential
-// consumer, and vice versa.
+// value is the parallel pipeline with no memoization. Results are
+// digest-identical for every worker count, so Workers is deliberately
+// NOT part of the static artifact cache keys: a result solved with 8
+// workers serves a sequential consumer, and vice versa.
 // The NoIC/NoFusion engine toggles, by contrast, change the compiled
 // image and ARE part of the compiled-image key (interp.Code's config
 // digest) — though never the analysis results, which stay bit-
@@ -50,12 +49,6 @@ type StaticConfig struct {
 	// Workers bounds the parallel points-to and race-pair solvers
 	// (0 = GOMAXPROCS, 1 = sequential).
 	Workers int
-	// Incremental lets consumers (the adapt reconciler, the server job
-	// pool) resume from a previous generation's saturated solver state
-	// via internal/inc. It has no effect inside this package — the
-	// cached constructors here only compute from scratch — but travels
-	// with the config so callers thread one value.
-	Incremental bool
 	// NoIC disables speculative inline caches at indirect call sites
 	// (cmd/oha -ic=off). Observable behavior is unchanged either way.
 	NoIC bool
@@ -271,8 +264,8 @@ func NewOptFTCached(prog *ir.Program, db *invariants.DB, cache *artifacts.Cache)
 // configuration. Masks and derived state are always private to the
 // returned instance; only the immutable static results are shared
 // through cfg.Cache. With a warm cache — in particular one prewarmed
-// by inc.Reanalyze after an adaptive refinement, or by ProfileWith's
-// custom-sync validation — no static solving happens here at all.
+// by ProfileWith's custom-sync validation — no static solving happens
+// here at all.
 func NewOptFTStatic(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*OptFT, error) {
 	sound, err := NewHybridFT(prog, cfg)
 	if err != nil {
@@ -405,9 +398,11 @@ func hasLock(prog *ir.Program) bool {
 }
 
 // validatedDB returns a copy of db whose ElidableLocks is the set
-// validateLocks keeps on execs, memoized by IR digest, db's digest
-// without ElidableLocks, run bounds and the executions' ExecKeys. On a
-// miss, static supplies the predicated and sound race analyses.
+// validateLocks keeps on execs, memoized by IR digest, db's race key
+// (its digest without ElidableLocks and NonNullLoads), run bounds and
+// the executions' ExecKeys; only the cached database's ElidableLocks is
+// read. On a miss, static supplies the predicated and sound race
+// analyses.
 func validatedDB(prog *ir.Program, db *invariants.DB, execs []Execution, cache *artifacts.Cache, opts RunOptions,
 	static func() (*staticrace.Result, *HybridFT, error)) (*invariants.DB, error) {
 	extra := []string{fmt.Sprintf("q%d/max%d", opts.Quantum, opts.MaxSteps)}
@@ -430,7 +425,9 @@ func validatedDB(prog *ir.Program, db *invariants.DB, execs []Execution, cache *
 	if err != nil {
 		return nil, err
 	}
-	return v.(*invariants.DB).Clone(), nil
+	out := db.Clone()
+	out.ElidableLocks = v.(*invariants.DB).ElidableLocks.Clone()
+	return out, nil
 }
 
 // validateLocks performs the iterative no-custom-synchronization

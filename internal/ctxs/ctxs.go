@@ -137,26 +137,6 @@ func (t *Tree) Len() int { return len(t.nodes) }
 // CtxsOf returns all contexts of a function.
 func (t *Tree) CtxsOf(fn *ir.Function) []ID { return t.byFn[fn.ID] }
 
-// Clone returns a deep copy of the tree. Context IDs are preserved, so
-// analysis state keyed by ID stays valid against the clone; path slices
-// are shared (Extend never mutates an existing path). An incremental
-// re-analysis clones the tree before extending it, leaving the original
-// — typically owned by a cached Result — untouched.
-func (t *Tree) Clone() *Tree {
-	c := &Tree{prog: t.prog, sensitive: t.sensitive, budget: t.budget, allowed: t.allowed}
-	c.nodes = append([]node(nil), t.nodes...)
-	c.intern = make(map[[3]int]ID, len(t.intern))
-	for k, v := range t.intern {
-		c.intern[k] = v
-	}
-	c.fnCtx = append([]ID(nil), t.fnCtx...)
-	c.byFn = make([][]ID, len(t.byFn))
-	for i, s := range t.byFn {
-		c.byFn[i] = append([]ID(nil), s...)
-	}
-	return c
-}
-
 // Extend walks a call edge: from context c, call site `site` invoking
 // callee. For CI trees it returns the callee's single context. For CS
 // trees it returns the interned or fresh clone, collapses recursion,

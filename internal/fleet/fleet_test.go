@@ -276,7 +276,7 @@ func TestFleetDigestRoutingAndPolling(t *testing.T) {
 // history, and a non-owner frontend reads the history remotely.
 func TestFleetReplicationConvergesWithAdaptGeneration(t *testing.T) {
 	fleet := newTestFleet(t, 3, server.Config{
-		Workers: 2, QueueSize: 16, JobTimeout: 30 * time.Second, Incremental: true,
+		Workers: 2, QueueSize: 16, JobTimeout: 30 * time.Second,
 	})
 	nodes := byAddr(fleet)
 	c := client(t, fleet[0])

@@ -1,7 +1,7 @@
 // Package fleet turns the single-process ohad daemon into a sharded,
 // replicated multi-node service. Everything the pipeline stores is
-// already content-addressed (programs, compiled images, solver-state
-// bundles key on SHA-256 digests), so placement is pure arithmetic: a
+// already content-addressed (programs, compiled images, static
+// artifacts key on SHA-256 digests), so placement is pure arithmetic: a
 // consistent-hash ring over the static member list maps every digest
 // to an owner and a replica set, any node can accept any request and
 // forward it to the owner, and the versioned invariant store

@@ -150,12 +150,20 @@ func (db *DB) MergeInto(run *DB) bool {
 	}
 	changed = db.SingletonSpawns.IntersectWith(run.SingletonSpawns) || changed
 	changed = db.ElidableLocks.IntersectWith(run.ElidableLocks) || changed
-	for site, set := range run.Callees {
-		if cur, ok := db.Callees[site]; ok {
-			changed = cur.UnionWith(set) || changed
-		} else {
-			db.Callees[site] = set.Clone()
-			changed = true
+	// A nil Callees map (the invariant switched off) constrains no
+	// site, so it absorbs every union.
+	switch {
+	case db.Callees == nil:
+	case run.Callees == nil:
+		db.Callees, changed = nil, true
+	default:
+		for site, set := range run.Callees {
+			if cur, ok := db.Callees[site]; ok {
+				changed = cur.UnionWith(set) || changed
+			} else {
+				db.Callees[site] = set.Clone()
+				changed = true
+			}
 		}
 	}
 	changed = db.Contexts.UnionWith(run.Contexts) || changed
@@ -223,7 +231,7 @@ func (db *DB) Equal(o *DB) bool {
 			return false
 		}
 	}
-	if len(db.Callees) != len(o.Callees) {
+	if (db.Callees == nil) != (o.Callees == nil) || len(db.Callees) != len(o.Callees) {
 		return false
 	}
 	for site, s := range db.Callees {
@@ -264,18 +272,22 @@ func (db *DB) WriteTo(w io.Writer) (int64, error) {
 	b.WriteString("[elidable-locks]\n")
 	writeInts(&b, db.ElidableLocks.Slice())
 
-	b.WriteString("[callees]\n")
-	sites := make([]int, 0, len(db.Callees))
-	for s := range db.Callees {
-		sites = append(sites, s)
-	}
-	sort.Ints(sites)
-	for _, s := range sites {
-		fmt.Fprintf(&b, "%d:", s)
-		for _, f := range db.Callees[s].Slice() {
-			fmt.Fprintf(&b, " %d", f)
+	// A nil Callees map (the invariant switched off) has no section;
+	// an empty one has an empty section (no indirect site has a callee).
+	if db.Callees != nil {
+		b.WriteString("[callees]\n")
+		sites := make([]int, 0, len(db.Callees))
+		for s := range db.Callees {
+			sites = append(sites, s)
 		}
-		b.WriteByte('\n')
+		sort.Ints(sites)
+		for _, s := range sites {
+			fmt.Fprintf(&b, "%d:", s)
+			for _, f := range db.Callees[s].Slice() {
+				fmt.Fprintf(&b, " %d", f)
+			}
+			b.WriteByte('\n')
+		}
 	}
 
 	b.WriteString("[contexts]\n")
@@ -304,9 +316,12 @@ func writeInts(b *strings.Builder, xs []int) {
 	b.WriteByte('\n')
 }
 
-// Parse reads a database in the v1 text format.
+// Parse reads a database in the v1 text format. A database without a
+// [callees] section has the callee-set invariant switched off (nil
+// Callees).
 func Parse(r io.Reader) (*DB, error) {
 	db := NewDB()
+	db.Callees = nil
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	section := ""
@@ -319,6 +334,9 @@ func Parse(r io.Reader) (*DB, error) {
 		}
 		if strings.HasPrefix(line, "[") && strings.HasSuffix(line, "]") {
 			section = line[1 : len(line)-1]
+			if section == "callees" && db.Callees == nil {
+				db.Callees = map[int]*bitset.Set{}
+			}
 			continue
 		}
 		switch section {

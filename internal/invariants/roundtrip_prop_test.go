@@ -49,13 +49,25 @@ func randDB(rng *rand.Rand) *DB {
 	return db
 }
 
+// withoutCallees returns db with the callee-set invariant switched off
+// (nil Callees), which the text format must keep apart from an empty
+// map.
+func withoutCallees(db *DB) *DB {
+	c := db.Clone()
+	c.Callees = nil
+	return c
+}
+
 // TestRoundTripProperty: Parse(Format(db)) is the identity for
 // arbitrary databases — the text format loses nothing, for any mix of
-// the seven invariant kinds.
+// the seven invariant kinds, with the callee-set invariant on or off.
 func TestRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x0ffa))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 400; trial++ {
 		db := randDB(rng)
+		if trial%2 == 1 {
+			db = withoutCallees(db)
+		}
 		var buf bytes.Buffer
 		if _, err := db.WriteTo(&buf); err != nil {
 			t.Fatalf("trial %d: write: %v", trial, err)
@@ -64,10 +76,44 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: parse: %v\n%s", trial, err, buf.String())
 		}
-		if !got.Equal(db) {
+		if !got.Equal(db) || (got.Callees == nil) != (db.Callees == nil) {
 			t.Fatalf("trial %d: round trip changed the database\ncounts in  %+v\ncounts out %+v\ntext:\n%s",
 				trial, db.Count(), got.Count(), buf.String())
 		}
+	}
+}
+
+// TestNilAndEmptyCalleesDiffer: a nil Callees map (invariant off) and an
+// empty one (no indirect site has a callee) are different databases, so
+// their texts, and with them every digest built on the text, differ;
+// Clone keeps each as it is.
+func TestNilAndEmptyCalleesDiffer(t *testing.T) {
+	empty := NewDB()
+	off := withoutCallees(empty)
+	if empty.Equal(off) || off.Equal(empty) {
+		t.Fatal("nil and empty Callees compare equal")
+	}
+	var a, b bytes.Buffer
+	if _, err := empty.WriteTo(&a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := off.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("nil and empty Callees serialize the same:\n%s", a.String())
+	}
+	if off.Clone().Callees != nil || empty.Clone().Callees == nil {
+		t.Fatal("Clone does not keep nil and empty Callees apart")
+	}
+	// Merging with the invariant off switches it off: nil constrains no
+	// site, the top of the union.
+	m := empty.Clone()
+	if !m.MergeInto(off) || m.Callees != nil {
+		t.Fatal("merge with nil Callees kept the callee-set invariant on")
+	}
+	if m.MergeInto(empty) || m.Callees != nil {
+		t.Fatal("merge into nil Callees turned the callee-set invariant back on")
 	}
 }
 
@@ -77,8 +123,11 @@ func TestRoundTripProperty(t *testing.T) {
 // this).
 func TestFormatCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xa11a))
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 100; trial++ {
 		db := randDB(rng)
+		if trial%2 == 1 {
+			db = withoutCallees(db)
+		}
 		var first bytes.Buffer
 		if _, err := db.WriteTo(&first); err != nil {
 			t.Fatal(err)

@@ -19,9 +19,6 @@
 package mhp
 
 import (
-	"fmt"
-	"strings"
-
 	"oha/internal/bitset"
 	"oha/internal/invariants"
 	"oha/internal/ir"
@@ -38,8 +35,6 @@ type Result struct {
 	roots []*bitset.Set
 	// multi[r] = the root may have multiple simultaneous threads.
 	multi []bool
-	// rootSite[r] = spawn-site instr ID (-1 for main).
-	rootSite []int
 	// order[r] = fork-join ordering info for singleton roots spawned
 	// directly by main (nil when unavailable).
 	order   []*forkJoin
@@ -131,14 +126,11 @@ func Analyze(prog *ir.Program, pt *pointsto.Result, db *invariants.DB) *Result {
 		}
 	}
 	r.multi = make([]bool, len(roots))
-	r.rootSite = make([]int, len(roots))
 	r.order = make([]*forkJoin, len(roots))
 	r.reach = reach
 	r.mainDom = ir.Dominators(prog.Main())
-	r.rootSite[rootMain] = -1
 	for rid, info := range roots[1:] {
 		in := info.site
-		r.rootSite[rid+1] = in.ID
 		if db != nil {
 			// Predicated: assume the likely singleton-thread invariant.
 			r.multi[rid+1] = !db.SingletonSpawns.Has(in.ID)
@@ -281,32 +273,6 @@ func (r *Result) mainOrderedWithRoot(mainInstr *ir.Instr, root int) bool {
 		}
 	}
 	return false
-}
-
-// FnSig returns a canonical signature of everything MHP consults about
-// a function's instructions: the descriptors of its thread roots (spawn
-// site, multiplicity, fork-join spawn/join instruction IDs). Root
-// identity is the spawn site (each site contributes at most one root,
-// -1 for main), so the signature is comparable across analyses with
-// different internal root numbering. MHP(a, b) is a pure function of
-// (a, b, FnSig(a's function), FnSig(b's function)) plus program-static
-// CFG facts (reachability, dominators), so when two analyses agree on
-// both signatures they agree on every MHP(a, b) verdict — the property
-// incremental static race analysis uses to skip unchanged access pairs.
-func (r *Result) FnSig(f *ir.Function) string {
-	var sb strings.Builder
-	r.roots[f.ID].ForEach(func(rid int) bool {
-		fmt.Fprintf(&sb, "%d:%t", r.rootSite[rid], r.multi[rid])
-		if fj := r.order[rid]; fj != nil {
-			fmt.Fprintf(&sb, ":s%d", fj.spawn.ID)
-			for _, j := range fj.joins {
-				fmt.Fprintf(&sb, ",j%d", j.ID)
-			}
-		}
-		sb.WriteByte(';')
-		return true
-	})
-	return sb.String()
 }
 
 // RootsOf returns the thread-root ids of a function (diagnostics).

@@ -21,19 +21,17 @@ type wireForkJoin struct {
 }
 
 type wireMHP struct {
-	Roots    [][]uint64 // per-function root sets, word images
-	Multi    []bool
-	RootSite []int
-	Order    []wireForkJoin
+	Roots [][]uint64 // per-function root sets, word images
+	Multi []bool
+	Order []wireForkJoin
 }
 
 // Encode serializes the result for the disk tier.
 func (r *Result) Encode() ([]byte, error) {
 	w := wireMHP{
-		Multi:    append([]bool(nil), r.multi...),
-		RootSite: append([]int(nil), r.rootSite...),
-		Roots:    make([][]uint64, len(r.roots)),
-		Order:    make([]wireForkJoin, len(r.order)),
+		Multi: append([]bool(nil), r.multi...),
+		Roots: make([][]uint64, len(r.roots)),
+		Order: make([]wireForkJoin, len(r.order)),
 	}
 	for i, s := range r.roots {
 		if s != nil {
@@ -67,10 +65,10 @@ func DecodeResult(prog *ir.Program, data []byte) (*Result, error) {
 		return nil, fmt.Errorf("mhp: decode: %s", fmt.Sprintf(format, args...))
 	}
 	nroots := len(w.Multi)
-	if len(w.RootSite) != nroots || len(w.Order) != nroots {
-		return bad("root tables disagree: multi=%d site=%d order=%d", nroots, len(w.RootSite), len(w.Order))
+	if len(w.Order) != nroots {
+		return bad("root tables disagree: multi=%d order=%d", nroots, len(w.Order))
 	}
-	if nroots == 0 || w.RootSite[rootMain] != -1 {
+	if nroots == 0 {
 		return bad("missing main root")
 	}
 	if len(w.Roots) != len(prog.Funcs) {
@@ -87,13 +85,12 @@ func DecodeResult(prog *ir.Program, data []byte) (*Result, error) {
 		return in, nil
 	}
 	r := &Result{
-		prog:     prog,
-		multi:    w.Multi,
-		rootSite: w.RootSite,
-		roots:    make([]*bitset.Set, len(w.Roots)),
-		order:    make([]*forkJoin, nroots),
-		reach:    ir.ComputeReach(prog),
-		mainDom:  ir.Dominators(prog.Main()),
+		prog:    prog,
+		multi:   w.Multi,
+		roots:   make([]*bitset.Set, len(w.Roots)),
+		order:   make([]*forkJoin, nroots),
+		reach:   ir.ComputeReach(prog),
+		mainDom: ir.Dominators(prog.Main()),
 	}
 	for i, words := range w.Roots {
 		s := bitset.FromWords(words)
@@ -109,11 +106,6 @@ func DecodeResult(prog *ir.Program, data []byte) (*Result, error) {
 			return bad("function %d names an out-of-range root", i)
 		}
 		r.roots[i] = s
-	}
-	for rid := 1; rid < nroots; rid++ {
-		if _, err := instr(w.RootSite[rid], ir.OpSpawn, "root-site"); err != nil {
-			return nil, err
-		}
 	}
 	for rid, fj := range w.Order {
 		if !fj.Present {

@@ -92,11 +92,6 @@ func (r *Result) CanonicalDigest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// ConstraintCount returns the number of constraint seedings this
-// analysis performed. A resumed analysis inherits its base run's count,
-// so baseCount/resumedCount is the fraction of constraints reused.
-func (r *Result) ConstraintCount() int { return r.a.nSeedings }
-
 // objKey renders an object's canonical descriptor.
 func (a *analysis) objKey(oid int) string {
 	o := a.objs[oid]

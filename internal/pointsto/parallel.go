@@ -110,7 +110,7 @@ func (a *analysis) solveParallel(workers int) error {
 		}
 		sort.Ints(targets)
 		for _, m := range targets {
-			if a.mutPts(m).UnionChanged(merged[m]) {
+			if a.pts[m].UnionChanged(merged[m]) {
 				a.push(m)
 			}
 		}

@@ -75,16 +75,10 @@ type analysis struct {
 
 	// Node space: per-context register nodes + a return node, plus one
 	// content node per object.
-	ctxBase   map[ctxs.ID]int
-	contentOf map[int]int // object ID -> its content node
-	nNodes    int
-	pts       []*bitset.Set
-	// sharedPts marks pts entries still shared with the resume parent
-	// (copy-on-write: clone shares every saturated set and a set is
-	// copied only when the refinement delta actually grows it). nil
-	// outside resumed analyses; nodes created after the clone sit past
-	// its end and are never shared.
-	sharedPts  []bool
+	ctxBase    map[ctxs.ID]int
+	contentOf  map[int]int // object ID -> its content node
+	nNodes     int
+	pts        []*bitset.Set
 	copyTo     [][]int // copy edges
 	loadUsers  [][]int // addr node -> dst nodes of loads through it
 	storeSrcs  [][]src // addr node -> value sources of stores through it
@@ -98,17 +92,6 @@ type analysis struct {
 	ctxCallees map[callKey2][]ctxs.ID
 	seeded     []*ir.Instr // instructions included in the analysis (deduped)
 	seenInstr  map[int]bool
-
-	// siteCtxs is the fact -> constraint dependency index for call
-	// sites: the contexts whose constraints mention each call/spawn
-	// site. Incremental re-analysis consults it when a callee-set fact
-	// is removed (widened), so only the constraints that mentioned the
-	// site are re-seeded; block facts use seededCtx the same way.
-	siteCtxs map[int][]ctxs.ID
-	// nSeedings counts constraint seedings (seedInstr calls). An
-	// incremental resume inherits the base run's count, so
-	// prev/new is the fraction of constraints reused.
-	nSeedings int
 }
 
 // src is a points-to "source": a node or a constant object.
@@ -165,7 +148,6 @@ func newAnalysis(prog *ir.Program, tree *ctxs.Tree, db *invariants.DB) *analysis
 		fnCallees:  map[int]map[int]bool{},
 		ctxCallees: map[callKey2][]ctxs.ID{},
 		seenInstr:  map[int]bool{},
-		siteCtxs:   map[int][]ctxs.ID{},
 	}
 	a.funcObj = make([]int, len(prog.Funcs))
 	for i := range a.funcObj {
@@ -250,19 +232,9 @@ func (a *analysis) push(n int) {
 	}
 }
 
-// mutPts returns pts[n] for mutation, un-sharing it first if it is
-// still shared with the resume parent.
-func (a *analysis) mutPts(n int) *bitset.Set {
-	if n < len(a.sharedPts) && a.sharedPts[n] {
-		a.pts[n] = a.pts[n].Clone()
-		a.sharedPts[n] = false
-	}
-	return a.pts[n]
-}
-
 // addObj seeds object o into node n's points-to set.
 func (a *analysis) addObj(n, o int) {
-	if a.mutPts(n).Add(o) {
+	if a.pts[n].Add(o) {
 		a.push(n)
 	}
 }
@@ -270,7 +242,7 @@ func (a *analysis) addObj(n, o int) {
 // copyEdge adds n -> m and propagates current contents.
 func (a *analysis) copyEdge(n, m int) {
 	a.copyTo[n] = append(a.copyTo[n], m)
-	if a.mutPts(m).UnionChanged(a.pts[n]) {
+	if a.pts[m].UnionChanged(a.pts[n]) {
 		a.push(m)
 	}
 }
@@ -330,7 +302,6 @@ func (a *analysis) seedCtx(c ctxs.ID) error {
 }
 
 func (a *analysis) seedInstr(c ctxs.ID, in *ir.Instr) error {
-	a.nSeedings++
 	switch in.Op {
 	case ir.OpCopy:
 		a.flowTo(a.operandSrc(c, in.A), a.varNode(c, in.Dst))
@@ -374,7 +345,6 @@ func (a *analysis) seedInstr(c ctxs.ID, in *ir.Instr) error {
 			})
 		}
 	case ir.OpCall, ir.OpSpawn:
-		a.siteCtxs[in.ID] = append(a.siteCtxs[in.ID], c)
 		if in.Callee != nil {
 			return a.wireCall(c, in, in.Callee)
 		}
@@ -492,7 +462,7 @@ func (a *analysis) processNode(n int) error {
 
 	// Copy successors.
 	for _, m := range a.copyTo[n] {
-		if a.mutPts(m).UnionChanged(np) {
+		if a.pts[m].UnionChanged(np) {
 			a.push(m)
 		}
 	}

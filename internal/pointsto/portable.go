@@ -2,8 +2,7 @@
 // artifact cache's disk tier can restore a solved analysis across
 // process restarts without re-running the solver. Only context-
 // insensitive results are portable: a CS tree's identity includes
-// interned call paths and a live budget (and Resume only supports CI),
-// so CS artifacts stay memory-only — Encode returns an error and the
+// interned call paths and a live budget, so CS artifacts stay memory-only — Encode returns an error and the
 // cache treats it as "don't persist".
 //
 // The wire form replaces every pointer with a stable ID (instruction
@@ -75,8 +74,6 @@ type wireAnalysis struct {
 	FnCallees  []wireIntSet
 	CtxCallees []wireCtxCallees
 	Seeded     []int
-	SiteCtxs   []wireIntSet
-	NSeedings  int
 }
 
 func sortedPairs(m map[int]int) []wirePair {
@@ -106,7 +103,6 @@ func (r *Result) Encode() ([]byte, error) {
 		NNodes:    a.nNodes,
 		LockSites: append([]bool(nil), a.lockSites...),
 		Seeded:    make([]int, len(a.seeded)),
-		NSeedings: a.nSeedings,
 	}
 	w.Objs = make([]wireObject, len(a.objs))
 	for i, o := range a.objs {
@@ -181,14 +177,6 @@ func (r *Result) Encode() ([]byte, error) {
 	for i, in := range a.seeded {
 		w.Seeded[i] = in.ID
 	}
-	for site, cs := range a.siteCtxs {
-		e := wireIntSet{K: site}
-		for _, c := range cs {
-			e.Vs = append(e.Vs, int(c)) // seeding order preserved
-		}
-		w.SiteCtxs = append(w.SiteCtxs, e)
-	}
-	sort.Slice(w.SiteCtxs, func(i, j int) bool { return w.SiteCtxs[i].K < w.SiteCtxs[j].K })
 
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
@@ -365,19 +353,5 @@ func DecodeResult(prog *ir.Program, db *invariants.DB, data []byte) (*Result, er
 		a.seeded[i] = prog.Instrs[id]
 		a.seenInstr[id] = true
 	}
-	for _, e := range w.SiteCtxs {
-		if !okInstr(e.K) {
-			return bad("siteCtxs site %d out of range", e.K)
-		}
-		var cs []ctxs.ID
-		for _, c := range e.Vs {
-			if !okCtx(c) {
-				return bad("siteCtxs[%d] context %d out of range", e.K, c)
-			}
-			cs = append(cs, ctxs.ID(c))
-		}
-		a.siteCtxs[e.K] = cs
-	}
-	a.nSeedings = w.NSeedings
 	return &Result{Prog: prog, Tree: tree, a: a}, nil
 }

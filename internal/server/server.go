@@ -52,7 +52,6 @@ import (
 	"oha/internal/adapt"
 	"oha/internal/artifacts"
 	"oha/internal/core"
-	"oha/internal/inc"
 	"oha/internal/interp"
 	"oha/internal/invariants"
 	"oha/internal/ir"
@@ -79,10 +78,6 @@ type Config struct {
 	// StaticWorkers bounds the parallel static solvers (0: GOMAXPROCS,
 	// 1: sequential).
 	StaticWorkers int
-	// Incremental lets adaptive re-analysis resume from the previous
-	// generation's saturated solver state instead of re-solving from
-	// scratch.
-	Incremental bool
 	// NoFastPath disables the compiled engine's inline analysis fast
 	// paths for every job (a debugging/ablation toggle — results are
 	// identical either way, only tracing speed changes).
@@ -134,10 +129,8 @@ type Server struct {
 	fpHits *metrics.CounterVec
 	fpSlow *metrics.CounterVec
 
-	// static configures the static pipeline for every job; incMetrics
-	// is the shared per-phase latency + incremental-reuse family.
-	static     core.StaticConfig
-	incMetrics *inc.Metrics
+	// static configures the static pipeline for every job.
+	static core.StaticConfig
 
 	// Adaptive speculation state: one manager per (program, invariant
 	// DB version) pair, created lazily by the first adapt-enabled job
@@ -186,10 +179,9 @@ func New(cfg Config) (*Server, error) {
 		reg:      metrics.NewRegistry(),
 		mux:      http.NewServeMux(),
 		adapters: map[adaptKey]*adapt.Manager{},
-		static:   core.StaticConfig{Cache: cache, Workers: cfg.StaticWorkers, Incremental: cfg.Incremental, NoFastPath: cfg.NoFastPath},
+		static:   core.StaticConfig{Cache: cache, Workers: cfg.StaticWorkers, NoFastPath: cfg.NoFastPath},
 	}
 	s.adaptMetrics = adapt.NewMetrics(s.reg)
-	s.incMetrics = inc.NewMetrics(s.reg)
 	s.httpRequests = s.reg.NewCounterVec("ohad_http_requests_total", "HTTP requests by route", "route")
 	s.jobsSubmitted = s.reg.NewCounterVec("ohad_jobs_submitted_total", "accepted jobs by kind", "kind")
 	s.jobsRejected = s.reg.NewCounter("ohad_jobs_rejected_total", "jobs rejected by queue backpressure")
@@ -716,7 +708,6 @@ func (s *Server) adapter(sp *StoredProgram, req JobRequest) (*adapt.Manager, err
 		m = adapt.New(sp.Prog, db, adapt.Options{
 			Metrics: s.adaptMetrics,
 			Static:  s.static,
-			Inc:     s.incMetrics,
 		})
 		s.adapters[key] = m
 		s.adaptOrder = append(s.adaptOrder, key)
@@ -931,7 +922,7 @@ func analyze[D core.Detector[R], R core.Report, W any](ctx context.Context, s *S
 		mode.Manager, err = s.adapter(sp, req)
 	default:
 		mode.DB, _, err = s.resolveDB(req)
-		mode.Static, mode.Inc = s.static, s.incMetrics
+		mode.Static, mode.Metrics = s.static, s.adaptMetrics
 	}
 	if err != nil {
 		return nil, err

@@ -32,8 +32,8 @@ func (r *Result) Masks(db *invariants.DB) (mem, sync []bool) {
 
 // CanonicalDigest digests the analysis results. Every component is
 // keyed by instruction ID, so the digest is inherently independent of
-// solver-internal numbering: sequential, parallel, and incremental
-// analyses of the same inputs produce byte-identical digests.
+// solver-internal numbering: sequential and parallel analyses of the
+// same inputs produce byte-identical digests.
 func (r *Result) CanonicalDigest() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "racy %v\n", r.Racy.Slice())

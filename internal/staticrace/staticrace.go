@@ -56,11 +56,7 @@ type Result struct {
 	Locksets map[int]*bitset.Set
 
 	// AddrPts maps access instr IDs to the points-to set of the
-	// accessed address, precomputed once per analysis. Incremental
-	// re-analysis diffs these against the previous generation to find
-	// accesses whose alias verdicts may have changed (valid because a
-	// resumed points-to analysis preserves the previous run's object
-	// numbering).
+	// accessed address, precomputed once per analysis.
 	AddrPts map[int]*bitset.Set
 }
 
@@ -92,9 +88,8 @@ func Analyze(prog *ir.Program, pt *pointsto.Result, m *mhp.Result, db *invariant
 // precomputes the per-access address points-to sets. Everything that
 // can mutate solver state (pt.AddrPtsAll interns nodes) happens here
 // or in computeLocksets — which predicated callers must run before
-// enumerating (Incremental may instead reuse the previous
-// generation's locksets) — so pair enumeration afterwards is
-// read-only; the parallel enumerator relies on this.
+// enumerating — so pair enumeration afterwards is read-only; the
+// parallel enumerator relies on this.
 func prepare(prog *ir.Program, pt *pointsto.Result, db *invariants.DB) (*Result, []*ir.Instr, []*ir.Instr) {
 	res := &Result{
 		Prog:             prog,

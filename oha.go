@@ -183,12 +183,11 @@ func NewRaceDetector(prog *Program, db *InvariantDB) (*RaceDetector, error) {
 
 // StaticConfig tunes the static-analysis pipeline: the artifact cache
 // that memoizes both static analyses by (program, invariants) digest,
-// the parallel solver worker count (0 = GOMAXPROCS, 1 = sequential), whether adaptive
-// re-analysis may resume incrementally from the previous generation's
-// saturated solver state, and the compiled engine's speculative
-// dispatch lowerings (NoIC disables inline-cache seeding, NoFusion
-// disables superinstruction fusion). Every configuration produces
-// digest-identical results; only latency changes.
+// the parallel solver worker count (0 = GOMAXPROCS, 1 = sequential),
+// and the compiled engine's speculative dispatch lowerings (NoIC
+// disables inline-cache seeding, NoFusion disables superinstruction
+// fusion). Every configuration produces digest-identical results; only
+// latency changes.
 type StaticConfig = core.StaticConfig
 
 // ICStats counts the compiled engine's speculative-dispatch events

@@ -278,7 +278,7 @@ grep -q 'bye' "$LOG" || fail "daemon exited without draining"
 # --- Warm restart over the persisted disk tier ------------------------
 # A fresh daemon process over the same -cache-dir and -state-dir must
 # serve the first race job with ZERO cache misses: the compiled .ohc
-# images and the solver-state bundle all deserialize from disk.
+# images and the static artifacts all deserialize from disk.
 ls "$CACHE_DIR"/*/*.ohc >/dev/null 2>&1 || fail "no .ohc images persisted under $CACHE_DIR"
 /tmp/ohad-smoke -addr "$ADDR" -workers 2 -queue 16 \
   -cache-dir "$CACHE_DIR" -state-dir "$STATE_DIR" >"$LOG" 2>&1 &
