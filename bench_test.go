@@ -38,6 +38,7 @@ type benchSetup struct {
 	once sync.Once
 	pr   *core.ProfileResult
 	ft   *core.OptFT    // race workloads
+	hft  *core.HybridFT // race workloads
 	sl   *core.OptSlice // slice workloads
 	hy   *core.HybridSlicer
 	err  error
@@ -62,6 +63,10 @@ func setupFor(b *testing.B, w *workloads.Workload) *benchSetup {
 		switch w.Kind {
 		case workloads.Race:
 			s.ft, s.err = core.NewOptFT(w.Prog(), s.pr.DB)
+			if s.err != nil {
+				return
+			}
+			s.hft, s.err = core.NewHybridFT(w.Prog(), core.StaticConfig{Workers: 1})
 		case workloads.Slice:
 			criterion := lastPrintOf(w)
 			s.sl, s.err = core.NewOptSlice(w.Prog(), s.pr.DB, criterion, benchBudget)
@@ -144,7 +149,7 @@ func BenchmarkFig5OptVsHybrid(b *testing.B) {
 		b.Run(w.Name, func(b *testing.B) {
 			s := setupFor(b, w)
 			e := testExecOf(w, 0)
-			configs := [2]func(core.Execution, core.RunOptions) (*core.RaceReport, error){s.ft.Sound.Run, s.ft.Run}
+			configs := [2]func(core.Execution, core.RunOptions) (*core.RaceReport, error){s.hft.Run, s.ft.Run}
 			var elapsed [2]time.Duration
 			var reps [2]*core.RaceReport
 			b.ResetTimer()
@@ -220,34 +225,28 @@ func BenchmarkTable1Static(b *testing.B) {
 	}
 }
 
-// BenchmarkValidateCustomSync measures §4.2.4's custom-sync validation
-// (part of Table 1's profiling cost) on the race workloads whose
-// validated set elides lock sites, over the first four profiling
-// executions, as profiling runs it. With no artifact cache every call
-// runs the validation profiling memoizes.
-func BenchmarkValidateCustomSync(b *testing.B) {
-	for _, name := range []string{"lusearch", "raytracer", "moldyn", "pmd", "batik"} {
+// BenchmarkColdSetup measures the cold set-up of OptFT as a library
+// user pays it on the eight programs where predicated elision leaves
+// almost no FastTrack event (bench's race-elided workload): profiling,
+// which ends with the predicated race analysis proposing the elidable
+// locks, then the detector, over a fresh artifact cache per
+// iteration. The sound rollback target is not part of it: a detector
+// builds it the first time a run falls through to it.
+func BenchmarkColdSetup(b *testing.B) {
+	for _, name := range []string{"lusearch", "raytracer", "moldyn", "sor", "sparse", "series", "crypt", "lufact"} {
 		w := workloads.ByName(name)
 		b.Run(name, func(b *testing.B) {
-			execs := make([]core.Execution, 4)
-			for i := range execs {
-				execs[i] = core.Execution{Inputs: w.GenInput(i), Seed: uint64(i + 1)}
-			}
-			pr, err := core.Profile(w.Prog(), func(run int) core.Execution { return execs[run%len(execs)] }, len(execs))
-			if err != nil {
-				b.Fatal(err)
-			}
-			o, err := core.NewOptFT(w.Prog(), pr.DB)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
+			gen := func(run int) core.Execution { return core.Execution{Inputs: w.GenInput(run), Seed: uint64(run + 1)} }
 			for i := 0; i < b.N; i++ {
-				if err := o.ValidateCustomSync(execs, core.RunOptions{}); err != nil {
+				cache := artifacts.New("")
+				pr, err := core.ProfileWith(w.Prog(), gen, core.ProfileOptions{MaxRuns: benchProfileRuns, Workers: 1, Cache: cache})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := core.NewOptFTCached(w.Prog(), pr.DB, cache); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(o.DB.ElidableLocks.Len()), "elided-sites")
 		})
 	}
 }

@@ -42,7 +42,7 @@ const src = `
 func main() {
 	prog := oha.MustCompile(src)
 
-	// Phase 1: profile likely invariants (custom-sync validated).
+	// Phase 1: profile likely invariants (and propose elidable locks).
 	profile, err := oha.Profile(prog, func(run int) oha.Execution {
 		return oha.Execution{Inputs: []int64{25}, Seed: uint64(run + 1)}
 	}, 32)
@@ -51,7 +51,8 @@ func main() {
 	}
 	fmt.Printf("profiled %d executions: %+v\n\n", profile.Runs, profile.DB.Count())
 
-	// Phase 2: predicated static analysis (and the sound fallback).
+	// Phase 2: predicated static analysis (the sound fallback is built
+	// only if a run needs it).
 	det, err := oha.NewRaceDetector(prog, profile.DB)
 	if err != nil {
 		log.Fatal(err)

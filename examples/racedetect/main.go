@@ -13,8 +13,9 @@
 //     code check fires, the run rolls back, and the traditional hybrid
 //     analysis finds the race — soundness is preserved.
 //  3. A custom-synchronization hazard (Figure 4 of the paper) is
-//     caught during validation, so lock elision never produces false
-//     races.
+//     caught at run time: a race reported while lock instrumentation
+//     is elided rolls the run back to a generation with every lock
+//     instrumented, so lock elision never produces false races.
 package main
 
 import (
@@ -84,7 +85,8 @@ func main() {
 	prog := oha.MustCompile(src)
 
 	// Profile with ordinary inputs: the poison path never runs.
-	// Profiling's custom-sync validation is Figure 4's protection.
+	// Profiling proposes the elidable locks; the run-time
+	// elided-lock-race check is Figure 4's protection.
 	profile, err := oha.Profile(prog, func(run int) oha.Execution {
 		return oha.Execution{Inputs: []int64{20, int64(run % 50)}, Seed: uint64(run + 1)}
 	}, 32)

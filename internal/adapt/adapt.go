@@ -164,16 +164,15 @@ type generation struct {
 	detectors map[string]*built
 }
 
-// built is one memoized detector (or its construction error), its key
-// and client name, and how to build the same detector for another
-// generation.
+// built is one memoized detector (or its construction error), its key,
+// and how to build the same detector for another generation.
 type built struct {
-	once        sync.Once
-	det         any
-	err         error
-	ok          atomic.Bool // det is built
-	key, client string
-	again       func(g *generation) (digest string, err error)
+	once  sync.Once
+	det   any
+	err   error
+	ok    atomic.Bool // det is built
+	key   string
+	again func(g *generation) (digest string, err error)
 }
 
 func newGeneration(n int, db *invariants.DB) *generation {
@@ -225,13 +224,17 @@ func memoDetector[D core.Detector[R], R core.Report](m *Manager, g *generation, 
 	g.mu.Lock()
 	b := g.detectors[a.Key]
 	if b == nil {
-		b = &built{key: a.Key, client: a.Name}
+		b = &built{key: a.Key}
 		b.again = func(next *generation) (string, error) {
 			det, err := memoDetector(m, next, a, func() (D, error) {
 				// The outgoing detector's rollback chain has usually
 				// built next's database already: deploy that
-				// generation rather than build the same detector twice.
+				// generation, timed under "masks", rather than build
+				// the same detector twice. A build is timed under a's
+				// own phase only.
+				start := time.Now()
 				if det, ok := core.Memoized(b.det.(D), next.db); ok {
+					m.met.observePhase("masks", a.Name, time.Since(start).Seconds())
 					return det, nil
 				}
 				return build(a, m.prog, next.db, m.static, m.met)
@@ -402,11 +405,10 @@ func (m *Manager) Reconcile(ctx context.Context) (bool, error) {
 }
 
 // prebuild builds into g, in key order, every detector the outgoing
-// generation from had built (or takes the one its rollback chain
-// already built for g's database), timing each under the "masks" phase
-// with its own client's name. It returns the first one's configuration
-// digest ("" when from had built none: the first lazy build fills it
-// in).
+// generation from had built, or takes the one its rollback chain
+// already built for g's database (see memoDetector's again). It
+// returns the first one's configuration digest ("" when from had built
+// none: the first lazy build fills it in).
 func (m *Manager) prebuild(from, g *generation) (string, error) {
 	from.mu.Lock()
 	var bs []*built
@@ -419,12 +421,10 @@ func (m *Manager) prebuild(from, g *generation) (string, error) {
 	sort.Slice(bs, func(i, j int) bool { return bs[i].key < bs[j].key })
 	first := ""
 	for _, b := range bs {
-		start := time.Now()
 		digest, err := b.again(g)
 		if err != nil {
 			return "", err
 		}
-		m.met.observePhase("masks", b.client, time.Since(start).Seconds())
 		if first == "" {
 			first = digest
 		}

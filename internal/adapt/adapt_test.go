@@ -127,6 +127,72 @@ func TestRefineAndRetryRace(t *testing.T) {
 	}
 }
 
+// TestRefineAndRetryElidedLockRace is the adaptive half of the
+// elided-lock-race cell (core's TestCustomSyncRestoresTwoGroups):
+// progen default seed 33, profiled on its first input vector, elides
+// lock sites that order its accesses, so a testing execution reports a
+// false race. The job refines exactly the elidable-locks fact, once:
+// generation 2's one cause is that fact, its database is the profiled
+// one without elidable locks, and every testing execution then runs
+// clean under it with FastTrack's report. Results are the same at
+// workers 1 and 8.
+func TestRefineAndRetryElidedLockRace(t *testing.T) {
+	inputs := randomInputs(33)
+	prog := lang.MustCompile(progen.Generate(33, progen.DefaultConfig()))
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers/%d", workers), func(t *testing.T) {
+			pr, err := core.ProfileWith(prog, func(run int) core.Execution {
+				return core.Execution{Inputs: inputs[0], Seed: uint64(run + 1)}
+			}, core.ProfileOptions{MaxRuns: 8, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pr.DB.ElidableLocks.IsEmpty() {
+				t.Fatal("profiling proposed no elidable lock")
+			}
+			m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New(""), Workers: workers}})
+			e := core.Execution{Inputs: inputs[1], Seed: 1}
+			ft, err := core.RunFastTrack(prog, e, core.RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(m, core.Race(), e, core.RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := res.Report
+			if rep.RolledBackTo != core.RollbackRefined || len(rep.Refuted) != 1 || rep.Violation.Kind != core.ViolationElidedLockRace {
+				t.Fatalf("violating run: rolled back to %q refuting %v, want one elided-lock-race refinement", rep.RolledBackTo, rep.Refuted)
+			}
+			if !core.SameRaces(ft, rep) {
+				t.Fatalf("violating run: races %v, FastTrack %v", rep.Races, ft.Races)
+			}
+			want := pr.DB.Clone()
+			want.ElidableLocks.Clear()
+			st := m.Status()
+			if st.Generation != 2 || len(st.History[1].Causes) != 1 || st.History[1].Causes[0].Kind != core.ViolationElidedLockRace || !m.DB().Equal(want) {
+				t.Fatalf("generation %d caused by %v; want generation 2 refining only the elidable locks", st.Generation, st.History[1].Causes)
+			}
+			for _, in := range inputs {
+				for seed := uint64(1); seed <= 2; seed++ {
+					e := core.Execution{Inputs: in, Seed: seed}
+					ft, err := core.RunFastTrack(prog, e, core.RunOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					again, err := Run(m, core.Race(), e, core.RunOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if again.Report.RolledBack || again.Generation != 2 || !core.SameRaces(ft, again.Report) {
+						t.Fatalf("%v under generation 2: rolledBack=%v (%v) at generation %d", e, again.Report.RolledBack, again.Report.Violation, again.Generation)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestChainOfTwoFactsIsOneGeneration: a run whose rollback chain
 // refutes two facts publishes one generation, caused by both facts,
 // whose database is the one the chain ended on; the same execution
@@ -359,6 +425,45 @@ func checkPrebuilds[D core.Detector[R], R core.Report](t *testing.T, prog *ir.Pr
 	hist := m.Status().History
 	if got, want := hist[len(hist)-1].MaskDigest, det.CodeDigest(); got != want {
 		t.Errorf("%s-only manager: last mask digest %.12s, want its own detector's %.12s", name, got, want)
+	}
+}
+
+// TestOnePhaseObservationPerDetector: after a slice refinement of a
+// manager that had built a race and a slice detector, every detector
+// the two generations got is one observation under one phase. The
+// race detector, which no rollback chain built for generation 2, is
+// rebuilt and timed under "race" only; the slice detector, deployed
+// from its rollback chain, is timed under "masks".
+func TestOnePhaseObservationPerDetector(t *testing.T) {
+	prog := lang.MustCompile(pathProg)
+	pr := profileDB(t, prog, []int64{5}, 20)
+	reg := metrics.NewRegistry()
+	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: artifacts.New("")}, Metrics: NewMetrics(reg)})
+	if res, err := Run(m, core.Race(), core.Execution{Inputs: []int64{5}, Seed: 3}, core.RunOptions{}); err != nil || res.Report.RolledBack {
+		t.Fatalf("clean race run: %v", err)
+	}
+	if res, err := Run(m, core.Slice(lastPrint(prog), 512), core.Execution{Inputs: []int64{500}, Seed: 3}, core.RunOptions{}); err != nil || res.Generation != 2 {
+		t.Fatalf("violating slice run: generation %d, %v; want a refinement", res.Generation, err)
+	}
+	var sb strings.Builder
+	if _, err := reg.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for series, want := range map[string]string{
+		`oha_static_phase_seconds_count{phase="race",client="race"}`:   " 2\n",
+		`oha_static_phase_seconds_count{phase="slice",client="slice"}`: " 1\n",
+		`oha_static_phase_seconds_count{phase="masks",client="slice"}`: " 1\n",
+		`oha_static_phase_seconds_count{phase="masks",client="race"}`:  "",
+	} {
+		i := strings.Index(sb.String(), series)
+		got := ""
+		if i >= 0 {
+			got = sb.String()[i+len(series):]
+			got = got[:strings.Index(got, "\n")+1]
+		}
+		if got != want {
+			t.Errorf("%s%q, want %q", series, got, want)
+		}
 	}
 }
 
@@ -788,37 +893,37 @@ func TestConcurrentRunsDuringHotSwap(t *testing.T) {
 
 var errDiverged = errors.New("adapted run diverged from FastTrack")
 
-// TestWarmCacheReanalysis: refining must re-solve only the
-// predicated artifacts — the sound ones (keyed on the nil DB) are
-// reused from the cache across generations.
+// TestWarmCacheReanalysis: refining solves only the refined
+// database's predicated artifacts, never the sound ones (the rollback
+// chain resolves without the sound fallback, which is built only on
+// first use), and those solves are warm for a second manager on the
+// same cache: reaching the same generation there misses nothing.
 func TestWarmCacheReanalysis(t *testing.T) {
 	prog := lang.MustCompile(pathProg)
 	pr := profileDB(t, prog, []int64{5}, 20)
 	cache := artifacts.New("")
-	m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: cache}})
-	if _, _, err := current(m, core.Race()); err != nil {
-		t.Fatal(err)
+	e := core.Execution{Inputs: []int64{500}, Seed: 3}
+	refine := func() *Manager {
+		m := New(prog, pr.DB, Options{Static: core.StaticConfig{Cache: cache}})
+		if _, err := Run(m, core.Race(), e, core.RunOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if m.Generation() != 2 {
+			t.Fatalf("generation %d after the violating run, want 2", m.Generation())
+		}
+		return m
+	}
+	refine()
+	for _, kind := range []string{artifacts.KindPointsTo, artifacts.KindMHP, artifacts.KindStaticRace} {
+		if _, ok := cache.Peek(artifacts.RaceKey(kind, prog, nil)); ok {
+			t.Errorf("refinement solved the sound %s", kind)
+		}
 	}
 	before := cache.Stats()
-	if _, err := Run(m, core.Race(), core.Execution{Inputs: []int64{500}, Seed: 3}, core.RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	refine()
 	after := cache.Stats()
-	if after.Hits <= before.Hits {
-		t.Fatalf("no warm-cache reuse across the generation swap (hits %d -> %d)", before.Hits, after.Hits)
-	}
-	// The sound static pipeline must not have re-solved: misses grow
-	// only by the predicated artifacts of the new DB digest (points-to,
-	// MHP, static race, compiled images).
-	t.Logf("cache misses %d -> %d, hits %d -> %d", before.Misses, after.Misses, before.Hits, after.Hits)
-	soundAgain, err := core.NewHybridFT(prog, core.StaticConfig{Cache: cache, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = soundAgain
-	final := cache.Stats()
-	if final.Misses != after.Misses {
-		t.Fatal("sound artifacts were not warm after refinement")
+	if after.Misses != before.Misses || after.Hits <= before.Hits {
+		t.Fatalf("second manager: misses %d -> %d, hits %d -> %d; want only hits", before.Misses, after.Misses, before.Hits, after.Hits)
 	}
 }
 

@@ -36,7 +36,9 @@ type Metrics struct {
 	ResolveSeconds *metrics.Histogram
 	// StaticPhase observes the wall-clock seconds of each static phase
 	// by phase and client: a client's detector build under its
-	// core.Analysis Phase, and each reconcile prebuild under "masks".
+	// core.Analysis Phase, and each reconcile that deploys a rollback
+	// chain's generation instead of building one under "masks". Every
+	// detector a generation gets is one observation under one phase.
 	StaticPhase *metrics.HistogramVec
 }
 

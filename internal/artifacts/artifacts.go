@@ -66,9 +66,6 @@ const (
 	// results: the discharged-site set proven under one (program,
 	// invariant database) pair. Portable via gob (IDs only).
 	KindNullProof = "nullproof"
-	// KindCustomSync keys custom-sync validated databases (extra
-	// discriminators: the executions' ExecKeys). Portable via DBCodec.
-	KindCustomSync = "customsync"
 )
 
 // Codec converts an artifact to and from a portable byte payload for
@@ -534,16 +531,17 @@ func Key(kind string, prog *ir.Program, db *invariants.DB, budget int, extra ...
 // RaceKey keys a race-pipeline artifact of (prog, db). It leaves
 // db.ElidableLocks and db.NonNullLoads out: no race-pipeline solver
 // reads them (staticrace.Result.Masks applies the first, only the null
-// proof reads the second), so a database before and after custom-sync
-// validation, or before and after a non-null-load refinement, shares
-// every points-to, MHP and static race solve.
-func RaceKey(kind string, prog *ir.Program, db *invariants.DB, extra ...string) string {
+// proof reads the second), so a database before and after profiling
+// proposes its elidable locks, or before and after a non-null-load or
+// elided-lock-race refinement, shares every points-to, MHP and static
+// race solve.
+func RaceKey(kind string, prog *ir.Program, db *invariants.DB) string {
 	if db != nil && (!db.ElidableLocks.IsEmpty() || !db.NonNullLoads.IsEmpty()) {
 		c := *db
 		c.ElidableLocks, c.NonNullLoads = &bitset.Set{}, &bitset.Set{}
 		db = &c
 	}
-	return Key(kind, prog, db, 0, append([]string{"ci"}, extra...)...)
+	return Key(kind, prog, db, 0, "ci")
 }
 
 // ExecKey builds the cache key for one profiling execution's invariant

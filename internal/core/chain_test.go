@@ -89,7 +89,7 @@ func checkChain(t *testing.T, o *OptSlice, e Execution, wantRefuted []ViolationK
 	if !reflect.DeepEqual(rep.Violation, rep.Refuted[0]) {
 		t.Errorf("Violation %v is not the first refuted fact %v", rep.Violation, rep.Refuted[0])
 	}
-	sound, err := o.Sound.Run(e, RunOptions{})
+	sound, err := o.sound(e, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,9 +194,9 @@ func TestChainLongerThanKFallsBackToSound(t *testing.T) {
 // the rollback fails instead of returning a truncated trace.
 func TestChainTraceLimitGoesToSound(t *testing.T) {
 	o := chainSlicer(t, rareBranchesSrc, 0, 0, 0, 0, 0)
-	o.Sound.MaxTraceNodes = 2
+	o.MaxTraceNodes = 2
 	e := Execution{Inputs: []int64{0, 0, 0, 0, 0}, Seed: 1}
-	_, soundErr := o.Sound.Run(e, RunOptions{})
+	_, soundErr := o.sound(e, RunOptions{})
 	if !errors.Is(soundErr, interp.ErrAborted) {
 		t.Fatalf("sound run past its trace bound: err = %v", soundErr)
 	}
@@ -210,13 +210,17 @@ func TestChainTraceLimitGoesToSound(t *testing.T) {
 }
 
 // countingGen is an optimistic generation whose attempts raise a
-// scripted violation; refined counts the generations the chain asks
-// for.
+// scripted violation and whose sound analysis reports NilSites [7] in
+// ten steps; refined counts the generations the chain asks for.
 type countingGen struct {
 	prog    *ir.Program
 	db      *invariants.DB
 	v       Violation
 	refines *int
+}
+
+func (g countingGen) sound(Execution, RunOptions) (*NullReport, error) {
+	return &NullReport{NilSites: []int{7}, Outcome: Outcome{Stats: interp.Stats{Steps: 10}}}, nil
 }
 
 func (g countingGen) try(Execution, RunOptions) (*NullReport, *Outcome, error) {
@@ -238,10 +242,7 @@ func TestChainNonRefinableGoesToSound(t *testing.T) {
 	for _, kind := range []ViolationKind{ViolationTraceLimit, "unknown-kind"} {
 		refines := 0
 		g := countingGen{prog, invariants.NewDB(), Violation{Kind: kind, Site: -1, Callee: -1}, &refines}
-		sound := func(Execution, RunOptions) (*NullReport, error) {
-			return &NullReport{NilSites: []int{7}, Outcome: Outcome{Stats: interp.Stats{Steps: 10}}}, nil
-		}
-		rep, err := speculate[*NullReport](g, Execution{}, RunOptions{}, sound)
+		rep, err := speculate[*NullReport](g, Execution{}, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +298,7 @@ func TestChainConcurrentRunsShareGenerations(t *testing.T) {
 // The generation memo builds each database once however many callers
 // race for it, and keeps at most maxGenerations.
 func TestGenerationsBuildOnceAndBound(t *testing.T) {
-	var g generations[int]
+	var g generations[int, struct{}]
 	var builds atomic.Int32
 	dbs := make([]*invariants.DB, maxGenerations+1)
 	for i := range dbs {

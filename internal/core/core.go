@@ -2,7 +2,8 @@
 // primary contribution — by wiring together the three phases of §2:
 //
 //  1. likely-invariant profiling (package profile), ending with the
-//     iterative no-custom-synchronization pass of §4.2.4;
+//     proposal of §4.2.4's elidable lock sites, which a speculative run
+//     validates: a race reported while they are elided rolls it back;
 //  2. predicated static analysis (packages pointsto, mhp, staticrace,
 //     staticslice over an invariant-restricted ctxs.Tree);
 //  3. speculative dynamic analysis: the client analysis (FastTrack,
@@ -164,9 +165,9 @@ func Profile(prog *ir.Program, gen func(run int) Execution, maxRuns int) (*Profi
 // ProfileWith is Profile with an explicit worker pool and optional
 // per-run memoization. The merge replays the sequential run order, so
 // the result is bit-identical to Profile for every worker count.
-// It ends with custom-sync validation (§4.2.4) on the first (at most
-// four) executions, whose kept lock sites are DB.ElidableLocks; o.Cache
-// memoizes it and the static solves a race detector then reuses.
+// It ends by setting DB.ElidableLocks to the lock sites the predicated
+// static race analysis proposes to elide (§4.2.4); o.Cache memoizes
+// that solve, which a race detector for DB then reuses.
 func ProfileWith(prog *ir.Program, gen func(run int) Execution, o ProfileOptions) (*ProfileResult, error) {
 	if o.StableWindow == 0 {
 		o.StableWindow = 5
@@ -186,11 +187,7 @@ func ProfileWith(prog *ir.Program, gen func(run int) Execution, o ProfileOptions
 	if err != nil {
 		return nil, err
 	}
-	execs := make([]Execution, min(st.Runs, 4))
-	for i := range execs {
-		execs[i] = gen(i)
-	}
-	if db, err = withValidatedLocks(o.Ctx, prog, db, execs, StaticConfig{Cache: o.Cache, Workers: o.Workers}); err != nil {
+	if err := proposeElidableLocks(prog, db, StaticConfig{Cache: o.Cache, Workers: o.Workers}); err != nil {
 		return nil, err
 	}
 	return &ProfileResult{DB: db, Runs: st.Runs, BlockRuns: st.BlockRuns}, nil
@@ -200,8 +197,8 @@ func ProfileWith(prog *ir.Program, gen func(run int) Execution, o ProfileOptions
 // (no convergence loop) — used when the caller wants precise control,
 // e.g. the Figure 7/8 profiling sweeps. Runs fan out over the default
 // worker pool and merge in run-index order, so the result is
-// deterministic and identical to a sequential merge. Custom-sync
-// validation runs as in ProfileWith.
+// deterministic and identical to a sequential merge. The elidable
+// locks are proposed as in ProfileWith.
 func ProfileN(prog *ir.Program, execs []Execution) (*invariants.DB, error) {
 	return ProfileNWith(prog, execs, 0, nil)
 }
@@ -218,5 +215,9 @@ func ProfileNWith(prog *ir.Program, execs []Execution, workers int, cache *artif
 	if err != nil {
 		return nil, err
 	}
-	return withValidatedLocks(nil, prog, invariants.Merge(dbs...), execs[:min(len(execs), 4)], StaticConfig{Cache: cache, Workers: workers})
+	db := invariants.Merge(dbs...)
+	if err := proposeElidableLocks(prog, db, StaticConfig{Cache: cache, Workers: workers}); err != nil {
+		return nil, err
+	}
+	return db, nil
 }

@@ -73,9 +73,9 @@ func TestProfileCanceledContext(t *testing.T) {
 	}
 }
 
-// TestValidateCustomSyncCanceledNothingElided: with no lock site
-// proposed for elision validation runs nothing, yet a canceled context
-// still fails it as canceled.
+// TestValidateCustomSyncCanceledNothingElided: the deprecated
+// ValidateCustomSync runs nothing, yet a canceled context still fails
+// it as canceled, and it elides nothing profiling did not propose.
 func TestValidateCustomSyncCanceledNothingElided(t *testing.T) {
 	prog := lang.MustCompile(`
 		global g = 0;
@@ -107,7 +107,7 @@ func TestValidateCustomSyncCanceledNothingElided(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !o.DB.ElidableLocks.IsEmpty() {
-		t.Fatalf("validated elisions %v, want none", o.DB.ElidableLocks)
+		t.Fatalf("elisions %v, want none", o.DB.ElidableLocks)
 	}
 }
 

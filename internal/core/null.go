@@ -267,34 +267,29 @@ func (h *HybridNull) Run(e Execution, opts RunOptions) (*NullReport, error) {
 type OptNull struct {
 	Prog *ir.Program
 	DB   *invariants.DB
-	// Pred is the predicated static proof; Sound the sound rollback
-	// target, shared by every refined generation.
-	Pred  *nullcheck.Result
-	Sound *HybridNull
+	// Pred is the predicated static proof.
+	Pred *nullcheck.Result
 
 	plan   *plan
 	checks *checks
 	static StaticConfig
-	gens   *generations[*OptNull]
+	gens   *generations[*OptNull, *HybridNull]
 }
 
-// NewOptNull runs both static analyses (predicated for speculation,
-// sound for rollback) and prepares masks. Masks are private to the
+// NewOptNull runs the predicated static analysis and prepares masks;
+// the sound analysis, the rollback target, is built the first time a
+// run falls through to it. Masks are private to the
 // returned instance; the static proofs are shared through cfg.Cache
 // and must not be mutated. With a warm cache — in particular one a
 // race detector for the same database already filled — the points-to
 // stage is served, not solved.
 func NewOptNull(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*OptNull, error) {
-	sound, err := NewHybridNull(prog, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return newOptNull(prog, db, cfg, sound, &generations[*OptNull]{})
+	return newOptNull(prog, db, cfg, newGenerations[*OptNull](func() (*HybridNull, error) { return NewHybridNull(prog, cfg) }))
 }
 
-// newOptNull builds the OptNull for db over an existing sound fallback,
-// sharing gens with the generations it is refined from.
-func newOptNull(prog *ir.Program, db *invariants.DB, cfg StaticConfig, sound *HybridNull, gens *generations[*OptNull]) (*OptNull, error) {
+// newOptNull builds the OptNull for db, sharing gens (and its sound
+// fallback) with the generations it is refined from.
+func newOptNull(prog *ir.Program, db *invariants.DB, cfg StaticConfig, gens *generations[*OptNull, *HybridNull]) (*OptNull, error) {
 	proof, err := nullProofFor(prog, db, cfg)
 	if err != nil {
 		return nil, err
@@ -313,7 +308,7 @@ func newOptNull(prog *ir.Program, db *invariants.DB, cfg StaticConfig, sound *Hy
 	// (the null proof's points-to is predicated on them, and the
 	// checker verifies them at runtime).
 	p := compiledCode(prog, m, compileOpts(db, cfg), cfg.Cache)
-	return &OptNull{Prog: prog, DB: db, Pred: proof, Sound: sound, plan: p, checks: checks, static: cfg, gens: gens}, nil
+	return &OptNull{Prog: prog, DB: db, Pred: proof, plan: p, checks: checks, static: cfg, gens: gens}, nil
 }
 
 // CodeDigest returns the content digest of the speculative run's
@@ -333,7 +328,7 @@ func (o *OptNull) DischargeRatio() float64 { return o.Pred.DischargeRatio() }
 // a refined generation or the traditional hybrid configuration on
 // invariant violation (speculate).
 func (o *OptNull) Run(e Execution, opts RunOptions) (*NullReport, error) {
-	return speculate(o, e, opts, o.Sound.Run)
+	return speculate(o, e, opts)
 }
 
 func (o *OptNull) try(e Execution, opts RunOptions) (*NullReport, *Outcome, error) {
@@ -345,7 +340,15 @@ func (o *OptNull) try(e Execution, opts RunOptions) (*NullReport, *Outcome, erro
 func (o *OptNull) facts() (*ir.Program, *invariants.DB) { return o.Prog, o.DB }
 
 func (o *OptNull) refined(db *invariants.DB) (optimistic[*NullReport], error) {
-	return o.gens.get(db, func() (*OptNull, error) { return newOptNull(o.Prog, db, o.static, o.Sound, o.gens) })
+	return o.gens.get(db, func() (*OptNull, error) { return newOptNull(o.Prog, db, o.static, o.gens) })
+}
+
+func (o *OptNull) sound(e Execution, opts RunOptions) (*NullReport, error) {
+	h, err := o.gens.sound.get()
+	if err != nil {
+		return nil, err
+	}
+	return h.Run(e, opts)
 }
 
 func (o *OptNull) memoized(db *invariants.DB) (*OptNull, bool) { return o.gens.lookup(db) }

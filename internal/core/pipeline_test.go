@@ -82,7 +82,7 @@ var pipelineCases = []pipelineCase{
 				t.Fatal(err)
 			}
 			return func(e Execution, opts RunOptions) (outcomeView, error) { return raceView(o.Run(e, opts)) },
-				func(e Execution, opts RunOptions) (outcomeView, error) { return raceView(o.Sound.Run(e, opts)) }
+				func(e Execution, opts RunOptions) (outcomeView, error) { return raceView(o.sound(e, opts)) }
 		},
 	},
 	{
@@ -94,7 +94,7 @@ var pipelineCases = []pipelineCase{
 				t.Fatal(err)
 			}
 			return func(e Execution, opts RunOptions) (outcomeView, error) { return sliceView(o.Run(e, opts)) },
-				func(e Execution, opts RunOptions) (outcomeView, error) { return sliceView(o.Sound.Run(e, opts)) }
+				func(e Execution, opts RunOptions) (outcomeView, error) { return sliceView(o.sound(e, opts)) }
 		},
 	},
 	{
@@ -106,7 +106,7 @@ var pipelineCases = []pipelineCase{
 				t.Fatal(err)
 			}
 			return func(e Execution, opts RunOptions) (outcomeView, error) { return nullView(o.Run(e, opts)) },
-				func(e Execution, opts RunOptions) (outcomeView, error) { return nullView(o.Sound.Run(e, opts)) }
+				func(e Execution, opts RunOptions) (outcomeView, error) { return nullView(o.sound(e, opts)) }
 		},
 	},
 }

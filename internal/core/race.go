@@ -1,12 +1,9 @@
 package core
 
 import (
-	"context"
-	"fmt"
 	"slices"
 
 	"oha/internal/artifacts"
-	"oha/internal/bitset"
 	"oha/internal/ctxs"
 	"oha/internal/fasttrack"
 	"oha/internal/interp"
@@ -232,11 +229,9 @@ func (h *HybridFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
 // traditional hybrid analysis on mis-speculation.
 type OptFT struct {
 	Prog *ir.Program
-	DB   *invariants.DB // the caller's, or ValidateCustomSync's copy
-	// Pred and Sound are the predicated and sound static results; Sound
-	// is shared by every refined generation.
-	Pred  *staticrace.Result
-	Sound *HybridFT
+	DB   *invariants.DB
+	// Pred is the predicated static result.
+	Pred *staticrace.Result
 
 	checks *checks      // shared by every run
 	static StaticConfig // compiles the speculative plan
@@ -244,13 +239,13 @@ type OptFT struct {
 	// check sites; sync flags FastTrack's own lock sites.
 	spec *plan
 	sync []bool
-	gens *generations[*OptFT]
+	gens *generations[*OptFT, *HybridFT]
 }
 
-// NewOptFT runs both static analyses (predicated for speculation,
-// sound for rollback) and prepares masks. Lock instrumentation is
-// elided at db.ElidableLocks, the set profiling validated (see
-// ProfileWith).
+// NewOptFT runs the predicated static analysis and prepares masks; the
+// sound analysis, the rollback target, is built the first time a run
+// falls through to it. Lock instrumentation is elided at
+// db.ElidableLocks, the proposal profiling sets (see ProfileWith).
 func NewOptFT(prog *ir.Program, db *invariants.DB) (*OptFT, error) {
 	return NewOptFTStatic(prog, db, StaticConfig{Workers: 1})
 }
@@ -263,20 +258,16 @@ func NewOptFTCached(prog *ir.Program, db *invariants.DB, cache *artifacts.Cache)
 // NewOptFTStatic is NewOptFT with an explicit static pipeline
 // configuration. Masks and derived state are always private to the
 // returned instance; only the immutable static results are shared
-// through cfg.Cache. With a warm cache — in particular one prewarmed
-// by ProfileWith's custom-sync validation — no static solving happens
-// here at all.
+// through cfg.Cache. With a warm cache — in particular one ProfileWith
+// filled when it proposed the elidable locks — no static solving
+// happens here at all.
 func NewOptFTStatic(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*OptFT, error) {
-	sound, err := NewHybridFT(prog, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return newOptFT(prog, db, cfg, sound, &generations[*OptFT]{})
+	return newOptFT(prog, db, cfg, newGenerations[*OptFT](func() (*HybridFT, error) { return NewHybridFT(prog, cfg) }))
 }
 
-// newOptFT builds the OptFT for db over an existing sound fallback,
-// sharing gens with the generations it is refined from.
-func newOptFT(prog *ir.Program, db *invariants.DB, cfg StaticConfig, sound *HybridFT, gens *generations[*OptFT]) (*OptFT, error) {
+// newOptFT builds the OptFT for db, sharing gens (and its sound
+// fallback) with the generations it is refined from.
+func newOptFT(prog *ir.Program, db *invariants.DB, cfg StaticConfig, gens *generations[*OptFT, *HybridFT]) (*OptFT, error) {
 	pred, err := analyzeRaceStatic(prog, db, cfg)
 	if err != nil {
 		return nil, err
@@ -284,27 +275,19 @@ func newOptFT(prog *ir.Program, db *invariants.DB, cfg StaticConfig, sound *Hybr
 	// The kinds the predicated race analysis reads (TestChecksCoverReads);
 	// an elided-lock race is checked once the run completes (try).
 	checks := newChecks(prog, db, nil, ViolationUnreachableBlock, ViolationCalleeSet, ViolationSingletonSpawn, ViolationGuardingLock)
-	o := &OptFT{Prog: prog, DB: db, Pred: pred, Sound: sound, checks: checks, static: cfg, gens: gens}
-	o.compile(pred.Masks(db))
-	return o, nil
-}
-
-// compile builds the speculative plan from FastTrack's masks. Its image
-// is IC-seeded from the database's likely callee sets: an inline cache
-// is semantically transparent (a miss just resolves generically), so
-// seeding needs no checker support — the callee-set violation itself
-// is raised by the tracer.
-func (o *OptFT) compile(mem, sync []bool) {
-	// Sync events: FastTrack's sites plus the guarding-lock check
-	// sites (which need the cheap address check even when FastTrack's
-	// lock processing is elided).
+	// The speculative plan: FastTrack's sync sites plus the
+	// guarding-lock check sites, which need the cheap address check even
+	// where FastTrack's lock processing is elided. Its image is IC-seeded
+	// from the likely callee sets: an inline cache is semantically
+	// transparent, and the callee-set violation is raised by the tracer.
+	mem, sync := pred.Masks(db)
 	checked := slices.Clone(sync)
-	for pair := range o.DB.MustAliasLocks {
+	for pair := range db.MustAliasLocks {
 		checked[pair.A] = true
 		checked[pair.B] = true
 	}
-	o.spec = compiledCode(o.Prog, interp.Masks{Mem: mem, Sync: checked, Block: o.checks.luc}, compileOpts(o.DB, o.static), o.static.Cache)
-	o.sync = sync
+	spec := compiledCode(prog, interp.Masks{Mem: mem, Sync: checked, Block: checks.luc}, compileOpts(db, cfg), cfg.Cache)
+	return &OptFT{Prog: prog, DB: db, Pred: pred, checks: checks, static: cfg, spec: spec, sync: sync, gens: gens}, nil
 }
 
 // CodeDigest returns the content digest of the speculative run's
@@ -330,7 +313,7 @@ func (o *OptFT) ElidedAccesses() int {
 // violation, or on any race report while lock instrumentation is
 // elided, per §4.2.4 (speculate).
 func (o *OptFT) Run(e Execution, opts RunOptions) (*RaceReport, error) {
-	return speculate(o, e, opts, o.Sound.Run)
+	return speculate(o, e, opts)
 }
 
 func (o *OptFT) try(e Execution, opts RunOptions) (*RaceReport, *Outcome, error) {
@@ -354,269 +337,48 @@ func (o *OptFT) try(e Execution, opts RunOptions) (*RaceReport, *Outcome, error)
 func (o *OptFT) facts() (*ir.Program, *invariants.DB) { return o.Prog, o.DB }
 
 func (o *OptFT) refined(db *invariants.DB) (optimistic[*RaceReport], error) {
-	return o.gens.get(db, func() (*OptFT, error) { return newOptFT(o.Prog, db, o.static, o.Sound, o.gens) })
+	return o.gens.get(db, func() (*OptFT, error) { return newOptFT(o.Prog, db, o.static, o.gens) })
+}
+
+func (o *OptFT) sound(e Execution, opts RunOptions) (*RaceReport, error) {
+	h, err := o.gens.sound.get()
+	if err != nil {
+		return nil, err
+	}
+	return h.Run(e, opts)
 }
 
 func (o *OptFT) memoized(db *invariants.DB) (*OptFT, bool) { return o.gens.lookup(db) }
 
-// ValidateCustomSync runs profiling's custom-sync validation
-// (validatedDB) on execs and elides the lock sites it keeps. After
-// ProfileWith with the same cache and executions it is one cache hit.
-// The caller's database is left as it was.
+// ValidateCustomSync is a no-op kept for source compatibility: it
+// returns only opts.Ctx's cancellation. Profiling no longer replays
+// executions to validate lock elision; a race reported while lock
+// sites are elided rolls the run back instead (ViolationElidedLockRace),
+// so the proposal ProfileWith sets is validated by speculation.
+//
+// Deprecated: lock elision needs no validation step.
 func (o *OptFT) ValidateCustomSync(execs []Execution, opts RunOptions) error {
-	db, err := validatedDB(o.Prog, o.DB, execs, o.static.Cache, opts, func() (*staticrace.Result, *HybridFT, error) { return o.Pred, o.Sound, nil })
+	return ctxErr(opts.Ctx)
+}
+
+// proposeElidableLocks sets db.ElidableLocks to the lock sites the
+// predicated static race analysis of db proposes to elide (§4.2.4). A
+// program with no lock instruction skips it, static analysis included.
+func proposeElidableLocks(prog *ir.Program, db *invariants.DB, cfg StaticConfig) error {
+	if !hasLock(prog) {
+		return nil
+	}
+	pred, err := analyzeRaceStatic(prog, db, cfg)
 	if err != nil {
 		return err
 	}
-	if !db.ElidableLocks.Equal(o.DB.ElidableLocks) {
-		o.DB = db
-		o.compile(o.Pred.Masks(db))
-	}
+	db.ElidableLocks = pred.ElidableSyncs.Clone()
 	return nil
-}
-
-// withValidatedLocks is profiling's custom-sync validation of db on
-// execs. A program with no lock instruction skips it, static analysis
-// included.
-func withValidatedLocks(ctx context.Context, prog *ir.Program, db *invariants.DB, execs []Execution, cfg StaticConfig) (*invariants.DB, error) {
-	if !hasLock(prog) {
-		return db, nil
-	}
-	return validatedDB(prog, db, execs, cfg.Cache, RunOptions{Ctx: ctx}, func() (*staticrace.Result, *HybridFT, error) {
-		pred, err := analyzeRaceStatic(prog, db, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		sound, err := NewHybridFT(prog, cfg)
-		return pred, sound, err
-	})
 }
 
 // hasLock reports whether prog has a lock instruction.
 func hasLock(prog *ir.Program) bool {
 	return slices.ContainsFunc(prog.Instrs, func(in *ir.Instr) bool { return in.Op == ir.OpLock })
-}
-
-// validatedDB returns a copy of db whose ElidableLocks is the set
-// validateLocks keeps on execs, memoized by IR digest, db's race key
-// (its digest without ElidableLocks and NonNullLoads), run bounds and
-// the executions' ExecKeys; only the cached database's ElidableLocks is
-// read. On a miss, static supplies the predicated and sound race
-// analyses.
-func validatedDB(prog *ir.Program, db *invariants.DB, execs []Execution, cache *artifacts.Cache, opts RunOptions,
-	static func() (*staticrace.Result, *HybridFT, error)) (*invariants.DB, error) {
-	extra := []string{fmt.Sprintf("q%d/max%d", opts.Quantum, opts.MaxSteps)}
-	for _, e := range execs {
-		extra = append(extra, artifacts.ExecKey(prog, e.Inputs, e.Seed))
-	}
-	v, err := cache.Memo(artifacts.RaceKey(artifacts.KindCustomSync, prog, db, extra...), artifacts.DBCodec(), func() (any, error) {
-		pred, sound, err := static()
-		if err != nil {
-			return nil, err
-		}
-		set, err := validateLocks(pred, sound, execs, opts)
-		if err != nil {
-			return nil, err
-		}
-		out := db.Clone()
-		out.ElidableLocks = set
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := db.Clone()
-	out.ElidableLocks = v.(*invariants.DB).ElidableLocks.Clone()
-	return out, nil
-}
-
-// validateLocks performs the iterative no-custom-synchronization
-// profiling of §4.2.4: starting from the lock/unlock sites the
-// predicated static analysis proposes to elide, it runs FastTrack with
-// those sites elided on the executions and compares race reports with
-// the sound detector's; if elision introduces false races, the
-// instrumentation is restored lock-object group by group until the
-// reports agree. When no site is proposed it runs no execution: the
-// validated set is empty whatever they would report.
-//
-// Each execution is interpreted once in the round that first reaches
-// it, feeding both detectors (see validateWithSound); later rounds
-// rerun only the validation plan, since the sound report does not
-// depend on the tentative set.
-func validateLocks(pred *staticrace.Result, sound *HybridFT, execs []Execution, opts RunOptions) (*bitset.Set, error) {
-	prog := pred.Prog
-	tentative := pred.ElidableSyncs.Clone()
-	if tentative.IsEmpty() {
-		return tentative, ctxErr(opts.Ctx)
-	}
-	soundReps := make([]*RaceReport, len(execs))
-	for {
-		val := validationPlan(pred, tentative)
-		both := dualPlan(sound.plan, val)
-		bad := false
-		for i, e := range execs {
-			var optRep *RaceReport
-			var err error
-			if soundReps[i] == nil {
-				optRep, soundReps[i], err = validateWithSound(both, val, sound.plan, e, opts)
-			} else {
-				optRep, err = val.fastTrack(e, opts)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if !slices.Equal(optRep.Races, soundReps[i].Races) {
-				bad = true
-				break
-			}
-		}
-		if !bad || tentative.IsEmpty() {
-			return tentative, nil
-		}
-		// Restore instrumentation on one lock-site group and retry.
-		restore := tentative.Min()
-		tentative.Remove(restore)
-		// Also restore the sites sharing an abstract lock object —
-		// approximated here by removing unlocks in the same function.
-		for _, in := range prog.Instrs {
-			if (in.Op == ir.OpLock || in.Op == ir.OpUnlock) &&
-				in.Block.Fn == prog.Instrs[restore].Block.Fn {
-				tentative.Remove(in.ID)
-			}
-		}
-	}
-}
-
-// validationPlan is the plan of a validation run: FastTrack at pred's
-// racy accesses and at the lock sites outside elided. It has no image,
-// since a validation that restores no site runs only dualPlan's.
-func validationPlan(pred *staticrace.Result, elided *bitset.Set) *plan {
-	mem, sync := pred.Masks(&invariants.DB{ElidableLocks: elided})
-	return &plan{prog: pred.Prog, masks: raceMasks(pred.Prog, mem, sync)}
-}
-
-// dualPlan returns the plan of a run that delivers the events of both
-// the validation plan and the sound plan: the sound plan itself when
-// its masks flag every validation event (they do on every workload:
-// the sound plan flags every lock site and the predicated analysis
-// keeps a subset of the racy accesses), else a plan whose masks are the
-// union of the two.
-func dualPlan(sound, val *plan) *plan {
-	s, v := sound.masks, val.masks
-	if covers(s.Mem, v.Mem) && covers(s.Sync, v.Sync) {
-		return sound
-	}
-	return &plan{prog: sound.prog, masks: raceMasks(sound.prog, unionMask(s.Mem, v.Mem), unionMask(s.Sync, v.Sync))}
-}
-
-// validateWithSound interprets e once under both (dualPlan's plan) and
-// returns the validation plan's report and the sound plan's: the run
-// feeds two FastTrack detectors, each seeing exactly the events its
-// own plan flags, so each report equals that of a separate run under
-// its plan (the schedule does not depend on the masks).
-func validateWithSound(both, val, sound *plan, e Execution, opts RunOptions) (valRep, soundRep *RaceReport, err error) {
-	tr := &dualTracer{
-		val: fasttrack.New(), sound: fasttrack.New(),
-		valMasks: val.masks, soundMasks: sound.masks,
-	}
-	defer tr.val.Release()
-	defer tr.sound.Release()
-	res, err := both.run(e, tr, nil, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return raceReport(tr.val, res), raceReport(tr.sound, res), nil
-}
-
-// dualTracer routes one run's FastTrack events to two detectors, each
-// filtered by its own plan's Mem and Sync masks; spawns and joins go to
-// both. It deliberately does not implement interp.FastTracer: an inline
-// fast-path hit settles one detector's shadow state and would skip the
-// other's update.
-type dualTracer struct {
-	interp.NopTracer
-	val, sound           *fasttrack.Detector
-	valMasks, soundMasks interp.Masks
-}
-
-// flagged reports whether mask delivers events at site id (nil: every
-// site).
-func flagged(mask []bool, id int) bool { return mask == nil || mask[id] }
-
-func (d *dualTracer) Load(t vc.TID, in *ir.Instr, addr interp.Addr, v int64) {
-	if flagged(d.valMasks.Mem, in.ID) {
-		d.val.Load(t, in, addr, v)
-	}
-	if flagged(d.soundMasks.Mem, in.ID) {
-		d.sound.Load(t, in, addr, v)
-	}
-}
-
-func (d *dualTracer) Store(t vc.TID, in *ir.Instr, addr interp.Addr, v int64) {
-	if flagged(d.valMasks.Mem, in.ID) {
-		d.val.Store(t, in, addr, v)
-	}
-	if flagged(d.soundMasks.Mem, in.ID) {
-		d.sound.Store(t, in, addr, v)
-	}
-}
-
-func (d *dualTracer) Lock(t vc.TID, in *ir.Instr, addr interp.Addr) {
-	if flagged(d.valMasks.Sync, in.ID) {
-		d.val.Lock(t, in, addr)
-	}
-	if flagged(d.soundMasks.Sync, in.ID) {
-		d.sound.Lock(t, in, addr)
-	}
-}
-
-func (d *dualTracer) Unlock(t vc.TID, in *ir.Instr, addr interp.Addr) {
-	if flagged(d.valMasks.Sync, in.ID) {
-		d.val.Unlock(t, in, addr)
-	}
-	if flagged(d.soundMasks.Sync, in.ID) {
-		d.sound.Unlock(t, in, addr)
-	}
-}
-
-func (d *dualTracer) Spawn(t vc.TID, in *ir.Instr, c vc.TID, f interp.FrameID, fn *ir.Function) {
-	d.val.Spawn(t, in, c, f, fn)
-	d.sound.Spawn(t, in, c, f, fn)
-}
-
-func (d *dualTracer) Join(t vc.TID, in *ir.Instr, c vc.TID) {
-	d.val.Join(t, in, c)
-	d.sound.Join(t, in, c)
-}
-
-// covers reports whether mask sup flags every site mask sub flags (nil:
-// every site).
-func covers(sup, sub []bool) bool {
-	if sup == nil {
-		return true
-	}
-	if sub == nil {
-		return false
-	}
-	for id, on := range sub {
-		if on && !sup[id] {
-			return false
-		}
-	}
-	return true
-}
-
-// unionMask returns the mask flagging every site a or b flags (nil: every
-// site).
-func unionMask(a, b []bool) []bool {
-	if a == nil || b == nil {
-		return nil
-	}
-	out := slices.Clone(a)
-	for id, on := range b {
-		out[id] = out[id] || on
-	}
-	return out
 }
 
 // SameRaces reports whether two runs detected races on exactly the

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
+	"oha/internal/invariants"
 	"oha/internal/ir"
 	"oha/internal/lang"
+	"oha/internal/progen"
 	"oha/internal/workloads"
 )
 
@@ -92,9 +95,6 @@ func TestOptFTEquivalentOnCleanProgram(t *testing.T) {
 	pr := mustProfile(t, prog, gen(20), 20)
 	o, err := NewOptFT(prog, pr.DB)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := o.ValidateCustomSync([]Execution{{Inputs: []int64{20}, Seed: 1}}, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for seed := uint64(1); seed <= 5; seed++ {
@@ -314,50 +314,52 @@ func TestOptFTRollbackOnGuardingLockViolation(t *testing.T) {
 	}
 }
 
-func TestCustomSyncValidationRestoresLocks(t *testing.T) {
-	// Figure 4: ordering established by a lock-protected flag; the
-	// protected accesses themselves never race, so the static analysis
-	// proposes eliding the locks — which would cause a false race on x.
-	// The validation loop must restore them.
-	src := `
-		global x = 0;
-		global b = 0;
-		global m = 0;
-		func t1() {
-			x = 5;
+// figure4Src is Figure 4's custom synchronization: x is ordered by a
+// lock-protected flag, and the protected accesses themselves never
+// race, so the static analysis proposes eliding the locks — which
+// loses the ordering and reports a false race on x.
+const figure4Src = `
+	global x = 0;
+	global b = 0;
+	global m = 0;
+	func t1() {
+		x = 5;
+		lock(&m);
+		b = 1;
+		unlock(&m);
+	}
+	func t2() {
+		var done = 0;
+		while (!done) {
 			lock(&m);
-			b = 1;
+			done = b;
 			unlock(&m);
 		}
-		func t2() {
-			var done = 0;
-			while (!done) {
-				lock(&m);
-				done = b;
-				unlock(&m);
-			}
-			print(x);
-		}
-		func main() {
-			var a = spawn t1();
-			var c = spawn t2();
-			join(a);
-			join(c);
-		}
-	`
-	prog := lang.MustCompile(src)
+		print(x);
+	}
+	func main() {
+		var a = spawn t1();
+		var c = spawn t2();
+		join(a);
+		join(c);
+	}
+`
+
+// TestCustomSyncValidationRestoresLocks: profiling proposes eliding
+// Figure 4's locks, and a run validates the proposal by speculation.
+// The false race on x rolls it back, and the re-execution under the
+// generation with locks instrumented agrees with FastTrack.
+func TestCustomSyncValidationRestoresLocks(t *testing.T) {
+	prog := lang.MustCompile(figure4Src)
 	pr := mustProfile(t, prog, gen(), 20)
 	o, err := NewOptFT(prog, pr.DB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	execs := []Execution{{Seed: 1}, {Seed: 2}, {Seed: 3}}
-	if err := o.ValidateCustomSync(execs, RunOptions{}); err != nil {
-		t.Fatal(err)
+	if o.DB.ElidableLocks.IsEmpty() {
+		t.Fatal("profiling proposed no elidable lock")
 	}
-	// After validation, every analyzed run must agree with FastTrack
-	// (x is properly ordered: no races).
-	for _, e := range execs {
+	for _, e := range []Execution{{Seed: 1}, {Seed: 2}, {Seed: 3}} {
 		opt, err := o.Run(e, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -366,37 +368,37 @@ func TestCustomSyncValidationRestoresLocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameReports(ft, opt) {
-			t.Fatalf("seed %d: post-validation mismatch: %v vs %v", e.Seed, opt.Races, ft.Races)
-		}
 		if len(ft.Races) != 0 {
 			t.Fatalf("custom-sync program actually raced: %v", ft.Details)
+		}
+		if !opt.RolledBack || opt.Violation.Kind != ViolationElidedLockRace || opt.RolledBackTo != RollbackRefined {
+			t.Fatalf("seed %d: rolledBack=%v to %q violation %v, want an elided-lock-race rollback to a refined generation",
+				e.Seed, opt.RolledBack, opt.RolledBackTo, opt.Violation)
+		}
+		if !sameReports(ft, opt) {
+			t.Fatalf("seed %d: OptFT %v, FastTrack %v", e.Seed, opt.Races, ft.Races)
 		}
 	}
 }
 
 func TestCustomSyncElidesWhenSafe(t *testing.T) {
-	// No custom synchronization: validation keeps the proposed
-	// elisions and the optimistic run skips lock instrumentation.
+	// No custom synchronization: the proposed elisions hold, and the
+	// optimistic run skips lock instrumentation without rolling back.
 	prog := lang.MustCompile(lockedCounter)
 	pr := mustProfile(t, prog, gen(10), 20)
 	o, err := NewOptFT(prog, pr.DB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	execs := []Execution{{Inputs: []int64{10}, Seed: 1}, {Inputs: []int64{10}, Seed: 2}}
-	if err := o.ValidateCustomSync(execs, RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
 	if o.DB.ElidableLocks.IsEmpty() {
-		t.Fatal("safe locks not elided after validation")
+		t.Fatal("profiling proposed no elidable lock")
 	}
 	e := Execution{Inputs: []int64{10}, Seed: 4}
 	opt, err := o.Run(e, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy, err := o.Sound.Run(e, RunOptions{})
+	hy, err := o.sound(e, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,73 +414,135 @@ func TestCustomSyncElidesWhenSafe(t *testing.T) {
 	}
 }
 
-// TestCustomSyncRestoresTwoGroups needs two restore rounds: Figure 4's
-// flag handshake spans two functions, each its own lock-site group,
-// and eliding either group's locks loses the ordering of x. A third
-// function's ordinary locks stay elided, as they did before the sound
-// reports were computed once per execution.
-func TestCustomSyncRestoresTwoGroups(t *testing.T) {
-	prog := lang.MustCompile(`
-		global x = 0;
-		global b = 0;
-		global m = 0;
-		global k = 0;
-		global cnt = 0;
-		func t1() {
-			x = 5;
+// twoGroupsSrc spreads Figure 4's flag handshake over two functions,
+// t1 and t2, and adds a third, bump, with ordinary locks. Eliding
+// either handshake function's locks loses the ordering of x.
+const twoGroupsSrc = `
+	global x = 0;
+	global b = 0;
+	global m = 0;
+	global k = 0;
+	global cnt = 0;
+	func t1() {
+		x = 5;
+		lock(&m);
+		b = 1;
+		unlock(&m);
+	}
+	func t2() {
+		var done = 0;
+		while (!done) {
 			lock(&m);
-			b = 1;
+			done = b;
 			unlock(&m);
 		}
-		func t2() {
-			var done = 0;
-			while (!done) {
-				lock(&m);
-				done = b;
-				unlock(&m);
+		print(x);
+	}
+	func bump() {
+		lock(&k);
+		cnt = cnt + 1;
+		unlock(&k);
+	}
+	func main() {
+		var a = spawn t1();
+		var d = spawn t2();
+		var e = spawn bump();
+		var f = spawn bump();
+		join(a);
+		join(d);
+		join(e);
+		join(f);
+		print(cnt);
+	}
+`
+
+// TestCustomSyncRestoresTwoGroups is the elided-lock-race cell: on
+// programs where eliding the proposed lock sites adds a false race —
+// the two-group handshake and progen default seed 33, whose six
+// proposed sites profiling-time validation used to restore — profiling
+// elides every proposed site, and each testing run validates the
+// proposal by speculation. The run rolls back with elided-lock-race,
+// its one refinement clears ElidableLocks (restoring both groups at
+// once), the report equals FastTrack's, and the refined generation
+// then runs the same execution clean. No run needs the sound fallback.
+// Results are the same at workers 1 and 8.
+func TestCustomSyncRestoresTwoGroups(t *testing.T) {
+	seed33 := randomInputs(33)
+	cases := []struct {
+		name    string
+		src     string
+		profile []int64
+		tests   [][]int64
+	}{
+		{"two-groups", twoGroupsSrc, nil, [][]int64{nil}},
+		{"progen33", progen.Generate(33, progen.DefaultConfig()), seed33[0], seed33},
+	}
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers/%d", workers), func(t *testing.T) {
+			for _, c := range cases {
+				prog := lang.MustCompile(c.src)
+				pr, err := ProfileWith(prog, gen(c.profile...), ProfileOptions{MaxRuns: 8, Workers: workers})
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				o, err := NewOptFTStatic(prog, pr.DB, StaticConfig{Workers: workers})
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				if o.DB.ElidableLocks.IsEmpty() || !o.DB.ElidableLocks.Equal(o.Pred.ElidableSyncs) {
+					t.Fatalf("%s: elidable %v, want the whole non-empty proposal %v", c.name, o.DB.ElidableLocks, o.Pred.ElidableSyncs)
+				}
+				builds := countFallbackBuilds(o.gens)
+				refined := o.DB.Clone()
+				refined.ElidableLocks.Clear()
+				for _, in := range c.tests {
+					for seed := uint64(1); seed <= 2; seed++ {
+						checkElidedLockRace(t, c.name, o, refined, Execution{Inputs: in, Seed: seed})
+					}
+				}
+				if n := len(o.gens.list); n != 1 {
+					t.Errorf("%s: %d refined generations, want 1", c.name, n)
+				}
+				if n := builds.Load(); n != 0 {
+					t.Errorf("%s: %d sound fallback builds, want 0", c.name, n)
+				}
 			}
-			print(x);
-		}
-		func bump() {
-			lock(&k);
-			cnt = cnt + 1;
-			unlock(&k);
-		}
-		func main() {
-			var a = spawn t1();
-			var d = spawn t2();
-			var e = spawn bump();
-			var f = spawn bump();
-			join(a);
-			join(d);
-			join(e);
-			join(f);
-			print(cnt);
-		}
-	`)
-	pr := mustProfile(t, prog, gen(), 20)
-	o, err := NewOptFT(prog, pr.DB)
+		})
+	}
+}
+
+// checkElidedLockRace runs e under o, which elides lock sites that
+// order a racy-looking access, and checks that it rolls back with
+// elided-lock-race to the generation of refined (o's database without
+// elidable locks) with FastTrack's report, and that the refined
+// generation runs e clean.
+func checkElidedLockRace(t *testing.T, name string, o *OptFT, refined *invariants.DB, e Execution) {
+	t.Helper()
+	ft, err := RunFastTrack(o.Prog, e, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// syncSites lists the lock/unlock sites of the named functions.
-	syncSites := func(fns ...string) []int {
-		var out []int
-		for _, in := range prog.Instrs {
-			if (in.Op == ir.OpLock || in.Op == ir.OpUnlock) && slices.Contains(fns, in.Block.Fn.Name) {
-				out = append(out, in.ID)
-			}
-		}
-		return out
-	}
-	if got, want := o.Pred.ElidableSyncs.Slice(), syncSites("t1", "t2", "bump"); !slices.Equal(got, want) {
-		t.Fatalf("proposed elisions %v, want every lock site %v", got, want)
-	}
-	if err := o.ValidateCustomSync([]Execution{{Seed: 1}, {Seed: 2}, {Seed: 3}}, RunOptions{}); err != nil {
+	rep, err := o.Run(e, RunOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := o.DB.ElidableLocks.Slice(), syncSites("bump"); !slices.Equal(got, want) {
-		t.Fatalf("validated elisions %v, want bump's sites %v", got, want)
+	if !rep.RolledBack || rep.RolledBackTo != RollbackRefined || len(rep.Refuted) != 1 || rep.Violation.Kind != ViolationElidedLockRace {
+		t.Fatalf("%s %v: rolledBack=%v to %q refuted %v, want one elided-lock-race refinement",
+			name, e, rep.RolledBack, rep.RolledBackTo, rep.Refuted)
+	}
+	if !sameReports(ft, rep) || !slices.Equal(ft.Races, rep.Races) {
+		t.Fatalf("%s %v: OptFT races %v, FastTrack %v", name, e, rep.Races, ft.Races)
+	}
+	g, ok := o.memoized(refined)
+	if !ok {
+		t.Fatalf("%s %v: the rollback built no generation without elidable locks", name, e)
+	}
+	again, err := g.Run(e, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.RolledBack || !sameReports(ft, again) {
+		t.Fatalf("%s %v: refined generation rolledBack=%v (%v), races %v", name, e, again.RolledBack, again.Violation, again.Races)
 	}
 }
 
@@ -491,7 +555,7 @@ func TestHybridLessWorkThanFastTrackMoreThanOpt(t *testing.T) {
 	}
 	e := Execution{Inputs: []int64{30}, Seed: 7}
 	ft, _ := RunFastTrack(prog, e, RunOptions{})
-	hy, err := o.Sound.Run(e, RunOptions{})
+	hy, err := o.sound(e, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,9 +57,6 @@ func TestRandomProgramsOptFTEqualsFastTrack(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: static: %v", seed, err)
 		}
-		if err := o.ValidateCustomSync([]Execution{{Inputs: inputs[0], Seed: 1}}, RunOptions{}); err != nil {
-			t.Fatalf("seed %d: custom-sync: %v", seed, err)
-		}
 
 		rollbacks := 0
 		for _, in := range inputs {
@@ -69,7 +66,7 @@ func TestRandomProgramsOptFTEqualsFastTrack(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: fasttrack: %v", seed, err)
 				}
-				hy, err := o.Sound.Run(e, RunOptions{})
+				hy, err := o.sound(e, RunOptions{})
 				if err != nil {
 					t.Fatalf("seed %d: hybrid: %v", seed, err)
 				}
@@ -125,7 +122,7 @@ func TestRandomProgramsOptSliceEqualsFullGiri(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: giri: %v", seed, err)
 			}
-			hy, err := opt.Sound.Run(e, RunOptions{})
+			hy, err := opt.sound(e, RunOptions{})
 			if err != nil {
 				t.Fatalf("seed %d: hybrid: %v", seed, err)
 			}
@@ -164,7 +161,11 @@ func TestRandomProgramsPredicatedSubset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if !o.Pred.Racy.SubsetOf(o.Sound.Static.Racy) {
+		sound, err := o.gens.sound.get()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !o.Pred.Racy.SubsetOf(sound.Static.Racy) {
 			t.Fatalf("seed %d: predicated racy set not a subset of sound\nprogram:\n%s", seed, src)
 		}
 	}

@@ -40,9 +40,6 @@ func workloadAnalysis(t *testing.T, name string, runs int) analysis {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := o.ValidateCustomSync([]Execution{{Inputs: w.GenInput(0), Seed: 1}, {Inputs: w.GenInput(1), Seed: 2}}, RunOptions{}); err != nil {
-			t.Fatal(err)
-		}
 		a.run = func(e Execution) (any, error) { return o.Run(e, RunOptions{}) }
 		return a
 	}

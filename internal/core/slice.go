@@ -268,20 +268,22 @@ type OptSlice struct {
 	Criterion *ir.Instr
 	Static    *staticslice.Slice
 	AT        SliceAnalysisType
-	// Sound is the sound rollback target, shared by every refined
-	// generation. Its MaxTraceNodes bounds the speculative traces too.
-	Sound *HybridSlicer
+	// MaxTraceNodes bounds the dynamic trace of every run, speculative
+	// or sound (0: dynslice default). Refined generations copy it when
+	// they are built, so set it before the first Run.
+	MaxTraceNodes int
 
 	plan   *plan
 	checks *checks
 	budget int
 	static StaticConfig
-	gens   *generations[*OptSlice]
+	gens   *generations[*OptSlice, *HybridSlicer]
 }
 
 // NewOptSlice runs the predicated static slicer (context-sensitive
 // with the likely-unused-call-contexts restriction when it fits the
-// budget) and prepares the sound fallback.
+// budget); the sound slicer, the rollback target, is built the first
+// time a run falls through to it.
 func NewOptSlice(prog *ir.Program, db *invariants.DB, criterion *ir.Instr, budget int) (*OptSlice, error) {
 	return NewOptSliceStatic(prog, db, criterion, budget, StaticConfig{Workers: 1})
 }
@@ -297,17 +299,14 @@ func NewOptSliceCached(prog *ir.Program, db *invariants.DB, criterion *ir.Instr,
 // the returned instance; the static slices are shared cached values
 // and must not be mutated.
 func NewOptSliceStatic(prog *ir.Program, db *invariants.DB, criterion *ir.Instr, budget int, cfg StaticConfig) (*OptSlice, error) {
-	sound, err := NewHybridSlicer(prog, criterion, budget, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return newOptSlice(prog, db, criterion, budget, cfg, sound, &generations[*OptSlice]{})
+	gens := newGenerations[*OptSlice](func() (*HybridSlicer, error) { return NewHybridSlicer(prog, criterion, budget, cfg) })
+	return newOptSlice(prog, db, criterion, budget, cfg, gens)
 }
 
-// newOptSlice builds the OptSlice for db over an existing sound
-// fallback, sharing gens with the generations it is refined from.
+// newOptSlice builds the OptSlice for db, sharing gens (and its sound
+// fallback) with the generations it is refined from.
 func newOptSlice(prog *ir.Program, db *invariants.DB, criterion *ir.Instr, budget int, cfg StaticConfig,
-	sound *HybridSlicer, gens *generations[*OptSlice]) (*OptSlice, error) {
+	gens *generations[*OptSlice, *HybridSlicer]) (*OptSlice, error) {
 	ss, err := staticSliceFor(prog, db, criterion, budget, cfg.Cache)
 	if err != nil {
 		return nil, err
@@ -333,7 +332,6 @@ func newOptSlice(prog *ir.Program, db *invariants.DB, criterion *ir.Instr, budge
 		Criterion: criterion,
 		Static:    ss.Slice,
 		AT:        ss.AT,
-		Sound:     sound,
 		plan:      p,
 		checks:    checks,
 		budget:    budget,
@@ -351,14 +349,14 @@ func (o *OptSlice) CodeDigest() string { return o.plan.code.ConfigDigest() }
 // refined generation or the traditional hybrid slicer on invariant
 // violation (speculate).
 func (o *OptSlice) Run(e Execution, opts RunOptions) (*SliceReport, error) {
-	return speculate(o, e, opts, o.Sound.Run)
+	return speculate(o, e, opts)
 }
 
 func (o *OptSlice) try(e Execution, opts RunOptions) (*SliceReport, *Outcome, error) {
 	checker := o.checks.newChecker()
 	tr := dynslice.New(o.Prog, checker.abort)
 	defer tr.Release()
-	tr.MaxNodes = o.Sound.MaxTraceNodes
+	tr.MaxNodes = o.MaxTraceNodes
 	report := func(res *interp.Result) *SliceReport { return sliceReport(tr, o.Criterion, res) }
 	return attempt(o.plan, &optSliceTracer{checker: checker, tr: tr}, &checker.checkState, e, opts, report, nil)
 }
@@ -367,8 +365,20 @@ func (o *OptSlice) facts() (*ir.Program, *invariants.DB) { return o.Prog, o.DB }
 
 func (o *OptSlice) refined(db *invariants.DB) (optimistic[*SliceReport], error) {
 	return o.gens.get(db, func() (*OptSlice, error) {
-		return newOptSlice(o.Prog, db, o.Criterion, o.budget, o.static, o.Sound, o.gens)
+		g, err := newOptSlice(o.Prog, db, o.Criterion, o.budget, o.static, o.gens)
+		if err == nil {
+			g.MaxTraceNodes = o.MaxTraceNodes
+		}
+		return g, err
 	})
+}
+
+func (o *OptSlice) sound(e Execution, opts RunOptions) (*SliceReport, error) {
+	h, err := o.gens.sound.get()
+	if err != nil {
+		return nil, err
+	}
+	return h.plan.slice(o.Criterion, e, opts, o.MaxTraceNodes)
 }
 
 func (o *OptSlice) memoized(db *invariants.DB) (*OptSlice, bool) { return o.gens.lookup(db) }

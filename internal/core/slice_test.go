@@ -89,7 +89,7 @@ func TestOptSliceEquivalentAndCheaper(t *testing.T) {
 	if opt.AT != CS {
 		t.Fatalf("optimistic AT = %s, want CS", opt.AT)
 	}
-	opt.Sound = hy
+	opt.gens.sound.build = func() (*HybridSlicer, error) { return hy, nil }
 
 	// The predicated static slice must be smaller.
 	if opt.Static.Size() >= hy.Static.Size() {
@@ -326,8 +326,8 @@ func TestHybridSlicerErrorsOnTraceOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Sound.MaxTraceNodes = 5000
-	if rep, err := opt.Sound.Run(Execution{Inputs: []int64{0}, Seed: 1}, RunOptions{}); !errors.Is(err, interp.ErrAborted) {
+	opt.MaxTraceNodes = 5000
+	if rep, err := opt.sound(Execution{Inputs: []int64{0}, Seed: 1}, RunOptions{}); !errors.Is(err, interp.ErrAborted) {
 		t.Fatalf("hybrid slicer past its trace limit: err = %v, report %+v", err, rep)
 	}
 	rep, err := opt.Run(Execution{Inputs: []int64{1}, Seed: 1}, RunOptions{})
@@ -398,7 +398,7 @@ func TestSlicerRunsDeliverNoMemoryOrSyncEvents(t *testing.T) {
 			}
 			slicers := map[string]func(RunOptions) (*SliceReport, error){
 				"opt":    func(o RunOptions) (*SliceReport, error) { return opt.Run(e, o) },
-				"hybrid": func(o RunOptions) (*SliceReport, error) { return opt.Sound.Run(e, o) },
+				"hybrid": func(o RunOptions) (*SliceReport, error) { return opt.sound(e, o) },
 			}
 			for name, run := range slicers {
 				compiled, err := run(RunOptions{})

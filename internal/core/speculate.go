@@ -120,6 +120,9 @@ type optimistic[R Report] interface {
 	// constructor under the same static configuration, and sharing this
 	// generation's sound fallback.
 	refined(db *invariants.DB) (optimistic[R], error)
+	// sound runs e under the traditional (sound) hybrid analysis, the
+	// fallback every generation shares, built on first use.
+	sound(e Execution, opts RunOptions) (R, error)
 }
 
 // speculate is the pipeline every optimistic client shares (§2.3): try
@@ -127,11 +130,12 @@ type optimistic[R Report] interface {
 // recorded execution. A refinable violation re-executes speculatively
 // under the generation whose database the violated fact's kind rule
 // weakens (Violation.Refine); after maxRefinements such generations, on
-// a violation with no rule, or on a rule that changes nothing, sound
-// re-executes under the traditional hybrid analysis. Either way the
-// result equals the sound one, and it is charged every aborted
-// attempt's work.
-func speculate[R Report](gen optimistic[R], e Execution, opts RunOptions, sound func(Execution, RunOptions) (R, error)) (R, error) {
+// a violation with no rule, or on a rule that changes nothing, the run
+// re-executes under the traditional hybrid analysis (gen's sound).
+// Either way the result equals the sound one, and it is charged every
+// aborted attempt's work.
+func speculate[R Report](gen optimistic[R], e Execution, opts RunOptions) (R, error) {
+	root := gen
 	var chain Outcome // the aborted attempts
 	for gen != nil {
 		rep, aborted, err := gen.try(e, opts)
@@ -153,7 +157,7 @@ func speculate[R Report](gen optimistic[R], e Execution, opts RunOptions, sound 
 			return rep, err
 		}
 	}
-	rep, err := sound(e, opts)
+	rep, err := root.sound(e, opts)
 	if err != nil {
 		return rep, fmt.Errorf("core: rollback re-execution failed: %w", err)
 	}
@@ -233,15 +237,38 @@ func attempt[R Report](p *plan, tracer interp.Tracer, check *checkState, e Execu
 }
 
 // generations memoizes the refined generations of one optimistic
-// detector by refined-database digest. The detector and every
-// generation refined from it share one, so each refined database is
-// built once however it is reached, by however many concurrent runs.
-// It keeps at most maxGenerations, evicting the least recently used: an
-// evicted generation is rebuilt on its next use (through the artifact
-// cache, when there is one), so eviction changes no result.
-type generations[D any] struct {
-	mu   sync.Mutex
-	list []*refinedGen[D] // least recently used first
+// detector by refined-database digest, and holds their shared sound
+// fallback (S). The detector and every generation refined from it share
+// one, so each refined database is built once however it is reached,
+// by however many concurrent runs. It keeps at most maxGenerations,
+// evicting the least recently used: an evicted generation is rebuilt on
+// its next use (through the artifact cache, when there is one), so
+// eviction changes no result. The sound fallback is built the first
+// time a rollback chain falls through to it, and then kept.
+type generations[D, S any] struct {
+	mu    sync.Mutex
+	list  []*refinedGen[D] // least recently used first
+	sound lazy[S]
+}
+
+// newGenerations returns an empty memo whose sound fallback build
+// constructs on first use.
+func newGenerations[D, S any](build func() (S, error)) *generations[D, S] {
+	return &generations[D, S]{sound: lazy[S]{build: build}}
+}
+
+// lazy is a value built on first use, once however many goroutines ask
+// for it; a failed build's error is returned to every caller.
+type lazy[T any] struct {
+	once  sync.Once
+	build func() (T, error)
+	v     T
+	err   error
+}
+
+func (l *lazy[T]) get() (T, error) {
+	l.once.Do(func() { l.v, l.err = l.build() })
+	return l.v, l.err
 }
 
 // refinedGen is one memoized generation (or its construction error).
@@ -255,7 +282,7 @@ type refinedGen[D any] struct {
 
 // get returns the generation for db, building it with build on first
 // use.
-func (g *generations[D]) get(db *invariants.DB, build func() (D, error)) (D, error) {
+func (g *generations[D, S]) get(db *invariants.DB, build func() (D, error)) (D, error) {
 	digest := artifacts.DBDigest(db)
 	g.mu.Lock()
 	var r *refinedGen[D]
@@ -279,7 +306,7 @@ func (g *generations[D]) get(db *invariants.DB, build func() (D, error)) (D, err
 
 // lookup returns the generation for db if one is built, building
 // nothing.
-func (g *generations[D]) lookup(db *invariants.DB) (D, bool) {
+func (g *generations[D, S]) lookup(db *invariants.DB) (D, bool) {
 	digest := artifacts.DBDigest(db)
 	g.mu.Lock()
 	defer g.mu.Unlock()

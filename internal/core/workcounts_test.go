@@ -261,19 +261,27 @@ func workCounts(b *bytes.Buffer, w *workloads.Workload, cfg StaticConfig, opts R
 		if err != nil {
 			return err
 		}
+		sound, err := opt.gens.sound.get()
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(b, "static sound-pairs=%d pred-pairs=%d validated-elidable=%d elided-accesses=%d\n",
-			len(opt.Sound.Static.Pairs), len(opt.Pred.Pairs), opt.DB.ElidableLocks.Len(), opt.ElidedAccesses())
+			len(sound.Static.Pairs), len(opt.Pred.Pairs), opt.DB.ElidableLocks.Len(), opt.ElidedAccesses())
 		full := compiledCode(prog, raceMasks(prog, nil, nil), compileOpts(nil, cfg), cfg.Cache)
 		cols := func(r *RaceReport) string { return fmt.Sprintf(" ft=%d racy=%d", r.FTChecks, len(r.RacyAddrs)) }
-		emit(configRow("fasttrack", full.fastTrack, cols), configRow("hybridft", opt.Sound.Run, cols), configRow("optft", opt.Run, cols))
+		emit(configRow("fasttrack", full.fastTrack, cols), configRow("hybridft", sound.Run, cols), configRow("optft", opt.Run, cols))
 	case workloads.Slice:
 		crit := workCountCriterion(prog)
 		opt, err := NewOptSliceStatic(prog, pr.DB, crit, workCountBudget, cfg)
 		if err != nil {
 			return err
 		}
+		sound, err := opt.gens.sound.get()
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(b, "static sound-slice=%d sound-at=%s pred-slice=%d pred-at=%s\n",
-			opt.Sound.Static.Size(), opt.Sound.AT, opt.Static.Size(), opt.AT)
+			sound.Static.Size(), sound.AT, opt.Static.Size(), opt.AT)
 		full := compiledCode(prog, interp.Masks{ExecAll: true, Block: make([]bool, len(prog.Blocks))}, compileOpts(nil, cfg), cfg.Cache)
 		giri := func(e Execution, opts RunOptions) (*SliceReport, error) { return full.slice(crit, e, opts, 0) }
 		cols := func(r *SliceReport) string {
@@ -283,19 +291,23 @@ func workCounts(b *bytes.Buffer, w *workloads.Workload, cfg StaticConfig, opts R
 			}
 			return fmt.Sprintf(" nodes=%d slice=%d", r.TraceNodes, n)
 		}
-		emit(configRow("giri", giri, cols), configRow("hybridslice", opt.Sound.Run, cols), configRow("optslice", opt.Run, cols))
+		emit(configRow("giri", giri, cols), configRow("hybridslice", sound.Run, cols), configRow("optslice", opt.Run, cols))
 	case workloads.Null:
 		opt, err := NewOptNull(prog, pr.DB, cfg)
 		if err != nil {
 			return err
 		}
+		sound, err := opt.gens.sound.get()
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(b, "static deref-sites=%d sound-discharged=%d pred-discharged=%d\n",
-			opt.Pred.DerefSites, opt.Sound.Static.Discharged.Len(), opt.ElidedChecks())
+			opt.Pred.DerefSites, sound.Static.Discharged.Len(), opt.ElidedChecks())
 		none := &nullcheck.Result{Discharged: &bitset.Set{}, UsedFacts: &bitset.Set{}, DerefSites: countDerefSites(prog)}
 		always := compiledCode(prog, soundNullMasks(prog, fullNullMask(prog)), compileOpts(nil, cfg), cfg.Cache)
 		alwaysRun := func(e Execution, opts RunOptions) (*NullReport, error) { return always.observeNulls(e, opts, none) }
 		cols := func(r *NullReport) string { return fmt.Sprintf(" nil=%d nil-sites=%d", r.NilDerefs, len(r.NilSites)) }
-		emit(configRow("nullalways", alwaysRun, cols), configRow("hybridnull", opt.Sound.Run, cols), configRow("optnull", opt.Run, cols))
+		emit(configRow("nullalways", alwaysRun, cols), configRow("hybridnull", sound.Run, cols), configRow("optnull", opt.Run, cols))
 	}
 	return nil
 }

@@ -38,12 +38,12 @@ type Fig5Row struct {
 	PredPairs  int
 
 	// Cold set-up, timed without an artifact cache. ProfileSec
-	// includes profiling's custom-sync validation.
+	// includes profiling's proposal of the elidable lock sites.
 	ProfileSec  float64
 	ProfileRuns int
 	SoundSec    float64 // traditional hybrid static analysis
-	// PredSec builds OptFT: the predicated analysis and the sound
-	// analysis it keeps as its rollback target.
+	// PredSec builds OptFT: the predicated analysis. Its sound
+	// rollback target is built only when a run falls through to it.
 	PredSec float64
 }
 
@@ -67,8 +67,8 @@ func Fig5(opts Options) ([]Fig5Row, error) {
 }
 
 // setupRace times the cold set-up of one benchmark into row and
-// returns the optimistic detector, whose Sound field is the hybrid one.
-func setupRace(opts Options, w *workloads.Workload, row *Fig5Row) (*core.OptFT, error) {
+// returns the hybrid and optimistic detectors.
+func setupRace(opts Options, w *workloads.Workload, row *Fig5Row) (*core.HybridFT, *core.OptFT, error) {
 	prog := w.Prog()
 	var pr *core.ProfileResult
 	var err error
@@ -77,15 +77,16 @@ func setupRace(opts Options, w *workloads.Workload, row *Fig5Row) (*core.OptFT, 
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	row.ProfileRuns = pr.Runs
-	row.SoundSec, err = timed(func() error {
-		_, err := core.NewHybridFT(prog, core.StaticConfig{Workers: 1})
+	var hybrid *core.HybridFT
+	row.SoundSec, err = timed(func() (err error) {
+		hybrid, err = core.NewHybridFT(prog, core.StaticConfig{Workers: 1})
 		return err
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%s: sound static: %w", w.Name, err)
+		return nil, nil, fmt.Errorf("%s: sound static: %w", w.Name, err)
 	}
 	var opt *core.OptFT
 	row.PredSec, err = timed(func() (err error) {
@@ -93,19 +94,19 @@ func setupRace(opts Options, w *workloads.Workload, row *Fig5Row) (*core.OptFT, 
 		return err
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%s: predicated static: %w", w.Name, err)
+		return nil, nil, fmt.Errorf("%s: predicated static: %w", w.Name, err)
 	}
-	return opt, nil
+	return hybrid, opt, nil
 }
 
 // fig5Row measures one benchmark for Figure 5.
 func fig5Row(opts Options, w *workloads.Workload) (Fig5Row, error) {
 	row := Fig5Row{Name: w.Name, RaceFree: w.RaceFree}
-	opt, err := setupRace(opts, w, &row)
+	hybrid, opt, err := setupRace(opts, w, &row)
 	if err != nil {
 		return Fig5Row{}, err
 	}
-	row.SoundPairs = len(opt.Sound.Static.Pairs)
+	row.SoundPairs = len(hybrid.Static.Pairs)
 	row.PredPairs = len(opt.Pred.Pairs)
 
 	prog := w.Prog()
@@ -126,7 +127,7 @@ func fig5Row(opts Options, w *workloads.Workload) (Fig5Row, error) {
 				return err
 			},
 			func() (err error) {
-				hy, err = opt.Sound.Run(e, core.RunOptions{})
+				hy, err = hybrid.Run(e, core.RunOptions{})
 				return err
 			},
 			func() (err error) {

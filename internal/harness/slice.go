@@ -37,8 +37,8 @@ type Fig6Row struct {
 	ProfileSec  float64
 	ProfileRuns int
 	SoundSec    float64 // traditional points-to + static slice
-	// PredSec builds OptSlice: the predicated analysis and the sound
-	// slicer it keeps as its rollback target.
+	// PredSec builds OptSlice: the predicated analysis. Its sound
+	// rollback target is built only when a run falls through to it.
 	PredSec float64
 }
 
@@ -62,8 +62,8 @@ func Fig6(opts Options) ([]Fig6Row, error) {
 }
 
 // setupSlice times the cold set-up of one benchmark into row and
-// returns the optimistic slicer, whose Sound field is the hybrid one.
-func setupSlice(opts Options, w *workloads.Workload, row *Fig6Row) (*core.OptSlice, error) {
+// returns the hybrid and optimistic slicers.
+func setupSlice(opts Options, w *workloads.Workload, row *Fig6Row) (*core.HybridSlicer, *core.OptSlice, error) {
 	prog := w.Prog()
 	criterion := lastPrint(prog)
 	var pr *core.ProfileResult
@@ -73,15 +73,16 @@ func setupSlice(opts Options, w *workloads.Workload, row *Fig6Row) (*core.OptSli
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	row.ProfileRuns = pr.Runs
-	row.SoundSec, err = timed(func() error {
-		_, err := core.NewHybridSlicer(prog, criterion, opts.Budget, core.StaticConfig{Workers: 1})
+	var hybrid *core.HybridSlicer
+	row.SoundSec, err = timed(func() (err error) {
+		hybrid, err = core.NewHybridSlicer(prog, criterion, opts.Budget, core.StaticConfig{Workers: 1})
 		return err
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%s: sound static slice: %w", w.Name, err)
+		return nil, nil, fmt.Errorf("%s: sound static slice: %w", w.Name, err)
 	}
 	var opt *core.OptSlice
 	row.PredSec, err = timed(func() error {
@@ -89,21 +90,21 @@ func setupSlice(opts Options, w *workloads.Workload, row *Fig6Row) (*core.OptSli
 		return err
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%s: predicated static slice: %w", w.Name, err)
+		return nil, nil, fmt.Errorf("%s: predicated static slice: %w", w.Name, err)
 	}
-	return opt, nil
+	return hybrid, opt, nil
 }
 
 // fig6Row measures one benchmark for Figure 6.
 func fig6Row(opts Options, w *workloads.Workload) (Fig6Row, error) {
 	row := Fig6Row{Name: w.Name}
-	opt, err := setupSlice(opts, w, &row)
+	hybrid, opt, err := setupSlice(opts, w, &row)
 	if err != nil {
 		return Fig6Row{}, err
 	}
-	row.HybridStatic = opt.Sound.Static.Size()
+	row.HybridStatic = hybrid.Static.Size()
 	row.OptStatic = opt.Static.Size()
-	row.HybridAT = opt.Sound.AT
+	row.HybridAT = hybrid.AT
 	row.OptAT = opt.AT
 
 	prog := w.Prog()
@@ -120,7 +121,7 @@ func fig6Row(opts Options, w *workloads.Workload) (Fig6Row, error) {
 				return err
 			},
 			func() (err error) {
-				hrep, err = opt.Sound.Run(e, core.RunOptions{})
+				hrep, err = hybrid.Run(e, core.RunOptions{})
 				return err
 			},
 			func() (err error) {

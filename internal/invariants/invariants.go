@@ -66,8 +66,10 @@ type DB struct {
 	SingletonSpawns *bitset.Set
 
 	// ElidableLocks holds lock/unlock site IDs whose instrumentation
-	// was elided during custom-synchronization profiling without
-	// introducing false races (no-custom-synchronization invariant).
+	// is elided (no-custom-synchronization invariant): the sites the
+	// predicated static race analysis proposes, set by profiling and
+	// validated by speculation, since a race reported while they are
+	// elided rolls the run back and the refinement clears them.
 	ElidableLocks *bitset.Set
 
 	// Callees maps each indirect call-site instruction ID to the set

@@ -8,9 +8,10 @@
 // per-run invariant database, and invariants.Merge folds databases
 // from many runs into the final likely-invariant set.
 //
-// The no-custom-synchronization invariant is profiled separately (see
-// oha/internal/core), because it requires running the race detector
-// itself with trial elisions.
+// The no-custom-synchronization invariant is not profiled here: core's
+// profiling entry points set it to the lock sites the predicated
+// static race analysis proposes to elide, and a speculative run
+// validates it (a race reported while they are elided rolls back).
 package profile
 
 import (

@@ -13,8 +13,8 @@ import (
 // Masks derives the FastTrack instrumentation masks this result
 // implies: mem marks the loads/stores that must stay instrumented
 // (statically racy), sync marks the lock/unlock sites that must stay
-// instrumented (all of them, minus the validated elidable set when db
-// is predicated). Fresh slices on every call — callers mutate them per
+// instrumented (all of them, minus db's elidable set when db is
+// predicated). Fresh slices on every call — callers mutate them per
 // detector instance.
 func (r *Result) Masks(db *invariants.DB) (mem, sync []bool) {
 	mem = make([]bool, len(r.Prog.Instrs))

@@ -46,9 +46,9 @@ type Result struct {
 
 	// ElidableSyncs holds lock/unlock instr IDs whose instrumentation
 	// the predicated analysis proposes to elide (no instrumented
-	// access inside their critical sections). Must be validated by
-	// custom-synchronization profiling before use. Empty for sound
-	// analysis.
+	// access inside their critical sections). A detector that elides
+	// them must treat any race it reports as a potential
+	// mis-speculation (§4.2.4). Empty for sound analysis.
 	ElidableSyncs *bitset.Set
 
 	// Locksets maps access instr IDs to the lock-site IDs must-held at

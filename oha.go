@@ -133,7 +133,9 @@ func MustCompile(src string) *Program { return lang.MustCompile(src) }
 
 // Profile learns likely invariants from executions produced by gen,
 // stopping when the invariant set stabilizes (or after maxRuns), then
-// validates the lock sites a race detector may elide (§4.2.4).
+// proposes the lock sites a race detector may elide (§4.2.4). The
+// proposal is assumed like every likely invariant: a race reported
+// while they are elided rolls the run back.
 func Profile(prog *Program, gen func(run int) Execution, maxRuns int) (*ProfileResult, error) {
 	return core.Profile(prog, gen, maxRuns)
 }
@@ -175,8 +177,9 @@ func ProfileCached(prog *Program, gen func(run int) Execution, maxRuns int, cach
 
 // NewRaceDetector builds OptFT for a program and its profiled
 // invariants: it runs the predicated static race analysis (for
-// elision) and the sound one (for rollback). Lock instrumentation is
-// elided at the sites profiling validated.
+// elision); the sound one, the rollback target, is built the first
+// time a run falls through to it. Lock instrumentation is elided at
+// the sites profiling proposed.
 func NewRaceDetector(prog *Program, db *InvariantDB) (*RaceDetector, error) {
 	return core.NewOptFT(prog, db)
 }
