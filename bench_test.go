@@ -632,10 +632,12 @@ func benchEngine(b *testing.B, engine interp.EngineKind, traced bool) {
 			blockMask := make([]bool, len(prog.Blocks))
 			var code *interp.Code
 			if engine == interp.EngineCompiled {
-				// Precompile once, as every production caller does.
-				m := interp.Masks{}
+				// Precompile once, as every production caller does. The
+				// untraced image flags no site, like core.PlainImage: nil
+				// masks would mean every site.
+				m := interp.Masks{Mem: []bool{}, Sync: []bool{}, Block: []bool{}}
 				if traced {
-					m.Block = blockMask
+					m = interp.Masks{Block: blockMask}
 				}
 				code = interp.Compile(prog, m)
 			}
@@ -671,7 +673,7 @@ func benchEngine(b *testing.B, engine interp.EngineKind, traced bool) {
 func BenchmarkInterpTree(b *testing.B) { benchEngine(b, interp.EngineTree, false) }
 
 // BenchmarkInterpCompiled is the compiled bytecode engine with tracing
-// off — the headline engine speedup.
+// off on the uninstrumented image — the headline engine speedup.
 func BenchmarkInterpCompiled(b *testing.B) { benchEngine(b, interp.EngineCompiled, false) }
 
 // BenchmarkInterpTreeFastTrack is the tree-walker driving a full

@@ -320,7 +320,7 @@ func (tr *Tracer) memDefine(a interp.Addr, id int32) {
 
 // operandDep appends the defining node of a register operand, if
 // traced, to the dependence arena.
-func (tr *Tracer) operandDep(regs []int32, op ir.Operand) {
+func (tr *Tracer) operandDep(regs []int32, op *ir.Operand) {
 	if op.Kind != ir.OperVar {
 		return
 	}
@@ -359,10 +359,10 @@ func (tr *Tracer) Exec(t vc.TID, in *ir.Instr, frame interp.FrameID, addr interp
 	}
 	id := int32(len(tr.nodes))
 	tr.nodes = append(tr.nodes, node{instr: int32(in.ID), dep: int32(len(tr.deps))})
-	tr.operandDep(regs, in.A)
-	tr.operandDep(regs, in.B)
-	for _, a := range in.Args {
-		tr.operandDep(regs, a)
+	tr.operandDep(regs, &in.A)
+	tr.operandDep(regs, &in.B)
+	for i := range in.Args {
+		tr.operandDep(regs, &in.Args[i])
 	}
 	if in.Op == ir.OpLoad {
 		if n, ok := tr.memLast(addr); ok {

@@ -24,10 +24,10 @@
 //     target) pairs baked into the instruction, so a hit dispatches on
 //     one int64 compare instead of decode + table load + arity check;
 //   - a peephole pass fuses straight-line runs of simple ops within a
-//     block (arith/copy/load/store chains, loads and stores with their
-//     Mem event on included, optionally ending in a branch, jump,
-//     call, or return) into cRun superinstructions dispatched once
-//     with a single budget check.
+//     block (arith/copy/load/store chains, with their Mem and Exec
+//     events on included, optionally ending in a branch, jump, call,
+//     or return) into cRun superinstructions dispatched once with a
+//     single budget check.
 //
 // Both are semantically invisible: an IC miss falls back to generic
 // resolution (the callee-set *invariant* is still checked by the
@@ -190,10 +190,14 @@ type cinstr struct {
 	op    copcode
 	flags uint8
 	bin   ir.BinOp
+	cond  uint8 // fused head: its br terminator's condition register
 	dst   int32 // destination register, regNone if absent
 	a, b  coperand
 
-	t0, t1 int32      // absolute branch-target PCs (jmp/br)
+	// Branch targets and BlockEnter payloads (jmp/br). A fused head
+	// whose run ends in a branch or jump carries that terminator here
+	// too, pre-decoded (predecodeTerm); every other head has t0 = -1.
+	t0, t1 int32      // absolute branch-target PCs
 	b0, b1 *ir.Block  // BlockEnter payloads for t0/t1
 	args   []coperand // call/spawn arguments
 	fn     *cfunc     // direct call/spawn target; nil means indirect via a
@@ -203,10 +207,14 @@ type cinstr struct {
 	// head included, and run the pre-decoded micro-op stream covering
 	// the head and every interior component (a branch, jump, call, or
 	// return terminator stays behind as the raw instruction at
-	// pc+nrun-1, so len(run) < nrun exactly when the run has one).
+	// pc+nrun-1, so len(run) < nrun exactly when the run has one; a
+	// branch or jump is also pre-decoded into t0/t1/b0/b1/cond).
 	// Interior positions are themselves cRun heads over the shared
 	// stream's suffix, so a run split by a budget boundary resumes
-	// mid-run still fused.
+	// mid-run still fused. A call or return is always a run of just
+	// its own terminator (nrun 1, no micro-ops), so the engine's run
+	// handler executes it whether or not it ends a fused run; every
+	// other non-head has nrun 0.
 	nrun int32
 	run  []microp
 
@@ -231,6 +239,12 @@ const (
 	mStoreEv
 )
 
+// mExec marks a component whose instruction carries fExecEv: the
+// opcode is the component's own micro op with this bit set, so it
+// falls outside the run handler's hot cases into its default arm,
+// which executes the component and then delivers the Exec event.
+const mExec uint8 = 0x80
+
 // microp is one pre-decoded fused-run component: opcode (with the
 // binary operator folded in), destination register, and operands as
 // plain register-file indices, in 16 bytes — an eighth of cinstr.
@@ -240,9 +254,10 @@ const (
 // indexed loads. Indices are uint8 and every frame slab holds at
 // least 256 slots (see newFrame), so the run handler indexes a
 // *[256]int64 view with no bounds checks; a run whose indices don't
-// fit a uint8 simply stays unfused. The only event a component can
-// carry is its Mem event, folded into the opcode (mLoadEv/mStoreEv),
-// so no flags are carried; in remains for trap and event payloads.
+// fit a uint8 simply stays unfused. A component's events are folded
+// into the opcode (mLoadEv/mStoreEv for the Mem event, the mExec bit
+// for Exec), so no flags are carried; in remains for trap and event
+// payloads.
 type microp struct {
 	op   uint8
 	dst  uint8
@@ -293,6 +308,9 @@ func (c *Code) lowerMicro(ci *cinstr, cf *cfunc, pool map[int64]int32) (microp, 
 		if ci.flags&fMemEv != 0 {
 			u.op = mStoreEv
 		}
+	}
+	if ci.flags&fExecEv != 0 {
+		u.op |= mExec
 	}
 	return u, true
 }
@@ -581,6 +599,7 @@ func newSkeleton(prog *ir.Program) (*Code, []int32) {
 				case ir.OpCall, ir.OpSpawn:
 					if in.Op == ir.OpCall {
 						ci.op = cCall
+						ci.nrun = 1
 					} else {
 						ci.op = cSpawn
 					}
@@ -597,6 +616,7 @@ func newSkeleton(prog *ir.Program) (*Code, []int32) {
 					ci.op = cJoin
 				case ir.OpRet:
 					ci.op = cRet
+					ci.nrun = 1
 				case ir.OpJmp:
 					ci.op = cJmp
 					s0 := blk.Succs[0]
@@ -738,20 +758,21 @@ const cRunMax = 32
 // rewrite invisible to control flow.
 //
 // Legality: no component but the last may yield, block, or deliver
-// anything but its own Mem event, and none may carry the Exec firehose
-// or a residual null check, whose paths the run handler does not
-// replicate. An interior load or store with its Mem event on delivers
-// the event right after the access, exactly as unfused execution does,
-// and when that delivery can have raised the abort flag the handler
-// cuts the run right after the component, so the post-run abort poll
-// stops where the unfused poll-after-each would. The last component may
-// instead be a branch/jump (BlockEnter flags replicated) or a
-// call/return (Call/Ret events plus frame transitions, replicated in
-// full by the run handler), whose events are delivered immediately
-// before the same post-run abort poll. Lock, unlock, join, spawn, and
-// the remaining rare ops never join a run: they yield the scheduling
-// slice, block, or trap, so the instruction after them could never
-// execute in the same dispatch anyway.
+// anything but its own Mem and Exec events, and none may carry a
+// residual null check, whose recovery path the run handler does not
+// replicate. An interior component delivers its events right after it
+// executes, in the unfused order (Mem, then Exec), and when a delivery
+// can have raised the abort flag the handler cuts the run right after
+// the component, so the post-run abort poll stops where the unfused
+// poll-after-each would. The last component may instead be a
+// branch/jump or a call/return. A branch or jump is pre-decoded into
+// every head (predecodeTerm) and taken inline with its BlockEnter; a
+// call or return is replicated from its raw instruction, frame
+// transition and Call/Ret events included. Either way its events are
+// delivered immediately before the same post-run abort poll. Lock,
+// unlock, join, spawn, and the remaining rare ops never join a run:
+// they yield the scheduling slice, block, or trap, so the instruction
+// after them could never execute in the same dispatch anyway.
 func (c *Code) fuseBlock(cf *cfunc, pool map[int64]int32, start, end int32) {
 	pc := start
 	for pc < end {
@@ -773,7 +794,8 @@ func (c *Code) fuseBlock(cf *cfunc, pool map[int64]int32, start, end int32) {
 		}
 		if n >= 2 {
 			m := n
-			if !runInterior(&c.code[pc+n-1]) {
+			term := &c.code[pc+n-1]
+			if !runInterior(term) {
 				m = n - 1 // event-carrying terminator stays a raw cinstr
 			}
 			run := make([]microp, m)
@@ -792,6 +814,9 @@ func (c *Code) fuseBlock(cf *cfunc, pool map[int64]int32, start, end int32) {
 					h.op = cRun
 					h.nrun = n - i
 					h.run = run[i:m]
+					if m < n {
+						predecodeTerm(h, term)
+					}
 				}
 				c.fused++
 			}
@@ -801,35 +826,67 @@ func (c *Code) fuseBlock(cf *cfunc, pool map[int64]int32, start, end int32) {
 }
 
 // runInterior reports whether ci may appear anywhere in a fused run:
-// a simple data op with no event flags, or a load/store whose only
-// flag is its Mem event.
+// a simple data op whose only flag is its Exec event, or a load/store
+// whose only flags are its Mem and Exec events.
 func runInterior(ci *cinstr) bool {
 	switch ci.op {
 	case cBin, cCopy, cNeg, cNot:
-		return ci.flags == 0
+		return ci.flags&^fExecEv == 0
 	case cLoad, cStore:
-		return ci.flags == 0 || ci.flags == fMemEv
+		return ci.flags&^(fMemEv|fExecEv) == 0
 	}
 	return false
 }
 
 // runTerminator reports whether ci may end a fused run even though it
-// fires events: a branch/jump (BlockEnter flags replicated by the run
-// handler) or a call/return (whose Call/Ret events and frame
-// transitions the handler replicates — both are safe in last position
-// because their events are delivered immediately before the same
-// post-run abort poll an unfused execution would reach). The Exec
-// firehose is never replicated, so it disqualifies. Lock, unlock,
-// join, and spawn never join a run: they yield the scheduling slice,
-// so the following instruction could never execute in the same
-// dispatch anyway.
+// fires events: a branch/jump (pre-decoded into the run's heads, its
+// condition read by uint8 register index) or a call/return (whose
+// Call/Ret events and frame transitions the handler replicates — both
+// are safe in last position because their events are delivered
+// immediately before the same post-run abort poll an unfused execution
+// would reach). An Exec-carrying terminator stays unfused, so the
+// terminator paths deliver no Exec event. Lock, unlock, join, and
+// spawn never join a run: they yield the scheduling slice, so the
+// following instruction could never execute in the same dispatch
+// anyway.
 func runTerminator(ci *cinstr) bool {
 	if ci.flags&fExecEv != 0 {
 		return false
 	}
 	switch ci.op {
-	case cBr, cJmp, cCall, cRet:
+	case cBr:
+		return ci.a.reg < microSlots
+	case cJmp, cCall, cRet:
 		return true
 	}
 	return false
+}
+
+// predecodeTerm copies the terminator of h's run into h when it is a
+// branch or jump: its targets, its condition register, and the
+// BlockEnter payloads its flags enable (nil: no event). A branch on a
+// constant always goes one way, so it is stored as a jump there. The
+// image decoder derives these fields with this same function, from the
+// skeleton and the terminator's own flags.
+func predecodeTerm(h, term *cinstr) {
+	if term.op != cBr && term.op != cJmp {
+		return
+	}
+	t0, t1, b0, b1 := term.t0, term.t1, term.b0, term.b1
+	if term.flags&fBlkEv0 == 0 {
+		b0 = nil
+	}
+	if term.flags&fBlkEv1 == 0 {
+		b1 = nil
+	}
+	if term.op == cBr && term.a.reg == regNone {
+		if term.a.imm == 0 {
+			t0, b0 = t1, b1
+		}
+		t1, b1 = -1, nil
+	}
+	h.t0, h.t1, h.b0, h.b1 = t0, t1, b0, b1
+	if t1 >= 0 {
+		h.cond = uint8(term.a.reg)
+	}
 }

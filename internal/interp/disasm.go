@@ -95,8 +95,12 @@ func regName(cf *cfunc, reg int32) string {
 }
 
 // microName renders a micro opcode; a load/store that delivers its
-// Mem event is marked ".ev".
+// Mem event is marked ".ev", and a component that delivers its Exec
+// event ".x".
 func microName(op uint8) string {
+	if op&mExec != 0 {
+		return microName(op&^mExec) + ".x"
+	}
 	switch op {
 	case mCopy:
 		return "copy"

@@ -551,7 +551,7 @@ func (e *engine) start() error {
 	}
 	mainTh := e.spawnThread(e.code.main)
 	if tr := e.cfg.Tracer; tr != nil && e.code.main.entryEv {
-		e.blockEnter(tr, mainTh.id, e.code.main.entryB)
+		e.enterMain(tr, mainTh.id)
 	}
 	return nil
 }
@@ -594,7 +594,11 @@ func (e *engine) run() error {
 // runSlice executes up to one quantum of th. Control flow mirrors the
 // tree-walker exactly: step-limit check before each instruction, abort
 // poll after each, context poll once per slice, and blocked sync
-// operations retried without consuming a step.
+// operations retried without consuming a step. The loop itself only
+// runs fused runs, calls and returns (a call or return outside any run
+// is a run of just its terminator, see cinstr.nrun), which together
+// are nearly every dispatch; every other opcode is one call to the
+// outlined step.
 func (e *engine) runSlice(th *cthread) error {
 	if e.ctxDone != nil {
 		select {
@@ -612,279 +616,23 @@ func (e *engine) runSlice(th *cthread) error {
 		}
 		in := &code[fr.pc]
 		e.stats.Steps++
-		var accessAddr Addr
-		yield := false
-		nextFr := fr
-		var dead *cframe
+		if in.nrun == 0 {
+			next, err := e.step(th, fr, in)
+			if next == nil {
+				return err
+			}
+			fr = next
+			continue
+		}
 
-		switch in.op {
-		case cCopy:
-			fr.regs[in.dst] = opval(fr.regs, in.a)
-			fr.pc++
-		case cNeg:
-			fr.regs[in.dst] = -opval(fr.regs, in.a)
-			fr.pc++
-		case cNot:
-			fr.regs[in.dst] = b2i(opval(fr.regs, in.a) == 0)
-			fr.pc++
-		case cBin:
-			fr.regs[in.dst] = evalBin(in.bin, opval(fr.regs, in.a), opval(fr.regs, in.b))
-			fr.pc++
-		case cAlloc:
-			n := opval(fr.regs, in.a)
-			if n < 0 || n >= OffSpan {
-				return e.trap(th, in.in, "bad allocation size %d", n)
-			}
-			obj := len(e.objects)
-			e.objects = append(e.objects, make([]int64, n))
-			e.lockTab = append(e.lockTab, nil)
-			fr.regs[in.dst] = MakeAddr(obj, 0)
-			fr.pc++
-		case cLoad:
-			a := opval(fr.regs, in.a)
-			if in.flags&fNullEv != 0 {
-				e.stats.NullChecks++
-				if a == 0 {
-					// Recovered nil deref, mirroring the tree-walker: the
-					// load yields 0 and no memory is touched.
-					fr.regs[in.dst] = 0
-					if tr != nil {
-						tr.NilDeref(th.id, in.in)
-					}
-					fr.pc++
-					break
-				}
-			}
-			// Inlined e.mem hit path (see mLoad); the slow path
-			// re-resolves only to trap or grow-agnostic cases.
-			var v int64
-			if obj, off := DecodeAddr(a); IsPtr(a) && obj < len(e.objects) && uint64(off) < uint64(len(e.objects[obj])) {
-				v = e.objects[obj][off]
-			} else {
-				cell, err := e.mem(th, in.in, a)
-				if err != nil {
-					return err
-				}
-				v = *cell
-			}
-			fr.regs[in.dst] = v
-			accessAddr = a
-			if in.flags&fMemEv != 0 && tr != nil {
-				e.stats.Loads++
-				// Inlined same-epoch fast path; all other shapes
-				// (transitions, misses, other fast kinds) outlined.
-				if e.fpKind == FastEpoch && e.fpReadHit(th.id, a-PtrBase) {
-					*e.fpChecks++
-					e.ic.FastPath.Hits++
-				} else {
-					e.traceLoad(th.id, in.in, a, v)
-				}
-			}
-			fr.pc++
-		case cStore:
-			a := opval(fr.regs, in.a)
-			if in.flags&fNullEv != 0 {
-				e.stats.NullChecks++
-				if a == 0 {
-					// Recovered nil deref: the store is dropped.
-					if tr != nil {
-						tr.NilDeref(th.id, in.in)
-					}
-					fr.pc++
-					break
-				}
-			}
-			v := opval(fr.regs, in.b)
-			// Inlined e.mem hit path (see mStore).
-			if obj, off := DecodeAddr(a); IsPtr(a) && obj < len(e.objects) && uint64(off) < uint64(len(e.objects[obj])) {
-				e.objects[obj][off] = v
-			} else {
-				cell, err := e.mem(th, in.in, a)
-				if err != nil {
-					return err
-				}
-				*cell = v
-			}
-			accessAddr = a
-			if in.flags&fMemEv != 0 && tr != nil {
-				e.stats.Stores++
-				// Inlined same-epoch fast path; see cLoad.
-				if e.fpKind == FastEpoch && e.fpWriteHit(th.id, a-PtrBase) {
-					*e.fpChecks++
-					e.ic.FastPath.Hits++
-				} else {
-					e.traceStore(th.id, in.in, a, v)
-				}
-			}
-			fr.pc++
-		case cLock:
-			a := opval(fr.regs, in.a)
-			if !IsPtr(a) {
-				return e.trap(th, in.in, "lock of non-pointer value %s", FormatValue(a))
-			}
-			switch h := e.lockGet(a); h {
-			case 0:
-				e.lockSet(a, int32(th.id)+1)
-				if th.state == tBlockedLock {
-					th.state = tRunning
-					e.nblocked--
-					e.insertRunning(th.id)
-				}
-				accessAddr = a
-				if in.flags&fSyncEv != 0 && tr != nil {
-					e.stats.Locks++
-					tr.Lock(th.id, in.in, a)
-				}
-				fr.pc++
-				yield = true
-			case int32(th.id) + 1:
-				return e.trap(th, in.in, "recursive lock of %s", FormatValue(a))
-			default:
-				if th.state == tRunning {
-					th.state = tBlockedLock
-					e.nblocked++
-					e.removeRunning(th.id)
-				}
-				th.waitAddr = a
-				e.stats.Steps-- // retried; don't double-count
-				if e.cfg.Abort != nil && e.cfg.Abort.IsSet() {
-					return fmt.Errorf("%w: %s", ErrAborted, e.cfg.Abort.Reason())
-				}
-				return nil
-			}
-		case cUnlock:
-			a := opval(fr.regs, in.a)
-			if !IsPtr(a) {
-				return e.trap(th, in.in, "unlock of non-pointer value %s", FormatValue(a))
-			}
-			if e.lockGet(a) != int32(th.id)+1 {
-				return e.trap(th, in.in, "unlock of mutex not held: %s", FormatValue(a))
-			}
-			accessAddr = a
-			if in.flags&fSyncEv != 0 && tr != nil {
-				e.stats.Unlocks++
-				tr.Unlock(th.id, in.in, a)
-			}
-			e.lockSet(a, 0)
-			fr.pc++
-			yield = true
-		case cCall:
-			callee, err := e.resolveCallee(th, fr, in)
-			if err != nil {
-				return err
-			}
-			fr.pc++ // return to the next instruction
-			nf := e.newFrame(callee, in.dst, in.in.Dst)
-			for i, p := range callee.params {
-				nf.regs[p] = opval(fr.regs, in.args[i])
-			}
-			th.frames = append(th.frames, nf)
-			if tr != nil {
-				e.stats.CallEvents++
-				tr.Call(th.id, in.in, callee.fn, fr.id, nf.id)
-			}
-			if callee.entryEv && tr != nil {
-				e.blockEnter(tr, th.id, callee.entryB)
-			}
-			nextFr = nf
-		case cSpawn:
-			callee, err := e.resolveCallee(th, fr, in)
-			if err != nil {
-				return err
-			}
-			child := e.spawnThread(callee)
-			cf := child.frames[0]
-			for i, p := range callee.params {
-				cf.regs[p] = opval(fr.regs, in.args[i])
-			}
-			if in.dst >= 0 {
-				fr.regs[in.dst] = int64(child.id)
-			}
-			if tr != nil {
-				e.stats.Spawns++
-				tr.Spawn(th.id, in.in, child.id, cf.id, callee.fn)
-			}
-			fr.pc++
-			if callee.entryEv && tr != nil {
-				e.blockEnter(tr, child.id, callee.entryB)
-			}
-			yield = true
-		case cJoin:
-			v := opval(fr.regs, in.a)
-			if v < 0 || v >= int64(len(e.threads)) || vc.TID(v) == th.id {
-				return e.trap(th, in.in, "join of invalid thread %s", FormatValue(v))
-			}
-			target := e.threads[v]
-			if target.state != tDone {
-				if th.state == tRunning {
-					th.state = tBlockedJoin
-					e.nblocked++
-					e.removeRunning(th.id)
-				}
-				th.waitTID = target.id
-				e.stats.Steps--
-				if e.cfg.Abort != nil && e.cfg.Abort.IsSet() {
-					return fmt.Errorf("%w: %s", ErrAborted, e.cfg.Abort.Reason())
-				}
-				return nil
-			}
-			if th.state == tBlockedJoin {
-				th.state = tRunning
-				e.nblocked--
-				e.insertRunning(th.id)
-			}
-			if tr != nil {
-				e.stats.Joins++
-				tr.Join(th.id, in.in, target.id)
-			}
-			fr.pc++
-			yield = true
-		case cRet:
-			v := opval(fr.regs, in.a)
-			th.frames = th.frames[:len(th.frames)-1]
-			if len(th.frames) == 0 {
-				th.state = tDone
-				e.removeRunning(th.id)
-				yield = true
-				if tr != nil {
-					tr.Ret(th.id, in.in, fr.id, 0, nil)
-				}
-			} else {
-				caller := th.frames[len(th.frames)-1]
-				if fr.retReg >= 0 {
-					caller.regs[fr.retReg] = v
-				}
-				if tr != nil {
-					tr.Ret(th.id, in.in, fr.id, caller.id, fr.retVar)
-				}
-				nextFr = caller
-			}
-			dead = fr
-		case cJmp:
-			fr.pc = in.t0
-			if in.flags&fBlkEv0 != 0 && tr != nil {
-				e.blockEnter(tr, th.id, in.b0)
-			}
-		case cBr:
-			if opval(fr.regs, in.a) != 0 {
-				fr.pc = in.t0
-				if in.flags&fBlkEv0 != 0 && tr != nil {
-					e.blockEnter(tr, th.id, in.b0)
-				}
-			} else {
-				fr.pc = in.t1
-				if in.flags&fBlkEv1 != 0 && tr != nil {
-					e.blockEnter(tr, th.id, in.b1)
-				}
-			}
-		// cRun: a fused straight-line run. One budget check bounds how
-		// many components this dispatch retires: k = min(run length,
-		// remaining quantum, remaining step allowance). The admitted
-		// prefix executes in a compact local switch — no per-component
-		// flag checks, yield tests, or frame bookkeeping. Interior
-		// components deliver nothing but the Mem events of instrumented
-		// loads and stores; only a delivery that left the inline fast
-		// path can have raised the abort flag, so the run polls it
+		// A fused straight-line run, or a lone call or return. One
+		// budget check bounds how many components this dispatch
+		// retires: k = min(run length, remaining quantum, remaining
+		// step allowance). The admitted prefix executes in a compact
+		// local switch — no per-component flag checks, yield tests, or
+		// frame bookkeeping. Interior components deliver only their own
+		// Mem and Exec events; only a delivery that left the inline
+		// fast path can have raised the abort flag, so the run polls it
 		// there and, when set, cuts itself right after that component
 		// (k = j+1). The single post-run abort poll then stops exactly
 		// where the unfused poll-after-each would. A run that no longer
@@ -896,258 +644,576 @@ func (e *engine) runSlice(th *cthread) error {
 		// bit-identical to unfused execution. The terminator (a branch,
 		// jump, call, or return) only executes when the whole run was
 		// admitted.
-		case cRun:
-			n := in.nrun
-			k := n
-			if rem := int32(e.cfg.Quantum - q); rem < k {
-				k = rem
-			}
-			if rem := e.cfg.MaxSteps - e.stats.Steps; rem+1 < uint64(k) {
-				k = int32(rem) + 1
-			}
-			{
-				base := fr.pc
-				fr.pc = base + k // a branch/jump terminator overwrites
-				// Every frame slab is ≥ microSlots long (newFrame), so
-				// the fixed-size array view makes uint8-indexed operand
-				// fetch bounds-check-free.
-				regs := (*[microSlots]int64)(fr.regs)
-				m := int(k)
-				if m > len(in.run) {
-					m = len(in.run) // raw terminator at base+n-1
+		n := in.nrun
+		k := n
+		if rem := int32(e.cfg.Quantum - q); rem < k {
+			k = rem
+		}
+		if rem := e.cfg.MaxSteps - e.stats.Steps; rem+1 < uint64(k) {
+			k = int32(rem) + 1
+		}
+		nextFr := fr
+		var dead *cframe
+		base := fr.pc
+		fr.pc = base + k // a branch/jump terminator overwrites
+		// Every frame slab is ≥ microSlots long (newFrame), so the
+		// fixed-size array view makes uint8-indexed operand fetch
+		// bounds-check-free.
+		regs := (*[microSlots]int64)(fr.regs)
+		m := int(k)
+		if m > len(in.run) {
+			m = len(in.run) // terminator at base+n-1
+		}
+	run:
+		for j := 0; j < m; j++ {
+			u := &in.run[j]
+			av, bv := regs[u.a], regs[u.b]
+			switch u.op {
+			case uint8(ir.BinAdd):
+				regs[u.dst] = av + bv
+			case uint8(ir.BinSub):
+				regs[u.dst] = av - bv
+			case uint8(ir.BinMul):
+				regs[u.dst] = av * bv
+			case uint8(ir.BinDiv):
+				if bv == 0 {
+					regs[u.dst] = 0
+				} else {
+					regs[u.dst] = av / bv
 				}
-			run:
-				for j := 0; j < m; j++ {
-					u := &in.run[j]
-					av, bv := regs[u.a], regs[u.b]
-					switch u.op {
-					case uint8(ir.BinAdd):
-						regs[u.dst] = av + bv
-					case uint8(ir.BinSub):
-						regs[u.dst] = av - bv
-					case uint8(ir.BinMul):
-						regs[u.dst] = av * bv
-					case uint8(ir.BinDiv):
-						if bv == 0 {
-							regs[u.dst] = 0
-						} else {
-							regs[u.dst] = av / bv
+			case uint8(ir.BinMod):
+				if bv == 0 {
+					regs[u.dst] = 0
+				} else {
+					regs[u.dst] = av % bv
+				}
+			case uint8(ir.BinLt):
+				regs[u.dst] = b2i(av < bv)
+			case uint8(ir.BinLe):
+				regs[u.dst] = b2i(av <= bv)
+			case uint8(ir.BinGt):
+				regs[u.dst] = b2i(av > bv)
+			case uint8(ir.BinGe):
+				regs[u.dst] = b2i(av >= bv)
+			case uint8(ir.BinEq):
+				regs[u.dst] = b2i(av == bv)
+			case uint8(ir.BinNe):
+				regs[u.dst] = b2i(av != bv)
+			case uint8(ir.BinAnd):
+				regs[u.dst] = av & bv
+			case uint8(ir.BinOr):
+				regs[u.dst] = av | bv
+			case uint8(ir.BinXor):
+				regs[u.dst] = av ^ bv
+			case uint8(ir.BinShl):
+				regs[u.dst] = av << (uint64(bv) & 63)
+			case uint8(ir.BinShr):
+				regs[u.dst] = av >> (uint64(bv) & 63)
+			case mCopy:
+				regs[u.dst] = av
+			case mNeg:
+				regs[u.dst] = -av
+			case mNot:
+				regs[u.dst] = b2i(av == 0)
+			case mLoad, mLoadEv:
+				// Inlined e.mem hit path; a miss is exactly one of
+				// its trap conditions, so the slow path only traps.
+				if obj, off := DecodeAddr(av); IsPtr(av) && obj < len(e.objects) {
+					if cells := e.objects[obj]; uint64(off) < uint64(len(cells)) {
+						v := cells[off]
+						regs[u.dst] = v
+						if u.op == mLoad || tr == nil {
+							continue
 						}
-					case uint8(ir.BinMod):
-						if bv == 0 {
-							regs[u.dst] = 0
-						} else {
-							regs[u.dst] = av % bv
+						e.stats.Loads++
+						// Inlined same-epoch fast path, as in cLoad.
+						if e.fpKind == FastEpoch && e.fpReadHit(th.id, av-PtrBase) {
+							*e.fpChecks++
+							e.ic.FastPath.Hits++
+							continue
 						}
-					case uint8(ir.BinLt):
-						regs[u.dst] = b2i(av < bv)
-					case uint8(ir.BinLe):
-						regs[u.dst] = b2i(av <= bv)
-					case uint8(ir.BinGt):
-						regs[u.dst] = b2i(av > bv)
-					case uint8(ir.BinGe):
-						regs[u.dst] = b2i(av >= bv)
-					case uint8(ir.BinEq):
-						regs[u.dst] = b2i(av == bv)
-					case uint8(ir.BinNe):
-						regs[u.dst] = b2i(av != bv)
-					case uint8(ir.BinAnd):
-						regs[u.dst] = av & bv
-					case uint8(ir.BinOr):
-						regs[u.dst] = av | bv
-					case uint8(ir.BinXor):
-						regs[u.dst] = av ^ bv
-					case uint8(ir.BinShl):
-						regs[u.dst] = av << (uint64(bv) & 63)
-					case uint8(ir.BinShr):
-						regs[u.dst] = av >> (uint64(bv) & 63)
-					case mCopy:
-						regs[u.dst] = av
-					case mNeg:
-						regs[u.dst] = -av
-					case mNot:
-						regs[u.dst] = b2i(av == 0)
-					case mLoad, mLoadEv:
-						// Inlined e.mem hit path; a miss is exactly one of
-						// its trap conditions, so the slow path only traps.
-						if obj, off := DecodeAddr(av); IsPtr(av) && obj < len(e.objects) {
-							if cells := e.objects[obj]; uint64(off) < uint64(len(cells)) {
-								v := cells[off]
-								regs[u.dst] = v
-								if u.op == mLoad || tr == nil {
-									continue
-								}
-								e.stats.Loads++
-								// Inlined same-epoch fast path, as in cLoad.
-								if e.fpKind == FastEpoch && e.fpReadHit(th.id, av-PtrBase) {
-									*e.fpChecks++
-									e.ic.FastPath.Hits++
-									continue
-								}
-								e.traceLoad(th.id, u.in, av, v)
-								if e.cfg.Abort != nil && e.cfg.Abort.IsSet() {
-									k = int32(j) + 1
-									fr.pc = base + k
-									break run
-								}
-								continue
-							}
+						e.traceLoad(th.id, u.in, av, v)
+						if e.cfg.Abort != nil && e.cfg.Abort.IsSet() {
+							k = int32(j) + 1
+							fr.pc = base + k
+							break run
 						}
-						_, err := e.mem(th, u.in, av)
-						e.stats.Steps += uint64(j)
-						return err
-					case mStore, mStoreEv:
-						if obj, off := DecodeAddr(av); IsPtr(av) && obj < len(e.objects) {
-							if cells := e.objects[obj]; uint64(off) < uint64(len(cells)) {
-								cells[off] = bv
-								if u.op == mStore || tr == nil {
-									continue
-								}
-								e.stats.Stores++
-								if e.fpKind == FastEpoch && e.fpWriteHit(th.id, av-PtrBase) {
-									*e.fpChecks++
-									e.ic.FastPath.Hits++
-									continue
-								}
-								e.traceStore(th.id, u.in, av, bv)
-								if e.cfg.Abort != nil && e.cfg.Abort.IsSet() {
-									k = int32(j) + 1
-									fr.pc = base + k
-									break run
-								}
-								continue
-							}
+						continue
+					}
+				}
+				_, err := e.mem(th, u.in, av)
+				e.stats.Steps += uint64(j)
+				return err
+			case mStore, mStoreEv:
+				if obj, off := DecodeAddr(av); IsPtr(av) && obj < len(e.objects) {
+					if cells := e.objects[obj]; uint64(off) < uint64(len(cells)) {
+						cells[off] = bv
+						if u.op == mStore || tr == nil {
+							continue
 						}
-						_, err := e.mem(th, u.in, av)
+						e.stats.Stores++
+						if e.fpKind == FastEpoch && e.fpWriteHit(th.id, av-PtrBase) {
+							*e.fpChecks++
+							e.ic.FastPath.Hits++
+							continue
+						}
+						e.traceStore(th.id, u.in, av, bv)
+						if e.cfg.Abort != nil && e.cfg.Abort.IsSet() {
+							k = int32(j) + 1
+							fr.pc = base + k
+							break run
+						}
+						continue
+					}
+				}
+				_, err := e.mem(th, u.in, av)
+				e.stats.Steps += uint64(j)
+				return err
+			default: // mExec set: an Exec-carrying component
+				// It executes as its unfused step would: the component
+				// with its Mem event, then Exec with the accessed
+				// address (0 for register ops), then the abort poll.
+				var a Addr
+				if op := u.op &^ mExec; op < mCopy {
+					regs[u.dst] = evalBin(ir.BinOp(op), av, bv)
+				} else {
+					var err error
+					if a, err = e.execMicro(th, regs, u); err != nil {
 						e.stats.Steps += uint64(j)
 						return err
 					}
 				}
-				// A terminator is executed from its raw instruction —
-				// only when the whole run was admitted: a branch/jump
-				// (BlockEnter flags) or a call/return with its frame
-				// transition and unconditional events.
-				if k == n && int32(len(in.run)) < n {
-					ci := &code[base+n-1]
-					switch ci.op {
-					case cCall:
-						// Inlined monomorphic inline-cache hit; any
-						// other shape (later entry, dead site, miss)
-						// resolves generically with identical
-						// accounting.
-						var callee *cfunc
-						if ic := ci.ic; ic != nil && !e.icDead[ci.icIdx] && ic[0].val == opval(fr.regs, ci.a) {
-							e.ic.Hits++
-							callee = ic[0].fn
-						} else {
-							var err error
-							callee, err = e.resolveCallee(th, fr, ci)
-							if err != nil {
-								e.stats.Steps += uint64(n) - 1
-								return err
-							}
-						}
-						// fr.pc already points past the run, which is
-						// the call's return target.
-						nf := e.newFrame(callee, ci.dst, ci.in.Dst)
-						for i, p := range callee.params {
-							nf.regs[p] = opval(fr.regs, ci.args[i])
-						}
-						th.frames = append(th.frames, nf)
-						if tr != nil {
-							e.stats.CallEvents++
-							tr.Call(th.id, ci.in, callee.fn, fr.id, nf.id)
-						}
-						if callee.entryEv && tr != nil {
-							e.blockEnter(tr, th.id, callee.entryB)
-						}
-						nextFr = nf
-					case cRet:
-						v := opval(fr.regs, ci.a)
-						th.frames = th.frames[:len(th.frames)-1]
-						if len(th.frames) == 0 {
-							th.state = tDone
-							e.removeRunning(th.id)
-							yield = true
-							if tr != nil {
-								tr.Ret(th.id, ci.in, fr.id, 0, nil)
-							}
-						} else {
-							caller := th.frames[len(th.frames)-1]
-							if fr.retReg >= 0 {
-								caller.regs[fr.retReg] = v
-							}
-							if tr != nil {
-								tr.Ret(th.id, ci.in, fr.id, caller.id, fr.retVar)
-							}
-							nextFr = caller
-						}
-						dead = fr
-					case cBr:
-						if opval(fr.regs, ci.a) != 0 {
-							fr.pc = ci.t0
-							if ci.flags&fBlkEv0 != 0 && tr != nil {
-								e.blockEnter(tr, th.id, ci.b0)
-							}
-						} else {
-							fr.pc = ci.t1
-							if ci.flags&fBlkEv1 != 0 && tr != nil {
-								e.blockEnter(tr, th.id, ci.b1)
-							}
-						}
-					case cJmp:
-						fr.pc = ci.t0
-						if ci.flags&fBlkEv0 != 0 && tr != nil {
-							e.blockEnter(tr, th.id, ci.b0)
-						}
+				if tr != nil {
+					e.stats.ExecEvents++
+					if e.fpKind == FastSlice {
+						e.ic.FastPath.Slow++
+					}
+					tr.Exec(th.id, u.in, fr.id, a)
+				}
+				if e.cfg.Abort != nil && e.cfg.Abort.IsSet() {
+					k = int32(j) + 1
+					fr.pc = base + k
+					break run
+				}
+			}
+		}
+		if k == n && int32(len(in.run)) < n {
+			if in.t0 >= 0 {
+				// Pre-decoded branch/jump terminator (predecodeTerm).
+				t, b := in.t0, in.b0
+				if in.t1 >= 0 && regs[in.cond] == 0 {
+					t, b = in.t1, in.b1
+				}
+				fr.pc = t
+				if b != nil && tr != nil {
+					e.blockEnter(tr, th.id, b)
+				}
+			} else if ci := &code[base+n-1]; ci.op == cCall {
+				// Inlined monomorphic inline-cache hit; any other shape
+				// (later entry, dead site, miss) resolves generically
+				// with identical accounting.
+				var callee *cfunc
+				if ic := ci.ic; ic != nil && !e.icDead[ci.icIdx] && ic[0].val == opval(fr.regs, ci.a) {
+					e.ic.Hits++
+					callee = ic[0].fn
+				} else {
+					var err error
+					callee, err = e.resolveCallee(th, fr, ci)
+					if err != nil {
+						e.stats.Steps += uint64(n) - 1
+						return err
 					}
 				}
-				e.stats.Steps += uint64(k) - 1
-				q += int(k) - 1
-				e.ic.Fused += uint64(k) - 1
-			}
-		case cPrint:
-			e.output = append(e.output, opval(fr.regs, in.a))
-			fr.pc++
-		case cInput:
-			idx := opval(fr.regs, in.a)
-			var v int64
-			if idx >= 0 && idx < int64(len(e.cfg.Inputs)) {
-				v = e.cfg.Inputs[idx]
-			}
-			fr.regs[in.dst] = v
-			fr.pc++
-		case cNInputs:
-			fr.regs[in.dst] = int64(len(e.cfg.Inputs))
-			fr.pc++
-		default:
-			return e.trap(th, in.in, "unknown opcode %s", in.in.Op)
-		}
-
-		if in.flags&fExecEv != 0 && tr != nil {
-			e.stats.ExecEvents++
-			if e.fpKind == FastSlice && skipExec(in.op) {
-				// The slicer ignores Exec for these opcodes before
-				// touching any state; the delivery itself is the only
-				// thing skipped, the event count above is unchanged.
-				e.ic.FastPath.Hits++
-			} else {
-				if e.fpKind == FastSlice {
-					e.ic.FastPath.Slow++
+				// fr.pc already points past the run, which is the
+				// call's return target.
+				nf := e.newFrame(callee, ci.dst, ci.in.Dst)
+				for i, p := range callee.params {
+					nf.regs[p] = opval(fr.regs, ci.args[i])
 				}
-				tr.Exec(th.id, in.in, fr.id, accessAddr)
+				th.frames = append(th.frames, nf)
+				if tr != nil {
+					e.stats.CallEvents++
+					tr.Call(th.id, ci.in, callee.fn, fr.id, nf.id)
+				}
+				if callee.entryEv && tr != nil {
+					e.blockEnter(tr, th.id, callee.entryB)
+				}
+				if ci.flags&fExecEv != 0 && tr != nil { // only a lone call
+					e.execEvent(th.id, ci.in, fr.id, 0)
+				}
+				nextFr = nf
+			} else { // cRet
+				v := opval(fr.regs, ci.a)
+				th.frames = th.frames[:len(th.frames)-1]
+				if len(th.frames) == 0 {
+					th.state = tDone
+					e.removeRunning(th.id)
+					if tr != nil {
+						tr.Ret(th.id, ci.in, fr.id, 0, nil)
+					}
+				} else {
+					caller := th.frames[len(th.frames)-1]
+					if fr.retReg >= 0 {
+						caller.regs[fr.retReg] = v
+					}
+					if tr != nil {
+						tr.Ret(th.id, ci.in, fr.id, caller.id, fr.retVar)
+					}
+					nextFr = caller
+				}
+				if ci.flags&fExecEv != 0 && tr != nil { // only a lone return
+					e.execEvent(th.id, ci.in, fr.id, 0)
+				}
+				dead = fr
 			}
 		}
+		e.stats.Steps += uint64(k) - 1
+		q += int(k) - 1
+		e.ic.Fused += uint64(k) - 1
 		if dead != nil {
 			e.freeFrame(dead)
 		}
 		if e.cfg.Abort != nil && e.cfg.Abort.IsSet() {
-			return fmt.Errorf("%w: %s", ErrAborted, e.cfg.Abort.Reason())
+			return e.aborted()
 		}
-		if yield || th.state != tRunning {
-			return nil
+		if th.state != tRunning {
+			return nil // the run's return ended the thread
 		}
 		fr = nextFr
 	}
 	return nil
+}
+
+// aborted is the error a run stopped by the abort flag returns.
+func (e *engine) aborted() error {
+	return fmt.Errorf("%w: %s", ErrAborted, e.cfg.Abort.Reason())
+}
+
+// execMicro executes an Exec-carrying fused component u other than a
+// binary operator exactly as step executes the unfused instruction,
+// its Mem event included, and returns the address its Exec event
+// reports (0 for register ops).
+func (e *engine) execMicro(th *cthread, regs *[microSlots]int64, u *microp) (Addr, error) {
+	tr := e.cfg.Tracer
+	av, bv := regs[u.a], regs[u.b]
+	switch op := u.op &^ mExec; op {
+	case mCopy:
+		regs[u.dst] = av
+	case mNeg:
+		regs[u.dst] = -av
+	case mNot:
+		regs[u.dst] = b2i(av == 0)
+	case mLoad, mLoadEv:
+		cell, err := e.mem(th, u.in, av)
+		if err != nil {
+			return 0, err
+		}
+		v := *cell
+		regs[u.dst] = v
+		if op == mLoadEv && tr != nil {
+			e.stats.Loads++
+			e.traceLoad(th.id, u.in, av, v)
+		}
+		return av, nil
+	case mStore, mStoreEv:
+		cell, err := e.mem(th, u.in, av)
+		if err != nil {
+			return 0, err
+		}
+		*cell = bv
+		if op == mStoreEv && tr != nil {
+			e.stats.Stores++
+			e.traceStore(th.id, u.in, av, bv)
+		}
+		return av, nil
+	}
+	return 0, nil
+}
+
+// execEvent delivers one Exec event to the tracer.
+func (e *engine) execEvent(t vc.TID, in *ir.Instr, f FrameID, a Addr) {
+	e.stats.ExecEvents++
+	if e.fpKind == FastSlice {
+		e.ic.FastPath.Slow++
+	}
+	e.cfg.Tracer.Exec(t, in, f, a)
+}
+
+// step executes one instruction other than a fused-run head, a call
+// or a return, with the per-instruction bookkeeping of unfused
+// execution: its Exec event, the abort poll, and the yield test. It
+// returns the frame execution continues in, or nil when the slice
+// ends here (err says why, nil for a plain yield or a blocked retry).
+func (e *engine) step(th *cthread, fr *cframe, in *cinstr) (*cframe, error) {
+	tr := e.cfg.Tracer
+	var accessAddr Addr
+	yield := false
+
+	switch in.op {
+	case cCopy:
+		fr.regs[in.dst] = opval(fr.regs, in.a)
+		fr.pc++
+	case cNeg:
+		fr.regs[in.dst] = -opval(fr.regs, in.a)
+		fr.pc++
+	case cNot:
+		fr.regs[in.dst] = b2i(opval(fr.regs, in.a) == 0)
+		fr.pc++
+	case cBin:
+		fr.regs[in.dst] = evalBin(in.bin, opval(fr.regs, in.a), opval(fr.regs, in.b))
+		fr.pc++
+	case cAlloc:
+		n := opval(fr.regs, in.a)
+		if n < 0 || n >= OffSpan {
+			return nil, e.trap(th, in.in, "bad allocation size %d", n)
+		}
+		obj := len(e.objects)
+		e.objects = append(e.objects, make([]int64, n))
+		e.lockTab = append(e.lockTab, nil)
+		fr.regs[in.dst] = MakeAddr(obj, 0)
+		fr.pc++
+	case cLoad:
+		a := opval(fr.regs, in.a)
+		if in.flags&fNullEv != 0 {
+			e.stats.NullChecks++
+			if a == 0 {
+				// Recovered nil deref, mirroring the tree-walker: the
+				// load yields 0 and no memory is touched.
+				fr.regs[in.dst] = 0
+				if tr != nil {
+					tr.NilDeref(th.id, in.in)
+				}
+				fr.pc++
+				break
+			}
+		}
+		// Inlined e.mem hit path (see mLoad); the slow path
+		// re-resolves only to trap or grow-agnostic cases.
+		var v int64
+		if obj, off := DecodeAddr(a); IsPtr(a) && obj < len(e.objects) && uint64(off) < uint64(len(e.objects[obj])) {
+			v = e.objects[obj][off]
+		} else {
+			cell, err := e.mem(th, in.in, a)
+			if err != nil {
+				return nil, err
+			}
+			v = *cell
+		}
+		fr.regs[in.dst] = v
+		accessAddr = a
+		if in.flags&fMemEv != 0 && tr != nil {
+			e.stats.Loads++
+			// Inlined same-epoch fast path; all other shapes
+			// (transitions, misses, other fast kinds) outlined.
+			if e.fpKind == FastEpoch && e.fpReadHit(th.id, a-PtrBase) {
+				*e.fpChecks++
+				e.ic.FastPath.Hits++
+			} else {
+				e.traceLoad(th.id, in.in, a, v)
+			}
+		}
+		fr.pc++
+	case cStore:
+		a := opval(fr.regs, in.a)
+		if in.flags&fNullEv != 0 {
+			e.stats.NullChecks++
+			if a == 0 {
+				// Recovered nil deref: the store is dropped.
+				if tr != nil {
+					tr.NilDeref(th.id, in.in)
+				}
+				fr.pc++
+				break
+			}
+		}
+		v := opval(fr.regs, in.b)
+		// Inlined e.mem hit path (see mStore).
+		if obj, off := DecodeAddr(a); IsPtr(a) && obj < len(e.objects) && uint64(off) < uint64(len(e.objects[obj])) {
+			e.objects[obj][off] = v
+		} else {
+			cell, err := e.mem(th, in.in, a)
+			if err != nil {
+				return nil, err
+			}
+			*cell = v
+		}
+		accessAddr = a
+		if in.flags&fMemEv != 0 && tr != nil {
+			e.stats.Stores++
+			// Inlined same-epoch fast path; see cLoad.
+			if e.fpKind == FastEpoch && e.fpWriteHit(th.id, a-PtrBase) {
+				*e.fpChecks++
+				e.ic.FastPath.Hits++
+			} else {
+				e.traceStore(th.id, in.in, a, v)
+			}
+		}
+		fr.pc++
+	case cLock:
+		a := opval(fr.regs, in.a)
+		if !IsPtr(a) {
+			return nil, e.trap(th, in.in, "lock of non-pointer value %s", FormatValue(a))
+		}
+		switch h := e.lockGet(a); h {
+		case 0:
+			e.lockSet(a, int32(th.id)+1)
+			if th.state == tBlockedLock {
+				th.state = tRunning
+				e.nblocked--
+				e.insertRunning(th.id)
+			}
+			accessAddr = a
+			if in.flags&fSyncEv != 0 && tr != nil {
+				e.stats.Locks++
+				tr.Lock(th.id, in.in, a)
+			}
+			fr.pc++
+			yield = true
+		case int32(th.id) + 1:
+			return nil, e.trap(th, in.in, "recursive lock of %s", FormatValue(a))
+		default:
+			if th.state == tRunning {
+				th.state = tBlockedLock
+				e.nblocked++
+				e.removeRunning(th.id)
+			}
+			th.waitAddr = a
+			e.stats.Steps-- // retried; don't double-count
+			if e.cfg.Abort != nil && e.cfg.Abort.IsSet() {
+				return nil, e.aborted()
+			}
+			return nil, nil
+		}
+	case cUnlock:
+		a := opval(fr.regs, in.a)
+		if !IsPtr(a) {
+			return nil, e.trap(th, in.in, "unlock of non-pointer value %s", FormatValue(a))
+		}
+		if e.lockGet(a) != int32(th.id)+1 {
+			return nil, e.trap(th, in.in, "unlock of mutex not held: %s", FormatValue(a))
+		}
+		accessAddr = a
+		if in.flags&fSyncEv != 0 && tr != nil {
+			e.stats.Unlocks++
+			tr.Unlock(th.id, in.in, a)
+		}
+		e.lockSet(a, 0)
+		fr.pc++
+		yield = true
+	case cSpawn:
+		callee, err := e.resolveCallee(th, fr, in)
+		if err != nil {
+			return nil, err
+		}
+		child := e.spawnThread(callee)
+		cf := child.frames[0]
+		for i, p := range callee.params {
+			cf.regs[p] = opval(fr.regs, in.args[i])
+		}
+		if in.dst >= 0 {
+			fr.regs[in.dst] = int64(child.id)
+		}
+		if tr != nil {
+			e.stats.Spawns++
+			tr.Spawn(th.id, in.in, child.id, cf.id, callee.fn)
+		}
+		fr.pc++
+		if callee.entryEv && tr != nil {
+			e.blockEnter(tr, child.id, callee.entryB)
+		}
+		yield = true
+	case cJoin:
+		v := opval(fr.regs, in.a)
+		if v < 0 || v >= int64(len(e.threads)) || vc.TID(v) == th.id {
+			return nil, e.trap(th, in.in, "join of invalid thread %s", FormatValue(v))
+		}
+		target := e.threads[v]
+		if target.state != tDone {
+			if th.state == tRunning {
+				th.state = tBlockedJoin
+				e.nblocked++
+				e.removeRunning(th.id)
+			}
+			th.waitTID = target.id
+			e.stats.Steps--
+			if e.cfg.Abort != nil && e.cfg.Abort.IsSet() {
+				return nil, e.aborted()
+			}
+			return nil, nil
+		}
+		if th.state == tBlockedJoin {
+			th.state = tRunning
+			e.nblocked--
+			e.insertRunning(th.id)
+		}
+		if tr != nil {
+			e.stats.Joins++
+			tr.Join(th.id, in.in, target.id)
+		}
+		fr.pc++
+		yield = true
+	case cJmp:
+		fr.pc = in.t0
+		if in.flags&fBlkEv0 != 0 && tr != nil {
+			e.blockEnter(tr, th.id, in.b0)
+		}
+	case cBr:
+		if opval(fr.regs, in.a) != 0 {
+			fr.pc = in.t0
+			if in.flags&fBlkEv0 != 0 && tr != nil {
+				e.blockEnter(tr, th.id, in.b0)
+			}
+		} else {
+			fr.pc = in.t1
+			if in.flags&fBlkEv1 != 0 && tr != nil {
+				e.blockEnter(tr, th.id, in.b1)
+			}
+		}
+	case cPrint:
+		e.output = append(e.output, opval(fr.regs, in.a))
+		fr.pc++
+	case cInput:
+		idx := opval(fr.regs, in.a)
+		var v int64
+		if idx >= 0 && idx < int64(len(e.cfg.Inputs)) {
+			v = e.cfg.Inputs[idx]
+		}
+		fr.regs[in.dst] = v
+		fr.pc++
+	case cNInputs:
+		fr.regs[in.dst] = int64(len(e.cfg.Inputs))
+		fr.pc++
+	default:
+		return nil, e.trap(th, in.in, "unknown opcode %s", in.in.Op)
+	}
+
+	if in.flags&fExecEv != 0 && tr != nil {
+		if e.fpKind == FastSlice && skipExec(in.op) {
+			// The slicer ignores Exec for these opcodes before
+			// touching any state; the delivery itself is the only
+			// thing skipped, the event is still counted.
+			e.stats.ExecEvents++
+			e.ic.FastPath.Hits++
+		} else {
+			e.execEvent(th.id, in.in, fr.id, accessAddr)
+		}
+	}
+	if e.cfg.Abort != nil && e.cfg.Abort.IsSet() {
+		return nil, e.aborted()
+	}
+	if yield || th.state != tRunning {
+		return nil, nil
+	}
+	return fr, nil
+}
+
+// enterMain delivers the main entry's BlockEnter. The tree-walker
+// first polls the abort flag after the first instruction, and a fused
+// run polls only after a slow-path delivery, so an abort raised here
+// cuts the first slice, and with it the run, to one instruction.
+func (e *engine) enterMain(tr Tracer, t vc.TID) {
+	e.blockEnter(tr, t, e.code.main.entryB)
+	if e.cfg.Abort != nil && e.cfg.Abort.IsSet() {
+		e.cfg.Quantum = 1
+	}
 }

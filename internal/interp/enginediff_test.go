@@ -330,7 +330,70 @@ func diffVariants() []diffVariant {
 			Abort:    abort,
 		}, r.recorder, nil
 	}})
+	// Aborting block and Exec tracers: the abort is raised from the Nth
+	// BlockEnter (delivered by a fused run's pre-decoded branch or jump)
+	// or the Nth Exec event (delivered inside a fused run by an
+	// Exec-carrying component). A quantum of 4, the mean fused run
+	// length, often ends a slice exactly at a run's terminator, so the
+	// next slice executes it raw.
+	vs = append(vs,
+		diffVariant{name: "abort-block", make: func(prog *ir.Program, seed uint64) (interp.Config, *recorder, *fasttrack.Detector) {
+			abort := &interp.Abort{}
+			r := &eventAborter{recorder: &recorder{}, abort: abort, left: 1 + int(seed*7%61)}
+			return interp.Config{
+				Prog:     prog,
+				Tracer:   r,
+				Masks:    interp.Masks{Mem: make([]bool, len(prog.Instrs)), Block: altMask(len(prog.Blocks), int(seed%2))},
+				Choose:   sched.NewSeeded(seed*13 + 3),
+				Quantum:  4,
+				MaxSteps: diffMaxSteps,
+				Abort:    abort,
+			}, r.recorder, nil
+		}},
+		diffVariant{name: "abort-exec", make: func(prog *ir.Program, seed uint64) (interp.Config, *recorder, *fasttrack.Detector) {
+			abort := &interp.Abort{}
+			r := &eventAborter{recorder: &recorder{}, abort: abort, left: 1 + int(seed*17%113), exec: true}
+			return interp.Config{
+				Prog:     prog,
+				Tracer:   r,
+				Masks:    interp.Masks{Mem: altMask(len(prog.Instrs), 1), Exec: altMask(len(prog.Instrs), 0)},
+				Choose:   sched.NewSeeded(seed*17 + 5),
+				Quantum:  4,
+				MaxSteps: diffMaxSteps,
+				Abort:    abort,
+			}, r.recorder, nil
+		}},
+	)
 	return vs
+}
+
+// eventAborter is a recorder that raises the abort flag on its left'th
+// BlockEnter event, or its left'th Exec event when exec is set.
+type eventAborter struct {
+	*recorder
+	abort *interp.Abort
+	left  int
+	exec  bool
+}
+
+func (a *eventAborter) BlockEnter(t vc.TID, b *ir.Block) {
+	a.recorder.BlockEnter(t, b)
+	if !a.exec {
+		a.count()
+	}
+}
+
+func (a *eventAborter) Exec(t vc.TID, in *ir.Instr, f interp.FrameID, addr interp.Addr) {
+	a.recorder.Exec(t, in, f, addr)
+	if a.exec {
+		a.count()
+	}
+}
+
+func (a *eventAborter) count() {
+	if a.left--; a.left == 0 {
+		a.abort.Set("event budget spent")
+	}
 }
 
 // memAborter is a recorder that raises the abort flag on its left'th

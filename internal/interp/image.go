@@ -41,7 +41,7 @@ import (
 // and the caller recompiles.
 var imageMagic = [6]byte{'O', 'H', 'C', 'I', 'M', 'G'}
 
-const imageVersion uint16 = 3
+const imageVersion uint16 = 4
 
 // ErrImage wraps every image decode failure, so callers can
 // distinguish "stale/corrupt artifact" from other errors with
@@ -198,9 +198,10 @@ func (c *Code) EncodeImage() []byte {
 }
 
 // microOpFor returns the micro opcode a fused component of ci must
-// carry when its instruction has no Mem event, or ok=false when ci's
+// carry when its instruction has no events, or ok=false when ci's
 // opcode is not fusable. A load or store with its Mem event on carries
-// the event variant instead (see memEvOp).
+// the event variant instead (see memEvOp), and any component with its
+// Exec event on additionally sets mExec.
 func microOpFor(ci *cinstr) (uint8, bool) {
 	switch ci.op {
 	case cBin:
@@ -232,12 +233,16 @@ func memEvOp(op uint8) (uint8, bool) {
 }
 
 // headFlags returns the only event flags a fused head whose micro op
-// is u may carry: its Mem event exactly when u delivers one.
+// is u may carry: its Mem and Exec events exactly when u delivers them.
 func headFlags(u uint8) uint8 {
-	if u == mLoadEv || u == mStoreEv {
-		return fMemEv
+	var f uint8
+	if u&mExec != 0 {
+		f = fExecEv
 	}
-	return 0
+	if u &^= mExec; u == mLoadEv || u == mStoreEv {
+		f |= fMemEv
+	}
+	return f
 }
 
 // validOperandIndex reports whether a micro-op operand index is a
@@ -467,7 +472,7 @@ func DecodeImage(prog *ir.Program, data []byte) (*Code, error) {
 					}
 					wantOp, ok := microOpFor(comp)
 					evOp, hasEv := memEvOp(wantOp)
-					if !ok || uop != wantOp && !(hasEv && uop == evOp) {
+					if base := uop &^ mExec; !ok || base != wantOp && !(hasEv && base == evOp) {
 						return nil, imgErr("pc %d: micro op %d does not match component %d", pc, uop, i)
 					}
 					wantDst := comp.dst
@@ -481,17 +486,6 @@ func DecodeImage(prog *ir.Program, data []byte) (*Code, error) {
 						return nil, imgErr("pc %d: micro operand index out of range in component %d", pc, i)
 					}
 					chain[i] = microp{op: uop, dst: udst, a: ua, b: ub, in: comp.in}
-				}
-				if m == nrun-1 {
-					// The terminator stays a raw instruction; it must be a
-					// legal run terminator once its own record is read. We
-					// can check its opcode class now from the skeleton.
-					term := &c.code[pc+int(nrun)-1]
-					switch term.op {
-					case cBr, cJmp, cCall, cRet:
-					default:
-						return nil, imgErr("pc %d: op %d cannot terminate a fused run", pc, term.op)
-					}
 				}
 				if want := headFlags(chain[0].op); flags != want {
 					return nil, imgErr("pc %d: fused head carries flags %#x, its micro op wants %#x", pc, flags, want)
@@ -550,6 +544,20 @@ func DecodeImage(prog *ir.Program, data []byte) (*Code, error) {
 	}
 	if chain != nil && chainPos < len(chain) {
 		return nil, imgErr("image ends inside a fused chain")
+	}
+	// A raw terminator must be legal with the flags its own record
+	// carries, so terminators are checked, and pre-decoded into their
+	// heads, only once every record has been read.
+	for pc := range c.code {
+		h := &c.code[pc]
+		if h.op != cRun || int32(len(h.run)) == h.nrun {
+			continue
+		}
+		term := &c.code[pc+int(h.nrun)-1]
+		if !runTerminator(term) {
+			return nil, imgErr("pc %d: op %d with flags %#x cannot terminate a fused run", pc, term.op, term.flags)
+		}
+		predecodeTerm(h, term)
 	}
 	if gotICs != int(numICs) {
 		return nil, imgErr("image declares %d inline caches, stream has %d", numICs, gotICs)

@@ -11,7 +11,10 @@ import (
 // fuzzProgSrc is the fixed program fuzzed images are bound against. It
 // exercises every structural feature of the format: fused runs (the
 // arithmetic loop), a run-terminating branch, an indirect call site
-// eligible for an inline cache, spawns, and locks.
+// eligible for an inline cache, spawns, and locks. The committed corpus
+// (testdata/fuzz/FuzzDecodeImage) adds images of the current version
+// with a run ending in a block-event branch ("block-branch") and runs
+// with Exec-carrying components ("exec-run").
 const fuzzProgSrc = `
 	global total = 0;
 	global m = 0;
@@ -56,6 +59,9 @@ func FuzzDecodeImage(f *testing.F) {
 			Mem:   altMask(len(prog.Instrs), 0),
 			Block: altMask(len(prog.Blocks), 1),
 		}, interp.CompileOptions{Callees: calleesLikely(prog)}).EncodeImage(),
+		// A slicer's shape: runs with Exec-carrying components, ending
+		// in branches that deliver BlockEnter.
+		interp.Compile(prog, interp.Masks{Mem: []bool{}, Sync: []bool{}, Exec: altMask(len(prog.Instrs), 1)}).EncodeImage(),
 	}
 	// A second program's image: must be rejected by the digest guard.
 	if p2, err := lang.Compile(progen.Generate(3, progen.DefaultConfig())); err == nil {
