@@ -40,7 +40,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"oha/internal/artifacts"
 	"oha/internal/core"
 	"oha/internal/interp"
 	"oha/internal/invariants"
@@ -192,7 +191,7 @@ func New(prog *ir.Program, db *invariants.DB, o Options) *Manager {
 		latest:   db,
 	}
 	m.cur.Store(newGeneration(1, db))
-	m.history = []GenerationRecord{{Generation: 1, DBDigest: artifacts.DBDigest(db)}}
+	m.history = []GenerationRecord{{Generation: 1, DBDigest: db.Digest()}}
 	return m
 }
 
@@ -348,12 +347,11 @@ func (m *Manager) Pending() bool {
 // Reconcile performs the background re-analysis for any pending
 // refined DB: it deploys the detectors the outgoing generation's
 // rollback chains built for it, or rebuilds them (through the artifact
-// cache — sound artifacts stay warm, only the predicated kinds each
-// client reads solve under the new DB digest), and hot-swaps the new
-// generation in. In-flight runs keep their old snapshot. Returns
-// whether a new generation was published. Safe to call from multiple
-// goroutines; at most one re-solve runs at a time, extra callers
-// return (false, nil).
+// cache — only the solves that read a refined fact miss it), and
+// hot-swaps the new generation in. In-flight runs keep their old
+// snapshot. Returns whether a new generation was published. Safe to
+// call from multiple goroutines; at most one re-solve runs at a time,
+// extra callers return (false, nil).
 func (m *Manager) Reconcile(ctx context.Context) (bool, error) {
 	m.mu.Lock()
 	cur := m.cur.Load()
@@ -393,7 +391,7 @@ func (m *Manager) Reconcile(ctx context.Context) (bool, error) {
 	m.history = append(m.history, GenerationRecord{
 		Generation:     n,
 		Causes:         causes,
-		DBDigest:       artifacts.DBDigest(db),
+		DBDigest:       db.Digest(),
 		MaskDigest:     digest,
 		ResolveSeconds: elapsed,
 	})

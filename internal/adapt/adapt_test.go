@@ -223,7 +223,7 @@ func TestChainOfTwoFactsIsOneGeneration(t *testing.T) {
 	for _, v := range rep.Refuted {
 		v.Refine(prog, final)
 	}
-	if got, want := st.History[1].DBDigest, artifacts.DBDigest(final); got != want {
+	if got, want := st.History[1].DBDigest, final.Digest(); got != want {
 		t.Fatalf("generation 2 digest %.12s, want the chain's final generation's %.12s", got, want)
 	}
 	det, _, err := current(m, a)
@@ -914,8 +914,9 @@ func TestWarmCacheReanalysis(t *testing.T) {
 		return m
 	}
 	refine()
-	for _, kind := range []string{artifacts.KindPointsTo, artifacts.KindMHP, artifacts.KindStaticRace} {
-		if _, ok := cache.Peek(artifacts.RaceKey(kind, prog, nil)); ok {
+	sound := core.StaticKeysOf(prog, nil)
+	for kind, key := range map[string]string{artifacts.KindPointsTo: sound.PointsTo, artifacts.KindMHP: sound.MHP, artifacts.KindStaticRace: sound.StaticRace} {
+		if _, ok := cache.Peek(key); ok {
 			t.Errorf("refinement solved the sound %s", kind)
 		}
 	}
@@ -1004,9 +1005,9 @@ func checkRefinementSolves[D core.Detector[R], R core.Report](t *testing.T, prog
 		t.Errorf("%s: the adaptive run cost %d cache misses, the plain run %d: reconciling re-solved", a.Name, adaptive, plain)
 	}
 
-	refined := m.DB()
-	for _, kind := range []string{artifacts.KindMHP, artifacts.KindStaticRace} {
-		if _, ok := cache.Peek(artifacts.RaceKey(kind, prog, refined)); ok {
+	refined := core.StaticKeysOf(prog, m.DB())
+	for kind, key := range map[string]string{artifacts.KindMHP: refined.MHP, artifacts.KindStaticRace: refined.StaticRace} {
+		if _, ok := cache.Peek(key); ok {
 			t.Errorf("%s: the refinement solved %s for the refined database, which no %s detector reads", a.Name, kind, a.Name)
 		}
 	}
@@ -1015,7 +1016,7 @@ func checkRefinementSolves[D core.Detector[R], R core.Report](t *testing.T, prog
 	step := db.Clone()
 	for _, v := range m.Status().History[1].Causes {
 		v.Refine(prog, step)
-		key := artifacts.RaceKey(artifacts.KindPointsTo, prog, step)
+		key := core.StaticKeysOf(prog, step).PointsTo
 		if _, ok := cache.Peek(key); ok {
 			pts[key] = true
 		}

@@ -1,26 +1,25 @@
 // Package artifacts provides a content-addressed cache for the
-// expensive products of the static pipeline — points-to results, MHP,
-// static-race, and static-slice artifacts — and for per-run profiling
-// invariant databases.
+// expensive products of the static pipeline (points-to, MHP, static
+// race, null proof, slicer and static slice), for compiled bytecode
+// images, and for per-run profiling invariant databases.
 //
-// Every entry is keyed by a SHA-256 digest over the artifact's full
-// provenance: the program IR text, the invariant database it was
-// predicated on, the analysis budget, and the analysis kind. Two
-// lookups with the same key are guaranteed to denote the same artifact
-// content, so sweeps that re-analyze one program under many invariant
-// databases (the Figure 7/8 profiling sweeps, Table 1/2's repeated
-// setups) stop recomputing identical results.
+// Every entry is keyed by a SHA-256 digest over its kind, the program
+// IR and what it was computed from (Key). A static solve's key is the
+// digest of the invariant facts its solver reads plus the keys of the
+// solves upstream of it, so one key denotes one artifact content, and
+// databases that differ only in facts a solve does not read share it.
 //
 // The cache has two layers:
 //
 //   - an in-memory layer (always on) holding live artifact values,
 //     with singleflight semantics: concurrent lookups of one key
 //     compute the artifact once and share it;
-//   - an optional on-disk layer (Dir != "") holding gob-encoded
-//     envelopes for artifact kinds that provide a Codec — portable
-//     artifacts such as invariant databases and static slices survive
-//     across processes, while pointer-laden artifacts (points-to
-//     results, whose nodes reference live IR) stay memory-only.
+//   - an optional on-disk layer (Dir != "") for the kinds with a Codec:
+//     profiling databases, context-insensitive points-to, MHP, static
+//     race and null-proof results and static slices (gob envelopes),
+//     and compiled images (raw .ohc files). Each decodes against the
+//     live program, so it survives across processes; slicers stay
+//     memory-only.
 //
 // Cached values are shared: callers must treat them as immutable and
 // clone anything they intend to mutate.
@@ -33,18 +32,15 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
-	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"oha/internal/bitset"
 	"oha/internal/invariants"
 	"oha/internal/ir"
 )
@@ -495,53 +491,20 @@ func (c *Cache) PruneDisk(maxAge time.Duration, maxBytes int64) int {
 
 // ---------------------------------------------------------------- keys
 
-// DBDigest returns the SHA-256 digest of an invariant database's
-// canonical text serialization. A nil database (the sound, unpredicated
-// analysis) digests to a distinguished constant.
-func DBDigest(db *invariants.DB) string {
-	if db == nil {
-		return "sound"
-	}
-	h := sha256.New()
-	if _, err := db.WriteTo(h); err != nil {
-		// WriteTo into a hash cannot fail; keep the panic for bugs.
-		panic(fmt.Sprintf("artifacts: DB digest: %v", err))
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// Key builds the content-addressed cache key for an artifact:
-// hash(kind, program IR, invariant DB, budget, extra discriminators).
-func Key(kind string, prog *ir.Program, db *invariants.DB, budget int, extra ...string) string {
+// Key builds the content-addressed cache key for an artifact of prog:
+// hash(kind, program IR, parts). A static solve's parts are its
+// solver's projection digest and the keys of the solves upstream of it
+// (core.StaticKeysOf).
+func Key(kind string, prog *ir.Program, parts ...string) string {
 	h := sha256.New()
 	h.Write([]byte(kind))
 	h.Write([]byte{0})
 	h.Write([]byte(prog.Digest()))
-	h.Write([]byte{0})
-	h.Write([]byte(DBDigest(db)))
-	h.Write([]byte{0})
-	h.Write([]byte(strconv.Itoa(budget)))
-	for _, x := range extra {
+	for _, x := range parts {
 		h.Write([]byte{0})
 		h.Write([]byte(x))
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// RaceKey keys a race-pipeline artifact of (prog, db). It leaves
-// db.ElidableLocks and db.NonNullLoads out: no race-pipeline solver
-// reads them (staticrace.Result.Masks applies the first, only the null
-// proof reads the second), so a database before and after profiling
-// proposes its elidable locks, or before and after a non-null-load or
-// elided-lock-race refinement, shares every points-to, MHP and static
-// race solve.
-func RaceKey(kind string, prog *ir.Program, db *invariants.DB) string {
-	if db != nil && (!db.ElidableLocks.IsEmpty() || !db.NonNullLoads.IsEmpty()) {
-		c := *db
-		c.ElidableLocks, c.NonNullLoads = &bitset.Set{}, &bitset.Set{}
-		db = &c
-	}
-	return Key(kind, prog, db, 0, "ci")
 }
 
 // ExecKey builds the cache key for one profiling execution's invariant

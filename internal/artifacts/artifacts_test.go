@@ -155,21 +155,20 @@ func TestKeysDiscriminate(t *testing.T) {
 		}
 		keys[k] = label
 	}
-	add("pt/sound", artifacts.Key(artifacts.KindPointsTo, p, nil, 8))
-	add("pt/pred", artifacts.Key(artifacts.KindPointsTo, p, db, 8))
-	add("pt/pred/16", artifacts.Key(artifacts.KindPointsTo, p, db, 16))
-	add("pt/pred/extra", artifacts.Key(artifacts.KindPointsTo, p, db, 8, "restrict"))
-	add("mhp/pred", artifacts.Key(artifacts.KindMHP, p, db, 8))
+	pred := db.Digest()
+	add("pt/sound", artifacts.Key(artifacts.KindPointsTo, p, "sound", "8"))
+	add("pt/pred", artifacts.Key(artifacts.KindPointsTo, p, pred, "8"))
+	add("pt/pred/16", artifacts.Key(artifacts.KindPointsTo, p, pred, "16"))
+	add("pt/pred/extra", artifacts.Key(artifacts.KindPointsTo, p, pred, "8", "restrict"))
+	add("pt/pred/none", artifacts.Key(artifacts.KindPointsTo, p, pred))
+	add("mhp/pred", artifacts.Key(artifacts.KindMHP, p, pred, "8"))
 	add("exec/1", artifacts.ExecKey(p, nil, 1))
 	add("exec/2", artifacts.ExecKey(p, nil, 2))
 	add("exec/in", artifacts.ExecKey(p, []int64{7}, 1))
 
 	// Stability: identical provenance yields identical keys.
-	if artifacts.Key(artifacts.KindPointsTo, p, db, 8) != keys0(t, keys, "pt/pred") {
+	if artifacts.Key(artifacts.KindPointsTo, p, pred, "8") != keys0(t, keys, "pt/pred") {
 		t.Error("key not stable across calls")
-	}
-	if artifacts.DBDigest(nil) != "sound" {
-		t.Error("nil DB digest sentinel changed")
 	}
 }
 

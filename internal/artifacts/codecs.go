@@ -2,15 +2,14 @@ package artifacts
 
 import (
 	"oha/internal/interp"
-	"oha/internal/invariants"
 	"oha/internal/ir"
 	"oha/internal/mhp"
 	"oha/internal/pointsto"
 	"oha/internal/staticrace"
 )
 
-// Codecs for the static pipeline's formerly memory-only artifacts.
-// Each is bound to the live program (and, for points-to, the invariant
+// Codecs for the static pipeline's artifacts. Each is bound to the
+// live program (and, for points-to, the projection of the invariant
 // database) the artifact will be rebound to: the cache key already
 // covers their digests, so decoding against the binder recovers the
 // identical artifact. Marshal failures (e.g. a context-sensitive
@@ -41,8 +40,8 @@ func CompiledCodec(prog *ir.Program) Codec { return compiledCodec{prog: prog} }
 // values; context-sensitive results refuse to marshal and stay
 // memory-only.
 type ptCodec struct {
-	prog *ir.Program
-	db   *invariants.DB
+	prog  *ir.Program
+	facts *pointsto.Facts
 }
 
 func (c ptCodec) Marshal(v any) ([]byte, error) {
@@ -50,14 +49,14 @@ func (c ptCodec) Marshal(v any) ([]byte, error) {
 }
 
 func (c ptCodec) Unmarshal(data []byte) (any, error) {
-	return pointsto.DecodeResult(c.prog, c.db, data)
+	return pointsto.DecodeResult(c.prog, c.facts, data)
 }
 
 // PointsToCodec returns the on-disk codec for points-to results of one
-// (program, invariant DB) pair. The decoded result is bound to db —
-// the same database the cache key was computed from.
-func PointsToCodec(prog *ir.Program, db *invariants.DB) Codec {
-	return ptCodec{prog: prog, db: db}
+// program under the points-to projection f. The decoded result is
+// bound to f — the same projection the cache key was computed from.
+func PointsToCodec(prog *ir.Program, f *pointsto.Facts) Codec {
+	return ptCodec{prog: prog, facts: f}
 }
 
 // mhpCodec persists *mhp.Result values.

@@ -3,6 +3,7 @@ package artifacts_test
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
@@ -35,7 +36,7 @@ const diskSrc = `
 func TestCompiledDiskTier(t *testing.T) {
 	prog := lang.MustCompile(diskSrc)
 	dir := t.TempDir()
-	key := artifacts.Key(artifacts.KindCompiled, prog, nil, 0, "masks")
+	key := artifacts.Key(artifacts.KindCompiled, prog, "masks")
 	codec := artifacts.CompiledCodec(prog)
 
 	c1 := artifacts.New(dir)
@@ -80,7 +81,7 @@ func TestCompiledDiskTier(t *testing.T) {
 func TestCompiledDiskTierOldVersionMisses(t *testing.T) {
 	prog := lang.MustCompile(diskSrc)
 	dir := t.TempDir()
-	key := artifacts.Key(artifacts.KindCompiled, prog, nil, 0, "masks")
+	key := artifacts.Key(artifacts.KindCompiled, prog, "masks")
 	codec := artifacts.CompiledCodec(prog)
 	compile := func() (any, error) { return interp.Compile(prog, interp.Masks{}), nil }
 
@@ -140,13 +141,13 @@ func TestSolverDiskTier(t *testing.T) {
 	dir := t.TempDir()
 	c1 := artifacts.New(dir)
 	store := func(kind string, codec artifacts.Codec, v any) string {
-		key := artifacts.Key(kind, prog, db, 0)
+		key := artifacts.Key(kind, prog, db.Digest())
 		if _, err := c1.Memo(key, codec, func() (any, error) { return v, nil }); err != nil {
 			t.Fatal(err)
 		}
 		return key
 	}
-	ptKey := store(artifacts.KindPointsTo, artifacts.PointsToCodec(prog, db), pt)
+	ptKey := store(artifacts.KindPointsTo, artifacts.PointsToCodec(prog, pointsto.FactsOf(db)), pt)
 	mhpKey := store(artifacts.KindMHP, artifacts.MHPCodec(prog), m)
 	raceKey := store(artifacts.KindStaticRace, artifacts.RaceCodec(prog), race)
 
@@ -162,7 +163,7 @@ func TestSolverDiskTier(t *testing.T) {
 		}
 		return v
 	}
-	load(ptKey, artifacts.PointsToCodec(prog, db))
+	load(ptKey, artifacts.PointsToCodec(prog, pointsto.FactsOf(db)))
 	load(mhpKey, artifacts.MHPCodec(prog))
 	v := load(raceKey, artifacts.RaceCodec(prog))
 	if got, want := v.(*staticrace.Result).CanonicalDigest(), race.CanonicalDigest(); got != want {
@@ -191,7 +192,7 @@ func TestCSPointsToStaysMemoryOnly(t *testing.T) {
 	}
 	dir := t.TempDir()
 	c := artifacts.New(dir)
-	key := artifacts.Key(artifacts.KindPointsTo, prog, nil, 0, "cs")
+	key := artifacts.Key(artifacts.KindPointsTo, prog, "cs")
 	if _, err := c.Memo(key, artifacts.PointsToCodec(prog, nil), func() (any, error) {
 		return pt, nil
 	}); err != nil {
@@ -212,7 +213,7 @@ func TestPruneDisk(t *testing.T) {
 	c := artifacts.New(dir)
 	var keys []string
 	for i := 0; i < 4; i++ {
-		key := artifacts.Key(artifacts.KindCompiled, prog, nil, i)
+		key := artifacts.Key(artifacts.KindCompiled, prog, strconv.Itoa(i))
 		if _, err := c.Memo(key, artifacts.CompiledCodec(prog), func() (any, error) {
 			return interp.Compile(prog, interp.Masks{}), nil
 		}); err != nil {
@@ -220,7 +221,7 @@ func TestPruneDisk(t *testing.T) {
 		}
 		keys = append(keys, key)
 	}
-	dbKey := artifacts.Key(artifacts.KindProfileRun, prog, nil, 0)
+	dbKey := artifacts.Key(artifacts.KindProfileRun, prog)
 	if _, err := c.Memo(dbKey, artifacts.DBCodec(), func() (any, error) {
 		return invariants.NewDB(), nil
 	}); err != nil {

@@ -64,7 +64,7 @@ func newChecks(prog *ir.Program, db *invariants.DB, used *bitset.Set, reads ...V
 		case ViolationUnreachableBlock:
 			c.luc = make([]bool, len(prog.Blocks))
 			for _, b := range prog.Blocks {
-				c.luc[b.ID] = db.LikelyUnreachable(b.ID)
+				c.luc[b.ID] = !db.Visited.Has(b.ID)
 			}
 		case ViolationCalleeSet:
 			if db.Callees != nil {

@@ -50,7 +50,7 @@ type plan struct {
 // seeds and therefore the key, so a stale image can never be served
 // for a refined database. With a nil cache it simply compiles.
 func compiledCode(prog *ir.Program, m interp.Masks, opts interp.CompileOptions, cache *artifacts.Cache) *plan {
-	key := artifacts.Key(artifacts.KindCompiled, prog, nil, 0, "cfg:"+m.Digest()+"+"+opts.Digest())
+	key := artifacts.Key(artifacts.KindCompiled, prog, "cfg:"+m.Digest()+"+"+opts.Digest())
 	v, err := cache.Memo(key, artifacts.CompiledCodec(prog), func() (any, error) {
 		return interp.CompileWith(prog, m, opts), nil
 	})

@@ -152,7 +152,7 @@ func TestViolationKindRules(t *testing.T) {
 		if r.v.Refine(prog, db) {
 			t.Errorf("%s: second Refine changed the database again", r.name)
 		}
-		if entry := prog.Funcs[3].Entry.ID; r.v.Kind == ViolationCalleeSet && db.LikelyUnreachable(entry) {
+		if entry := prog.Funcs[3].Entry.ID; r.v.Kind == ViolationCalleeSet && !db.Visited.Has(entry) {
 			t.Errorf("%s: callee 3's entry block %d still likely unreachable", r.name, entry)
 		}
 	}

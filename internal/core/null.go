@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 
-	"oha/internal/artifacts"
 	"oha/internal/bitset"
 	"oha/internal/interp"
 	"oha/internal/invariants"
@@ -145,8 +144,9 @@ func (c nullProofCodec) Unmarshal(data []byte) (any, error) {
 // race pipeline through its own memo key, so one solve serves both
 // clients.
 func nullProofFor(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*nullcheck.Result, error) {
-	v, err := cfg.Cache.Memo(artifacts.Key(artifacts.KindNullProof, prog, db, 0, "ci"), nullProofCodec{prog: prog}, func() (any, error) {
-		pt, err := pointsToCI(prog, db, cfg)
+	keys := StaticKeysOf(prog, db)
+	v, err := cfg.Cache.Memo(keys.NullProof, nullProofCodec{prog: prog}, func() (any, error) {
+		pt, err := pointsToCI(prog, db, keys, cfg)
 		if err != nil {
 			return nil, err
 		}

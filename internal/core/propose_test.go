@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"oha/internal/artifacts"
+	"oha/internal/invariants"
 	"oha/internal/ir"
 	"oha/internal/lang"
 	"oha/internal/progen"
@@ -110,11 +111,12 @@ func TestValidationSharesProfilingSolves(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: profile: %v", w.Name, err)
 		}
-		for _, kind := range []string{artifacts.KindPointsTo, artifacts.KindMHP, artifacts.KindStaticRace} {
-			if _, ok := cache.Peek(artifacts.RaceKey(kind, prog, pr.DB)); !ok {
+		pred, sound := raceKeys(prog, pr.DB), raceKeys(prog, nil)
+		for kind, key := range pred {
+			if _, ok := cache.Peek(key); !ok {
 				t.Errorf("%s: profiling left no predicated %s artifact", w.Name, kind)
 			}
-			if _, ok := cache.Peek(artifacts.RaceKey(kind, prog, nil)); ok {
+			if _, ok := cache.Peek(sound[kind]); ok {
 				t.Errorf("%s: profiling solved the sound %s", w.Name, kind)
 			}
 		}
@@ -182,4 +184,11 @@ func TestValidationLeavesCallerDB(t *testing.T) {
 	if _, sync := o.Pred.Masks(want); !slices.Equal(o.sync, sync) {
 		t.Errorf("detector's lock sites differ from the ones eliding %v", want.ElidableLocks)
 	}
+}
+
+// raceKeys returns the cache keys of the race pipeline's solves of
+// (prog, db) by artifact kind.
+func raceKeys(prog *ir.Program, db *invariants.DB) map[string]string {
+	k := StaticKeysOf(prog, db)
+	return map[string]string{artifacts.KindPointsTo: k.PointsTo, artifacts.KindMHP: k.MHP, artifacts.KindStaticRace: k.StaticRace}
 }

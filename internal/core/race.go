@@ -10,6 +10,7 @@ import (
 	"oha/internal/invariants"
 	"oha/internal/ir"
 	"oha/internal/mhp"
+	"oha/internal/nullcheck"
 	"oha/internal/pointsto"
 	"oha/internal/staticrace"
 	"oha/internal/vc"
@@ -31,10 +32,11 @@ type RaceReport struct {
 }
 
 // StaticConfig tunes how the static pipelines are computed. The zero
-// value is the parallel pipeline with no memoization. Results are
+// value is the parallel pipeline with no memoization. A static solve is
+// keyed by the facts it reads (StaticKeysOf), and results are
 // digest-identical for every worker count, so Workers is deliberately
-// NOT part of the static artifact cache keys: a result solved with 8
-// workers serves a sequential consumer, and vice versa.
+// NOT part of the keys: a result solved with 8 workers serves a
+// sequential consumer, and vice versa.
 // The NoIC/NoFusion engine toggles, by contrast, change the compiled
 // image and ARE part of the compiled-image key (interp.Code's config
 // digest) — though never the analysis results, which stay bit-
@@ -59,21 +61,44 @@ type StaticConfig struct {
 	NoFastPath bool
 }
 
+// StaticKeys are the cache keys of the static solves of one (program,
+// database) pair: each is its solver's projection digest plus the keys
+// of the solves upstream of it. A refinement re-solves only what read
+// the refuted fact, and no solve reads the elidable lock set.
+type StaticKeys struct {
+	PointsTo, MHP, StaticRace, NullProof string
+}
+
+// StaticKeysOf computes the keys of (prog, db); a nil db keys the
+// sound solves.
+func StaticKeysOf(prog *ir.Program, db *invariants.DB) StaticKeys {
+	pt := artifacts.Key(artifacts.KindPointsTo, prog, pointsto.FactsOf(db).Digest(), "ci")
+	m := artifacts.Key(artifacts.KindMHP, prog, mhp.FactsOf(db).Digest(), pt)
+	return StaticKeys{
+		PointsTo:   pt,
+		MHP:        m,
+		StaticRace: artifacts.Key(artifacts.KindStaticRace, prog, staticrace.FactsOf(db).Digest(), pt, m),
+		NullProof:  artifacts.Key(artifacts.KindNullProof, prog, nullcheck.FactsOf(db).Digest(), pt),
+	}
+}
+
 // analyzeRaceStatic runs the (sound or predicated) Chord-style static
 // pipeline. With a non-nil cache the points-to, MHP, and static-race
-// stages are memoized by content address (artifacts.RaceKey, which
-// leaves db.ElidableLocks out).
+// stages are memoized under StaticKeysOf(prog, db).
 func analyzeRaceStatic(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*staticrace.Result, error) {
-	v, err := cfg.Cache.Memo(artifacts.RaceKey(artifacts.KindStaticRace, prog, db), artifacts.RaceCodec(prog), func() (any, error) {
-		pt, err := pointsToCI(prog, db, cfg)
+	keys := StaticKeysOf(prog, db)
+	v, err := cfg.Cache.Memo(keys.StaticRace, artifacts.RaceCodec(prog), func() (any, error) {
+		pt, err := pointsToCI(prog, db, keys, cfg)
 		if err != nil {
 			return nil, err
 		}
-		m, err := mhpOf(prog, pt, db, cfg.Cache)
+		v, err := cfg.Cache.Memo(keys.MHP, artifacts.MHPCodec(prog), func() (any, error) {
+			return mhp.Analyze(prog, pt, db), nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		return staticrace.AnalyzeParallel(prog, pt, m, db, cfg.Workers), nil
+		return staticrace.AnalyzeParallel(prog, pt, v.(*mhp.Result), db, cfg.Workers), nil
 	})
 	if err != nil {
 		return nil, err
@@ -82,28 +107,16 @@ func analyzeRaceStatic(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*
 }
 
 // pointsToCI returns the (memoized) context-insensitive points-to
-// result for the race pipeline.
-func pointsToCI(prog *ir.Program, db *invariants.DB, cfg StaticConfig) (*pointsto.Result, error) {
-	v, err := cfg.Cache.Memo(artifacts.RaceKey(artifacts.KindPointsTo, prog, db), artifacts.PointsToCodec(prog, db), func() (any, error) {
-		return pointsto.AnalyzeParallel(prog, ctxs.NewCI(prog), db, cfg.Workers)
+// result of (prog, db) under keys.PointsTo.
+func pointsToCI(prog *ir.Program, db *invariants.DB, keys StaticKeys, cfg StaticConfig) (*pointsto.Result, error) {
+	f := pointsto.FactsOf(db)
+	v, err := cfg.Cache.Memo(keys.PointsTo, artifacts.PointsToCodec(prog, f), func() (any, error) {
+		return pointsto.Solve(prog, ctxs.NewCI(prog), f, cfg.Workers)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return v.(*pointsto.Result), nil
-}
-
-// mhpOf returns the (memoized) may-happen-in-parallel result. pt must
-// be the pointsToCI result for the same (prog, db), which the key
-// already determines.
-func mhpOf(prog *ir.Program, pt *pointsto.Result, db *invariants.DB, cache *artifacts.Cache) (*mhp.Result, error) {
-	v, err := cache.Memo(artifacts.RaceKey(artifacts.KindMHP, prog, db), artifacts.MHPCodec(prog), func() (any, error) {
-		return mhp.Analyze(prog, pt, db), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*mhp.Result), nil
 }
 
 // optTracer is the speculative run's tracer: the run's invariant

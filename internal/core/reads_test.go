@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"oha/internal/bitset"
@@ -105,8 +107,7 @@ func withoutKind(t *testing.T, prog *ir.Program, db *invariants.DB, k ViolationK
 // predicatedResults solves each client's predicated static analysis of
 // prog under db and fingerprints its result: OptFT's masks, OptSlice's
 // static slice of crit (nil: no slice) with its analysis type, and
-// OptNull's proof. The solvers run uncached, since a database without
-// contexts has no artifact key.
+// OptNull's proof. The solvers run uncached.
 func predicatedResults(prog *ir.Program, db *invariants.DB, crit *ir.Instr, workers int) (map[string]string, error) {
 	pt, err := pointsto.AnalyzeParallel(prog, ctxs.NewCI(prog), db, workers)
 	if err != nil {
@@ -119,7 +120,7 @@ func predicatedResults(prog *ir.Program, db *invariants.DB, crit *ir.Instr, work
 		"nullcheck": proof.Discharged.String() + " " + proof.UsedFacts.String(),
 	}
 	if crit != nil {
-		sl, at, err := buildSlicer(prog, db, workCountBudget)
+		sl, at, err := BuildSlicer(prog, SlicerFactsOf(db, workCountBudget), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -244,7 +245,52 @@ func TestChecksCoverReads(t *testing.T) {
 	sort.Strings(cells)
 	for _, cell := range cells {
 		t.Logf("%s: read on %d of %d programs", cell, len(rel[cell]), len(corpus))
+		client, kind, _ := strings.Cut(cell, " ")
+		if field := kindField[ViolationKind(kind)]; !slices.Contains(projectionFields(clientInputs[client]...), field) {
+			t.Errorf("%s reads %s facts, but no projection its result is computed from has a %s field", client, kind, field)
+		}
 	}
+}
+
+// kindField names the database field holding each kind's facts.
+var kindField = map[ViolationKind]string{
+	ViolationUnreachableBlock: "Visited",
+	ViolationCalleeSet:        "Callees",
+	ViolationSingletonSpawn:   "SingletonSpawns",
+	ViolationGuardingLock:     "MustAliasLocks",
+	ViolationElidedLockRace:   "ElidableLocks",
+	ViolationCallContext:      "Contexts",
+	ViolationNonNull:          "NonNullLoads",
+}
+
+// clientInputs lists the projections each client's predicated result
+// is computed from: those of the solves it memoizes, plus, for race,
+// the elidable lock set that Masks applies after the solve (the
+// compiled image's key covers it through the masks digest).
+var clientInputs = map[string][]any{
+	"race":      {pointsto.Facts{}, mhp.Facts{}, staticrace.Facts{}, struct{ ElidableLocks *bitset.Set }{}},
+	"nullcheck": {pointsto.Facts{}, nullcheck.Facts{}},
+	"slice":     {SlicerFacts{}},
+}
+
+// projectionFields returns the field names of the projection structs,
+// descending into a nested points-to projection (SlicerFacts').
+func projectionFields(projections ...any) []string {
+	var out []string
+	var walk func(reflect.Type)
+	walk = func(t reflect.Type) {
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i); f.Type == reflect.TypeOf(&pointsto.Facts{}) {
+				walk(f.Type.Elem())
+			} else {
+				out = append(out, f.Name)
+			}
+		}
+	}
+	for _, p := range projections {
+		walk(reflect.TypeOf(p))
+	}
+	return out
 }
 
 // TestNilCalleesChecksNoCallee: a database whose callee-set invariant

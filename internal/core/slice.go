@@ -39,51 +39,54 @@ const (
 	CI SliceAnalysisType = "CI"
 )
 
-// buildSlicer constructs the most precise static slicer that runs
-// within budget: context-sensitive first, context-insensitive on
-// budget exhaustion — mirroring §6.1.2 ("the most accurate static
-// analysis that will complete on that benchmark without exhausting
-// available computational resources").
-func buildSlicer(prog *ir.Program, db *invariants.DB, budget int) (*staticslice.Slicer, SliceAnalysisType, error) {
-	var allowed *invariants.ContextSet
+// SlicerFacts is the projection of an invariant database the budgeted
+// static slicer reads: the points-to facts (nil: sound), the contexts
+// the context-sensitive tree may clone (nil: all) and the budget.
+type SlicerFacts struct {
+	PointsTo *pointsto.Facts
+	Contexts *invariants.ContextSet
+	Budget   int
+}
+
+// SlicerFactsOf projects db (nil: the sound slicer) at budget.
+func SlicerFactsOf(db *invariants.DB, budget int) SlicerFacts {
+	f := SlicerFacts{PointsTo: pointsto.FactsOf(db), Budget: budget}
 	if db != nil {
-		allowed = db.Contexts
+		f.Contexts = db.Contexts
 	}
-	pt, err := pointsto.Analyze(prog, ctxs.NewCS(prog, budget, allowed), db)
-	if err == nil {
-		return staticslice.New(pt), CS, nil
-	}
-	if !errors.Is(err, ctxs.ErrBudget) {
-		return nil, CI, err
-	}
-	pt, err = pointsto.Analyze(prog, ctxs.NewCI(prog), db)
-	if err != nil {
-		return nil, CI, err
-	}
-	return staticslice.New(pt), CI, nil
+	return f
 }
 
-// slicerArtifact is the in-memory cache value for a built slicer.
-type slicerArtifact struct {
-	sl *staticslice.Slicer
-	at SliceAnalysisType
+// key is the slicer solve's cache key: the digest of f.
+func (f SlicerFacts) key(prog *ir.Program) string {
+	return artifacts.Key(artifacts.KindSlicer, prog, f.PointsTo.Digest(),
+		new(invariants.Text).Contexts(f.Contexts).Digest(), strconv.Itoa(f.Budget))
 }
 
-// buildSlicerCached memoizes buildSlicer (nil cache: recompute). The
+// BuildSlicer returns the most precise static slicer of prog under f
+// that fits f.Budget, context-sensitive else context-insensitive
+// (§6.1.2: "the most accurate static analysis that will complete"),
+// and its analysis type, memoized in cache (nil: recompute). The
 // slicer is an immutable query structure, safe to share.
-func buildSlicerCached(prog *ir.Program, db *invariants.DB, budget int, cache *artifacts.Cache) (*staticslice.Slicer, SliceAnalysisType, error) {
-	v, err := cache.Memo(artifacts.Key(artifacts.KindSlicer, prog, db, budget, "restrict"), nil, func() (any, error) {
-		sl, at, err := buildSlicer(prog, db, budget)
+func BuildSlicer(prog *ir.Program, f SlicerFacts, cache *artifacts.Cache) (*staticslice.Slicer, SliceAnalysisType, error) {
+	v, err := cache.Memo(f.key(prog), nil, func() (any, error) {
+		pt, err := pointsto.Solve(prog, ctxs.NewCS(prog, f.Budget, f.Contexts), f.PointsTo, 1)
+		if errors.Is(err, ctxs.ErrBudget) {
+			pt, err = pointsto.Solve(prog, ctxs.NewCI(prog), f.PointsTo, 1)
+		}
 		if err != nil {
 			return nil, err
 		}
-		return &slicerArtifact{sl: sl, at: at}, nil
+		return staticslice.New(pt), nil
 	})
 	if err != nil {
 		return nil, CI, err
 	}
-	a := v.(*slicerArtifact)
-	return a.sl, a.at, nil
+	sl := v.(*staticslice.Slicer)
+	if sl.PointsTo().Tree.Sensitive() {
+		return sl, CS, nil
+	}
+	return sl, CI, nil
 }
 
 // sliceStatic is the cached end product of the static slicing pipeline
@@ -137,12 +140,17 @@ func (c sliceStaticCodec) Unmarshal(data []byte) (any, error) {
 	return &sliceStatic{AT: SliceAnalysisType(p.AT), Slice: s}, nil
 }
 
-// staticSliceFor returns the (memoized) static slice and analysis type
-// for one criterion under the buildSlicer discipline.
-func staticSliceFor(prog *ir.Program, db *invariants.DB, criterion *ir.Instr, budget int, cache *artifacts.Cache) (*sliceStatic, error) {
-	key := artifacts.Key(artifacts.KindSlice, prog, db, budget, "restrict", "crit:"+strconv.Itoa(criterion.ID))
-	v, err := cache.Memo(key, sliceStaticCodec{prog: prog}, func() (any, error) {
-		sl, at, err := buildSlicerCached(prog, db, budget, cache)
+// staticSliceKey keys the static slice of criterion: the key of the
+// slicer it is sliced from plus the criterion.
+func staticSliceKey(prog *ir.Program, slicerKey string, criterion *ir.Instr) string {
+	return artifacts.Key(artifacts.KindSlice, prog, slicerKey, "crit:"+strconv.Itoa(criterion.ID))
+}
+
+// staticSliceFor returns the (memoized) static slice of one criterion
+// and its analysis type under f.
+func staticSliceFor(prog *ir.Program, f SlicerFacts, criterion *ir.Instr, cache *artifacts.Cache) (*sliceStatic, error) {
+	v, err := cache.Memo(staticSliceKey(prog, f.key(prog), criterion), sliceStaticCodec{prog: prog}, func() (any, error) {
+		sl, at, err := BuildSlicer(prog, f, cache)
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +224,7 @@ func sliceMasks(exec, block []bool) interp.Masks {
 // NewHybridSlicer runs the sound static slicer (CS if it fits budget,
 // else CI) for one criterion.
 func NewHybridSlicer(prog *ir.Program, criterion *ir.Instr, budget int, cfg StaticConfig) (*HybridSlicer, error) {
-	ss, err := staticSliceFor(prog, nil, criterion, budget, cfg.Cache)
+	ss, err := staticSliceFor(prog, SlicerFactsOf(nil, budget), criterion, cfg.Cache)
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +315,7 @@ func NewOptSliceStatic(prog *ir.Program, db *invariants.DB, criterion *ir.Instr,
 // fallback) with the generations it is refined from.
 func newOptSlice(prog *ir.Program, db *invariants.DB, criterion *ir.Instr, budget int, cfg StaticConfig,
 	gens *generations[*OptSlice, *HybridSlicer]) (*OptSlice, error) {
-	ss, err := staticSliceFor(prog, db, criterion, budget, cfg.Cache)
+	ss, err := staticSliceFor(prog, SlicerFactsOf(db, budget), criterion, cfg.Cache)
 	if err != nil {
 		return nil, err
 	}

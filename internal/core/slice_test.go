@@ -473,12 +473,12 @@ func TestStaticSliceDiskRoundtrip(t *testing.T) {
 	prints := Prints(prog)
 	crit := prints[len(prints)-1]
 	dir := t.TempDir()
-	want, err := staticSliceFor(prog, pr.DB, crit, 4096, artifacts.New(dir))
+	want, err := staticSliceFor(prog, SlicerFactsOf(pr.DB, 4096), crit, artifacts.New(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := artifacts.New(dir)
-	got, err := staticSliceFor(prog, pr.DB, crit, 4096, c)
+	got, err := staticSliceFor(prog, SlicerFactsOf(pr.DB, 4096), crit, c)
 	if err != nil {
 		t.Fatal(err)
 	}

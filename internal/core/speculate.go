@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"oha/internal/artifacts"
 	"oha/internal/interp"
 	"oha/internal/invariants"
 	"oha/internal/ir"
@@ -283,7 +282,7 @@ type refinedGen[D any] struct {
 // get returns the generation for db, building it with build on first
 // use.
 func (g *generations[D, S]) get(db *invariants.DB, build func() (D, error)) (D, error) {
-	digest := artifacts.DBDigest(db)
+	digest := db.Digest()
 	g.mu.Lock()
 	var r *refinedGen[D]
 	if i := slices.IndexFunc(g.list, func(r *refinedGen[D]) bool { return r.digest == digest }); i >= 0 {
@@ -307,7 +306,7 @@ func (g *generations[D, S]) get(db *invariants.DB, build func() (D, error)) (D, 
 // lookup returns the generation for db if one is built, building
 // nothing.
 func (g *generations[D, S]) lookup(db *invariants.DB) (D, bool) {
-	digest := artifacts.DBDigest(db)
+	digest := db.Digest()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, r := range g.list {

@@ -1,99 +1,30 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
-	"oha/internal/artifacts"
-	"oha/internal/bitset"
 	"oha/internal/core"
-	"oha/internal/ctxs"
-	"oha/internal/invariants"
 	"oha/internal/ir"
 	"oha/internal/pointsto"
-	"oha/internal/staticslice"
 	"oha/internal/workloads"
 )
 
-// bestPointsTo runs the most precise points-to analysis that fits the
-// budget, mirroring core.buildSlicer's discipline: context-sensitive
-// first — optionally restricted to the profiled contexts — falling back
-// to context-insensitive when the clone budget is exhausted.
-func bestPointsTo(prog *ir.Program, db *invariants.DB, budget int, restrictCtx bool) (*pointsto.Result, core.SliceAnalysisType, error) {
-	var allowed *invariants.ContextSet
-	if restrictCtx && db != nil {
-		allowed = db.Contexts
+// avgSlice returns the average static slice size over prog's
+// endpoints, its print instructions, under the slicer projection f,
+// with the analysis type the budgeted slicer reached (core.BuildSlicer,
+// memoized in opts.Cache).
+func avgSlice(opts Options, prog *ir.Program, f core.SlicerFacts) (float64, core.SliceAnalysisType, error) {
+	sl, at, err := core.BuildSlicer(prog, f, opts.Cache)
+	eps := core.Prints(prog)
+	if err != nil || len(eps) == 0 {
+		return 0, at, err
 	}
-	pt, err := pointsto.Analyze(prog, ctxs.NewCS(prog, budget, allowed), db)
-	if err == nil {
-		return pt, core.CS, nil
+	total := 0
+	for _, e := range eps {
+		total += sl.BackwardSlice(e).Size()
 	}
-	if !errors.Is(err, ctxs.ErrBudget) {
-		return nil, core.CI, err
-	}
-	pt, err = pointsto.Analyze(prog, ctxs.NewCI(prog), db)
-	return pt, core.CI, err
-}
-
-// ptArtifact pairs a points-to result with the analysis tier reached.
-// It is cached read-only: pointsto.Result is immutable after Analyze.
-type ptArtifact struct {
-	pt *pointsto.Result
-	at core.SliceAnalysisType
-}
-
-// cachedPointsTo memoizes bestPointsTo by content address (memory layer
-// only: the result graph is pointer-laden). A nil db makes restrictCtx
-// irrelevant, so the flag is normalized to share one cache entry.
-func cachedPointsTo(opts Options, prog *ir.Program, db *invariants.DB, restrictCtx bool) (*pointsto.Result, core.SliceAnalysisType, error) {
-	if db == nil {
-		restrictCtx = false
-	}
-	key := artifacts.Key(artifacts.KindPointsTo, prog, db, opts.Budget,
-		"best", fmt.Sprintf("restrict=%v", restrictCtx))
-	v, err := opts.Cache.Memo(key, nil, func() (any, error) {
-		pt, at, err := bestPointsTo(prog, db, opts.Budget, restrictCtx)
-		if err != nil {
-			return nil, err
-		}
-		return ptArtifact{pt, at}, nil
-	})
-	if err != nil {
-		return nil, core.CI, err
-	}
-	a := v.(ptArtifact)
-	return a.pt, a.at, nil
-}
-
-// avgSliceArtifact memoizes the Figure 10/11 endpoint-set average.
-type avgSliceArtifact struct {
-	size float64
-	at   core.SliceAnalysisType
-}
-
-// cachedAvgSlice returns the average static slice size over the
-// program's endpoints under the given invariant database, memoized by
-// content address (Figures 10 and 11 share entries where their
-// configurations coincide).
-func cachedAvgSlice(opts Options, prog *ir.Program, db *invariants.DB, restrictCtx bool) (float64, core.SliceAnalysisType, error) {
-	if db == nil {
-		restrictCtx = false
-	}
-	key := artifacts.Key(artifacts.KindSlice, prog, db, opts.Budget,
-		"avg-endpoints", fmt.Sprintf("restrict=%v", restrictCtx))
-	v, err := opts.Cache.Memo(key, nil, func() (any, error) {
-		pt, at, err := cachedPointsTo(opts, prog, db, restrictCtx)
-		if err != nil {
-			return nil, err
-		}
-		return avgSliceArtifact{avgSliceSize(staticslice.New(pt), endpoints(prog)), at}, nil
-	})
-	if err != nil {
-		return 0, core.CI, err
-	}
-	a := v.(avgSliceArtifact)
-	return a.size, a.at, nil
+	return float64(total) / float64(len(eps)), at, nil
 }
 
 // Fig9Row reports base vs optimistic alias rates (Figure 9).
@@ -114,14 +45,15 @@ func Fig9(opts Options) ([]Fig9Row, error) {
 		if err != nil {
 			return Fig9Row{}, err
 		}
-		base, baseAT, err := cachedPointsTo(opts, w.Prog(), nil, false)
+		baseSl, baseAT, err := core.BuildSlicer(w.Prog(), core.SlicerFactsOf(nil, opts.Budget), opts.Cache)
 		if err != nil {
 			return Fig9Row{}, fmt.Errorf("%s: base points-to: %w", w.Name, err)
 		}
-		opt, optAT, err := cachedPointsTo(opts, w.Prog(), pr.DB, true)
+		optSl, optAT, err := core.BuildSlicer(w.Prog(), core.SlicerFactsOf(pr.DB, opts.Budget), opts.Cache)
 		if err != nil {
 			return Fig9Row{}, fmt.Errorf("%s: optimistic points-to: %w", w.Name, err)
 		}
+		base, opt := baseSl.PointsTo(), optSl.PointsTo()
 		// Fairness (§6.3): both rates are computed over the loads and
 		// stores present in the optimistic analysis.
 		var loads, stores []*ir.Instr
@@ -160,32 +92,9 @@ type Fig10Row struct {
 	Endpoints int
 }
 
-// endpoints returns the slice endpoints used for the static figures:
-// every print instruction of the program.
-func endpoints(prog *ir.Program) []*ir.Instr {
-	var out []*ir.Instr
-	for _, in := range prog.Instrs {
-		if in.Op == ir.OpPrint {
-			out = append(out, in)
-		}
-	}
-	return out
-}
-
-func avgSliceSize(sl *staticslice.Slicer, eps []*ir.Instr) float64 {
-	if len(eps) == 0 {
-		return 0
-	}
-	total := 0
-	for _, e := range eps {
-		total += sl.BackwardSlice(e).Size()
-	}
-	return float64(total) / float64(len(eps))
-}
-
 // Fig10 measures static slice sizes. Workloads run on the experiment
-// worker pool; a warm cache shares the per-configuration averages with
-// Figure 11.
+// worker pool; a warm cache shares the sound and predicated slicers
+// with Figures 9 and 11.
 func Fig10(opts Options) ([]Fig10Row, error) {
 	opts = opts.Defaults()
 	return mapOrdered(opts.Parallel, workloads.Slices(), func(_ int, w *workloads.Workload) (Fig10Row, error) {
@@ -194,11 +103,11 @@ func Fig10(opts Options) ([]Fig10Row, error) {
 		if err != nil {
 			return Fig10Row{}, err
 		}
-		base, _, err := cachedAvgSlice(opts, prog, nil, false)
+		base, _, err := avgSlice(opts, prog, core.SlicerFactsOf(nil, opts.Budget))
 		if err != nil {
 			return Fig10Row{}, err
 		}
-		opt, _, err := cachedAvgSlice(opts, prog, pr.DB, true)
+		opt, _, err := avgSlice(opts, prog, core.SlicerFactsOf(pr.DB, opts.Budget))
 		if err != nil {
 			return Fig10Row{}, err
 		}
@@ -206,7 +115,7 @@ func Fig10(opts Options) ([]Fig10Row, error) {
 			Name:      w.Name,
 			BaseSize:  base,
 			OptSize:   opt,
-			Endpoints: len(endpoints(prog)),
+			Endpoints: len(core.Prints(prog)),
 		}, nil
 	})
 }
@@ -236,9 +145,9 @@ type Fig11Row struct {
 }
 
 // Fig11 measures the invariant ablation. Workloads run on the
-// experiment worker pool; each ablation step is memoized by the content
-// address of its invariant configuration, so the sound baseline and the
-// full-database step share cache entries with Figures 9/10.
+// experiment worker pool; each ablation step is a slicer projection,
+// memoized by its digest, so the sound baseline and the full-database
+// step share their slicers with Figures 9/10.
 func Fig11(opts Options) ([]Fig11Row, error) {
 	opts = opts.Defaults()
 	return mapOrdered(opts.Parallel, workloads.Slices(), func(_ int, w *workloads.Workload) (Fig11Row, error) {
@@ -247,49 +156,27 @@ func Fig11(opts Options) ([]Fig11Row, error) {
 		if err != nil {
 			return Fig11Row{}, err
 		}
+		// The steps: the sound baseline; + likely-unreachable code (callee
+		// sets off, every context allowed); + likely callee sets; +
+		// likely-unused call contexts (may unlock CS).
+		full := core.SlicerFactsOf(pr.DB, opts.Budget)
+		steps := []core.SlicerFacts{
+			core.SlicerFactsOf(nil, opts.Budget),
+			{PointsTo: &pointsto.Facts{Visited: pr.DB.Visited}, Budget: opts.Budget},
+			{PointsTo: full.PointsTo, Budget: opts.Budget},
+			full,
+		}
 		row := Fig11Row{Name: w.Name}
-
-		// Sound baseline.
-		row.Base, row.BaseAT, err = cachedAvgSlice(opts, prog, nil, false)
-		if err != nil {
-			return Fig11Row{}, err
+		sizes := []*float64{&row.Base, &row.LUC, &row.Callees, &row.Contexts}
+		ats := make([]core.SliceAnalysisType, len(steps))
+		for i, f := range steps {
+			if *sizes[i], ats[i], err = avgSlice(opts, prog, f); err != nil {
+				return Fig11Row{}, err
+			}
 		}
-		// + likely-unreachable code only.
-		lucOnly := lucOnlyDB(pr.DB, prog)
-		row.LUC, _, err = cachedAvgSlice(opts, prog, lucOnly, false)
-		if err != nil {
-			return Fig11Row{}, err
-		}
-		// + likely callee sets.
-		withCallees := lucOnly.Clone()
-		withCallees.Callees = map[int]*bitset.Set{}
-		for k, v := range pr.DB.Callees {
-			withCallees.Callees[k] = v.Clone()
-		}
-		row.Callees, _, err = cachedAvgSlice(opts, prog, withCallees, false)
-		if err != nil {
-			return Fig11Row{}, err
-		}
-		// + likely-unused call contexts (may unlock CS).
-		row.Contexts, row.ContextsAT, err = cachedAvgSlice(opts, prog, pr.DB, true)
-		if err != nil {
-			return Fig11Row{}, err
-		}
+		row.BaseAT, row.ContextsAT = ats[0], ats[3]
 		return row, nil
 	})
-}
-
-// lucOnlyDB builds a database with only the visited-blocks invariant
-// active: callee sets disabled (nil map: sound resolution) and every
-// context allowed.
-func lucOnlyDB(db *invariants.DB, prog *ir.Program) *invariants.DB {
-	out := invariants.NewDB()
-	out.Visited = db.Visited.Clone()
-	out.Callees = nil // invariant disabled
-	// All-contexts: leave Contexts empty and never pass it as a
-	// restriction (the measure() helper only restricts on request).
-	_ = prog
-	return out
 }
 
 // PrintFig11 renders the ablation table.

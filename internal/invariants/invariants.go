@@ -26,6 +26,8 @@ package invariants
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"sort"
@@ -58,7 +60,9 @@ type DB struct {
 	Visited *bitset.Set
 
 	// MustAliasLocks holds lock-site pairs that always locked the same
-	// single dynamic object (likely guarding locks).
+	// single dynamic object (likely guarding locks). A site must-aliases
+	// itself only as a recorded self-pair: a striped-lock site that
+	// locks different objects cannot prune even pairs with itself.
 	MustAliasLocks map[LockPair]bool
 
 	// SingletonSpawns holds spawn-site instruction IDs that created at
@@ -99,19 +103,6 @@ func NewDB() *DB {
 		Contexts:        NewContextSet(),
 		NonNullLoads:    &bitset.Set{},
 	}
-}
-
-// LikelyUnreachable reports whether block id was never visited in any
-// profiled run.
-func (db *DB) LikelyUnreachable(blockID int) bool { return !db.Visited.Has(blockID) }
-
-// MustAlias reports whether the two lock sites are assumed to always
-// lock the same single dynamic object. Note that a site is NOT assumed
-// to must-alias itself unless profiling recorded it as single-object
-// (a self-pair): a striped-lock site that locks different objects on
-// different executions cannot prune even pairs with itself.
-func (db *DB) MustAlias(a, b int) bool {
-	return db.MustAliasLocks[NormPair(a, b)]
 }
 
 // Clone returns a deep copy of the database.
@@ -247,15 +238,54 @@ func (db *DB) Equal(o *DB) bool {
 
 // WriteTo serializes the database in the v1 text format.
 func (db *DB) WriteTo(w io.Writer) (int64, error) {
-	var b strings.Builder
-	b.WriteString("# oha invariants v1\n")
+	n, err := io.WriteString(w, db.text().b.String())
+	return int64(n), err
+}
 
-	b.WriteString("[visited-blocks]\n")
-	writeInts(&b, db.Visited.Slice())
+// Digest returns the hex SHA-256 of the database's v1 text.
+func (db *DB) Digest() string { return db.text().Digest() }
 
-	b.WriteString("[must-alias-locks]\n")
-	pairs := make([]LockPair, 0, len(db.MustAliasLocks))
-	for p := range db.MustAliasLocks {
+func (db *DB) text() *Text {
+	t := &Text{}
+	t.b.WriteString("# oha invariants v1\n")
+	return t.Visited(db.Visited).MustAlias(db.MustAliasLocks).Singletons(db.SingletonSpawns).
+		Elidable(db.ElidableLocks).Callees(db.Callees).Contexts(db.Contexts).NonNull(db.NonNullLoads)
+}
+
+// Text builds sections of the v1 text format. A database writes all
+// seven in order; a static solver's projection of it digests just the
+// sections of the facts it reads.
+type Text struct{ b strings.Builder }
+
+// Digest returns the hex SHA-256 of the text.
+func (t *Text) Digest() string {
+	sum := sha256.Sum256([]byte(t.b.String()))
+	return hex.EncodeToString(sum[:])
+}
+
+// Visited writes the visited blocks.
+func (t *Text) Visited(s *bitset.Set) *Text { return t.ids("visited-blocks", s) }
+
+// Singletons writes the singleton spawn sites.
+func (t *Text) Singletons(s *bitset.Set) *Text { return t.ids("singleton-spawns", s) }
+
+// Elidable writes the elidable lock sites.
+func (t *Text) Elidable(s *bitset.Set) *Text { return t.ids("elidable-locks", s) }
+
+// NonNull writes the non-null load sites.
+func (t *Text) NonNull(s *bitset.Set) *Text { return t.ids("non-null-loads", s) }
+
+func (t *Text) ids(header string, s *bitset.Set) *Text {
+	t.b.WriteString("[" + header + "]\n")
+	writeInts(&t.b, s.Slice())
+	return t
+}
+
+// MustAlias writes the must-alias lock pairs in sorted order.
+func (t *Text) MustAlias(m map[LockPair]bool) *Text {
+	t.b.WriteString("[must-alias-locks]\n")
+	pairs := make([]LockPair, 0, len(m))
+	for p := range m {
 		pairs = append(pairs, p)
 	}
 	sort.Slice(pairs, func(i, j int) bool {
@@ -265,47 +295,49 @@ func (db *DB) WriteTo(w io.Writer) (int64, error) {
 		return pairs[i].B < pairs[j].B
 	})
 	for _, p := range pairs {
-		fmt.Fprintf(&b, "%d %d\n", p.A, p.B)
+		fmt.Fprintf(&t.b, "%d %d\n", p.A, p.B)
 	}
+	return t
+}
 
-	b.WriteString("[singleton-spawns]\n")
-	writeInts(&b, db.SingletonSpawns.Slice())
-
-	b.WriteString("[elidable-locks]\n")
-	writeInts(&b, db.ElidableLocks.Slice())
-
-	// A nil Callees map (the invariant switched off) has no section;
-	// an empty one has an empty section (no indirect site has a callee).
-	if db.Callees != nil {
-		b.WriteString("[callees]\n")
-		sites := make([]int, 0, len(db.Callees))
-		for s := range db.Callees {
-			sites = append(sites, s)
-		}
-		sort.Ints(sites)
-		for _, s := range sites {
-			fmt.Fprintf(&b, "%d:", s)
-			for _, f := range db.Callees[s].Slice() {
-				fmt.Fprintf(&b, " %d", f)
-			}
-			b.WriteByte('\n')
-		}
+// Callees writes the likely callee sets. A nil map (the invariant
+// switched off) has no section; an empty one has an empty section (no
+// indirect site has a callee).
+func (t *Text) Callees(m map[int]*bitset.Set) *Text {
+	if m == nil {
+		return t
 	}
+	t.b.WriteString("[callees]\n")
+	sites := make([]int, 0, len(m))
+	for s := range m {
+		sites = append(sites, s)
+	}
+	sort.Ints(sites)
+	for _, s := range sites {
+		fmt.Fprintf(&t.b, "%d:", s)
+		for _, f := range m[s].Slice() {
+			fmt.Fprintf(&t.b, " %d", f)
+		}
+		t.b.WriteByte('\n')
+	}
+	return t
+}
 
-	b.WriteString("[contexts]\n")
-	for _, path := range db.Contexts.SortedPaths() {
+// Contexts writes the observed call contexts. A nil set (every context
+// allowed, the call-context invariant switched off) has no section.
+func (t *Text) Contexts(cs *ContextSet) *Text {
+	if cs == nil {
+		return t
+	}
+	t.b.WriteString("[contexts]\n")
+	for _, path := range cs.SortedPaths() {
 		if len(path) == 0 {
-			b.WriteString(".\n") // the empty (thread-root) context
+			t.b.WriteString(".\n") // the empty (thread-root) context
 			continue
 		}
-		writeInts(&b, path)
+		writeInts(&t.b, path)
 	}
-
-	b.WriteString("[non-null-loads]\n")
-	writeInts(&b, db.NonNullLoads.Slice())
-
-	n, err := io.WriteString(w, b.String())
-	return int64(n), err
+	return t
 }
 
 func writeInts(b *strings.Builder, xs []int) {

@@ -149,19 +149,19 @@ func TestQuickMergeMonotonic(t *testing.T) {
 
 func TestMustAlias(t *testing.T) {
 	db := sampleDB()
-	if !db.MustAlias(20, 10) || !db.MustAlias(10, 20) {
+	if !db.MustAliasLocks[NormPair(20, 10)] || !db.MustAliasLocks[NormPair(10, 20)] {
 		t.Error("pair lookup not symmetric")
 	}
 	// A site does NOT must-alias itself unless profiled single-object:
 	// striped-lock sites lock different objects on different runs.
-	if db.MustAlias(8, 8) {
+	if db.MustAliasLocks[NormPair(8, 8)] {
 		t.Error("unprofiled site must-aliases itself")
 	}
 	db.MustAliasLocks[NormPair(8, 8)] = true
-	if !db.MustAlias(8, 8) {
+	if !db.MustAliasLocks[NormPair(8, 8)] {
 		t.Error("profiled single-object self-pair lost")
 	}
-	if db.MustAlias(10, 30) {
+	if db.MustAliasLocks[NormPair(10, 30)] {
 		t.Error("unprofiled pair aliases")
 	}
 }

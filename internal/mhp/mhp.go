@@ -51,6 +51,28 @@ type forkJoin struct {
 	joins []*ir.Instr
 }
 
+// Facts is the projection of an invariant database the predicated MHP
+// analysis reads. A nil *Facts is the sound analysis.
+type Facts struct {
+	SingletonSpawns *bitset.Set
+}
+
+// FactsOf projects db (nil: the sound analysis).
+func FactsOf(db *invariants.DB) *Facts {
+	if db == nil {
+		return nil
+	}
+	return &Facts{SingletonSpawns: db.SingletonSpawns}
+}
+
+// Digest fingerprints f by its invariant text (invariants.Text).
+func (f *Facts) Digest() string {
+	if f == nil {
+		return "sound"
+	}
+	return new(invariants.Text).Singletons(f.SingletonSpawns).Digest()
+}
+
 // Analyze computes thread roots and concurrency. pt supplies the call
 // graph (already predicated if pt was). db non-nil additionally
 // assumes the likely singleton-thread invariant. The CFG facts it
@@ -58,6 +80,7 @@ type forkJoin struct {
 // computed per call: a table memoizing them per program would keep
 // every analyzed program alive.
 func Analyze(prog *ir.Program, pt *pointsto.Result, db *invariants.DB) *Result {
+	f := FactsOf(db)
 	r := &Result{prog: prog}
 	reach := ir.ComputeReach(prog)
 
@@ -131,9 +154,9 @@ func Analyze(prog *ir.Program, pt *pointsto.Result, db *invariants.DB) *Result {
 	r.mainDom = ir.Dominators(prog.Main())
 	for rid, info := range roots[1:] {
 		in := info.site
-		if db != nil {
+		if f != nil {
 			// Predicated: assume the likely singleton-thread invariant.
-			r.multi[rid+1] = !db.SingletonSpawns.Has(in.ID)
+			r.multi[rid+1] = !f.SingletonSpawns.Has(in.ID)
 		} else {
 			// Sound: singleton only if the site is in main (which runs
 			// once and is never called) and outside any CFG cycle.

@@ -74,13 +74,15 @@ func DecodeResult(prog *ir.Program, data []byte) (*Result, error) {
 	if len(w.Roots) != len(prog.Funcs) {
 		return bad("roots for %d functions, program has %d", len(w.Roots), len(prog.Funcs))
 	}
+	// Fork-join ordering is only ever recorded for main's own spawns and
+	// joins.
 	instr := func(id int, op ir.Op, what string) (*ir.Instr, error) {
 		if id < 0 || id >= len(prog.Instrs) {
 			return nil, fmt.Errorf("mhp: decode: %s instruction %d out of range", what, id)
 		}
 		in := prog.Instrs[id]
-		if in.Op != op {
-			return nil, fmt.Errorf("mhp: decode: %s instruction %d is %v", what, id, in.Op)
+		if in.Op != op || in.Block.Fn != prog.Main() {
+			return nil, fmt.Errorf("mhp: decode: %s instruction %d is %v in %s", what, id, in.Op, in.Block.Fn.Name)
 		}
 		return in, nil
 	}

@@ -57,10 +57,33 @@ func (r *Result) DischargeRatio() float64 {
 	return float64(r.Discharged.Len()) / float64(r.DerefSites)
 }
 
+// Facts is the projection of an invariant database the predicated
+// non-nullness analysis reads. A nil *Facts is the sound analysis.
+type Facts struct {
+	NonNullLoads *bitset.Set
+}
+
+// FactsOf projects db (nil: the sound analysis).
+func FactsOf(db *invariants.DB) *Facts {
+	if db == nil {
+		return nil
+	}
+	return &Facts{NonNullLoads: db.NonNullLoads}
+}
+
+// Digest fingerprints f by its invariant text (invariants.Text).
+func (f *Facts) Digest() string {
+	if f == nil {
+		return "sound"
+	}
+	return new(invariants.Text).NonNull(f.NonNullLoads).Digest()
+}
+
 // Analyze runs the predicated non-nullness analysis. A nil db yields
 // the sound variant (no likely invariants assumed, UsedFacts empty);
 // a nil pt skips the memory phase (register facts only).
 func Analyze(prog *ir.Program, pt *pointsto.Result, db *invariants.DB) *Result {
+	f := FactsOf(db)
 	res := &Result{Discharged: &bitset.Set{}, UsedFacts: &bitset.Set{}}
 	for _, in := range prog.Instrs {
 		if in.Op == ir.OpLoad || in.Op == ir.OpStore {
@@ -71,7 +94,7 @@ func Analyze(prog *ir.Program, pt *pointsto.Result, db *invariants.DB) *Result {
 	// Phase 1: registers only. Record per-store value non-nullness for
 	// the object qualification below.
 	storeVal := make([]bool, len(prog.Instrs))
-	phase1 := newPass(prog, db, nil)
+	phase1 := newPass(prog, f, nil)
 	phase1.run(func(in *ir.Instr, addrOK, valOK bool) {
 		if in.Op == ir.OpStore {
 			storeVal[in.ID] = valOK
@@ -82,7 +105,7 @@ func Analyze(prog *ir.Program, pt *pointsto.Result, db *invariants.DB) *Result {
 
 	// Phase 2: rerun with the memory-backed sound loads; only this
 	// run's discharges and fact uses count.
-	final := newPass(prog, db, soundLoads)
+	final := newPass(prog, f, soundLoads)
 	final.run(func(in *ir.Instr, addrOK, valOK bool) {
 		if (in.Op == ir.OpLoad || in.Op == ir.OpStore) && addrOK {
 			res.Discharged.Add(in.ID)
@@ -158,13 +181,13 @@ func soundLoadSites(prog *ir.Program, pt *pointsto.Result, storeVal []bool) []bo
 // pass is one register dataflow run over every function.
 type pass struct {
 	prog       *ir.Program
-	db         *invariants.DB
+	facts      *Facts
 	soundLoads []bool
 	used       *bitset.Set
 }
 
-func newPass(prog *ir.Program, db *invariants.DB, soundLoads []bool) *pass {
-	return &pass{prog: prog, db: db, soundLoads: soundLoads, used: &bitset.Set{}}
+func newPass(prog *ir.Program, f *Facts, soundLoads []bool) *pass {
+	return &pass{prog: prog, facts: f, soundLoads: soundLoads, used: &bitset.Set{}}
 }
 
 // run solves each function to fixpoint, then replays every reachable
@@ -305,7 +328,7 @@ func (p *pass) transferVisit(b *ir.Block, st *bitset.Set, def *map[int]*ir.Instr
 		case ir.OpLoad:
 			if p.soundLoads != nil && in.ID < len(p.soundLoads) && p.soundLoads[in.ID] {
 				nonNull = true
-			} else if p.db != nil && p.db.NonNullLoads.Has(in.ID) {
+			} else if p.facts != nil && p.facts.NonNullLoads.Has(in.ID) {
 				nonNull = true
 				p.used.Add(in.ID)
 			}

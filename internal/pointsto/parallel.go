@@ -11,24 +11,30 @@ import (
 	"oha/internal/ir"
 )
 
-// AnalyzeParallel is Analyze with a parallel worklist solver. workers
-// <= 0 selects GOMAXPROCS; workers == 1 is exactly the sequential
-// solver. The analysis result is deterministic and identical for every
-// worker count: the solver runs in bulk-synchronous frontier rounds
+// AnalyzeParallel is Analyze with a parallel worklist solver (Solve).
+func AnalyzeParallel(prog *ir.Program, tree *ctxs.Tree, db *invariants.DB, workers int) (*Result, error) {
+	return Solve(prog, tree, FactsOf(db), workers)
+}
+
+// Solve runs the points-to analysis of prog over tree, predicated on f
+// (nil: sound). workers <= 0 selects GOMAXPROCS; workers == 1 is the
+// sequential worklist solver. The analysis result is deterministic and
+// identical for every worker count: the solver runs in bulk-synchronous frontier rounds
 // where workers only compute copy-propagation unions (commutative, so
 // chunk assignment cannot change the outcome) and all state mutation —
 // delta application, content-node allocation, context extension,
 // constraint seeding — happens on one goroutine in ascending node
 // order.
-func AnalyzeParallel(prog *ir.Program, tree *ctxs.Tree, db *invariants.DB, workers int) (*Result, error) {
+func Solve(prog *ir.Program, tree *ctxs.Tree, f *Facts, workers int) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 {
-		return Analyze(prog, tree, db)
+	a := newAnalysis(prog, tree, f)
+	solve := a.solve
+	if workers > 1 {
+		solve = func() error { return a.solveParallel(workers) }
 	}
-	a := newAnalysis(prog, tree, db)
-	if err := a.solveParallel(workers); err != nil {
+	if err := solve(); err != nil {
 		return nil, err
 	}
 	return &Result{Prog: prog, Tree: tree, a: a}, nil

@@ -63,9 +63,9 @@ func (o Object) String() string {
 
 // Analysis runs the solver; use Analyze.
 type analysis struct {
-	prog *ir.Program
-	tree *ctxs.Tree
-	db   *invariants.DB // nil: sound analysis
+	prog  *ir.Program
+	tree  *ctxs.Tree
+	facts *Facts // nil: sound analysis
 
 	// Abstract objects.
 	objs      []Object
@@ -82,7 +82,6 @@ type analysis struct {
 	copyTo     [][]int // copy edges
 	loadUsers  [][]int // addr node -> dst nodes of loads through it
 	storeSrcs  [][]src // addr node -> value sources of stores through it
-	lockSites  []bool  // addr nodes used by lock/unlock (for diagnostics)
 	callUsers  [][]callSite
 	seededCtx  map[ctxs.ID]bool
 	work       []int
@@ -122,23 +121,43 @@ type Result struct {
 	a    *analysis
 }
 
-// Analyze runs the points-to analysis for prog over the given context
-// tree. db non-nil selects the predicated variant assuming those
-// likely invariants. The only error is ctxs.ErrBudget, meaning a
-// context-sensitive analysis did not scale to this program.
-func Analyze(prog *ir.Program, tree *ctxs.Tree, db *invariants.DB) (*Result, error) {
-	a := newAnalysis(prog, tree, db)
-	if err := a.solve(); err != nil {
-		return nil, err
-	}
-	return &Result{Prog: prog, Tree: tree, a: a}, nil
+// Facts is the projection of an invariant database the predicated
+// points-to analysis reads (nil Callees: indirect calls resolve
+// soundly). A nil *Facts is the sound analysis.
+type Facts struct {
+	Visited *bitset.Set
+	Callees map[int]*bitset.Set
 }
 
-func newAnalysis(prog *ir.Program, tree *ctxs.Tree, db *invariants.DB) *analysis {
+// FactsOf projects db (nil: the sound analysis).
+func FactsOf(db *invariants.DB) *Facts {
+	if db == nil {
+		return nil
+	}
+	return &Facts{Visited: db.Visited, Callees: db.Callees}
+}
+
+// Digest fingerprints f by its invariant text (invariants.Text).
+func (f *Facts) Digest() string {
+	if f == nil {
+		return "sound"
+	}
+	return new(invariants.Text).Visited(f.Visited).Callees(f.Callees).Digest()
+}
+
+// Analyze runs the points-to analysis for prog over the given context
+// tree. db non-nil selects the predicated variant assuming its likely
+// invariants. The only error is ctxs.ErrBudget, meaning a
+// context-sensitive analysis did not scale to this program.
+func Analyze(prog *ir.Program, tree *ctxs.Tree, db *invariants.DB) (*Result, error) {
+	return Solve(prog, tree, FactsOf(db), 1)
+}
+
+func newAnalysis(prog *ir.Program, tree *ctxs.Tree, f *Facts) *analysis {
 	a := &analysis{
 		prog:       prog,
 		tree:       tree,
-		db:         db,
+		facts:      f,
 		objIntern:  map[Object]int{},
 		globObj:    map[int]int{},
 		ctxBase:    map[ctxs.ID]int{},
@@ -273,7 +292,7 @@ func (a *analysis) flowTo(s src, dst int) {
 // skipBlock reports whether the predicated analysis prunes this block
 // (likely-unreachable code).
 func (a *analysis) skipBlock(b *ir.Block) bool {
-	return a.db != nil && a.db.LikelyUnreachable(b.ID)
+	return a.facts != nil && !a.facts.Visited.Has(b.ID)
 }
 
 // seedCtx adds the constraints of every (non-pruned) instruction of
@@ -353,8 +372,8 @@ func (a *analysis) seedInstr(c ctxs.ID, in *ir.Instr) error {
 		// only. A nil map means the invariant is disabled (ablation
 		// studies) and resolution falls through to the sound
 		// points-to-driven mechanism below.
-		if a.db != nil && a.db.Callees != nil {
-			if set, ok := a.db.Callees[in.ID]; ok {
+		if a.facts != nil && a.facts.Callees != nil {
+			if set, ok := a.facts.Callees[in.ID]; ok {
 				var err error
 				set.ForEach(func(fid int) bool {
 					err = a.wireCall(c, in, a.prog.Funcs[fid])

@@ -22,7 +22,6 @@ import (
 
 	"oha/internal/bitset"
 	"oha/internal/ctxs"
-	"oha/internal/invariants"
 	"oha/internal/ir"
 )
 
@@ -67,7 +66,6 @@ type wireAnalysis struct {
 	CopyTo     [][]int
 	LoadUsers  [][]int
 	StoreSrcs  [][]wireSrc
-	LockSites  []bool
 	CallUsers  [][]wireCallSite
 	SeededCtx  []int
 	CallEdges  []wirePair // K=site, V=callee
@@ -101,7 +99,6 @@ func (r *Result) Encode() ([]byte, error) {
 		GlobObj:   sortedPairs(a.globObj),
 		ContentOf: sortedPairs(a.contentOf),
 		NNodes:    a.nNodes,
-		LockSites: append([]bool(nil), a.lockSites...),
 		Seeded:    make([]int, len(a.seeded)),
 	}
 	w.Objs = make([]wireObject, len(a.objs))
@@ -186,9 +183,9 @@ func (r *Result) Encode() ([]byte, error) {
 }
 
 // DecodeResult restores a serialized CI result against prog, bound to
-// db (the same database the artifact key was computed from — the wire
-// form does not carry it). Every ID is range-checked.
-func DecodeResult(prog *ir.Program, db *invariants.DB, data []byte) (*Result, error) {
+// f (the projection the artifact key was computed from — the wire form
+// does not carry it). Every ID is range-checked.
+func DecodeResult(prog *ir.Program, f *Facts, data []byte) (*Result, error) {
 	var w wireAnalysis
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return nil, fmt.Errorf("pointsto: decode: %w", err)
@@ -206,7 +203,7 @@ func DecodeResult(prog *ir.Program, db *invariants.DB, data []byte) (*Result, er
 	okInstr := func(id int) bool { return id >= 0 && id < len(prog.Instrs) }
 	okObj := func(o int) bool { return o >= 0 && o < len(w.Objs) }
 
-	a := newAnalysis(prog, tree, db)
+	a := newAnalysis(prog, tree, f)
 	a.objs = make([]Object, len(w.Objs))
 	for i, o := range w.Objs {
 		if o.Ctx != -1 && !okCtx(o.Ctx) {
@@ -232,7 +229,8 @@ func DecodeResult(prog *ir.Program, db *invariants.DB, data []byte) (*Result, er
 		a.globObj[p.K] = p.V
 	}
 	for _, p := range w.CtxBase {
-		if !okCtx(p.K) || !okNode(p.V) {
+		// The context's register block and return node must all be nodes.
+		if !okCtx(p.K) || !okNode(p.V) || !okNode(p.V+len(tree.FnOf(ctxs.ID(p.K)).Vars)) {
 			return bad("ctxBase entry (%d,%d) out of range", p.K, p.V)
 		}
 		a.ctxBase[ctxs.ID(p.K)] = p.V
@@ -293,10 +291,6 @@ func DecodeResult(prog *ir.Program, db *invariants.DB, data []byte) (*Result, er
 			a.storeSrcs[i] = append(a.storeSrcs[i], src{node: s.Node, obj: s.Obj})
 		}
 	}
-	if len(w.LockSites) > w.NNodes {
-		return bad("lockSites longer than node space")
-	}
-	a.lockSites = w.LockSites
 	a.callUsers = make([][]callSite, w.NNodes)
 	for i, cs := range w.CallUsers {
 		for _, c := range cs {

@@ -44,7 +44,7 @@ func TestPortableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeResult(prog, db, blob)
+	dec, err := DecodeResult(prog, FactsOf(db), blob)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,12 +33,12 @@ func TestVisitedBlocksAndLUC(t *testing.T) {
 	// rare() was not called: its blocks are likely-unreachable.
 	rare := p.FuncByName["rare"]
 	for _, b := range rare.Blocks {
-		if !db.LikelyUnreachable(b.ID) {
+		if db.Visited.Has(b.ID) {
 			t.Errorf("rare block %d marked visited", b.ID)
 		}
 	}
 	// main's entry must be visited.
-	if db.LikelyUnreachable(p.Main().Entry.ID) {
+	if !db.Visited.Has(p.Main().Entry.ID) {
 		t.Error("main entry marked unreachable")
 	}
 
@@ -49,7 +49,7 @@ func TestVisitedBlocksAndLUC(t *testing.T) {
 	}
 	merged := invariants.Merge(db, db2)
 	for _, b := range rare.Blocks {
-		if merged.LikelyUnreachable(b.ID) {
+		if !merged.Visited.Has(b.ID) {
 			t.Errorf("rare block %d still unreachable after merge", b.ID)
 		}
 	}
@@ -83,15 +83,15 @@ func TestGuardingLockPairs(t *testing.T) {
 		t.Fatalf("lock sites = %d, want 4", len(locks))
 	}
 	// Sites in a and b both lock only m1: must-alias pair.
-	if !db.MustAlias(locks[0], locks[1]) {
+	if !db.MustAliasLocks[invariants.NormPair(locks[0], locks[1])] {
 		t.Errorf("a/b lock sites not must-alias: %v", db.MustAliasLocks)
 	}
 	// a and c lock different objects.
-	if db.MustAlias(locks[0], locks[2]) {
+	if db.MustAliasLocks[invariants.NormPair(locks[0], locks[2])] {
 		t.Error("a/c lock sites must-alias")
 	}
 	// d's polymorphic site pairs with nothing.
-	if db.MustAlias(locks[3], locks[0]) || db.MustAlias(locks[3], locks[2]) {
+	if db.MustAliasLocks[invariants.NormPair(locks[3], locks[0])] || db.MustAliasLocks[invariants.NormPair(locks[3], locks[2])] {
 		t.Error("polymorphic site got must-alias pair")
 	}
 }
@@ -311,7 +311,7 @@ func TestConverge(t *testing.T) {
 	// Both a and b visited.
 	for _, fname := range []string{"a", "b"} {
 		f := p.FuncByName[fname]
-		if db.LikelyUnreachable(f.Entry.ID) {
+		if !db.Visited.Has(f.Entry.ID) {
 			t.Errorf("%s unreachable after convergence", fname)
 		}
 	}

@@ -25,10 +25,8 @@ func AnalyzeParallel(prog *ir.Program, pt *pointsto.Result, m *mhp.Result, db *i
 	if workers == 1 {
 		return Analyze(prog, pt, m, db)
 	}
-	res, accesses, lockSites := prepare(prog, pt, db)
-	if db != nil {
-		res.Locksets = computeLocksets(prog, pt)
-	}
+	f := FactsOf(db)
+	res, accesses, lockSites := prepare(prog, pt, f)
 
 	// Strided row assignment balances the triangular workload (row i
 	// evaluates len-i pairs, so contiguous chunks would be lopsided).
@@ -42,7 +40,7 @@ func AnalyzeParallel(prog *ir.Program, pt *pointsto.Result, m *mhp.Result, db *i
 				a := accesses[i]
 				var row [][2]*ir.Instr
 				for j := i; j < len(accesses); j++ {
-					if res.racyPair(a, accesses[j], m, db) {
+					if res.racyPair(a, accesses[j], m, f) {
 						row = append(row, [2]*ir.Instr{a, accesses[j]})
 					}
 				}
@@ -57,7 +55,7 @@ func AnalyzeParallel(prog *ir.Program, pt *pointsto.Result, m *mhp.Result, db *i
 		}
 	}
 
-	if db != nil {
+	if f != nil {
 		res.computeElidableSyncs(pt, lockSites)
 	}
 	return res

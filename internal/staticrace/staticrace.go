@@ -64,33 +64,53 @@ type Result struct {
 // pairs).
 func (r *Result) RaceFree() bool { return len(r.Pairs) == 0 }
 
+// Facts is the projection of an invariant database the predicated race
+// analysis reads. A nil *Facts is the sound analysis. The elidable lock
+// set is not read: Masks applies it to the result.
+type Facts struct {
+	MustAliasLocks map[invariants.LockPair]bool
+}
+
+// FactsOf projects db (nil: the sound analysis).
+func FactsOf(db *invariants.DB) *Facts {
+	if db == nil {
+		return nil
+	}
+	return &Facts{MustAliasLocks: db.MustAliasLocks}
+}
+
+// Digest fingerprints f by its invariant text (invariants.Text).
+func (f *Facts) Digest() string {
+	if f == nil {
+		return "sound"
+	}
+	return new(invariants.Text).MustAlias(f.MustAliasLocks).Digest()
+}
+
 // Analyze runs the detector. pt and m must come from the same
 // (sound or predicated) configuration; db selects predication.
 func Analyze(prog *ir.Program, pt *pointsto.Result, m *mhp.Result, db *invariants.DB) *Result {
-	res, accesses, lockSites := prepare(prog, pt, db)
-	if db != nil {
-		res.Locksets = computeLocksets(prog, pt)
-	}
+	f := FactsOf(db)
+	res, accesses, lockSites := prepare(prog, pt, f)
 	for i := 0; i < len(accesses); i++ {
 		for j := i; j < len(accesses); j++ {
-			if res.racyPair(accesses[i], accesses[j], m, db) {
+			if res.racyPair(accesses[i], accesses[j], m, f) {
 				res.addPair(accesses[i], accesses[j])
 			}
 		}
 	}
-	if db != nil {
+	if f != nil {
 		res.computeElidableSyncs(pt, lockSites)
 	}
 	return res
 }
 
 // prepare collects the analyzed accesses and lock sites and
-// precomputes the per-access address points-to sets. Everything that
-// can mutate solver state (pt.AddrPtsAll interns nodes) happens here
-// or in computeLocksets — which predicated callers must run before
-// enumerating — so pair enumeration afterwards is read-only; the
-// parallel enumerator relies on this.
-func prepare(prog *ir.Program, pt *pointsto.Result, db *invariants.DB) (*Result, []*ir.Instr, []*ir.Instr) {
+// precomputes the per-access address points-to sets and, when
+// predicated, the locksets. Everything that can mutate solver state
+// (pt.AddrPtsAll interns nodes) happens here, so pair enumeration
+// afterwards is read-only; the parallel enumerator relies on this.
+func prepare(prog *ir.Program, pt *pointsto.Result, f *Facts) (*Result, []*ir.Instr, []*ir.Instr) {
 	res := &Result{
 		Prog:             prog,
 		Racy:             &bitset.Set{},
@@ -113,12 +133,15 @@ func prepare(prog *ir.Program, pt *pointsto.Result, db *invariants.DB) (*Result,
 	for _, in := range accesses {
 		res.AddrPts[in.ID] = pt.AddrPtsAll(in)
 	}
+	if f != nil {
+		res.Locksets = computeLocksets(prog, pt)
+	}
 	return res, accesses, lockSites
 }
 
 // racyPair reports whether the access pair may race. Read-only over
 // the result's precomputed state; safe to call from parallel workers.
-func (res *Result) racyPair(a, b *ir.Instr, m *mhp.Result, db *invariants.DB) bool {
+func (res *Result) racyPair(a, b *ir.Instr, m *mhp.Result, f *Facts) bool {
 	if a.Op != ir.OpStore && b.Op != ir.OpStore {
 		return false // read/read pairs never race
 	}
@@ -131,14 +154,14 @@ func (res *Result) racyPair(a, b *ir.Instr, m *mhp.Result, db *invariants.DB) bo
 	if !m.MHP(a, b) {
 		return false
 	}
-	return !res.commonLock(a, b, db)
+	return !res.commonLock(a, b, f)
 }
 
 // commonLock reports whether a must-held common lock guards both
 // accesses (lockset pruning; predicated only — a sound analysis cannot
 // prove two lock sites hold the same lock).
-func (res *Result) commonLock(a, b *ir.Instr, db *invariants.DB) bool {
-	if db == nil {
+func (res *Result) commonLock(a, b *ir.Instr, f *Facts) bool {
+	if f == nil {
 		return false
 	}
 	la, lb := res.Locksets[a.ID], res.Locksets[b.ID]
@@ -148,7 +171,7 @@ func (res *Result) commonLock(a, b *ir.Instr, db *invariants.DB) bool {
 	found := false
 	la.ForEach(func(x int) bool {
 		lb.ForEach(func(y int) bool {
-			if db.MustAlias(x, y) {
+			if f.MustAliasLocks[invariants.NormPair(x, y)] {
 				found = true
 			}
 			return !found

@@ -112,6 +112,9 @@ type node struct {
 	in  *ir.Instr
 }
 
+// PointsTo returns the points-to result the slicer queries.
+func (s *Slicer) PointsTo() *pointsto.Result { return s.pt }
+
 // BackwardSlice computes the static backward data-flow slice of the
 // criterion instruction, unioned over every context in which the
 // criterion's function was analyzed.
