@@ -25,6 +25,12 @@ type Session struct {
 	err      error // terminal error, once finished
 	finished bool
 	breaks   map[int]bool // source lines with a breakpoint
+
+	// The next scheduling decision, once taken: Loc peeks at it and
+	// Step runs it, so each step draws from the chooser exactly once,
+	// as a normal run does.
+	pick   vc.TID
+	picked bool
 }
 
 // DebugLoc describes where a thread is stopped: the instruction it
@@ -146,13 +152,27 @@ func (s *Session) locOf(th *cthread) DebugLoc {
 	}
 }
 
+// decide returns the next scheduling decision, taking it on first use
+// and remembering it until Step runs it. A finished or deadlocked
+// program draws nothing from the chooser, so retrying those is free.
+func (s *Session) decide() (vc.TID, bool, error) {
+	if !s.picked {
+		pick, ok, err := s.e.pickRunnable()
+		if err != nil || !ok {
+			return 0, ok, err
+		}
+		s.pick, s.picked = pick, true
+	}
+	return s.pick, true, nil
+}
+
 // Loc returns where the next Step will execute: the scheduler's
 // current pick. ok is false once execution has finished.
 func (s *Session) Loc() (DebugLoc, bool) {
 	if s.finished {
 		return DebugLoc{}, false
 	}
-	pick, ok, err := s.e.pickRunnable()
+	pick, ok, err := s.decide()
 	if err != nil || !ok {
 		// Don't finalize here; Step owns state transitions.
 		return DebugLoc{}, false
@@ -168,7 +188,7 @@ func (s *Session) Step() (DebugLoc, bool) {
 	if s.finished {
 		return DebugLoc{}, false
 	}
-	pick, ok, err := s.e.pickRunnable()
+	pick, ok, err := s.decide()
 	if err != nil {
 		s.finished, s.err = true, err
 		return DebugLoc{}, false
@@ -177,6 +197,7 @@ func (s *Session) Step() (DebugLoc, bool) {
 		s.finished, s.err = true, errDebugDone
 		return DebugLoc{}, false
 	}
+	s.picked = false
 	if err := s.e.runSlice(s.e.threads[pick]); err != nil {
 		s.finished, s.err = true, err
 		return DebugLoc{}, false

@@ -1,44 +1,71 @@
 package interp_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"oha/internal/interp"
+	"oha/internal/ir"
 	"oha/internal/lang"
 	"oha/internal/progen"
 	"oha/internal/sched"
+	"oha/internal/vc"
 )
 
+// execTIDs records the thread of every Exec event, in order.
+type execTIDs struct {
+	interp.NopTracer
+	tids []vc.TID
+}
+
+func (x *execTIDs) Exec(t vc.TID, in *ir.Instr, f interp.FrameID, a interp.Addr) {
+	x.tids = append(x.tids, t)
+}
+
 // TestSessionStepParity single-steps a program to completion and
-// requires the exact output and step count of a normal compiled run
-// under the same seeded scheduler and Quantum 1 (which is what a
-// Session forces).
+// requires the exact output, step count and interleaving of a normal
+// compiled run under the same seeded scheduler and Quantum 1 (which is
+// what a Session forces): the threads of the Exec events, in order,
+// must match. Before every step, Loc must name the thread that then
+// runs, and asking twice must not move the schedule.
 func TestSessionStepParity(t *testing.T) {
-	for seed := uint64(1); seed <= 4; seed++ {
+	for seed := uint64(1); seed <= 8; seed++ {
 		src := progen.Generate(seed, progen.DefaultConfig())
 		prog, err := lang.Compile(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mk := func() interp.Config {
+		mk := func(tr interp.Tracer) interp.Config {
 			return interp.Config{
 				Prog:     prog,
 				Engine:   interp.EngineCompiled,
+				Tracer:   tr,
+				Masks:    interp.Masks{ExecAll: true},
 				Choose:   sched.NewSeeded(seed),
 				Quantum:  1,
 				MaxSteps: diffMaxSteps,
 			}
 		}
-		res, runErr := interp.Run(mk())
+		runTr := &execTIDs{}
+		res, runErr := interp.Run(mk(runTr))
 
-		s, err := interp.NewSession(mk())
+		sessTr := &execTIDs{}
+		s, err := interp.NewSession(mk(sessTr))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for {
-			if _, ok := s.Step(); !ok {
-				break
+		for !s.Finished() {
+			loc, peeked := s.Loc()
+			if again, _ := s.Loc(); again != loc {
+				t.Fatalf("seed %d step %d: Loc moved from t%d to t%d", seed, s.Steps(), loc.TID, again.TID)
+			}
+			n := len(sessTr.tids)
+			s.Step()
+			for _, tid := range sessTr.tids[n:] {
+				if !peeked || tid != loc.TID {
+					t.Fatalf("seed %d step %d: Loc named t%d (ok=%v), t%d ran", seed, s.Steps(), loc.TID, peeked, tid)
+				}
 			}
 			if s.Steps() > diffMaxSteps+1 {
 				t.Fatal("session did not terminate")
@@ -47,20 +74,17 @@ func TestSessionStepParity(t *testing.T) {
 		if (runErr == nil) != (s.Err() == nil) {
 			t.Fatalf("seed %d: errors diverged: run=%v session=%v", seed, runErr, s.Err())
 		}
+		if got, want := sessTr.tids, runTr.tids; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("seed %d: Exec thread order diverged (%d vs %d events)", seed, len(got), len(want))
+		}
 		if runErr != nil {
 			if runErr.Error() != s.Err().Error() {
 				t.Fatalf("seed %d: error text diverged: %q vs %q", seed, runErr, s.Err())
 			}
 			continue
 		}
-		if got, want := s.Output(), res.Output; len(got) != len(want) {
+		if got, want := s.Output(), res.Output; fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("seed %d: output diverged: %v vs %v", seed, got, want)
-		} else {
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d: output diverged at %d", seed, i)
-				}
-			}
 		}
 		if s.Steps() != res.Stats.Steps {
 			t.Fatalf("seed %d: step count diverged: %d vs %d", seed, s.Steps(), res.Stats.Steps)

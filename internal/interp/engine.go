@@ -12,9 +12,11 @@
 //   - the lock table is a per-object slice mirroring the heap layout
 //     (with a rare overflow map for fabricated out-of-range pointers)
 //     instead of map[Addr]*lockState;
-//   - the runnable set is maintained incrementally: while no thread is
-//     blocked — the common case — scheduling decisions reuse the
-//     sorted running list with no scan, allocation, or sort.
+//   - the ready set (the sorted ids of the threads that can run) is
+//     kept current at the events that change it — a thread spawns,
+//     exits or blocks, or a lock word a blocked thread waits on is
+//     taken or freed — so a scheduling decision reads it with no
+//     scan, allocation, or sort.
 package interp
 
 import (
@@ -59,9 +61,13 @@ type engine struct {
 	chooser sched.Chooser
 	ctxDone <-chan struct{}
 
-	running  []vc.TID // ids of tRunning threads, ascending
-	nblocked int      // threads in tBlockedLock/tBlockedJoin
-	runq     []vc.TID // scratch for the blocked-threads scan
+	// ready holds, ascending, the ids of the threads that can make
+	// progress now: every tRunning thread, plus every blocked thread
+	// whose wait condition holds (its lock word is free, its join
+	// target is done). blocked holds the blocked threads, ascending by
+	// id; they are the only threads whose readiness an event can flip.
+	ready   []vc.TID
+	blocked []*cthread
 
 	framePool []*cframe
 
@@ -210,56 +216,81 @@ func (e *engine) spawnThread(fn *cfunc) *cthread {
 	th := &cthread{id: vc.TID(len(e.threads))}
 	th.frames = append(th.frames, e.newFrame(fn, regNone, nil))
 	e.threads = append(e.threads, th)
-	e.running = append(e.running, th.id) // new ids are maximal: stays sorted
+	e.ready = append(e.ready, th.id) // new ids are maximal: stays sorted
 	return th
 }
 
-// removeRunning deletes id from the sorted running list.
-func (e *engine) removeRunning(id vc.TID) {
-	for i, t := range e.running {
+// removeReady deletes id from the ready set.
+func (e *engine) removeReady(id vc.TID) {
+	for i, t := range e.ready {
 		if t == id {
-			e.running = append(e.running[:i], e.running[i+1:]...)
+			e.ready = append(e.ready[:i], e.ready[i+1:]...)
 			return
 		}
 	}
 }
 
-// insertRunning adds id to the sorted running list.
-func (e *engine) insertRunning(id vc.TID) {
-	i := len(e.running)
-	for i > 0 && e.running[i-1] > id {
+// insertReady adds id to the ready set.
+func (e *engine) insertReady(id vc.TID) {
+	i := len(e.ready)
+	for i > 0 && e.ready[i-1] > id {
 		i--
 	}
-	e.running = append(e.running, 0)
-	copy(e.running[i+1:], e.running[i:])
-	e.running[i] = id
+	e.ready = append(e.ready, 0)
+	copy(e.ready[i+1:], e.ready[i:])
+	e.ready[i] = id
 }
 
-// runnable returns the ids of threads that can make progress now, in
-// ascending order. While nothing is blocked the maintained running
-// list is returned directly; otherwise blocked threads are re-checked
-// against their wait conditions, as in the tree-walker.
-func (e *engine) runnable() []vc.TID {
-	if e.nblocked == 0 {
-		return e.running
+// block parks the running thread th in state st. Its wait condition
+// is false when it blocks, so it leaves the ready set.
+func (e *engine) block(th *cthread, st tstate) {
+	th.state = st
+	i := len(e.blocked)
+	for i > 0 && e.blocked[i-1].id > th.id {
+		i--
 	}
-	out := e.runq[:0]
-	for _, th := range e.threads {
-		switch th.state {
-		case tRunning:
-			out = append(out, th.id)
-		case tBlockedLock:
-			if e.lockGet(th.waitAddr) == 0 {
-				out = append(out, th.id)
-			}
-		case tBlockedJoin:
-			if e.threads[th.waitTID].state == tDone {
-				out = append(out, th.id)
+	e.blocked = append(e.blocked, nil)
+	copy(e.blocked[i+1:], e.blocked[i:])
+	e.blocked[i] = th
+	e.removeReady(th.id)
+}
+
+// unblock resumes the blocked thread th. It was ready, or it could not
+// have been scheduled, and it stays ready.
+func (e *engine) unblock(th *cthread) {
+	th.state = tRunning
+	for i, b := range e.blocked {
+		if b == th {
+			e.blocked = append(e.blocked[:i], e.blocked[i+1:]...)
+			return
+		}
+	}
+}
+
+// exit finishes th; the threads joining it become ready.
+func (e *engine) exit(th *cthread) {
+	th.state = tDone
+	e.removeReady(th.id)
+	for _, b := range e.blocked {
+		if b.state == tBlockedJoin && b.waitTID == th.id {
+			e.insertReady(b.id)
+		}
+	}
+}
+
+// lockChanged updates the ready set after the lock word at a was taken
+// (free false) or freed: the threads blocked on a stop or start being
+// ready. A word no blocked thread waits on changes nothing.
+func (e *engine) lockChanged(a Addr, free bool) {
+	for _, b := range e.blocked {
+		if b.state == tBlockedLock && b.waitAddr == a {
+			if free {
+				e.insertReady(b.id)
+			} else {
+				e.removeReady(b.id)
 			}
 		}
 	}
-	e.runq = out
-	return out
 }
 
 // lockGet returns the lock word for addr: 0 free, holder tid+1 held.
@@ -282,8 +313,13 @@ func (e *engine) lockGet(a Addr) int32 {
 	return 0
 }
 
-// lockSet stores the lock word for addr (see lockGet for routing).
+// lockSet stores the lock word for addr (see lockGet for routing)
+// and keeps the ready set current for the threads waiting on it. Every
+// call flips the word between free and held.
 func (e *engine) lockSet(a Addr, v int32) {
+	if len(e.blocked) > 0 {
+		e.lockChanged(a, v == 0)
+	}
 	if e.lockOv != nil {
 		if _, ok := e.lockOv[a]; ok {
 			e.lockOv[a] = v
@@ -560,20 +596,19 @@ func (e *engine) start() error {
 // every thread has finished; a non-empty thread set with nothing
 // runnable is a deadlock.
 func (e *engine) pickRunnable() (vc.TID, bool, error) {
-	run := e.runnable()
-	if len(run) == 0 {
-		for _, th := range e.threads {
-			if th.state != tDone {
-				return 0, false, fmt.Errorf("%w: thread %d waiting", ErrDeadlock, th.id)
-			}
+	switch run := e.ready; len(run) {
+	case 0:
+		// Nothing is ready, so every live thread is blocked; the
+		// lowest-numbered one is the tree-walker's first waiting thread.
+		if len(e.blocked) > 0 {
+			return 0, false, fmt.Errorf("%w: thread %d waiting", ErrDeadlock, e.blocked[0].id)
 		}
 		return 0, false, nil // all threads finished
+	case 1:
+		return run[0], true, nil
+	default:
+		return e.chooser.Choose(run), true, nil
 	}
-	pick := run[0]
-	if len(run) > 1 {
-		pick = e.chooser.Choose(run)
-	}
-	return pick, true, nil
 }
 
 func (e *engine) run() error {
@@ -846,8 +881,7 @@ func (e *engine) runSlice(th *cthread) error {
 				v := opval(fr.regs, ci.a)
 				th.frames = th.frames[:len(th.frames)-1]
 				if len(th.frames) == 0 {
-					th.state = tDone
-					e.removeRunning(th.id)
+					e.exit(th)
 					if tr != nil {
 						tr.Ret(th.id, ci.in, fr.id, 0, nil)
 					}
@@ -1056,12 +1090,10 @@ func (e *engine) step(th *cthread, fr *cframe, in *cinstr) (*cframe, error) {
 		}
 		switch h := e.lockGet(a); h {
 		case 0:
-			e.lockSet(a, int32(th.id)+1)
 			if th.state == tBlockedLock {
-				th.state = tRunning
-				e.nblocked--
-				e.insertRunning(th.id)
+				e.unblock(th) // first: th must not count as a waiter below
 			}
+			e.lockSet(a, int32(th.id)+1)
 			accessAddr = a
 			if in.flags&fSyncEv != 0 && tr != nil {
 				e.stats.Locks++
@@ -1073,9 +1105,7 @@ func (e *engine) step(th *cthread, fr *cframe, in *cinstr) (*cframe, error) {
 			return nil, e.trap(th, in.in, "recursive lock of %s", FormatValue(a))
 		default:
 			if th.state == tRunning {
-				th.state = tBlockedLock
-				e.nblocked++
-				e.removeRunning(th.id)
+				e.block(th, tBlockedLock)
 			}
 			th.waitAddr = a
 			e.stats.Steps-- // retried; don't double-count
@@ -1130,9 +1160,7 @@ func (e *engine) step(th *cthread, fr *cframe, in *cinstr) (*cframe, error) {
 		target := e.threads[v]
 		if target.state != tDone {
 			if th.state == tRunning {
-				th.state = tBlockedJoin
-				e.nblocked++
-				e.removeRunning(th.id)
+				e.block(th, tBlockedJoin)
 			}
 			th.waitTID = target.id
 			e.stats.Steps--
@@ -1142,9 +1170,7 @@ func (e *engine) step(th *cthread, fr *cframe, in *cinstr) (*cframe, error) {
 			return nil, nil
 		}
 		if th.state == tBlockedJoin {
-			th.state = tRunning
-			e.nblocked--
-			e.insertRunning(th.id)
+			e.unblock(th)
 		}
 		if tr != nil {
 			e.stats.Joins++

@@ -49,12 +49,35 @@ type Seeded struct {
 // NewSeeded returns a Seeded chooser with the given seed.
 func NewSeeded(seed uint64) *Seeded { return &Seeded{state: seed} }
 
-// Choose picks a pseudo-random runnable thread.
+// Choose picks a pseudo-random runnable thread: the element at index
+// z mod len(runnable) for the next splitmix64 output z. The lengths a
+// scheduler meets are small, so each has a case with a constant
+// divisor, which the compiler turns into multiplies; only longer lists
+// pay for a 64-bit division.
 func (s *Seeded) Choose(runnable []vc.TID) vc.TID {
 	s.state += 0x9e3779b97f4a7c15
 	z := s.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	return runnable[z%uint64(len(runnable))]
+	switch n := uint64(len(runnable)); n {
+	case 1:
+		return runnable[0]
+	case 2:
+		return runnable[z%2]
+	case 3:
+		return runnable[z%3]
+	case 4:
+		return runnable[z%4]
+	case 5:
+		return runnable[z%5]
+	case 6:
+		return runnable[z%6]
+	case 7:
+		return runnable[z%7]
+	case 8:
+		return runnable[z%8]
+	default:
+		return runnable[z%n]
+	}
 }

@@ -25,23 +25,21 @@ func AnalyzeParallel(prog *ir.Program, pt *pointsto.Result, m *mhp.Result, db *i
 	if workers == 1 {
 		return Analyze(prog, pt, m, db)
 	}
-	f := FactsOf(db)
-	res, accesses, lockSites := prepare(prog, pt, f)
+	s := prepare(prog, pt, m, FactsOf(db))
 
 	// Strided row assignment balances the triangular workload (row i
 	// evaluates len-i pairs, so contiguous chunks would be lopsided).
-	rows := make([][][2]*ir.Instr, len(accesses))
+	rows := make([][][2]*ir.Instr, len(s.accesses))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < len(accesses); i += workers {
-				a := accesses[i]
+			for i := w; i < len(s.accesses); i += workers {
 				var row [][2]*ir.Instr
-				for j := i; j < len(accesses); j++ {
-					if res.racyPair(a, accesses[j], m, f) {
-						row = append(row, [2]*ir.Instr{a, accesses[j]})
+				for j := i; j < len(s.accesses); j++ {
+					if s.racyPair(i, j) {
+						row = append(row, [2]*ir.Instr{s.accesses[i], s.accesses[j]})
 					}
 				}
 				rows[i] = row
@@ -51,12 +49,12 @@ func AnalyzeParallel(prog *ir.Program, pt *pointsto.Result, m *mhp.Result, db *i
 	wg.Wait()
 	for _, row := range rows {
 		for _, p := range row {
-			res.addPair(p[0], p[1])
+			s.res.addPair(p[0], p[1])
 		}
 	}
 
-	if f != nil {
-		res.computeElidableSyncs(pt, lockSites)
+	if s.f != nil {
+		s.res.computeElidableSyncs(pt, s.lockSites)
 	}
-	return res
+	return s.res
 }

@@ -26,7 +26,6 @@ type wireRace struct {
 	Analyzed []uint64
 	Elidable []uint64
 	Locksets []wireIDSet
-	AddrPts  []wireIDSet
 }
 
 func sortedIDSets(m map[int]*bitset.Set) []wireIDSet {
@@ -49,7 +48,6 @@ func (r *Result) Encode() ([]byte, error) {
 		Analyzed: r.AnalyzedAccesses.Words(),
 		Elidable: r.ElidableSyncs.Words(),
 		Locksets: sortedIDSets(r.Locksets),
-		AddrPts:  sortedIDSets(r.AddrPts),
 	}
 	for _, p := range r.Pairs {
 		w.Pairs = append(w.Pairs, [2]int{p[0].ID, p[1].ID})
@@ -88,7 +86,6 @@ func DecodeResult(prog *ir.Program, data []byte) (*Result, error) {
 		AnalyzedAccesses: bitset.FromWords(w.Analyzed),
 		ElidableSyncs:    bitset.FromWords(w.Elidable),
 		Locksets:         make(map[int]*bitset.Set, len(w.Locksets)),
-		AddrPts:          make(map[int]*bitset.Set, len(w.AddrPts)),
 	}
 	if err := checkIDs(r.Racy, "racy"); err != nil {
 		return nil, err
@@ -114,15 +111,6 @@ func DecodeResult(prog *ir.Program, data []byte) (*Result, error) {
 			return nil, err
 		}
 		r.Locksets[e.K] = s
-	}
-	for _, e := range w.AddrPts {
-		if e.K < 0 || e.K >= len(prog.Instrs) {
-			return bad("addrPts key %d out of range", e.K)
-		}
-		// Elements are points-to object IDs, not instruction IDs; the
-		// range depends on the points-to result this travels with, so
-		// they are validated by the consumer that joins the two.
-		r.AddrPts[e.K] = bitset.FromWords(e.Ws)
 	}
 	return r, nil
 }

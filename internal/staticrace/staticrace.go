@@ -54,10 +54,6 @@ type Result struct {
 	// Locksets maps access instr IDs to the lock-site IDs must-held at
 	// the access (computed only when db != nil).
 	Locksets map[int]*bitset.Set
-
-	// AddrPts maps access instr IDs to the points-to set of the
-	// accessed address, precomputed once per analysis.
-	AddrPts map[int]*bitset.Set
 }
 
 // RaceFree reports whether the program was proven race-free (no racy
@@ -90,27 +86,37 @@ func (f *Facts) Digest() string {
 // Analyze runs the detector. pt and m must come from the same
 // (sound or predicated) configuration; db selects predication.
 func Analyze(prog *ir.Program, pt *pointsto.Result, m *mhp.Result, db *invariants.DB) *Result {
-	f := FactsOf(db)
-	res, accesses, lockSites := prepare(prog, pt, f)
-	for i := 0; i < len(accesses); i++ {
-		for j := i; j < len(accesses); j++ {
-			if res.racyPair(accesses[i], accesses[j], m, f) {
-				res.addPair(accesses[i], accesses[j])
+	s := prepare(prog, pt, m, FactsOf(db))
+	for i := range s.accesses {
+		for j := i; j < len(s.accesses); j++ {
+			if s.racyPair(i, j) {
+				s.res.addPair(s.accesses[i], s.accesses[j])
 			}
 		}
 	}
-	if f != nil {
-		res.computeElidableSyncs(pt, lockSites)
+	if s.f != nil {
+		s.res.computeElidableSyncs(pt, s.lockSites)
 	}
-	return res
+	return s.res
+}
+
+// solve is one analysis's working state. Pair enumeration only reads
+// it; the parallel enumerator relies on this.
+type solve struct {
+	res       *Result
+	accesses  []*ir.Instr
+	addrPts   []*bitset.Set // addrPts[i]: the objects accesses[i]'s address may point to
+	lockSites []*ir.Instr
+	m         *mhp.Result
+	f         *Facts
 }
 
 // prepare collects the analyzed accesses and lock sites and
 // precomputes the per-access address points-to sets and, when
 // predicated, the locksets. Everything that can mutate solver state
 // (pt.AddrPtsAll interns nodes) happens here, so pair enumeration
-// afterwards is read-only; the parallel enumerator relies on this.
-func prepare(prog *ir.Program, pt *pointsto.Result, f *Facts) (*Result, []*ir.Instr, []*ir.Instr) {
+// afterwards is read-only.
+func prepare(prog *ir.Program, pt *pointsto.Result, m *mhp.Result, f *Facts) *solve {
 	res := &Result{
 		Prog:             prog,
 		Racy:             &bitset.Set{},
@@ -118,43 +124,43 @@ func prepare(prog *ir.Program, pt *pointsto.Result, f *Facts) (*Result, []*ir.In
 		ElidableSyncs:    &bitset.Set{},
 		Locksets:         map[int]*bitset.Set{},
 	}
-	var accesses []*ir.Instr
-	var lockSites []*ir.Instr
+	s := &solve{res: res, m: m, f: f}
 	for _, in := range pt.SeededInstrs() {
 		switch {
 		case in.IsMemAccess():
-			accesses = append(accesses, in)
+			s.accesses = append(s.accesses, in)
 			res.AnalyzedAccesses.Add(in.ID)
 		case in.Op == ir.OpLock:
-			lockSites = append(lockSites, in)
+			s.lockSites = append(s.lockSites, in)
 		}
 	}
-	res.AddrPts = make(map[int]*bitset.Set, len(accesses))
-	for _, in := range accesses {
-		res.AddrPts[in.ID] = pt.AddrPtsAll(in)
+	s.addrPts = make([]*bitset.Set, len(s.accesses))
+	for i, in := range s.accesses {
+		s.addrPts[i] = pt.AddrPtsAll(in)
 	}
 	if f != nil {
 		res.Locksets = computeLocksets(prog, pt)
 	}
-	return res, accesses, lockSites
+	return s
 }
 
-// racyPair reports whether the access pair may race. Read-only over
-// the result's precomputed state; safe to call from parallel workers.
-func (res *Result) racyPair(a, b *ir.Instr, m *mhp.Result, f *Facts) bool {
+// racyPair reports whether the i-th and j-th accesses may race.
+// Read-only; safe to call from parallel workers.
+func (s *solve) racyPair(i, j int) bool {
+	a, b := s.accesses[i], s.accesses[j]
 	if a.Op != ir.OpStore && b.Op != ir.OpStore {
 		return false // read/read pairs never race
 	}
 	if a == b && a.Op != ir.OpStore {
 		return false
 	}
-	if !res.AddrPts[a.ID].Intersects(res.AddrPts[b.ID]) {
+	if !s.addrPts[i].Intersects(s.addrPts[j]) {
 		return false
 	}
-	if !m.MHP(a, b) {
+	if !s.m.MHP(a, b) {
 		return false
 	}
-	return !res.commonLock(a, b, f)
+	return !s.res.commonLock(a, b, s.f)
 }
 
 // commonLock reports whether a must-held common lock guards both
