@@ -77,48 +77,65 @@ func TestCompiledDiskTier(t *testing.T) {
 
 // TestCompiledDiskTierOldVersionMisses checks that a disk image in an
 // older format version is a cache miss: a restarted cache recompiles
-// instead of serving it, and the recompiled image replaces it on disk.
+// instead of serving it, the recompiled image replaces it on disk, and
+// it runs to the right answer. The stale images are this build's image
+// relabelled as version 2, and testdata/disk-v4.ohc, the image of
+// diskSrc as version 4 wrote it (fused runs without input).
 func TestCompiledDiskTierOldVersionMisses(t *testing.T) {
 	prog := lang.MustCompile(diskSrc)
-	dir := t.TempDir()
 	key := artifacts.Key(artifacts.KindCompiled, prog, "masks")
 	codec := artifacts.CompiledCodec(prog)
 	compile := func() (any, error) { return interp.Compile(prog, interp.Masks{}), nil }
-
-	if _, err := artifacts.New(dir).Memo(key, codec, compile); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, key[:2], key+".ohc")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[6], data[7] = 2, 0 // the version follows the 6-byte magic
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	c := artifacts.New(dir)
-	recompiled := false
-	v, err := c.Memo(key, codec, func() (any, error) {
-		recompiled = true
-		return compile()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !recompiled {
-		t.Fatal("a version-2 image was served from disk")
-	}
-	if st := c.Stats(); st.Misses != 1 || st.DiskHits != 0 {
-		t.Fatalf("stats = %+v, want 1 miss / 0 disk hits", st)
-	}
 	want := interp.Compile(prog, interp.Masks{}).EncodeImage()
-	if got := v.(*interp.Code).EncodeImage(); string(got) != string(want) {
-		t.Fatal("recompiled image differs from a fresh compile")
+
+	v2 := append([]byte(nil), want...)
+	v2[6], v2[7] = 2, 0 // the version follows the 6-byte magic
+	v4, err := os.ReadFile("testdata/disk-v4.ohc")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if data, err = os.ReadFile(path); err != nil || string(data) != string(want) {
-		t.Fatalf("disk tier still holds the stale image (err %v)", err)
+	if v4[6] != 4 || v4[7] != 0 {
+		t.Fatalf("testdata/disk-v4.ohc carries version %d", int(v4[6])|int(v4[7])<<8)
+	}
+	for _, stale := range []struct {
+		name string
+		data []byte
+	}{{"v2", v2}, {"v4", v4}} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, key[:2], key+".ohc")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, stale.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		c := artifacts.New(dir)
+		recompiled := false
+		v, err := c.Memo(key, codec, func() (any, error) {
+			recompiled = true
+			return compile()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !recompiled {
+			t.Fatalf("a %s image was served from disk", stale.name)
+		}
+		if st := c.Stats(); st.Misses != 1 || st.DiskHits != 0 {
+			t.Fatalf("%s: stats = %+v, want 1 miss / 0 disk hits", stale.name, st)
+		}
+		code := v.(*interp.Code)
+		if got := code.EncodeImage(); string(got) != string(want) {
+			t.Fatalf("%s: recompiled image differs from a fresh compile", stale.name)
+		}
+		if data, err := os.ReadFile(path); err != nil || string(data) != string(want) {
+			t.Fatalf("%s: disk tier still holds the stale image (err %v)", stale.name, err)
+		}
+		res, err := interp.Run(interp.Config{Prog: prog, Code: code})
+		if err != nil || len(res.Output) != 1 || res.Output[0] != 2 {
+			t.Fatalf("%s: recompiled image printed %v (err %v), want [2]", stale.name, res.Output, err)
+		}
 	}
 }
 

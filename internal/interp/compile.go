@@ -24,10 +24,11 @@
 //     target) pairs baked into the instruction, so a hit dispatches on
 //     one int64 compare instead of decode + table load + arity check;
 //   - a peephole pass fuses straight-line runs of simple ops within a
-//     block (arith/copy/load/store chains, with their Mem and Exec
-//     events on included, optionally ending in a branch, jump, call,
-//     or return) into cRun superinstructions dispatched once with a
-//     single budget check.
+//     block (arith/copy/load/store/input chains, with their Mem and
+//     Exec events on included, optionally ending in a branch, jump,
+//     call, or return) into cRun superinstructions dispatched once with
+//     a single budget check; inside a run, an add or sub and the copy,
+//     load or store that consumes its result retire as one pair.
 //
 // Both are semantically invisible: an IC miss falls back to generic
 // resolution (the callee-set *invariant* is still checked by the
@@ -229,6 +230,11 @@ type cinstr struct {
 // the run handler never consults evalBin's second dispatch. mLoadEv and
 // mStoreEv are the loads and stores whose instruction carries fMemEv:
 // after the access they deliver the Load/Store event.
+//
+// The last four are pair heads (pairMicros): an add or sub whose result
+// the next component consumes, so one dispatch retires both. Only the
+// head's opcode changes; the second half keeps its own micro op, which
+// a dispatch starting at it (a suffix head) executes alone.
 const (
 	mCopy uint8 = 16 + iota
 	mNeg
@@ -237,6 +243,11 @@ const (
 	mStore
 	mLoadEv
 	mStoreEv
+	mInput
+	mAddCopy  // add, then a copy of its sum (the copy's dst in x)
+	mSubCopy  // sub, then a copy of its difference (x as for mAddCopy)
+	mAddLoad  // add, then a load (mLoad or mLoadEv) through the sum
+	mAddStore // add, then a store (mStore or mStoreEv) through the sum
 )
 
 // mExec marks a component whose instruction carries fExecEv: the
@@ -246,8 +257,9 @@ const (
 const mExec uint8 = 0x80
 
 // microp is one pre-decoded fused-run component: opcode (with the
-// binary operator folded in), destination register, and operands as
-// plain register-file indices, in 16 bytes — an eighth of cinstr.
+// binary operator folded in), destination register, operands as plain
+// register-file indices, and a copy pair's second destination, in 16
+// bytes — an eighth of cinstr.
 // Immediate operands are interned into the owning function's constant
 // pool, which frames carry in the tail of their register slab (see
 // cfunc.consts) — operand fetch in the run handler is two branchless
@@ -262,7 +274,52 @@ type microp struct {
 	op   uint8
 	dst  uint8
 	a, b uint8 // register-file indices; constants live past nregs
+	x    uint8 // mAddCopy/mSubCopy: the copy's destination; else 0
 	in   *ir.Instr
+}
+
+// pairMicros marks the pair heads of a lowered micro-op stream, left to
+// right: an add or sub followed by a copy of its result, or an add
+// followed by a load or store through it. Neither half may carry Exec,
+// and the second half is left as it is. The result is a pure function
+// of the stream, so the image decoder derives the pairs with this same
+// function instead of serializing them.
+func pairMicros(run []microp) {
+	for i := 0; i+1 < len(run); i++ {
+		h, s := &run[i], &run[i+1]
+		if (h.op != uint8(ir.BinAdd) && h.op != uint8(ir.BinSub)) || s.a != h.dst {
+			continue
+		}
+		switch s.op {
+		case mCopy:
+			h.x = s.dst
+			if h.op == uint8(ir.BinAdd) {
+				h.op = mAddCopy
+			} else {
+				h.op = mSubCopy
+			}
+		case mLoad, mLoadEv:
+			if h.op == uint8(ir.BinAdd) {
+				h.op = mAddLoad
+			}
+		case mStore, mStoreEv:
+			if h.op == uint8(ir.BinAdd) {
+				h.op = mAddStore
+			}
+		}
+	}
+}
+
+// ownOp returns the micro op of a component itself: a pair head's own
+// add or sub, every other op unchanged.
+func ownOp(op uint8) uint8 {
+	switch op {
+	case mAddCopy, mAddLoad, mAddStore:
+		return uint8(ir.BinAdd)
+	case mSubCopy:
+		return uint8(ir.BinSub)
+	}
+	return op
 }
 
 // microSlots is the minimum register-slab length newFrame provisions,
@@ -308,6 +365,8 @@ func (c *Code) lowerMicro(ci *cinstr, cf *cfunc, pool map[int64]int32) (microp, 
 		if ci.flags&fMemEv != 0 {
 			u.op = mStoreEv
 		}
+	case cInput:
+		u.op = mInput
 	}
 	if ci.flags&fExecEv != 0 {
 		u.op |= mExec
@@ -745,7 +804,8 @@ func (c *Code) seedIC(ci *cinstr, in *ir.Instr, seeds []int) {
 const cRunMax = 32
 
 // fuseBlock rewrites maximal straight-line runs of simple ops within
-// one block into cRun superinstructions dispatched once. Every
+// one block into cRun superinstructions dispatched once, and pairs the
+// components that retire together (pairMicros). Every
 // position in the run becomes a head of the corresponding suffix run
 // (all sharing one micro-op array), because a run that no longer fits
 // the quantum or step budget splits at the boundary: the admitted
@@ -773,6 +833,10 @@ const cRunMax = 32
 // unlock, join, spawn, and the remaining rare ops never join a run:
 // they yield the scheduling slice, block, or trap, so the instruction
 // after them could never execute in the same dispatch anyway.
+//
+// A pair splits like any two components: when the budget admits only
+// its first half, the run executes the add or sub alone and the next
+// slice resumes at the second half, which keeps its own micro op.
 func (c *Code) fuseBlock(cf *cfunc, pool map[int64]int32, start, end int32) {
 	pc := start
 	for pc < end {
@@ -804,6 +868,7 @@ func (c *Code) fuseBlock(cf *cfunc, pool map[int64]int32, start, end int32) {
 				run[i], ok = c.lowerMicro(&c.code[pc+i], cf, pool)
 			}
 			if ok {
+				pairMicros(run)
 				// Every position becomes a head of the run's suffix,
 				// sharing one micro-op array: a run split by a budget
 				// boundary resumes at base+k straight into the suffix
@@ -826,11 +891,11 @@ func (c *Code) fuseBlock(cf *cfunc, pool map[int64]int32, start, end int32) {
 }
 
 // runInterior reports whether ci may appear anywhere in a fused run:
-// a simple data op whose only flag is its Exec event, or a load/store
-// whose only flags are its Mem and Exec events.
+// a simple data op or input whose only flag is its Exec event, or a
+// load/store whose only flags are its Mem and Exec events.
 func runInterior(ci *cinstr) bool {
 	switch ci.op {
-	case cBin, cCopy, cNeg, cNot:
+	case cBin, cCopy, cNeg, cNot, cInput:
 		return ci.flags&^fExecEv == 0
 	case cLoad, cStore:
 		return ci.flags&^(fMemEv|fExecEv) == 0

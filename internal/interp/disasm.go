@@ -94,14 +94,17 @@ func regName(cf *cfunc, reg int32) string {
 	return fmt.Sprintf("r%d", reg)
 }
 
-// microName renders a micro opcode; a load/store that delivers its
-// Mem event is marked ".ev", and a component that delivers its Exec
-// event ".x".
+// binMicroNames are the mnemonics of the binary micro ops, by ir.BinOp.
+var binMicroNames = [...]string{"add", "sub", "mul", "div", "mod", "lt", "le", "gt", "ge", "eq", "ne", "and", "or", "xor", "shl", "shr"}
+
+// microName renders a component's own micro opcode (a pair head renders
+// as its add or sub); a load/store that delivers its Mem event is
+// marked ".ev", and a component that delivers its Exec event ".x".
 func microName(op uint8) string {
 	if op&mExec != 0 {
 		return microName(op&^mExec) + ".x"
 	}
-	switch op {
+	switch op = ownOp(op); op {
 	case mCopy:
 		return "copy"
 	case mNeg:
@@ -116,8 +119,33 @@ func microName(op uint8) string {
 		return "load.ev"
 	case mStoreEv:
 		return "store.ev"
+	case mInput:
+		return "input"
 	}
-	return fmt.Sprintf("bin.%d", op) // 0..15: ir.BinOp folded into the opcode
+	if int(op) < len(binMicroNames) {
+		return binMicroNames[op] // 0..15: ir.BinOp folded into the opcode
+	}
+	return fmt.Sprintf("micro.%d", op)
+}
+
+// microString renders the fused components of run as the listing's
+// entries: one per component, except that a pair whose both halves the
+// stream holds is one entry, both names joined by ">" (add>copy,
+// add>load.ev), followed by each half's registers.
+func microString(run []microp) string {
+	parts := make([]string, 0, len(run))
+	for i := 0; i < len(run); i++ {
+		u := run[i]
+		regs := fmt.Sprintf("r%d<-r%d,r%d", u.dst, u.a, u.b)
+		if ownOp(u.op) != u.op && i+1 < len(run) {
+			i++
+			s := run[i]
+			parts = append(parts, fmt.Sprintf("%s>%s %s r%d<-r%d,r%d", microName(u.op), microName(s.op), regs, s.dst, s.a, s.b))
+			continue
+		}
+		parts = append(parts, microName(u.op)+" "+regs)
+	}
+	return strings.Join(parts, "; ")
 }
 
 // Disasm writes an annotated listing of the compiled image to w:
@@ -209,10 +237,6 @@ func (c *Code) disasmOperands(bw *strings.Builder, cf *cfunc, ci *cinstr) {
 		}
 	case cRun:
 		fmt.Fprintf(bw, " n=%d micros=%d", ci.nrun, len(ci.run))
-		parts := make([]string, len(ci.run))
-		for i, u := range ci.run {
-			parts[i] = fmt.Sprintf("%s r%d<-r%d,r%d", microName(u.op), u.dst, u.a, u.b)
-		}
-		fmt.Fprintf(bw, "  ; fused{%s}", strings.Join(parts, "; "))
+		fmt.Fprintf(bw, "  ; fused{%s}", microString(ci.run))
 	}
 }

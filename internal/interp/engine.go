@@ -676,9 +676,10 @@ func (e *engine) runSlice(th *cthread) error {
 		// exactly where unfused execution would have yielded, and the
 		// next slice resumes at base+k — a suffix head covering the
 		// rest of the run — so quantum and step-limit timing is
-		// bit-identical to unfused execution. The terminator (a branch,
-		// jump, call, or return) only executes when the whole run was
-		// admitted.
+		// bit-identical to unfused execution. A pair retires both its
+		// components in one iteration only when both are admitted
+		// (j+1 < m). The terminator (a branch, jump, call, or return)
+		// only executes when the whole run was admitted.
 		n := in.nrun
 		k := n
 		if rem := int32(e.cfg.Quantum - q); rem < k {
@@ -744,12 +745,43 @@ func (e *engine) runSlice(th *cthread) error {
 				regs[u.dst] = av << (uint64(bv) & 63)
 			case uint8(ir.BinShr):
 				regs[u.dst] = av >> (uint64(bv) & 63)
+			case mAddCopy:
+				// A pair (pairMicros): the second half runs only when the
+				// budget admits it; otherwise the next slice resumes at
+				// the copy's own micro op.
+				v := av + bv
+				regs[u.dst] = v
+				if j+1 < m {
+					regs[u.x] = v
+					j++
+				}
+			case mSubCopy:
+				v := av - bv
+				regs[u.dst] = v
+				if j+1 < m {
+					regs[u.x] = v
+					j++
+				}
+			case mInput:
+				regs[u.dst] = e.input(av)
 			case mCopy:
 				regs[u.dst] = av
 			case mNeg:
 				regs[u.dst] = -av
 			case mNot:
 				regs[u.dst] = b2i(av == 0)
+			case mAddLoad:
+				// A pair: the add, then, budget permitting, the load
+				// through its sum, executed by the load's own micro op
+				// (its event, trap and abort cut included).
+				av += bv // the load's address operand is the sum
+				regs[u.dst] = av
+				if j+1 == m {
+					continue
+				}
+				j++
+				u = &in.run[j]
+				fallthrough
 			case mLoad, mLoadEv:
 				// Inlined e.mem hit path; a miss is exactly one of
 				// its trap conditions, so the slow path only traps.
@@ -779,6 +811,16 @@ func (e *engine) runSlice(th *cthread) error {
 				_, err := e.mem(th, u.in, av)
 				e.stats.Steps += uint64(j)
 				return err
+			case mAddStore:
+				av += bv
+				regs[u.dst] = av
+				if j+1 == m {
+					continue
+				}
+				j++
+				u = &in.run[j]
+				bv = regs[u.b] // read after the sum's write: it may be the sum
+				fallthrough
 			case mStore, mStoreEv:
 				if obj, off := DecodeAddr(av); IsPtr(av) && obj < len(e.objects) {
 					if cells := e.objects[obj]; uint64(off) < uint64(len(cells)) {
@@ -918,6 +960,14 @@ func (e *engine) runSlice(th *cthread) error {
 	return nil
 }
 
+// input returns input i of the run, 0 past either end.
+func (e *engine) input(i int64) int64 {
+	if uint64(i) < uint64(len(e.cfg.Inputs)) {
+		return e.cfg.Inputs[i]
+	}
+	return 0
+}
+
 // aborted is the error a run stopped by the abort flag returns.
 func (e *engine) aborted() error {
 	return fmt.Errorf("%w: %s", ErrAborted, e.cfg.Abort.Reason())
@@ -937,6 +987,8 @@ func (e *engine) execMicro(th *cthread, regs *[microSlots]int64, u *microp) (Add
 		regs[u.dst] = -av
 	case mNot:
 		regs[u.dst] = b2i(av == 0)
+	case mInput:
+		regs[u.dst] = e.input(av)
 	case mLoad, mLoadEv:
 		cell, err := e.mem(th, u.in, av)
 		if err != nil {
@@ -1199,12 +1251,7 @@ func (e *engine) step(th *cthread, fr *cframe, in *cinstr) (*cframe, error) {
 		e.output = append(e.output, opval(fr.regs, in.a))
 		fr.pc++
 	case cInput:
-		idx := opval(fr.regs, in.a)
-		var v int64
-		if idx >= 0 && idx < int64(len(e.cfg.Inputs)) {
-			v = e.cfg.Inputs[idx]
-		}
-		fr.regs[in.dst] = v
+		fr.regs[in.dst] = e.input(opval(fr.regs, in.a))
 		fr.pc++
 	case cNInputs:
 		fr.regs[in.dst] = int64(len(e.cfg.Inputs))

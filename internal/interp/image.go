@@ -10,8 +10,9 @@
 // interned constant pools, and the mask/config digests that guard
 // against stale speculation. Everything derivable (operand lowering,
 // branch-target PCs, call arguments, direct-call targets, source-
-// instruction bindings) is reconstructed from the program the image is
-// bound to, through the same newSkeleton pass the compiler uses, and
+// instruction bindings, the pair heads of each micro-op stream) is
+// reconstructed from the program the image is bound to, through the
+// same newSkeleton pass the compiler uses (and pairMicros), and
 // the serialized fields are validated against that skeleton item by
 // item. A corrupted or adversarial image therefore cannot alias
 // out-of-bounds registers, jump into the middle of a block, or bind a
@@ -41,7 +42,7 @@ import (
 // and the caller recompiles.
 var imageMagic = [6]byte{'O', 'H', 'C', 'I', 'M', 'G'}
 
-const imageVersion uint16 = 4
+const imageVersion uint16 = 5
 
 // ErrImage wraps every image decode failure, so callers can
 // distinguish "stale/corrupt artifact" from other errors with
@@ -176,7 +177,7 @@ func (c *Code) EncodeImage() []byte {
 				w.u8(1) // base head: carries the micro-op stream
 				w.u8(uint8(len(ci.run)))
 				for _, u := range ci.run {
-					w.u8(u.op)
+					w.u8(ownOp(u.op)) // pairs are derived on decode
 					w.u8(u.dst)
 					w.u8(u.a)
 					w.u8(u.b)
@@ -216,6 +217,8 @@ func microOpFor(ci *cinstr) (uint8, bool) {
 		return mLoad, true
 	case cStore:
 		return mStore, true
+	case cInput:
+		return mInput, true
 	}
 	return 0, false
 }
@@ -424,7 +427,7 @@ func DecodeImage(prog *ir.Program, data []byte) (*Code, error) {
 				if nrun != chainN-int32(chainPos) {
 					return nil, imgErr("pc %d: suffix run length %d, want %d", pc, nrun, chainN-int32(chainPos))
 				}
-				if want := headFlags(chain[chainPos].op); flags != want {
+				if want := headFlags(ownOp(chain[chainPos].op)); flags != want {
 					return nil, imgErr("pc %d: fused head carries flags %#x, its micro op wants %#x", pc, flags, want)
 				}
 				ci.op = cRun
@@ -487,7 +490,8 @@ func DecodeImage(prog *ir.Program, data []byte) (*Code, error) {
 					}
 					chain[i] = microp{op: uop, dst: udst, a: ua, b: ub, in: comp.in}
 				}
-				if want := headFlags(chain[0].op); flags != want {
+				pairMicros(chain)
+				if want := headFlags(ownOp(chain[0].op)); flags != want {
 					return nil, imgErr("pc %d: fused head carries flags %#x, its micro op wants %#x", pc, flags, want)
 				}
 				ci.op = cRun

@@ -156,11 +156,12 @@ func TestDecodeImageRejectsHeadFlagMismatch(t *testing.T) {
 // TestDecodeImageRejectsOldVersions checks that images carrying an
 // earlier format version decode as version errors, which the artifact
 // cache treats as misses, never as images: version 2, whose fused runs
-// could end in a raw instrumented load or store, and version 3, fused
-// under the earlier rules (no Exec-carrying component in any run).
+// could end in a raw instrumented load or store, version 3, fused under
+// the earlier rules (no Exec-carrying component in any run), and
+// version 4, which has no input micro op.
 func TestDecodeImageRejectsOldVersions(t *testing.T) {
 	code := memEvImage(t)
-	for _, v := range []byte{2, 3} {
+	for _, v := range []byte{2, 3, 4} {
 		img := code.EncodeImage()
 		img[len(imageMagic)] = v
 		img[len(imageMagic)+1] = 0

@@ -10,20 +10,27 @@ import (
 
 // fuzzProgSrc is the fixed program fuzzed images are bound against. It
 // exercises every structural feature of the format: fused runs (the
-// arithmetic loop), a run-terminating branch, an indirect call site
-// eligible for an inline cache, spawns, and locks. The committed corpus
-// (testdata/fuzz/FuzzDecodeImage) adds images of the current version
-// with a run ending in a block-event branch ("block-branch") and runs
-// with Exec-carrying components ("exec-run").
+// arithmetic loop), pairs (an add and the copy, load or store through
+// its result), input inside a run, run-terminating branches and lone
+// ones, an indirect call site eligible for an inline cache, spawns, and
+// locks. The committed corpus (testdata/fuzz/FuzzDecodeImage) holds
+// images of earlier versions and of the current one: copy and address
+// pairs without events ("pair-copy") and with Mem events
+// ("pair-loadev"), Exec-carrying components with input among them
+// ("input-run"), and branches and jumps outside any run delivering
+// BlockEnter ("lone-branch").
 const fuzzProgSrc = `
 	global total = 0;
 	global m = 0;
+	global buf[4];
 
 	func add(n) {
 		var i = 0;
 		while (i < n) {
 			lock(&m);
 			total = total + i * 3 - 1;
+			buf[i % 4] = i;
+			total = total + buf[(i + 1) % 4];
 			unlock(&m);
 			i = i + 1;
 		}
@@ -38,6 +45,7 @@ const fuzzProgSrc = `
 		var t = spawn add(2);
 		g(3);
 		join(t);
+		if (which) { print(buf[1]); }
 		print(total);
 	}
 `
